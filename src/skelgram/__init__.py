@@ -11,8 +11,7 @@ from .multilinear import MultilinearMap, apply, colinear_witness
 from .table import Budget, CapExceeded, ObservationTable, TableError
 from .teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
                       ExhaustiveStrategy, SamplingStrategy, SimulatedTeacher,
-                      corpus_smq, exhaustive_candidates, load_corpus,
-                      sampling_candidates)
+                      load_corpus)
 from .trees import (Context, Hole, HOLE, IDENTITY_CONTEXT, Leaf, Node,
                     RankedAlphabet, SkeletalTree, TreeSyntaxError,
                     canonical_key, compose, compose_contexts,

@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rank", type=int, default=2)
     p.add_argument("--max-iterations", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--exact", action="store_true", default=True)
     p.add_argument("--float", action="store_true")
     p.add_argument("--dump-table", action="store_true")
     p.set_defaults(func=cmd_learn)

@@ -7,6 +7,7 @@ most one non-zero entry.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .multilinear import MultilinearMap
@@ -21,35 +22,26 @@ def extract_cmta(table: ObservationTable) -> MTA:
     d = len(table.basis)
     zero = Fraction(0) if table.exact else 0.0
 
-    def unit(cls):
-        vec = [zero] * d
-        if not cls.is_zero:
-            assert not cls.is_independent, "closed table cannot have independent rows"
-            vec[cls.index] = cls.coeff
-        return vec
+    def entry(tree) -> dict:
+        """{basis index: coefficient} classifying tree's row; {} for a zero row."""
+        cls = table.classify(tree)
+        if cls.is_zero:
+            return {}
+        assert not cls.is_independent, "closed table cannot have independent rows"
+        return {cls.index: cls.coeff}
 
     leaf_maps = {}
     for tok in table.alphabet.leaf_symbols:
-        leaf_maps[tok] = unit(table.classify(Leaf(tok)))
+        found = entry(Leaf(tok))
+        leaf_maps[tok] = [found.get(i, zero) for i in range(d)]
 
     node_maps = {}
     for k in range(1, table.alphabet.max_rank + 1):
-        m = MultilinearMap.zero(k, d)
-        for row in m.rows:
-            for j in range(len(row)):
-                row[j] = zero
-        for col_tuple in _tuples(d, k):
-            tree = Node(tuple(table.basis[j - 1] for j in col_tuple))
-            col_vec = unit(table.classify(tree))
-            for i in range(d):
-                if col_vec[i] != 0:
-                    m.set_coefficient(i + 1, col_tuple, col_vec[i])
-        node_maps[k] = m
+        m = node_maps[k] = MultilinearMap.zero(k, d, zero)
+        for col in itertools.product(range(d), repeat=k):
+            if found := entry(Node(tuple(table.basis[j] for j in col))):
+                m.columns[col] = found
 
     output = [table.rows[b][0] for b in table.basis]  # column 0 is the identity context
     return MTA(table.alphabet, d, leaf_maps, node_maps, output)
 
-
-def _tuples(d: int, k: int):
-    import itertools
-    return itertools.product(range(1, d + 1), repeat=k)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .multilinear import MultilinearMap
-from .mta import MTA
+from .mta import MTA, EvaluationError
 from .scalars import DEFAULT_TOL, format_scalar, parse_scalar, scalar_eq
 from .trees import Leaf, RankedAlphabet, SkeletalTree
 
@@ -47,16 +47,7 @@ class WCFG:
             self.weights[(lhs, rhs)] = w
         self._nt_set = set(self.nonterminals)
         self._zero = Fraction(0) if self.is_exact() else 0.0
-        # rule indexes for the bottom-up weight computation
-        self._leaf_rules: dict[tuple[str, str], object] = {}
-        self._node_rules: dict[tuple[str, int], list] = {}
-        for (lhs, rhs), w in self.weights.items():
-            if len(rhs) == 1 and rhs[0] in self.terminals:
-                key = (lhs, rhs[0])
-                self._leaf_rules[key] = self._leaf_rules.get(key, self._zero) + w
-            else:
-                self._node_rules.setdefault((lhs, len(rhs)), []).append((rhs, w))
-        self._wmemo: dict = {}
+        self._automaton = None  # built on first weight query, memoizes subtrees
 
     @property
     def start(self) -> str:
@@ -76,40 +67,30 @@ class WCFG:
 
     # -- tree weights ------------------------------------------------------
 
+    def _vector(self, s: SkeletalTree) -> list:
+        """s's vector under the grammar's automaton; it starts with the
+        per-nonterminal weights, in nonterminal order."""
+        if self._automaton is None:
+            self._automaton = _grammar_automaton(self)
+        try:
+            return self._automaton.eval_vector(s)
+        except EvaluationError:  # a rank longer than every rule, or an unknown leaf
+            return [self._zero] * len(self.nonterminals)
+
     def weight_from(self, nt: str, s: SkeletalTree):
         """Total weight of taggings of s whose root is tagged nt."""
-        key = (nt, s)
-        hit = self._wmemo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(s, Leaf):
-            out = self._leaf_rules.get((nt, s.token), self._zero)
-        else:
-            out = self._zero
-            kids = s.children
-            for rhs, w in self._node_rules.get((nt, len(kids)), ()):
-                term = w
-                for sym, child in zip(rhs, kids):
-                    if sym in self._nt_set:
-                        term = term * self.weight_from(sym, child)
-                    elif not (isinstance(child, Leaf) and child.token == sym):
-                        term = self._zero
-                    if term == 0:
-                        break
-                out = out + term
-        self._wmemo[key] = out
-        return out
+        return self.derivation_weights(s).get(nt, self._zero)
 
     def skeletal_weight(self, s: SkeletalTree):
         """Weight of s over all taggings rooted at the start symbol."""
-        for tok in set(t for t in _tree_tokens(s)):
+        for tok in set(_tree_tokens(s)):
             if tok not in self.terminals:
                 raise GrammarError(f"unknown terminal {tok!r}")
-        return self.weight_from(self.start, s)
+        return self._vector(s)[0]
 
     def derivation_weights(self, s: SkeletalTree) -> dict:
         """Per-nonterminal weight vector of s."""
-        return {nt: self.weight_from(nt, s) for nt in self.nonterminals}
+        return dict(zip(self.nonterminals, self._vector(s)))
 
     # -- structure checks --------------------------------------------------
 
@@ -120,9 +101,6 @@ class WCFG:
             if owner.setdefault(rhs, lhs) != lhs:
                 return False
         return True
-
-    def is_structurally_unambiguous(self) -> bool:
-        return self.is_invertible()
 
     def is_normalized(self, tol: float = DEFAULT_TOL) -> bool:
         totals: dict[str, object] = {}
@@ -178,14 +156,11 @@ def pmta_to_wcfg(a: MTA) -> WCFG:
         for i in range(d):
             if vec[i] != 0:
                 v_rules[i][(tok,)] = vec[i]
-    for k in range(1, a.alphabet.max_rank + 1):
-        m = a.node_maps[k]
-        for col, tup in enumerate(_index_tuples(d, k)):
-            rhs = tuple(f"V{j}" for j in tup)
-            for i in range(d):
-                c = m.rows[i][col]
-                if c != 0:
-                    v_rules[i][rhs] = c
+    for m in a.node_maps.values():
+        for col, entries in sorted(m.columns.items()):
+            rhs = tuple(f"V{j + 1}" for j in col)
+            for i, c in entries.items():
+                v_rules[i][rhs] = c
 
     weights: dict = {}
     for i in range(d):
@@ -198,12 +173,6 @@ def pmta_to_wcfg(a: MTA) -> WCFG:
     return WCFG(names, list(a.alphabet.leaf_symbols), weights)
 
 
-def _index_tuples(d: int, k: int):
-    """1-based index tuples in column order (last position fastest)."""
-    import itertools
-    return itertools.product(range(1, d + 1), repeat=k)
-
-
 def wcfg_to_pmta(g: WCFG, max_rank: int | None = None) -> MTA:
     """Non-negative grammar -> positive automaton of dimension |V| + |terminals|.
 
@@ -213,6 +182,11 @@ def wcfg_to_pmta(g: WCFG, max_rank: int | None = None) -> MTA:
     """
     if any(w < 0 for w in g.weights.values()):
         raise GrammarError("grammar has a negative weight")
+    return _grammar_automaton(g, max_rank)
+
+
+def _grammar_automaton(g: WCFG, max_rank: int | None = None) -> MTA:
+    """The automaton of wcfg_to_pmta, built for weights of either sign."""
     nts = g.nonterminals
     toks = g.terminals
     iota = {sym: i for i, sym in enumerate(nts + toks)}
@@ -226,30 +200,21 @@ def wcfg_to_pmta(g: WCFG, max_rank: int | None = None) -> MTA:
     embedded = {sym for _, rhs, _ in structural if len(rhs) >= 2
                 for sym in rhs if sym in toks}
 
-    leaf_maps = {}
-    for tok in toks:
-        vec = [zero] * n
-        if tok in embedded:
-            vec[iota[tok]] = one
-        leaf_maps[tok] = vec
+    leaf_maps = {tok: [zero] * n for tok in toks}
+    for tok in embedded:
+        leaf_maps[tok][iota[tok]] = one
     for (lhs, rhs), w in g.weights.items():
         if len(rhs) == 1 and rhs[0] in toks:
-            vec = leaf_maps[rhs[0]]
-            vec[iota[lhs]] = vec[iota[lhs]] + w
+            leaf_maps[rhs[0]][iota[lhs]] = w
 
-    node_maps = {k: MultilinearMap.zero(k, n) for k in range(1, p + 1)}
-    for m in node_maps.values():
-        for row in m.rows:
-            for j in range(len(row)):
-                row[j] = zero
+    node_maps = {k: MultilinearMap.zero(k, n, zero) for k in range(1, p + 1)}
     for lhs, rhs, w in structural:
         k = len(rhs)
         if k > p:
             raise GrammarError(f"rule length {k} exceeds requested max rank {p}")
-        indices = tuple(iota[sym] + 1 for sym in rhs)
-        m = node_maps[k]
-        m.set_coefficient(iota[lhs] + 1, indices,
-                          m.coefficient(iota[lhs] + 1, indices) + w)
+        if w != 0:
+            col = node_maps[k].columns.setdefault(tuple(iota[sym] for sym in rhs), {})
+            col[iota[lhs]] = w
 
     output = [zero] * n
     output[iota[g.start]] = one

@@ -7,6 +7,7 @@ output vector.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .multilinear import MultilinearMap, apply
@@ -19,9 +20,13 @@ class EvaluationError(ValueError):
 
 
 class MTA:
-    """dim-d automaton: per-token leaf vectors, per-rank node maps, output vector."""
+    """dim-d automaton: per-token leaf vectors, per-rank node maps, output vector.
 
-    __slots__ = ("alphabet", "dim", "leaf_maps", "node_maps", "output")
+    Subtree vectors are memoized for the automaton's lifetime, so its maps
+    must not change once it has evaluated a tree.
+    """
+
+    __slots__ = ("alphabet", "dim", "leaf_maps", "node_maps", "output", "_memo")
 
     def __init__(self, alphabet: RankedAlphabet, dim: int, leaf_maps, node_maps, output):
         if dim < 0:
@@ -47,6 +52,7 @@ class MTA:
         self.leaf_maps = leaf_maps
         self.node_maps = node_maps
         self.output = output
+        self._memo: dict[SkeletalTree, list] = {}
 
     @classmethod
     def zero(cls, alphabet: RankedAlphabet) -> "MTA":
@@ -54,17 +60,28 @@ class MTA:
         return cls(alphabet, 0, {tok: [] for tok in alphabet.leaf_symbols}, {}, [])
 
     def eval_vector(self, t: SkeletalTree) -> list:
-        """Bottom-up vector of t."""
-        if isinstance(t, Leaf):
-            try:
-                return self.leaf_maps[t.token]
-            except KeyError:
-                raise EvaluationError(f"unknown leaf token {t.token!r}") from None
-        kids = [self.eval_vector(c) for c in t.children]
-        k = len(kids)
-        if k > self.alphabet.max_rank:
-            raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")
-        return apply(self.node_maps[k], kids)
+        """Bottom-up vector of t, walked with an explicit stack."""
+        memo = self._memo
+        stack = [t]
+        while stack:
+            s = stack[-1]
+            if s in memo:
+                stack.pop()
+            elif isinstance(s, Leaf):
+                try:
+                    memo[s] = self.leaf_maps[s.token]
+                except KeyError:
+                    raise EvaluationError(f"unknown leaf token {s.token!r}") from None
+            else:
+                pending = [c for c in s.children if c not in memo]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                k = len(s.children)
+                if k > self.alphabet.max_rank:
+                    raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")
+                memo[s] = apply(self.node_maps[k], [memo[c] for c in s.children])
+        return list(memo[t])
 
     def eval(self, t: SkeletalTree):
         """Automaton value: dot(output, eval_vector(t))."""
@@ -77,29 +94,17 @@ class MTA:
 
     def is_positive(self) -> bool:
         """True iff every stored coefficient (maps and output) is >= 0."""
-        if any(x < 0 for x in self.output):
-            return False
-        for vec in self.leaf_maps.values():
-            if any(x < 0 for x in vec):
-                return False
-        for m in self.node_maps.values():
-            for row in m.rows:
-                if any(x < 0 for x in row):
-                    return False
-        return True
+        return (all(x >= 0 for x in self.output)
+                and all(x >= 0 for vec in self.leaf_maps.values() for x in vec)
+                and all(c >= 0 for m in self.node_maps.values()
+                        for col in m.columns.values() for c in col.values()))
 
     def is_colinear_mta(self) -> bool:
         """True iff every transition-matrix column has at most one non-zero
         entry; leaf vectors count as single columns."""
-        for vec in self.leaf_maps.values():
-            if sum(1 for x in vec if x != 0) > 1:
-                return False
-        for m in self.node_maps.values():
-            width = m.dim ** m.arity
-            for col in range(width):
-                if sum(1 for row in m.rows if row[col] != 0) > 1:
-                    return False
-        return True
+        return (all(sum(1 for x in vec if x != 0) <= 1 for vec in self.leaf_maps.values())
+                and all(len(col) <= 1 for m in self.node_maps.values()
+                        for col in m.columns.values()))
 
 
 def format_mta(a: MTA) -> str:
@@ -153,7 +158,7 @@ def parse_mta(text: str, exact: bool = True) -> MTA:
         rows = rank_rows.get(k, [])
         if dim and len(rows) != dim:
             raise ValueError(f"rank {k}: expected {dim} rows, got {len(rows)}")
-        node_maps[k] = MultilinearMap(k, dim, rows) if dim else MultilinearMap.zero(k, 0)
+        node_maps[k] = MultilinearMap(k, dim, rows)
     return MTA(alphabet, dim, leaf_maps, node_maps, output)
 
 
@@ -174,9 +179,10 @@ def random_cmta(rng, alphabet: RankedAlphabet, dim: int, positive: bool = False)
     node_maps = {}
     for k in range(1, alphabet.max_rank + 1):
         m = MultilinearMap.zero(k, dim)
-        for col in range(dim ** k):
-            if rng.random() < 0.7 and dim:
-                m.rows[rng.randrange(dim)][col] = value()
+        for col in itertools.product(range(dim), repeat=k):
+            if rng.random() < 0.7:
+                c = value()
+                m.columns[col] = {rng.randrange(dim): c}
         node_maps[k] = m
     output = [value() if rng.random() < 0.8 else Fraction(0) for _ in range(dim)]
     return MTA(alphabet, dim, leaf_maps, node_maps, output)

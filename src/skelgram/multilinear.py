@@ -1,12 +1,15 @@
-"""Dense multilinear maps V^k -> V stored as d x d^k coefficient matrices.
+"""Sparse multilinear maps V^k -> V stored column by column.
 
-Column index layout enumerates the argument index tuple (j1..jk)
-lexicographically with jk varying fastest, so column 0 is (1,1,..,1),
-column 1 is (1,..,1,2), and so on.
+A column is a 0-based child-index tuple (j1..jk); it maps to its non-zero
+rows {i: c^i_{j1..jk}}.  A co-linear map is one whose columns each hold at
+most one entry.  The dense d x d^k view (`rows`) enumerates columns
+lexicographically with jk varying fastest and fills gaps with the map's
+zero scalar, so exact and float maps print their zeros as they were given.
 """
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .scalars import DEFAULT_TOL, scalar_is_zero
 
@@ -14,97 +17,82 @@ from .scalars import DEFAULT_TOL, scalar_is_zero
 class MultilinearMap:
     """A k-linear map on d-vectors; k=0 degenerates to a constant d-vector."""
 
-    __slots__ = ("arity", "dim", "rows")
+    __slots__ = ("arity", "dim", "columns", "zero_scalar")
 
-    def __init__(self, arity: int, dim: int, rows):
+    def __init__(self, arity: int, dim: int, rows=None, zero_scalar=None):
+        """Build from a dense d x d^k matrix, or an empty map when rows is None.
+
+        The zero scalar defaults to the type of the first dense entry.
+        """
         if arity < 0 or dim < 0:
             raise ValueError("arity and dim must be non-negative")
-        width = dim ** arity
-        rows = [list(r) for r in rows]
-        if len(rows) != dim or any(len(r) != width for r in rows):
-            raise ValueError(f"coefficient matrix must be {dim} x {width}")
         self.arity = arity
         self.dim = dim
-        self.rows = rows
+        self.columns: dict[tuple, dict] = {}
+        if rows is not None:
+            rows = [list(r) for r in rows]
+            width = dim ** arity
+            if len(rows) != dim or any(len(r) != width for r in rows):
+                raise ValueError(f"coefficient matrix must be {dim} x {width}")
+            if zero_scalar is None:
+                zero_scalar = next((x * 0 for r in rows for x in r), None)
+            for i, row in enumerate(rows):
+                for col, c in zip(self._column_order(), row):
+                    if c != 0:
+                        self.columns.setdefault(col, {})[i] = c
+        self.zero_scalar = Fraction(0) if zero_scalar is None else zero_scalar
 
     @classmethod
-    def zero(cls, arity: int, dim: int) -> "MultilinearMap":
-        from fractions import Fraction
-        width = dim ** arity
-        return cls(arity, dim, [[Fraction(0)] * width for _ in range(dim)])
+    def zero(cls, arity: int, dim: int, zero_scalar=Fraction(0)) -> "MultilinearMap":
+        return cls(arity, dim, zero_scalar=zero_scalar)
 
-    def column_index(self, indices) -> int:
-        """Flat column offset of a 1-based index tuple (j1..jk)."""
-        idx = 0
+    def _column_order(self):
+        return itertools.product(range(self.dim), repeat=self.arity)
+
+    @property
+    def rows(self) -> list:
+        """Dense coefficient matrix, one row per output coordinate."""
+        cols = [self.columns.get(col, {}) for col in self._column_order()]
+        return [[col.get(i, self.zero_scalar) for col in cols] for i in range(self.dim)]
+
+    def _key(self, indices) -> tuple:
         for j in indices:
             if not 1 <= j <= self.dim:
                 raise IndexError(f"index {j} out of range 1..{self.dim}")
-            idx = idx * self.dim + (j - 1)
-        return idx
+        return tuple(j - 1 for j in indices)
 
     def coefficient(self, i: int, indices):
         """c^i_{j1..jk} with all indices 1-based."""
-        return self.rows[i - 1][self.column_index(indices)]
-
-    def set_coefficient(self, i: int, indices, value) -> None:
-        self.rows[i - 1][self.column_index(indices)] = value
+        return self.columns.get(self._key(indices), {}).get(i - 1, self.zero_scalar)
 
     def column(self, indices) -> list:
-        col = self.column_index(indices)
-        return [r[col] for r in self.rows]
+        col = self.columns.get(self._key(indices), {})
+        return [col.get(i, self.zero_scalar) for i in range(self.dim)]
 
     def __eq__(self, other):
         return (isinstance(other, MultilinearMap) and self.arity == other.arity
-                and self.dim == other.dim and self.rows == other.rows)
+                and self.dim == other.dim and self.columns == other.columns)
 
 
 def apply(m: MultilinearMap, args) -> list:
-    """Evaluate the map: y[i] = sum over (j1..jk) of c^i_{j1..jk} * prod args[u][ju]."""
+    """Evaluate the map: y[i] = sum over (j1..jk) of c^i_{j1..jk} * prod args[u][ju].
+
+    Only columns in the product of the arguments' supports are visited.
+    """
     if len(args) != m.arity:
         raise ValueError(f"expected {m.arity} arguments, got {len(args)}")
     for v in args:
         if len(v) != m.dim:
             raise ValueError(f"argument dimension {len(v)} != {m.dim}")
-    d = m.dim
-    if d == 0:
-        return []
-    if m.arity == 0:
-        return [r[0] for r in m.rows]
-
-    # fast path: every argument has at most one non-zero coordinate, so only
-    # a single column contributes (this is the common case for CMTA runs)
-    sparse = []
-    for v in args:
-        nz = [(j, x) for j, x in enumerate(v, start=1) if x != 0]
-        if len(nz) > 1:
-            sparse = None
-            break
-        sparse.append(nz[0] if nz else None)
-    if sparse is not None:
-        if any(entry is None for entry in sparse):
-            return [row[0] * 0 for row in m.rows]
-        factor = 1
-        for _, x in sparse:
-            factor = factor * x
-        col = m.column_index([j for j, _ in sparse])
-        return [r[col] * factor for r in m.rows]
-
-    out = []
-    index_tuples = list(itertools.product(range(d), repeat=m.arity))
-    for i in range(d):
-        row = m.rows[i]
-        acc = 0
-        for col, tup in enumerate(index_tuples):
-            c = row[col]
-            if c == 0:
-                continue
-            prod = c
-            for u, j in enumerate(tup):
-                prod = prod * args[u][j]
-                if prod == 0:
-                    break
-            acc = acc + prod
-        out.append(acc)
+    out = [m.zero_scalar] * m.dim
+    supports = [[(j, x) for j, x in enumerate(v) if x] for v in args]
+    for combo in itertools.product(*supports):
+        col = m.columns.get(tuple(j for j, _ in combo))
+        if col:
+            for i, c in col.items():
+                for _, x in combo:
+                    c = c * x
+                out[i] = out[i] + c
     return out
 
 

@@ -35,12 +35,6 @@ def vector_is_zero(v, tol: float = DEFAULT_TOL) -> bool:
     return all(scalar_is_zero(x, tol) for x in v)
 
 
-def vector_eq(v, w, tol: float = DEFAULT_TOL) -> bool:
-    if len(v) != len(w):
-        return False
-    return all(scalar_eq(a, b, tol) for a, b in zip(v, w))
-
-
 def parse_scalar(text: str, exact: bool = True) -> Scalar:
     """Parse "num/den", integer, or decimal notation.
 

@@ -159,17 +159,6 @@ class AllTreesStrategy:
             min_rank=2, max_rank=self.alphabet.max_rank)
 
 
-def exhaustive_candidates(alphabet: RankedAlphabet, max_len: int, weight=None):
-    """Stream of optimal trees for all strings up to max_len."""
-    return ExhaustiveStrategy(alphabet, max_len, weight).candidates()
-
-
-def sampling_candidates(alphabet: RankedAlphabet, count: int, max_len: int,
-                        seed: int, weight=None):
-    """Deterministic stream of optimal trees for sampled strings."""
-    return SamplingStrategy(alphabet, count, max_len, seed, weight).candidates()
-
-
 # -- corpus oracle -----------------------------------------------------------
 
 
@@ -216,10 +205,6 @@ class CorpusOracle:
                 if tok not in tokens:
                     tokens.append(tok)
         return RankedAlphabet(tokens, max_rank)
-
-
-def corpus_smq(oracle: CorpusOracle, tree: SkeletalTree):
-    return oracle.smq(tree)
 
 
 def load_corpus(path, exact: bool = True, max_rank: int = 2):

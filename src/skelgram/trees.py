@@ -198,47 +198,44 @@ def _parse_nodes(text: str, alphabet: RankedAlphabet, allow_hole: bool):
     tokens = _TOKENIZE.findall(text)
     if not tokens:
         raise TreeSyntaxError("empty structured string")
-    pos = 0
-
-    def parse_one():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise TreeSyntaxError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
+    open_nodes = []  # children parsed so far, one list per unclosed "("
+    root = None
+    for tok in tokens:
+        if root is not None:
+            raise TreeSyntaxError(f"trailing input after tree: {tok!r}")
         if tok == "(":
-            children = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                children.append(parse_one())
-            if pos >= len(tokens):
-                raise TreeSyntaxError("unbalanced parentheses: missing ')'")
-            pos += 1  # consume ')'
+            open_nodes.append([])
+            continue
+        if tok == ")":
+            if not open_nodes:
+                raise TreeSyntaxError("unbalanced parentheses: stray ')'")
+            children = open_nodes.pop()
             if not children:
                 raise TreeSyntaxError("empty node '()'")
             if len(children) > alphabet.max_rank:
                 raise TreeSyntaxError(
                     f"node arity {len(children)} exceeds max rank {alphabet.max_rank}")
-            return Node(children)
-        if tok == ")":
-            raise TreeSyntaxError("unbalanced parentheses: stray ')'")
-        if tok == HOLE_TOKEN:
+            tree = Node(children)
+        elif tok == HOLE_TOKEN:
             if not allow_hole:
                 raise TreeSyntaxError("hole marker not allowed in a tree")
-            return HOLE
-        if tok not in alphabet:
+            tree = HOLE
+        elif tok not in alphabet:
             raise TreeSyntaxError(f"unknown token: {tok!r}")
-        return Leaf(tok)
-
-    root = parse_one()
-    if pos != len(tokens):
-        raise TreeSyntaxError(f"trailing input after tree: {tokens[pos]!r}")
+        else:
+            tree = Leaf(tok)
+        if open_nodes:
+            open_nodes[-1].append(tree)
+        else:
+            root = tree
+    if open_nodes:
+        raise TreeSyntaxError("unbalanced parentheses: missing ')'")
     return root
 
 
 def parse_structured_string(text: str, alphabet: RankedAlphabet) -> SkeletalTree:
     """Parse a structured string into a skeletal tree."""
-    root = _parse_nodes(text, alphabet, allow_hole=False)
-    return root
+    return _parse_nodes(text, alphabet, allow_hole=False)
 
 
 def parse_context(text: str, alphabet: RankedAlphabet) -> Context:

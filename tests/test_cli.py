@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from skelgram.cli import main
+from skelgram.geneclusters import right_chain
 from skelgram.grammar import load_wcfg, parse_wcfg, format_wcfg
 
 from conftest import FIXTURES
@@ -61,6 +62,15 @@ def test_eval_most_probable_tree(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split("\t") == ["0.456", "(AcrR ((AcrA AcrB) TolC))"]
     assert lines[1].split("\t")[0] == "0"
+
+
+def test_eval_long_chain(tmp_path, capsys):
+    chain = right_chain("a", 2000)
+    trees = tmp_path / "chain.txt"
+    trees.write_text(chain.text + "\n", encoding="utf-8")
+    assert run(["eval", FIXTURES / "smalldup.wcfg", "--trees", trees]) == 0
+    weight = Fraction(4, 5) * Fraction(1, 5) ** 1998  # underflows to 0 as a float
+    assert capsys.readouterr().out == f"{float(weight):.12g}\t{chain.text}\n"
 
 
 def test_eval_malformed_line_reports_lineno(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from skelgram.grammar import (GrammarError, PCFG, WCFG, format_wcfg, load_wcfg,
                               parse_wcfg, partition_functions, pmta_to_wcfg,
                               wcfg_to_pcfg, wcfg_to_pmta)
-from skelgram.mta import MTA, random_pmta
+from skelgram.mta import MTA, format_mta, parse_mta, random_pmta
 from skelgram.multilinear import MultilinearMap, colinear_witness
 from skelgram.trees import (Leaf, Node, RankedAlphabet, enumerate_contexts,
                             enumerate_trees, parse_structured_string, compose)
@@ -39,9 +40,18 @@ def test_acrab_least_probable_tree(acrab):
 
 
 def test_fimacd_duplication_chains(fimacd):
-    for n in range(3, 11):
+    for n in [*range(3, 11), 2000]:
         w = fimacd.weight_from("N7", right_chain("FimA", n))
         assert w == Fraction(8, 10) * Fraction(2, 10) ** (n - 3)
+
+
+def test_long_chain_weighs_the_same_through_both_evaluators():
+    smalldup = load_wcfg(FIXTURES / "smalldup.wcfg")
+    n = 2000
+    chain = right_chain("a", n)
+    expected = Fraction(4, 5) * Fraction(1, 5) ** (n - 2)
+    assert wcfg_to_pmta(smalldup).eval(chain) == expected
+    assert smalldup.skeletal_weight(chain) == expected
 
 
 def test_skeletal_weight_matches_tagging_enumeration(acrab):
@@ -68,12 +78,22 @@ def test_skeletal_weight_unknown_terminal(acrab):
         acrab.skeletal_weight(Leaf("NoSuchGene"))
 
 
+def test_weights_of_signed_grammars_and_unruled_ranks():
+    g = parse_wcfg("S -> a S [-1/2]\nS -> a [2]")
+    ab3 = g.alphabet(3)
+    assert g.skeletal_weight(parse_structured_string("(a a)", ab3)) == -1
+    assert g.skeletal_weight(parse_structured_string("(a)", ab3)) == 0
+    assert g.skeletal_weight(parse_structured_string("(a a a)", ab3)) == 0
+    assert g.derivation_weights(parse_structured_string("((a a a) a)", ab3)) == {"S": 0}
+    with pytest.raises(GrammarError):
+        wcfg_to_pmta(g)
+
+
 def test_is_invertible_examples():
     g1 = parse_wcfg("N1 -> a N1 [1]\nN2 -> a N1 [1]")
     assert not g1.is_invertible()
     g2 = parse_wcfg("N -> a N [1]\nN -> a a [1]")
     assert g2.is_invertible()
-    assert g2.is_structurally_unambiguous()
 
 
 def test_invertibility_of_fixtures(acrab, fimacd):
@@ -169,6 +189,54 @@ def test_wcfg_to_pmta_non_invertible_has_doubled_column():
     ia = 2  # iota: N1=0, N2=1, a=2
     col = m.column((ia + 1, ia + 1))
     assert sum(1 for x in col if x != 0) == 2
+
+
+# sha256 of format_mta(wcfg_to_pmta(g)) for every fixture, loaded exactly
+# (True) and with exact=False, as printed by the dense-matrix implementation.
+PMTA_TEXT_SHA256 = {
+    ("acrab", True): "e1bb8d0aefb5c71987f2521ea8928bc415129daf45977b82180a7e1f46f42efc",
+    ("acrab", False): "e605807928a298d250ea871a8ffb69abb4c912bfff359b68bff1ebb61dd01ecd",
+    ("chain", True): "d20a0f21614d50b72b4e295229c3d34b21d9032669148c724dec1642d8479772",
+    ("chain", False): "0dd64c40eea25f6b7aca8e501b034c278355ae3bc3da4db4e469d063aec41049",
+    ("colinearity3", True): "a0fea0b4e0405a3e3a80f1ea625e2019ff2ab8865880becc885ef9ae6da62199",
+    ("colinearity3", False): "8a039ebcd640687fe82b916cb6a1b9d90efa2e7ef0305ac56b5ef604794a489f",
+    ("fimacd", True): "39b09aaa18e581dbc39ea73c02392c94aa60cf2668210f057a4d8e7d49d036f3",
+    ("fimacd", False): "7853b06ceef0fcb23fc9f8ebf7c2a39e773e8490935633c6cc0be6d5591697ed",
+    ("smalldup", True): "1ebc6d5f7070bfbdc809b0deb88bd5b9f62c7d4efa34ba8699c7e17cdadcb8cc",
+    ("smalldup", False): "aac5fe81e8011f797fd6bb30d31f92b0a95b92c69e3629855307571e6dc9ea6c",
+    ("trivial", True): "9756d4a7d75f8f750f78b462162c70e5370ba422c58b18d0899fcff4405e1069",
+    ("trivial", False): "267338388b30ec85e3c79b7e1d61a52e0d6952ecb3b2a85522d1a1f512379818",
+}
+
+COLINEARITY3_FLOAT_MTA = """\
+mta d=4 p=2
+lambda: 1.0 0.0 0.0 0.0
+leaf a: 0.0 1.0 0.0 0.0
+rank 1:
+  0.0 0.0 0.0 0.0
+  0.0 0.0 0.0 0.0
+  0.0 0.0 0.0 0.0
+  0.0 0.0 0.0 0.0
+rank 2:
+  0.0 0.0 0.0 0.0 0.0 0.0 0.5 0.0 0.0 0.0 0.5 0.0 0.0 0.0 0.0 0.0
+  0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0
+  0.0 0.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0
+  0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0
+"""
+
+
+def test_wcfg_to_pmta_text_is_pinned():
+    for (name, exact), digest in PMTA_TEXT_SHA256.items():
+        text = format_mta(wcfg_to_pmta(load_wcfg(FIXTURES / f"{name}.wcfg", exact)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, exact)
+
+
+def test_float_mta_text_roundtrips_with_float_zeros():
+    g = load_wcfg(FIXTURES / "colinearity3.wcfg", exact=False)
+    assert format_mta(wcfg_to_pmta(g)) == COLINEARITY3_FLOAT_MTA
+    for name, _ in PMTA_TEXT_SHA256:
+        text = format_mta(wcfg_to_pmta(load_wcfg(FIXTURES / f"{name}.wcfg", exact=False)))
+        assert format_mta(parse_mta(text, exact=False)) == text, name
 
 
 def test_wcfg_to_pmta_preserves_weights_random():

@@ -9,9 +9,7 @@ from skelgram.grammar import load_wcfg, wcfg_to_pmta
 from skelgram.mta import MTA
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle,
                               DuplicationsStrategy, ExhaustiveStrategy,
-                              SamplingStrategy, SimulatedTeacher, corpus_smq,
-                              exhaustive_candidates, load_corpus,
-                              sampling_candidates)
+                              SamplingStrategy, SimulatedTeacher, load_corpus)
 from skelgram.trees import (Leaf, Node, RankedAlphabet, parse_structured_string,
                             tree_yield)
 
@@ -99,7 +97,7 @@ def test_corpus_smq_stays_in_unit_interval():
                     Fraction(rng.randint(1, 5))) for _ in range(3)]
         oracle = CorpusOracle(entries, Fraction(1, 5))
         for _ in range(20):
-            value = corpus_smq(oracle, random_binary_tree(rng, ["a", "b"], 5))
+            value = oracle.smq(random_binary_tree(rng, ["a", "b"], 5))
             assert 0 <= value <= 1
 
 
@@ -113,8 +111,8 @@ def test_seq_respects_epsilon():
 
 def test_exhaustive_candidates_counts():
     ab1 = RankedAlphabet(["a", "b"], 2)
-    assert len(list(exhaustive_candidates(ab1, 1))) == 2
-    got = list(exhaustive_candidates(ab1, 2))
+    assert len(list(ExhaustiveStrategy(ab1, 1).candidates())) == 2
+    got = list(ExhaustiveStrategy(ab1, 2).candidates())
     assert len(got) == 6  # 2 strings of length 1 + 4 of length 2
     for t in got:
         assert 1 <= len(tree_yield(t)) <= 2
@@ -122,28 +120,28 @@ def test_exhaustive_candidates_counts():
 
 def test_exhaustive_candidate_yields_match_strings():
     ab = RankedAlphabet(["a", "b"], 2)
-    yields = [tree_yield(t) for t in exhaustive_candidates(ab, 3)]
+    yields = [tree_yield(t) for t in ExhaustiveStrategy(ab, 3).candidates()]
     expected = [tup for L in (1, 2, 3) for tup in itertools.product(("a", "b"), repeat=L)]
     assert yields == expected
 
 
 def test_sampling_candidates_deterministic():
     ab = RankedAlphabet(["a", "b", "c"], 2)
-    s1 = [t.text for t in sampling_candidates(ab, 20, 4, seed=9)]
-    s2 = [t.text for t in sampling_candidates(ab, 20, 4, seed=9)]
-    s3 = [t.text for t in sampling_candidates(ab, 20, 4, seed=10)]
+    s1 = [t.text for t in SamplingStrategy(ab, 20, 4, seed=9).candidates()]
+    s2 = [t.text for t in SamplingStrategy(ab, 20, 4, seed=9).candidates()]
+    s3 = [t.text for t in SamplingStrategy(ab, 20, 4, seed=10).candidates()]
     assert s1 == s2
     assert s1 != s3
-    assert sampling_candidates(ab, 0, 4, seed=9) is not None
-    assert list(sampling_candidates(ab, 0, 4, seed=9)) == []
-    for t in sampling_candidates(ab, 50, 4, seed=11):
+    assert SamplingStrategy(ab, 0, 4, seed=9).candidates() is not None
+    assert list(SamplingStrategy(ab, 0, 4, seed=9).candidates()) == []
+    for t in SamplingStrategy(ab, 50, 4, seed=11).candidates():
         assert 1 <= len(tree_yield(t)) <= 4
 
 
 def test_sampling_is_uniform_over_lengths():
     ab = RankedAlphabet(["a"], 2)
     # single token: lengths 1..3 have 1 string each; roughly uniform counts
-    lengths = [len(tree_yield(t)) for t in sampling_candidates(ab, 600, 3, seed=1)]
+    lengths = [len(tree_yield(t)) for t in SamplingStrategy(ab, 600, 3, seed=1).candidates()]
     for L in (1, 2, 3):
         assert 150 < lengths.count(L) < 250
 
@@ -169,14 +167,14 @@ def test_corpus_smq_exact_match():
     ab = RankedAlphabet(["a", "b"], 2)
     t = parse_structured_string("(a b)", ab)
     oracle = CorpusOracle([(t, Fraction(3))], Fraction(1, 5))
-    assert corpus_smq(oracle, t) == 1
+    assert oracle.smq(t) == 1
 
 
 def test_corpus_smq_distance_one():
     t3 = right_chain("a", 3)
     t4 = right_chain("a", 4)
     oracle = CorpusOracle([(t3, Fraction(1))], Fraction(1, 5), "duplication")
-    assert corpus_smq(oracle, t4) == Fraction(1, 5)
+    assert oracle.smq(t4) == Fraction(1, 5)
 
 
 def test_corpus_smq_incompatible_is_zero():
@@ -184,15 +182,15 @@ def test_corpus_smq_incompatible_is_zero():
     t = parse_structured_string("(a b)", ab)
     s = parse_structured_string("b", ab)
     oracle = CorpusOracle([(t, Fraction(1))], Fraction(1, 5))
-    assert corpus_smq(oracle, s) == 0
+    assert oracle.smq(s) == 0
 
 
 def test_corpus_smq_blends_frequencies():
     t2, t3 = right_chain("a", 2), right_chain("a", 3)
     oracle = CorpusOracle([(t2, Fraction(3)), (t3, Fraction(1))], Fraction(1, 5))
     # distance from t2: 0 and 1 -> 3/4 + 1/4 * 1/5
-    assert corpus_smq(oracle, t2) == Fraction(3, 4) + Fraction(1, 4) * Fraction(1, 5)
-    assert corpus_smq(oracle, t2) <= 1
+    assert oracle.smq(t2) == Fraction(3, 4) + Fraction(1, 4) * Fraction(1, 5)
+    assert oracle.smq(t2) <= 1
 
 
 def test_corpus_oracle_validation():

@@ -52,6 +52,30 @@ def test_parse_errors(bad):
         parse_structured_string(bad, AB2)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("", "empty structured string"),
+    ("(a", "unbalanced parentheses: missing ')'"),
+    ("a)", "trailing input after tree: ')'"),
+    (") a", "unbalanced parentheses: stray ')'"),
+    ("(a ())", "empty node '()'"),
+    ("(a b a zz)", "unknown token: 'zz'"),
+    ("(a a a) zz", "node arity 3 exceeds max rank 2"),
+    ("(a <> zz)", "hole marker not allowed in a tree"),
+    ("(a ) (b)", "trailing input after tree: '('"),
+])
+def test_parse_error_messages(bad, message):
+    with pytest.raises(TreeSyntaxError) as info:
+        parse_structured_string(bad, AB2)
+    assert str(info.value) == message
+
+
+def test_parse_deep_chain_without_recursion():
+    chain = Leaf("a")
+    for _ in range(1999):
+        chain = Node((Leaf("b"), chain))
+    assert parse_structured_string(chain.text, AB2) == chain
+
+
 def test_parse_accepts_arbitrary_whitespace():
     t = parse_structured_string("  ( a\t( b   c ) ) ", ABC)
     assert t.text == "(a (b c))"
