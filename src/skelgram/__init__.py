@@ -17,7 +17,7 @@ from .trees import (Context, Hole, HOLE, IDENTITY_CONTEXT, Leaf, Node,
                     canonical_key, compose, compose_contexts,
                     enumerate_contexts, enumerate_full_trees, enumerate_trees,
                     parse_context, parse_structured_string, sigma_contexts,
-                    sigma_extension, subtrees, tree_yield)
+                    subtrees, tree_yield)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

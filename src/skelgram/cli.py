@@ -183,28 +183,25 @@ def cmd_convert(args) -> int:
         raise CliError("choose exactly one conversion mode", EXIT_INPUT)
     mode = modes[0]
     exact = not args.float
-    try:
-        if mode == "pmta_to_wcfg":
-            automaton = _load_target(args.input, exact)
-            if not isinstance(automaton, MTA):
-                raise CliError("input is not an automaton file", EXIT_INPUT)
-            try:
-                result = format_wcfg(pmta_to_wcfg(automaton))
-            except GrammarError as exc:
-                raise CliError(str(exc), EXIT_PRECONDITION)
-        else:
-            grammar = _load_target(args.input, exact)
-            if not isinstance(grammar, WCFG):
-                raise CliError("input is not a grammar file", EXIT_INPUT)
-            try:
-                if mode == "wcfg_to_pmta":
-                    result = format_mta(wcfg_to_pmta(grammar))
-                else:
-                    result = format_wcfg(wcfg_to_pcfg(grammar))
-            except GrammarError as exc:
-                raise CliError(str(exc), EXIT_PRECONDITION)
-    except CliError:
-        raise
+    if mode == "pmta_to_wcfg":
+        automaton = _load_target(args.input, exact)
+        if not isinstance(automaton, MTA):
+            raise CliError("input is not an automaton file", EXIT_INPUT)
+        try:
+            result = format_wcfg(pmta_to_wcfg(automaton))
+        except GrammarError as exc:
+            raise CliError(str(exc), EXIT_PRECONDITION)
+    else:
+        grammar = _load_target(args.input, exact)
+        if not isinstance(grammar, WCFG):
+            raise CliError("input is not a grammar file", EXIT_INPUT)
+        try:
+            if mode == "wcfg_to_pmta":
+                result = format_mta(wcfg_to_pmta(grammar))
+            else:
+                result = format_wcfg(wcfg_to_pcfg(grammar))
+        except GrammarError as exc:
+            raise CliError(str(exc), EXIT_PRECONDITION)
     if args.output:
         Path(args.output).write_text(result, encoding="utf-8")
     else:

@@ -27,7 +27,8 @@ def extract_cmta(table: ObservationTable) -> MTA:
         cls = table.classify(tree)
         if cls.is_zero:
             return {}
-        assert not cls.is_independent, "closed table cannot have independent rows"
+        if cls.is_independent:
+            raise TableError(f"closed table has an independent row: {tree.text}")
         return {cls.index: cls.coeff}
 
     leaf_maps = {}

@@ -38,7 +38,11 @@ RUN_SEP = "#"
 
 
 def preprocess_runs(tokens) -> list[str]:
-    """Merge maximal runs sigma^k (k >= 2) into the fresh token "sigma#k"."""
+    """Merge maximal runs sigma^k (k >= 2) into the fresh token "sigma#k".
+
+    A token that itself contains "#" is encoded as "sigma#1", so that
+    split_run_token gives it back unchanged.
+    """
     tokens = list(tokens)
     out = []
     i = 0
@@ -47,7 +51,8 @@ def preprocess_runs(tokens) -> list[str]:
         while j < len(tokens) and tokens[j] == tokens[i]:
             j += 1
         run = j - i
-        out.append(tokens[i] if run == 1 else f"{tokens[i]}{RUN_SEP}{run}")
+        tok = tokens[i]
+        out.append(f"{tok}{RUN_SEP}{run}" if run > 1 or RUN_SEP in tok else tok)
         i = j
     return out
 
@@ -127,8 +132,7 @@ def right_chain(token: str, count: int) -> SkeletalTree:
 def expand_chains(t: SkeletalTree) -> SkeletalTree:
     """Replace every merged run leaf sigma#k by a right chain of k sigmas."""
     if isinstance(t, Leaf):
-        base, count = split_run_token(t.token)
-        return right_chain(base, count) if count > 1 else t
+        return right_chain(*split_run_token(t.token))
     return Node(tuple(expand_chains(c) for c in t.children))
 
 
@@ -142,12 +146,21 @@ def parse_gene_string(tokens, w) -> tuple[SkeletalTree, object]:
 # -- edit distances (binary trees) ------------------------------------------
 
 
-def _require_binary(t: SkeletalTree):
-    if isinstance(t, Node):
-        if len(t.children) != 2:
-            raise ValueError("edit distances are defined on binary trees")
-        for c in t.children:
-            _require_binary(c)
+def is_binary(t: SkeletalTree) -> bool:
+    """Every internal node of t has exactly two children."""
+    stack = [t]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Node):
+            if len(n.children) != 2:
+                return False
+            stack.extend(n.children)
+    return True
+
+
+def _require_binary(*trees):
+    if not all(map(is_binary, trees)):
+        raise ValueError("edit distances are defined on binary trees")
 
 
 def _incompatible(t, s) -> bool:
@@ -158,8 +171,7 @@ def _incompatible(t, s) -> bool:
 
 def swap_distance(t: SkeletalTree, s: SkeletalTree):
     """Count of subtree swaps turning t into s, or inf when incompatible."""
-    _require_binary(t)
-    _require_binary(s)
+    _require_binary(t, s)
     return _swap(t, s)
 
 
@@ -177,12 +189,14 @@ def _swap(t, s):
 
 def is_right_chain(t: SkeletalTree) -> bool:
     """Leaf, or leaf-left-child chains with all leaves identically tagged."""
-    if isinstance(t, Leaf):
-        return True
-    left, right = t.children if len(t.children) == 2 else (None, None)
-    if not isinstance(left, Leaf):
-        return False
-    return is_right_chain(right) and chain_label(right) == left.token
+    label = chain_label(t)
+    while isinstance(t, Node):
+        if len(t.children) != 2:
+            return False
+        left, t = t.children
+        if not isinstance(left, Leaf) or left.token != label:
+            return False
+    return t.token == label
 
 
 def chain_label(t: SkeletalTree):
@@ -193,21 +207,24 @@ def chain_label(t: SkeletalTree):
 
 def duplication_distance(t: SkeletalTree, s: SkeletalTree):
     """Copy-number difference between right-homologous trees, else inf."""
-    _require_binary(t)
-    _require_binary(s)
+    _require_binary(t, s)
     return _dup(t, s)
 
 
 def _dup(t, s):
-    if is_right_chain(t) and is_right_chain(s) and chain_label(t) == chain_label(s):
-        return abs(_leaf_count(t) - _leaf_count(s))
-    if _incompatible(t, s):
-        return INF
-    # remaining case: both internal (leaf pairs are either chain-homologous
-    # or incompatible)
-    t1, t2 = t.children
-    s1, s2 = s.children
-    return _dup(t1, s1) + _dup(t2, s2)
+    total = 0
+    pairs = [(t, s)]
+    while pairs:
+        t, s = pairs.pop()
+        if is_right_chain(t) and is_right_chain(s) and chain_label(t) == chain_label(s):
+            total += abs(_leaf_count(t) - _leaf_count(s))
+        elif _incompatible(t, s):
+            return INF
+        else:
+            # both internal (leaf pairs are either chain-homologous or
+            # incompatible): the distance is the sum over child pairs
+            pairs.extend(zip(t.children, s.children))
+    return total
 
 
 def _leaf_count(t: SkeletalTree) -> int:

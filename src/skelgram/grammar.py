@@ -13,7 +13,7 @@ from fractions import Fraction
 from .multilinear import MultilinearMap
 from .mta import MTA, EvaluationError
 from .scalars import DEFAULT_TOL, format_scalar, parse_scalar, scalar_eq
-from .trees import Leaf, RankedAlphabet, SkeletalTree
+from .trees import RankedAlphabet, SkeletalTree, tree_yield
 
 Rule = tuple[str, tuple[str, ...]]
 
@@ -83,7 +83,7 @@ class WCFG:
 
     def skeletal_weight(self, s: SkeletalTree):
         """Weight of s over all taggings rooted at the start symbol."""
-        for tok in set(_tree_tokens(s)):
+        for tok in set(tree_yield(s)):
             if tok not in self.terminals:
                 raise GrammarError(f"unknown terminal {tok!r}")
         return self._vector(s)[0]
@@ -121,16 +121,6 @@ class PCFG(WCFG):
         super().__init__(nonterminals, terminals, weights)
         if not self.is_normalized(tol):
             raise GrammarError("weights do not satisfy per-nonterminal normalization")
-
-
-def _tree_tokens(s: SkeletalTree):
-    stack = [s]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Leaf):
-            yield n.token
-        else:
-            stack.extend(n.children)
 
 
 # -- conversions -----------------------------------------------------------

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from .multilinear import colinear_witness
 from .scalars import DEFAULT_TOL, scalar_eq, scalar_is_zero, vector_is_zero
 from .trees import (Context, HOLE, IDENTITY_CONTEXT, Leaf, Node, RankedAlphabet,
-                    SkeletalTree, canonical_key, compose, compose_contexts, subtrees)
+                    SkeletalTree, canonical_key, compose, compose_contexts,
+                    sigma_contexts, subtrees)
 
 
 class CapExceeded(RuntimeError):
@@ -79,7 +80,7 @@ class ObservationTable:
         self._cls_cache: dict[SkeletalTree, tuple] = {}
         self._mask_cache = (None, None)
         for tok in alphabet.leaf_symbols:
-            self._ensure_row(Leaf(tok))
+            self._fill_row(Leaf(tok))
 
     # -- filling -----------------------------------------------------------
 
@@ -99,11 +100,6 @@ class ObservationTable:
         for ctx in self.columns[len(row):]:
             row.append(self._smq(compose(ctx, tree)))
 
-    def _ensure_row(self, tree: SkeletalTree):
-        if tree not in self.rows:
-            self.rows[tree] = []
-        self._fill_row(tree)
-
     def _add_tree(self, tree: SkeletalTree):
         """Add one tree to T (children must already be in T) and extend the
         one-level extension rows."""
@@ -116,8 +112,8 @@ class ObservationTable:
         for k in range(1, self.alphabet.max_rank + 1):
             for combo in itertools.product(self.trees, repeat=k):
                 if tree in combo:
-                    self._ensure_row(Node(combo))
-        self._ensure_row(tree)
+                    self._fill_row(Node(combo))
+        self._fill_row(tree)
 
     def add_subtree_closed(self, tree: SkeletalTree):
         for sub in subtrees(tree):
@@ -169,7 +165,9 @@ class ObservationTable:
                 matches.append((i, alpha))
         if not matches:
             return ColinearClass(INDEPENDENT)
-        assert len(matches) == 1, "basis rows must be pairwise co-linearly independent"
+        if len(matches) > 1:
+            raise TableError(f"row {tree.text} is co-linear to several basis rows; "
+                             "basis rows must be pairwise co-linearly independent")
         i, alpha = matches[0]
         return ColinearClass("basis", i, alpha)
 
@@ -219,7 +217,7 @@ class ObservationTable:
                     continue
                 row = self.rows[ext]
                 for ci in range(ncols):
-                    if not self._is_zero_scalar(row[ci]):
+                    if not scalar_is_zero(row[ci], self.tol):
                         hole_at = ext.children.index(t)
                         kids = list(ext.children)
                         kids[hole_at] = HOLE
@@ -235,7 +233,7 @@ class ObservationTable:
             cls = self.classify(t)
             if cls.kind == "basis":
                 groups.setdefault(cls.index, []).append((t, cls.coeff))
-        one_level = self._one_level_contexts()
+        one_level = sigma_contexts(self.trees, self.alphabet)
         ncols = len(self.columns)
         for i in sorted(groups):
             members = sorted(groups[i], key=lambda pair: canonical_key(pair[0]))
@@ -245,19 +243,9 @@ class ObservationTable:
                     r1 = self.rows[compose(ctx, t1)]
                     r2 = self.rows[compose(ctx, t2)]
                     for ci in range(ncols):
-                        if not self._scalar_eq(r1[ci], alpha * r2[ci]):
+                        if not scalar_eq(r1[ci], alpha * r2[ci], self.tol):
                             return compose_contexts(self.columns[ci], ctx)
         return None
-
-    def _one_level_contexts(self) -> list[Context]:
-        out = []
-        for k in range(1, self.alphabet.max_rank + 1):
-            for hole_at in range(k):
-                pools = [self.trees] * k
-                pools[hole_at] = [HOLE]
-                for combo in itertools.product(*pools):
-                    out.append(Context(Node(combo)))
-        return sorted(out, key=canonical_key)
 
     def complete(self, new_trees=()):
         """Add the given trees (subtree-closed) and alternate closing with the
@@ -282,12 +270,6 @@ class ObservationTable:
         return self._completed
 
     # -- helpers -----------------------------------------------------------
-
-    def _is_zero_scalar(self, x) -> bool:
-        return x == 0 if self.exact else scalar_is_zero(x, self.tol)
-
-    def _scalar_eq(self, a, b) -> bool:
-        return a == b if self.exact else scalar_eq(a, b, self.tol)
 
     def dump_tsv(self) -> str:
         """Debug dump: rows x columns with serialized titles."""

@@ -10,9 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .geneclusters import (INF, duplication_distance, expand_chains,
-                           lift_weight, optimal_tree, preprocess_runs,
-                           right_chain, swap_distance)
+from .geneclusters import (INF, _dup, _swap, is_binary, parse_gene_string,
+                           right_chain)
 from .grammar import WCFG
 from .mta import MTA
 from .scalars import parse_scalar
@@ -78,9 +77,7 @@ class ExhaustiveStrategy:
 
     def candidates(self):
         for string in _strings_up_to(self.alphabet.leaf_symbols, self.max_len):
-            merged = preprocess_runs(string)
-            tree, _ = optimal_tree(merged, lift_weight(self.weight, merged))
-            yield expand_chains(tree)
+            yield parse_gene_string(string, self.weight)[0]
 
 
 class SamplingStrategy:
@@ -114,9 +111,7 @@ class SamplingStrategy:
         rng = random.Random(self.seed)
         for _ in range(self.count):
             string = self._sample_string(rng)
-            merged = preprocess_runs(string)
-            tree, _ = optimal_tree(merged, lift_weight(self.weight, merged))
-            yield expand_chains(tree)
+            yield parse_gene_string(string, self.weight)[0]
 
 
 class DuplicationsStrategy:
@@ -162,12 +157,6 @@ class AllTreesStrategy:
 # -- corpus oracle -----------------------------------------------------------
 
 
-def _is_binary(tree: SkeletalTree) -> bool:
-    if isinstance(tree, Leaf):
-        return True
-    return len(tree.children) == 2 and all(_is_binary(c) for c in tree.children)
-
-
 class CorpusOracle:
     """smq by decayed edit distance to a weighted tree corpus:
     sum over corpus entries of freq * q^distance(t, entry), q^inf = 0."""
@@ -182,14 +171,19 @@ class CorpusOracle:
             raise ValueError("corpus frequencies must be positive")
         if not 0 < decay < 1:
             raise ValueError("decay factor must be in (0, 1)")
+        for tree, _ in corpus:
+            if not is_binary(tree):
+                raise ValueError(f"corpus trees must be binary: {tree.text}")
         total = sum(freq for _, freq in corpus)
         self.corpus = [(tree, freq / total) for tree, freq in corpus]
         self.decay = decay
         self.distance = distance
-        self._dist = swap_distance if distance == "swap" else duplication_distance
+        # corpus trees are checked above and queries in smq, so the
+        # distances skip their own shape checks
+        self._dist = _swap if distance == "swap" else _dup
 
     def smq(self, tree: SkeletalTree):
-        if not _is_binary(tree):
+        if not is_binary(tree):
             return 0  # infinitely distant from every binary corpus tree
         total = 0
         for entry, freq in self.corpus:

@@ -65,10 +65,6 @@ class SkeletalTree:
     def __repr__(self):
         return self.text
 
-    @property
-    def is_leaf(self) -> bool:
-        return isinstance(self, Leaf)
-
 
 class Leaf(SkeletalTree):
     __slots__ = ("token",)
@@ -248,18 +244,9 @@ def parse_context(text: str, alphabet: RankedAlphabet) -> Context:
 
 
 def tree_yield(t: SkeletalTree) -> tuple:
-    """Leaf tokens left to right."""
-    if isinstance(t, Leaf):
-        return (t.token,)
-    out = []
-    stack = [t]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Leaf):
-            out.append(n.token)
-        else:
-            stack.extend(reversed(n.children))
-    return tuple(out)
+    """Leaf tokens left to right, read off the serialization (a token holds
+    no whitespace or parenthesis)."""
+    return tuple(t.text.replace("(", " ").replace(")", " ").split())
 
 
 def subtrees(t: SkeletalTree) -> list:
@@ -274,20 +261,6 @@ def subtrees(t: SkeletalTree) -> list:
         if isinstance(n, Node):
             stack.extend(n.children)
     return sorted(seen.values(), key=canonical_key)
-
-
-def sigma_extension(trees, alphabet: RankedAlphabet) -> list:
-    """All one-level combinations over `trees`, plus every alphabet leaf.
-
-    Returns Node(t1..tk) for every rank 1 <= k <= p with ti drawn from
-    `trees`, together with all leaves, deduplicated, in canonical order.
-    """
-    base = sorted(set(trees), key=canonical_key)
-    out = {Leaf(tok) for tok in alphabet.leaf_symbols}
-    for k in range(1, alphabet.max_rank + 1):
-        for combo in itertools.product(base, repeat=k):
-            out.add(Node(combo))
-    return sorted(out, key=canonical_key)
 
 
 def sigma_contexts(trees, alphabet: RankedAlphabet) -> list:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from fractions import Fraction
@@ -214,3 +215,66 @@ def test_learn_from_automaton_target(tmp_path):
     r2 = json.loads((second / "report.json").read_text())
     assert r1["basis_size"] == r2["basis_size"]
     assert (second / "hypothesis.wcfg").read_text() == (first / "hypothesis.wcfg").read_text()
+
+
+def test_learn_rejects_non_binary_corpus_tree_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("4\t(x (x x))\n1\t((x x))\n", encoding="utf-8")
+    code = run(["learn", "--target", corpus, "--distance", "duplication",
+                "--seq", "trees", "--max-leaves", "3", "--out", tmp_path / "o"])
+    assert code == 2
+    assert "cannot load corpus:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# A fixed corpus, its base trees and gene strings, with the sha256 of every
+# artifact `learn --seq duplications --max-dup 1 --dump-table` writes
+# (report.json without wall_time_ms) and of the `trees --against` output,
+# per distance, as printed before the distance helpers were made iterative.
+PINNED_CORPUS = "4\t((x y) (z z))\n2\t(x (y z))\n1\t((y x) z)\n1\t((x x) (y z))\n"
+PINNED_BASE_TREES = "((x y) z)\n(x (y z))\n((y x) z)\n"
+PINNED_GENES = "x y z z\nx x y z\ny x z z\nz z x y\nx y y z z\nz\nx y z\nz z z x\n"
+PINNED_AGAINST = "((x y) (z z))"
+CORPUS_LEARN_SHA256 = {
+    "swap": {
+        "hypothesis.mta": "5727b4ee16d16601b10e3ccaaba34858152f27be4ac6836093c75caecf2b4a95",
+        "hypothesis.wcfg": "fb782771106527878a3fcb541b52787ae61d2acde37fc67b7045f1d27fd9aae9",
+        "hypothesis.pcfg": "a15d834392170b11022bbf552fdda29a0e8e8165c6a6a01642e8ef9d4d73cb1d",
+        "table.tsv": "9f03f48127060685c78f80b297f0d14b0b463bd46e980ac79425a050d53794ba",
+        "report.json": "1e5237220e670acb48f6c9ab78167eae257f0269365d1138563b1abb1389c0ee",
+        "trees --against": "6a85211fd913f302e442775f852df8f4a5d8d626f2132054b5a640b32ac22430",
+    },
+    "duplication": {
+        "hypothesis.mta": "1847873534f7e226a850fe20e113feedc3f797015d70f82e2aaba3193379bc0a",
+        "hypothesis.wcfg": "b728663ed3d29fd0e462e932e89085aceda7b9126700f74365a2c212984fd984",
+        "hypothesis.pcfg": "3ee16b202e6109eec5f5565664218150ff1a856f9e9d0ad365a92f44f44a6dd4",
+        "table.tsv": "a16d5df57de22775f3280ca883396a845b766b9357437ddf31c51c5ee52b5c06",
+        "report.json": "d4f8a8751f8ee7cfafc2f608c27b2fe79cc2a6fa953a862b6091ca7850c47321",
+        "trees --against": "bbcb950c7d1ada5c88db964a93c9be1e3ed75f83ad1b55c8fb03c0632897bea7",
+    },
+}
+
+
+@pytest.mark.parametrize("distance", sorted(CORPUS_LEARN_SHA256))
+def test_corpus_outputs_are_pinned(tmp_path, capsys, distance):
+    corpus, base, genes = (tmp_path / "corpus.tsv", tmp_path / "base.txt",
+                           tmp_path / "genes.txt")
+    corpus.write_text(PINNED_CORPUS, encoding="utf-8")
+    base.write_text(PINNED_BASE_TREES, encoding="utf-8")
+    genes.write_text(PINNED_GENES, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["learn", "--target", corpus, "--distance", distance,
+                "--seq", "duplications", "--base-trees", base, "--max-dup", "1",
+                "--dump-table", "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    report.pop("wall_time_ms")
+    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    capsys.readouterr()
+    assert run(["trees", genes, "--distance", distance,
+                "--against", PINNED_AGAINST]) == 0
+    got = {"trees --against": capsys.readouterr().out.encode()}
+    for name in ("hypothesis.mta", "hypothesis.wcfg", "hypothesis.pcfg",
+                 "table.tsv", "report.json"):
+        got[name] = (out / name).read_bytes()
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}
+    assert digests == CORPUS_LEARN_SHA256[distance]

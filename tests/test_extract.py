@@ -27,6 +27,15 @@ def test_extract_requires_completed_table():
         extract_cmta(table)
 
 
+def test_extract_rejects_independent_row():
+    g = load_wcfg(FIXTURES / "trivial.wcfg")
+    table = ObservationTable(g.alphabet(2), SimulatedTeacher(g))
+    table._completed = True  # marked completed, but never closed
+    assert table.classify(Leaf("a")).is_independent
+    with pytest.raises(TableError, match="independent row"):
+        extract_cmta(table)
+
+
 def test_trivial_pipeline():
     g = load_wcfg(FIXTURES / "trivial.wcfg")
     table = completed_table(g)

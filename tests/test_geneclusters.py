@@ -89,6 +89,20 @@ def test_expand_chains_examples():
     assert expand_chains(t) == t
 
 
+def test_gene_tokens_containing_run_separator_keep_their_yield():
+    def w(piece):
+        return 0
+    assert preprocess_runs(["x#2", "y"]) == ["x#2#1", "y"]
+    assert preprocess_runs(["x#2", "x#2", "y"]) == ["x#2#2", "y"]
+    for string, text in ((("x#2", "y"), "(x#2 y)"),
+                         (("x#2", "x#2", "y"), "((x#2 x#2) y)"),
+                         (("#", "a", "a"), "(# (a a))"),
+                         (("a#",), "a#")):
+        tree, _ = parse_gene_string(string, w)
+        assert tree.text == text
+        assert tree_yield(tree) == string
+
+
 def test_pipeline_preserves_yield():
     rng = random.Random(63)
     weight = SubstringFrequencyWeight([("a", "b", "b"), ("b", "b", "c")])
@@ -166,11 +180,20 @@ def test_duplication_distance_leaf_vs_chain():
     assert duplication_distance(Leaf("a"), right_chain("a", 4)) == 3
 
 
+def test_duplication_distance_deep_chains():
+    assert duplication_distance(right_chain("a", 2000), right_chain("a", 1500)) == 500
+    t = Node((right_chain("a", 1200), Node((Leaf("b"), right_chain("c", 1100)))))
+    s = Node((right_chain("a", 1000), Node((Leaf("b"), right_chain("c", 1300)))))
+    assert duplication_distance(t, s) == 400
+
+
 def test_right_chain_detection():
     assert is_right_chain(Leaf("q"))
     assert is_right_chain(right_chain("q", 5))
     assert not is_right_chain(Node((right_chain("q", 2), Leaf("q"))))
     assert not is_right_chain(Node((Leaf("a"), Leaf("b"))))
+    assert not is_right_chain(Node((Leaf("q"), Leaf("q"), Leaf("q"))))
+    assert is_right_chain(right_chain("q", 2000))
 
 
 def test_distances_symmetric_and_reflexive():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,10 +6,10 @@ import pytest
 
 from skelgram.grammar import load_wcfg, parse_wcfg
 from skelgram.multilinear import colinear_witness
-from skelgram.table import Budget, CapExceeded, ObservationTable
+from skelgram.table import Budget, CapExceeded, ObservationTable, TableError
 from skelgram.teacher import SimulatedTeacher
-from skelgram.trees import (Leaf, Node, RankedAlphabet, compose,
-                            parse_structured_string)
+from skelgram.trees import (IDENTITY_CONTEXT, Leaf, Node, RankedAlphabet,
+                            compose, parse_context, parse_structured_string)
 
 from conftest import FIXTURES
 
@@ -240,3 +241,39 @@ def test_dump_tsv_contains_rows_and_columns():
     dump = table.dump_tsv()
     assert "<>" in dump.splitlines()[0]
     assert any(line.startswith("a") for line in dump.splitlines()[1:])
+
+
+def test_rows_are_leaves_and_one_level_extensions():
+    g = load_wcfg(FIXTURES / "smalldup.wcfg")
+    table, alphabet = make_table(g)
+    complete_with_leaves(table, alphabet, [parse_structured_string("(a (a a))", alphabet)])
+    expected = {Leaf(tok) for tok in alphabet.leaf_symbols}
+    for k in range(1, alphabet.max_rank + 1):
+        expected.update(Node(combo) for combo in itertools.product(table.trees, repeat=k))
+    assert set(table.rows) == expected
+
+
+class _Values:
+    """Oracle answering from a table of tree texts; other trees weigh 0.0."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def smq(self, tree):
+        return self.values.get(tree.text, 0.0)
+
+
+def test_float_row_matching_two_basis_rows_raises_table_error():
+    # the rows of a and b are co-linearly independent at tol = 1e-9, but the
+    # row of c lies within tol of both
+    alphabet = RankedAlphabet(["a", "b", "c"], 1)
+    oracle = _Values({"a": 1.0, "b": 1.0, "c": 1.0,
+                      "(a)": 0.0, "(b)": 1.5e-9, "(c)": 0.75e-9})
+    table = ObservationTable(alphabet, oracle, exact=False)
+    table._add_column(parse_context("(<>)", alphabet))
+    assert table.columns == [IDENTITY_CONTEXT, parse_context("(<>)", alphabet)]
+    assert [table.rows[Leaf(t)] for t in "abc"] == [[1.0, 0.0], [1.0, 1.5e-9],
+                                                   [1.0, 0.75e-9]]
+    with pytest.raises(TableError, match="several basis rows"):
+        table.close()
+    assert table.basis == [Leaf("a"), Leaf("b")]

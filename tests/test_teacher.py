@@ -205,6 +205,22 @@ def test_corpus_oracle_validation():
         CorpusOracle([(t, Fraction(1))], Fraction(1, 5), "levenshtein")
 
 
+def test_corpus_smq_deep_chain():
+    oracle = CorpusOracle([(right_chain("a", 3), Fraction(1))], Fraction(1, 5))
+    assert oracle.smq(right_chain("a", 2000)) == Fraction(1, 5) ** 1997
+
+
+def test_corpus_oracle_rejects_non_binary_corpus_trees():
+    unary = Node((right_chain("a", 2),))
+    for distance in ("swap", "duplication"):
+        with pytest.raises(ValueError, match="binary"):
+            CorpusOracle([(right_chain("a", 2), 1), (unary, 1)], Fraction(1, 5),
+                         distance)
+    # a non-binary query is still answered, with weight 0
+    oracle = CorpusOracle([(right_chain("a", 2), 1)], Fraction(1, 5))
+    assert oracle.smq(unary) == 0
+
+
 def test_load_corpus(tmp_path):
     path = tmp_path / "corpus.tsv"
     path.write_text("3\t(FimA (FimA FimA))\n1\t(FimC FimD)\n", encoding="utf-8")

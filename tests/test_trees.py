@@ -6,7 +6,7 @@ from skelgram.trees import (Context, HOLE, IDENTITY_CONTEXT, Leaf, Node,
                             RankedAlphabet, TreeSyntaxError, canonical_key,
                             compose, compose_contexts, enumerate_full_trees,
                             parse_context, parse_structured_string,
-                            sigma_contexts, sigma_extension, subtrees,
+                            sigma_contexts, subtrees,
                             tree_yield)
 
 from conftest import random_tree
@@ -140,6 +140,19 @@ def test_compose_yield_substitution():
     assert tree_yield(composed) == ("a", "b", "b", "c")
 
 
+def test_tree_yield_reads_leaves_left_to_right():
+    def leaves(t):
+        return (t.token,) if isinstance(t, Leaf) else sum(map(leaves, t.children), ())
+
+    assert tree_yield(Leaf("a")) == ("a",)
+    assert tree_yield(Leaf("x#2")) == ("x#2",)
+    assert tree_yield(parse_structured_string("((a b) (c (a)))", ABC)) == ("a", "b", "c", "a")
+    rng = random.Random(17)
+    for _ in range(100):
+        t = random_tree(rng, ABC, 5)
+        assert tree_yield(t) == leaves(t)
+
+
 def test_subtrees_examples():
     assert [s.text for s in subtrees(Leaf("a"))] == ["a"]
     t = parse_structured_string("(a b)", AB2)
@@ -151,21 +164,6 @@ def test_subtrees_bounded_by_size():
     for _ in range(100):
         t = random_tree(rng, ABC, 5)
         assert len(subtrees(t)) <= t.size
-
-
-def test_sigma_extension_examples():
-    got = [t.text for t in sigma_extension([Leaf("a")], AB2)]
-    assert got == ["a", "b", "(a)", "(a a)"]
-    # empty base set: leaves only
-    assert [t.text for t in sigma_extension([], AB2)] == ["a", "b"]
-
-
-def test_sigma_extension_count_bound():
-    rng = random.Random(16)
-    base = {random_tree(rng, AB2, 3) for _ in range(5)}
-    got = sigma_extension(base, AB2)
-    n = len(base)
-    assert len(got) <= len(AB2.leaf_symbols) + n + n ** 2
 
 
 def test_sigma_contexts_examples():
