@@ -223,12 +223,12 @@ def cmd_trees(args) -> int:
             _, line = line.split("\t", 1)
         corpus.append(tuple(line.split()))
     weight = SubstringFrequencyWeight(corpus)
+    tokens = sorted({tok for s in corpus for tok in s})
+    if not tokens:
+        return EXIT_OK
+    alphabet = RankedAlphabet(tokens, 2)
 
     if args.against:
-        tokens = sorted({tok for s in corpus for tok in s})
-        if not tokens:
-            return EXIT_OK
-        alphabet = RankedAlphabet(tokens, 2)
         try:
             reference = parse_structured_string(args.against, alphabet)
         except TreeSyntaxError as exc:

@@ -2,9 +2,8 @@
 distances tailored to gene-order evolution events.
 
 A gene string is parsed into the binary tree maximizing the total weight of
-its substrings; maximal runs of one token are merged before parsing and
-expanded back to right chains afterwards, so tandem duplications stay
-confined to one subtree.
+its substrings; each maximal run of one token is parsed as one unit and
+built as a right chain, so tandem duplications stay confined to one subtree.
 """
 from __future__ import annotations
 
@@ -34,50 +33,6 @@ class SubstringFrequencyWeight:
         return count
 
 
-RUN_SEP = "#"
-
-
-def preprocess_runs(tokens) -> list[str]:
-    """Merge maximal runs sigma^k (k >= 2) into the fresh token "sigma#k".
-
-    A token that itself contains "#" is encoded as "sigma#1", so that
-    split_run_token gives it back unchanged.
-    """
-    tokens = list(tokens)
-    out = []
-    i = 0
-    while i < len(tokens):
-        j = i
-        while j < len(tokens) and tokens[j] == tokens[i]:
-            j += 1
-        run = j - i
-        tok = tokens[i]
-        out.append(f"{tok}{RUN_SEP}{run}" if run > 1 or RUN_SEP in tok else tok)
-        i = j
-    return out
-
-
-def split_run_token(token: str):
-    """(base, count) for a merged run token, or (token, 1)."""
-    if RUN_SEP in token:
-        base, _, count = token.rpartition(RUN_SEP)
-        if base and count.isdigit():
-            return base, int(count)
-    return token, 1
-
-
-def lift_weight(w, merged_tokens):
-    """Wrap a weight function so merged run tokens score as their expansions:
-    w(u sigma#k v) = w(u sigma..sigma v)."""
-    def lifted(piece):
-        flat = []
-        for tok in piece:
-            base, count = split_run_token(tok)
-            flat.extend([base] * count)
-        return w(flat)
-    return lifted
-
-
 def optimal_tree(tokens, w) -> tuple[SkeletalTree, object]:
     """Best binary parse of the token string under the additive score
 
@@ -87,36 +42,55 @@ def optimal_tree(tokens, w) -> tuple[SkeletalTree, object]:
     Ties break on the smallest split index.  Returns (tree, score).
     """
     tokens = list(tokens)
-    n = len(tokens)
-    if n == 0:
+    return _best_parse(tokens, range(len(tokens) + 1), w)
+
+
+def parse_gene_string(tokens, w) -> tuple[SkeletalTree, object]:
+    """optimal_tree over the maximal runs of one token, each run one unit
+    built as a right chain; w scores the runs expanded, and yield is preserved."""
+    tokens = list(tokens)
+    cuts = [i for i in range(len(tokens)) if i == 0 or tokens[i] != tokens[i - 1]]
+    return _best_parse(tokens, cuts + [len(tokens)], w)
+
+
+def _best_parse(tokens, cuts, w):
+    """The optimal_tree DP over units tokens[cuts[u]:cuts[u + 1]], each a
+    run of one token built as a right chain; w gets the token slice (a list)
+    that a span of units covers."""
+    if not tokens:
         raise ValueError("empty string has no parse")
+    n = len(cuts) - 1
     best_score = {}
     best_split = {}
     for span in range(1, n + 1):
         for i in range(n - span + 1):
             j = i + span
-            base = w(tokens[i:j])
+            base = w(tokens[cuts[i]:cuts[j]])
             if span <= 2:
-                best_score[(i, j)] = base
-                best_split[(i, j)] = None
+                # one unit, or two joined at i + 1: no choice of split
+                best_score[i, j], best_split[i, j] = base, i + 1
             else:
                 score, split = None, None
                 for k in range(i + 1, j):
-                    cand = best_score[(i, k)] + best_score[(k, j)]
+                    cand = best_score[i, k] + best_score[k, j]
                     if score is None or cand > score:
                         score, split = cand, k
-                best_score[(i, j)] = base + score
-                best_split[(i, j)] = split
+                best_score[i, j] = base + score
+                best_split[i, j] = split
 
-    def build(i, j):
-        if j - i == 1:
-            return Leaf(tokens[i])
-        if j - i == 2:
-            return Node((Leaf(tokens[i]), Leaf(tokens[i + 1])))
-        k = best_split[(i, j)]
-        return Node((build(i, k), build(k, j)))
-
-    return build(0, n), best_score[(0, n)]
+    built = []
+    stack = [(0, n)]  # (None, None) joins the last two built subtrees
+    while stack:
+        i, j = stack.pop()
+        if i is None:
+            right = built.pop()
+            built.append(Node((built.pop(), right)))
+        elif j - i == 1:
+            built.append(right_chain(tokens[cuts[i]], cuts[j] - cuts[i]))
+        else:
+            k = best_split[i, j]
+            stack += [(None, None), (k, j), (i, k)]
+    return built[0], best_score[0, n]
 
 
 def right_chain(token: str, count: int) -> SkeletalTree:
@@ -127,20 +101,6 @@ def right_chain(token: str, count: int) -> SkeletalTree:
     for _ in range(count - 1):
         tree = Node((Leaf(token), tree))
     return tree
-
-
-def expand_chains(t: SkeletalTree) -> SkeletalTree:
-    """Replace every merged run leaf sigma#k by a right chain of k sigmas."""
-    if isinstance(t, Leaf):
-        return right_chain(*split_run_token(t.token))
-    return Node(tuple(expand_chains(c) for c in t.children))
-
-
-def parse_gene_string(tokens, w) -> tuple[SkeletalTree, object]:
-    """preprocess -> optimal parse -> chain expansion; yield is preserved."""
-    merged = preprocess_runs(tokens)
-    tree, score = optimal_tree(merged, lift_weight(w, merged))
-    return expand_chains(tree), score
 
 
 # -- edit distances (binary trees) ------------------------------------------
@@ -176,15 +136,24 @@ def swap_distance(t: SkeletalTree, s: SkeletalTree):
 
 
 def _swap(t, s):
-    if isinstance(t, Leaf) and isinstance(s, Leaf):
-        return 0 if t.token == s.token else INF
-    if _incompatible(t, s):
-        return INF
-    t1, t2 = t.children
-    s1, s2 = s.children
-    straight = _swap(t1, s1) + _swap(t2, s2)
-    crossed = _swap(t1, s2) + _swap(t2, s1) + 1
-    return min(straight, crossed)
+    # Each pair of positions is reached once, from its parents' pair, so no
+    # memo is needed.  A swap keeps subtree sizes, so unequal sizes are inf.
+    done = []
+    stack = [(t, s)]  # (None, None) combines the last four distances done
+    while stack:
+        t, s = stack.pop()
+        if t is None:
+            t2s1, t1s2, t2s2, t1s1 = done[-4:]
+            del done[-4:]
+            done.append(min(t1s1 + t2s2, t1s2 + t2s1 + 1))
+        elif t.size != s.size:
+            done.append(INF)
+        elif isinstance(t, Leaf):
+            done.append(0 if t.token == s.token else INF)
+        else:
+            (t1, t2), (s1, s2) = t.children, s.children
+            stack += [(None, None), (t1, s1), (t2, s2), (t1, s2), (t2, s1)]
+    return done[0]
 
 
 def is_right_chain(t: SkeletalTree) -> bool:

@@ -56,9 +56,6 @@ class WCFG:
     def is_exact(self) -> bool:
         return all(isinstance(w, (Fraction, int)) for w in self.weights.values())
 
-    def rules(self):
-        return list(self.weights)
-
     def max_rhs_len(self) -> int:
         return max((len(rhs) for _, rhs in self.weights), default=1)
 
@@ -105,7 +102,7 @@ class WCFG:
     def is_normalized(self, tol: float = DEFAULT_TOL) -> bool:
         totals: dict[str, object] = {}
         for (lhs, _), w in self.weights.items():
-            if w < 0 or w > 1:
+            if w < 0 or (w > 1 and not scalar_eq(w, 1, tol)):
                 return False
             totals[lhs] = totals.get(lhs, self._zero) + w
         return all(scalar_eq(tot, 1, tol) for tot in totals.values())

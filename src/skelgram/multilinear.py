@@ -55,20 +55,6 @@ class MultilinearMap:
         cols = [self.columns.get(col, {}) for col in self._column_order()]
         return [[col.get(i, self.zero_scalar) for col in cols] for i in range(self.dim)]
 
-    def _key(self, indices) -> tuple:
-        for j in indices:
-            if not 1 <= j <= self.dim:
-                raise IndexError(f"index {j} out of range 1..{self.dim}")
-        return tuple(j - 1 for j in indices)
-
-    def coefficient(self, i: int, indices):
-        """c^i_{j1..jk} with all indices 1-based."""
-        return self.columns.get(self._key(indices), {}).get(i - 1, self.zero_scalar)
-
-    def column(self, indices) -> list:
-        col = self.columns.get(self._key(indices), {})
-        return [col.get(i, self.zero_scalar) for i in range(self.dim)]
-
     def __eq__(self, other):
         return (isinstance(other, MultilinearMap) and self.arity == other.arity
                 and self.dim == other.dim and self.columns == other.columns)

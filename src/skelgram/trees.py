@@ -116,19 +116,33 @@ def canonical_key(t):
 
 
 class Context:
-    """A skeletal-tree shape with exactly one hole at a leaf position."""
+    """A skeletal-tree shape with exactly one hole at a leaf position; `path`
+    holds the child indices from the root down to the hole."""
 
-    __slots__ = ("root", "text", "size", "height", "hole_depth")
+    __slots__ = ("root", "text", "size", "height", "path")
 
     def __init__(self, root):
-        holes = _count_holes(root)
-        if holes != 1:
-            raise ValueError(f"context must contain exactly one hole, found {holes}")
+        holes = []
+        stack = [(root, ())]  # (node, path to it as a linked list (index, parent's))
+        while stack:
+            node, link = stack.pop()
+            if isinstance(node, Hole):
+                holes.append(link)
+            elif isinstance(node, Node):
+                for i, c in enumerate(node.children):
+                    stack.append((c, (i, link)))
+        if len(holes) != 1:
+            raise ValueError(f"context must contain exactly one hole, found {len(holes)}")
+        path = []
+        link = holes[0]
+        while link:
+            i, link = link
+            path.append(i)
         self.root = root
         self.text = root.text
         self.size = root.size
         self.height = root.height
-        self.hole_depth = _hole_depth(root)
+        self.path = tuple(reversed(path))
 
     def __eq__(self, other):
         return isinstance(other, Context) and self.text == other.text
@@ -140,51 +154,25 @@ class Context:
         return self.text
 
 
-def _count_holes(node) -> int:
-    if isinstance(node, Hole):
-        return 1
-    if isinstance(node, Leaf):
-        return 0
-    return sum(_count_holes(c) for c in node.children)
-
-
-def _hole_depth(node, depth: int = 1) -> int:
-    if isinstance(node, Hole):
-        return depth
-    if isinstance(node, Leaf):
-        return 0
-    for c in node.children:
-        d = _hole_depth(c, depth + 1)
-        if d:
-            return d
-    return 0
-
-
 IDENTITY_CONTEXT = Context(HOLE)
 
 
 def compose(c: Context, t: SkeletalTree) -> SkeletalTree:
-    """Plug tree t into the hole of context c."""
-    return _substitute(c.root, t)
+    """Plug tree t into the hole of context c, rebuilding only the nodes on
+    the path to the hole."""
+    spine = []
+    node = c.root
+    for i in c.path:
+        spine.append((node.children, i))
+        node = node.children[i]
+    for kids, i in reversed(spine):
+        t = Node(kids[:i] + (t,) + kids[i + 1:])
+    return t
 
 
 def compose_contexts(outer: Context, inner: Context) -> Context:
     """Plug context `inner` into the hole of `outer` (hole of the result is inner's)."""
-    return Context(_substitute(outer.root, inner.root))
-
-
-def _substitute(node, replacement):
-    if isinstance(node, Hole):
-        return replacement
-    if isinstance(node, Leaf):
-        return node
-    kids = node.children
-    # only one child subtree contains the hole; rebuild just that path
-    for i, c in enumerate(kids):
-        if _count_holes(c):
-            new_child = _substitute(c, replacement)
-            return Node(kids[:i] + (new_child,) + kids[i + 1:])
-    return node
+    return Context(compose(outer, inner.root))
 
 
 _TOKENIZE = re.compile(r"\(|\)|[^\s()]+")

@@ -148,6 +148,24 @@ def test_trees_command_distance_mode(tmp_path, capsys):
     assert lines[1].split("\t")[0] == "2"
 
 
+@pytest.mark.parametrize("line", ["a(b c", "a <> c"])
+def test_trees_command_rejects_bad_tokens(tmp_path, capsys, line):
+    strings = tmp_path / "strings.txt"
+    strings.write_text(f"a b\n{line}\n", encoding="utf-8")
+    assert run(["trees", strings]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad leaf symbol" in captured.err
+
+
+def test_trees_command_swap_distance_long_run(tmp_path, capsys):
+    strings = tmp_path / "strings.txt"
+    strings.write_text("a " * 1500 + "\n", encoding="utf-8")
+    chain = right_chain("a", 1500).text
+    assert run(["trees", strings, "--distance", "swap", "--against", chain]) == 0
+    assert capsys.readouterr().out == f"0\t{chain}\n"
+
+
 def test_learn_acrab_with_exhaustive_strategy(tmp_path):
     """Learning the efflux-pump grammar with string-exhaustive equivalence
     checks still recovers a PCFG whose most probable 4-leaf tree scores
@@ -225,6 +243,23 @@ def test_learn_rejects_non_binary_corpus_tree_exits_2(tmp_path, capsys):
     assert code == 2
     assert "cannot load corpus:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_learn_writes_pcfg_when_float_weights_round_above_one(tmp_path, capsys):
+    # The learned grammar's partition function is irrational, so its
+    # normalized weights are floats and two one-rule nonterminals come out at
+    # 1.0000000000000078.
+    corpus, base = tmp_path / "corpus.tsv", tmp_path / "base.txt"
+    corpus.write_text("5\t(a (b c))\n3\t((a a) (b c))\n2\t(a (c b))\n1\t((a b) c)\n",
+                      encoding="utf-8")
+    base.write_text("(a (b c))\n(a (c b))\n((a b) c)\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["learn", "--target", corpus, "--distance", "duplication",
+                "--seq", "duplications", "--base-trees", base, "--max-dup", "1",
+                "--out", out]) == 0
+    assert "PCFG normalization failed" not in capsys.readouterr().err
+    pcfg = load_wcfg(out / "hypothesis.pcfg", exact=False)
+    assert pcfg.is_normalized()
 
 
 # A fixed corpus, its base trees and gene strings, with the sha256 of every

@@ -5,32 +5,54 @@ from fractions import Fraction
 import pytest
 
 from skelgram.geneclusters import (INF, SubstringFrequencyWeight,
-                                   duplication_distance, expand_chains,
-                                   is_right_chain, lift_weight, optimal_tree,
-                                   parse_gene_string, preprocess_runs,
-                                   right_chain, split_run_token, swap_distance)
+                                   duplication_distance, is_right_chain,
+                                   optimal_tree, parse_gene_string,
+                                   right_chain, swap_distance)
 from skelgram.trees import Leaf, Node, parse_structured_string, RankedAlphabet, tree_yield
 
 from conftest import all_binary_trees, parse_score, random_binary_tree
 
 
+def _gene_parse_text(string):
+    tree, _ = parse_gene_string(string.split(), lambda piece: 0)
+    return tree.text
+
+
 def test_preprocess_runs_examples():
-    assert preprocess_runs("a a a b".split()) == ["a#3", "b"]
-    assert preprocess_runs("a b c".split()) == ["a", "b", "c"]
-    assert preprocess_runs("a a b b a".split()) == ["a#2", "b#2", "a"]
+    # each maximal run of one token is parsed as a single unit
+    assert _gene_parse_text("a a a b") == "((a (a a)) b)"
+    assert _gene_parse_text("a b c") == "(a (b c))"
+    assert _gene_parse_text("a a b b a") == "((a a) ((b b) a))"
 
 
 def test_split_run_token():
-    assert split_run_token("a#3") == ("a", 3)
-    assert split_run_token("a") == ("a", 1)
-    assert split_run_token("COG0845") == ("COG0845", 1)
+    # tokens come back as they were given, '#' or not
+    assert _gene_parse_text("a#3") == "a#3"
+    assert _gene_parse_text("a") == "a"
+    assert _gene_parse_text("COG0845") == "COG0845"
 
 
-def test_lifted_weight_sees_expansion():
+def test_expand_chains_examples():
+    assert right_chain("a", 3).text == "(a (a a))"
+    assert right_chain("a", 2).text == "(a a)"
+    assert right_chain("a", 1) == Leaf("a")
+    with pytest.raises(ValueError):
+        right_chain("a", 0)
+    assert _gene_parse_text("a a a") == "(a (a a))"
+    assert _gene_parse_text("a a") == "(a a)"
+
+
+def test_gene_weight_sees_expanded_runs():
+    calls = []
+
     def w(piece):
+        calls.append(piece)
         return 10 if tuple(piece) == ("a", "a", "a", "b") else 0
-    lifted = lift_weight(w, ["a#3", "b"])
-    assert lifted(["a#3", "b"]) == 10
+    tree, score = parse_gene_string(("a", "a", "a", "b"), w)
+    assert score == 10
+    assert tree.text == "((a (a a)) b)"
+    # one call per span of runs, each a list slice of the input tokens
+    assert calls == [["a", "a", "a"], ["b"], ["a", "a", "a", "b"]]
 
 
 def test_optimal_tree_single_token():
@@ -82,18 +104,9 @@ def test_optimal_tree_score_at_least_whole_string_weight():
         assert score >= w(string)
 
 
-def test_expand_chains_examples():
-    assert expand_chains(Leaf("a#3")).text == "(a (a a))"
-    assert expand_chains(Leaf("a#2")).text == "(a a)"
-    t = Node((Leaf("a"), Leaf("b")))
-    assert expand_chains(t) == t
-
-
 def test_gene_tokens_containing_run_separator_keep_their_yield():
     def w(piece):
         return 0
-    assert preprocess_runs(["x#2", "y"]) == ["x#2#1", "y"]
-    assert preprocess_runs(["x#2", "x#2", "y"]) == ["x#2#2", "y"]
     for string, text in ((("x#2", "y"), "(x#2 y)"),
                          (("x#2", "x#2", "y"), "((x#2 x#2) y)"),
                          (("#", "a", "a"), "(# (a a))"),
@@ -160,6 +173,13 @@ def test_swap_distance_nested():
     assert swap_distance(t, s) == 2
     crossed = parse_structured_string("((z w) (x y))", ab)
     assert swap_distance(t, crossed) == 1
+
+
+def test_swap_distance_deep_chains():
+    assert swap_distance(right_chain("a", 2000), right_chain("a", 2000)) == 0
+    assert swap_distance(right_chain("a", 2000), right_chain("a", 1999)) == INF
+    t = Node((right_chain("a", 1500), Leaf("b")))
+    assert swap_distance(t, Node((Leaf("b"), right_chain("a", 1500)))) == 1
 
 
 # -- duplication distance ------------------------------------------------------

@@ -187,8 +187,8 @@ def test_wcfg_to_pmta_non_invertible_has_doubled_column():
     assert not a.is_colinear_mta()
     m = a.node_maps[2]
     ia = 2  # iota: N1=0, N2=1, a=2
-    col = m.column((ia + 1, ia + 1))
-    assert sum(1 for x in col if x != 0) == 2
+    col = m.columns[ia, ia]
+    assert sum(1 for x in col.values() if x != 0) == 2
 
 
 # sha256 of format_mta(wcfg_to_pmta(g)) for every fixture, loaded exactly
@@ -290,6 +290,14 @@ def test_pcfg_chain_renormalization():
         w_ratio = g.skeletal_weight(right_chain("a", n)) / g.skeletal_weight(right_chain("a", n - 1))
         p_ratio = p.skeletal_weight(right_chain("a", n)) / p.skeletal_weight(right_chain("a", n - 1))
         assert abs(w_ratio - p_ratio) < 1e-9
+
+
+def test_is_normalized_tolerates_float_rounding_above_one(fimacd):
+    assert parse_wcfg("S -> a [1.0000000000001]", exact=False).is_normalized()
+    assert not parse_wcfg("S -> a [1.01]", exact=False).is_normalized()
+    assert not parse_wcfg("S -> a [1.0000000000001]").is_normalized()
+    # fimacd's float normalization puts six one-rule nonterminals at 1 + 6e-13
+    assert wcfg_to_pcfg(fimacd).is_normalized()
 
 
 def test_pcfg_divergent_grammar_raises():

@@ -42,8 +42,8 @@ def test_apply_shape_errors():
 def test_column_order_is_lexicographic():
     # columns enumerate (j1, j2) as 11, 12, 21, 22
     m = MultilinearMap(2, 2, [[1, 2, 3, 4], [5, 6, 7, 8]])
-    assert m.coefficient(1, (1, 2)) == 2
-    assert m.coefficient(2, (2, 1)) == 7
+    assert m.columns[0, 1] == {0: 2, 1: 6}
+    assert m.columns[1, 0] == {0: 3, 1: 7}
     e1, e2 = [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]
     assert apply(m, [e1, e2]) == [2, 6]
     assert apply(m, [e2, e1]) == [3, 7]

@@ -97,10 +97,32 @@ def test_roundtrip_contexts():
 
 
 def test_context_needs_exactly_one_hole():
-    with pytest.raises(TreeSyntaxError):
+    with pytest.raises(TreeSyntaxError, match="exactly one hole, found 0"):
         parse_context("(a b)", AB2)
-    with pytest.raises(TreeSyntaxError):
+    with pytest.raises(TreeSyntaxError, match="exactly one hole, found 2"):
         parse_context("(<> <>)", AB2)
+    with pytest.raises(ValueError, match="exactly one hole, found 3"):
+        Context(Node((HOLE, Node((HOLE, HOLE)))))
+
+
+def test_context_path_leads_to_the_hole():
+    assert IDENTITY_CONTEXT.path == ()
+    assert parse_context("(<> b)", AB2).path == (0,)
+    assert parse_context("((a b) (a (b <>)))", AB2).path == (1, 1, 1)
+    assert parse_context("((a <>) b)", AB2).path == (0, 1)
+
+
+def test_deep_context_without_recursion():
+    # a context 2,000 levels deep: (b (b (... (b <>))))
+    text = "(b " * 1999 + "<>" + ")" * 1999
+    c = parse_context(text, AB2)
+    assert c.path == (1,) * 1999
+    t = compose(c, Leaf("a"))
+    assert t == parse_structured_string(text.replace("<>", "a"), AB2)
+    assert tree_yield(t) == ("b",) * 1999 + ("a",)
+    twice = compose_contexts(c, c)
+    assert twice.path == (1,) * 3998
+    assert compose(twice, Leaf("a")) == compose(c, t)
 
 
 def test_compose_identity():
@@ -170,8 +192,10 @@ def test_sigma_contexts_examples():
     assert [c.text for c in sigma_contexts([], AB2)] == ["(<>)"]
     got = [c.text for c in sigma_contexts([Leaf("a")], AB2)]
     assert got == ["(<>)", "(<> a)", "(a <>)"]
+    assert [c.path for c in sigma_contexts([Leaf("a")], AB2)] == [(0,), (0,), (1,)]
     for c in sigma_contexts([Leaf("a"), Leaf("b")], AB2):
-        assert c.hole_depth == 2
+        assert len(c.path) == 1
+        assert c.root.children[c.path[0]] is HOLE
 
 
 def test_canonical_key_orders_by_size_first():
