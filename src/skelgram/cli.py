@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_PRECONDITION = 4
+FLOAT_HELP = "parse weights as floats and compare with relative tolerance 1e-9"
 
 
 class CliError(Exception):
@@ -74,8 +75,8 @@ def _build_strategy(args, alphabet, weight):
 
 def cmd_learn(args) -> int:
     exact = not args.float
-    corpus_mode = args.distance is not None
-    if corpus_mode:
+    epsilon = 0 if exact else 1e-6
+    if args.distance is not None:
         try:
             entries, alphabet = load_corpus(args.target, exact=exact,
                                             max_rank=args.max_rank)
@@ -83,7 +84,6 @@ def cmd_learn(args) -> int:
             target = CorpusOracle(entries, q, args.distance)
         except (ValueError, OSError) as exc:
             raise CliError(f"cannot load corpus: {exc}", EXIT_INPUT)
-        epsilon = 0 if exact else 1e-6
         weight = SubstringFrequencyWeight(
             [tree_yield(entry) for entry, _ in entries])
     else:
@@ -92,7 +92,6 @@ def cmd_learn(args) -> int:
             alphabet = target.alphabet
         else:
             alphabet = target.alphabet(args.max_rank)
-        epsilon = 0 if exact else 1e-6
         weight = None
     if args.epsilon is not None:
         epsilon = parse_scalar(args.epsilon, exact=False)
@@ -106,12 +105,15 @@ def cmd_learn(args) -> int:
 
     started = time.monotonic()
     try:
-        report = learn(teacher, alphabet, exact=exact,
-                       max_iterations=args.max_iterations, observer=observer)
+        report = learn(teacher, alphabet, max_iterations=args.max_iterations,
+                       observer=observer)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     wall_ms = int((time.monotonic() - started) * 1000)
+    if not any(teacher.smq(t) != 0 for t in strategy.candidates()):
+        print("warning: no equivalence candidate has non-zero target weight",
+              file=sys.stderr)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -271,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rank", type=int, default=2)
     p.add_argument("--max-iterations", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--float", action="store_true")
+    p.add_argument("--float", action="store_true", help=FLOAT_HELP)
     p.add_argument("--dump-table", action="store_true")
     p.set_defaults(func=cmd_learn)
 
@@ -279,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="grammar or automaton file")
     p.add_argument("--trees", help="file of structured strings (default stdin)")
     p.add_argument("--max-rank", type=int, default=2)
-    p.add_argument("--float", action="store_true")
+    p.add_argument("--float", action="store_true", help=FLOAT_HELP)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("convert", help="convert between model formats")
@@ -288,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmta-to-wcfg", action="store_true")
     p.add_argument("--wcfg-to-pmta", action="store_true")
     p.add_argument("--wcfg-to-pcfg", action="store_true")
-    p.add_argument("--float", action="store_true")
+    p.add_argument("--float", action="store_true", help=FLOAT_HELP)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("trees", help="parse gene strings into trees")

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .multilinear import MultilinearMap
 from .mta import MTA
+from .scalars import is_exact
 from .table import ObservationTable, TableError
 from .trees import Leaf, Node
 
@@ -20,7 +21,8 @@ def extract_cmta(table: ObservationTable) -> MTA:
     if not table.is_completed:
         raise TableError("table must be closed and consistent before extraction")
     d = len(table.basis)
-    zero = Fraction(0) if table.exact else 0.0
+    exact = all(is_exact(x) for b in table.basis for x in table.rows[b])
+    zero = Fraction(0) if exact else 0.0
 
     def entry(tree) -> dict:
         """{basis index: coefficient} classifying tree's row; {} for a zero row."""

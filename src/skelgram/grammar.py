@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .multilinear import MultilinearMap
 from .mta import MTA, EvaluationError
-from .scalars import DEFAULT_TOL, format_scalar, parse_scalar, scalar_eq
+from .scalars import DEFAULT_TOL, format_scalar, is_exact, parse_scalar, scalar_eq
 from .trees import RankedAlphabet, SkeletalTree, tree_yield
 
 Rule = tuple[str, tuple[str, ...]]
@@ -54,13 +54,14 @@ class WCFG:
         return self.nonterminals[0]
 
     def is_exact(self) -> bool:
-        return all(isinstance(w, (Fraction, int)) for w in self.weights.values())
+        return all(map(is_exact, self.weights.values()))
 
     def max_rhs_len(self) -> int:
         return max((len(rhs) for _, rhs in self.weights), default=1)
 
     def alphabet(self, max_rank: int | None = None) -> RankedAlphabet:
-        return RankedAlphabet(self.terminals, max_rank or max(2, self.max_rhs_len()))
+        p = max(2, self.max_rhs_len()) if max_rank is None else max_rank
+        return RankedAlphabet(self.terminals, p)
 
     # -- tree weights ------------------------------------------------------
 
@@ -114,9 +115,9 @@ class WCFG:
 class PCFG(WCFG):
     """A WCFG whose weights normalize to 1 per nonterminal."""
 
-    def __init__(self, nonterminals, terminals, weights, tol: float = DEFAULT_TOL):
+    def __init__(self, nonterminals, terminals, weights):
         super().__init__(nonterminals, terminals, weights)
-        if not self.is_normalized(tol):
+        if not self.is_normalized():
             raise GrammarError("weights do not satisfy per-nonterminal normalization")
 
 
@@ -178,12 +179,12 @@ def _grammar_automaton(g: WCFG, max_rank: int | None = None) -> MTA:
     toks = g.terminals
     iota = {sym: i for i, sym in enumerate(nts + toks)}
     n = len(iota)
-    zero = Fraction(0) if g.is_exact() else 0.0
-    one = Fraction(1) if g.is_exact() else 1.0
+    zero, one = g._zero, g._zero + 1
 
     structural = [(lhs, rhs, w) for (lhs, rhs), w in g.weights.items()
                   if not (len(rhs) == 1 and rhs[0] in toks)]
-    p = max_rank or max(2, max((len(r) for _, r, _ in structural), default=1))
+    alphabet = g.alphabet(max_rank)
+    p = alphabet.max_rank
     embedded = {sym for _, rhs, _ in structural if len(rhs) >= 2
                 for sym in rhs if sym in toks}
 
@@ -205,7 +206,6 @@ def _grammar_automaton(g: WCFG, max_rank: int | None = None) -> MTA:
 
     output = [zero] * n
     output[iota[g.start]] = one
-    alphabet = RankedAlphabet(toks, p)
     return MTA(alphabet, n, leaf_maps, node_maps, output)
 
 
@@ -276,21 +276,19 @@ def wcfg_to_pcfg(g: WCFG) -> PCFG:
     z = partition_functions(g)
     if z[g.start] == 0:
         raise GrammarError("start symbol derives nothing; cannot normalize")
-    exact = g.is_exact() and all(isinstance(v, Fraction) for v in z.values())
     weights = {}
     for (lhs, rhs), w in g.weights.items():
         zl = z[lhs]
         if zl == 0:
             continue  # unproductive nonterminal: rule never fires
-        term = w if exact else float(w)
+        term = w  # an exact w times a float z is float(w) * z
         for sym in rhs:
             if sym in g._nt_set:
                 term = term * z[sym]
         weights[(lhs, rhs)] = term / zl
     weights = {r: w for r, w in weights.items() if w != 0}
     kept_nts = [nt for nt in g.nonterminals if z[nt] != 0]
-    tol = DEFAULT_TOL if not exact else 0.0
-    return PCFG(kept_nts, list(g.terminals), weights, tol=max(tol, 1e-9))
+    return PCFG(kept_nts, list(g.terminals), weights)
 
 
 # -- text format -----------------------------------------------------------

@@ -8,7 +8,6 @@ from typing import Callable, Optional, Protocol
 
 from .extract import extract_cmta
 from .mta import MTA
-from .scalars import DEFAULT_TOL
 from .table import Budget, ObservationTable
 from .trees import Leaf, RankedAlphabet, SkeletalTree
 
@@ -32,7 +31,6 @@ def default_iteration_cap(alphabet: RankedAlphabet) -> int:
 
 
 def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
-          exact: bool = True, tol: float = DEFAULT_TOL,
           max_iterations: int | None = None,
           observer: Callable[[ObservationTable, MTA], None] | None = None,
           ) -> LearnReport:
@@ -40,11 +38,12 @@ def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
 
     The cap (default 10*|leaf alphabet| + 1000) counts basis additions,
     column additions, and equivalence queries; targets without finite
-    co-linear rank exhaust it and raise CapExceeded.
+    co-linear rank exhaust it and raise CapExceeded.  The arithmetic follows
+    the oracle's scalars: load the target with exact=False to learn in floats.
     """
     cap = default_iteration_cap(alphabet) if max_iterations is None else max_iterations
     budget = Budget(cap)
-    table = ObservationTable(alphabet, oracle, exact=exact, tol=tol, budget=budget)
+    table = ObservationTable(alphabet, oracle, budget=budget)
     table.complete([Leaf(tok) for tok in alphabet.leaf_symbols])
     seq_count = 0
     max_cex = 0

@@ -123,9 +123,10 @@ def format_mta(a: MTA) -> str:
 def parse_mta(text: str, exact: bool = True) -> MTA:
     """Parse the format produced by format_mta."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("mta "):
+    kind, _, rest = (lines or [""])[0].partition(" ")
+    header = dict(part.split("=") for part in rest.split()) if kind == "mta" else {}
+    if not header.keys() >= {"d", "p"}:
         raise ValueError("missing 'mta d=<d> p=<p>' header")
-    header = dict(part.split("=") for part in lines[0].split()[1:])
     dim, p = int(header["d"]), int(header["p"])
 
     output = None

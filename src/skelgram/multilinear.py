@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .scalars import DEFAULT_TOL, scalar_is_zero
+from .scalars import DEFAULT_TOL, is_exact, scalar_is_zero
 
 
 class MultilinearMap:
@@ -82,21 +82,22 @@ def apply(m: MultilinearMap, args) -> list:
     return out
 
 
-def colinear_witness(v, w, tol: float = DEFAULT_TOL, exact: bool = True):
+def colinear_witness(v, w):
     """Return alpha != 0 with v = alpha*w, or None.
 
     Two all-zero vectors are co-linear with the canonical witness alpha = 1.
+    Vectors of exact scalars compare exactly; a float in either one makes
+    the comparison use the relative tolerance DEFAULT_TOL.
     """
     if len(v) != len(w):
         raise ValueError("dimension mismatch")
-    if exact:
+    if all(map(is_exact, v)) and all(map(is_exact, w)):
         w_zero = all(x == 0 for x in w)
         v_zero = all(x == 0 for x in v)
         if w_zero:
             return 1 if v_zero else None
         if v_zero:
             return None
-        from fractions import Fraction
         pivot = next(j for j, x in enumerate(w) if x != 0)
         alpha = Fraction(v[pivot]) / Fraction(w[pivot])
         if alpha == 0:
@@ -106,16 +107,16 @@ def colinear_witness(v, w, tol: float = DEFAULT_TOL, exact: bool = True):
     fv = [float(x) for x in v]
     fw = [float(x) for x in w]
     scale = max([1.0] + [abs(x) for x in fv] + [abs(x) for x in fw])
-    w_zero = all(abs(x) <= tol * scale for x in fw)
-    v_zero = all(abs(x) <= tol * scale for x in fv)
+    w_zero = all(abs(x) <= DEFAULT_TOL * scale for x in fw)
+    v_zero = all(abs(x) <= DEFAULT_TOL * scale for x in fv)
     if w_zero:
         return 1.0 if v_zero else None
     if v_zero:
         return None
     pivot = max(range(len(fw)), key=lambda j: abs(fw[j]))
     alpha = fv[pivot] / fw[pivot]
-    if scalar_is_zero(alpha, tol):
+    if scalar_is_zero(alpha):
         return None
     err_scale = max(1.0, max(abs(x) for x in fv), abs(alpha) * max(abs(x) for x in fw))
-    ok = all(abs(fv[j] - alpha * fw[j]) <= tol * err_scale for j in range(len(fv)))
+    ok = all(abs(x - alpha * y) <= DEFAULT_TOL * err_scale for x, y in zip(fv, fw))
     return alpha if ok else None

@@ -32,7 +32,8 @@ def scalar_is_zero(x: Scalar, tol: float = DEFAULT_TOL) -> bool:
 
 
 def vector_is_zero(v, tol: float = DEFAULT_TOL) -> bool:
-    return all(scalar_is_zero(x, tol) for x in v)
+    # `not any(v)` settles rows of exact zeros without a call per entry
+    return not any(v) or all(scalar_is_zero(x, tol) for x in v)
 
 
 def parse_scalar(text: str, exact: bool = True) -> Scalar:

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .multilinear import colinear_witness
-from .scalars import DEFAULT_TOL, scalar_eq, scalar_is_zero, vector_is_zero
+from .scalars import is_exact, scalar_eq, scalar_is_zero, vector_is_zero
 from .trees import (Context, HOLE, IDENTITY_CONTEXT, Leaf, Node, RankedAlphabet,
                     SkeletalTree, canonical_key, compose, compose_contexts,
                     sigma_contexts, subtrees)
@@ -62,12 +62,9 @@ class Budget:
 
 
 class ObservationTable:
-    def __init__(self, alphabet: RankedAlphabet, oracle, exact: bool = True,
-                 tol: float = DEFAULT_TOL, budget: Budget | None = None):
+    def __init__(self, alphabet: RankedAlphabet, oracle, budget: Budget | None = None):
         self.alphabet = alphabet
         self.oracle = oracle
-        self.exact = exact
-        self.tol = tol
         self.budget = budget or Budget(None)
         self.trees: list[SkeletalTree] = []       # T, canonical order
         self.columns: list[Context] = [IDENTITY_CONTEXT]
@@ -148,19 +145,16 @@ class ObservationTable:
 
     def _classify_fresh(self, tree: SkeletalTree) -> ColinearClass:
         row = self.rows[tree]
-        if self.exact:
-            if all(x == 0 for x in row):
-                return ColinearClass(ZERO_ROW)
-            # co-linear rows share the exact non-zero support pattern
-            mask = tuple(x != 0 for x in row)
-            candidates = self._basis_by_mask().get(mask, ())
+        if vector_is_zero(row):
+            return ColinearClass(ZERO_ROW)
+        if all(map(is_exact, row)):
+            # co-linear exact rows share the non-zero support pattern
+            candidates = self._basis_by_mask().get(tuple(x != 0 for x in row), ())
         else:
-            if vector_is_zero(row, self.tol):
-                return ColinearClass(ZERO_ROW)
             candidates = range(len(self.basis))
         matches = []
         for i in candidates:
-            alpha = colinear_witness(row, self.rows[self.basis[i]], self.tol, self.exact)
+            alpha = colinear_witness(row, self.rows[self.basis[i]])
             if alpha is not None:
                 matches.append((i, alpha))
         if not matches:
@@ -217,7 +211,7 @@ class ObservationTable:
                     continue
                 row = self.rows[ext]
                 for ci in range(ncols):
-                    if not scalar_is_zero(row[ci], self.tol):
+                    if not scalar_is_zero(row[ci]):
                         hole_at = ext.children.index(t)
                         kids = list(ext.children)
                         kids[hole_at] = HOLE
@@ -243,7 +237,7 @@ class ObservationTable:
                     r1 = self.rows[compose(ctx, t1)]
                     r2 = self.rows[compose(ctx, t2)]
                     for ci in range(ncols):
-                        if not scalar_eq(r1[ci], alpha * r2[ci], self.tol):
+                        if not scalar_eq(r1[ci], alpha * r2[ci]):
                             return compose_contexts(self.columns[ci], ctx)
         return None
 

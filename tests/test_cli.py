@@ -31,6 +31,16 @@ def test_learn_trivial_writes_artifacts(tmp_path):
     assert (out / "hypothesis.pcfg").exists()
 
 
+@pytest.mark.parametrize("name, warned", [("fimacd", True), ("trivial", False)])
+def test_learn_warns_when_no_candidate_has_target_weight(tmp_path, capsys, name, warned):
+    # every positive fimacd tree has a unary root, which the trees strategy
+    # never generates, so its SEQ certifies the zero automaton
+    assert run(["learn", "--target", FIXTURES / f"{name}.wcfg", "--seq", "trees",
+                "--max-leaves", "4", "--out", tmp_path / "o"]) == 0
+    err = capsys.readouterr().err
+    assert ("no equivalence candidate has non-zero target weight" in err) == warned
+
+
 def test_learn_missing_file_exits_2(tmp_path):
     code = run(["learn", "--target", tmp_path / "nope.wcfg", "--out", tmp_path / "o"])
     assert code == 2
@@ -80,6 +90,22 @@ def test_eval_malformed_line_reports_lineno(tmp_path, capsys):
     code = run(["eval", FIXTURES / "acrab.wcfg", "--trees", trees])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", ["mta d=2", "mta p=2"])
+def test_eval_automaton_header_without_d_or_p_exits_2(tmp_path, capsys, header):
+    model = tmp_path / "m.mta"
+    model.write_text(header + "\n", encoding="utf-8")
+    assert run(["eval", model, "--trees", model]) == 2
+    assert "cannot parse" in capsys.readouterr().err
+
+
+def test_eval_max_rank_zero_exits_2(tmp_path, capsys):
+    trees = tmp_path / "trees.txt"
+    trees.write_text("(AcrR AcrR)\n", encoding="utf-8")
+    assert run(["eval", FIXTURES / "acrab.wcfg", "--trees", trees,
+                "--max-rank", "0"]) == 2
+    assert "max_rank must be >= 1" in capsys.readouterr().err
 
 
 def test_convert_roundtrip_preserves_weights(tmp_path, capsys):

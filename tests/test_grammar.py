@@ -172,6 +172,13 @@ def test_wcfg_to_pmta_requires_nonnegative():
         wcfg_to_pmta(g)
 
 
+def test_max_rank_zero_is_rejected(acrab):
+    with pytest.raises(ValueError, match="max_rank must be >= 1"):
+        acrab.alphabet(0)
+    with pytest.raises(ValueError, match="max_rank must be >= 1"):
+        wcfg_to_pmta(acrab, max_rank=0)
+
+
 def test_wcfg_to_pmta_invertible_fixture_is_colinear(acrab, fimacd):
     for g in (acrab, fimacd,
               load_wcfg(FIXTURES / "smalldup.wcfg"),

@@ -129,11 +129,21 @@ def test_float_backend_learning():
     g = WCFG(["N"], ["a"], {("N", ("a", "N")): 0.25, ("N", ("a", "a")): 0.5})
     alphabet = g.alphabet(2)
     teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 4), epsilon=1e-9)
-    report = learn(teacher, alphabet, exact=False, tol=1e-9)
+    report = learn(teacher, alphabet)
     assert report.basis_size == 2
     for n in range(2, 8):
         got = report.hypothesis.eval(right_chain("a", n))
         assert abs(got - 0.5 * 0.25 ** (n - 2)) < 1e-9
+
+
+def test_float_target_learns_with_default_call():
+    # the arithmetic comes from the oracle's float answers, not from a flag
+    g = load_wcfg(FIXTURES / "acrab.wcfg", exact=False)
+    alphabet = g.alphabet(2)
+    teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 4), epsilon=1e-6)
+    report = learn(teacher, alphabet)
+    assert report.basis_size == 13
+    assert report.seq_count == 5
 
 
 def test_float_corpus_learning():
@@ -142,7 +152,7 @@ def test_float_corpus_learning():
     oracle = CorpusOracle(corpus, 0.2, "duplication")
     alphabet = oracle.alphabet()
     teacher = SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 4), epsilon=1e-6)
-    report = learn(teacher, alphabet, exact=False, max_iterations=500)
+    report = learn(teacher, alphabet, max_iterations=500)
     for n in range(1, 6):
         got = report.hypothesis.eval(right_chain("x", n))
         assert abs(got - oracle.smq(right_chain("x", n))) < 1e-6

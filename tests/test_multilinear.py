@@ -117,5 +117,7 @@ def test_colinear_witness_fractions():
 
 
 def test_colinear_witness_float_tolerance():
-    assert colinear_witness([2.0, 4.0 + 1e-13], [1.0, 2.0], exact=False) == pytest.approx(2.0)
-    assert colinear_witness([2.0, 4.1], [1.0, 2.0], exact=False) is None
+    assert colinear_witness([2.0, 4.0 + 1e-13], [1.0, 2.0]) == pytest.approx(2.0)
+    assert colinear_witness([2.0, 4.1], [1.0, 2.0]) is None
+    # one float vector is enough to compare with the tolerance
+    assert colinear_witness([2, 4], [1.0, 2.0 + 1e-13]) == pytest.approx(2.0)

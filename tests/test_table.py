@@ -269,7 +269,7 @@ def test_float_row_matching_two_basis_rows_raises_table_error():
     alphabet = RankedAlphabet(["a", "b", "c"], 1)
     oracle = _Values({"a": 1.0, "b": 1.0, "c": 1.0,
                       "(a)": 0.0, "(b)": 1.5e-9, "(c)": 0.75e-9})
-    table = ObservationTable(alphabet, oracle, exact=False)
+    table = ObservationTable(alphabet, oracle)
     table._add_column(parse_context("(<>)", alphabet))
     assert table.columns == [IDENTITY_CONTEXT, parse_context("(<>)", alphabet)]
     assert [table.rows[Leaf(t)] for t in "abc"] == [[1.0, 0.0], [1.0, 1.5e-9],
