@@ -33,6 +33,9 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_PRECONDITION = 4
 FLOAT_HELP = "parse weights as floats and compare with relative tolerance 1e-9"
+DEFAULT_MAX_RANK = 2
+MAX_RANK_HELP = (f"largest node arity (default {DEFAULT_MAX_RANK}; "
+                 "an automaton only accepts its own p=)")
 
 
 class CliError(Exception):
@@ -52,6 +55,17 @@ def _load_target(path_text: str, exact: bool):
         return load_wcfg(path, exact)
     except (GrammarError, ValueError) as exc:
         raise CliError(f"cannot parse {path}: {exc}", EXIT_INPUT)
+
+
+def _alphabet(target, max_rank):
+    """The alphabet trees are read in: an automaton's own, whose rank a
+    given --max-rank must match, or the grammar's at that rank."""
+    if isinstance(target, MTA):
+        if max_rank is not None and max_rank != target.alphabet.max_rank:
+            raise CliError(f"--max-rank {max_rank} differs from the automaton's "
+                           f"p={target.alphabet.max_rank}", EXIT_INPUT)
+        return target.alphabet
+    return target.alphabet(DEFAULT_MAX_RANK if max_rank is None else max_rank)
 
 
 def _build_strategy(args, alphabet, weight):
@@ -78,8 +92,9 @@ def cmd_learn(args) -> int:
     epsilon = 0 if exact else 1e-6
     if args.distance is not None:
         try:
-            entries, alphabet = load_corpus(args.target, exact=exact,
-                                            max_rank=args.max_rank)
+            entries, alphabet = load_corpus(
+                args.target, exact=exact,
+                max_rank=DEFAULT_MAX_RANK if args.max_rank is None else args.max_rank)
             q = parse_scalar(args.q, exact)
             target = CorpusOracle(entries, q, args.distance)
         except (ValueError, OSError) as exc:
@@ -88,10 +103,7 @@ def cmd_learn(args) -> int:
             [tree_yield(entry) for entry, _ in entries])
     else:
         target = _load_target(args.target, exact)
-        if isinstance(target, MTA):
-            alphabet = target.alphabet
-        else:
-            alphabet = target.alphabet(args.max_rank)
+        alphabet = _alphabet(target, args.max_rank)
         weight = None
     if args.epsilon is not None:
         epsilon = parse_scalar(args.epsilon, exact=False)
@@ -144,12 +156,8 @@ def cmd_learn(args) -> int:
 
 def cmd_eval(args) -> int:
     target = _load_target(args.model, not args.float)
-    if isinstance(target, MTA):
-        alphabet = target.alphabet
-        evaluate = target.eval
-    else:
-        alphabet = target.alphabet(args.max_rank)
-        evaluate = target.skeletal_weight
+    alphabet = _alphabet(target, args.max_rank)
+    evaluate = target.eval if isinstance(target, MTA) else target.skeletal_weight
     if args.trees:
         try:
             lines = Path(args.trees).read_text(encoding="utf-8").splitlines()
@@ -270,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat --target as a corpus TSV with this edit distance")
     p.add_argument("--q", default="0.2", help="corpus decay factor")
     p.add_argument("--epsilon", help="teacher comparison margin")
-    p.add_argument("--max-rank", type=int, default=2)
+    p.add_argument("--max-rank", type=int, help=MAX_RANK_HELP)
     p.add_argument("--max-iterations", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--float", action="store_true", help=FLOAT_HELP)
@@ -280,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate structured strings under a model")
     p.add_argument("model", help="grammar or automaton file")
     p.add_argument("--trees", help="file of structured strings (default stdin)")
-    p.add_argument("--max-rank", type=int, default=2)
+    p.add_argument("--max-rank", type=int, help=MAX_RANK_HELP)
     p.add_argument("--float", action="store_true", help=FLOAT_HELP)
     p.set_defaults(func=cmd_eval)
 

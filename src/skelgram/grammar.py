@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from .multilinear import MultilinearMap
 from .mta import MTA, EvaluationError
-from .scalars import DEFAULT_TOL, format_scalar, is_exact, parse_scalar, scalar_eq
+from .scalars import (DEFAULT_TOL, format_scalar, is_exact, parse_scalar, scalar_eq,
+                      scalar_is_zero)
 from .trees import RankedAlphabet, SkeletalTree, tree_yield
 
 Rule = tuple[str, tuple[str, ...]]
@@ -30,22 +31,23 @@ class WCFG:
         self.terminals = list(terminals)
         if not self.nonterminals:
             raise GrammarError("grammar needs at least one nonterminal")
-        if set(self.nonterminals) & set(self.terminals):
+        self._nt_set = set(self.nonterminals)
+        if not self._nt_set.isdisjoint(self.terminals):
             raise GrammarError("nonterminals and terminals overlap")
+        symbols = self._nt_set.union(self.terminals)
         self.weights = {}
         for (lhs, rhs), w in weights.items():
             rhs = tuple(rhs)
-            if lhs not in self.nonterminals:
+            if lhs not in self._nt_set:
                 raise GrammarError(f"rule lhs {lhs!r} is not a declared nonterminal")
             if not rhs:
                 raise GrammarError("empty rule right-hand sides are not allowed")
             for sym in rhs:
-                if sym not in self.nonterminals and sym not in self.terminals:
+                if sym not in symbols:
                     raise GrammarError(f"undeclared symbol {sym!r} in rule rhs")
             if w != w or w in (float("inf"), float("-inf")):
                 raise GrammarError(f"non-finite weight on {lhs} -> {' '.join(rhs)}")
             self.weights[(lhs, rhs)] = w
-        self._nt_set = set(self.nonterminals)
         self._zero = Fraction(0) if self.is_exact() else 0.0
         self._automaton = None  # built on first weight query, memoizes subtrees
 
@@ -209,60 +211,291 @@ def _grammar_automaton(g: WCFG, max_rank: int | None = None) -> MTA:
     return MTA(alphabet, n, leaf_maps, node_maps, output)
 
 
-PARTITION_TOL = 1e-12
-PARTITION_MAX_ITERATIONS = 10 ** 6
-PARTITION_DIVERGENCE_BOUND = 1e15
+PARTITION_TOL = 1e-12  # relative residual at which float Newton has converged
+SNAP_TOL = 1e-6  # how far a snapped rational may sit from Newton's float value
 
 
 def partition_functions(g: WCFG) -> dict:
     """Least fixed point of Z_V = sum over rules of theta * prod Z_rhs.
 
-    Exact grammars with acyclic nonterminal dependencies stabilize exactly;
-    otherwise iterate in floats to PARTITION_TOL.  Raises GrammarError on
-    divergence.
+    Nonterminals that derive no tree get 0.  The rest are solved one
+    strongly connected component (SCC) of the dependency graph at a time,
+    bottom-up, with the values below multiplied in as constants (Etessami &
+    Yannakakis, JACM 2009): an SCC without a cycle in one pass, a linear one
+    (no rule has two rhs symbols inside it) by elimination in the grammar's
+    own arithmetic, a nonlinear one by Newton's method in floats from 0,
+    snapped back to rationals when they satisfy its equations exactly.
+    Raises GrammarError when a Z is infinite.
     """
-    if g.is_exact():
-        z = {nt: Fraction(0) for nt in g.nonterminals}
-        for _ in range(len(g.nonterminals) + 2):
-            nxt = _partition_step(g, z, Fraction(0))
-            if nxt == z:
-                return z
-            z = nxt
-    zf = {nt: 0.0 for nt in g.nonterminals}
-    for _ in range(PARTITION_MAX_ITERATIONS):
-        nxt = _partition_step(g, zf, 0.0, as_float=True)
-        if any(v > PARTITION_DIVERGENCE_BOUND for v in nxt.values()):
-            raise GrammarError("partition function diverges")
-        if all(abs(nxt[nt] - zf[nt]) <= PARTITION_TOL for nt in zf):
-            if g.is_exact():
-                snapped = _snap_to_exact_fixed_point(g, nxt)
-                if snapped is not None:
-                    return snapped
-            return nxt
-        zf = nxt
-    raise GrammarError("partition function did not converge")
+    if any(w < 0 for w in g.weights.values()):
+        raise GrammarError("grammar has a negative weight")
+    rules = [(lhs, [s for s in rhs if s in g._nt_set], w)
+             for (lhs, rhs), w in g.weights.items() if w != 0]
+    productive = _productive(rules)
+    by_lhs = {nt: [] for nt in g.nonterminals if nt in productive}
+    for lhs, nts, w in rules:
+        if all(s in productive for s in nts):
+            by_lhs[lhs].append((nts, w))
+    graph = {nt: list(dict.fromkeys(s for nts, _ in rs for s in nts))
+             for nt, rs in by_lhs.items()}
+    z = {nt: g._zero for nt in g.nonterminals}
+    for comp in _sccs(graph):
+        z.update(zip(comp, _solve_component(comp, by_lhs, z)))
+    return z
 
 
-def _snap_to_exact_fixed_point(g: WCFG, zf: dict):
-    """Guess nearby rationals for a float fixed point and keep them only if
-    they satisfy the equations exactly."""
-    guess = {nt: Fraction(v).limit_denominator(10 ** 9) for nt, v in zf.items()}
-    if any(abs(float(guess[nt]) - zf[nt]) > 1e-6 for nt in zf):
-        return None
-    return guess if _partition_step(g, guess, Fraction(0)) == guess else None
+def _productive(rules) -> set:
+    """Nonterminals that derive a tree: a rule fires once all of its rhs
+    nonterminals are known to derive one."""
+    missing = [len(nts) for _, nts, _ in rules]
+    users: dict[str, list] = {}
+    for i, (_, nts, _) in enumerate(rules):
+        for s in nts:
+            users.setdefault(s, []).append(i)
+    todo = [lhs for (lhs, _, _), m in zip(rules, missing) if m == 0]
+    done = set()
+    while todo:
+        nt = todo.pop()
+        if nt in done:
+            continue
+        done.add(nt)
+        for i in users.get(nt, ()):
+            missing[i] -= 1
+            if missing[i] == 0:
+                todo.append(rules[i][0])
+    return done
 
 
-def _partition_step(g: WCFG, z: dict, zero, as_float: bool = False):
-    nxt = {nt: zero for nt in g.nonterminals}
-    for (lhs, rhs), w in g.weights.items():
-        term = float(w) if as_float else w
-        for sym in rhs:
-            if sym in g._nt_set:
-                term = term * z[sym]
-                if term == 0:
+def _sccs(graph: dict) -> list:
+    """Tarjan's strongly connected components, without recursion; each comes
+    after every component it reaches."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    out = []
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(graph[w])))
                     break
-        nxt[lhs] = nxt[lhs] + term
-    return nxt
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    out.append(comp[::-1])
+    return out
+
+
+def _solve_component(comp: list, by_lhs: dict, z: dict) -> list:
+    """Least solution of one SCC's equations, given the values below it.
+
+    Every member derives a tree and every coefficient is positive, so the
+    system is clean in the sense of Esparza, Kiefer & Luttenberger (JACM
+    2010): Newton's iterates from 0 are defined and increase to the least
+    fixed point when it is finite.
+    """
+    pos = {nt: i for i, nt in enumerate(comp)}
+    eqs = []  # per member: (coefficient, positions of its rhs symbols in comp)
+    for nt in comp:
+        terms = []
+        for nts, w in by_lhs[nt]:
+            inside = []
+            for s in nts:
+                if s in pos:
+                    inside.append(pos[s])
+                else:
+                    w = w * z[s]
+            terms.append((w, inside))
+        eqs.append(terms)
+    if len(comp) == 1 and not any(inside for _, inside in eqs[0]):
+        return [sum(c for c, _ in eqs[0])]
+    exact = all(is_exact(c) for terms in eqs for c, _ in terms)
+    if exact and all(len(inside) <= 1 for terms in eqs for _, inside in terms):
+        return _newton(eqs, Fraction(0))  # a linear system: one exact step
+    values = _newton([[(float(c), inside) for c, inside in terms] for terms in eqs],
+                     0.0)
+    # float weights are binary rationals, so they too may have an exact root
+    snapped = _snap([[(Fraction(c), inside) for c, inside in terms] for terms in eqs],
+                    values, exact)
+    if snapped is None:
+        return values
+    return snapped if exact else [float(v) for v in snapped]
+
+
+def _newton(eqs: list, zero) -> list:
+    """Newton's method from 0 for z = f(z), f a polynomial per equation.
+
+    Below a finite least fixed point every step is defined and non-negative,
+    so a singular Jacobian or a negative step before the residual vanishes
+    means the fixed point is infinite.  A float iteration stops when no step
+    makes progress; it has converged if every z is positive (as every member
+    of a productive SCC is) and each residual is within a relative
+    PARTITION_TOL of f(z).  At a critical (double) root that is about
+    sqrt(eps) short, which the residual test tolerates.
+    """
+    z = [zero] * len(eqs)
+    while True:
+        fz, rows = _linearize(eqs, z, zero)
+        residual = [a - b for a, b in zip(fz, z)]
+        if not any(residual):
+            return z
+        step = _solve_m_matrix(rows, residual)
+        nxt = z if step is None or min(step) < 0 else [a + d for a, d in zip(z, step)]
+        if nxt == z:  # no usable step, or one too small to change z
+            if not is_exact(zero) and all(z) and all(
+                    abs(r) <= PARTITION_TOL * a for r, a in zip(residual, fz)):
+                return z
+            raise GrammarError("partition function diverges")
+        z = nxt
+
+
+def _linearize(eqs: list, z: list, zero):
+    """f(z), and the sparse rows {column: entry} of I - f'(z)."""
+    fz, rows = [], []
+    for i, terms in enumerate(eqs):
+        total, row = zero, {i: zero + 1}
+        for c, inside in terms:
+            total += _monomial(c, inside, z)
+            for k, j in enumerate(inside):
+                others = inside[:k] + inside[k + 1:]
+                row[j] = row.get(j, zero) - _monomial(c, others, z)
+        fz.append(total)
+        rows.append(row)
+    return fz, rows
+
+
+def _monomial(c, inside, z):
+    for j in inside:
+        c = c * z[j]
+    return c
+
+
+def _eliminate(rows: list, b: list) -> int:
+    """Gaussian elimination without pivoting, in place, skipping zero
+    entries; rows are sparse {column: entry}.  Stops at the first pivot that
+    is not positive (a float within 1e-9 of 0 counts as 0) and returns its
+    index, or len(rows) when there is none."""
+    n = len(rows)
+    for k in range(n):
+        rk = rows[k]
+        p = rk.get(k, 0)
+        if not p > 0 or scalar_is_zero(p):
+            return k
+        for i in range(k + 1, n):
+            f = rows[i].pop(k, 0)
+            if f:
+                m = f / p
+                ri = rows[i]
+                for j, v in rk.items():
+                    if j != k:
+                        ri[j] = ri.get(j, 0) - m * v
+                b[i] -= m * b[k]
+    return n
+
+
+def _solve_m_matrix(rows: list, b: list):
+    """Solve M x = b for M = I - J with J >= 0.  Every pivot is positive
+    exactly when M is a non-singular M-matrix (J's spectral radius is below
+    1); otherwise return None."""
+    n = len(rows)
+    b = list(b)
+    if _eliminate(rows, b) < n:
+        return None
+    x = [None] * n
+    for k in reversed(range(n)):
+        acc = b[k]
+        for j, v in rows[k].items():
+            if j != k:
+                acc -= v * x[j]
+        x[k] = acc / rows[k][k]
+    return x
+
+
+def _is_least(eqs: list, z: list) -> bool:
+    """Whether an exact fixed point z of a nonlinear SCC is its least one.
+
+    f'(z) is irreducible and non-negative.  At the least fixed point its
+    spectral radius is at most 1, and at any larger one above 1 (Esparza,
+    Kiefer & Luttenberger, JACM 2010).  So I - f'(z) must be an M-matrix:
+    every pivot positive, except a zero last one at a critical root."""
+    rows = _linearize(eqs, z, Fraction(0))[1]
+    k = _eliminate(rows, [Fraction(0)] * len(rows))
+    return k == len(rows) or (k == len(rows) - 1 and rows[k].get(k, 0) == 0)
+
+
+def _snap(eqs: list, values: list, refine: bool):
+    """The least solution of exact equations, if it is a rational near the
+    float values.
+
+    Tries continued-fraction convergents, smallest denominators first: at a
+    critical root the float is only sqrt(eps) close, and a bounded-denominator
+    approximation of it is not the root.  A try must solve the equations
+    exactly and pass `_is_least`.  With `refine`, exact Newton steps follow,
+    each about doubling the correct digits, with a try after each.  A
+    rational p/q is a convergent of any value within 1/(2q^2) of it
+    (Legendre), and for one equation q has at most `bits`, the coefficients'
+    total size, by the rational root theorem.  So the steps end once they
+    are below 2^-(2 bits + 1), or fail to shrink by more than half, as at a
+    critical root, where Newton only halves the error.
+    """
+    bits = sum(c.numerator.bit_length() + c.denominator.bit_length()
+               for terms in eqs for c, _ in terms)
+    z, tol = [Fraction(v) for v in values], Fraction(SNAP_TOL)
+    while True:
+        near = [[c for c in _convergents(v, bits) if abs(c - v) <= tol * max(1, abs(v))]
+                for v in z]
+        for bound in sorted({c.denominator for cs in near for c in cs}):
+            guess = [next((c for c in reversed(cs) if c.denominator <= bound), None)
+                     for cs in near]
+            if None not in guess and all(
+                    sum(_monomial(c, inside, guess) for c, inside in terms) == guess[i]
+                    for i, terms in enumerate(eqs)) and _is_least(eqs, guess):
+                return guess
+        if not refine or tol < Fraction(1, 2 ** (2 * bits + 1)):
+            return None
+        fz, rows = _linearize(eqs, z, Fraction(0))
+        step = _solve_m_matrix(rows, [a - b for a, b in zip(fz, z)])
+        size = step and max(abs(d) for d in step)
+        if not size or 2 * size >= tol:
+            return None
+        z, tol = [a + d for a, d in zip(z, step)], size
+
+
+def _convergents(x, max_bits: int) -> list:
+    """The continued-fraction convergents of x whose denominators have at
+    most max_bits bits, by increasing denominator."""
+    f = Fraction(x)
+    num, den = f.numerator, f.denominator
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    out = []
+    while den:
+        a, rem = divmod(num, den)
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        if k1.bit_length() > max_bits:
+            break
+        out.append(Fraction(h1, k1))
+        num, den = den, rem
+    return out
 
 
 def wcfg_to_pcfg(g: WCFG) -> PCFG:
@@ -271,8 +504,6 @@ def wcfg_to_pcfg(g: WCFG) -> PCFG:
     Each complete derivation tree keeps probability W(t)/Z where Z is the
     grammar's total weight; already-normalized grammars come back unchanged.
     """
-    if any(w < 0 for w in g.weights.values()):
-        raise GrammarError("grammar has a negative weight")
     z = partition_functions(g)
     if z[g.start] == 0:
         raise GrammarError("start symbol derives nothing; cannot normalize")
@@ -320,20 +551,15 @@ def parse_wcfg(text: str, exact: bool = True) -> WCFG:
     if not raw_rules:
         raise GrammarError("no rules in grammar")
 
-    nts = []
-    for lhs, _, _ in raw_rules:
-        if lhs not in nts:
-            nts.append(lhs)
+    nts = list(dict.fromkeys(lhs for lhs, _, _ in raw_rules))
     if start is not None:
         if start not in nts:
             raise GrammarError(f"start symbol {start!r} has no rules")
         nts.remove(start)
         nts.insert(0, start)
-    terminals = []
-    for _, rhs, _ in raw_rules:
-        for sym in rhs:
-            if sym not in nts and sym not in terminals:
-                terminals.append(sym)
+    nt_set = set(nts)
+    terminals = list(dict.fromkeys(sym for _, rhs, _ in raw_rules for sym in rhs
+                                   if sym not in nt_set))
     weights: dict = {}
     for lhs, rhs, w in raw_rules:
         key = (lhs, rhs)

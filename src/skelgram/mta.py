@@ -7,7 +7,6 @@ output vector.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .multilinear import MultilinearMap, apply
@@ -160,45 +159,4 @@ def parse_mta(text: str, exact: bool = True) -> MTA:
         if dim and len(rows) != dim:
             raise ValueError(f"rank {k}: expected {dim} rows, got {len(rows)}")
         node_maps[k] = MultilinearMap(k, dim, rows)
-    return MTA(alphabet, dim, leaf_maps, node_maps, output)
-
-
-def random_cmta(rng, alphabet: RankedAlphabet, dim: int, positive: bool = False) -> MTA:
-    """Random co-linear automaton: each column gets at most one non-zero entry."""
-    def value():
-        num = rng.randint(1 if positive else -5, 5)
-        if num == 0:
-            num = 1
-        return Fraction(num, rng.randint(1, 4))
-
-    leaf_maps = {}
-    for tok in alphabet.leaf_symbols:
-        vec = [Fraction(0)] * dim
-        if dim and rng.random() < 0.9:
-            vec[rng.randrange(dim)] = value()
-        leaf_maps[tok] = vec
-    node_maps = {}
-    for k in range(1, alphabet.max_rank + 1):
-        m = MultilinearMap.zero(k, dim)
-        for col in itertools.product(range(dim), repeat=k):
-            if rng.random() < 0.7:
-                c = value()
-                m.columns[col] = {rng.randrange(dim): c}
-        node_maps[k] = m
-    output = [value() if rng.random() < 0.8 else Fraction(0) for _ in range(dim)]
-    return MTA(alphabet, dim, leaf_maps, node_maps, output)
-
-
-def random_pmta(rng, alphabet: RankedAlphabet, dim: int) -> MTA:
-    """Random positive automaton (dense non-negative coefficients)."""
-    def value():
-        return Fraction(rng.randint(0, 4), rng.randint(1, 3))
-
-    leaf_maps = {tok: [value() for _ in range(dim)] for tok in alphabet.leaf_symbols}
-    node_maps = {}
-    for k in range(1, alphabet.max_rank + 1):
-        rows = [[value() if rng.random() < 0.5 else Fraction(0)
-                 for _ in range(dim ** k)] for _ in range(dim)]
-        node_maps[k] = MultilinearMap(k, dim, rows)
-    output = [value() for _ in range(dim)]
     return MTA(alphabet, dim, leaf_maps, node_maps, output)

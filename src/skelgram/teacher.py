@@ -149,9 +149,8 @@ class AllTreesStrategy:
         self.max_leaves = max_leaves
 
     def candidates(self):
-        yield from enumerate_full_trees(
-            self.alphabet.leaf_symbols, self.max_leaves,
-            min_rank=2, max_rank=self.alphabet.max_rank)
+        yield from enumerate_full_trees(self.alphabet.leaf_symbols, self.max_leaves,
+                                        max_rank=self.alphabet.max_rank)
 
 
 # -- corpus oracle -----------------------------------------------------------

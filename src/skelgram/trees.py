@@ -301,15 +301,15 @@ def enumerate_contexts(alphabet: RankedAlphabet, max_depth: int) -> list:
     return sorted((Context(r) for r in roots.values()), key=canonical_key)
 
 
-def enumerate_full_trees(tokens, max_leaves: int, min_rank: int = 2, max_rank: int = 2) -> list:
-    """Trees with <= max_leaves leaves where every node has min_rank..max_rank
-    children (no unary chains), in canonical order.  With min_rank =
-    max_rank = 2 this is every binary bracketing of every token string.
+def enumerate_full_trees(tokens, max_leaves: int, max_rank: int = 2) -> list:
+    """Trees with <= max_leaves leaves where every node has 2..max_rank
+    children (no unary chains), in canonical order.  With max_rank = 2 this
+    is every binary bracketing of every token string.
     """
     by_leaves = {1: [Leaf(tok) for tok in tokens]}
     for n in range(2, max_leaves + 1):
         shapes = []
-        for k in range(min_rank, max_rank + 1):
+        for k in range(2, max_rank + 1):
             if k > n:
                 continue
             for split in _compositions(n, k):

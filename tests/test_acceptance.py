@@ -18,7 +18,6 @@ from skelgram.geneclusters import (duplication_distance, optimal_tree,
                                    right_chain, swap_distance, INF)
 from skelgram.grammar import load_wcfg, pmta_to_wcfg, wcfg_to_pcfg, wcfg_to_pmta
 from skelgram.learner import learn
-from skelgram.mta import random_pmta
 from skelgram.multilinear import colinear_witness
 from skelgram.teacher import AllTreesStrategy, SimulatedTeacher
 from skelgram.trees import (Leaf, Node, RankedAlphabet, compose,
@@ -28,7 +27,7 @@ from skelgram.trees import (Leaf, Node, RankedAlphabet, compose,
 from conftest import (FIXTURES, all_binary_trees, brute_force_weight,
                       count_taggings, enumeration_of_small_grammars,
                       parse_score, random_nonneg_wcfg, random_tree,
-                      random_binary_tree)
+                      random_binary_tree, random_pmta)
 
 
 def report_pass(number, title):

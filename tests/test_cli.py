@@ -108,6 +108,29 @@ def test_eval_max_rank_zero_exits_2(tmp_path, capsys):
     assert "max_rank must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_rank", ["0", "1", "3"])
+def test_eval_automaton_rejects_other_max_rank(tmp_path, capsys, max_rank):
+    model, trees = tmp_path / "m.mta", tmp_path / "trees.txt"
+    assert run(["convert", FIXTURES / "smalldup.wcfg", "--wcfg-to-pmta",
+                "--output", model]) == 0
+    trees.write_text("(a a)\n", encoding="utf-8")
+    assert run(["eval", model, "--trees", trees, "--max-rank", max_rank]) == 2
+    assert f"--max-rank {max_rank} differs from the automaton's p=2" in capsys.readouterr().err
+    assert run(["eval", model, "--trees", trees, "--max-rank", "2"]) == 0
+    assert capsys.readouterr().out == "0.8\t(a a)\n"
+
+
+def test_learn_automaton_target_rejects_other_max_rank(tmp_path, capsys):
+    model = tmp_path / "m.mta"
+    assert run(["convert", FIXTURES / "smalldup.wcfg", "--wcfg-to-pmta",
+                "--output", model]) == 0
+    out = tmp_path / "out"
+    assert run(["learn", "--target", model, "--seq", "trees", "--max-leaves", "3",
+                "--max-rank", "1", "--out", out]) == 2
+    assert "--max-rank 1 differs from the automaton's p=2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convert_roundtrip_preserves_weights(tmp_path, capsys):
     mta_path = tmp_path / "m.mta"
     assert run(["convert", FIXTURES / "smalldup.wcfg", "--wcfg-to-pmta",
@@ -132,6 +155,14 @@ def test_convert_divergent_normalization_exits_4(tmp_path):
     g = tmp_path / "g.wcfg"
     g.write_text("S -> S S [1]\nS -> a [1]\n", encoding="utf-8")
     assert run(["convert", g, "--wcfg-to-pcfg", "--output", tmp_path / "x"]) == 4
+
+
+def test_convert_critical_pcfg_is_itself(tmp_path):
+    grammar = tmp_path / "critical.wcfg"
+    grammar.write_text("start: S\nS -> S S [1/2]\nS -> a [1/2]\n", encoding="utf-8")
+    out = tmp_path / "as_pcfg.wcfg"
+    assert run(["convert", grammar, "--wcfg-to-pcfg", "--output", out]) == 0
+    assert out.read_text() == grammar.read_text()
 
 
 def test_convert_normalized_pcfg_is_byte_identical(tmp_path):
@@ -272,9 +303,9 @@ def test_learn_rejects_non_binary_corpus_tree_exits_2(tmp_path, capsys):
 
 
 def test_learn_writes_pcfg_when_float_weights_round_above_one(tmp_path, capsys):
-    # The learned grammar's partition function is irrational, so its
-    # normalized weights are floats and two one-rule nonterminals come out at
-    # 1.0000000000000078.
+    # The learned grammar's partition function is irrational (V2 and V5 solve
+    # z = c + k z^2), so its normalized weights are floats, which
+    # is_normalized must accept as they round.
     corpus, base = tmp_path / "corpus.tsv", tmp_path / "base.txt"
     corpus.write_text("5\t(a (b c))\n3\t((a a) (b c))\n2\t(a (c b))\n1\t((a b) c)\n",
                       encoding="utf-8")
@@ -291,7 +322,9 @@ def test_learn_writes_pcfg_when_float_weights_round_above_one(tmp_path, capsys):
 # A fixed corpus, its base trees and gene strings, with the sha256 of every
 # artifact `learn --seq duplications --max-dup 1 --dump-table` writes
 # (report.json without wall_time_ms) and of the `trees --against` output,
-# per distance, as printed before the distance helpers were made iterative.
+# per distance, as printed before the distance helpers were made iterative;
+# the duplication hypothesis.pcfg as printed once partition functions were
+# solved by component, which made its floats closer to the exact values.
 PINNED_CORPUS = "4\t((x y) (z z))\n2\t(x (y z))\n1\t((y x) z)\n1\t((x x) (y z))\n"
 PINNED_BASE_TREES = "((x y) z)\n(x (y z))\n((y x) z)\n"
 PINNED_GENES = "x y z z\nx x y z\ny x z z\nz z x y\nx y y z z\nz\nx y z\nz z z x\n"
@@ -308,7 +341,7 @@ CORPUS_LEARN_SHA256 = {
     "duplication": {
         "hypothesis.mta": "1847873534f7e226a850fe20e113feedc3f797015d70f82e2aaba3193379bc0a",
         "hypothesis.wcfg": "b728663ed3d29fd0e462e932e89085aceda7b9126700f74365a2c212984fd984",
-        "hypothesis.pcfg": "3ee16b202e6109eec5f5565664218150ff1a856f9e9d0ad365a92f44f44a6dd4",
+        "hypothesis.pcfg": "18589c620aea6ff024edf1e21a9dec6c45dd5b1cee9b235f2a9a574fe45d1fe9",
         "table.tsv": "a16d5df57de22775f3280ca883396a845b766b9357437ddf31c51c5ee52b5c06",
         "report.json": "d4f8a8751f8ee7cfafc2f608c27b2fe79cc2a6fa953a862b6091ca7850c47321",
         "trees --against": "bbcb950c7d1ada5c88db964a93c9be1e3ed75f83ad1b55c8fb03c0632897bea7",

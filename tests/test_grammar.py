@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,14 +8,14 @@ import pytest
 from skelgram.grammar import (GrammarError, PCFG, WCFG, format_wcfg, load_wcfg,
                               parse_wcfg, partition_functions, pmta_to_wcfg,
                               wcfg_to_pcfg, wcfg_to_pmta)
-from skelgram.mta import MTA, format_mta, parse_mta, random_pmta
+from skelgram.mta import MTA, format_mta, parse_mta
 from skelgram.multilinear import MultilinearMap, colinear_witness
 from skelgram.trees import (Leaf, Node, RankedAlphabet, enumerate_contexts,
                             enumerate_trees, parse_structured_string, compose)
 from skelgram.geneclusters import right_chain
 
 from conftest import (FIXTURES, brute_force_weight, random_nonneg_wcfg,
-                      random_tree)
+                      random_pmta, random_tree)
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +304,7 @@ def test_is_normalized_tolerates_float_rounding_above_one(fimacd):
     assert parse_wcfg("S -> a [1.0000000000001]", exact=False).is_normalized()
     assert not parse_wcfg("S -> a [1.01]", exact=False).is_normalized()
     assert not parse_wcfg("S -> a [1.0000000000001]").is_normalized()
-    # fimacd's float normalization puts six one-rule nonterminals at 1 + 6e-13
+    # fimacd's partition function is rational, so its PCFG sums to exactly 1
     assert wcfg_to_pcfg(fimacd).is_normalized()
 
 
@@ -311,6 +312,87 @@ def test_pcfg_divergent_grammar_raises():
     g = parse_wcfg("S -> S S [1]\nS -> a [1]")
     with pytest.raises(GrammarError):
         wcfg_to_pcfg(g)
+
+
+CRITICAL = "S -> S S [1/2]\nS -> a [1/2]\n"
+
+
+def test_critical_grammar_normalizes_to_itself():
+    # Z = 1 is a double root of z = 1/2 + z^2/2: float Newton stops about
+    # sqrt(eps) short of it, and the snap recovers it, for float weights too
+    g = parse_wcfg(CRITICAL)
+    assert partition_functions(g) == {"S": 1}
+    p = wcfg_to_pcfg(g)
+    assert p.weights == g.weights
+    assert format_wcfg(p) == format_wcfg(g)
+    floats = parse_wcfg(CRITICAL, exact=False)
+    assert partition_functions(floats) == {"S": 1.0}
+    assert wcfg_to_pcfg(floats).weights == floats.weights
+
+
+@pytest.mark.parametrize("text, least", [
+    # z = 1/3 + 2/3 z^2 has the roots 1/2 and 1
+    ("S -> S S [2/3]\nS -> a [1/3]", Fraction(1, 2)),
+    # the roots 4999999/10000000 and 1/2 lie 1e-7 apart; the float lands
+    # about 4e-10 from the least one, too far for its convergents to hold it,
+    # and the simpler 1/2 solves the equation exactly but is the larger root
+    ("S -> S S [10000000/9999999]\nS -> a [4999999/19999998]",
+     Fraction(4999999, 10000000)),
+])
+def test_partition_function_is_the_least_root(text, least):
+    assert partition_functions(parse_wcfg(text)) == {"S": least}
+
+
+@pytest.mark.parametrize("text", [
+    "S -> S S [1/2]\nS -> a [51/100]",
+    "S -> S [1]\nS -> a [1]",
+    "S -> S S [1]\nS -> a [1]",
+    # constants below the float tolerance must not pass for convergence at 0
+    "S -> S [1]\nS -> a [1e-13]",
+    "S -> S [1]\nS -> S S [1]\nS -> a [1/10000000000000]",
+])
+@pytest.mark.parametrize("exact", [True, False])
+def test_divergent_partition_function_raises_at_once(text, exact):
+    started = time.perf_counter()
+    with pytest.raises(GrammarError, match="diverges"):
+        wcfg_to_pcfg(parse_wcfg(text, exact=exact))
+    assert time.perf_counter() - started < 0.5
+
+
+def test_unproductive_cycle_gets_zero_and_drops_out():
+    g = parse_wcfg("S -> a [1]\nS -> B [1]\nB -> B B [1]")
+    assert partition_functions(g) == {"S": 1, "B": 0}
+    p = wcfg_to_pcfg(g)
+    assert p.nonterminals == ["S"]
+    assert p.weights == {("S", ("a",)): Fraction(1)}
+
+
+def test_deeply_nested_grammar_normalizes_exactly():
+    levels = 2000
+    text = "".join(f"N{i} -> N{i + 1} N{i + 1} [1/2]\nN{i} -> a [1/2]\n"
+                   for i in range(levels)) + f"N{levels} -> a [1]\n"
+    g = parse_wcfg(text)
+    started = time.perf_counter()
+    p = wcfg_to_pcfg(g)
+    assert time.perf_counter() - started < 1.0
+    assert p.weights == g.weights
+
+
+def test_long_linear_cycle_sums_to_one():
+    n = 200
+    text = "".join(f"N{i} -> N{(i + 1) % n} [1/2]\nN{i} -> a [1/2]\n" for i in range(n))
+    g = parse_wcfg(text)
+    started = time.perf_counter()
+    z = partition_functions(g)
+    assert time.perf_counter() - started < 0.4
+    assert set(z.values()) == {1}
+    assert all(isinstance(v, Fraction) for v in z.values())
+
+
+def test_fimacd_partition_function_is_exact(fimacd):
+    p = wcfg_to_pcfg(fimacd)
+    assert all(isinstance(w, Fraction) for w in p.weights.values())
+    assert p.weights[("S", ("N10",))] == Fraction(5000000, 99993367)
 
 
 def test_pcfg_validates_normalization():

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from skelgram.mta import MTA, EvaluationError, format_mta, parse_mta, random_cmta
+from skelgram.mta import MTA, EvaluationError, format_mta, parse_mta
 from skelgram.multilinear import MultilinearMap
 from skelgram.trees import (Context, HOLE, Leaf, Node, RankedAlphabet,
                             parse_structured_string, compose)
 
-from conftest import random_tree
+from conftest import random_cmta, random_tree
 
 
 def leaf_count_mta():

@@ -210,3 +210,5 @@ def test_enumerate_full_trees_counts():
     got = enumerate_full_trees(["a", "b"], 3)
     assert len(got) == 22
     assert len(set(got)) == 22
+    # ranks 2..3 over one token: a, (a a), ((a a) a), (a (a a)), (a a a)
+    assert len(enumerate_full_trees(["a"], 3, max_rank=3)) == 5
