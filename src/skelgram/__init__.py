@@ -15,9 +15,9 @@ from .teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
 from .trees import (Context, Hole, HOLE, IDENTITY_CONTEXT, Leaf, Node,
                     RankedAlphabet, SkeletalTree, TreeSyntaxError,
                     canonical_key, compose, compose_contexts,
-                    enumerate_contexts, enumerate_full_trees, enumerate_trees,
-                    parse_context, parse_structured_string, sigma_contexts,
-                    subtrees, tree_yield)
+                    enumerate_full_trees, parse_context,
+                    parse_structured_string, sigma_contexts, subtrees,
+                    tree_yield)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

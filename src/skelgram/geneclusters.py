@@ -16,21 +16,27 @@ INF = math.inf
 
 class SubstringFrequencyWeight:
     """Default scorer: a substring of length >= 2 scores the number of corpus
-    strings containing it contiguously; single tokens score 0."""
+    strings containing it contiguously; single tokens score 0.
+
+    Each distinct corpus token is coded as one character, so a corpus string
+    is a str and a call is one substring search per corpus string: a match
+    of codes is a match of whole tokens, whatever characters they hold."""
 
     def __init__(self, corpus_strings):
-        self.corpus = [tuple(s) for s in corpus_strings]
+        self.codes = {}
+        self.corpus = ["".join(self.codes.setdefault(tok, chr(len(self.codes)))
+                               for tok in s)
+                       for s in corpus_strings]
 
     def __call__(self, piece) -> int:
         piece = tuple(piece)
         if len(piece) < 2:
             return 0
-        count = 0
-        for s in self.corpus:
-            n, m = len(s), len(piece)
-            if any(s[i:i + m] == piece for i in range(n - m + 1)):
-                count += 1
-        return count
+        try:
+            needle = "".join(map(self.codes.__getitem__, piece))
+        except KeyError:
+            return 0  # a token no corpus string holds
+        return sum(needle in s for s in self.corpus)
 
 
 def optimal_tree(tokens, w) -> tuple[SkeletalTree, object]:

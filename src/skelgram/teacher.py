@@ -1,9 +1,10 @@
 """Simulated teachers answering structured membership and equivalence
 queries, plus the corpus-backed membership oracle with edit-distance decay.
 
-An equivalence query scans a strategy's candidate trees and returns the
-first one (in generation order) whose hypothesis value strays from the true
-series by more than the teacher's margin.
+An equivalence query scans a strategy's candidate trees, then a corpus
+target's own trees, and returns the first one (in that order) whose
+hypothesis value strays from the true series by more than the teacher's
+margin.
 """
 from __future__ import annotations
 
@@ -51,7 +52,13 @@ class SimulatedTeacher:
         if self.strategy is None:
             raise ValueError("teacher has no equivalence strategy configured")
         self.seq_calls += 1
-        for tree in self.strategy.candidates():
+        candidates = self.strategy.candidates()
+        if isinstance(self.target, CorpusOracle):
+            # the corpus trees carry weight whatever the strategy scans;
+            # after its candidates, so its counterexamples come first
+            candidates = itertools.chain(candidates,
+                                         (tree for tree, _ in self.target.corpus))
+        for tree in candidates:
             truth = self._true_value(tree)
             got = hypothesis.eval(tree)
             if abs(got - truth) > self.epsilon:

@@ -13,7 +13,8 @@ import pytest
 
 from skelgram.mta import MTA
 from skelgram.multilinear import MultilinearMap
-from skelgram.trees import Leaf, Node, RankedAlphabet
+from skelgram.trees import (HOLE, Context, Leaf, Node, RankedAlphabet,
+                            canonical_key)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -41,6 +42,46 @@ def _random_shape(rng, tokens):
     split = rng.randint(1, len(tokens) - 1)
     return Node((_random_shape(rng, tokens[:split]),
                  _random_shape(rng, tokens[split:])))
+
+
+# -- exhaustive tree and context enumeration --------------------------------
+
+
+def enumerate_trees(alphabet: RankedAlphabet, max_depth: int) -> list:
+    """All skeletal trees of depth <= max_depth, in canonical order."""
+    levels = [sorted((Leaf(tok) for tok in alphabet.leaf_symbols), key=canonical_key)]
+    for _ in range(1, max_depth):
+        below = [t for lvl in levels for t in lvl]
+        new = []
+        for k in range(1, alphabet.max_rank + 1):
+            for combo in itertools.product(below, repeat=k):
+                new.append(Node(combo))
+        levels.append(new)
+    return sorted({t for lvl in levels for t in lvl}, key=canonical_key)
+
+
+def enumerate_contexts(alphabet: RankedAlphabet, max_depth: int) -> list:
+    """All contexts of total depth <= max_depth, in canonical order."""
+    memo: dict[int, list] = {}
+
+    def ctxs(budget: int) -> list:
+        if budget in memo:
+            return memo[budget]
+        out = [HOLE]
+        if budget >= 2:
+            inner_pool = ctxs(budget - 1)
+            tree_pool = enumerate_trees(alphabet, budget - 1)
+            for k in range(1, alphabet.max_rank + 1):
+                for hole_slot in range(k):
+                    pools = [tree_pool] * k
+                    pools[hole_slot] = inner_pool
+                    for combo in itertools.product(*pools):
+                        out.append(Node(combo))
+        memo[budget] = out
+        return out
+
+    roots = {n.text: n for n in ctxs(max_depth)}
+    return sorted((Context(r) for r in roots.values()), key=canonical_key)
 
 
 # -- brute-force tagging enumeration ----------------------------------------

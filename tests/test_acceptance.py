@@ -21,13 +21,13 @@ from skelgram.learner import learn
 from skelgram.multilinear import colinear_witness
 from skelgram.teacher import AllTreesStrategy, SimulatedTeacher
 from skelgram.trees import (Leaf, Node, RankedAlphabet, compose,
-                            enumerate_contexts, enumerate_full_trees,
-                            enumerate_trees, parse_structured_string)
+                            enumerate_full_trees, parse_structured_string)
 
 from conftest import (FIXTURES, all_binary_trees, brute_force_weight,
-                      count_taggings, enumeration_of_small_grammars,
-                      parse_score, random_nonneg_wcfg, random_tree,
-                      random_binary_tree, random_pmta)
+                      count_taggings, enumerate_contexts, enumerate_trees,
+                      enumeration_of_small_grammars, parse_score,
+                      random_nonneg_wcfg, random_tree, random_binary_tree,
+                      random_pmta)
 
 
 def report_pass(number, title):

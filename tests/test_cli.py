@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import shutil
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from skelgram.cli import main
 from skelgram.geneclusters import right_chain
 from skelgram.grammar import load_wcfg, parse_wcfg, format_wcfg
+from skelgram.trees import Leaf, Node, RankedAlphabet, parse_structured_string
 
 from conftest import FIXTURES
 
@@ -372,3 +374,62 @@ def test_corpus_outputs_are_pinned(tmp_path, capsys, distance):
         got[name] = (out / name).read_bytes()
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}
     assert digests == CORPUS_LEARN_SHA256[distance]
+
+
+def _gene_file_lines(seed=11, families=4, per_family=10, length=20):
+    """Gene-order strings in families: each family shuffles six genes into a
+    base order, and each member swaps neighbours and adds tandem copies."""
+    rng = random.Random(seed)
+    genes = [f"g{i}" for i in range(6)]
+    lines = []
+    for _ in range(families):
+        rng.shuffle(genes)
+        base = (genes * (length // len(genes) + 1))[:length]
+        for _ in range(per_family):
+            s = list(base)
+            for _ in range(2):
+                i = rng.randrange(length - 1)
+                s[i], s[i + 1] = s[i + 1], s[i]
+            for _ in range(3):
+                i = rng.randrange(length)
+                s[i:i] = [s[i]] * rng.randint(1, 2)
+            lines.append(" ".join(s[:length]))
+    return lines
+
+
+def _triple_leftmost_leaf(tree):
+    if isinstance(tree, Leaf):
+        return right_chain(tree.token, 3)
+    left, right = tree.children
+    return Node((_triple_leftmost_leaf(left), right))
+
+
+# sha256 of `trees` stdout on the generated gene file, and of
+# `trees --against` per distance, against the first string's parse with its
+# root's children swapped (swap, one event away) or its leftmost leaf
+# tripled (duplication, two events away).
+GENE_TREES_SHA256 = {
+    "trees": "4851f13466639ac4d69a3bed8790a722a009e9da3cc951f5ff7d1308f3589b2e",
+    "swap": "e40d151082f2fe2c9d398e8dbfed5d04d8b8152a685cee407381ee63a9b75ae1",
+    "duplication": "efdbb79e32fba3e9b090622a848c7047b83a27519fbf4e418e0480b18555bfbe",
+}
+
+
+def test_gene_trees_outputs_are_pinned(tmp_path, capsys):
+    lines = _gene_file_lines()
+    genes = tmp_path / "genes.txt"
+    genes.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["trees", genes]) == 0
+    got = {"trees": capsys.readouterr().out}
+    alphabet = RankedAlphabet(sorted(set(" ".join(lines).split())), 2)
+    first = parse_structured_string(got["trees"].splitlines()[0].split("\t")[1], alphabet)
+    references = {"swap": (Node(first.children[::-1]), "1"),
+                  "duplication": (_triple_leftmost_leaf(first), "2")}
+    for distance, (reference, events) in references.items():
+        assert run(["trees", genes, "--distance", distance,
+                    "--against", reference.text]) == 0
+        got[distance] = capsys.readouterr().out
+        assert got[distance].startswith(events + "\t")
+    digests = {name: hashlib.sha256(out.encode()).hexdigest()
+               for name, out in got.items()}
+    assert digests == GENE_TREES_SHA256

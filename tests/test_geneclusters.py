@@ -133,6 +133,46 @@ def test_substring_frequency_weight():
     assert w(("a",)) == 0  # singletons score zero
 
 
+def _count_containing(corpus, piece):
+    """The scorer as first defined: per corpus string, any offset whose
+    slice equals the piece."""
+    piece = tuple(piece)
+    if len(piece) < 2:
+        return 0
+    count = 0
+    for s in corpus:
+        s = tuple(s)
+        n, m = len(s), len(piece)
+        if any(s[i:i + m] == piece for i in range(n - m + 1)):
+            count += 1
+    return count
+
+
+def test_substring_frequency_weight_matches_offset_scan():
+    rng = random.Random(71)
+    tokens = ["a", "b", "a b", "x\ny", "#", ""]
+    absent = ["c", "a#", " ", "ab"]
+    for _ in range(300):
+        pool = rng.sample(tokens, rng.randint(1, len(tokens)))
+        corpus = [[rng.choice(pool) for _ in range(rng.randint(0, 8))]
+                  for _ in range(rng.randint(0, 5))]
+        w = SubstringFrequencyWeight(iter(corpus))
+        for _ in range(20):
+            piece = [rng.choice(tokens + absent) for _ in range(rng.randint(0, 4))]
+            if corpus and corpus[0] and rng.random() < 0.5:
+                i = rng.randrange(len(corpus[0]))
+                piece = corpus[0][i:i + rng.randint(0, 4)]
+            expected = _count_containing(corpus, piece)
+            assert w(piece) == w(tuple(piece)) == w(iter(piece)) == expected
+    w = SubstringFrequencyWeight([("a", "b", "a", "b"), ("a b", "#"), ()])
+    assert w(["a", "b"]) == 1  # two occurrences in one string count once
+    assert w(x for x in ("a b", "#")) == 1
+    assert w([]) == w(["a"]) == w(["a b"]) == 0
+    for token in absent:
+        assert w(["a", token]) == w([token, "b"]) == 0
+    assert SubstringFrequencyWeight([])(["a", "b"]) == 0
+
+
 def test_runs_stay_together():
     # with run preprocessing, a long run is confined to one subtree
     weight = SubstringFrequencyWeight([("b", "a"), ("b", "a", "a", "a")])

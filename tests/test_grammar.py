@@ -10,12 +10,13 @@ from skelgram.grammar import (GrammarError, PCFG, WCFG, format_wcfg, load_wcfg,
                               wcfg_to_pcfg, wcfg_to_pmta)
 from skelgram.mta import MTA, format_mta, parse_mta
 from skelgram.multilinear import MultilinearMap, colinear_witness
-from skelgram.trees import (Leaf, Node, RankedAlphabet, enumerate_contexts,
-                            enumerate_trees, parse_structured_string, compose)
+from skelgram.trees import (Leaf, Node, RankedAlphabet, parse_structured_string,
+                            compose)
 from skelgram.geneclusters import right_chain
 
-from conftest import (FIXTURES, brute_force_weight, random_nonneg_wcfg,
-                      random_pmta, random_tree)
+from conftest import (FIXTURES, brute_force_weight, enumerate_contexts,
+                      enumerate_trees, random_nonneg_wcfg, random_pmta,
+                      random_tree)
 
 
 @pytest.fixture(scope="module")

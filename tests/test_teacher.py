@@ -6,6 +6,7 @@ import pytest
 
 from skelgram.geneclusters import right_chain
 from skelgram.grammar import load_wcfg, wcfg_to_pmta
+from skelgram.learner import learn
 from skelgram.mta import MTA
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle,
                               DuplicationsStrategy, ExhaustiveStrategy,
@@ -230,3 +231,22 @@ def test_load_corpus(tmp_path):
     assert set(alphabet.leaf_symbols) == {"FimA", "FimC", "FimD"}
     oracle = CorpusOracle(entries, Fraction(1, 5))
     assert oracle.corpus[0][1] == Fraction(3, 4)
+
+
+@pytest.mark.parametrize("distance", ["swap", "duplication"])
+def test_corpus_seq_scans_the_corpus_trees(distance):
+    # The duplications strategy never builds ((a a) (b c)) from these base
+    # trees, so only the corpus scan can show that a hypothesis weighing
+    # it 0 is wrong.
+    alphabet = RankedAlphabet(["a", "b", "c"], 2)
+    corpus = [(parse_structured_string(text, alphabet), Fraction(freq))
+              for freq, text in ((4, "(a (b b))"), (2, "((a b) c)"),
+                                 (1, "(a c)"), (1, "((a a) (b c))"))]
+    oracle = CorpusOracle(corpus, Fraction(1, 5), distance)
+    base = [parse_structured_string(text, alphabet)
+            for text in ("(a b)", "((a b) c)", "(a c)")]
+    teacher = SimulatedTeacher(oracle, DuplicationsStrategy(base, max_dup=1))
+    hypothesis = learn(teacher, alphabet).hypothesis
+    for tree, _ in corpus:
+        assert hypothesis.eval(tree) == oracle.smq(tree)
+    assert hypothesis.eval(corpus[3][0]) == Fraction(1, 8)
