@@ -67,15 +67,16 @@ class WCFG:
 
     # -- tree weights ------------------------------------------------------
 
-    def _vector(self, s: SkeletalTree) -> list:
-        """s's vector under the grammar's automaton; it starts with the
-        per-nonterminal weights, in nonterminal order."""
+    def _support(self, s: SkeletalTree) -> list:
+        """The support of s's vector under the grammar's automaton, whose
+        first coordinates are the per-nonterminal weights, in nonterminal
+        order."""
         if self._automaton is None:
             self._automaton = _grammar_automaton(self)
         try:
-            return self._automaton.eval_vector(s)
+            return self._automaton.eval_support(s)
         except EvaluationError:  # a rank longer than every rule, or an unknown leaf
-            return [self._zero] * len(self.nonterminals)
+            return []
 
     def weight_from(self, nt: str, s: SkeletalTree):
         """Total weight of taggings of s whose root is tagged nt."""
@@ -86,11 +87,15 @@ class WCFG:
         for tok in set(tree_yield(s)):
             if tok not in self.terminals:
                 raise GrammarError(f"unknown terminal {tok!r}")
-        return self._vector(s)[0]
+        support = self._support(s)
+        return support[0][1] if support and support[0][0] == 0 else self._zero
 
     def derivation_weights(self, s: SkeletalTree) -> dict:
         """Per-nonterminal weight vector of s."""
-        return dict(zip(self.nonterminals, self._vector(s)))
+        nts = self.nonterminals
+        weights = dict.fromkeys(nts, self._zero)
+        weights.update((nts[i], x) for i, x in self._support(s) if i < len(nts))
+        return weights
 
     # -- structure checks --------------------------------------------------
 

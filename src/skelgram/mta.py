@@ -21,8 +21,8 @@ class EvaluationError(ValueError):
 class MTA:
     """dim-d automaton: per-token leaf vectors, per-rank node maps, output vector.
 
-    Subtree vectors are memoized for the automaton's lifetime, so its maps
-    must not change once it has evaluated a tree.
+    Subtree vectors are memoized sparsely, as supports, for the automaton's
+    lifetime, so its maps must not change once it has evaluated a tree.
     """
 
     __slots__ = ("alphabet", "dim", "leaf_maps", "node_maps", "output", "_memo")
@@ -58,36 +58,51 @@ class MTA:
         """The dimension-0 automaton mapping every tree to 0."""
         return cls(alphabet, 0, {tok: [] for tok in alphabet.leaf_symbols}, {}, [])
 
-    def eval_vector(self, t: SkeletalTree) -> list:
-        """Bottom-up vector of t, walked with an explicit stack."""
+    def eval_support(self, t: SkeletalTree) -> list:
+        """Bottom-up vector of t as its support, the non-zero entries as
+        (index, value) pairs in ascending index order; walked with an
+        explicit stack.  The list is the memo's own: do not change it."""
         memo = self._memo
         stack = [t]
         while stack:
             s = stack[-1]
-            if s in memo:
-                stack.pop()
-            elif isinstance(s, Leaf):
+            support = memo.get(s)
+            if support is None and isinstance(s, Leaf):
                 try:
-                    memo[s] = self.leaf_maps[s.token]
+                    vec = self.leaf_maps[s.token]
                 except KeyError:
                     raise EvaluationError(f"unknown leaf token {s.token!r}") from None
-            else:
-                pending = [c for c in s.children if c not in memo]
-                if pending:
-                    stack.extend(pending)
+                support = memo[s] = [(j, x) for j, x in enumerate(vec) if x]
+            elif support is None:
+                args = [memo.get(c) for c in s.children]
+                if None in args:
+                    stack.extend(c for c, v in zip(s.children, args) if v is None)
                     continue
-                k = len(s.children)
+                k = len(args)
                 if k > self.alphabet.max_rank:
                     raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")
-                memo[s] = apply(self.node_maps[k], [memo[c] for c in s.children])
-        return list(memo[t])
+                support = memo[s] = apply(self.node_maps[k], args)
+            stack.pop()
+        return support
+
+    def eval_vector(self, t: SkeletalTree) -> list:
+        """Dense bottom-up vector of t: a leaf's own vector, or its support
+        with the node map's zero scalar in the gaps."""
+        support = self.eval_support(t)
+        if isinstance(t, Leaf):
+            return list(self.leaf_maps[t.token])
+        vec = [self.node_maps[len(t.children)].zero_scalar] * self.dim
+        for i, x in support:
+            vec[i] = x
+        return vec
 
     def eval(self, t: SkeletalTree):
         """Automaton value: dot(output, eval_vector(t))."""
-        vec = self.eval_vector(t)
         acc = 0
-        for lam, x in zip(self.output, vec):
-            if lam != 0 and x != 0:
+        output = self.output
+        for i, x in self.eval_support(t):
+            lam = output[i]
+            if lam != 0:
                 acc = acc + lam * x
         return acc if self.dim else Fraction(0)
 

@@ -63,23 +63,28 @@ class MultilinearMap:
 def apply(m: MultilinearMap, args) -> list:
     """Evaluate the map: y[i] = sum over (j1..jk) of c^i_{j1..jk} * prod args[u][ju].
 
-    Only columns in the product of the arguments' supports are visited.
+    Each argument, and the result, is a support: the vector's non-zero
+    entries as (index, value) pairs in ascending index order.  Only columns
+    in the product of the arguments' supports are visited; each y[i] is
+    summed from the map's zero scalar in column order, and entries that
+    cancel to zero are dropped.
     """
     if len(args) != m.arity:
         raise ValueError(f"expected {m.arity} arguments, got {len(args)}")
     for v in args:
-        if len(v) != m.dim:
-            raise ValueError(f"argument dimension {len(v)} != {m.dim}")
-    out = [m.zero_scalar] * m.dim
-    supports = [[(j, x) for j, x in enumerate(v) if x] for v in args]
-    for combo in itertools.product(*supports):
-        col = m.columns.get(tuple(j for j, _ in combo))
+        if v and (v[0][0] < 0 or v[-1][0] >= m.dim):
+            raise ValueError(f"argument index outside 0..{m.dim - 1}")
+    out = {}
+    for combo in itertools.product(*args):
+        col = m.columns.get(tuple([j for j, _ in combo]))
         if col:
             for i, c in col.items():
                 for _, x in combo:
                     c = c * x
-                out[i] = out[i] + c
-    return out
+                out[i] = out.get(i, m.zero_scalar) + c
+    support = [(i, y) for i, y in out.items() if y]
+    support.sort()
+    return support
 
 
 def colinear_witness(v, w):

@@ -1,10 +1,10 @@
 """Simulated teachers answering structured membership and equivalence
 queries, plus the corpus-backed membership oracle with edit-distance decay.
 
-An equivalence query scans a strategy's candidate trees, then a corpus
-target's own trees, and returns the first one (in that order) whose
-hypothesis value strays from the true series by more than the teacher's
-margin.
+An equivalence query scans a strategy's candidate trees, listed once per
+teacher, then a corpus target's own trees, and returns the first one (in
+that order) whose hypothesis value strays from the true series by more than
+the teacher's margin.
 """
 from __future__ import annotations
 
@@ -28,9 +28,8 @@ class SimulatedTeacher:
         self.target = target
         self.strategy = strategy
         self.epsilon = epsilon
-        self.smq_calls = 0
-        self.seq_calls = 0
         self._memo: dict[SkeletalTree, object] = {}
+        self._candidates: list | None = None
 
     def _true_value(self, tree: SkeletalTree):
         value = self._memo.get(tree)
@@ -45,14 +44,19 @@ class SimulatedTeacher:
         return value
 
     def smq(self, tree: SkeletalTree):
-        self.smq_calls += 1
         return self._true_value(tree)
 
-    def seq(self, hypothesis: MTA):
+    def candidates(self) -> list:
+        """The strategy's candidate trees, listed on first use and reused by
+        every later call, so each strategy enumerates them once."""
         if self.strategy is None:
             raise ValueError("teacher has no equivalence strategy configured")
-        self.seq_calls += 1
-        candidates = self.strategy.candidates()
+        if self._candidates is None:
+            self._candidates = list(self.strategy.candidates())
+        return self._candidates
+
+    def seq(self, hypothesis: MTA):
+        candidates = self.candidates()
         if isinstance(self.target, CorpusOracle):
             # the corpus trees carry weight whatever the strategy scans;
             # after its candidates, so its counterexamples come first

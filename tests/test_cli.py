@@ -362,18 +362,96 @@ def test_corpus_outputs_are_pinned(tmp_path, capsys, distance):
     assert run(["learn", "--target", corpus, "--distance", distance,
                 "--seq", "duplications", "--base-trees", base, "--max-dup", "1",
                 "--dump-table", "--out", out]) == 0
-    report = json.loads((out / "report.json").read_text())
-    report.pop("wall_time_ms")
-    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    digests = _learn_digests(out)
     capsys.readouterr()
     assert run(["trees", genes, "--distance", distance,
                 "--against", PINNED_AGAINST]) == 0
-    got = {"trees --against": capsys.readouterr().out.encode()}
-    for name in ("hypothesis.mta", "hypothesis.wcfg", "hypothesis.pcfg",
-                 "table.tsv", "report.json"):
-        got[name] = (out / name).read_bytes()
-    digests = {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}
+    out_text = capsys.readouterr().out
+    digests["trees --against"] = hashlib.sha256(out_text.encode()).hexdigest()
     assert digests == CORPUS_LEARN_SHA256[distance]
+
+
+def _learn_digests(out):
+    """sha256 of each artifact `learn --dump-table` wrote to out, with
+    wall_time_ms taken out of report.json."""
+    report = json.loads((out / "report.json").read_text())
+    report.pop("wall_time_ms")
+    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("hypothesis.mta", "hypothesis.wcfg", "hypothesis.pcfg",
+                         "table.tsv", "report.json")}
+
+
+# sha256 of every artifact `learn --seq trees --max-leaves 4 --dump-table`
+# writes on a grammar target, exact and with --float, as printed while the
+# evaluator still stored dense subtree vectors.
+GRAMMAR_LEARN_SHA256 = {
+    "acrab": {
+        "hypothesis.mta": "61857503efb9e4cfb2f7b299e553ee745961ce5f8cf4510754c5d2f42b460efa",
+        "hypothesis.wcfg": "5b05bdce908ff2de44a8ba0b0d3155c421dd0c9b2f619992f0b71bc63d923089",
+        "hypothesis.pcfg": "614e888a60fa1b078ef810e80ef9dca66817025dd00a79fe29e4d7b6ad442ad7",
+        "table.tsv": "2744b5b0a1de9e6f9e32537b263df7b8efffde361ea08431b83cc764240363dd",
+        "report.json": "b8c6ca3ea9a18fc4be1d41dd4f300be4d6dfb320463bacf5220badf3ba0cc611"
+    },
+    "acrab --float": {
+        "hypothesis.mta": "16fcb6df8653ead6086ffc87775e2483b01b340f3c32cae795dd7aa124d16bd5",
+        "hypothesis.wcfg": "114c3b6e04f63f200376c25c1fc687646662430bfbbcf86ad9ec402250353d14",
+        "hypothesis.pcfg": "cf1c471211fde6ed2365e213fe1123c9537b8b342114bf9b7d8b8389c1f8ae9f",
+        "table.tsv": "b8856ca7b3caf438b8b7ffa6b084062bc1a02b6f148b60b06a7adb4a4c620620",
+        "report.json": "b8c6ca3ea9a18fc4be1d41dd4f300be4d6dfb320463bacf5220badf3ba0cc611"
+    },
+    "colinearity3": {
+        "hypothesis.mta": "ea478b9123357d14a14215f93eae1a13cb81c0d0a393817ddd5dffde1e81425a",
+        "hypothesis.wcfg": "4adcc5bfbcd9508c6c17291c1eb86fd9ce3ba903c5e77e300339a39ed0edd263",
+        "hypothesis.pcfg": "a7d41013afd1dc74459c3710a7794d8bababf4f2bd940c74334ba902e261634b",
+        "table.tsv": "2b4d730db6f675627be9b15df70f5436db18d39e200d06f9a587cf82057186cb",
+        "report.json": "fbd90f187cbafa720bd4c111ec366b60a1a870b274d5f97b13665f01f646815a"
+    },
+    "colinearity3 --float": {
+        "hypothesis.mta": "a007a963be23ff465e85f112f6dbe85a4ff1937d7c1929cea62ac83bd9aae8b6",
+        "hypothesis.wcfg": "554defb4d4e05e9b372d23da21d03d3ad03a25940c6021041ed33a4beb21903c",
+        "hypothesis.pcfg": "d008a993c5b684d18375a60ed00bd6ddfd37d6b78e796bad97db08e34de378f5",
+        "table.tsv": "2dc25aceb8d59f0da245f28dd837871be9dcc2608f698a74a711324641936416",
+        "report.json": "fbd90f187cbafa720bd4c111ec366b60a1a870b274d5f97b13665f01f646815a"
+    },
+    "smalldup": {
+        "hypothesis.mta": "28e078f9a66d4c0dc9e3c71f846c73b84c27a641fe3859cf0d9eb56b5dec93a4",
+        "hypothesis.wcfg": "4172824a8eed173ee10fbe92421f0bcaa0c7f2731870deddfcefb893ca0778c8",
+        "hypothesis.pcfg": "ad72a17ad01d023fbffaf4124f807812504469284ba9e837082d0fd5b4190269",
+        "table.tsv": "8d38e5d3cb40269b1f9678f0e8fa0a83961f916d07ad7ecf94f496933936231b",
+        "report.json": "8fa2e8cdc938568d43a79b80ccf95d48f5046827103b3c2721246776e593fd20"
+    },
+    "smalldup --float": {
+        "hypothesis.mta": "06c3b3039ed37ffc682ccc23f116bf4fdcb528a838dc8a5d7c00483274144452",
+        "hypothesis.wcfg": "de1c0e2d3c0055a213ff3c53a8c9037cc3ac204335c4e789038765908e6b70b2",
+        "hypothesis.pcfg": "8f392a71a90e494cb76066d39e8d794c4629e60895448befc5373929cce30a33",
+        "table.tsv": "b05f2d39892e742d3075900769c03ec67a2acb7cfa98a23cad01336e70f4ce8d",
+        "report.json": "8fa2e8cdc938568d43a79b80ccf95d48f5046827103b3c2721246776e593fd20"
+    },
+    "trivial": {
+        "hypothesis.mta": "b8359e08a30bbfffd839f19ac56b140f7b2675f1eff0633d7b551488be0c35e9",
+        "hypothesis.wcfg": "fca1e98a634adb92e6f4baac50eb3412c1fe83ab9870c22a6a3fc55bc0ed3467",
+        "hypothesis.pcfg": "fca1e98a634adb92e6f4baac50eb3412c1fe83ab9870c22a6a3fc55bc0ed3467",
+        "table.tsv": "f29b0871480c4364b21e5e60586e2bc3fcfa338b52ef9c7069fbe39cc4b1ec40",
+        "report.json": "2d59d42a1f7ff862079547d51c3be7e258bdf524b6b155cd1c5b82c4eb61b5b9"
+    },
+    "trivial --float": {
+        "hypothesis.mta": "e30eea55655d54b5582973c3fb4963ec73d1a0cd5fad93a6b0c4179c23bbfbc1",
+        "hypothesis.wcfg": "ccaac9f13a3c07a9fdd1dc4813cc442de11bd41ccff3e303dc85d48299398def",
+        "hypothesis.pcfg": "ccaac9f13a3c07a9fdd1dc4813cc442de11bd41ccff3e303dc85d48299398def",
+        "table.tsv": "1347140aa9b70ba8a089c42a36944e122fc932c89ae27af86bb0337305face89",
+        "report.json": "2d59d42a1f7ff862079547d51c3be7e258bdf524b6b155cd1c5b82c4eb61b5b9"
+    }
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAMMAR_LEARN_SHA256))
+def test_grammar_learn_outputs_are_pinned(tmp_path, case):
+    name, *flags = case.split()
+    out = tmp_path / "out"
+    assert run(["learn", "--target", FIXTURES / f"{name}.wcfg", "--seq", "trees",
+                "--max-leaves", "4", "--dump-table", "--out", out, *flags]) == 0
+    assert _learn_digests(out) == GRAMMAR_LEARN_SHA256[case]
 
 
 def _gene_file_lines(seed=11, families=4, per_family=10, length=20):

@@ -30,6 +30,22 @@ def test_eval_vector_three_leaf_tree():
     assert a.eval(t) == 3
 
 
+@pytest.mark.parametrize("one", [1, Fraction(1), 1.0])
+def test_eval_vector_keeps_entry_types(one):
+    # leaves give a copy of their own vector; node gaps get the map's zero
+    zero = one * 0
+    alphabet = RankedAlphabet(["a", "b"], 2)
+    m2 = MultilinearMap(2, 2, [[zero, one, one, zero], [zero, zero, zero, one]])
+    a = MTA(alphabet, 2, {"a": [one, one], "b": [one, zero]}, {2: m2}, [one, zero])
+    for text, want in [("a", [1, 1]), ("b", [1, 0]), ("(a a)", [2, 1]),
+                       ("(a b)", [1, 0]), ("(b b)", [0, 0]), ("(a (b b))", [0, 0])]:
+        vec = a.eval_vector(parse_structured_string(text, alphabet))
+        assert vec == want
+        assert [type(x) for x in vec] == [type(one)] * 2
+    a.eval_vector(Leaf("b")).append(one)
+    assert a.eval_vector(Leaf("b")) == [one, zero]
+
+
 def test_eval_single_leaf_dot_product():
     a = leaf_count_mta()
     assert a.eval(Leaf("a")) == 1  # (1,0) . (1,1)

@@ -16,27 +16,68 @@ def kron_apply(m, args):
     return [sum(c * k for c, k in zip(row, kron)) for row in m.rows]
 
 
+def support(v):
+    """The sparse form apply takes: non-zero entries as (index, value)."""
+    return [(j, x) for j, x in enumerate(v) if x]
+
+
+def dense_apply(m, args):
+    """apply on dense vectors, its result filled out with the zero scalar."""
+    out = [m.zero_scalar] * m.dim
+    for i, y in apply(m, [support(v) for v in args]):
+        out[i] = y
+    return out
+
+
 def test_apply_leaf_count_node():
     m = MultilinearMap(2, 2, [[0, 1, 1, 0], [0, 0, 0, 1]])
-    assert apply(m, [[1, 1], [1, 1]]) == [2, 1]
+    assert dense_apply(m, [[1, 1], [1, 1]]) == [2, 1]
+    assert apply(m, [[(0, 1), (1, 1)], [(0, 1), (1, 1)]]) == [(0, 2), (1, 1)]
 
 
 def test_apply_zero_map():
     m = MultilinearMap.zero(2, 3)
-    assert apply(m, [[1, 2, 3], [4, 5, 6]]) == [0, 0, 0]
+    assert dense_apply(m, [[1, 2, 3], [4, 5, 6]]) == [0, 0, 0]
+    assert apply(m, [support([1, 2, 3]), support([4, 5, 6])]) == []
 
 
 def test_apply_scalar_multiplication():
     m = MultilinearMap(2, 1, [[Fraction(7)]])
-    assert apply(m, [[Fraction(2)], [Fraction(3)]]) == [Fraction(42)]
+    assert dense_apply(m, [[Fraction(2)], [Fraction(3)]]) == [Fraction(42)]
 
 
 def test_apply_shape_errors():
     m = MultilinearMap(2, 2, [[0] * 4, [0] * 4])
     with pytest.raises(ValueError):
-        apply(m, [[1, 2]])
+        dense_apply(m, [[1, 2]])
     with pytest.raises(ValueError):
-        apply(m, [[1, 2], [1, 2, 3]])
+        dense_apply(m, [[1, 2], [1, 2, 3]])
+
+
+@pytest.mark.parametrize("arg", [[(2, 1)], [(0, 1), (5, 2)], [(-1, 1)], [(-1, 1), (1, 1)]])
+def test_apply_rejects_index_outside_dimension(arg):
+    m = MultilinearMap(2, 2, [[1, 2, 3, 4], [5, 6, 7, 8]])
+    with pytest.raises(ValueError):
+        apply(m, [arg, [(0, 1)]])
+    with pytest.raises(ValueError):
+        apply(m, [[(1, 1)], arg])
+
+
+def test_apply_drops_a_sum_that_cancels_to_zero():
+    # row 0 gets 2*1*1 from column (0, 1) and -1*2*1 from column (1, 1)
+    m = MultilinearMap(2, 2, [[0, 2, 0, -1], [0, 0, 0, 3]])
+    for one in (1, Fraction(1), 1.0):
+        args = [[(0, one), (1, 2 * one)], [(1, one)]]
+        assert apply(m, args) == [(1, 6)]
+    assert dense_apply(m, [[1, 2], [0, 1]]) == [0, 6]
+
+
+def test_apply_on_dimension_zero():
+    for k in (1, 2, 3):
+        m = MultilinearMap.zero(k, 0)
+        assert apply(m, [[]] * k) == []
+    with pytest.raises(ValueError):
+        apply(MultilinearMap.zero(1, 0), [[(0, 1)]])
 
 
 def test_column_order_is_lexicographic():
@@ -45,8 +86,8 @@ def test_column_order_is_lexicographic():
     assert m.columns[0, 1] == {0: 2, 1: 6}
     assert m.columns[1, 0] == {0: 3, 1: 7}
     e1, e2 = [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]
-    assert apply(m, [e1, e2]) == [2, 6]
-    assert apply(m, [e2, e1]) == [3, 7]
+    assert dense_apply(m, [e1, e2]) == [2, 6]
+    assert dense_apply(m, [e2, e1]) == [3, 7]
 
 
 def rand_map(rng, k, d):
@@ -65,7 +106,7 @@ def test_apply_matches_kronecker_oracle():
         d = rng.randint(1, 3)
         m = rand_map(rng, k, d)
         args = [rand_vec(rng, d) for _ in range(k)]
-        assert apply(m, args) == kron_apply(m, args)
+        assert dense_apply(m, args) == kron_apply(m, args)
 
 
 def test_sparse_fast_path_matches_dense():
@@ -80,7 +121,27 @@ def test_sparse_fast_path_matches_dense():
             if rng.random() < 0.8:
                 v[rng.randrange(d)] = Fraction(rng.randint(1, 5))
             args.append(v)
-        assert apply(m, args) == kron_apply(m, args)
+        assert dense_apply(m, args) == kron_apply(m, args)
+
+
+@pytest.mark.parametrize("scalar", [Fraction, float])
+def test_sparse_apply_matches_kronecker_oracle(scalar):
+    rng = random.Random(24)
+    for _ in range(80):
+        k = rng.randint(1, 3)
+        d = rng.randint(1, 4)
+        m = rand_map(rng, k, d)
+        if scalar is float:
+            m = MultilinearMap(k, d, [[float(c) for c in row] for row in m.rows])
+        args = [[scalar(x) if rng.random() < 0.6 else scalar(0) for x in rand_vec(rng, d)]
+                for _ in range(k)]
+        got = apply(m, [support(v) for v in args])
+        want = kron_apply(m, args)
+        assert [i for i, _ in got] == sorted({i for i, _ in got})
+        assert all(y != 0 for _, y in got)
+        assert dense_apply(m, args) == pytest.approx(want, rel=1e-9, abs=1e-9)
+        if scalar is Fraction:
+            assert got == support(want)
 
 
 def test_multilinearity_in_each_slot():
@@ -95,9 +156,9 @@ def test_multilinearity_in_each_slot():
         alpha = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         beta = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         mixed = [alpha * a + beta * b for a, b in zip(x, xp)]
-        lhs = apply(m, args[:slot] + [mixed] + args[slot + 1:])
-        f_x = apply(m, args[:slot] + [x] + args[slot + 1:])
-        f_xp = apply(m, args[:slot] + [xp] + args[slot + 1:])
+        lhs = dense_apply(m, args[:slot] + [mixed] + args[slot + 1:])
+        f_x = dense_apply(m, args[:slot] + [x] + args[slot + 1:])
+        f_xp = dense_apply(m, args[:slot] + [xp] + args[slot + 1:])
         rhs = [alpha * a + beta * b for a, b in zip(f_x, f_xp)]
         assert lhs == rhs
 

@@ -22,6 +22,18 @@ def acrab():
     return load_wcfg(FIXTURES / "acrab.wcfg")
 
 
+class CountingStrategy:
+    """Passes a strategy's candidates through, counting the calls."""
+
+    def __init__(self, strategy):
+        self.strategy = strategy
+        self.calls = 0
+
+    def candidates(self):
+        self.calls += 1
+        return self.strategy.candidates()
+
+
 def test_smq_most_probable_tree(acrab):
     teacher = SimulatedTeacher(acrab)
     t = parse_structured_string("(AcrR ((AcrA AcrB) TolC))", acrab.alphabet())
@@ -100,6 +112,17 @@ def test_corpus_smq_stays_in_unit_interval():
         for _ in range(20):
             value = oracle.smq(random_binary_tree(rng, ["a", "b"], 5))
             assert 0 <= value <= 1
+
+
+def test_strategy_is_enumerated_once_per_teacher(acrab):
+    alphabet = acrab.alphabet(2)
+    strategy = CountingStrategy(AllTreesStrategy(alphabet, 4))
+    teacher = SimulatedTeacher(acrab, strategy)
+    report = learn(teacher, alphabet)
+    assert report.seq_count == 5
+    assert strategy.calls == 1
+    assert teacher.candidates() == list(AllTreesStrategy(alphabet, 4).candidates())
+    assert strategy.calls == 1
 
 
 def test_seq_respects_epsilon():
@@ -245,8 +268,12 @@ def test_corpus_seq_scans_the_corpus_trees(distance):
     oracle = CorpusOracle(corpus, Fraction(1, 5), distance)
     base = [parse_structured_string(text, alphabet)
             for text in ("(a b)", "((a b) c)", "(a c)")]
-    teacher = SimulatedTeacher(oracle, DuplicationsStrategy(base, max_dup=1))
+    strategy = CountingStrategy(DuplicationsStrategy(base, max_dup=1))
+    teacher = SimulatedTeacher(oracle, strategy)
     hypothesis = learn(teacher, alphabet).hypothesis
     for tree, _ in corpus:
         assert hypothesis.eval(tree) == oracle.smq(tree)
     assert hypothesis.eval(corpus[3][0]) == Fraction(1, 8)
+    # the corpus trees follow the candidates without joining their list
+    assert strategy.calls == 1
+    assert teacher.candidates() == list(strategy.strategy.candidates())
