@@ -10,9 +10,10 @@ from skelgram import (MTA, MultilinearMap, RankedAlphabet, pmta_to_wcfg,
 alphabet = RankedAlphabet(["a"], max_rank=2)
 
 # the rank-2 map adds the two child counts in coordinate 0 and keeps the
-# constant 1 in coordinate 1; leaves start at (1, 1)
-adder = MultilinearMap(2, 2, [[0, 1, 1, 0],
-                              [0, 0, 0, 1]])
+# constant 1 in coordinate 1; leaves start at (1, 1).  Each column (j1, j2)
+# maps to its non-zero entries {i: coefficient of x1[j1] * x2[j2] in y[i]}
+adder = MultilinearMap(2, 2, {(0, 1): {0: 1}, (1, 0): {0: 1}, (1, 1): {1: 1}},
+                       zero_scalar=0)
 counter = MTA(alphabet, dim=2,
               leaf_maps={"a": [1, 1]},
               node_maps={2: adder},

@@ -12,11 +12,12 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from .geneclusters import (SubstringFrequencyWeight, duplication_distance,
                            parse_gene_string, swap_distance)
-from .grammar import (GrammarError, WCFG, format_wcfg, load_wcfg, pmta_to_wcfg,
+from .grammar import (GrammarError, WCFG, format_wcfg, parse_wcfg, pmta_to_wcfg,
                       wcfg_to_pcfg, wcfg_to_pmta)
 from .learner import learn
 from .mta import MTA, format_mta, parse_mta
@@ -48,11 +49,11 @@ def _load_target(path_text: str, exact: bool):
     path = Path(path_text)
     if not path.exists():
         raise CliError(f"no such file: {path}", EXIT_INPUT)
-    head = path.read_text(encoding="utf-8").lstrip()
+    text = path.read_text(encoding="utf-8")
     try:
-        if head.startswith("mta "):
-            return parse_mta(path.read_text(encoding="utf-8"), exact)
-        return load_wcfg(path, exact)
+        if text.lstrip().startswith("mta "):
+            return parse_mta(text, exact)
+        return parse_wcfg(text, exact)
     except (GrammarError, ValueError) as exc:
         raise CliError(f"cannot parse {path}: {exc}", EXIT_INPUT)
 
@@ -180,7 +181,6 @@ def cmd_eval(args) -> int:
 
 
 def _fmt_value(value):
-    from fractions import Fraction
     if isinstance(value, Fraction):
         return f"{float(value):.12g}" if value.denominator != 1 else str(value.numerator)
     return f"{value:.12g}"

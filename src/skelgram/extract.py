@@ -40,7 +40,7 @@ def extract_cmta(table: ObservationTable) -> MTA:
 
     node_maps = {}
     for k in range(1, table.alphabet.max_rank + 1):
-        m = node_maps[k] = MultilinearMap.zero(k, d, zero)
+        m = node_maps[k] = MultilinearMap(k, d, zero_scalar=zero)
         for col in itertools.product(range(d), repeat=k):
             if found := entry(Node(tuple(table.basis[j] for j in col))):
                 m.columns[col] = found

@@ -129,12 +129,6 @@ def _require_binary(*trees):
         raise ValueError("edit distances are defined on binary trees")
 
 
-def _incompatible(t, s) -> bool:
-    if isinstance(t, Leaf) and isinstance(s, Leaf):
-        return t.token != s.token
-    return isinstance(t, Leaf) != isinstance(s, Leaf)
-
-
 def swap_distance(t: SkeletalTree, s: SkeletalTree):
     """Count of subtree swaps turning t into s, or inf when incompatible."""
     _require_binary(t, s)
@@ -143,7 +137,8 @@ def swap_distance(t: SkeletalTree, s: SkeletalTree):
 
 def _swap(t, s):
     # Each pair of positions is reached once, from its parents' pair, so no
-    # memo is needed.  A swap keeps subtree sizes, so unequal sizes are inf.
+    # memo is needed.  A swap keeps subtree sizes and arities, so unequal
+    # ones are inf.
     done = []
     stack = [(t, s)]  # (None, None) combines the last four distances done
     while stack:
@@ -156,28 +151,26 @@ def _swap(t, s):
             done.append(INF)
         elif isinstance(t, Leaf):
             done.append(0 if t.token == s.token else INF)
+        elif len(t.children) != len(s.children):
+            done.append(INF)
         else:
             (t1, t2), (s1, s2) = t.children, s.children
             stack += [(None, None), (t1, s1), (t2, s2), (t1, s2), (t2, s1)]
     return done[0]
 
 
-def is_right_chain(t: SkeletalTree) -> bool:
-    """Leaf, or leaf-left-child chains with all leaves identically tagged."""
-    label = chain_label(t)
+def right_chain_shape(t: SkeletalTree):
+    """(token, leaf count) when t is a leaf or a right chain of identically
+    tagged leaves (binary nodes with a leaf left child), else None."""
+    token, leaves = None, 1
     while isinstance(t, Node):
         if len(t.children) != 2:
-            return False
+            return None
         left, t = t.children
-        if not isinstance(left, Leaf) or left.token != label:
-            return False
-    return t.token == label
-
-
-def chain_label(t: SkeletalTree):
-    while isinstance(t, Node):
-        t = t.children[0]
-    return t.token
+        if not isinstance(left, Leaf) or token not in (None, left.token):
+            return None
+        token, leaves = left.token, leaves + 1
+    return (t.token, leaves) if token in (None, t.token) else None
 
 
 def duplication_distance(t: SkeletalTree, s: SkeletalTree):
@@ -191,16 +184,14 @@ def _dup(t, s):
     pairs = [(t, s)]
     while pairs:
         t, s = pairs.pop()
-        if is_right_chain(t) and is_right_chain(s) and chain_label(t) == chain_label(s):
-            total += abs(_leaf_count(t) - _leaf_count(s))
-        elif _incompatible(t, s):
+        chain_t = right_chain_shape(t)
+        chain_s = chain_t and right_chain_shape(s)
+        if chain_s and chain_t[0] == chain_s[0]:
+            total += abs(chain_t[1] - chain_s[1])
+        elif (isinstance(t, Leaf) or isinstance(s, Leaf)
+              or len(t.children) != len(s.children)):
             return INF
         else:
-            # both internal (leaf pairs are either chain-homologous or
-            # incompatible): the distance is the sum over child pairs
+            # the distance is the sum over child pairs
             pairs.extend(zip(t.children, s.children))
     return total
-
-
-def _leaf_count(t: SkeletalTree) -> int:
-    return (t.size + 1) // 2 if isinstance(t, Node) else 1

@@ -12,8 +12,7 @@ from fractions import Fraction
 
 from .multilinear import MultilinearMap
 from .mta import MTA, EvaluationError
-from .scalars import (DEFAULT_TOL, format_scalar, is_exact, parse_scalar, scalar_eq,
-                      scalar_is_zero)
+from .scalars import format_scalar, is_exact, parse_scalar, scalar_eq, scalar_is_zero
 from .trees import RankedAlphabet, SkeletalTree, tree_yield
 
 Rule = tuple[str, tuple[str, ...]]
@@ -107,13 +106,13 @@ class WCFG:
                 return False
         return True
 
-    def is_normalized(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_normalized(self) -> bool:
         totals: dict[str, object] = {}
         for (lhs, _), w in self.weights.items():
-            if w < 0 or (w > 1 and not scalar_eq(w, 1, tol)):
+            if w < 0 or (w > 1 and not scalar_eq(w, 1)):
                 return False
             totals[lhs] = totals.get(lhs, self._zero) + w
-        return all(scalar_eq(tot, 1, tol) for tot in totals.values())
+        return all(scalar_eq(tot, 1) for tot in totals.values())
 
     def __repr__(self):
         return f"WCFG({len(self.nonterminals)} nonterminals, {len(self.weights)} rules)"
@@ -202,7 +201,7 @@ def _grammar_automaton(g: WCFG, max_rank: int | None = None) -> MTA:
         if len(rhs) == 1 and rhs[0] in toks:
             leaf_maps[rhs[0]][iota[lhs]] = w
 
-    node_maps = {k: MultilinearMap.zero(k, n, zero) for k in range(1, p + 1)}
+    node_maps = {k: MultilinearMap(k, n, zero_scalar=zero) for k in range(1, p + 1)}
     for lhs, rhs, w in structural:
         k = len(rhs)
         if k > p:

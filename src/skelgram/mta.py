@@ -7,6 +7,7 @@ output vector.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .multilinear import MultilinearMap, apply
@@ -40,7 +41,7 @@ class MTA:
         for k in range(1, alphabet.max_rank + 1):
             m = node_maps.get(k)
             if m is None:
-                node_maps[k] = MultilinearMap.zero(k, dim)
+                node_maps[k] = MultilinearMap(k, dim)
             elif m.arity != k or m.dim != dim:
                 raise ValueError(f"rank-{k} map has wrong shape")
         output = list(output)
@@ -122,20 +123,26 @@ class MTA:
 
 
 def format_mta(a: MTA) -> str:
-    """Text form: header, output vector, leaf vectors, per-rank matrices."""
+    """Text form: header, output vector, leaf vectors, then each rank-k map
+    as d rows of d^k coefficients, columns (j1..jk) in lexicographic order
+    with jk varying fastest and the map's zero scalar in the gaps."""
     lines = [f"mta d={a.dim} p={a.alphabet.max_rank}"]
     lines.append("lambda: " + " ".join(format_scalar(x) for x in a.output))
     for tok in a.alphabet.leaf_symbols:
         lines.append(f"leaf {tok}: " + " ".join(format_scalar(x) for x in a.leaf_maps[tok]))
     for k in range(1, a.alphabet.max_rank + 1):
         lines.append(f"rank {k}:")
-        for row in a.node_maps[k].rows:
-            lines.append("  " + " ".join(format_scalar(x) for x in row))
+        m = a.node_maps[k]
+        cols = [m.columns.get(col, {}) for col in itertools.product(range(a.dim), repeat=k)]
+        for i in range(a.dim):
+            lines.append("  " + " ".join(format_scalar(col.get(i, m.zero_scalar))
+                                         for col in cols))
     return "\n".join(lines) + "\n"
 
 
 def parse_mta(text: str, exact: bool = True) -> MTA:
-    """Parse the format produced by format_mta."""
+    """Parse the format produced by format_mta; zeros are Fraction(0) when
+    exact, else 0.0."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     kind, _, rest = (lines or [""])[0].partition(" ")
     header = dict(part.split("=") for part in rest.split()) if kind == "mta" else {}
@@ -173,5 +180,12 @@ def parse_mta(text: str, exact: bool = True) -> MTA:
         rows = rank_rows.get(k, [])
         if dim and len(rows) != dim:
             raise ValueError(f"rank {k}: expected {dim} rows, got {len(rows)}")
-        node_maps[k] = MultilinearMap(k, dim, rows)
+        if len(rows) != dim or any(len(row) != dim ** k for row in rows):
+            raise ValueError(f"coefficient matrix must be {dim} x {dim ** k}")
+        columns = {}
+        for i, row in enumerate(rows):
+            for col, c in zip(itertools.product(range(dim), repeat=k), row):
+                if c != 0:
+                    columns.setdefault(col, {})[i] = c
+        node_maps[k] = MultilinearMap(k, dim, columns, Fraction(0) if exact else 0.0)
     return MTA(alphabet, dim, leaf_maps, node_maps, output)

@@ -2,9 +2,8 @@
 
 A column is a 0-based child-index tuple (j1..jk); it maps to its non-zero
 rows {i: c^i_{j1..jk}}.  A co-linear map is one whose columns each hold at
-most one entry.  The dense d x d^k view (`rows`) enumerates columns
-lexicographically with jk varying fastest and fills gaps with the map's
-zero scalar, so exact and float maps print their zeros as they were given.
+most one entry.  Sums start from the map's zero scalar, so exact and float
+maps keep their zeros' type.
 """
 from __future__ import annotations
 
@@ -19,41 +18,14 @@ class MultilinearMap:
 
     __slots__ = ("arity", "dim", "columns", "zero_scalar")
 
-    def __init__(self, arity: int, dim: int, rows=None, zero_scalar=None):
-        """Build from a dense d x d^k matrix, or an empty map when rows is None.
-
-        The zero scalar defaults to the type of the first dense entry.
-        """
+    def __init__(self, arity: int, dim: int, columns=None, zero_scalar=Fraction(0)):
+        """columns: {(j1..jk): {i: non-zero coefficient}}; empty by default."""
         if arity < 0 or dim < 0:
             raise ValueError("arity and dim must be non-negative")
         self.arity = arity
         self.dim = dim
-        self.columns: dict[tuple, dict] = {}
-        if rows is not None:
-            rows = [list(r) for r in rows]
-            width = dim ** arity
-            if len(rows) != dim or any(len(r) != width for r in rows):
-                raise ValueError(f"coefficient matrix must be {dim} x {width}")
-            if zero_scalar is None:
-                zero_scalar = next((x * 0 for r in rows for x in r), None)
-            for i, row in enumerate(rows):
-                for col, c in zip(self._column_order(), row):
-                    if c != 0:
-                        self.columns.setdefault(col, {})[i] = c
-        self.zero_scalar = Fraction(0) if zero_scalar is None else zero_scalar
-
-    @classmethod
-    def zero(cls, arity: int, dim: int, zero_scalar=Fraction(0)) -> "MultilinearMap":
-        return cls(arity, dim, zero_scalar=zero_scalar)
-
-    def _column_order(self):
-        return itertools.product(range(self.dim), repeat=self.arity)
-
-    @property
-    def rows(self) -> list:
-        """Dense coefficient matrix, one row per output coordinate."""
-        cols = [self.columns.get(col, {}) for col in self._column_order()]
-        return [[col.get(i, self.zero_scalar) for col in cols] for i in range(self.dim)]
+        self.columns: dict[tuple, dict] = {} if columns is None else columns
+        self.zero_scalar = zero_scalar
 
     def __eq__(self, other):
         return (isinstance(other, MultilinearMap) and self.arity == other.arity

@@ -2,7 +2,7 @@
 
 Exact values are ``fractions.Fraction``; approximate values are ``float``.
 Mixed comparisons degrade to the float rules.  The float rules use a
-relative max-norm tolerance (default 1e-9).
+relative max-norm tolerance, DEFAULT_TOL = 1e-9.
 """
 from __future__ import annotations
 
@@ -18,22 +18,22 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (Fraction, int))
 
 
-def scalar_eq(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:
+def scalar_eq(a: Scalar, b: Scalar) -> bool:
     if is_exact(a) and is_exact(b):
         return a == b
     fa, fb = float(a), float(b)
-    return abs(fa - fb) <= tol * max(1.0, abs(fa), abs(fb))
+    return abs(fa - fb) <= DEFAULT_TOL * max(1.0, abs(fa), abs(fb))
 
 
-def scalar_is_zero(x: Scalar, tol: float = DEFAULT_TOL) -> bool:
+def scalar_is_zero(x: Scalar) -> bool:
     if is_exact(x):
         return x == 0
-    return abs(float(x)) <= tol
+    return abs(float(x)) <= DEFAULT_TOL
 
 
-def vector_is_zero(v, tol: float = DEFAULT_TOL) -> bool:
+def vector_is_zero(v) -> bool:
     # `not any(v)` settles rows of exact zeros without a call per entry
-    return not any(v) or all(scalar_is_zero(x, tol) for x in v)
+    return not any(v) or all(map(scalar_is_zero, v))
 
 
 def parse_scalar(text: str, exact: bool = True) -> Scalar:

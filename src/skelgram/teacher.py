@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .geneclusters import (INF, _dup, _swap, is_binary, parse_gene_string,
-                           right_chain)
+from .geneclusters import INF, _dup, _swap, is_binary, parse_gene_string, right_chain
 from .grammar import WCFG
 from .mta import MTA
 from .scalars import parse_scalar
@@ -144,11 +143,23 @@ class DuplicationsStrategy:
         yield from sorted(out, key=canonical_key)
 
     def _variants(self, tree: SkeletalTree):
-        if isinstance(tree, Leaf):
-            return [right_chain(tree.token, 1 + extra)
-                    for extra in range(self.max_dup + 1)]
-        pools = [self._variants(c) for c in tree.children]
-        return [Node(combo) for combo in itertools.product(*pools)]
+        """The variants of tree, built bottom-up with an explicit stack: a
+        node's are the product of its children's, in child order."""
+        done = []
+        stack = [(tree, False)]  # (node, True) joins its children's variants
+        while stack:
+            t, ready = stack.pop()
+            if isinstance(t, Leaf):
+                done.append([right_chain(t.token, 1 + extra)
+                             for extra in range(self.max_dup + 1)])
+            elif ready:
+                pools = done[-len(t.children):]
+                del done[-len(t.children):]
+                done.append([Node(combo) for combo in itertools.product(*pools)])
+            else:
+                stack.append((t, True))
+                stack.extend((c, False) for c in reversed(t.children))
+        return done[0]
 
 
 class AllTreesStrategy:
@@ -188,13 +199,11 @@ class CorpusOracle:
         self.corpus = [(tree, freq / total) for tree, freq in corpus]
         self.decay = decay
         self.distance = distance
-        # corpus trees are checked above and queries in smq, so the
-        # distances skip their own shape checks
+        # corpus trees are checked above; a non-binary query is infinitely
+        # distant from each (both distances are inf on unequal arities)
         self._dist = _swap if distance == "swap" else _dup
 
     def smq(self, tree: SkeletalTree):
-        if not is_binary(tree):
-            return 0  # infinitely distant from every binary corpus tree
         total = 0
         for entry, freq in self.corpus:
             d = self._dist(tree, entry)

@@ -273,7 +273,7 @@ def random_cmta(rng, alphabet: RankedAlphabet, dim: int, positive: bool = False)
         leaf_maps[tok] = vec
     node_maps = {}
     for k in range(1, alphabet.max_rank + 1):
-        m = MultilinearMap.zero(k, dim)
+        m = MultilinearMap(k, dim)
         for col in itertools.product(range(dim), repeat=k):
             if rng.random() < 0.7:
                 c = value()
@@ -284,15 +284,18 @@ def random_cmta(rng, alphabet: RankedAlphabet, dim: int, positive: bool = False)
 
 
 def random_pmta(rng, alphabet: RankedAlphabet, dim: int) -> MTA:
-    """Random positive automaton (dense non-negative coefficients)."""
+    """Random positive automaton: each coefficient is non-negative and, in
+    the node maps, non-zero with probability about 1/2."""
     def value():
         return Fraction(rng.randint(0, 4), rng.randint(1, 3))
 
     leaf_maps = {tok: [value() for _ in range(dim)] for tok in alphabet.leaf_symbols}
     node_maps = {}
     for k in range(1, alphabet.max_rank + 1):
-        rows = [[value() if rng.random() < 0.5 else Fraction(0)
-                 for _ in range(dim ** k)] for _ in range(dim)]
-        node_maps[k] = MultilinearMap(k, dim, rows)
+        m = node_maps[k] = MultilinearMap(k, dim)
+        for i in range(dim):
+            for col in itertools.product(range(dim), repeat=k):
+                if rng.random() < 0.5 and (c := value()):
+                    m.columns.setdefault(col, {})[i] = c
     output = [value() for _ in range(dim)]
     return MTA(alphabet, dim, leaf_maps, node_maps, output)

@@ -102,6 +102,20 @@ def test_eval_automaton_header_without_d_or_p_exits_2(tmp_path, capsys, header):
     assert "cannot parse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("  0 1\n", "rank 1: expected 2 rows, got 1"),
+    ("  0 1\n  1 0\n  1 1\n", "rank 1: expected 2 rows, got 3"),
+    ("  0 1\n  1\n", "coefficient matrix must be 2 x 2"),
+    ("  0 1\n  1 0 1\n", "coefficient matrix must be 2 x 2"),
+])
+def test_eval_automaton_with_malformed_rank_rows_exits_2(tmp_path, capsys, rows, message):
+    model = tmp_path / "m.mta"
+    model.write_text("mta d=2 p=1\nlambda: 1 0\nleaf a: 1 0\nrank 1:\n" + rows,
+                     encoding="utf-8")
+    assert run(["eval", model, "--trees", model]) == 2
+    assert capsys.readouterr().err == f"error: cannot parse {model}: {message}\n"
+
+
 def test_eval_max_rank_zero_exits_2(tmp_path, capsys):
     trees = tmp_path / "trees.txt"
     trees.write_text("(AcrR AcrR)\n", encoding="utf-8")
@@ -270,7 +284,7 @@ def test_learn_float_backend(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["basis_size"] == 2
     pcfg = load_wcfg(out / "hypothesis.pcfg", exact=False)
-    assert pcfg.is_normalized(1e-6)
+    assert pcfg.is_normalized()
 
 
 def test_learn_duplications_missing_base_trees_exits_2(tmp_path):

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from skelgram.geneclusters import (INF, SubstringFrequencyWeight,
-                                   duplication_distance, is_right_chain,
-                                   optimal_tree, parse_gene_string,
-                                   right_chain, swap_distance)
+                                   duplication_distance, optimal_tree,
+                                   parse_gene_string, right_chain,
+                                   right_chain_shape, swap_distance)
 from skelgram.trees import Leaf, Node, parse_structured_string, RankedAlphabet, tree_yield
 
 from conftest import all_binary_trees, parse_score, random_binary_tree
@@ -248,12 +248,13 @@ def test_duplication_distance_deep_chains():
 
 
 def test_right_chain_detection():
-    assert is_right_chain(Leaf("q"))
-    assert is_right_chain(right_chain("q", 5))
-    assert not is_right_chain(Node((right_chain("q", 2), Leaf("q"))))
-    assert not is_right_chain(Node((Leaf("a"), Leaf("b"))))
-    assert not is_right_chain(Node((Leaf("q"), Leaf("q"), Leaf("q"))))
-    assert is_right_chain(right_chain("q", 2000))
+    assert right_chain_shape(Leaf("q")) == ("q", 1)
+    assert right_chain_shape(right_chain("q", 5)) == ("q", 5)
+    assert right_chain_shape(Node((right_chain("q", 2), Leaf("q")))) is None
+    assert right_chain_shape(Node((Leaf("a"), Leaf("b")))) is None
+    assert right_chain_shape(Node((Leaf("q"), right_chain("r", 2)))) is None
+    assert right_chain_shape(Node((Leaf("q"), Leaf("q"), Leaf("q")))) is None
+    assert right_chain_shape(right_chain("q", 2000)) == ("q", 2000)
 
 
 def test_distances_symmetric_and_reflexive():

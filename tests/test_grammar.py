@@ -9,7 +9,7 @@ from skelgram.grammar import (GrammarError, PCFG, WCFG, format_wcfg, load_wcfg,
                               parse_wcfg, partition_functions, pmta_to_wcfg,
                               wcfg_to_pcfg, wcfg_to_pmta)
 from skelgram.mta import MTA, format_mta, parse_mta
-from skelgram.multilinear import MultilinearMap, colinear_witness
+from skelgram.multilinear import colinear_witness
 from skelgram.trees import (Leaf, Node, RankedAlphabet, parse_structured_string,
                             compose)
 from skelgram.geneclusters import right_chain

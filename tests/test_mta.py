@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +16,7 @@ from conftest import random_cmta, random_tree
 def leaf_count_mta():
     """Two-dimensional automaton computing the number of leaves of a tree."""
     alphabet = RankedAlphabet(["a"], 2)
-    m2 = MultilinearMap(2, 2, [[0, 1, 1, 0], [0, 0, 0, 1]])
+    m2 = MultilinearMap(2, 2, {(0, 1): {0: 1}, (1, 0): {0: 1}, (1, 1): {1: 1}})
     return MTA(alphabet, 2, {"a": [1, 1]}, {2: m2}, [1, 0])
 
 
@@ -35,7 +37,8 @@ def test_eval_vector_keeps_entry_types(one):
     # leaves give a copy of their own vector; node gaps get the map's zero
     zero = one * 0
     alphabet = RankedAlphabet(["a", "b"], 2)
-    m2 = MultilinearMap(2, 2, [[zero, one, one, zero], [zero, zero, zero, one]])
+    m2 = MultilinearMap(2, 2, {(0, 1): {0: one}, (1, 0): {0: one}, (1, 1): {1: one}},
+                        zero_scalar=zero)
     a = MTA(alphabet, 2, {"a": [one, one], "b": [one, zero]}, {2: m2}, [one, zero])
     for text, want in [("a", [1, 1]), ("b", [1, 0]), ("(a a)", [2, 1]),
                        ("(a b)", [1, 0]), ("(b b)", [0, 0]), ("(a (b b))", [0, 0])]:
@@ -87,7 +90,7 @@ def test_is_positive():
 
 def test_is_colinear_flags_doubled_column():
     alphabet = RankedAlphabet(["a"], 2)
-    m2 = MultilinearMap(2, 2, [[1, 0, 0, 0], [1, 0, 0, 0]])  # column (1,1) twice
+    m2 = MultilinearMap(2, 2, {(0, 0): {0: 1, 1: 1}})  # two entries in one column
     a = MTA(alphabet, 2, {"a": [1, 0]}, {2: m2}, [1, 0])
     assert not a.is_colinear_mta()
 
@@ -130,7 +133,7 @@ def test_replacement_property_on_random_cmtas():
 def test_evaluation_is_compositional():
     # a context's effect depends on the subtree only through its vector
     alphabet = RankedAlphabet(["a", "b"], 2)
-    m2 = MultilinearMap(2, 2, [[1, 1, 1, 1], [0, 0, 0, 0]])
+    m2 = MultilinearMap(2, 2, {col: {0: 1} for col in itertools.product(range(2), repeat=2)})
     a = MTA(alphabet, 2, {"a": [1, 0], "b": [1, 0]}, {2: m2}, [1, 1])
     t1, t2 = Leaf("a"), Leaf("b")
     assert a.eval_vector(t1) == a.eval_vector(t2)
@@ -147,8 +150,20 @@ def test_serialization_roundtrip():
     assert b.dim == a.dim
     assert b.output == a.output
     assert b.leaf_maps == a.leaf_maps
-    assert b.node_maps[2].rows == a.node_maps[2].rows
+    assert b.node_maps[2] == a.node_maps[2]
     assert format_mta(b) == text
+
+
+def test_float_roundtrip_prints_positive_zeros():
+    # a negative first coefficient must not make the rank's zeros -0.0
+    text = "mta d=2 p=1\nlambda: 1 0\nleaf a: 1 0\nrank 1:\n  -0.5 0\n  0 1\n"
+    a = parse_mta(text, exact=False)
+    assert format_mta(a) == ("mta d=2 p=1\nlambda: 1.0 0.0\nleaf a: 1.0 0.0\n"
+                             "rank 1:\n  -0.5 0.0\n  0.0 1.0\n")
+    vec = a.eval_vector(Node((Leaf("a"),)))
+    assert vec == [-0.5, 0.0]
+    assert [math.copysign(1, x) for x in vec] == [-1, 1]
+    assert parse_mta(format_mta(a), exact=False).node_maps == a.node_maps
 
 
 def test_serialization_roundtrip_random():

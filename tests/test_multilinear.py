@@ -4,16 +4,26 @@ from fractions import Fraction
 
 import pytest
 
+from skelgram.mta import parse_mta
 from skelgram.multilinear import MultilinearMap, apply, colinear_witness
+
+# c^i_{j1 j2} = 4i + 2j1 + j2 + 1: the dense rows 1 2 3 4 / 5 6 7 8
+COUNTING = {(0, 0): {0: 1, 1: 5}, (0, 1): {0: 2, 1: 6},
+            (1, 0): {0: 3, 1: 7}, (1, 1): {0: 4, 1: 8}}
+# the leaf-count node: row 0 adds the children's coordinate 0, row 1 keeps 1
+LEAF_COUNT = {(0, 1): {0: 1}, (1, 0): {0: 1}, (1, 1): {1: 1}}
 
 
 def kron_apply(m, args):
-    """Oracle: apply via explicit Kronecker product of the arguments."""
+    """Oracle: apply via explicit Kronecker product of the arguments, which
+    varies the last argument's index fastest, as the columns are listed."""
     vecs = [list(v) for v in args]
     kron = [Fraction(1)]
     for v in vecs:
         kron = [x * y for x in kron for y in v]
-    return [sum(c * k for c, k in zip(row, kron)) for row in m.rows]
+    cols = itertools.product(range(m.dim), repeat=m.arity)
+    coeffs = [m.columns.get(col, {}) for col in cols]
+    return [sum(c.get(i, 0) * k for c, k in zip(coeffs, kron)) for i in range(m.dim)]
 
 
 def support(v):
@@ -30,24 +40,24 @@ def dense_apply(m, args):
 
 
 def test_apply_leaf_count_node():
-    m = MultilinearMap(2, 2, [[0, 1, 1, 0], [0, 0, 0, 1]])
+    m = MultilinearMap(2, 2, LEAF_COUNT)
     assert dense_apply(m, [[1, 1], [1, 1]]) == [2, 1]
     assert apply(m, [[(0, 1), (1, 1)], [(0, 1), (1, 1)]]) == [(0, 2), (1, 1)]
 
 
 def test_apply_zero_map():
-    m = MultilinearMap.zero(2, 3)
+    m = MultilinearMap(2, 3)
     assert dense_apply(m, [[1, 2, 3], [4, 5, 6]]) == [0, 0, 0]
     assert apply(m, [support([1, 2, 3]), support([4, 5, 6])]) == []
 
 
 def test_apply_scalar_multiplication():
-    m = MultilinearMap(2, 1, [[Fraction(7)]])
+    m = MultilinearMap(2, 1, {(0, 0): {0: Fraction(7)}})
     assert dense_apply(m, [[Fraction(2)], [Fraction(3)]]) == [Fraction(42)]
 
 
 def test_apply_shape_errors():
-    m = MultilinearMap(2, 2, [[0] * 4, [0] * 4])
+    m = MultilinearMap(2, 2)
     with pytest.raises(ValueError):
         dense_apply(m, [[1, 2]])
     with pytest.raises(ValueError):
@@ -56,7 +66,7 @@ def test_apply_shape_errors():
 
 @pytest.mark.parametrize("arg", [[(2, 1)], [(0, 1), (5, 2)], [(-1, 1)], [(-1, 1), (1, 1)]])
 def test_apply_rejects_index_outside_dimension(arg):
-    m = MultilinearMap(2, 2, [[1, 2, 3, 4], [5, 6, 7, 8]])
+    m = MultilinearMap(2, 2, COUNTING)
     with pytest.raises(ValueError):
         apply(m, [arg, [(0, 1)]])
     with pytest.raises(ValueError):
@@ -65,7 +75,7 @@ def test_apply_rejects_index_outside_dimension(arg):
 
 def test_apply_drops_a_sum_that_cancels_to_zero():
     # row 0 gets 2*1*1 from column (0, 1) and -1*2*1 from column (1, 1)
-    m = MultilinearMap(2, 2, [[0, 2, 0, -1], [0, 0, 0, 3]])
+    m = MultilinearMap(2, 2, {(0, 1): {0: 2}, (1, 1): {0: -1, 1: 3}})
     for one in (1, Fraction(1), 1.0):
         args = [[(0, one), (1, 2 * one)], [(1, one)]]
         assert apply(m, args) == [(1, 6)]
@@ -74,15 +84,17 @@ def test_apply_drops_a_sum_that_cancels_to_zero():
 
 def test_apply_on_dimension_zero():
     for k in (1, 2, 3):
-        m = MultilinearMap.zero(k, 0)
+        m = MultilinearMap(k, 0)
         assert apply(m, [[]] * k) == []
     with pytest.raises(ValueError):
-        apply(MultilinearMap.zero(1, 0), [[(0, 1)]])
+        apply(MultilinearMap(1, 0), [[(0, 1)]])
 
 
 def test_column_order_is_lexicographic():
-    # columns enumerate (j1, j2) as 11, 12, 21, 22
-    m = MultilinearMap(2, 2, [[1, 2, 3, 4], [5, 6, 7, 8]])
+    # a .mta row lists the columns (j1, j2) as 11, 12, 21, 22
+    text = "mta d=2 p=2\nlambda: 1 0\nleaf a: 1 0\nrank 1:\n  0 0\n  0 0\n"
+    m = parse_mta(text + "rank 2:\n  1 2 3 4\n  5 6 7 8\n").node_maps[2]
+    assert m == MultilinearMap(2, 2, COUNTING)
     assert m.columns[0, 1] == {0: 2, 1: 6}
     assert m.columns[1, 0] == {0: 3, 1: 7}
     e1, e2 = [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]
@@ -91,8 +103,13 @@ def test_column_order_is_lexicographic():
 
 
 def rand_map(rng, k, d):
-    return MultilinearMap(k, d, [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                                  for _ in range(d ** k)] for _ in range(d)])
+    """Random coefficients, drawn row by row with the columns in order."""
+    m = MultilinearMap(k, d)
+    for i in range(d):
+        for col in itertools.product(range(d), repeat=k):
+            if c := Fraction(rng.randint(-4, 4), rng.randint(1, 3)):
+                m.columns.setdefault(col, {})[i] = c
+    return m
 
 
 def rand_vec(rng, d):
@@ -132,7 +149,8 @@ def test_sparse_apply_matches_kronecker_oracle(scalar):
         d = rng.randint(1, 4)
         m = rand_map(rng, k, d)
         if scalar is float:
-            m = MultilinearMap(k, d, [[float(c) for c in row] for row in m.rows])
+            m = MultilinearMap(k, d, {col: {i: float(c) for i, c in entries.items()}
+                                      for col, entries in m.columns.items()}, 0.0)
         args = [[scalar(x) if rng.random() < 0.6 else scalar(0) for x in rand_vec(rng, d)]
                 for _ in range(k)]
         got = apply(m, [support(v) for v in args])

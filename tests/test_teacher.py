@@ -187,6 +187,26 @@ def test_duplications_expand_leaves_to_chains():
     assert got == {"(x y)", "((x x) y)", "(x (y y))", "((x x) (y y))"}
 
 
+def test_duplications_of_a_deep_base_tree():
+    base = right_chain("a", 2000)
+    assert list(DuplicationsStrategy([base], max_dup=0).candidates()) == [base]
+
+
+def test_duplication_variants_keep_product_order():
+    def variants(tree, max_dup):
+        if isinstance(tree, Leaf):
+            return [right_chain(tree.token, 1 + extra) for extra in range(max_dup + 1)]
+        pools = [variants(c, max_dup) for c in tree.children]
+        return [Node(combo) for combo in itertools.product(*pools)]
+
+    ab = RankedAlphabet(["x", "y", "z"], 3)
+    for text in ["x", "(x y)", "((x y) z)", "(x (y z) x)", "((x) (y z))"]:
+        base = parse_structured_string(text, ab)
+        for max_dup in (0, 1, 2):
+            got = DuplicationsStrategy([base], max_dup)._variants(base)
+            assert got == variants(base, max_dup), (text, max_dup)
+
+
 def test_corpus_smq_exact_match():
     ab = RankedAlphabet(["a", "b"], 2)
     t = parse_structured_string("(a b)", ab)
@@ -243,6 +263,17 @@ def test_corpus_oracle_rejects_non_binary_corpus_trees():
     # a non-binary query is still answered, with weight 0
     oracle = CorpusOracle([(right_chain("a", 2), 1)], Fraction(1, 5))
     assert oracle.smq(unary) == 0
+
+
+@pytest.mark.parametrize("distance", ["swap", "duplication"])
+def test_corpus_smq_weighs_non_binary_queries_zero(distance):
+    ab = RankedAlphabet(["a", "b", "c"], 3)
+    corpus = [(parse_structured_string(text, ab), 1) for text in ["(a (b c))", "(a b)"]]
+    oracle = CorpusOracle(corpus, Fraction(1, 5), distance)
+    # the same size as (a (b c)), so the swap distance reaches the unary node
+    for text in ["(a ((b)))", "(a b c)", "((a b) (b c a))", "(a (b))"]:
+        assert oracle.smq(parse_structured_string(text, ab)) == 0, text
+    assert oracle.smq(parse_structured_string("(a (b c))", ab)) > 0
 
 
 def test_load_corpus(tmp_path):
