@@ -111,15 +111,9 @@ def cmd_learn(args) -> int:
 
     strategy = _build_strategy(args, alphabet, weight)
     teacher = SimulatedTeacher(target, strategy, epsilon)
-    final_table = {}
-
-    def observer(table, hypothesis):
-        final_table["table"] = table
-
     started = time.monotonic()
     try:
-        report = learn(teacher, alphabet, max_iterations=args.max_iterations,
-                       observer=observer)
+        report = learn(teacher, alphabet, max_iterations=args.max_iterations)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -148,9 +142,8 @@ def cmd_learn(args) -> int:
     }
     (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n",
                                      encoding="utf-8")
-    if args.dump_table and "table" in final_table:
-        (out / "table.tsv").write_text(final_table["table"].dump_tsv(),
-                                       encoding="utf-8")
+    if args.dump_table:
+        (out / "table.tsv").write_text(report.table.dump_tsv(), encoding="utf-8")
     print(json.dumps(payload))
     return EXIT_OK
 
@@ -255,6 +248,16 @@ def cmd_trees(args) -> int:
     return EXIT_OK
 
 
+def _at_least(floor: int):
+    """An argparse type: an integer no smaller than floor."""
+    def integer(text):
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skelgram",
@@ -266,20 +269,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grammar/automaton file, or corpus TSV with --distance")
     p.add_argument("--seq", default="trees",
                    choices=["exhaustive", "sampling", "duplications", "trees"])
-    p.add_argument("--max-len", type=int, default=4,
+    p.add_argument("--max-len", type=_at_least(1), default=4,
                    help="string length bound for exhaustive/sampling")
-    p.add_argument("--max-leaves", type=int, default=5,
+    p.add_argument("--max-leaves", type=_at_least(1), default=5,
                    help="leaf bound for the trees strategy")
-    p.add_argument("--count", type=int, default=100, help="sampling draw count")
+    p.add_argument("--count", type=_at_least(1), default=100, help="sampling draw count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-dup", type=int, default=2)
+    p.add_argument("--max-dup", type=_at_least(0), default=2)
     p.add_argument("--base-trees", help="file of structured strings for duplications")
     p.add_argument("--distance", choices=["swap", "duplication"],
                    help="treat --target as a corpus TSV with this edit distance")
     p.add_argument("--q", default="0.2", help="corpus decay factor")
     p.add_argument("--epsilon", help="teacher comparison margin")
     p.add_argument("--max-rank", type=int, help=MAX_RANK_HELP)
-    p.add_argument("--max-iterations", type=int, default=None)
+    p.add_argument("--max-iterations", type=_at_least(0), default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--float", action="store_true", help=FLOAT_HELP)
     p.add_argument("--dump-table", action="store_true")

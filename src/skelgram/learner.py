@@ -23,7 +23,8 @@ class LearnReport:
     seq_count: int
     smq_count: int
     basis_size: int
-    max_counterexample_size: int = 0
+    max_counterexample_size: int
+    table: ObservationTable  # the final round's, which --dump-table prints
 
 
 def default_iteration_cap(alphabet: RankedAlphabet) -> int:
@@ -58,7 +59,7 @@ def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
             return LearnReport(hypothesis=hypothesis, seq_count=seq_count,
                                smq_count=table.smq_count,
                                basis_size=len(table.basis),
-                               max_counterexample_size=max_cex)
+                               max_counterexample_size=max_cex, table=table)
         counterexample, _value = answer
         max_cex = max(max_cex, counterexample.size)
         table.complete([counterexample])

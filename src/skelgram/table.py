@@ -7,6 +7,7 @@ memoized by the composed tree so repeated cells cost one query.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -74,8 +75,8 @@ class ObservationTable:
         self._smq_cache: dict[SkeletalTree, object] = {}
         self.smq_count = 0
         self._completed = False
-        self._cls_cache: dict[SkeletalTree, tuple] = {}
-        self._mask_cache = (None, None)
+        self._classes: dict[SkeletalTree, ColinearClass] = {}  # zero or basis
+        self._basis_by_mask: dict[tuple, list[int]] = {}
         for tok in alphabet.leaf_symbols:
             self._fill_row(Leaf(tok))
 
@@ -102,13 +103,15 @@ class ObservationTable:
         one-level extension rows."""
         if tree in self._tree_set:
             return
+        old = self.trees[:]
         self._tree_set.add(tree)
-        self.trees.append(tree)
-        self.trees.sort(key=canonical_key)
+        bisect.insort(self.trees, tree, key=canonical_key)
         self._completed = False
+        # each product containing tree once, by the first slot tree fills
         for k in range(1, self.alphabet.max_rank + 1):
-            for combo in itertools.product(self.trees, repeat=k):
-                if tree in combo:
+            for first in range(k):
+                slots = [old] * first + [[tree]] + [self.trees] * (k - first - 1)
+                for combo in itertools.product(*slots):
                     self._fill_row(Node(combo))
         self._fill_row(tree)
 
@@ -124,23 +127,25 @@ class ObservationTable:
         self._completed = False
         for tree in self.rows:
             self._fill_row(tree)
+        self._classes.clear()
+        self._basis_by_mask.clear()
+        for i in range(len(self.basis)):
+            self._index_basis(i)
 
     # -- classification ----------------------------------------------------
 
     def classify(self, tree: SkeletalTree) -> ColinearClass:
         """Zero, the unique (basis index, coefficient), or independent.
 
-        Zero and basis classifications stay valid while the column set is
-        unchanged; only independence must be rechecked as the basis grows.
+        Zero and basis classifications stay valid until a column is added:
+        basis rows are pairwise independent, so a new basis row takes no
+        row from another class.  Independence is rechecked on every call.
         """
-        colv, basv = len(self.columns), len(self.basis)
-        cached = self._cls_cache.get(tree)
-        if cached is not None:
-            ccolv, cbasv, cls = cached
-            if ccolv == colv and (not cls.is_independent or cbasv == basv):
-                return cls
-        cls = self._classify_fresh(tree)
-        self._cls_cache[tree] = (colv, basv, cls)
+        cls = self._classes.get(tree)
+        if cls is None:
+            cls = self._classify_fresh(tree)
+            if not cls.is_independent:
+                self._classes[tree] = cls
         return cls
 
     def _classify_fresh(self, tree: SkeletalTree) -> ColinearClass:
@@ -149,7 +154,7 @@ class ObservationTable:
             return ColinearClass(ZERO_ROW)
         if all(map(is_exact, row)):
             # co-linear exact rows share the non-zero support pattern
-            candidates = self._basis_by_mask().get(tuple(x != 0 for x in row), ())
+            candidates = self._basis_by_mask.get(tuple(x != 0 for x in row), ())
         else:
             candidates = range(len(self.basis))
         matches = []
@@ -165,15 +170,9 @@ class ObservationTable:
         i, alpha = matches[0]
         return ColinearClass("basis", i, alpha)
 
-    def _basis_by_mask(self) -> dict:
-        key = (len(self.columns), len(self.basis))
-        if self._mask_cache[0] != key:
-            buckets: dict[tuple, list] = {}
-            for i, b in enumerate(self.basis):
-                mask = tuple(x != 0 for x in self.rows[b])
-                buckets.setdefault(mask, []).append(i)
-            self._mask_cache = (key, buckets)
-        return self._mask_cache[1]
+    def _index_basis(self, i: int):
+        mask = tuple(x != 0 for x in self.rows[self.basis[i]])
+        self._basis_by_mask.setdefault(mask, []).append(i)
 
     def _row_trees(self) -> list[SkeletalTree]:
         return sorted(self.rows, key=canonical_key)
@@ -184,16 +183,13 @@ class ObservationTable:
         """Move co-linearly independent one-level rows into T and B until none
         remain; each pass adds exactly one basis row."""
         while True:
-            candidate = None
-            for tree in self._row_trees():
-                cls = self.classify(tree)
-                if cls.is_independent:
-                    candidate = tree
-                    break
+            candidate = next((t for t in self._row_trees()
+                              if self.classify(t).is_independent), None)
             if candidate is None:
                 return
             self.budget.charge("basis addition")
             self.basis.append(candidate)
+            self._index_basis(len(self.basis) - 1)
             self._add_tree(candidate)
 
     def check_zero_consistency(self) -> Context | None:
@@ -202,42 +198,36 @@ class ObservationTable:
         zero_trees = [t for t in self.trees if self.classify(t).is_zero]
         if not zero_trees:
             return None
-        ncols = len(self.columns)
+        extensions = [e for e in self._row_trees() if isinstance(e, Node)]
         for t in zero_trees:
-            for ext in self._row_trees():
-                if not isinstance(ext, Node) or t not in ext.children:
+            for ext in extensions:
+                if t not in ext.children:
                     continue
-                if not all(c in self._tree_set for c in ext.children):
-                    continue
-                row = self.rows[ext]
-                for ci in range(ncols):
-                    if not scalar_is_zero(row[ci]):
-                        hole_at = ext.children.index(t)
+                for ci, value in enumerate(self.rows[ext]):
+                    if not scalar_is_zero(value):
                         kids = list(ext.children)
-                        kids[hole_at] = HOLE
-                        one_level = Context(Node(kids))
-                        return compose_contexts(self.columns[ci], one_level)
+                        kids[kids.index(t)] = HOLE
+                        return compose_contexts(self.columns[ci], Context(Node(kids)))
         return None
 
     def check_colinear_consistency(self) -> Context | None:
-        """Co-linear rows must stay co-linear with the same coefficient under
-        every one-level context; on violation return the separating context."""
+        """A row co-linear to basis row b with coefficient a must stay so
+        under every one-level context; on violation return the separating
+        context.  Co-linearity is transitive, so checking each member of a
+        class against its basis tree covers every pair."""
         groups: dict[int, list] = {}
         for t in self.trees:
             cls = self.classify(t)
-            if cls.kind == "basis":
+            if cls.kind == "basis" and t != self.basis[cls.index]:
                 groups.setdefault(cls.index, []).append((t, cls.coeff))
         one_level = sigma_contexts(self.trees, self.alphabet)
-        ncols = len(self.columns)
         for i in sorted(groups):
-            members = sorted(groups[i], key=lambda pair: canonical_key(pair[0]))
-            for (t1, a1), (t2, a2) in itertools.combinations(members, 2):
-                alpha = a1 / a2
+            b = self.basis[i]
+            for t, alpha in groups[i]:
                 for ctx in one_level:
-                    r1 = self.rows[compose(ctx, t1)]
-                    r2 = self.rows[compose(ctx, t2)]
-                    for ci in range(ncols):
-                        if not scalar_eq(r1[ci], alpha * r2[ci]):
+                    row, basis_row = self.rows[compose(ctx, t)], self.rows[compose(ctx, b)]
+                    for ci, value in enumerate(row):
+                        if not scalar_eq(value, alpha * basis_row[ci]):
                             return compose_contexts(self.columns[ci], ctx)
         return None
 

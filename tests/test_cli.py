@@ -55,6 +55,33 @@ def test_learn_cap_breach_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("flag, value, floor", [
+    ("--max-leaves", "0", 1),
+    ("--max-len", "0", 1),
+    ("--count", "0", 1),
+    ("--max-dup", "-1", 0),
+    ("--max-iterations", "-5", 0),
+])
+def test_learn_rejects_degenerate_bounds_exits_2(tmp_path, capsys, flag, value, floor):
+    # such bounds let SEQ scan no candidate, so the learner would certify
+    # whatever the table gives; they are refused when arguments are parsed
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run(["learn", "--target", FIXTURES / "acrab.wcfg", flag, value, "--out", out])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least {floor}, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_learn_accepts_zero_duplications_and_iterations(tmp_path):
+    base = tmp_path / "base.txt"
+    base.write_text("(a (a a))\n", encoding="utf-8")
+    assert run(["learn", "--target", FIXTURES / "smalldup.wcfg", "--seq", "duplications",
+                "--base-trees", base, "--max-dup", "0", "--out", tmp_path / "o"]) == 0
+    assert run(["learn", "--target", FIXTURES / "smalldup.wcfg", "--max-iterations", "0",
+                "--out", tmp_path / "o"]) == 3
+
+
 def test_learn_deterministic(tmp_path):
     outs = []
     for name in ("o1", "o2"):
@@ -466,6 +493,72 @@ def test_grammar_learn_outputs_are_pinned(tmp_path, case):
     assert run(["learn", "--target", FIXTURES / f"{name}.wcfg", "--seq", "trees",
                 "--max-leaves", "4", "--dump-table", "--out", out, *flags]) == 0
     assert _learn_digests(out) == GRAMMAR_LEARN_SHA256[case]
+
+
+# sha256 of every artifact `learn --dump-table` writes with the exhaustive
+# string strategy (--max-len 4) on a grammar target, and with the trees
+# strategy (--max-leaves 4) on the automaton `convert --wcfg-to-pmta` writes
+# for a grammar, exact and with --float, as printed while the table still
+# re-sorted T and rescanned every product on each insertion.
+STRATEGY_LEARN_SHA256 = {
+    "exhaustive acrab": {
+        "hypothesis.mta": "743ad62bbb7b04028b41a09b174e586dc6ae98e9c8f8925f8687a4e98c02910b",
+        "hypothesis.wcfg": "7de49baa40ffaada5000bce57fd81035d874c2439df4bffb8cbe89316bff8928",
+        "hypothesis.pcfg": "0c4a40b9093606cef8c4173b7808ba4cb31e32969fc2bd97368c2881d90508f9",
+        "table.tsv": "c593329a25d36eae6588d537f204d3561d5fe3b95321e064e0b3f78b2c18851a",
+        "report.json": "019a8f222bd54f61988e60ac34bb38ae3a16abbf6a204f7dc89ac4a0e1ee2664",
+    },
+    "exhaustive acrab --float": {
+        "hypothesis.mta": "44891ac20167f48f77efe45e1c8db9730f754b8d01bad8d6109d6b27330bdea9",
+        "hypothesis.wcfg": "7c6d820bf4bdf9d01fbd5ed1b2f49e6f7053f33d0015d27af00064142a9579a9",
+        "hypothesis.pcfg": "ea30dd1cc3a47709d95c8fcc1f9e1d17ea5b4bfc9d1038aefe340c79e5092880",
+        "table.tsv": "611f141af07f1d9573e83f45170956865dafb488526d22ab376e493d45185bcf",
+        "report.json": "019a8f222bd54f61988e60ac34bb38ae3a16abbf6a204f7dc89ac4a0e1ee2664",
+    },
+    "exhaustive smalldup": {
+        "hypothesis.mta": "28e078f9a66d4c0dc9e3c71f846c73b84c27a641fe3859cf0d9eb56b5dec93a4",
+        "hypothesis.wcfg": "4172824a8eed173ee10fbe92421f0bcaa0c7f2731870deddfcefb893ca0778c8",
+        "hypothesis.pcfg": "ad72a17ad01d023fbffaf4124f807812504469284ba9e837082d0fd5b4190269",
+        "table.tsv": "8d38e5d3cb40269b1f9678f0e8fa0a83961f916d07ad7ecf94f496933936231b",
+        "report.json": "8fa2e8cdc938568d43a79b80ccf95d48f5046827103b3c2721246776e593fd20",
+    },
+    "exhaustive smalldup --float": {
+        "hypothesis.mta": "06c3b3039ed37ffc682ccc23f116bf4fdcb528a838dc8a5d7c00483274144452",
+        "hypothesis.wcfg": "de1c0e2d3c0055a213ff3c53a8c9037cc3ac204335c4e789038765908e6b70b2",
+        "hypothesis.pcfg": "8f392a71a90e494cb76066d39e8d794c4629e60895448befc5373929cce30a33",
+        "table.tsv": "b05f2d39892e742d3075900769c03ec67a2acb7cfa98a23cad01336e70f4ce8d",
+        "report.json": "8fa2e8cdc938568d43a79b80ccf95d48f5046827103b3c2721246776e593fd20",
+    },
+    "mta colinearity3": {
+        "hypothesis.mta": "ea478b9123357d14a14215f93eae1a13cb81c0d0a393817ddd5dffde1e81425a",
+        "hypothesis.wcfg": "4adcc5bfbcd9508c6c17291c1eb86fd9ce3ba903c5e77e300339a39ed0edd263",
+        "hypothesis.pcfg": "a7d41013afd1dc74459c3710a7794d8bababf4f2bd940c74334ba902e261634b",
+        "table.tsv": "2b4d730db6f675627be9b15df70f5436db18d39e200d06f9a587cf82057186cb",
+        "report.json": "fbd90f187cbafa720bd4c111ec366b60a1a870b274d5f97b13665f01f646815a",
+    },
+    "mta colinearity3 --float": {
+        "hypothesis.mta": "1a3f5a4627b08eb6b3259baf76b801ba659d1fdb9e85a1e707dafc2c7fcb92a6",
+        "hypothesis.wcfg": "554defb4d4e05e9b372d23da21d03d3ad03a25940c6021041ed33a4beb21903c",
+        "hypothesis.pcfg": "d008a993c5b684d18375a60ed00bd6ddfd37d6b78e796bad97db08e34de378f5",
+        "table.tsv": "877c8684b6baae9e9a3b4a9fded02dcc330174bdf0b5207cfed039386126bf9b",
+        "report.json": "fbd90f187cbafa720bd4c111ec366b60a1a870b274d5f97b13665f01f646815a",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRATEGY_LEARN_SHA256))
+def test_strategy_and_automaton_learn_outputs_are_pinned(tmp_path, case):
+    kind, name, *flags = case.split()
+    if kind == "exhaustive":
+        target, seq = FIXTURES / f"{name}.wcfg", ["exhaustive", "--max-len", "4"]
+    else:
+        target, seq = tmp_path / f"{name}.mta", ["trees", "--max-leaves", "4"]
+        assert run(["convert", FIXTURES / f"{name}.wcfg", "--wcfg-to-pmta",
+                    "--output", target]) == 0
+    out = tmp_path / "out"
+    assert run(["learn", "--target", target, "--seq", *seq, "--dump-table",
+                "--out", out, *flags]) == 0
+    assert _learn_digests(out) == STRATEGY_LEARN_SHA256[case]
 
 
 def _gene_file_lines(seed=11, families=4, per_family=10, length=20):

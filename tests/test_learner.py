@@ -138,6 +138,15 @@ def test_acrab_counts_and_counterexamples_are_pinned():
     assert answers == ACRAB_COUNTEREXAMPLES + [None]
 
 
+def test_report_carries_the_final_table():
+    tables = []
+    g, alphabet, report = learn_fixture(
+        "smalldup.wcfg", observer=lambda table, hypothesis: tables.append(table))
+    assert report.table is tables[-1]
+    assert len(report.table.basis) == report.basis_size
+    assert report.table.smq_count == report.smq_count
+
+
 def test_default_cap_formula():
     g = load_wcfg(FIXTURES / "acrab.wcfg")
     assert default_iteration_cap(g.alphabet(2)) == 10 * 4 + 1000

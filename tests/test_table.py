@@ -5,13 +5,16 @@ from fractions import Fraction
 import pytest
 
 from skelgram.grammar import load_wcfg, parse_wcfg
+from skelgram.learner import learn
 from skelgram.multilinear import colinear_witness
+from skelgram.scalars import scalar_eq
 from skelgram.table import Budget, CapExceeded, ObservationTable, TableError
-from skelgram.teacher import SimulatedTeacher
+from skelgram.teacher import AllTreesStrategy, SimulatedTeacher
 from skelgram.trees import (IDENTITY_CONTEXT, Leaf, Node, RankedAlphabet,
-                            compose, parse_context, parse_structured_string)
+                            canonical_key, compose, compose_contexts, parse_context,
+                            parse_structured_string, sigma_contexts, subtrees)
 
-from conftest import FIXTURES
+from conftest import FIXTURES, random_cmta
 
 
 def make_table(grammar, max_rank=2, budget=None):
@@ -277,3 +280,86 @@ def test_float_row_matching_two_basis_rows_raises_table_error():
     with pytest.raises(TableError, match="several basis rows"):
         table.close()
     assert table.basis == [Leaf("a"), Leaf("b")]
+
+
+def pairwise_colinear_violation(table):
+    """Reference co-linear check: every pair of rows in a class must keep the
+    ratio of their coefficients under every one-level context."""
+    groups = {}
+    for t in table.trees:
+        cls = table.classify(t)
+        if cls.kind == "basis":
+            groups.setdefault(cls.index, []).append((t, cls.coeff))
+    one_level = sigma_contexts(table.trees, table.alphabet)
+    for i in sorted(groups):
+        for (t1, a1), (t2, a2) in itertools.combinations(groups[i], 2):
+            for ctx in one_level:
+                r1, r2 = table.rows[compose(ctx, t1)], table.rows[compose(ctx, t2)]
+                for ci in range(len(table.columns)):
+                    if not scalar_eq(r1[ci], a1 / a2 * r2[ci]):
+                        return compose_contexts(table.columns[ci], ctx)
+    return None
+
+
+@pytest.fixture
+def checked_against_reference(monkeypatch):
+    """Make every co-linear check during a test also run the reference and
+    agree with it on whether the table is consistent; the list records,
+    per check, whether it found a violation."""
+    found = []
+    check = ObservationTable.check_colinear_consistency
+
+    def both(table):
+        got = check(table)
+        assert (got is None) == (pairwise_colinear_violation(table) is None)
+        found.append(got is not None)
+        return got
+
+    monkeypatch.setattr(ObservationTable, "check_colinear_consistency", both)
+    return found
+
+
+@pytest.mark.parametrize("name", ["acrab", "colinearity3", "smalldup", "trivial"])
+def test_colinear_check_agrees_with_pairwise_reference(checked_against_reference, name):
+    g = load_wcfg(FIXTURES / f"{name}.wcfg")
+    alphabet = g.alphabet(2)
+    learn(SimulatedTeacher(g, AllTreesStrategy(alphabet, 4)), alphabet)
+    assert checked_against_reference
+
+
+def test_colinear_check_agrees_with_reference_on_chain(checked_against_reference):
+    g = load_wcfg(FIXTURES / "chain.wcfg")
+    alphabet = g.alphabet(2)
+    with pytest.raises(CapExceeded):
+        learn(SimulatedTeacher(g, AllTreesStrategy(alphabet, 4)), alphabet,
+              max_iterations=30)
+    assert any(checked_against_reference)
+
+
+def test_colinear_check_agrees_with_reference_on_random_cmtas(checked_against_reference):
+    rng = random.Random(61)
+    alphabet = RankedAlphabet(["a", "b"], 2)
+    for _ in range(30):
+        target = random_cmta(rng, alphabet, rng.randint(1, 3))
+        report = learn(SimulatedTeacher(target, AllTreesStrategy(alphabet, 4)), alphabet)
+        assert report.basis_size <= target.dim
+    assert any(checked_against_reference)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_insertion_order_does_not_change_trees_or_rows(seed):
+    g = load_wcfg(FIXTURES / "acrab.wcfg")
+    alphabet = g.alphabet(2)
+    trees = [parse_structured_string(text, alphabet) for text in
+             ("(AcrR ((AcrA AcrB) TolC))", "(TolC (AcrR (AcrA AcrB)))",
+              "((AcrB AcrA) (TolC TolC))", "(AcrR)")]
+    trees = [sub for t in trees for sub in subtrees(t)]
+    reference, _ = make_table(g)
+    for t in sorted(trees, key=canonical_key):
+        reference.add_subtree_closed(t)
+    random.Random(seed).shuffle(trees)
+    table, _ = make_table(g)
+    for t in trees:
+        table.add_subtree_closed(t)
+    assert table.trees == reference.trees == sorted(set(trees), key=canonical_key)
+    assert table.rows == reference.rows
