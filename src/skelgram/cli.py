@@ -118,7 +118,7 @@ def cmd_learn(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     wall_ms = int((time.monotonic() - started) * 1000)
-    if not any(teacher.smq(t) != 0 for t in teacher.candidates()):
+    if not any(teacher.smq(t) != 0 for t in teacher.seq_trees()):
         print("warning: no equivalence candidate has non-zero target weight",
               file=sys.stderr)
 

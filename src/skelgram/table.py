@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .multilinear import colinear_witness
 from .scalars import is_exact, scalar_eq, scalar_is_zero, vector_is_zero
@@ -214,7 +215,14 @@ class ObservationTable:
         """A row co-linear to basis row b with coefficient a must stay so
         under every one-level context; on violation return the separating
         context.  Co-linearity is transitive, so checking each member of a
-        class against its basis tree covers every pair."""
+        class against its basis tree covers every pair.
+
+        Basis rows are non-zero and pairwise independent, so for exact rows
+        row(c∘t) == a·row(c∘b) holds exactly when both rows are zero, or both
+        are co-linear to one basis row with coeff(c∘t) == a·coeff(c∘b).  The
+        closed table has classified both, so that comparison settles a pair;
+        the column loop runs only on a disagreement, to find the separating
+        column, or on float rows, whose tolerance it alone applies."""
         groups: dict[int, list] = {}
         for t in self.trees:
             cls = self.classify(t)
@@ -225,11 +233,25 @@ class ObservationTable:
             b = self.basis[i]
             for t, alpha in groups[i]:
                 for ctx in one_level:
-                    row, basis_row = self.rows[compose(ctx, t)], self.rows[compose(ctx, b)]
+                    ct, cb = compose(ctx, t), compose(ctx, b)
+                    if self._colinear_by_class(ct, cb, alpha):
+                        continue
+                    row, basis_row = self.rows[ct], self.rows[cb]
                     for ci, value in enumerate(row):
                         if not scalar_eq(value, alpha * basis_row[ci]):
                             return compose_contexts(self.columns[ci], ctx)
         return None
+
+    def _colinear_by_class(self, ct, cb, alpha) -> bool:
+        """row(ct) == alpha·row(cb) shown from the classifications alone;
+        False when they disagree or do not settle it (float rows)."""
+        c1, c2 = self.classify(ct), self.classify(cb)
+        if c1.is_zero and c2.is_zero:
+            # zero rows of exact zeros, whatever their type, match exactly
+            return not any(self.rows[ct]) and not any(self.rows[cb])
+        return (c1.kind == c2.kind == "basis" and c1.index == c2.index
+                and type(alpha) is type(c1.coeff) is type(c2.coeff) is Fraction
+                and c1.coeff == alpha * c2.coeff)
 
     def complete(self, new_trees=()):
         """Add the given trees (subtree-closed) and alternate closing with the

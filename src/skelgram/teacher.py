@@ -54,14 +54,16 @@ class SimulatedTeacher:
             self._candidates = list(self.strategy.candidates())
         return self._candidates
 
-    def seq(self, hypothesis: MTA):
-        candidates = self.candidates()
+    def seq_trees(self):
+        """The trees seq scans, in order: the candidates, then a corpus
+        target's own trees, which carry weight whatever the strategy scans."""
+        trees = self.candidates()
         if isinstance(self.target, CorpusOracle):
-            # the corpus trees carry weight whatever the strategy scans;
-            # after its candidates, so its counterexamples come first
-            candidates = itertools.chain(candidates,
-                                         (tree for tree, _ in self.target.corpus))
-        for tree in candidates:
+            trees = itertools.chain(trees, (tree for tree, _ in self.target.corpus))
+        return trees
+
+    def seq(self, hypothesis: MTA):
+        for tree in self.seq_trees():
             truth = self._true_value(tree)
             got = hypothesis.eval(tree)
             if abs(got - truth) > self.epsilon:
@@ -178,9 +180,30 @@ class AllTreesStrategy:
 # -- corpus oracle -----------------------------------------------------------
 
 
+def duplication_key(t: SkeletalTree) -> tuple:
+    """The run-compressed yield: equal for trees at finite duplication
+    distance, since matched chains compress to one token each and the
+    compressed yield of a node depends only on its children's."""
+    # a list, not a generator: tuple() over a generator resizes its result,
+    # and the resized tuples pile up in CPython's tuple free lists (about
+    # 1 MB more peak memory in a learn-corpus benchmark job)
+    return tuple([tok for tok, _ in itertools.groupby(tree_yield(t))])
+
+
+def swap_key(t: SkeletalTree) -> tuple:
+    """Size and sorted yield: a swap keeps both."""
+    return t.size, tuple(sorted(tree_yield(t)))
+
+
 class CorpusOracle:
     """smq by decayed edit distance to a weighted tree corpus:
-    sum over corpus entries of freq * q^distance(t, entry), q^inf = 0."""
+    sum over corpus entries of freq * q^distance(t, entry), q^inf = 0.
+
+    Entries are bucketed by a key that any two trees at finite distance
+    share (`duplication_key`, `swap_key`), so a query costs one key plus a
+    distance walk per entry in its own bucket; every other entry is at
+    distance inf and adds nothing.  Buckets keep corpus order, so float
+    sums add in the same order as over the whole corpus."""
 
     def __init__(self, corpus, decay, distance: str = "duplication"):
         if distance not in ("swap", "duplication"):
@@ -201,11 +224,15 @@ class CorpusOracle:
         self.distance = distance
         # corpus trees are checked above; a non-binary query is infinitely
         # distant from each (both distances are inf on unequal arities)
-        self._dist = _swap if distance == "swap" else _dup
+        self._dist, self._key = ((_swap, swap_key) if distance == "swap"
+                                 else (_dup, duplication_key))
+        self._buckets: dict[tuple, list] = {}
+        for entry, freq in self.corpus:
+            self._buckets.setdefault(self._key(entry), []).append((entry, freq))
 
     def smq(self, tree: SkeletalTree):
         total = 0
-        for entry, freq in self.corpus:
+        for entry, freq in self._buckets.get(self._key(tree), ()):
             d = self._dist(tree, entry)
             if d != INF:
                 total = total + freq * self.decay ** int(d)

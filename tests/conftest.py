@@ -4,6 +4,7 @@ The oracles here recompute quantities by explicit enumeration (taggings,
 binary parses, Hankel rows) and never call the production code paths they
 are used to check.
 """
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
@@ -11,12 +12,14 @@ from pathlib import Path
 
 import pytest
 
+from skelgram.geneclusters import SubstringFrequencyWeight, parse_gene_string
 from skelgram.mta import MTA
 from skelgram.multilinear import MultilinearMap
 from skelgram.trees import (HOLE, Context, Leaf, Node, RankedAlphabet,
                             canonical_key)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+BENCHMARK_GEN = Path(__file__).resolve().parent.parent / "benchmarks" / "gen.py"
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +45,18 @@ def _random_shape(rng, tokens):
     split = rng.randint(1, len(tokens) - 1)
     return Node((_random_shape(rng, tokens[:split]),
                  _random_shape(rng, tokens[split:])))
+
+
+def learn_corpus_entries(seed):
+    """The learn-corpus benchmark's corpus for `seed` (its four templates,
+    genes renamed and frequencies permuted by benchmarks/gen.py), parsed as
+    the benchmark parses it: [(tree, Fraction frequency)]."""
+    spec = importlib.util.spec_from_file_location("gen", BENCHMARK_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    strings = gen.gene_corpus(random.Random(seed))
+    weight = SubstringFrequencyWeight([s for s, _ in strings])
+    return [(parse_gene_string(s, weight)[0], Fraction(f)) for s, f in strings]
 
 
 # -- exhaustive tree and context enumeration --------------------------------

@@ -33,12 +33,19 @@ def test_learn_trivial_writes_artifacts(tmp_path):
     assert (out / "hypothesis.pcfg").exists()
 
 
-@pytest.mark.parametrize("name, warned", [("fimacd", True), ("trivial", False)])
+@pytest.mark.parametrize("name, warned", [("fimacd", True), ("trivial", False),
+                                          ("corpus", False)])
 def test_learn_warns_when_no_candidate_has_target_weight(tmp_path, capsys, name, warned):
     # every positive fimacd tree has a unary root, which the trees strategy
     # never generates, so its SEQ certifies the zero automaton
-    assert run(["learn", "--target", FIXTURES / f"{name}.wcfg", "--seq", "trees",
-                "--max-leaves", "4", "--out", tmp_path / "o"]) == 0
+    target = ["--target", FIXTURES / f"{name}.wcfg", "--max-leaves", "4"]
+    if name == "corpus":
+        # no tree of <= 2 leaves is near this corpus, but SEQ also scans
+        # the corpus trees, which always carry weight
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("4\t((a b) (c d))\n2\t((a b) (c c))\n", encoding="utf-8")
+        target = ["--target", corpus, "--distance", "duplication", "--max-leaves", "2"]
+    assert run(["learn", *target, "--seq", "trees", "--out", tmp_path / "o"]) == 0
     err = capsys.readouterr().err
     assert ("no equivalence candidate has non-zero target weight" in err) == warned
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,12 +10,13 @@ from skelgram.learner import learn
 from skelgram.multilinear import colinear_witness
 from skelgram.scalars import scalar_eq
 from skelgram.table import Budget, CapExceeded, ObservationTable, TableError
-from skelgram.teacher import AllTreesStrategy, SimulatedTeacher
+from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
+                              SimulatedTeacher)
 from skelgram.trees import (IDENTITY_CONTEXT, Leaf, Node, RankedAlphabet,
                             canonical_key, compose, compose_contexts, parse_context,
                             parse_structured_string, sigma_contexts, subtrees)
 
-from conftest import FIXTURES, random_cmta
+from conftest import FIXTURES, learn_corpus_entries, random_cmta
 
 
 def make_table(grammar, max_rank=2, budget=None):
@@ -363,3 +365,123 @@ def test_insertion_order_does_not_change_trees_or_rows(seed):
         table.add_subtree_closed(t)
     assert table.trees == reference.trees == sorted(set(trees), key=canonical_key)
     assert table.rows == reference.rows
+
+
+def memberwise_colinear_violation(table):
+    """Reference co-linear check, cell by cell: each member t of a class
+    against its basis tree b, row(c∘t) == a_t · row(c∘b) in every column,
+    for every one-level context c; returns the first separating context."""
+    groups = {}
+    for t in table.trees:
+        cls = table.classify(t)
+        if cls.kind == "basis" and t != table.basis[cls.index]:
+            groups.setdefault(cls.index, []).append((t, cls.coeff))
+    one_level = sigma_contexts(table.trees, table.alphabet)
+    for i in sorted(groups):
+        b = table.basis[i]
+        for t, alpha in groups[i]:
+            for ctx in one_level:
+                row, basis_row = table.rows[compose(ctx, t)], table.rows[compose(ctx, b)]
+                for ci, value in enumerate(row):
+                    if not scalar_eq(value, alpha * basis_row[ci]):
+                        return compose_contexts(table.columns[ci], ctx)
+    return None
+
+
+@pytest.fixture
+def same_context_as_memberwise(monkeypatch):
+    """Make every co-linear check during a test also run the member-wise
+    reference and return the very same context; the list records, per
+    check, whether it found a violation."""
+    found = []
+    check = ObservationTable.check_colinear_consistency
+
+    def both(table):
+        got, want = check(table), memberwise_colinear_violation(table)
+        assert (got and got.text) == (want and want.text)
+        found.append(got is not None)
+        return got
+
+    monkeypatch.setattr(ObservationTable, "check_colinear_consistency", both)
+    return found
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_colinear_check_returns_memberwise_context_on_corpus(
+        same_context_as_memberwise, seed, exact):
+    # the learn-corpus benchmark's job, on that seed's renaming of its corpus
+    entries = learn_corpus_entries(seed)
+    corpus = [(t, f if exact else float(f)) for t, f in entries]
+    oracle = CorpusOracle(corpus, Fraction(1, 5) if exact else 0.2, "duplication")
+    strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
+    report = learn(SimulatedTeacher(oracle, strategy, 0 if exact else 1e-6),
+                   oracle.alphabet())
+    assert report.basis_size == 19
+    assert any(same_context_as_memberwise)
+
+
+@pytest.mark.parametrize("name", ["acrab", "colinearity3", "smalldup", "trivial"])
+def test_colinear_check_returns_memberwise_context_on_grammars(
+        same_context_as_memberwise, name):
+    g = load_wcfg(FIXTURES / f"{name}.wcfg")
+    alphabet = g.alphabet(2)
+    learn(SimulatedTeacher(g, AllTreesStrategy(alphabet, 4)), alphabet)
+    assert same_context_as_memberwise
+
+
+def test_colinear_check_returns_memberwise_context_on_chain(same_context_as_memberwise):
+    g = load_wcfg(FIXTURES / "chain.wcfg")
+    alphabet = g.alphabet(2)
+    with pytest.raises(CapExceeded):
+        learn(SimulatedTeacher(g, AllTreesStrategy(alphabet, 4)), alphabet,
+              max_iterations=30)
+    assert any(same_context_as_memberwise)
+
+
+def test_colinear_check_returns_memberwise_context_on_random_cmtas(
+        same_context_as_memberwise):
+    rng = random.Random(61)
+    alphabet = RankedAlphabet(["a", "b"], 2)
+    for _ in range(30):
+        target = random_cmta(rng, alphabet, rng.randint(1, 3))
+        learn(SimulatedTeacher(target, AllTreesStrategy(alphabet, 4)), alphabet)
+    assert any(same_context_as_memberwise)
+
+
+# Two-column tables over unary trees, rows [f(t), f((t))]: c is co-linear
+# to a with coefficient alpha, and (c), (a) are classified so that comparing
+# classifications alone would wrongly pass; each expects the context that
+# the member-wise reference returns.
+_X, _ALPHA = 1e-3, 1e6
+SHORTCUT_TRAPS = {
+    # exact: (c) = 2s·row(b), (a) = s·row(a), so coefficients match, but
+    # through different basis rows
+    "other-basis-row": ({"a": 1, "(a)": 3, "((a))": 9, "b": 1, "(b)": 5, "((b))": 15,
+                         "c": 2, "(c)": 6, "((c))": 30}, "((<>))"),
+    # float: (a) and (c) are both zero within tolerance, but not exactly,
+    # and alpha·row((a)) is far from zero
+    "float-near-zero": ({"a": 1.0, "(a)": 0.0, "((a))": 1e-10,
+                         "c": _ALPHA, "(c)": 0.0, "((c))": 0.0}, "((<>))"),
+    # float: (a) is within the row tolerance of x·row(a), and (c) is
+    # exactly alpha·x·row(a), but the cells disagree by more than theirs
+    "float-cell-tolerance": ({"a": 1.0, "(a)": _X, "((a))": _X * _X + 5e-10,
+                              "c": _ALPHA, "(c)": _ALPHA * _X,
+                              "((c))": _ALPHA * _X * _X}, "((<>))"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHORTCUT_TRAPS))
+def test_colinear_check_does_not_trust_classifications_alone(case):
+    values, expected = SHORTCUT_TRAPS[case]
+    tokens = sorted({text.strip("()") for text in values})
+    alphabet = RankedAlphabet(tokens, 1)
+    table = ObservationTable(alphabet, SimpleNamespace(smq=lambda t: values[t.text]))
+    table._add_column(parse_context("(<>)", alphabet))
+    table.close()
+    table.add_subtree_closed(Leaf("c"))
+    table.close()
+    assert table.classify(Leaf("c")).index == 0 and Leaf("c") not in table.basis
+    want = memberwise_colinear_violation(table)
+    assert want is not None and want.text == expected
+    assert table.check_colinear_consistency().text == expected

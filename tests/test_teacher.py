@@ -4,17 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from skelgram.geneclusters import right_chain
+from skelgram.geneclusters import INF, _dup, _swap, right_chain, right_chain_shape
 from skelgram.grammar import load_wcfg, wcfg_to_pmta
 from skelgram.learner import learn
 from skelgram.mta import MTA
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle,
                               DuplicationsStrategy, ExhaustiveStrategy,
-                              SamplingStrategy, SimulatedTeacher, load_corpus)
-from skelgram.trees import (Leaf, Node, RankedAlphabet, parse_structured_string,
-                            tree_yield)
+                              SamplingStrategy, SimulatedTeacher,
+                              duplication_key, load_corpus, swap_key)
+from skelgram.trees import (Leaf, Node, RankedAlphabet, enumerate_full_trees,
+                            parse_structured_string, tree_yield)
 
-from conftest import FIXTURES, brute_force_weight
+from conftest import (FIXTURES, brute_force_weight, learn_corpus_entries,
+                      random_binary_tree)
 
 
 @pytest.fixture(scope="module")
@@ -308,3 +310,112 @@ def test_corpus_seq_scans_the_corpus_trees(distance):
     # the corpus trees follow the candidates without joining their list
     assert strategy.calls == 1
     assert teacher.candidates() == list(strategy.strategy.candidates())
+
+
+# -- the keyed corpus oracle -------------------------------------------------
+
+KEYED_ORACLE_CORPORA = {
+    # tests/test_cli.py's pinned corpus
+    "pinned": ((4, "((x y) (z z))"), (2, "(x (y z))"), (1, "((y x) z)"),
+               (1, "((x x) (y z))")),
+    # a corpus whose bounded SEQ learned a diverging hypothesis
+    "diverging": ((4, "(a (b b))"), (2, "((a b) c)"), (1, "(a c)"),
+                  (1, "((a a) (b c))")),
+}
+
+
+def brute_force_corpus_smq(freqs, decay, distances):
+    """Sum over every entry of freq / total * decay^distance."""
+    total = sum(freqs)
+    out = 0
+    for freq, d in zip(freqs, distances):
+        if d != INF:
+            out = out + freq / total * decay ** int(d)
+    return out
+
+
+def bracketings(tokens):
+    """Every binary tree whose yield is `tokens`."""
+    if len(tokens) == 1:
+        return [Leaf(tokens[0])]
+    return [Node((left, right)) for k in range(1, len(tokens))
+            for left in bracketings(tokens[:k]) for right in bracketings(tokens[k:])]
+
+
+def keyed_oracle_case(name):
+    """(entries, queries), frequencies exact.  The queries are every binary
+    tree of at most 6 leaves over the corpus alphabet, or for the four genes
+    of the learn-corpus benchmark every one of at most 5 leaves, every binary
+    tree whose leaves are an entry's, and the benchmark's SEQ candidates;
+    then some unary and ternary trees."""
+    if name == "learn-corpus":
+        entries = learn_corpus_entries(1)
+        trees = [t for t, _ in entries]
+        tokens = sorted({tok for t in trees for tok in tree_yield(t)})
+        queries = enumerate_full_trees(tokens, 5)
+        for t in trees:
+            for perm in set(itertools.permutations(tree_yield(t))):
+                queries += bracketings(perm)
+        queries += DuplicationsStrategy(trees, max_dup=1).candidates()
+    else:
+        lines = KEYED_ORACLE_CORPORA[name]
+        tokens = sorted({tok for _, text in lines for tok in text if tok not in "() "})
+        alphabet = RankedAlphabet(tokens, 2)
+        entries = [(parse_structured_string(text, alphabet), Fraction(freq))
+                   for freq, text in lines]
+        queries = enumerate_full_trees(tokens, 6)
+    a, b = entries[0][0], entries[-1][0]
+    queries += [Node((a,)), Node((a, b)), Node((Node((a,)), b)),
+                Node((a, b, a)), Node((b, Node((a, a, b))))]
+    return entries, queries
+
+
+@pytest.mark.parametrize("name", [*KEYED_ORACLE_CORPORA, "learn-corpus"])
+def test_keyed_corpus_smq_matches_brute_force(name):
+    entries, queries = keyed_oracle_case(name)
+    exact_freqs = [f for _, f in entries]
+    weighings = ((exact_freqs, Fraction(1, 5)), (list(map(float, exact_freqs)), 0.2))
+    found = 0
+    for distance, dist in (("duplication", _dup), ("swap", _swap)):
+        oracles = [CorpusOracle(zip([t for t, _ in entries], freqs), decay, distance)
+                   for freqs, decay in weighings]
+        for tree in queries:
+            distances = [dist(tree, entry) for entry, _ in entries]
+            found += any(d != INF for d in distances)
+            for oracle, (freqs, decay) in zip(oracles, weighings):
+                got = oracle.smq(tree)
+                want = brute_force_corpus_smq(freqs, decay, distances)
+                # the type too: int 0 when no entry is at finite distance
+                assert (got, type(got)) == (want, type(want)), tree.text
+    assert found > 50  # many queries meet an entry at finite distance
+
+
+def _perturbed(rng, t, swap_prob, chain_prob):
+    """t with some nodes' two children swapped and some right chains (leaves
+    included) replaced by a chain of the same token and another length."""
+    chain = right_chain_shape(t)
+    if chain is not None and rng.random() < chain_prob:
+        return right_chain(chain[0], rng.randint(1, 4))
+    if isinstance(t, Leaf):
+        return t
+    kids = [_perturbed(rng, c, swap_prob, chain_prob) for c in t.children]
+    if len(kids) == 2 and rng.random() < swap_prob:
+        kids.reverse()
+    return Node(tuple(kids))
+
+
+def test_finite_distance_implies_equal_keys():
+    # corpus entries are binary, and _swap reads only binary pairs
+    rng = random.Random(11)
+    finite = {"duplication": 0, "swap": 0}
+    for _ in range(3000):
+        t = random_binary_tree(rng, ["a", "b", "c"], 8)
+        if rng.random() < 0.5:
+            t = _perturbed(rng, t, 0, 0.7)  # grow chains out of leaves
+        e = _perturbed(rng, t, rng.choice((0, 0.3)), rng.choice((0, 0.5)))
+        for distance, dist, key in (("duplication", _dup, duplication_key),
+                                    ("swap", _swap, swap_key)):
+            if dist(t, e) != INF:
+                finite[distance] += 1
+                assert key(t) == key(e), (distance, t.text, e.text)
+    assert min(finite.values()) > 1000
