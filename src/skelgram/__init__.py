@@ -1,6 +1,7 @@
 """skelgram: learning structurally unambiguous probabilistic grammars over
 skeletal trees from structured membership and equivalence queries."""
 
+from .equivalence import difference_witness
 from .extract import extract_cmta
 from .grammar import (GrammarError, PCFG, WCFG, format_wcfg, load_wcfg,
                       parse_wcfg, partition_functions, pmta_to_wcfg,
@@ -15,7 +16,7 @@ from .teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
 from .trees import (Context, Hole, HOLE, IDENTITY_CONTEXT, Leaf, Node,
                     RankedAlphabet, SkeletalTree, TreeSyntaxError,
                     canonical_key, compose, compose_contexts,
-                    enumerate_full_trees, parse_context,
+                    enumerate_full_trees, full_trees, parse_context,
                     parse_structured_string, sigma_contexts, subtrees,
                     tree_yield)
 

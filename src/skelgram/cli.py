@@ -70,6 +70,8 @@ def _alphabet(target, max_rank):
 
 
 def _build_strategy(args, alphabet, weight):
+    if args.seq == "exact":
+        return None  # the teacher answers by an exact equivalence check
     if args.seq == "exhaustive":
         return ExhaustiveStrategy(alphabet, args.max_len, weight)
     if args.seq == "sampling":
@@ -89,6 +91,12 @@ def _build_strategy(args, alphabet, weight):
 
 
 def cmd_learn(args) -> int:
+    if args.seq == "exact":
+        for flag, given in (("--distance", args.distance is not None),
+                            ("--float", args.float), ("--epsilon", args.epsilon is not None)):
+            if given:
+                raise CliError(f"--seq exact needs an exact grammar or automaton target "
+                               f"and compares exactly; it does not take {flag}", EXIT_INPUT)
     exact = not args.float
     epsilon = 0 if exact else 1e-6
     if args.distance is not None:
@@ -118,7 +126,7 @@ def cmd_learn(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     wall_ms = int((time.monotonic() - started) * 1000)
-    if not any(teacher.smq(t) != 0 for t in teacher.seq_trees()):
+    if strategy is not None and not any(teacher.smq(t) != 0 for t in teacher.seq_trees()):
         print("warning: no equivalence candidate has non-zero target weight",
               file=sys.stderr)
 
@@ -268,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True,
                    help="grammar/automaton file, or corpus TSV with --distance")
     p.add_argument("--seq", default="trees",
-                   choices=["exhaustive", "sampling", "duplications", "trees"])
+                   choices=["exhaustive", "sampling", "duplications", "trees", "exact"],
+                   help="equivalence candidates; exact decides equivalence exactly "
+                        "(exact grammar or automaton targets only)")
     p.add_argument("--max-len", type=_at_least(1), default=4,
                    help="string length bound for exhaustive/sampling")
     p.add_argument("--max-leaves", type=_at_least(1), default=5,

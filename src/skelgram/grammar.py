@@ -48,7 +48,8 @@ class WCFG:
                 raise GrammarError(f"non-finite weight on {lhs} -> {' '.join(rhs)}")
             self.weights[(lhs, rhs)] = w
         self._zero = Fraction(0) if self.is_exact() else 0.0
-        self._automaton = None  # built on first weight query, memoizes subtrees
+        self._rank = max(2, self.max_rhs_len())  # the default max rank
+        self._automata: dict[int, MTA] = {}  # by max rank, built on first use
 
     @property
     def start(self) -> str:
@@ -61,19 +62,27 @@ class WCFG:
         return max((len(rhs) for _, rhs in self.weights), default=1)
 
     def alphabet(self, max_rank: int | None = None) -> RankedAlphabet:
-        p = max(2, self.max_rhs_len()) if max_rank is None else max_rank
-        return RankedAlphabet(self.terminals, p)
+        return RankedAlphabet(self.terminals, self._rank if max_rank is None else max_rank)
 
     # -- tree weights ------------------------------------------------------
+
+    def automaton(self, max_rank: int | None = None) -> MTA:
+        """The automaton of wcfg_to_pmta at max_rank (default: the
+        alphabet's), for weights of either sign.  One is built per rank and
+        kept, with the subtree vectors it memoizes; GrammarError when a rule
+        is longer than max_rank."""
+        p = self._rank if max_rank is None else max_rank
+        automaton = self._automata.get(p)
+        if automaton is None:
+            automaton = self._automata[p] = _grammar_automaton(self, p)
+        return automaton
 
     def _support(self, s: SkeletalTree) -> list:
         """The support of s's vector under the grammar's automaton, whose
         first coordinates are the per-nonterminal weights, in nonterminal
         order."""
-        if self._automaton is None:
-            self._automaton = _grammar_automaton(self)
         try:
-            return self._automaton.eval_support(s)
+            return self.automaton().eval_support(s)
         except EvaluationError:  # a rank longer than every rule, or an unknown leaf
             return []
 

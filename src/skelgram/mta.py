@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from .multilinear import MultilinearMap, apply
-from .scalars import format_scalar, parse_scalar
+from .scalars import format_scalar, is_exact, parse_scalar
 from .trees import Leaf, RankedAlphabet, SkeletalTree
 
 
@@ -24,6 +24,8 @@ class MTA:
 
     Subtree vectors are memoized sparsely, as supports, for the automaton's
     lifetime, so its maps must not change once it has evaluated a tree.
+    The memo is keyed by a tree's text, whose str hash is cached, so a
+    lookup calls no Python-level __hash__ or __eq__.
     """
 
     __slots__ = ("alphabet", "dim", "leaf_maps", "node_maps", "output", "_memo")
@@ -52,7 +54,7 @@ class MTA:
         self.leaf_maps = leaf_maps
         self.node_maps = node_maps
         self.output = output
-        self._memo: dict[SkeletalTree, list] = {}
+        self._memo: dict[str, list] = {}
 
     @classmethod
     def zero(cls, alphabet: RankedAlphabet) -> "MTA":
@@ -67,22 +69,22 @@ class MTA:
         stack = [t]
         while stack:
             s = stack[-1]
-            support = memo.get(s)
+            support = memo.get(s.text)
             if support is None and isinstance(s, Leaf):
                 try:
                     vec = self.leaf_maps[s.token]
                 except KeyError:
                     raise EvaluationError(f"unknown leaf token {s.token!r}") from None
-                support = memo[s] = [(j, x) for j, x in enumerate(vec) if x]
+                support = memo[s.text] = [(j, x) for j, x in enumerate(vec) if x]
             elif support is None:
-                args = [memo.get(c) for c in s.children]
+                args = [memo.get(c.text) for c in s.children]
                 if None in args:
                     stack.extend(c for c, v in zip(s.children, args) if v is None)
                     continue
                 k = len(args)
                 if k > self.alphabet.max_rank:
                     raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")
-                support = memo[s] = apply(self.node_maps[k], args)
+                support = memo[s.text] = apply(self.node_maps[k], args)
             stack.pop()
         return support
 
@@ -107,12 +109,22 @@ class MTA:
                 acc = acc + lam * x
         return acc if self.dim else Fraction(0)
 
+    def _coefficients(self):
+        """Every stored coefficient: output, leaf vectors, map entries."""
+        yield from self.output
+        for vec in self.leaf_maps.values():
+            yield from vec
+        for m in self.node_maps.values():
+            for col in m.columns.values():
+                yield from col.values()
+
     def is_positive(self) -> bool:
         """True iff every stored coefficient (maps and output) is >= 0."""
-        return (all(x >= 0 for x in self.output)
-                and all(x >= 0 for vec in self.leaf_maps.values() for x in vec)
-                and all(c >= 0 for m in self.node_maps.values()
-                        for col in m.columns.values() for c in col.values()))
+        return all(x >= 0 for x in self._coefficients())
+
+    def is_exact(self) -> bool:
+        """True iff every stored coefficient (maps and output) is exact."""
+        return all(map(is_exact, self._coefficients()))
 
     def is_colinear_mta(self) -> bool:
         """True iff every transition-matrix column has at most one non-zero

@@ -1,37 +1,44 @@
 """Simulated teachers answering structured membership and equivalence
 queries, plus the corpus-backed membership oracle with edit-distance decay.
 
-An equivalence query scans a strategy's candidate trees, listed once per
-teacher, then a corpus target's own trees, and returns the first one (in
+An equivalence query scans a strategy's candidate trees, listed lazily once
+per teacher, then a corpus target's own trees, and returns the first one (in
 that order) whose hypothesis value strays from the true series by more than
-the teacher's margin.
+the teacher's margin.  When the target and the hypothesis are exact
+automata over one alphabet and the margin is 0, an exact equivalence check
+runs first: if it finds no difference, no candidate can differ, and the
+scan is skipped.  A teacher without a strategy answers with that check's
+own witness.
 """
 from __future__ import annotations
 
 import itertools
 import random
 
+from .equivalence import difference_witness
 from .geneclusters import INF, _dup, _swap, is_binary, parse_gene_string, right_chain
-from .grammar import WCFG
+from .grammar import WCFG, GrammarError
 from .mta import MTA
 from .scalars import parse_scalar
 from .trees import (Leaf, Node, RankedAlphabet, SkeletalTree, canonical_key,
-                    enumerate_full_trees, parse_structured_string, tree_yield)
+                    full_trees, parse_structured_string, tree_yield)
 
 
 class SimulatedTeacher:
     """Answers smq from a grammar, automaton, or corpus oracle target, and
-    seq by scanning a candidate strategy with comparison margin epsilon."""
+    seq by scanning a candidate strategy with comparison margin epsilon, or,
+    with no strategy, exactly (exact grammar or automaton targets only)."""
 
     def __init__(self, target, strategy=None, epsilon=0):
         self.target = target
         self.strategy = strategy
         self.epsilon = epsilon
-        self._memo: dict[SkeletalTree, object] = {}
-        self._candidates: list | None = None
+        self._memo: dict[str, object] = {}  # by tree text, as in MTA
+        self._listed: list = []  # the candidates drawn so far, in order
+        self._pending = None  # the strategy's candidate iterator
 
     def _true_value(self, tree: SkeletalTree):
-        value = self._memo.get(tree)
+        value = self._memo.get(tree.text)
         if value is None:
             if isinstance(self.target, WCFG):
                 value = self.target.skeletal_weight(tree)
@@ -39,30 +46,76 @@ class SimulatedTeacher:
                 value = self.target.eval(tree)
             else:
                 value = self.target.smq(tree)
-            self._memo[tree] = value
+            self._memo[tree.text] = value
         return value
 
     def smq(self, tree: SkeletalTree):
         return self._true_value(tree)
 
-    def candidates(self) -> list:
-        """The strategy's candidate trees, listed on first use and reused by
-        every later call, so each strategy enumerates them once."""
+    def _source(self):
+        """The strategy's candidate iterator, started on first use, so each
+        strategy enumerates its candidates once per teacher."""
         if self.strategy is None:
             raise ValueError("teacher has no equivalence strategy configured")
-        if self._candidates is None:
-            self._candidates = list(self.strategy.candidates())
-        return self._candidates
+        if self._pending is None:
+            self._pending = iter(self.strategy.candidates())
+        return self._pending
+
+    def candidates(self) -> list:
+        """Every candidate tree, in the strategy's order."""
+        self._listed.extend(self._source())
+        return self._listed
+
+    def _drawn(self, source):
+        """The candidates listed so far, then the source's next ones, each
+        listed as it is drawn."""
+        listed = self._listed
+        i = 0
+        while True:
+            if i == len(listed):
+                tree = next(source, None)
+                if tree is None:
+                    return
+                listed.append(tree)
+            yield listed[i]
+            i += 1
 
     def seq_trees(self):
         """The trees seq scans, in order: the candidates, then a corpus
         target's own trees, which carry weight whatever the strategy scans."""
-        trees = self.candidates()
+        trees = self._drawn(self._source())
         if isinstance(self.target, CorpusOracle):
             trees = itertools.chain(trees, (tree for tree, _ in self.target.corpus))
         return trees
 
+    def exact_automaton(self, hypothesis: MTA) -> MTA | None:
+        """The target as an exact automaton over the hypothesis's alphabet,
+        when the target is an exact grammar (with no rule longer than the
+        alphabet's rank) or an exact automaton and the hypothesis is exact;
+        otherwise None."""
+        target = self.target
+        if isinstance(target, WCFG) and target.is_exact():
+            try:
+                target = target.automaton(hypothesis.alphabet.max_rank)
+            except GrammarError:
+                return None
+        elif not (isinstance(target, MTA) and target.is_exact()):
+            return None
+        if target.alphabet != hypothesis.alphabet or not hypothesis.is_exact():
+            return None
+        return target
+
     def seq(self, hypothesis: MTA):
+        exact = self.exact_automaton(hypothesis) if self.epsilon == 0 else None
+        if self.strategy is None:
+            if exact is None:
+                raise ValueError("an exact equivalence query needs an exact grammar or "
+                                 "automaton target over the hypothesis's alphabet, "
+                                 "and margin 0")
+            tree = difference_witness(hypothesis, exact)
+            return None if tree is None else (tree, self._true_value(tree))
+        if exact is not None and difference_witness(hypothesis, exact) is None:
+            return None  # no candidate can differ
         for tree in self.seq_trees():
             truth = self._true_value(tree)
             got = hypothesis.eval(tree)
@@ -173,8 +226,8 @@ class AllTreesStrategy:
         self.max_leaves = max_leaves
 
     def candidates(self):
-        yield from enumerate_full_trees(self.alphabet.leaf_symbols, self.max_leaves,
-                                        max_rank=self.alphabet.max_rank)
+        return full_trees(self.alphabet.leaf_symbols, self.max_leaves,
+                          max_rank=self.alphabet.max_rank)
 
 
 # -- corpus oracle -----------------------------------------------------------

@@ -264,22 +264,42 @@ def sigma_contexts(trees, alphabet: RankedAlphabet) -> list:
     return sorted(out, key=canonical_key)
 
 
-def enumerate_full_trees(tokens, max_leaves: int, max_rank: int = 2) -> list:
-    """Trees with <= max_leaves leaves where every node has 2..max_rank
-    children (no unary chains), in canonical order.  With max_rank = 2 this
-    is every binary bracketing of every token string.
+def full_trees(tokens, max_leaves: int, max_rank: int = 2):
+    """Yield the trees with <= max_leaves leaves where every node has
+    2..max_rank children (no unary chains), in canonical order, one size at
+    a time: a consumer that stops early never builds the larger sizes.
+    With max_rank >= 3, trees with different leaf counts share a size.
     """
-    by_leaves = {1: [Leaf(tok) for tok in tokens]}
-    for n in range(2, max_leaves + 1):
-        shapes = []
+    leaves = sorted((Leaf(tok) for tok in tokens), key=canonical_key)
+    yield from leaves
+    # pools[size][n]: the trees of that size with n < max_leaves leaves, the
+    # only ones a larger tree can hold as a child
+    pools = {1: {1: leaves}}
+    for size in range(3, 2 * max_leaves):  # a binary tree has 2n - 1 nodes
+        found, pool = [], {}
         for k in range(2, max_rank + 1):
-            if k > n:
-                continue
-            for split in _compositions(n, k):
-                for combo in itertools.product(*[by_leaves[m] for m in split]):
-                    shapes.append(Node(combo))
-        by_leaves[n] = shapes
-    return sorted((t for lst in by_leaves.values() for t in lst), key=canonical_key)
+            for sizes in _compositions(size - 1, k):
+                if not all(s in pools for s in sizes):
+                    continue
+                for parts in itertools.product(*[pools[s].items() for s in sizes]):
+                    n = sum(m for m, _ in parts)
+                    if n > max_leaves:
+                        continue
+                    shapes = [Node(combo) for combo in
+                              itertools.product(*[trees for _, trees in parts])]
+                    found += shapes
+                    if n < max_leaves:
+                        pool.setdefault(n, []).extend(shapes)
+        if pool:
+            pools[size] = pool
+        found.sort(key=canonical_key)
+        yield from found
+
+
+def enumerate_full_trees(tokens, max_leaves: int, max_rank: int = 2) -> list:
+    """Every tree `full_trees` yields, as a list.  With max_rank = 2 this is
+    every binary bracketing of every token string."""
+    return list(full_trees(tokens, max_leaves, max_rank))
 
 
 def _compositions(n: int, k: int):

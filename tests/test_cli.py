@@ -342,6 +342,47 @@ def test_learn_from_automaton_target(tmp_path):
     assert (second / "hypothesis.wcfg").read_text() == (first / "hypothesis.wcfg").read_text()
 
 
+def test_learn_fimacd_exactly(tmp_path, capsys):
+    # no trees candidate has non-zero fimacd weight (every S rule is unary),
+    # so --seq trees certifies the zero automaton; the exact check does not
+    from skelgram.equivalence import difference_witness
+    from skelgram.grammar import wcfg_to_pcfg, wcfg_to_pmta
+    out = tmp_path / "out"
+    assert run(["learn", "--target", FIXTURES / "fimacd.wcfg", "--seq", "exact",
+                "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text())
+    assert (report["basis_size"], report["seq_count"]) == (31, 7)
+    learned = load_wcfg(out / "hypothesis.pcfg")
+    target = wcfg_to_pcfg(load_wcfg(FIXTURES / "fimacd.wcfg"))
+    assert difference_witness(wcfg_to_pmta(learned, 2), wcfg_to_pmta(target, 2)) is None
+
+
+def test_learn_exact_from_automaton_target(tmp_path):
+    first = tmp_path / "first"
+    assert run(["learn", "--target", FIXTURES / "smalldup.wcfg", "--seq", "exact",
+                "--out", first]) == 0
+    second = tmp_path / "second"
+    assert run(["learn", "--target", first / "hypothesis.mta", "--seq", "exact",
+                "--out", second]) == 0
+    assert (second / "hypothesis.wcfg").read_text() == (first / "hypothesis.wcfg").read_text()
+
+
+def test_learn_exact_on_chain_reaches_the_cap(tmp_path):
+    assert run(["learn", "--target", FIXTURES / "chain.wcfg", "--seq", "exact",
+                "--max-iterations", "40", "--out", tmp_path / "o"]) == 3
+
+
+@pytest.mark.parametrize("extra", [["--float"], ["--epsilon", "0.1"],
+                                   ["--distance", "duplication"]])
+def test_learn_exact_refuses_inexact_settings_exits_2(tmp_path, capsys, extra):
+    out = tmp_path / "o"
+    assert run(["learn", "--target", FIXTURES / "smalldup.wcfg", "--seq", "exact",
+                *extra, "--out", out]) == 2
+    assert "--seq exact" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_learn_rejects_non_binary_corpus_tree_exits_2(tmp_path, capsys):
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("4\t(x (x x))\n1\t((x x))\n", encoding="utf-8")

@@ -157,8 +157,8 @@ def test_final_hypothesis_agrees_with_every_query_asked():
     alphabet = g.alphabet(2)
     teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 4))
     report = learn(teacher, alphabet)
-    for tree, value in teacher._memo.items():
-        assert report.hypothesis.eval(tree) == value
+    for text, value in teacher._memo.items():  # the memo is keyed by tree text
+        assert report.hypothesis.eval(parse_structured_string(text, alphabet)) == value
 
 
 def test_float_backend_learning():

@@ -7,6 +7,7 @@ import pytest
 from skelgram.geneclusters import INF, _dup, _swap, right_chain, right_chain_shape
 from skelgram.grammar import load_wcfg, wcfg_to_pmta
 from skelgram.learner import learn
+from skelgram.table import CapExceeded
 from skelgram.mta import MTA
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle,
                               DuplicationsStrategy, ExhaustiveStrategy,
@@ -16,7 +17,7 @@ from skelgram.trees import (Leaf, Node, RankedAlphabet, enumerate_full_trees,
                             parse_structured_string, tree_yield)
 
 from conftest import (FIXTURES, brute_force_weight, learn_corpus_entries,
-                      random_binary_tree)
+                      random_binary_tree, random_cmta)
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +126,92 @@ def test_strategy_is_enumerated_once_per_teacher(acrab):
     assert strategy.calls == 1
     assert teacher.candidates() == list(AllTreesStrategy(alphabet, 4).candidates())
     assert strategy.calls == 1
+
+
+class PullCountingStrategy:
+    """Passes a strategy's candidates through, counting those drawn."""
+
+    def __init__(self, strategy):
+        self.strategy = strategy
+        self.pulled = 0
+
+    def candidates(self):
+        for tree in self.strategy.candidates():
+            self.pulled += 1
+            yield tree
+
+
+def first_mismatch(teacher, hypothesis):
+    """The scan without the exact pre-check: every candidate, in order."""
+    for tree in teacher.candidates():
+        truth = teacher.smq(tree)
+        if hypothesis.eval(tree) != truth:
+            return tree, truth
+    return None
+
+
+def assert_precheck_changes_no_answer(target, alphabet, max_iterations=None):
+    teacher = SimulatedTeacher(target, AllTreesStrategy(alphabet, 4))
+    answers = []
+
+    def observer(table, hypothesis):
+        answers.append((teacher.seq(hypothesis), first_mismatch(teacher, hypothesis),
+                        teacher.exact_automaton(hypothesis) is not None))
+
+    try:
+        learn(teacher, alphabet, max_iterations=max_iterations, observer=observer)
+    except CapExceeded:
+        pass
+    assert answers
+    for got, scanned, checked in answers:
+        assert checked
+        assert got == scanned
+
+
+@pytest.mark.parametrize("name", ["acrab", "colinearity3", "smalldup", "trivial", "fimacd"])
+def test_exact_precheck_changes_no_seq_answer(name):
+    g = load_wcfg(FIXTURES / f"{name}.wcfg")
+    assert_precheck_changes_no_answer(g, g.alphabet(2))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_exact_precheck_changes_no_seq_answer_on_random_cmtas(seed):
+    rng = random.Random(seed)
+    alphabet = RankedAlphabet(["a", "b"], 2)
+    target = random_cmta(rng, alphabet, rng.randint(3, 5))
+    assert_precheck_changes_no_answer(target, alphabet, max_iterations=60)
+
+
+def test_acrab_learn_draws_fewer_than_all_candidates(acrab):
+    alphabet = acrab.alphabet(2)
+    strategy = PullCountingStrategy(AllTreesStrategy(alphabet, 5))
+    report = learn(SimulatedTeacher(acrab, strategy), alphabet)
+    assert report.seq_count == 5
+    assert 0 < strategy.pulled < len(enumerate_full_trees(alphabet.leaf_symbols, 5)) == 15764
+
+
+def test_precheck_waits_for_an_inexact_teacher():
+    # a float target or a non-zero margin keeps the plain scan
+    g = load_wcfg(FIXTURES / "smalldup.wcfg", exact=False)
+    alphabet = g.alphabet(2)
+    teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 3), epsilon=1e-9)
+    assert teacher.exact_automaton(MTA.zero(alphabet)) is None
+    exact = load_wcfg(FIXTURES / "smalldup.wcfg")
+    assert SimulatedTeacher(exact).exact_automaton(MTA.zero(alphabet)) is not None
+    assert SimulatedTeacher(exact).exact_automaton(MTA.zero(exact.alphabet(3))) is not None
+    assert SimulatedTeacher(exact).exact_automaton(MTA.zero(RankedAlphabet(["b"], 2))) is None
+
+
+def test_exact_seq_without_a_strategy():
+    g = load_wcfg(FIXTURES / "smalldup.wcfg")
+    alphabet = g.alphabet(2)
+    teacher = SimulatedTeacher(g)
+    tree, value = teacher.seq(MTA.zero(alphabet))
+    assert value == g.skeletal_weight(tree) != 0
+    report = learn(teacher, alphabet)
+    assert teacher.seq(report.hypothesis) is None
+    with pytest.raises(ValueError, match="exact equivalence query"):
+        SimulatedTeacher(g, epsilon=1e-9).seq(MTA.zero(alphabet))
 
 
 def test_seq_respects_epsilon():

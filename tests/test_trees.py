@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from skelgram.trees import (Context, HOLE, IDENTITY_CONTEXT, Leaf, Node,
                             RankedAlphabet, TreeSyntaxError, canonical_key,
-                            compose, compose_contexts, enumerate_full_trees,
+                            compose, compose_contexts, enumerate_full_trees, full_trees,
                             parse_context, parse_structured_string,
                             sigma_contexts, subtrees,
                             tree_yield)
@@ -212,3 +213,37 @@ def test_enumerate_full_trees_counts():
     assert len(set(got)) == 22
     # ranks 2..3 over one token: a, (a a), ((a a) a), (a (a a)), (a a a)
     assert len(enumerate_full_trees(["a"], 3, max_rank=3)) == 5
+
+
+def sorted_full_trees(tokens, max_leaves, max_rank):
+    """The reference: every tree built by leaf count, then sorted at once."""
+    by_leaves = {1: [Leaf(tok) for tok in tokens]}
+    for n in range(2, max_leaves + 1):
+        by_leaves[n] = []
+        for k in range(2, min(n, max_rank) + 1):
+            for cut in itertools.combinations(range(1, n), k - 1):
+                split = [b - a for a, b in zip((0,) + cut, cut + (n,))]
+                for combo in itertools.product(*[by_leaves[m] for m in split]):
+                    by_leaves[n].append(Node(combo))
+    return sorted((t for trees in by_leaves.values() for t in trees), key=canonical_key)
+
+
+@pytest.mark.parametrize("max_rank", [2, 3, 4])
+@pytest.mark.parametrize("tokens", [["a"], ["b", "a"], ["a", "b", "c"]])
+def test_full_trees_yields_the_sorted_enumeration(max_rank, tokens):
+    for max_leaves in range(1, 7):
+        got = [t.text for t in full_trees(tokens, max_leaves, max_rank)]
+        assert got == [t.text for t in sorted_full_trees(tokens, max_leaves, max_rank)]
+
+
+def test_full_trees_sizes_mix_leaf_counts_from_rank_3():
+    # ((a a) (a a)) and ((a a a) a a) both have 7 nodes; the generator must
+    # order such trees by height and text, not by leaf count
+    leaves = {len(tree_yield(t)) for t in full_trees(["a"], 5, 3) if t.size == 7}
+    assert leaves == {4, 5}
+
+
+def test_full_trees_builds_a_size_only_when_it_is_reached():
+    trees = full_trees(["a", "b"], 30)  # all of them would not fit in memory
+    assert [t.text for t in itertools.islice(trees, 7)] == [
+        "a", "b", "(a a)", "(a b)", "(b a)", "(b b)", "((a a) a)"]
