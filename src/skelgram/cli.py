@@ -72,6 +72,9 @@ def _alphabet(target, max_rank):
 def _build_strategy(args, alphabet, weight):
     if args.seq == "exact":
         return None  # the teacher answers by an exact equivalence check
+    if alphabet.max_rank < 2:
+        raise CliError(f"--seq {args.seq} needs --max-rank 2 or more; "
+                       f"at --max-rank {alphabet.max_rank} use --seq exact", EXIT_INPUT)
     if args.seq == "exhaustive":
         return ExhaustiveStrategy(alphabet, args.max_len, weight)
     if args.seq == "sampling":

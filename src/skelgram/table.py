@@ -3,7 +3,7 @@ sub-matrix of the Hankel matrix, and a co-linearly independent basis.
 
 Rows cover T and all one-level extensions of T; the row set is kept
 subtree-closed.  Filling is driven by structured membership queries,
-memoized by the composed tree so repeated cells cost one query.
+memoized by the composed tree's text so repeated cells cost one query.
 """
 from __future__ import annotations
 
@@ -73,8 +73,7 @@ class ObservationTable:
         self.basis: list[SkeletalTree] = []       # B, insertion order
         self.rows: dict[SkeletalTree, list] = {}  # T and all one-level extensions
         self._tree_set: set[SkeletalTree] = set()
-        self._smq_cache: dict[SkeletalTree, object] = {}
-        self.smq_count = 0
+        self._smq_cache: dict[str, object] = {}  # by text: holds no composed tree
         self._completed = False
         self._classes: dict[SkeletalTree, ColinearClass] = {}  # zero or basis
         self._basis_by_mask: dict[tuple, list[int]] = {}
@@ -83,12 +82,14 @@ class ObservationTable:
 
     # -- filling -----------------------------------------------------------
 
+    @property
+    def smq_count(self) -> int:
+        return len(self._smq_cache)
+
     def _smq(self, tree: SkeletalTree):
-        value = self._smq_cache.get(tree)
+        value = self._smq_cache.get(tree.text)
         if value is None:
-            value = self.oracle.smq(tree)
-            self._smq_cache[tree] = value
-            self.smq_count += 1
+            value = self._smq_cache[tree.text] = self.oracle.smq(tree)
         return value
 
     def _fill_row(self, tree: SkeletalTree):

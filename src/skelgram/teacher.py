@@ -27,30 +27,25 @@ from .trees import (Leaf, Node, RankedAlphabet, SkeletalTree, canonical_key,
 class SimulatedTeacher:
     """Answers smq from a grammar, automaton, or corpus oracle target, and
     seq by scanning a candidate strategy with comparison margin epsilon, or,
-    with no strategy, exactly (exact grammar or automaton targets only)."""
+    with no strategy, exactly (exact grammar or automaton targets only).
+    Both weigh trees with the target's evaluator, picked once here; it keeps
+    no memo, since grammars and automata memoize every subtree's vector."""
 
     def __init__(self, target, strategy=None, epsilon=0):
         self.target = target
         self.strategy = strategy
         self.epsilon = epsilon
-        self._memo: dict[str, object] = {}  # by tree text, as in MTA
+        if isinstance(target, WCFG):
+            self._evaluate = target.skeletal_weight
+        elif isinstance(target, MTA):
+            self._evaluate = target.eval
+        else:
+            self._evaluate = target.smq
         self._listed: list = []  # the candidates drawn so far, in order
         self._pending = None  # the strategy's candidate iterator
 
-    def _true_value(self, tree: SkeletalTree):
-        value = self._memo.get(tree.text)
-        if value is None:
-            if isinstance(self.target, WCFG):
-                value = self.target.skeletal_weight(tree)
-            elif isinstance(self.target, MTA):
-                value = self.target.eval(tree)
-            else:
-                value = self.target.smq(tree)
-            self._memo[tree.text] = value
-        return value
-
     def smq(self, tree: SkeletalTree):
-        return self._true_value(tree)
+        return self._evaluate(tree)
 
     def _source(self):
         """The strategy's candidate iterator, started on first use, so each
@@ -113,11 +108,11 @@ class SimulatedTeacher:
                                  "automaton target over the hypothesis's alphabet, "
                                  "and margin 0")
             tree = difference_witness(hypothesis, exact)
-            return None if tree is None else (tree, self._true_value(tree))
+            return None if tree is None else (tree, self._evaluate(tree))
         if exact is not None and difference_witness(hypothesis, exact) is None:
             return None  # no candidate can differ
         for tree in self.seq_trees():
-            truth = self._true_value(tree)
+            truth = self._evaluate(tree)
             got = hypothesis.eval(tree)
             if abs(got - truth) > self.epsilon:
                 return tree, truth

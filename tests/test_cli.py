@@ -181,6 +181,24 @@ def test_learn_automaton_target_rejects_other_max_rank(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seq", ["exhaustive", "sampling", "duplications", "trees"])
+def test_learn_candidate_strategies_refuse_max_rank_one(tmp_path, capsys, seq):
+    # candidates have no unary nodes: at rank 1 the first three die part-way
+    # through learning, and trees certifies a 1-state automaton
+    grammar, base = tmp_path / "g.wcfg", tmp_path / "base.txt"
+    grammar.write_text("S -> A [1/2]\nS -> a [1/4]\nA -> a [1/3]\n", encoding="utf-8")
+    base.write_text("a\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["learn", "--target", grammar, "--max-rank", "1", "--seq", seq,
+                "--base-trees", base, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"--seq {seq} needs --max-rank 2 or more" in err and "--seq exact" in err
+    assert not out.exists()
+    assert run(["learn", "--target", grammar, "--max-rank", "1", "--seq", "exact",
+                "--out", out]) == 0
+    assert json.loads((out / "report.json").read_text())["basis_size"] == 2
+
+
 def test_convert_roundtrip_preserves_weights(tmp_path, capsys):
     mta_path = tmp_path / "m.mta"
     assert run(["convert", FIXTURES / "smalldup.wcfg", "--wcfg-to-pmta",

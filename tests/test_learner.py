@@ -7,10 +7,11 @@ from skelgram.geneclusters import right_chain
 from skelgram.grammar import load_wcfg, pmta_to_wcfg, wcfg_to_pcfg
 from skelgram.learner import default_iteration_cap, learn
 from skelgram.table import CapExceeded
-from skelgram.teacher import AllTreesStrategy, ExhaustiveStrategy, SimulatedTeacher
+from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
+                              ExhaustiveStrategy, SimulatedTeacher)
 from skelgram.trees import Leaf, parse_structured_string
 
-from conftest import FIXTURES, random_tree
+from conftest import FIXTURES, learn_corpus_entries, random_tree
 
 
 def learn_fixture(name, max_leaves=4, **kwargs):
@@ -152,13 +153,53 @@ def test_default_cap_formula():
     assert default_iteration_cap(g.alphabet(2)) == 10 * 4 + 1000
 
 
+class RecordingOracle:
+    """Passes both queries on to a teacher and records every SMQ it is
+    asked, as (tree, answer)."""
+
+    def __init__(self, teacher):
+        self.teacher = teacher
+        self.asked = []
+
+    def smq(self, tree):
+        value = self.teacher.smq(tree)
+        self.asked.append((tree, value))
+        return value
+
+    def seq(self, hypothesis):
+        return self.teacher.seq(hypothesis)
+
+
 def test_final_hypothesis_agrees_with_every_query_asked():
     g = load_wcfg(FIXTURES / "smalldup.wcfg")
     alphabet = g.alphabet(2)
     teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 4))
-    report = learn(teacher, alphabet)
-    for text, value in teacher._memo.items():  # the memo is keyed by tree text
-        assert report.hypothesis.eval(parse_structured_string(text, alphabet)) == value
+    oracle = RecordingOracle(teacher)
+    report = learn(oracle, alphabet)
+    assert len(oracle.asked) == report.smq_count > 0
+    for tree, value in oracle.asked:
+        assert report.hypothesis.eval(tree) == value
+    # and every equivalence candidate, each of which some SEQ may have weighed
+    for tree in teacher.candidates():
+        assert report.hypothesis.eval(tree) == g.skeletal_weight(tree)
+
+
+@pytest.mark.parametrize("target", ["acrab", "corpus"])
+def test_each_distinct_tree_is_queried_once(target):
+    if target == "corpus":
+        entries = learn_corpus_entries(0)
+        oracle = CorpusOracle(entries, Fraction(1, 5), "duplication")
+        teacher = SimulatedTeacher(oracle, DuplicationsStrategy(
+            [t for t, _ in entries], max_dup=1))
+        alphabet = oracle.alphabet()
+    else:
+        g = load_wcfg(FIXTURES / "acrab.wcfg")
+        alphabet = g.alphabet(2)
+        teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 5))
+    recorder = RecordingOracle(teacher)
+    report = learn(recorder, alphabet)
+    texts = [tree.text for tree, _ in recorder.asked]
+    assert len(set(texts)) == len(texts) == report.smq_count > 0
 
 
 def test_float_backend_learning():

@@ -233,10 +233,11 @@ def test_smq_memoization_counts_distinct_queries():
     table, alphabet = make_table(g)
     complete_with_leaves(table, alphabet)
     assert table.smq_count == len(table._smq_cache)
-    # every row cell corresponds to a cached composed tree
+    assert all(type(key) is str for key in table._smq_cache)
+    # every row cell corresponds to a cached composed tree, by its text
     for tree, row in table.rows.items():
         for ctx, value in zip(table.columns, row):
-            assert table._smq_cache[compose(ctx, tree)] == value
+            assert table._smq_cache[compose(ctx, tree).text] == value
 
 
 def test_dump_tsv_contains_rows_and_columns():
