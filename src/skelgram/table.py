@@ -4,6 +4,8 @@ sub-matrix of the Hankel matrix, and a co-linearly independent basis.
 Rows cover T and all one-level extensions of T; the row set is kept
 subtree-closed.  Filling is driven by structured membership queries,
 memoized by the composed tree's text so repeated cells cost one query.
+Row classes survive a new column whose cell agrees with them (a row
+independent of the basis on some columns stays independent on more).
 """
 from __future__ import annotations
 
@@ -77,6 +79,7 @@ class ObservationTable:
         self._completed = False
         self._classes: dict[SkeletalTree, ColinearClass] = {}  # zero or basis
         self._basis_by_mask: dict[tuple, list[int]] = {}
+        self._order: list[SkeletalTree] = []  # the rows' trees, canonical order
         for tok in alphabet.leaf_symbols:
             self._fill_row(Leaf(tok))
 
@@ -95,8 +98,8 @@ class ObservationTable:
     def _fill_row(self, tree: SkeletalTree):
         row = self.rows.get(tree)
         if row is None:
-            row = []
-            self.rows[tree] = row
+            row = self.rows[tree] = []
+            bisect.insort(self._order, tree, key=canonical_key)
         for ctx in self.columns[len(row):]:
             row.append(self._smq(compose(ctx, tree)))
 
@@ -122,6 +125,11 @@ class ObservationTable:
             self._add_tree(sub)
 
     def _add_column(self, ctx: Context):
+        """Fill the new column and keep the classes its cells confirm.  A row
+        independent of B on the old columns stays so on all (the paper's
+        restriction lemma), so one cell decides: a zero class stays if it is
+        zero, an exact class (i, a) if it is a times basis row i's.  Other
+        classes, float ones too, are dropped for `classify` to recompute."""
         if ctx in self.columns:
             raise TableError(f"context already present: {ctx.text}")
         self.columns.append(ctx)
@@ -129,7 +137,16 @@ class ObservationTable:
         self._completed = False
         for tree in self.rows:
             self._fill_row(tree)
-        self._classes.clear()
+        for tree, cls in list(self._classes.items()):
+            new = self.rows[tree][-1]
+            if cls.is_zero:
+                keep = scalar_is_zero(new)
+            else:
+                base = self.rows[self.basis[cls.index]][-1]
+                keep = (type(cls.coeff) is Fraction and is_exact(new) and is_exact(base)
+                        and new == cls.coeff * base)
+            if not keep:
+                del self._classes[tree]
         self._basis_by_mask.clear()
         for i in range(len(self.basis)):
             self._index_basis(i)
@@ -139,9 +156,9 @@ class ObservationTable:
     def classify(self, tree: SkeletalTree) -> ColinearClass:
         """Zero, the unique (basis index, coefficient), or independent.
 
-        Zero and basis classifications stay valid until a column is added:
-        basis rows are pairwise independent, so a new basis row takes no
-        row from another class.  Independence is rechecked on every call.
+        Zero and basis classes are kept: a new basis row (independent of the
+        others) takes no row from a class, and `_add_column` drops only the
+        classes its new cell breaks.  Independence is rechecked every call.
         """
         cls = self._classes.get(tree)
         if cls is None:
@@ -176,16 +193,13 @@ class ObservationTable:
         mask = tuple(x != 0 for x in self.rows[self.basis[i]])
         self._basis_by_mask.setdefault(mask, []).append(i)
 
-    def _row_trees(self) -> list[SkeletalTree]:
-        return sorted(self.rows, key=canonical_key)
-
     # -- the table procedures ----------------------------------------------
 
     def close(self):
         """Move co-linearly independent one-level rows into T and B until none
         remain; each pass adds exactly one basis row."""
         while True:
-            candidate = next((t for t in self._row_trees()
+            candidate = next((t for t in self._order
                               if self.classify(t).is_independent), None)
             if candidate is None:
                 return
@@ -200,7 +214,7 @@ class ObservationTable:
         zero_trees = [t for t in self.trees if self.classify(t).is_zero]
         if not zero_trees:
             return None
-        extensions = [e for e in self._row_trees() if isinstance(e, Node)]
+        extensions = [e for e in self._order if isinstance(e, Node)]
         for t in zero_trees:
             for ext in extensions:
                 if t not in ext.children:
@@ -281,7 +295,7 @@ class ObservationTable:
     def dump_tsv(self) -> str:
         """Debug dump: rows x columns with serialized titles."""
         lines = ["\t" + "\t".join(c.text for c in self.columns)]
-        for tree in self._row_trees():
+        for tree in self._order:
             row = self.rows[tree]
             mark = "*" if tree in self.basis else ("T" if tree in self._tree_set else "")
             lines.append(tree.text + mark + "\t"

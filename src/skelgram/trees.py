@@ -84,9 +84,15 @@ class Node(SkeletalTree):
         if not kids:
             raise ValueError("internal node needs at least one child")
         self.children = kids
-        self.text = "(" + " ".join(c.text for c in kids) + ")"
-        self.size = 1 + sum(c.size for c in kids)
-        self.height = 1 + max(c.height for c in kids)
+        texts, size, height = [], 1, 0
+        for c in kids:  # one loop: generator expressions cost a frame each
+            texts.append(c.text)
+            size += c.size
+            if c.height > height:
+                height = c.height
+        self.text = "(" + " ".join(texts) + ")"
+        self.size = size
+        self.height = 1 + height
 
 
 class Hole:

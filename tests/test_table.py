@@ -9,7 +9,8 @@ from skelgram.grammar import load_wcfg, parse_wcfg
 from skelgram.learner import learn
 from skelgram.multilinear import colinear_witness
 from skelgram.scalars import scalar_eq
-from skelgram.table import Budget, CapExceeded, ObservationTable, TableError
+from skelgram.table import (Budget, CapExceeded, ColinearClass, ObservationTable,
+                            TableError)
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
                               SimulatedTeacher)
 from skelgram.trees import (IDENTITY_CONTEXT, Leaf, Node, RankedAlphabet,
@@ -486,3 +487,103 @@ def test_colinear_check_does_not_trust_classifications_alone(case):
     want = memberwise_colinear_violation(table)
     assert want is not None and want.text == expected
     assert table.check_colinear_consistency().text == expected
+
+
+@pytest.fixture
+def classes_checked_on_every_column(monkeypatch):
+    """After every column addition during a test, each class the table kept
+    must equal a classification from scratch (coefficient type included),
+    and the row order must be the sorted one; the list records, per column,
+    how many zero and how many basis classes were kept."""
+    kept = []
+    add_column = ObservationTable._add_column
+
+    def checked(table, ctx):
+        add_column(table, ctx)
+        for tree, cls in table._classes.items():
+            fresh = table._classify_fresh(tree)
+            assert cls == fresh and type(cls.coeff) is type(fresh.coeff), tree.text
+        assert table._order == sorted(table.rows, key=canonical_key)
+        zeros = sum(cls.is_zero for cls in table._classes.values())
+        kept.append((zeros, len(table._classes) - zeros))
+
+    monkeypatch.setattr(ObservationTable, "_add_column", checked)
+    return kept
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("name", ["acrab", "colinearity3", "smalldup"])
+def test_kept_classes_match_fresh_on_grammars(classes_checked_on_every_column, name, exact):
+    g = load_wcfg(FIXTURES / f"{name}.wcfg", exact)
+    alphabet = g.alphabet(2)
+    learn(SimulatedTeacher(g, AllTreesStrategy(alphabet, 4), 0 if exact else 1e-6), alphabet)
+    assert classes_checked_on_every_column
+    # a float basis class never stays
+    assert any(basis for _, basis in classes_checked_on_every_column) == exact
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_kept_classes_match_fresh_on_corpus(classes_checked_on_every_column, exact):
+    entries = learn_corpus_entries(1)
+    corpus = [(t, f if exact else float(f)) for t, f in entries]
+    oracle = CorpusOracle(corpus, Fraction(1, 5) if exact else 0.2, "duplication")
+    strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
+    learn(SimulatedTeacher(oracle, strategy, 0 if exact else 1e-6), oracle.alphabet())
+    assert len(classes_checked_on_every_column) == 16
+    assert any(zeros for zeros, _ in classes_checked_on_every_column)
+    assert any(basis for _, basis in classes_checked_on_every_column) == exact
+
+
+def test_kept_classes_match_fresh_on_random_cmtas(classes_checked_on_every_column):
+    rng = random.Random(67)
+    alphabet = RankedAlphabet(["a", "b"], 2)
+    for _ in range(10):
+        target = random_cmta(rng, alphabet, rng.randint(1, 3))
+        learn(SimulatedTeacher(target, AllTreesStrategy(alphabet, 4)), alphabet)
+    assert any(basis for _, basis in classes_checked_on_every_column)
+
+
+def _closed_unary_table(values):
+    """A closed one-column table over unary trees, answered from `values` by
+    tree text (other trees weigh 0), before the column (<>) is added."""
+    tokens = sorted({text.strip("()") for text in values})
+    alphabet = RankedAlphabet(tokens, 1)
+    table = ObservationTable(alphabet, SimpleNamespace(smq=lambda t: values.get(t.text, 0)))
+    table.close()
+    return table, parse_context("(<>)", alphabet)
+
+
+def test_zero_class_dropped_when_new_cell_is_not_zero():
+    table, column = _closed_unary_table({"a": 1, "b": 0, "(b)": 2, "z": 0})
+    assert table.classify(Leaf("b")).is_zero and table.classify(Leaf("z")).is_zero
+    table._add_column(column)
+    assert Leaf("b") not in table._classes and Leaf("z") in table._classes
+    assert table.classify(Leaf("b")).is_independent
+    table.close()
+    assert table.basis == [Leaf("a"), Leaf("b")]
+
+
+def test_basis_class_dropped_when_new_cell_breaks_the_ratio():
+    values = {"a": 1, "c": 2, "d": 3, "(a)": 3, "(c)": 5, "(d)": 9, "((a))": 9,
+              "((c))": 15}
+    table, column = _closed_unary_table(values)
+    assert table.basis == [Leaf("a")]
+    kept = table.classify(Leaf("d"))
+    assert table.classify(Leaf("c")) == ColinearClass("basis", 0, 2)
+    table._add_column(column)
+    assert table._classes[Leaf("d")] is kept  # 9 == 3·3: the ratio holds
+    assert Leaf("c") not in table._classes    # 5 != 2·3
+    assert table.classify(Leaf("c")).is_independent
+    table.close()
+    assert table.basis == [Leaf("a"), Leaf("c")]
+    assert table.classify(Leaf("c")) == ColinearClass("basis", 1, 1)
+
+
+def test_float_basis_class_is_recomputed():
+    values = {"a": 1.0, "c": 2.0, "(a)": 3.0, "(c)": 6.0}
+    table, column = _closed_unary_table(values)
+    assert table.classify(Leaf("c")) == ColinearClass("basis", 0, 2.0)
+    table._add_column(column)
+    assert Leaf("c") not in table._classes and Leaf("a") not in table._classes
+    cls = table.classify(Leaf("c"))
+    assert cls == ColinearClass("basis", 0, 2.0) and type(cls.coeff) is float

@@ -247,3 +247,38 @@ def test_full_trees_builds_a_size_only_when_it_is_reached():
     trees = full_trees(["a", "b"], 30)  # all of them would not fit in memory
     assert [t.text for t in itertools.islice(trees, 7)] == [
         "a", "b", "(a a)", "(a b)", "(b a)", "(b b)", "((a a) a)"]
+
+
+def recursive_fields(t):
+    """Reference (text, size, height) of a tree, read off its children by
+    recursion."""
+    if not isinstance(t, Node):
+        return t.text, t.size, t.height
+    parts = [recursive_fields(c) for c in t.children]
+    return ("(" + " ".join(text for text, _, _ in parts) + ")",
+            1 + sum(size for _, size, _ in parts), 1 + max(height for _, _, height in parts))
+
+
+@pytest.mark.parametrize("max_rank", [1, 2, 3])
+def test_node_fields_match_recursive_reference(max_rank):
+    trees = list(full_trees(["a", "b"], 5, max_rank))
+    trees += [Node((t,)) for t in trees[:50]] + [Node((HOLE, t)) for t in trees[:50]]
+    for t in trees:
+        assert (t.text, t.size, t.height) == recursive_fields(t)
+
+
+def test_node_fields_on_a_long_right_chain():
+    tree = Leaf("a")
+    for _ in range(1999):
+        tree = Node((Leaf("a"), tree))
+    assert tree.text == "(a " * 1999 + "a" + ")" * 1999
+    assert (tree.size, tree.height) == (3999, 2000)
+
+
+def test_node_needs_a_child_and_takes_any_iterable():
+    with pytest.raises(ValueError, match="internal node needs at least one child"):
+        Node(())
+    a, b = Leaf("a"), Leaf("b")
+    tree = Node(c for c in (a, Node([b])))
+    assert tree.children == (a, Node((b,)))
+    assert (tree.text, tree.size, tree.height) == ("(a (b))", 4, 3)
