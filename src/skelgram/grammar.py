@@ -91,11 +91,17 @@ class WCFG:
         return self.derivation_weights(s).get(nt, self._zero)
 
     def skeletal_weight(self, s: SkeletalTree):
-        """Weight of s over all taggings rooted at the start symbol."""
-        for tok in set(tree_yield(s)):
-            if tok not in self.terminals:
-                raise GrammarError(f"unknown terminal {tok!r}")
-        support = self._support(s)
+        """Weight of s over all taggings rooted at the start symbol;
+        GrammarError on an unknown terminal."""
+        try:
+            support = self.automaton().eval_support(s)
+        except EvaluationError:
+            # the automaton memoizes only trees that evaluate, so an unknown
+            # leaf always fails the evaluation: the yield is read only here
+            for tok in set(tree_yield(s)):
+                if tok not in self.terminals:
+                    raise GrammarError(f"unknown terminal {tok!r}") from None
+            return self._zero  # a rank longer than every rule
         return support[0][1] if support and support[0][0] == 0 else self._zero
 
     def derivation_weights(self, s: SkeletalTree) -> dict:

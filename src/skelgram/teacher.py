@@ -232,10 +232,15 @@ def duplication_key(t: SkeletalTree) -> tuple:
     """The run-compressed yield: equal for trees at finite duplication
     distance, since matched chains compress to one token each and the
     compressed yield of a node depends only on its children's."""
+    runs, last = [], None
+    for tok in tree_yield(t):
+        if tok != last:
+            runs.append(tok)
+            last = tok
     # a list, not a generator: tuple() over a generator resizes its result,
     # and the resized tuples pile up in CPython's tuple free lists (about
     # 1 MB more peak memory in a learn-corpus benchmark job)
-    return tuple([tok for tok, _ in itertools.groupby(tree_yield(t))])
+    return tuple(runs)
 
 
 def swap_key(t: SkeletalTree) -> tuple:

@@ -123,9 +123,15 @@ def canonical_key(t):
 
 class Context:
     """A skeletal-tree shape with exactly one hole at a leaf position; `path`
-    holds the child indices from the root down to the hole."""
+    holds the child indices from the root down to the hole.
 
-    __slots__ = ("root", "text", "size", "height", "path")
+    `levels` holds, bottom-up, one record per node on the path: the hole
+    side's left and right siblings, their text as the node's "(... " prefix
+    and " ...)" suffix, their total size + 1, and 1 + their max height.
+    `compose` builds each spine node from its record alone; every sibling's
+    text is stored once, so the records are linear in the context's size."""
+
+    __slots__ = ("root", "text", "size", "height", "path", "levels")
 
     def __init__(self, root):
         holes = []
@@ -144,11 +150,25 @@ class Context:
         while link:
             i, link = link
             path.append(i)
+        path.reverse()
+        levels = []
+        node = root
+        for i in path:
+            kids = node.children
+            left, right = kids[:i], kids[i + 1:]
+            levels.append((left, right,
+                           "(" + "".join([c.text + " " for c in left]),
+                           "".join([" " + c.text for c in right]) + ")",
+                           1 + sum(c.size for c in left + right),
+                           1 + max((c.height for c in left + right), default=0)))
+            node = kids[i]
+        levels.reverse()
         self.root = root
         self.text = root.text
         self.size = root.size
         self.height = root.height
-        self.path = tuple(reversed(path))
+        self.path = tuple(path)
+        self.levels = tuple(levels)
 
     def __eq__(self, other):
         return isinstance(other, Context) and self.text == other.text
@@ -164,15 +184,17 @@ IDENTITY_CONTEXT = Context(HOLE)
 
 
 def compose(c: Context, t: SkeletalTree) -> SkeletalTree:
-    """Plug tree t into the hole of context c, rebuilding only the nodes on
-    the path to the hole."""
-    spine = []
-    node = c.root
-    for i in c.path:
-        spine.append((node.children, i))
-        node = node.children[i]
-    for kids, i in reversed(spine):
-        t = Node(kids[:i] + (t,) + kids[i + 1:])
+    """Plug tree t into the hole of context c, building only the nodes on
+    the path to the hole, each from its level record (see Context) without
+    Node.__init__'s pass over the children."""
+    new = Node.__new__
+    for left, right, prefix, suffix, size, height in c.levels:
+        node = new(Node)
+        node.children = left + (t,) + right
+        node.text = f"{prefix}{t.text}{suffix}"
+        node.size = size + t.size
+        node.height = height if height > t.height else t.height + 1
+        t = node
     return t
 
 

@@ -80,6 +80,32 @@ def test_skeletal_weight_unknown_terminal(acrab):
         acrab.skeletal_weight(Leaf("NoSuchGene"))
 
 
+def test_unknown_terminal_beside_memoized_subtrees():
+    # the automaton memoizes (a a); the unknown leaf still fails the tree
+    g = parse_wcfg("S -> a S [-1/2]\nS -> a [2]")
+    ab = g.alphabet(2)
+    known = parse_structured_string("(a a)", ab)
+    assert g.skeletal_weight(known) == -1
+    for tree in (Node((known, Leaf("z"))), Node((Leaf("z"), known)),
+                 Node((known, Node((Leaf("a"), Leaf("z")))))):
+        with pytest.raises(GrammarError, match="unknown terminal 'z'"):
+            g.skeletal_weight(tree)
+    assert g.skeletal_weight(known) == -1
+
+
+def test_unknown_terminal_and_over_rank_node_raise():
+    g = parse_wcfg("S -> a S [-1/2]\nS -> a [2]")
+    a, z = Leaf("a"), Leaf("z")
+    over = Node((a, a, a))  # rank 3 exceeds every rule
+    assert g.skeletal_weight(over) == 0
+    # the evaluation fails on the rank first in (z (a a a)), on the leaf
+    # first in ((a a a) z); both name the terminal
+    for tree in (Node((z, over)), Node((over, z)), Node((a, z, a))):
+        with pytest.raises(GrammarError, match="unknown terminal 'z'"):
+            g.skeletal_weight(tree)
+    assert g.skeletal_weight(over) == 0
+
+
 def test_weights_of_signed_grammars_and_unruled_ranks():
     g = parse_wcfg("S -> a S [-1/2]\nS -> a [2]")
     ab3 = g.alphabet(3)

@@ -506,3 +506,17 @@ def test_finite_distance_implies_equal_keys():
                 finite[distance] += 1
                 assert key(t) == key(e), (distance, t.text, e.text)
     assert min(finite.values()) > 1000
+
+
+def test_duplication_key_matches_groupby_form():
+    def grouped(t):
+        return tuple(tok for tok, _ in itertools.groupby(tree_yield(t)))
+
+    rng = random.Random(12)
+    trees = [random_binary_tree(rng, ["a", "b", "c"], 12) for _ in range(500)]
+    trees += [Leaf("a"), right_chain("a", 1), right_chain("a", 9),
+              Node((right_chain("b", 3), right_chain("b", 4)))]
+    for t in trees:
+        assert duplication_key(t) == grouped(t), t.text
+    assert duplication_key(Leaf("a")) == ("a",)
+    assert duplication_key(right_chain("a", 9)) == ("a",)

@@ -14,6 +14,7 @@ from conftest import random_tree
 
 AB2 = RankedAlphabet(["a", "b"], 2)
 ABC = RankedAlphabet(["a", "b", "c"], 2)
+ABC3 = RankedAlphabet(["a", "b", "c"], 3)
 
 
 def test_alphabet_validation():
@@ -265,6 +266,87 @@ def test_node_fields_match_recursive_reference(max_rank):
     trees += [Node((t,)) for t in trees[:50]] + [Node((HOLE, t)) for t in trees[:50]]
     for t in trees:
         assert (t.text, t.size, t.height) == recursive_fields(t)
+
+
+def node_built(c, t):
+    """Reference compose: each spine node through Node(...), bottom-up."""
+    spine = []
+    node = c.root
+    for i in c.path:
+        spine.append((node.children, i))
+        node = node.children[i]
+    for kids, i in reversed(spine):
+        t = Node(kids[:i] + (t,) + kids[i + 1:])
+    return t
+
+
+def assert_spine_matches(c, t, reference=True):
+    """compose(c, t) equals node_built(c, t) node by node down the spine:
+    same fields, the same children, and the equality and hash of the tree
+    parsed from its text; `reference` also checks the fields against
+    recursive_fields (which recurses, so shallow contexts only)."""
+    composed, built = compose(c, t), node_built(c, t)
+    text = composed.text
+    parsed = (parse_context(text, ABC3).root if "<>" in text
+              else parse_structured_string(text, ABC3))
+    assert composed == parsed and hash(composed) == hash(parsed)
+    for i in c.path + (None,):
+        assert type(composed) is type(built)
+        assert (composed.text, composed.size, composed.height) == (
+            built.text, built.size, built.height)
+        if reference:
+            assert (composed.text, composed.size, composed.height) == recursive_fields(composed)
+        if i is None:
+            assert composed is t
+            break
+        assert type(composed.children) is tuple and composed.children == built.children
+        assert all(a is b for j, (a, b) in enumerate(zip(composed.children, built.children))
+                   if j != i)
+        composed, built = composed.children[i], built.children[i]
+
+
+def test_compose_builds_the_spine_node_builds():
+    rng = random.Random(17)
+    for _ in range(300):
+        root = HOLE
+        for _ in range(rng.randint(1, 4)):  # wrap the hole 1..4 levels deep
+            k = rng.randint(1, 3)
+            kids = [random_tree(rng, ABC3, 3) for _ in range(k)]
+            kids[rng.randrange(k)] = root
+            root = Node(kids)
+        c = Context(root)
+        for _ in range(3):
+            assert_spine_matches(c, random_tree(rng, ABC3, 4))
+        assert_spine_matches(c, Leaf("a"))
+    for k in (1, 2, 3):  # every hole position of every rank
+        for hole_at in range(k):
+            kids = [random_tree(rng, ABC3, 3) for _ in range(k)]
+            kids[hole_at] = HOLE
+            assert_spine_matches(Context(Node(kids)), random_tree(rng, ABC3, 4))
+
+
+def test_compose_contexts_builds_the_spine_node_builds():
+    rng = random.Random(18)
+    ctxs = sigma_contexts([Leaf("a"), parse_structured_string("(b c)", ABC3)], ABC3)
+    for _ in range(100):
+        outer, inner = rng.choice(ctxs), rng.choice(ctxs)
+        # the inner root holds HOLE, so the spine nodes hold it as a child
+        assert_spine_matches(outer, inner.root)
+        both = compose_contexts(outer, inner)
+        assert both.path == outer.path + inner.path
+        t = random_tree(rng, ABC3, 3)
+        assert_spine_matches(both, t)
+        assert compose(both, t) == compose(outer, compose(inner, t))
+
+
+def test_compose_builds_the_spine_of_a_deep_context():
+    text = "(b " * 1999 + "<>" + ")" * 1999  # as in test_deep_context_without_recursion
+    c = parse_context(text, AB2)
+    assert_spine_matches(c, Leaf("a"), reference=False)
+    assert_spine_matches(c, parse_structured_string("(a (b a))", AB2), reference=False)
+    twice = compose_contexts(c, c)
+    assert_spine_matches(c, c.root, reference=False)
+    assert_spine_matches(twice, Leaf("a"), reference=False)
 
 
 def test_node_fields_on_a_long_right_chain():
