@@ -21,7 +21,7 @@ def extract_cmta(table: ObservationTable) -> MTA:
     if not table.is_completed:
         raise TableError("table must be closed and consistent before extraction")
     d = len(table.basis)
-    exact = all(is_exact(x) for b in table.basis for x in table.rows[b])
+    exact = all(is_exact(x) for b in table.basis for x in table.rows[b.text])
     zero = Fraction(0) if exact else 0.0
 
     def entry(tree) -> dict:
@@ -45,6 +45,6 @@ def extract_cmta(table: ObservationTable) -> MTA:
             if found := entry(Node(tuple(table.basis[j] for j in col))):
                 m.columns[col] = found
 
-    output = [table.rows[b][0] for b in table.basis]  # column 0 is the identity context
+    output = [table.rows[b.text][0] for b in table.basis]  # column 0 is the identity context
     return MTA(table.alphabet, d, leaf_maps, node_maps, output)
 

@@ -9,11 +9,12 @@ from typing import Callable, Optional, Protocol
 from .extract import extract_cmta
 from .mta import MTA
 from .table import Budget, ObservationTable
-from .trees import Leaf, RankedAlphabet, SkeletalTree
+from .trees import IDENTITY_CONTEXT, Context, Leaf, RankedAlphabet, SkeletalTree
 
 
 class TeacherOracle(Protocol):
-    def smq(self, tree: SkeletalTree): ...
+    def smq(self, tree: SkeletalTree, context: Context = IDENTITY_CONTEXT):
+        """The weight of context∘tree; the table passes each cell's column."""
     def seq(self, hypothesis: MTA) -> Optional[tuple[SkeletalTree, object]]: ...
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .multilinear import MultilinearMap, apply
 from .scalars import format_scalar, is_exact, parse_scalar
-from .trees import Leaf, RankedAlphabet, SkeletalTree
+from .trees import Context, Leaf, RankedAlphabet, SkeletalTree
 
 
 class EvaluationError(ValueError):
@@ -25,10 +25,12 @@ class MTA:
     Subtree vectors are memoized sparsely, as supports, for the automaton's
     lifetime, so its maps must not change once it has evaluated a tree.
     The memo is keyed by a tree's text, whose str hash is cached, so a
-    lookup calls no Python-level __hash__ or __eq__.
+    lookup calls no Python-level __hash__ or __eq__.  Pulled-back output
+    functionals are memoized the same way, by context text.
     """
 
-    __slots__ = ("alphabet", "dim", "leaf_maps", "node_maps", "output", "_memo")
+    __slots__ = ("alphabet", "dim", "leaf_maps", "node_maps", "output", "_memo",
+                 "_pullbacks")
 
     def __init__(self, alphabet: RankedAlphabet, dim: int, leaf_maps, node_maps, output):
         if dim < 0:
@@ -55,6 +57,7 @@ class MTA:
         self.node_maps = node_maps
         self.output = output
         self._memo: dict[str, list] = {}
+        self._pullbacks: dict[str, dict] = {}
 
     @classmethod
     def zero(cls, alphabet: RankedAlphabet) -> "MTA":
@@ -87,6 +90,30 @@ class MTA:
                 support = memo[s.text] = apply(self.node_maps[k], args)
             stack.pop()
         return support
+
+    def pullback(self, c: Context) -> dict:
+        """λ_c, the output functional pulled back through context c, as
+        {index: non-zero value}: eval(c∘t) is its dot product with t's
+        vector (Bailly, Habrard & Denis, ALT 2010).  One walk down c's
+        spine, the siblings' vectors fixed; EvaluationError as eval_support's."""
+        lam = self._pullbacks.get(c.text)
+        if lam is not None:
+            return lam
+        lam = {i: x for i, x in enumerate(self.output) if x}
+        for left, right, *_ in reversed(c.levels):
+            k = len(left) + 1 + len(right)
+            if k > self.alphabet.max_rank:
+                raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")
+            sides = [self.eval_support(s) for s in left + right]
+            new = {}
+            for j in range(self.dim):  # λ'_j = λ · M(siblings, e_j at the hole)
+                args = sides[:len(left)] + [[(j, 1)]] + sides[len(left):]
+                y = sum(lam[i] * x for i, x in apply(self.node_maps[k], args) if i in lam)
+                if y:
+                    new[j] = y
+            lam = new
+        self._pullbacks[c.text] = lam
+        return lam
 
     def eval_vector(self, t: SkeletalTree) -> list:
         """Dense bottom-up vector of t: a leaf's own vector, or its support

@@ -2,8 +2,11 @@
 sub-matrix of the Hankel matrix, and a co-linearly independent basis.
 
 Rows cover T and all one-level extensions of T; the row set is kept
-subtree-closed.  Filling is driven by structured membership queries,
-memoized by the composed tree's text so repeated cells cost one query.
+subtree-closed.  Rows and their classes are keyed by the row tree's text.
+The cell of row t and column c is one structured membership query for
+c∘t, put to the oracle as the pair (t, c), so the oracle may answer it
+from its parts without building c∘t.  The answers are memoized by the text
+of c∘t, `c.prefix + t.text + c.suffix`, so repeated cells cost one query.
 Row classes survive a new column whose cell agrees with them (a row
 independent of the basis on some columns stays independent on more).
 """
@@ -17,8 +20,8 @@ from fractions import Fraction
 from .multilinear import colinear_witness
 from .scalars import is_exact, scalar_eq, scalar_is_zero, vector_is_zero
 from .trees import (Context, HOLE, IDENTITY_CONTEXT, Leaf, Node, RankedAlphabet,
-                    SkeletalTree, canonical_key, compose, compose_contexts,
-                    sigma_contexts, subtrees)
+                    SkeletalTree, canonical_key, compose_contexts, sigma_contexts,
+                    subtrees)
 
 
 class CapExceeded(RuntimeError):
@@ -73,11 +76,11 @@ class ObservationTable:
         self.trees: list[SkeletalTree] = []       # T, canonical order
         self.columns: list[Context] = [IDENTITY_CONTEXT]
         self.basis: list[SkeletalTree] = []       # B, insertion order
-        self.rows: dict[SkeletalTree, list] = {}  # T and all one-level extensions
+        self.rows: dict[str, list] = {}  # T and all one-level extensions, by text
         self._tree_set: set[SkeletalTree] = set()
         self._smq_cache: dict[str, object] = {}  # by text: holds no composed tree
         self._completed = False
-        self._classes: dict[SkeletalTree, ColinearClass] = {}  # zero or basis
+        self._classes: dict[str, ColinearClass] = {}  # zero or basis, by text
         self._basis_by_mask: dict[tuple, list[int]] = {}
         self._order: list[SkeletalTree] = []  # the rows' trees, canonical order
         for tok in alphabet.leaf_symbols:
@@ -89,19 +92,19 @@ class ObservationTable:
     def smq_count(self) -> int:
         return len(self._smq_cache)
 
-    def _smq(self, tree: SkeletalTree):
-        value = self._smq_cache.get(tree.text)
-        if value is None:
-            value = self._smq_cache[tree.text] = self.oracle.smq(tree)
-        return value
-
     def _fill_row(self, tree: SkeletalTree):
-        row = self.rows.get(tree)
+        text = tree.text
+        row = self.rows.get(text)
         if row is None:
-            row = self.rows[tree] = []
+            row = self.rows[text] = []
             bisect.insort(self._order, tree, key=canonical_key)
+        cache = self._smq_cache
         for ctx in self.columns[len(row):]:
-            row.append(self._smq(compose(ctx, tree)))
+            key = ctx.prefix + text + ctx.suffix
+            value = cache.get(key)
+            if value is None:
+                value = cache[key] = self.oracle.smq(tree, ctx)
+            row.append(value)
 
     def _add_tree(self, tree: SkeletalTree):
         """Add one tree to T (children must already be in T) and extend the
@@ -135,18 +138,18 @@ class ObservationTable:
         self.columns.append(ctx)
         self.budget.charge("column addition")
         self._completed = False
-        for tree in self.rows:
+        for tree in self._order:
             self._fill_row(tree)
-        for tree, cls in list(self._classes.items()):
-            new = self.rows[tree][-1]
+        for text, cls in list(self._classes.items()):
+            new = self.rows[text][-1]
             if cls.is_zero:
                 keep = scalar_is_zero(new)
             else:
-                base = self.rows[self.basis[cls.index]][-1]
+                base = self.rows[self.basis[cls.index].text][-1]
                 keep = (type(cls.coeff) is Fraction and is_exact(new) and is_exact(base)
                         and new == cls.coeff * base)
             if not keep:
-                del self._classes[tree]
+                del self._classes[text]
         self._basis_by_mask.clear()
         for i in range(len(self.basis)):
             self._index_basis(i)
@@ -160,15 +163,18 @@ class ObservationTable:
         others) takes no row from a class, and `_add_column` drops only the
         classes its new cell breaks.  Independence is rechecked every call.
         """
-        cls = self._classes.get(tree)
+        return self._class_of(tree.text)
+
+    def _class_of(self, text: str) -> ColinearClass:
+        cls = self._classes.get(text)
         if cls is None:
-            cls = self._classify_fresh(tree)
+            cls = self._classify_fresh(text)
             if not cls.is_independent:
-                self._classes[tree] = cls
+                self._classes[text] = cls
         return cls
 
-    def _classify_fresh(self, tree: SkeletalTree) -> ColinearClass:
-        row = self.rows[tree]
+    def _classify_fresh(self, text: str) -> ColinearClass:
+        row = self.rows[text]
         if vector_is_zero(row):
             return ColinearClass(ZERO_ROW)
         if all(map(is_exact, row)):
@@ -178,19 +184,19 @@ class ObservationTable:
             candidates = range(len(self.basis))
         matches = []
         for i in candidates:
-            alpha = colinear_witness(row, self.rows[self.basis[i]])
+            alpha = colinear_witness(row, self.rows[self.basis[i].text])
             if alpha is not None:
                 matches.append((i, alpha))
         if not matches:
             return ColinearClass(INDEPENDENT)
         if len(matches) > 1:
-            raise TableError(f"row {tree.text} is co-linear to several basis rows; "
+            raise TableError(f"row {text} is co-linear to several basis rows; "
                              "basis rows must be pairwise co-linearly independent")
         i, alpha = matches[0]
         return ColinearClass("basis", i, alpha)
 
     def _index_basis(self, i: int):
-        mask = tuple(x != 0 for x in self.rows[self.basis[i]])
+        mask = tuple(x != 0 for x in self.rows[self.basis[i].text])
         self._basis_by_mask.setdefault(mask, []).append(i)
 
     # -- the table procedures ----------------------------------------------
@@ -219,7 +225,7 @@ class ObservationTable:
             for ext in extensions:
                 if t not in ext.children:
                     continue
-                for ci, value in enumerate(self.rows[ext]):
+                for ci, value in enumerate(self.rows[ext.text]):
                     if not scalar_is_zero(value):
                         kids = list(ext.children)
                         kids[kids.index(t)] = HOLE
@@ -245,10 +251,11 @@ class ObservationTable:
                 groups.setdefault(cls.index, []).append((t, cls.coeff))
         one_level = sigma_contexts(self.trees, self.alphabet)
         for i in sorted(groups):
-            b = self.basis[i]
+            b = self.basis[i].text
             for t, alpha in groups[i]:
                 for ctx in one_level:
-                    ct, cb = compose(ctx, t), compose(ctx, b)
+                    ct = ctx.prefix + t.text + ctx.suffix  # the rows of c∘t, c∘b
+                    cb = ctx.prefix + b + ctx.suffix
                     if self._colinear_by_class(ct, cb, alpha):
                         continue
                     row, basis_row = self.rows[ct], self.rows[cb]
@@ -257,10 +264,11 @@ class ObservationTable:
                             return compose_contexts(self.columns[ci], ctx)
         return None
 
-    def _colinear_by_class(self, ct, cb, alpha) -> bool:
-        """row(ct) == alpha·row(cb) shown from the classifications alone;
-        False when they disagree or do not settle it (float rows)."""
-        c1, c2 = self.classify(ct), self.classify(cb)
+    def _colinear_by_class(self, ct: str, cb: str, alpha) -> bool:
+        """row(ct) == alpha·row(cb), rows named by text, shown from the
+        classifications alone; False when they disagree or do not settle it
+        (float rows)."""
+        c1, c2 = self._class_of(ct), self._class_of(cb)
         if c1.is_zero and c2.is_zero:
             # zero rows of exact zeros, whatever their type, match exactly
             return not any(self.rows[ct]) and not any(self.rows[cb])
@@ -296,7 +304,7 @@ class ObservationTable:
         """Debug dump: rows x columns with serialized titles."""
         lines = ["\t" + "\t".join(c.text for c in self.columns)]
         for tree in self._order:
-            row = self.rows[tree]
+            row = self.rows[tree.text]
             mark = "*" if tree in self.basis else ("T" if tree in self._tree_set else "")
             lines.append(tree.text + mark + "\t"
                          + "\t".join(str(x) for x in row))

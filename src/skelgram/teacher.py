@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from fractions import Fraction
 
 from .equivalence import difference_witness
 from .geneclusters import INF, _dup, _swap, is_binary, parse_gene_string, right_chain
 from .grammar import WCFG, GrammarError
-from .mta import MTA
+from .mta import MTA, EvaluationError
 from .scalars import parse_scalar
-from .trees import (Leaf, Node, RankedAlphabet, SkeletalTree, canonical_key,
-                    full_trees, parse_structured_string, tree_yield)
+from .trees import (HOLE_TOKEN, IDENTITY_CONTEXT, Context, Leaf, Node, RankedAlphabet,
+                    SkeletalTree, canonical_key, compose, full_trees,
+                    parse_structured_string, tree_yield)
 
 
 class SimulatedTeacher:
@@ -29,23 +32,49 @@ class SimulatedTeacher:
     seq by scanning a candidate strategy with comparison margin epsilon, or,
     with no strategy, exactly (exact grammar or automaton targets only).
     Both weigh trees with the target's evaluator, picked once here; it keeps
-    no memo, since grammars and automata memoize every subtree's vector."""
+    no memo, since grammars and automata memoize every subtree's vector.
+    smq(t, c) weighs c∘t from its parts: an exact grammar or automaton by
+    c's pulled-back output functional dotted with t's vector, a corpus by a
+    key join (CorpusOracle); float targets, or a failing evaluation, by c∘t."""
 
     def __init__(self, target, strategy=None, epsilon=0):
         self.target = target
         self.strategy = strategy
         self.epsilon = epsilon
+        self._automaton = None  # an exact target's: it answers smq(t, c) by parts
         if isinstance(target, WCFG):
             self._evaluate = target.skeletal_weight
+            if target.is_exact():
+                self._automaton, self._zero = target.automaton(), Fraction(0)
         elif isinstance(target, MTA):
             self._evaluate = target.eval
+            # eval gives Fraction(0) on a cancelling sum: keep targets that cannot
+            if target.is_exact() and (target.is_positive() or target.is_colinear_mta()):
+                self._automaton, self._zero = target, 0 if target.dim else Fraction(0)
         else:
             self._evaluate = target.smq
         self._listed: list = []  # the candidates drawn so far, in order
         self._pending = None  # the strategy's candidate iterator
 
-    def smq(self, tree: SkeletalTree):
-        return self._evaluate(tree)
+    def smq(self, tree: SkeletalTree, context: Context = IDENTITY_CONTEXT):
+        """The target's weight of context∘tree."""
+        if not context.levels:
+            return self._evaluate(tree)
+        if isinstance(self.target, CorpusOracle):
+            return self.target.smq(tree, context)
+        if self._automaton is not None:
+            try:
+                lam = self._automaton.pullback(context)
+                support = self._automaton.eval_support(tree)
+            except EvaluationError:
+                pass  # the composed tree fails as the target's evaluator says
+            else:
+                value = 0
+                for j, x in support:
+                    if j in lam:
+                        value = value + lam[j] * x
+                return value or self._zero
+        return self._evaluate(compose(context, tree))
 
     def _source(self):
         """The strategy's candidate iterator, started on first use, so each
@@ -228,12 +257,18 @@ class AllTreesStrategy:
 # -- corpus oracle -----------------------------------------------------------
 
 
+def _yield(t) -> tuple:
+    """tree_yield with interned tokens, which the oracle's kept keys share
+    (a list, not map(): see duplication_key)."""
+    return tuple([sys.intern(tok) for tok in tree_yield(t)])
+
+
 def duplication_key(t: SkeletalTree) -> tuple:
     """The run-compressed yield: equal for trees at finite duplication
     distance, since matched chains compress to one token each and the
     compressed yield of a node depends only on its children's."""
     runs, last = [], None
-    for tok in tree_yield(t):
+    for tok in _yield(t):
         if tok != last:
             runs.append(tok)
             last = tok
@@ -245,7 +280,23 @@ def duplication_key(t: SkeletalTree) -> tuple:
 
 def swap_key(t: SkeletalTree) -> tuple:
     """Size and sorted yield: a swap keeps both."""
-    return t.size, tuple(sorted(tree_yield(t)))
+    return t.size, tuple(sorted(_yield(t)))
+
+
+def _duplication_join(parts: tuple, key: tuple) -> tuple:
+    """duplication_key(c∘t) from t's key and c's runs left and right of the
+    hole: each side's run at the hole merges with t's end run, and when t's
+    key is one token, both do."""
+    left, right = parts
+    if left and left[-1] == key[0]:
+        key = key[1:]
+    key = left + key
+    return key + (right[1:] if right and key[-1] == right[0] else right)
+
+
+def _swap_join(parts: tuple, key: tuple) -> tuple:
+    """swap_key(c∘t) from t's key and c's size and sorted yield."""
+    return parts[0] + key[0], tuple(sorted(parts[1] + key[1]))
 
 
 class CorpusOracle:
@@ -256,7 +307,8 @@ class CorpusOracle:
     share (`duplication_key`, `swap_key`), so a query costs one key plus a
     distance walk per entry in its own bucket; every other entry is at
     distance inf and adds nothing.  Buckets keep corpus order, so float
-    sums add in the same order as over the whole corpus."""
+    sums add in the same order as over the whole corpus.  smq(t, c) joins
+    t's and c's keys, kept by text, and builds c∘t only on a bucket hit."""
 
     def __init__(self, corpus, decay, distance: str = "duplication"):
         if distance not in ("swap", "duplication"):
@@ -277,19 +329,42 @@ class CorpusOracle:
         self.distance = distance
         # corpus trees are checked above; a non-binary query is infinitely
         # distant from each (both distances are inf on unequal arities)
-        self._dist, self._key = ((_swap, swap_key) if distance == "swap"
-                                 else (_dup, duplication_key))
+        self._dist, self._key, self._join = ((_swap, swap_key, _swap_join)
+                                             if distance == "swap" else
+                                             (_dup, duplication_key, _duplication_join))
         self._buckets: dict[tuple, list] = {}
         for entry, freq in self.corpus:
             self._buckets.setdefault(self._key(entry), []).append((entry, freq))
+        self._keys: dict[str, tuple] = {}  # by text: trees' keys, contexts' parts
 
-    def smq(self, tree: SkeletalTree):
+    def smq(self, tree: SkeletalTree, context: Context = IDENTITY_CONTEXT):
+        if not context.levels:  # a plain query, as for a held-out tree: kept nowhere
+            key = self._key(tree)
+        else:
+            key, parts = self._keys.get(tree.text), self._keys.get(context.text)
+            if key is None:
+                key = self._keys[tree.text] = self._key(tree)
+            if parts is None:
+                parts = self._keys[context.text] = self._parts(context)
+            key = self._join(parts, key)
+        bucket = self._buckets.get(key, ())
+        if bucket:
+            tree = compose(context, tree)
         total = 0
-        for entry, freq in self._buckets.get(self._key(tree), ()):
+        for entry, freq in bucket:
             d = self._dist(tree, entry)
             if d != INF:
                 total = total + freq * self.decay ** int(d)
         return total
+
+    def _parts(self, c: Context) -> tuple:
+        """c's share of the key of c∘t, from the key of c's root, in which
+        the hole is one more token and a run of its own."""
+        key = self._key(c.root)
+        if self.distance == "swap":
+            return key[0] - 1, tuple([tok for tok in key[1] if tok != HOLE_TOKEN])
+        hole = key.index(HOLE_TOKEN)
+        return key[:hole], key[hole + 1:]
 
     def alphabet(self, max_rank: int = 2) -> RankedAlphabet:
         tokens = []

@@ -128,10 +128,11 @@ class Context:
     `levels` holds, bottom-up, one record per node on the path: the hole
     side's left and right siblings, their text as the node's "(... " prefix
     and " ...)" suffix, their total size + 1, and 1 + their max height.
-    `compose` builds each spine node from its record alone; every sibling's
-    text is stored once, so the records are linear in the context's size."""
+    `compose` builds each spine node from its record alone.  `prefix` and
+    `suffix` are the whole text left and right of the hole, so c∘t's text
+    is `prefix + t.text + suffix` with no tree built."""
 
-    __slots__ = ("root", "text", "size", "height", "path", "levels")
+    __slots__ = ("root", "text", "size", "height", "path", "levels", "prefix", "suffix")
 
     def __init__(self, root):
         holes = []
@@ -169,6 +170,8 @@ class Context:
         self.height = root.height
         self.path = tuple(path)
         self.levels = tuple(levels)
+        self.prefix = "".join([level[2] for level in reversed(levels)])
+        self.suffix = "".join([level[3] for level in levels])
 
     def __eq__(self, other):
         return isinstance(other, Context) and self.text == other.text

@@ -44,9 +44,9 @@ def acrab_run():
     rounds = []
 
     def observer(table, hypothesis):
-        agreement = [(tree, list(table.rows[tree]), list(table.columns))
+        agreement = [(tree, list(table.rows[tree.text]), list(table.columns))
                      for tree in table.trees]
-        rounds.append((agreement, [list(table.rows[b]) for b in table.basis],
+        rounds.append((agreement, [list(table.rows[b.text]) for b in table.basis],
                        list(table.basis), hypothesis))
 
     started = time.monotonic()
@@ -163,7 +163,7 @@ def test_criterion_6_extraction_correctness(acrab_run):
 
     def observer(table, hypothesis):
         for tree in table.trees:
-            for ctx, value in zip(table.columns, table.rows[tree]):
+            for ctx, value in zip(table.columns, table.rows[tree.text]):
                 assert hypothesis.eval(compose(ctx, tree)) == value
         seen.append(len(table.basis))
 

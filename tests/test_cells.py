@@ -1,0 +1,221 @@
+"""A table cell answered from its parts, smq(t, c), equals the membership
+query on the composed tree, smq(c∘t), in value and in type: for exact
+grammars and automata by the pulled-back output functional, for corpus
+targets by the key join, and for float targets by the compose path."""
+import random
+from fractions import Fraction
+
+import pytest
+
+from skelgram import learner
+from skelgram.grammar import GrammarError, load_wcfg, wcfg_to_pmta
+from skelgram.learner import learn
+from skelgram.mta import MTA
+from skelgram.table import CapExceeded, ObservationTable
+from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
+                              SimulatedTeacher, duplication_key, swap_key)
+from skelgram.trees import (HOLE, IDENTITY_CONTEXT, Context, Leaf, Node, RankedAlphabet,
+                            compose, parse_context, parse_structured_string)
+
+from conftest import FIXTURES, learn_corpus_entries, random_cmta, random_tree
+
+FIXTURE_NAMES = ("acrab", "chain", "colinearity3", "fimacd", "smalldup", "trivial")
+
+
+def hole_at_each_leaf(tree) -> list:
+    """The roots of every context made by putting the hole at one of
+    tree's leaves."""
+    if isinstance(tree, Leaf):
+        return [HOLE]
+    roots = []
+    for i, child in enumerate(tree.children):
+        for sub in hole_at_each_leaf(child):
+            kids = list(tree.children)
+            kids[i] = sub
+            roots.append(Node(kids))
+    return roots
+
+
+def random_contexts(rng, alphabet, count, max_depth=6) -> list:
+    return [Context(root) for _ in range(count)
+            for root in hole_at_each_leaf(random_tree(rng, alphabet, max_depth))]
+
+
+def assert_cell(teacher, tree, ctx):
+    factored, composed = teacher.smq(tree, ctx), teacher.smq(compose(ctx, tree))
+    assert factored == composed and type(factored) is type(composed), (tree.text, ctx.text)
+
+
+def learned_table(monkeypatch, teacher, alphabet, cap=60) -> ObservationTable:
+    """The table of a learn of at most `cap` steps, also when the cap ends it."""
+    made = []
+
+    def table(*args, **kwargs):
+        made.append(ObservationTable(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(learner, "ObservationTable", table)
+    try:
+        learn(teacher, alphabet, max_iterations=cap)
+    except CapExceeded:
+        pass
+    return made[-1]
+
+
+def check_target(monkeypatch, teacher, alphabet, seed, strategy=None):
+    """Every cell of a learned table, then random contexts around its rows.
+    Exact grammar and automaton targets are learned with the exact SEQ,
+    which learns fimacd, others with the given strategy or all trees."""
+    if strategy is None and teacher._automaton is None:
+        strategy = AllTreesStrategy(alphabet, 4)
+    learner_teacher = SimulatedTeacher(teacher.target, strategy, teacher.epsilon)
+    table = learned_table(monkeypatch, learner_teacher, alphabet)
+    for tree in table._order:
+        for ctx in table.columns:
+            assert_cell(teacher, tree, ctx)
+    rng = random.Random(seed)
+    trees = table._order[:: max(1, len(table._order) // 12)]
+    for ctx in random_contexts(rng, alphabet, 6):
+        for tree in trees:
+            assert_cell(teacher, tree, ctx)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_grammar_cells_match_composed(monkeypatch, name, exact):
+    g = load_wcfg(FIXTURES / f"{name}.wcfg", exact)
+    teacher = SimulatedTeacher(g, epsilon=0 if exact else 1e-6)
+    assert (teacher._automaton is not None) == exact
+    check_target(monkeypatch, teacher, g.alphabet(2), seed=len(name))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_converted_automaton_cells_match_composed(monkeypatch, name, exact):
+    a = wcfg_to_pmta(load_wcfg(FIXTURES / f"{name}.wcfg", exact))
+    teacher = SimulatedTeacher(a, epsilon=0 if exact else 1e-6)
+    assert (teacher._automaton is not None) == exact
+    check_target(monkeypatch, teacher, a.alphabet, seed=len(name) + 7)
+
+
+def test_random_cmta_cells_match_composed(monkeypatch):
+    rng = random.Random(2718)
+    alphabet = RankedAlphabet(["a", "b"], 2)
+    for i in range(30):
+        target = random_cmta(rng, alphabet, rng.randint(0, 3))
+        teacher = SimulatedTeacher(target)
+        assert teacher._automaton is target
+        check_target(monkeypatch, teacher, alphabet, seed=i)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("distance", ["duplication", "swap"])
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_corpus_cells_match_composed(monkeypatch, seed, distance, exact):
+    entries = learn_corpus_entries(seed)
+    corpus = [(t, f if exact else float(f)) for t, f in entries]
+    oracle = CorpusOracle(corpus, Fraction(1, 5) if exact else 0.2, distance)
+    teacher = SimulatedTeacher(oracle, epsilon=0 if exact else 1e-6)
+    strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
+    check_target(monkeypatch, teacher, oracle.alphabet(), seed, strategy)
+
+
+# -- edge cases ----------------------------------------------------------------
+
+AB = RankedAlphabet(["a", "b"], 2)
+
+
+@pytest.mark.parametrize("distance", ["duplication", "swap"])
+def test_corpus_join_merges_a_single_token_with_both_sides(distance):
+    # a's yield ends the left side and starts the right one: a a a is one run
+    corpus = [(parse_structured_string("(a (a a))", AB), Fraction(3)),
+              (parse_structured_string("(a (b a))", AB), Fraction(1))]
+    oracle = CorpusOracle(corpus, Fraction(1, 5), distance)
+    key = duplication_key if distance == "duplication" else swap_key
+    for ctx_text, tok in [("(a (<> a))", "a"), ("(a (<> a))", "b"), ("((a <>) a)", "a"),
+                          ("(<> (a a))", "a"), ("((a a) <>)", "a"), ("(a <>)", "a")]:
+        ctx, tree = parse_context(ctx_text, AB), Leaf(tok)
+        whole = compose(ctx, tree)
+        assert oracle._join(oracle._parts(ctx), key(tree)) == key(whole), ctx_text
+        value = oracle.smq(tree, ctx)
+        assert value == oracle.smq(whole) and type(value) is type(oracle.smq(whole))
+    assert oracle.smq(Leaf("a"), parse_context("(a (<> a))", AB)) == Fraction(3, 4)
+
+
+def test_corpus_join_keeps_runs_apart_at_the_boundaries():
+    oracle = CorpusOracle([(parse_structured_string("(a (b (b a)))", AB), Fraction(1))],
+                          Fraction(1, 5), "duplication")
+    ctx = parse_context("(a (<> a))", AB)
+    for text in ["b", "(b b)", "(a b)", "(b a)", "((a b) (b a))"]:
+        tree = parse_structured_string(text, AB)
+        assert oracle._join(oracle._parts(ctx), duplication_key(tree)) \
+            == duplication_key(compose(ctx, tree)), text
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_unknown_terminal_raises_the_same_grammar_error(exact):
+    g = load_wcfg(FIXTURES / "acrab.wcfg", exact)
+    alphabet = RankedAlphabet(list(g.terminals) + ["zz"], 2)
+    teacher = SimulatedTeacher(g)
+    known = Leaf(g.terminals[0])
+    for tree, ctx in [(known, parse_context("(zz <>)", alphabet)),
+                      (known, parse_context("((zz zz) (<> zz))", alphabet)),
+                      (Leaf("zz"), parse_context(f"({g.terminals[0]} <>)", alphabet))]:
+        with pytest.raises(GrammarError, match="unknown terminal 'zz'"):
+            teacher.smq(tree, ctx)
+        with pytest.raises(GrammarError, match="unknown terminal 'zz'"):
+            teacher.smq(compose(ctx, tree))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_over_rank_node_weighs_zero(exact):
+    g = load_wcfg(FIXTURES / "acrab.wcfg", exact)
+    alphabet = g.alphabet(3)
+    x, y = g.terminals[:2]
+    teacher = SimulatedTeacher(g)
+    zero = Fraction(0) if exact else 0.0
+    cases = [(Leaf(x), parse_context(f"({x} {y} <>)", alphabet)),
+             (Leaf(x), parse_context(f"(({x} {y} {x}) <>)", alphabet)),
+             (parse_structured_string(f"({x} {y} {x})", alphabet),
+              parse_context(f"({y} <>)", alphabet))]
+    for tree, ctx in cases:
+        assert_cell(teacher, tree, ctx)
+        value = teacher.smq(tree, ctx)
+        assert value == zero and type(value) is type(zero)
+
+
+def test_automaton_over_rank_or_unknown_leaf_fails_as_eval_does():
+    a = wcfg_to_pmta(load_wcfg(FIXTURES / "smalldup.wcfg"))
+    teacher = SimulatedTeacher(a)
+    wide = RankedAlphabet(["a", "zz"], 3)
+    for tree, ctx in [(Leaf("a"), parse_context("(a a <>)", wide)),
+                      (Leaf("a"), parse_context("(zz <>)", wide)),
+                      (Leaf("zz"), parse_context("(a <>)", wide))]:
+        with pytest.raises(ValueError) as factored:
+            teacher.smq(tree, ctx)
+        with pytest.raises(ValueError) as composed:
+            a.eval(compose(ctx, tree))
+        assert str(factored.value) == str(composed.value)
+
+
+def test_identity_context_is_the_plain_query():
+    g = load_wcfg(FIXTURES / "acrab.wcfg")
+    rng = random.Random(5)
+    alphabet = g.alphabet(2)
+    for target in [g, wcfg_to_pmta(g), random_cmta(rng, alphabet, 3)]:
+        teacher = SimulatedTeacher(target)
+        for _ in range(40):
+            tree = random_tree(rng, alphabet, 4)
+            got, plain = teacher.smq(tree, IDENTITY_CONTEXT), teacher.smq(tree)
+            assert got == plain and type(got) is type(plain)
+
+
+def test_zero_cells_keep_the_evaluators_zero_types():
+    g = load_wcfg(FIXTURES / "acrab.wcfg")
+    alphabet = g.alphabet(2)
+    x = g.terminals[0]
+    ctx = parse_context(f"({x} ({x} <>))", alphabet)
+    for target, zero in [(g, Fraction(0)), (wcfg_to_pmta(g), 0),
+                         (MTA.zero(alphabet), Fraction(0))]:
+        value = SimulatedTeacher(target).smq(Leaf(x), ctx)
+        assert value == 0 and type(value) is type(zero)

@@ -6,7 +6,8 @@ from skelgram.extract import extract_cmta
 from skelgram.grammar import load_wcfg
 from skelgram.table import ObservationTable, TableError
 from skelgram.teacher import SimulatedTeacher
-from skelgram.trees import Leaf, Node, RankedAlphabet, compose, parse_structured_string
+from skelgram.trees import (IDENTITY_CONTEXT, Leaf, Node, RankedAlphabet, compose,
+                            parse_structured_string)
 
 from conftest import FIXTURES
 
@@ -49,7 +50,7 @@ def test_trivial_pipeline():
 
 def test_zero_series_gives_dimension_zero():
     class ZeroOracle:
-        def smq(self, tree):
+        def smq(self, tree, context=IDENTITY_CONTEXT):
             return Fraction(0)
 
     alphabet = RankedAlphabet(["a"], 2)
@@ -76,7 +77,7 @@ def test_table_agreement():
     table = completed_table(g, ["(AcrR ((AcrA AcrB) TolC))"])
     a = extract_cmta(table)
     for tree in table.trees:
-        row = table.rows[tree]
+        row = table.rows[tree.text]
         for ctx, value in zip(table.columns, row):
             assert a.eval(compose(ctx, tree)) == value, (tree.text, ctx.text)
 

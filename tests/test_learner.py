@@ -9,7 +9,7 @@ from skelgram.learner import default_iteration_cap, learn
 from skelgram.table import CapExceeded
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
                               ExhaustiveStrategy, SimulatedTeacher)
-from skelgram.trees import Leaf, parse_structured_string
+from skelgram.trees import IDENTITY_CONTEXT, Leaf, compose, parse_structured_string
 
 from conftest import FIXTURES, learn_corpus_entries, random_tree
 
@@ -155,15 +155,15 @@ def test_default_cap_formula():
 
 class RecordingOracle:
     """Passes both queries on to a teacher and records every SMQ it is
-    asked, as (tree, answer)."""
+    asked, as (composed tree, answer)."""
 
     def __init__(self, teacher):
         self.teacher = teacher
         self.asked = []
 
-    def smq(self, tree):
-        value = self.teacher.smq(tree)
-        self.asked.append((tree, value))
+    def smq(self, tree, context=IDENTITY_CONTEXT):
+        value = self.teacher.smq(tree, context)
+        self.asked.append((compose(context, tree), value))
         return value
 
     def seq(self, hypothesis):

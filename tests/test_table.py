@@ -103,9 +103,9 @@ def test_colinear_consistency_violation_detected():
     # adding the context must break the witnessed co-linearity
     t1 = parse_structured_string("(a a)", alphabet)
     t2 = parse_structured_string("(a (a a))", alphabet)
-    before = colinear_witness(table.rows[t1], table.rows[t2])
+    before = colinear_witness(table.rows[t1.text], table.rows[t2.text])
     table._add_column(violation)
-    after = colinear_witness(table.rows[t1], table.rows[t2])
+    after = colinear_witness(table.rows[t1.text], table.rows[t2.text])
     assert before is not None and after is None
 
 
@@ -126,7 +126,7 @@ def test_basis_rows_pairwise_independent():
     complete_with_leaves(table, alphabet, [best])
     for i, b1 in enumerate(table.basis):
         for b2 in table.basis[i + 1:]:
-            assert colinear_witness(table.rows[b1], table.rows[b2]) is None
+            assert colinear_witness(table.rows[b1.text], table.rows[b2.text]) is None
 
 
 def test_coefficient_product_property():
@@ -144,8 +144,8 @@ def test_coefficient_product_property():
                 continue
             node = Node((t1, t2))
             repr_node = Node((table.basis[c1.index], table.basis[c2.index]))
-            lhs = table.rows[node]
-            rhs = table.rows[repr_node]
+            lhs = table.rows[node.text]
+            rhs = table.rows[repr_node.text]
             coeff = c1.coeff * c2.coeff
             assert lhs == [coeff * x for x in rhs]
             checked += 1
@@ -193,10 +193,10 @@ def test_independence_monotone_under_column_addition():
     for prefix_len in range(1, ncols):
         for i, b1 in enumerate(table.basis):
             for b2 in table.basis[i + 1:]:
-                r1 = table.rows[b1][:prefix_len]
-                r2 = table.rows[b2][:prefix_len]
+                r1 = table.rows[b1.text][:prefix_len]
+                r2 = table.rows[b2.text][:prefix_len]
                 if colinear_witness(r1, r2) is None:
-                    assert colinear_witness(table.rows[b1], table.rows[b2]) is None
+                    assert colinear_witness(table.rows[b1.text], table.rows[b2.text]) is None
 
 
 def test_classify_independent_row():
@@ -236,8 +236,8 @@ def test_smq_memoization_counts_distinct_queries():
     assert table.smq_count == len(table._smq_cache)
     assert all(type(key) is str for key in table._smq_cache)
     # every row cell corresponds to a cached composed tree, by its text
-    for tree, row in table.rows.items():
-        for ctx, value in zip(table.columns, row):
+    for tree in table._order:
+        for ctx, value in zip(table.columns, table.rows[tree.text]):
             assert table._smq_cache[compose(ctx, tree).text] == value
 
 
@@ -257,7 +257,7 @@ def test_rows_are_leaves_and_one_level_extensions():
     expected = {Leaf(tok) for tok in alphabet.leaf_symbols}
     for k in range(1, alphabet.max_rank + 1):
         expected.update(Node(combo) for combo in itertools.product(table.trees, repeat=k))
-    assert set(table.rows) == expected
+    assert set(table.rows) == {t.text for t in expected}
 
 
 class _Values:
@@ -266,8 +266,8 @@ class _Values:
     def __init__(self, values):
         self.values = values
 
-    def smq(self, tree):
-        return self.values.get(tree.text, 0.0)
+    def smq(self, tree, context=IDENTITY_CONTEXT):
+        return self.values.get(compose(context, tree).text, 0.0)
 
 
 def test_float_row_matching_two_basis_rows_raises_table_error():
@@ -279,7 +279,7 @@ def test_float_row_matching_two_basis_rows_raises_table_error():
     table = ObservationTable(alphabet, oracle)
     table._add_column(parse_context("(<>)", alphabet))
     assert table.columns == [IDENTITY_CONTEXT, parse_context("(<>)", alphabet)]
-    assert [table.rows[Leaf(t)] for t in "abc"] == [[1.0, 0.0], [1.0, 1.5e-9],
+    assert [table.rows[t] for t in "abc"] == [[1.0, 0.0], [1.0, 1.5e-9],
                                                    [1.0, 0.75e-9]]
     with pytest.raises(TableError, match="several basis rows"):
         table.close()
@@ -298,7 +298,7 @@ def pairwise_colinear_violation(table):
     for i in sorted(groups):
         for (t1, a1), (t2, a2) in itertools.combinations(groups[i], 2):
             for ctx in one_level:
-                r1, r2 = table.rows[compose(ctx, t1)], table.rows[compose(ctx, t2)]
+                r1, r2 = table.rows[compose(ctx, t1).text], table.rows[compose(ctx, t2).text]
                 for ci in range(len(table.columns)):
                     if not scalar_eq(r1[ci], a1 / a2 * r2[ci]):
                         return compose_contexts(table.columns[ci], ctx)
@@ -383,7 +383,7 @@ def memberwise_colinear_violation(table):
         b = table.basis[i]
         for t, alpha in groups[i]:
             for ctx in one_level:
-                row, basis_row = table.rows[compose(ctx, t)], table.rows[compose(ctx, b)]
+                row, basis_row = table.rows[compose(ctx, t).text], table.rows[compose(ctx, b).text]
                 for ci, value in enumerate(row):
                     if not scalar_eq(value, alpha * basis_row[ci]):
                         return compose_contexts(table.columns[ci], ctx)
@@ -478,7 +478,8 @@ def test_colinear_check_does_not_trust_classifications_alone(case):
     values, expected = SHORTCUT_TRAPS[case]
     tokens = sorted({text.strip("()") for text in values})
     alphabet = RankedAlphabet(tokens, 1)
-    table = ObservationTable(alphabet, SimpleNamespace(smq=lambda t: values[t.text]))
+    table = ObservationTable(alphabet, SimpleNamespace(
+        smq=lambda t, c=IDENTITY_CONTEXT: values[compose(c, t).text]))
     table._add_column(parse_context("(<>)", alphabet))
     table.close()
     table.add_subtree_closed(Leaf("c"))
@@ -500,10 +501,11 @@ def classes_checked_on_every_column(monkeypatch):
 
     def checked(table, ctx):
         add_column(table, ctx)
-        for tree, cls in table._classes.items():
-            fresh = table._classify_fresh(tree)
-            assert cls == fresh and type(cls.coeff) is type(fresh.coeff), tree.text
-        assert table._order == sorted(table.rows, key=canonical_key)
+        for text, cls in table._classes.items():
+            fresh = table._classify_fresh(text)
+            assert cls == fresh and type(cls.coeff) is type(fresh.coeff), text
+        assert table._order == sorted(table._order, key=canonical_key)
+        assert sorted(t.text for t in table._order) == sorted(table.rows)
         zeros = sum(cls.is_zero for cls in table._classes.values())
         kept.append((zeros, len(table._classes) - zeros))
 
@@ -548,7 +550,8 @@ def _closed_unary_table(values):
     tree text (other trees weigh 0), before the column (<>) is added."""
     tokens = sorted({text.strip("()") for text in values})
     alphabet = RankedAlphabet(tokens, 1)
-    table = ObservationTable(alphabet, SimpleNamespace(smq=lambda t: values.get(t.text, 0)))
+    table = ObservationTable(alphabet, SimpleNamespace(
+        smq=lambda t, c=IDENTITY_CONTEXT: values.get(compose(c, t).text, 0)))
     table.close()
     return table, parse_context("(<>)", alphabet)
 
@@ -557,7 +560,7 @@ def test_zero_class_dropped_when_new_cell_is_not_zero():
     table, column = _closed_unary_table({"a": 1, "b": 0, "(b)": 2, "z": 0})
     assert table.classify(Leaf("b")).is_zero and table.classify(Leaf("z")).is_zero
     table._add_column(column)
-    assert Leaf("b") not in table._classes and Leaf("z") in table._classes
+    assert "b" not in table._classes and "z" in table._classes
     assert table.classify(Leaf("b")).is_independent
     table.close()
     assert table.basis == [Leaf("a"), Leaf("b")]
@@ -571,8 +574,8 @@ def test_basis_class_dropped_when_new_cell_breaks_the_ratio():
     kept = table.classify(Leaf("d"))
     assert table.classify(Leaf("c")) == ColinearClass("basis", 0, 2)
     table._add_column(column)
-    assert table._classes[Leaf("d")] is kept  # 9 == 3·3: the ratio holds
-    assert Leaf("c") not in table._classes    # 5 != 2·3
+    assert table._classes["d"] is kept  # 9 == 3·3: the ratio holds
+    assert "c" not in table._classes    # 5 != 2·3
     assert table.classify(Leaf("c")).is_independent
     table.close()
     assert table.basis == [Leaf("a"), Leaf("c")]
@@ -584,6 +587,6 @@ def test_float_basis_class_is_recomputed():
     table, column = _closed_unary_table(values)
     assert table.classify(Leaf("c")) == ColinearClass("basis", 0, 2.0)
     table._add_column(column)
-    assert Leaf("c") not in table._classes and Leaf("a") not in table._classes
+    assert "c" not in table._classes and "a" not in table._classes
     cls = table.classify(Leaf("c"))
     assert cls == ColinearClass("basis", 0, 2.0) and type(cls.coeff) is float
