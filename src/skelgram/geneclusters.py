@@ -135,18 +135,21 @@ def swap_distance(t: SkeletalTree, s: SkeletalTree):
     return _swap(t, s)
 
 
-def _swap(t, s):
-    # Each pair of positions is reached once, from its parents' pair, so no
-    # memo is needed.  A swap keeps subtree sizes and arities, so unequal
-    # ones are inf.
+def _swap(t, s, memo=None):
+    # Within one walk each pair of positions is reached once, from its
+    # parents' pair; a memo (a dict the caller keeps) carries node pairs'
+    # distances, by their texts, across walks.  A swap keeps subtree sizes
+    # and arities, so unequal ones are inf.
     done = []
-    stack = [(t, s)]  # (None, None) combines the last four distances done
+    stack = [(t, s)]  # (None, (t, s)) combines the last four distances done
     while stack:
         t, s = stack.pop()
         if t is None:
             t2s1, t1s2, t2s2, t1s1 = done[-4:]
             del done[-4:]
             done.append(min(t1s1 + t2s2, t1s2 + t2s1 + 1))
+            if memo is not None:
+                memo[s[0].text, s[1].text] = done[-1]
         elif t.size != s.size:
             done.append(INF)
         elif isinstance(t, Leaf):
@@ -154,8 +157,12 @@ def _swap(t, s):
         elif len(t.children) != len(s.children):
             done.append(INF)
         else:
-            (t1, t2), (s1, s2) = t.children, s.children
-            stack += [(None, None), (t1, s1), (t2, s2), (t1, s2), (t2, s1)]
+            d = None if memo is None else memo.get((t.text, s.text))
+            if d is None:
+                (t1, t2), (s1, s2) = t.children, s.children
+                stack += [(None, (t, s)), (t1, s1), (t2, s2), (t1, s2), (t2, s1)]
+            else:
+                done.append(d)
     return done[0]
 
 
@@ -179,19 +186,47 @@ def duplication_distance(t: SkeletalTree, s: SkeletalTree):
     return _dup(t, s)
 
 
-def _dup(t, s):
-    total = 0
-    pairs = [(t, s)]
-    while pairs:
-        t, s = pairs.pop()
-        chain_t = right_chain_shape(t)
-        chain_s = chain_t and right_chain_shape(s)
-        if chain_s and chain_t[0] == chain_s[0]:
-            total += abs(chain_t[1] - chain_s[1])
-        elif (isinstance(t, Leaf) or isinstance(s, Leaf)
-              or len(t.children) != len(s.children)):
+def _dup(t, s, memo=None):
+    # The distance is a sum over the pairs reached from (t, s), so the
+    # first inf ends the walk.  A memo (a dict the caller keeps) holds, by
+    # the pair's texts, the distance of (t, s) and of each node pair whose
+    # children's are summed, and inf for every pair still summing when an
+    # inf is met; later walks read them back.
+    done = []
+    stack = [(t, s)]  # (None, (t, s, k)) sums the last k distances done
+    if memo is not None:
+        d = memo.get((t.text, s.text))
+        if d is not None:
+            return d
+        stack.insert(0, (None, (t, s, 1)))
+    while stack:
+        t, s = stack.pop()
+        if t is None:
+            t, s, k = s
+            d = memo[t.text, s.text] = sum(done[-k:])
+            del done[-k:]
+            done.append(d)
+            continue
+        d = None if memo is None else memo.get((t.text, s.text))
+        if d is None:
+            chain_t = right_chain_shape(t)
+            chain_s = chain_t and right_chain_shape(s)
+            if chain_s and chain_t[0] == chain_s[0]:
+                d = abs(chain_t[1] - chain_s[1])
+            elif (isinstance(t, Leaf) or isinstance(s, Leaf)
+                  or len(t.children) != len(s.children)):
+                d = INF
+            else:
+                # the distance is the sum over child pairs
+                if memo is not None:
+                    stack.append((None, (t, s, len(t.children))))
+                stack.extend(zip(t.children, s.children))
+                continue
+        if d == INF:
+            if memo is not None:
+                for t, s in stack:
+                    if t is None:
+                        memo[s[0].text, s[1].text] = INF
             return INF
-        else:
-            # the distance is the sum over child pairs
-            pairs.extend(zip(t.children, s.children))
-    return total
+        done.append(d)
+    return sum(done)

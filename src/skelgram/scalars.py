@@ -15,7 +15,9 @@ DEFAULT_TOL = 1e-9
 
 
 def is_exact(x: Scalar) -> bool:
-    return isinstance(x, (Fraction, int))
+    # int first: Fraction's isinstance check runs ABCMeta.__instancecheck__,
+    # and exact zeros are often int 0
+    return isinstance(x, (int, Fraction))
 
 
 def scalar_eq(a: Scalar, b: Scalar) -> bool:

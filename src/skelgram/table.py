@@ -83,6 +83,10 @@ class ObservationTable:
         self._classes: dict[str, ColinearClass] = {}  # zero or basis, by text
         self._basis_by_mask: dict[tuple, list[int]] = {}
         self._order: list[SkeletalTree] = []  # the rows' trees, canonical order
+        # the one-level contexts over T, canonical order, and the T members
+        # added since they were last extended
+        self._one_level: list[Context] = sigma_contexts((), alphabet)
+        self._unspread: list[SkeletalTree] = []
         for tok in alphabet.leaf_symbols:
             self._fill_row(Leaf(tok))
 
@@ -114,6 +118,7 @@ class ObservationTable:
         old = self.trees[:]
         self._tree_set.add(tree)
         bisect.insort(self.trees, tree, key=canonical_key)
+        self._unspread.append(tree)
         self._completed = False
         # each product containing tree once, by the first slot tree fills
         for k in range(1, self.alphabet.max_rank + 1):
@@ -249,11 +254,14 @@ class ObservationTable:
             cls = self.classify(t)
             if cls.kind == "basis" and t != self.basis[cls.index]:
                 groups.setdefault(cls.index, []).append((t, cls.coeff))
-        one_level = sigma_contexts(self.trees, self.alphabet)
+        if self._unspread:
+            fresh = sigma_contexts(self.trees, self.alphabet, self._unspread)
+            self._one_level = sorted(self._one_level + fresh, key=canonical_key)
+            self._unspread = []
         for i in sorted(groups):
             b = self.basis[i].text
             for t, alpha in groups[i]:
-                for ctx in one_level:
+                for ctx in self._one_level:
                     ct = ctx.prefix + t.text + ctx.suffix  # the rows of c∘t, c∘b
                     cb = ctx.prefix + b + ctx.suffix
                     if self._colinear_by_class(ct, cb, alpha):

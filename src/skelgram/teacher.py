@@ -4,7 +4,8 @@ queries, plus the corpus-backed membership oracle with edit-distance decay.
 An equivalence query scans a strategy's candidate trees, listed lazily once
 per teacher, then a corpus target's own trees, and returns the first one (in
 that order) whose hypothesis value strays from the true series by more than
-the teacher's margin.  When the target and the hypothesis are exact
+the teacher's margin.  Each scanned tree's true value is weighed once per
+teacher and kept.  When the target and the hypothesis are exact
 automata over one alphabet and the margin is 0, an exact equivalence check
 runs first: if it finds no difference, no candidate can differ, and the
 scan is skipped.  A teacher without a strategy answers with that check's
@@ -18,10 +19,11 @@ import sys
 from fractions import Fraction
 
 from .equivalence import difference_witness
-from .geneclusters import INF, _dup, _swap, is_binary, parse_gene_string, right_chain
+from .geneclusters import (INF, _dup, _swap, is_binary, parse_gene_string, right_chain,
+                           right_chain_shape)
 from .grammar import WCFG, GrammarError
 from .mta import MTA, EvaluationError
-from .scalars import parse_scalar
+from .scalars import is_exact, parse_scalar
 from .trees import (HOLE_TOKEN, IDENTITY_CONTEXT, Context, Leaf, Node, RankedAlphabet,
                     SkeletalTree, canonical_key, compose, full_trees,
                     parse_structured_string, tree_yield)
@@ -31,11 +33,14 @@ class SimulatedTeacher:
     """Answers smq from a grammar, automaton, or corpus oracle target, and
     seq by scanning a candidate strategy with comparison margin epsilon, or,
     with no strategy, exactly (exact grammar or automaton targets only).
-    Both weigh trees with the target's evaluator, picked once here; it keeps
-    no memo, since grammars and automata memoize every subtree's vector.
-    smq(t, c) weighs c∘t from its parts: an exact grammar or automaton by
-    c's pulled-back output functional dotted with t's vector, a corpus by a
-    key join (CorpusOracle); float targets, or a failing evaluation, by c∘t."""
+    Both weigh trees with the target's evaluator, picked once here.  smq
+    keeps no memo, since grammars and automata memoize every subtree's
+    vector and the corpus oracle its distances; seq keeps the target weight
+    of each tree it has scanned, beside the listed candidates.  smq(t, c)
+    weighs c∘t from its parts: an exact grammar or automaton by c's
+    pulled-back output functional dotted with t's vector, a corpus by a key
+    join and spine walks (CorpusOracle); float targets, or a failing
+    evaluation, by c∘t."""
 
     def __init__(self, target, strategy=None, epsilon=0):
         self.target = target
@@ -54,6 +59,7 @@ class SimulatedTeacher:
         else:
             self._evaluate = target.smq
         self._listed: list = []  # the candidates drawn so far, in order
+        self._weights: list = []  # the target weights of seq_trees(), as far as scanned
         self._pending = None  # the strategy's candidate iterator
 
     def smq(self, tree: SkeletalTree, context: Context = IDENTITY_CONTEXT):
@@ -140,10 +146,13 @@ class SimulatedTeacher:
             return None if tree is None else (tree, self._evaluate(tree))
         if exact is not None and difference_witness(hypothesis, exact) is None:
             return None  # no candidate can differ
-        for tree in self.seq_trees():
-            truth = self._evaluate(tree)
-            got = hypothesis.eval(tree)
-            if abs(got - truth) > self.epsilon:
+        weights = self._weights
+        for i, tree in enumerate(self.seq_trees()):
+            if i == len(weights):
+                weights.append(self._evaluate(tree))
+            truth, got = weights[i], hypothesis.eval(tree)
+            if (got != truth if self.epsilon == 0 and is_exact(got) and is_exact(truth)
+                    else abs(got - truth) > self.epsilon):
                 return tree, truth
         return None
 
@@ -299,16 +308,107 @@ def _swap_join(parts: tuple, key: tuple) -> tuple:
     return parts[0] + key[0], tuple(sorted(parts[1] + key[1]))
 
 
+def _dup_spine(c: Context, entry: SkeletalTree, memo: dict) -> tuple:
+    """(chain, bottom): c's spine walked top-down against entry, as _dup
+    walks c∘t.  bottom is (the sibling distances summed, the entry position
+    at the hole), or None when the walk meets inf.  chain is None, or
+    (token, leaf_only, the distances summed above it, k) for the highest
+    spine node that is a chain of token exactly when t is (a token leaf, if
+    leaf_only) and whose entry position is a chain of token: there a t of m
+    leaves is |m - k| from the entry."""
+    levels = c.levels
+    # The lowest `spans` spine nodes are such chains, `first` leaves longer
+    # than t at the lowest and one more at each above: (a <>) takes a chain
+    # of a's, (<> a chain of n a's) the leaf a.
+    left, right = levels[0][:2]
+    spans = 0
+    if len(left) + len(right) == 1:
+        shape = right_chain_shape(right[0]) if right else None
+        if shape:
+            token, leaf_only, first, spans = shape[0], True, shape[1], 1
+        elif left and isinstance(left[0], Leaf):
+            token, leaf_only, first, spans = left[0].token, False, 1, 1
+    while spans and spans < len(levels):
+        left, right = levels[spans][:2]
+        if right or len(left) != 1 or left[0].text != token:  # not (token <>)
+            break
+        spans += 1
+    chain, acc, p = None, 0, entry
+    for i in range(len(levels) - 1, -1, -1):
+        left, right = levels[i][:2]
+        if chain is None and i < spans:
+            shape = right_chain_shape(p)
+            if shape and shape[0] == token:
+                chain = token, leaf_only, acc, shape[1] - first - i
+        if isinstance(p, Leaf) or len(p.children) != len(left) + 1 + len(right):
+            return chain, None
+        h = len(left)
+        for sib, q in zip(left + right, p.children[:h] + p.children[h + 1:]):
+            acc += _dup(sib, q, memo)
+        if acc == INF:
+            return chain, None
+        p = p.children[h]
+    return chain, (acc, p)
+
+
+def _dup_cell(tree: SkeletalTree, walk: tuple, memo: dict):
+    """_dup(c∘tree, entry) from the walk _dup_spine kept for c and entry."""
+    chain, bottom = walk
+    if chain is not None:
+        token, leaf_only, acc, k = chain
+        shape = right_chain_shape(tree)
+        if shape and shape[0] == token and (shape[1] == 1 or not leaf_only):
+            return acc + abs(shape[1] - k)
+    return INF if bottom is None else bottom[0] + _dup(tree, bottom[1], memo)
+
+
+def _swap_spine(c: Context, entry: SkeletalTree, memo: dict) -> list:
+    """Every alignment of c's spine, walked top-down against entry as _swap
+    walks c∘t, as (swaps and sibling distances summed, the entry position
+    at the hole); the ones that meet inf are dropped.  entry has c∘t's size
+    (its bucket's key holds it) and each kept alignment matched a sibling's
+    size, so every position aligned with a spine node is a node too."""
+    aligned = [(0, entry)]
+    for left, right, *_ in reversed(c.levels):
+        if len(left) + len(right) != 1:
+            return []  # a binary entry node is inf from any other arity
+        sib, h = (left or right)[0], len(left)
+        below = []
+        for cost, p in aligned:
+            under, beside = p.children[h], p.children[1 - h]
+            d = _swap(sib, beside, memo)
+            if d != INF:
+                below.append((cost + d, under))
+            d = _swap(sib, under, memo)
+            if d != INF:
+                below.append((cost + d + 1, beside))
+        aligned = below
+    return aligned
+
+
+def _swap_cell(tree: SkeletalTree, walk: list, memo: dict):
+    """_swap(c∘tree, entry) from the alignments _swap_spine kept."""
+    return min([cost + _swap(tree, p, memo) for cost, p in walk], default=INF)
+
+
 class CorpusOracle:
     """smq by decayed edit distance to a weighted tree corpus:
     sum over corpus entries of freq * q^distance(t, entry), q^inf = 0.
 
     Entries are bucketed by a key that any two trees at finite distance
-    share (`duplication_key`, `swap_key`), so a query costs one key plus a
-    distance walk per entry in its own bucket; every other entry is at
-    distance inf and adds nothing.  Buckets keep corpus order, so float
-    sums add in the same order as over the whole corpus.  smq(t, c) joins
-    t's and c's keys, kept by text, and builds c∘t only on a bucket hit."""
+    share (`duplication_key`, `swap_key`), so a query walks only the entries
+    in its own bucket; every other entry is at distance inf and adds
+    nothing.  Buckets keep corpus order, so float sums add in the same
+    order as over the whole corpus.  Subtree distances are memoized by the
+    subtree's text and the entry position's text.
+
+    smq(t, c) builds no c∘t.  It joins t's and c's keys, kept by text, and
+    answers from one walk of c's spine against each entry in the joined
+    bucket, kept per column and entry: for duplication, the summed sibling
+    distances down to the entry position at the hole, and the spine level
+    whose chain, if t makes one, meets a chain of the entry's; for swap,
+    every alignment of the hole with an entry position, as (cost, position).
+    The cell's distance then needs only the memoized d(t, position)."""
 
     def __init__(self, corpus, decay, distance: str = "duplication"):
         if distance not in ("swap", "duplication"):
@@ -329,30 +429,39 @@ class CorpusOracle:
         self.distance = distance
         # corpus trees are checked above; a non-binary query is infinitely
         # distant from each (both distances are inf on unequal arities)
-        self._dist, self._key, self._join = ((_swap, swap_key, _swap_join)
-                                             if distance == "swap" else
-                                             (_dup, duplication_key, _duplication_join))
+        self._dist, self._key, self._join, self._spine, self._cell = (
+            (_swap, swap_key, _swap_join, _swap_spine, _swap_cell) if distance == "swap" else
+            (_dup, duplication_key, _duplication_join, _dup_spine, _dup_cell))
         self._buckets: dict[tuple, list] = {}
         for entry, freq in self.corpus:
             self._buckets.setdefault(self._key(entry), []).append((entry, freq))
-        self._keys: dict[str, tuple] = {}  # by text: trees' keys, contexts' parts
+        self._keys: dict[str, tuple] = {}  # trees' keys, by text
+        # contexts' parts and, by joined key, the walks per bucket entry, by text
+        self._columns: dict[str, tuple] = {}
+        self._memo: dict[tuple, object] = {}  # subtree distances, by both texts
 
     def smq(self, tree: SkeletalTree, context: Context = IDENTITY_CONTEXT):
-        if not context.levels:  # a plain query, as for a held-out tree: kept nowhere
-            key = self._key(tree)
+        key = self._keys.get(tree.text)
+        if key is None:
+            key = self._keys[tree.text] = self._key(tree)
+        if not context.levels:  # a plain query, as for a held-out tree
+            measure, pairs = self._dist, self._buckets.get(key, ())
         else:
-            key, parts = self._keys.get(tree.text), self._keys.get(context.text)
-            if key is None:
-                key = self._keys[tree.text] = self._key(tree)
-            if parts is None:
-                parts = self._keys[context.text] = self._parts(context)
-            key = self._join(parts, key)
-        bucket = self._buckets.get(key, ())
-        if bucket:
-            tree = compose(context, tree)
+            column = self._columns.get(context.text)
+            if column is None:
+                column = self._columns[context.text] = (self._parts(context), {})
+            key = self._join(column[0], key)
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                return 0
+            pairs = column[1].get(key)
+            if pairs is None:
+                pairs = column[1][key] = [(self._spine(context, entry, self._memo), freq)
+                                          for entry, freq in bucket]
+            measure = self._cell
         total = 0
-        for entry, freq in bucket:
-            d = self._dist(tree, entry)
+        for entry, freq in pairs:  # an entry, or the walk kept for it
+            d = measure(tree, entry, self._memo)
             if d != INF:
                 total = total + freq * self.decay ** int(d)
         return total

@@ -282,16 +282,19 @@ def subtrees(t: SkeletalTree) -> list:
     return sorted(seen.values(), key=canonical_key)
 
 
-def sigma_contexts(trees, alphabet: RankedAlphabet) -> list:
-    """All one-level contexts whose non-hole children are drawn from `trees`."""
+def sigma_contexts(trees, alphabet: RankedAlphabet, new=None) -> list:
+    """All one-level contexts whose non-hole children are drawn from `trees`;
+    given `new`, some of those trees, only the contexts holding one of them."""
     base = sorted(set(trees), key=canonical_key)
+    new = None if new is None else {t.text for t in new}
     out = set()
     for k in range(1, alphabet.max_rank + 1):
         for hole_at in range(k):
             slots = [base] * k
             slots[hole_at] = [HOLE]
             for combo in itertools.product(*slots):
-                out.add(Context(Node(combo)))
+                if new is None or any(c.text in new for c in combo):
+                    out.add(Context(Node(combo)))
     return sorted(out, key=canonical_key)
 
 

@@ -1,13 +1,17 @@
 """A table cell answered from its parts, smq(t, c), equals the membership
 query on the composed tree, smq(c∘t), in value and in type: for exact
 grammars and automata by the pulled-back output functional, for corpus
-targets by the key join, and for float targets by the compose path."""
+targets by the key join and the spine walks, and for float targets by the
+compose path.  Corpus cells are also checked against a reference that
+shares no memo with the oracle: geneclusters' distances on c∘t."""
 import random
 from fractions import Fraction
 
 import pytest
 
-from skelgram import learner
+from skelgram import learner, teacher as teacher_module
+from skelgram.geneclusters import (INF, duplication_distance, is_binary, right_chain,
+                                   right_chain_shape, swap_distance)
 from skelgram.grammar import GrammarError, load_wcfg, wcfg_to_pmta
 from skelgram.learner import learn
 from skelgram.mta import MTA
@@ -15,7 +19,7 @@ from skelgram.table import CapExceeded, ObservationTable
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
                               SimulatedTeacher, duplication_key, swap_key)
 from skelgram.trees import (HOLE, IDENTITY_CONTEXT, Context, Leaf, Node, RankedAlphabet,
-                            compose, parse_context, parse_structured_string)
+                            compose, parse_context, parse_structured_string, subtrees)
 
 from conftest import FIXTURES, learn_corpus_entries, random_cmta, random_tree
 
@@ -118,6 +122,188 @@ def test_corpus_cells_match_composed(monkeypatch, seed, distance, exact):
     teacher = SimulatedTeacher(oracle, epsilon=0 if exact else 1e-6)
     strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
     check_target(monkeypatch, teacher, oracle.alphabet(), seed, strategy)
+
+
+# -- corpus cells against geneclusters' distances ------------------------------
+
+
+def corpus_reference(corpus, decay, distance, tree):
+    """Sum of freq * decay^d(tree, entry) over the whole corpus in corpus
+    order, d by geneclusters' public distance (inf on a non-binary tree)."""
+    dist = duplication_distance if distance == "duplication" else swap_distance
+    total = sum(freq for _, freq in corpus)
+    out = 0
+    for entry, freq in corpus:
+        d = dist(tree, entry) if is_binary(tree) else INF
+        if d != INF:
+            out = out + freq / total * decay ** int(d)
+    return out
+
+
+class CorpusCase:
+    """A corpus oracle over one distance and scalar type, checked cell by
+    cell against corpus_reference on the composed tree."""
+
+    def __init__(self, entries, distance, exact):
+        self.corpus = [(t, f if exact else float(f)) for t, f in entries]
+        self.decay = Fraction(1, 5) if exact else 0.2
+        self.distance = distance
+        self.oracle = CorpusOracle(self.corpus, self.decay, distance)
+        self.finite = 0  # cells with an entry at finite distance
+
+    def check(self, tree, ctx=IDENTITY_CONTEXT):
+        got = self.oracle.smq(tree, ctx)
+        want = corpus_reference(self.corpus, self.decay, self.distance, compose(ctx, tree))
+        assert got == want and type(got) is type(want), (ctx.text, tree.text)
+        self.finite += want != 0
+
+
+def hole_at_each_node(tree) -> list:
+    """(context root, the subtree its hole replaced) for every non-root
+    node of tree."""
+    out = []
+    if isinstance(tree, Node):
+        for i, child in enumerate(tree.children):
+            for root, sub in [(HOLE, child)] + hole_at_each_node(child):
+                kids = list(tree.children)
+                kids[i] = root
+                out.append((Node(kids), sub))
+    return out
+
+
+def perturbed(rng, t, swaps=0.3, chains=0.4):
+    """t with some nodes' children swapped and some right chains (leaves
+    too) grown or shrunk: often at finite distance from t."""
+    shape = right_chain_shape(t)
+    if shape is not None and rng.random() < chains:
+        return right_chain(shape[0], rng.randint(1, shape[1] + 2))
+    if isinstance(t, Leaf):
+        return t
+    kids = [perturbed(rng, c, swaps, chains) for c in t.children]
+    if rng.random() < swaps:
+        kids.reverse()
+    return Node(kids)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("distance", ["duplication", "swap"])
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_corpus_cells_match_the_distance_reference(monkeypatch, seed, distance, exact):
+    """Every cell of a learned table, then contexts cut from perturbed
+    corpus trees around perturbed copies of the subtree cut out."""
+    entries = learn_corpus_entries(seed)
+    case = CorpusCase(entries, distance, exact)
+    learner_oracle = CorpusOracle(case.corpus, case.decay, distance)
+    strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
+    table = learned_table(monkeypatch, SimulatedTeacher(learner_oracle, strategy),
+                          case.oracle.alphabet())
+    for tree in table._order:
+        for ctx in table.columns:
+            case.check(tree, ctx)
+    rng = random.Random(seed)
+    # the edits the distance counts, then both
+    edits = (0, 0.4) if distance == "duplication" else (0.4, 0)
+    for entry, _ in entries:
+        for _ in range(4):
+            for root, sub in hole_at_each_node(perturbed(rng, entry, *edits)):
+                ctx = Context(root)
+                for tree in (sub, perturbed(rng, sub, *edits), perturbed(rng, sub)):
+                    case.check(tree, ctx)
+    assert case.finite > 300
+
+
+ABC3 = RankedAlphabet(["a", "b", "c"], 3)
+TARGETED_CORPUS = ("(a (a (a a)))", "(b (a (a a)))", "((a (a a)) b)", "((c (a b)) (b c))",
+                   "((a a) (a (a b)))", "(c (b (a a)))")
+
+
+def mirrored(t):
+    """t with the children of every node reversed: one swap per node."""
+    return t if isinstance(t, Leaf) else Node([mirrored(c) for c in reversed(t.children)])
+
+
+TARGETED_CONTEXTS = {
+    # a spine of (a <>) levels: a chain of a's at the hole stays one above
+    "chain through the hole": ["(a <>)", "(a (a <>))", "(a (a (a <>)))", "(b (a <>))",
+                               "(b (a (a <>)))", "((a <>) b)", "(c (b (a <>)))",
+                               "((a (a <>)) b)", "(a (b <>))"],
+    # (<> chain of a's): the leaf a at the hole makes a chain one longer
+    "left of a chain": ["(<> a)", "(<> (a a))", "(<> (a (a a)))", "(a (<> (a a)))",
+                        "(b (<> (a a)))", "((<> (a a)) b)", "(a (a (<> a)))", "(<> (b a))"],
+    "unary and ternary levels": ["(<>)", "(a (<>))", "((a <>))", "(a <> a)", "(a (a <> a))",
+                                 "((a <> b) c)", "((<>) (a a))", "(b ((<> a)))"],
+    # every node of a mirrored corpus tree holds the hole in turn
+    "a swap at every level": [
+        Context(root).text for text in TARGETED_CORPUS
+        for root, _ in hole_at_each_node(mirrored(parse_structured_string(text, ABC3)))],
+}
+TARGETED_TREES = ["a", "b", "c", "(a a)", "(a (a a))", "(a (a (a a)))", "(a b)", "(b a)",
+                  "((a a) a)", "(c (a b))", "((b a) c)", "(b c)", "(c b)", "(a (a b))",
+                  "(a)", "((a a))", "(a b a)", "(a (a a) a)", "((a) b)"]
+
+
+def targeted_case(distance, exact):
+    entries = [(parse_structured_string(text, ABC3), Fraction(i + 1))
+               for i, text in enumerate(TARGETED_CORPUS)]
+    return CorpusCase(entries, distance, exact)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("distance", ["duplication", "swap"])
+@pytest.mark.parametrize("group", TARGETED_CONTEXTS)
+def test_targeted_corpus_contexts_match_the_distance_reference(group, distance, exact):
+    case = targeted_case(distance, exact)
+    for ctx_text in TARGETED_CONTEXTS[group]:
+        ctx = parse_context(ctx_text, ABC3)
+        for tree_text in TARGETED_TREES:
+            case.check(parse_structured_string(tree_text, ABC3), ctx)
+    # non-binary levels leave every cell at infinite distance
+    assert (case.finite == 0) == (group == "unary and ternary levels")
+    if group != "unary and ternary levels":
+        assert case.finite >= 4
+
+
+def test_chain_cells_count_the_copies_through_the_hole():
+    case = targeted_case("duplication", True)
+    total = sum(range(1, len(TARGETED_CORPUS) + 1))
+    a, aa = Leaf("a"), parse_structured_string("(a a)", ABC3)
+    for ctx_text, tree, d in [("(a (a <>))", aa, 0), ("(a <>)", a, 2), ("(a (a (a <>)))", aa, 1),
+                              ("(<> (a a))", a, 1), ("(<> (a (a a)))", a, 0)]:
+        # the 4-chain (a (a (a a))), frequency 1, is the only entry at finite distance
+        assert case.oracle.smq(tree, parse_context(ctx_text, ABC3)) == Fraction(1, total) / 5 ** d
+    # (b ...) keeps b apart: its a-chain of 3 meets the 3 a's below it
+    assert case.oracle.smq(aa, parse_context("(b (a <>))", ABC3)) == Fraction(2, total)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("distance", ["duplication", "swap"])
+@pytest.mark.parametrize("plain_first", [False, True], ids=["cells-first", "plain-first"])
+def test_plain_queries_and_cells_share_the_memo_in_either_order(plain_first, distance, exact):
+    """The oracle memoizes subtree distances for plain queries and cells
+    alike; whichever comes first, both match the reference."""
+    case = targeted_case(distance, exact)
+    contexts = [parse_context(text, ABC3) for group in TARGETED_CONTEXTS.values()
+                for text in group]
+    trees = [parse_structured_string(text, ABC3) for text in TARGETED_TREES]
+    cells = [(tree, ctx) for ctx in contexts for tree in trees]
+    plain = [(t, IDENTITY_CONTEXT) for t in dict.fromkeys(
+        sub for tree, ctx in cells for sub in subtrees(compose(ctx, tree)))]
+    for tree, ctx in (plain + cells if plain_first else cells + plain):
+        case.check(tree, ctx)
+    assert case.finite > 50
+
+
+def test_corpus_learn_builds_no_composed_tree(monkeypatch):
+    def refuse(context, tree):
+        raise AssertionError(f"composed {context.text} with {tree.text}")
+
+    monkeypatch.setattr(teacher_module, "compose", refuse)
+    for distance in ("duplication", "swap"):
+        entries = learn_corpus_entries(3)
+        oracle = CorpusOracle(entries, Fraction(1, 5), distance)
+        teacher = SimulatedTeacher(oracle, DuplicationsStrategy([t for t, _ in entries], 1))
+        report = learn(teacher, oracle.alphabet())
+        assert report.smq_count > 1000 and len(report.table.columns) > 1
 
 
 # -- edge cases ----------------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from skelgram.scalars import (format_scalar, parse_scalar, scalar_eq,
+from skelgram.scalars import (format_scalar, is_exact, parse_scalar, scalar_eq,
                               scalar_is_zero, vector_is_zero)
 
 
@@ -51,3 +51,10 @@ def test_float_equality_relative():
 def test_vector_helpers():
     assert vector_is_zero([Fraction(0), Fraction(0)])
     assert not vector_is_zero([Fraction(0), Fraction(1)])
+
+
+def test_is_exact_by_type():
+    for x in (0, 7, -2, True, False, Fraction(0), Fraction(1, 3)):
+        assert is_exact(x)
+    for x in (0.0, 1.5, float("nan"), float("inf"), "1", None):
+        assert not is_exact(x)

@@ -393,14 +393,17 @@ def memberwise_colinear_violation(table):
 @pytest.fixture
 def same_context_as_memberwise(monkeypatch):
     """Make every co-linear check during a test also run the member-wise
-    reference and return the very same context; the list records, per
-    check, whether it found a violation."""
+    reference and return the very same context, after extending its kept
+    one-level contexts to exactly those the reference builds afresh; the
+    list records, per check, whether it found a violation."""
     found = []
     check = ObservationTable.check_colinear_consistency
 
     def both(table):
         got, want = check(table), memberwise_colinear_violation(table)
         assert (got and got.text) == (want and want.text)
+        assert [c.text for c in table._one_level] == \
+            [c.text for c in sigma_contexts(table.trees, table.alphabet)]
         found.append(got is not None)
         return got
 

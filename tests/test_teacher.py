@@ -190,6 +190,75 @@ def test_acrab_learn_draws_fewer_than_all_candidates(acrab):
     assert 0 < strategy.pulled < len(enumerate_full_trees(alphabet.leaf_symbols, 5)) == 15764
 
 
+@pytest.mark.parametrize("target", ["acrab", "corpus"])
+def test_seq_weighs_each_scanned_tree_once_per_teacher(monkeypatch, target):
+    """The scan keeps the target weight of every tree it has weighed, so
+    over a whole learn the target's evaluator sees each scanned tree once."""
+    if target == "corpus":
+        entries = learn_corpus_entries(2)
+        oracle = CorpusOracle(entries, Fraction(1, 5), "duplication")
+        evaluator, owner, alphabet = "smq", oracle, oracle.alphabet()
+        strategy = DuplicationsStrategy([t for t, _ in entries], 1)
+    else:
+        owner = load_wcfg(FIXTURES / "acrab.wcfg")
+        evaluator, alphabet = "skeletal_weight", owner.alphabet(2)
+        strategy = AllTreesStrategy(alphabet, 5)
+    weighed, scanning = [], []
+    evaluate, seq = getattr(owner, evaluator), SimulatedTeacher.seq
+
+    def counted(tree, *args):
+        if scanning:
+            weighed.append(tree.text)
+        return evaluate(tree, *args)
+
+    def scan(self, hypothesis):
+        scanning.append(True)
+        try:
+            return seq(self, hypothesis)
+        finally:
+            scanning.pop()
+
+    monkeypatch.setattr(owner, evaluator, counted)  # the teacher picks it up
+    monkeypatch.setattr(SimulatedTeacher, "seq", scan)
+    teacher = SimulatedTeacher(owner, strategy)
+    report = learn(teacher, alphabet)
+    assert report.seq_count >= 4
+    # each tree seq scans was weighed once, in scan order (a corpus target's
+    # own trees follow the candidates, and may repeat one)
+    scanned = [t.text for t in itertools.islice(teacher.seq_trees(), len(weighed))]
+    assert weighed == scanned and len(weighed) > 200
+
+
+class Hypothesis:
+    """A hypothesis answering eval by a function, never exact, so the scan
+    runs without the exact pre-check."""
+
+    def __init__(self, alphabet, weigh):
+        self.alphabet, self.eval = alphabet, weigh
+
+    def is_exact(self):
+        return False
+
+
+def test_seq_compares_exact_values_exactly_and_floats_by_margin():
+    g = load_wcfg(FIXTURES / "trivial.wcfg")
+    alphabet = g.alphabet(2)
+    tree = next(iter(AllTreesStrategy(alphabet, 2).candidates()))
+    truth = g.skeletal_weight(tree)
+    off = Hypothesis(alphabet, lambda t: g.skeletal_weight(t) + Fraction(1, 10 ** 30) * (t == tree))
+    assert SimulatedTeacher(g, AllTreesStrategy(alphabet, 2)).seq(off) == (tree, truth)
+    same = Hypothesis(alphabet, g.skeletal_weight)
+    assert SimulatedTeacher(g, AllTreesStrategy(alphabet, 2)).seq(same) is None
+    floats = load_wcfg(FIXTURES / "trivial.wcfg", exact=False)
+    near = Hypothesis(alphabet, lambda t: floats.skeletal_weight(t) + 1e-12 * (t == tree))
+    assert SimulatedTeacher(floats, AllTreesStrategy(alphabet, 2), 1e-9).seq(near) is None
+    assert SimulatedTeacher(floats, AllTreesStrategy(alphabet, 2)).seq(near)[0] == tree
+    # NaN is never more than a margin away, as abs(got - truth) > epsilon reads
+    nan = Hypothesis(alphabet, lambda t: float("nan"))
+    assert SimulatedTeacher(floats, AllTreesStrategy(alphabet, 2)).seq(nan) is None
+    assert SimulatedTeacher(g, AllTreesStrategy(alphabet, 2)).seq(nan) is None
+
+
 def test_precheck_waits_for_an_inexact_teacher():
     # a float target or a non-zero margin keeps the plain scan
     g = load_wcfg(FIXTURES / "smalldup.wcfg", exact=False)

@@ -190,6 +190,18 @@ def test_subtrees_bounded_by_size():
         assert len(subtrees(t)) <= t.size
 
 
+def test_sigma_contexts_holding_new_trees_extend_the_old_ones():
+    trees = [Leaf("a"), Leaf("b"), parse_structured_string("(a b)", ABC3)]
+    for split in range(len(trees) + 1):
+        old, new = trees[:split], trees[split:]
+        fresh = sigma_contexts(trees, ABC3, new)
+        news = {t.text for t in new}
+        assert all(any(c.text in news for c in ctx.root.children) for ctx in fresh)
+        merged = sorted(sigma_contexts(old, ABC3) + fresh, key=canonical_key)
+        assert [c.text for c in merged] == [c.text for c in sigma_contexts(trees, ABC3)]
+    assert sigma_contexts(trees, ABC3, []) == []
+
+
 def test_sigma_contexts_examples():
     assert [c.text for c in sigma_contexts([], AB2)] == ["(<>)"]
     got = [c.text for c in sigma_contexts([Leaf("a")], AB2)]
