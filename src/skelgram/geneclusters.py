@@ -132,12 +132,12 @@ def _require_binary(*trees):
 def swap_distance(t: SkeletalTree, s: SkeletalTree):
     """Count of subtree swaps turning t into s, or inf when incompatible."""
     _require_binary(t, s)
-    return _swap(t, s)
+    return _swap(t, s, {})
 
 
-def _swap(t, s, memo=None):
+def _swap(t, s, memo):
     # Within one walk each pair of positions is reached once, from its
-    # parents' pair; a memo (a dict the caller keeps) carries node pairs'
+    # parents' pair; the memo (a dict the caller keeps) carries node pairs'
     # distances, by their texts, across walks.  A swap keeps subtree sizes
     # and arities, so unequal ones are inf.
     done = []
@@ -148,8 +148,7 @@ def _swap(t, s, memo=None):
             t2s1, t1s2, t2s2, t1s1 = done[-4:]
             del done[-4:]
             done.append(min(t1s1 + t2s2, t1s2 + t2s1 + 1))
-            if memo is not None:
-                memo[s[0].text, s[1].text] = done[-1]
+            memo[s[0].text, s[1].text] = done[-1]
         elif t.size != s.size:
             done.append(INF)
         elif isinstance(t, Leaf):
@@ -157,7 +156,7 @@ def _swap(t, s, memo=None):
         elif len(t.children) != len(s.children):
             done.append(INF)
         else:
-            d = None if memo is None else memo.get((t.text, s.text))
+            d = memo.get((t.text, s.text))
             if d is None:
                 (t1, t2), (s1, s2) = t.children, s.children
                 stack += [(None, (t, s)), (t1, s1), (t2, s2), (t1, s2), (t2, s1)]
@@ -181,24 +180,31 @@ def right_chain_shape(t: SkeletalTree):
 
 
 def duplication_distance(t: SkeletalTree, s: SkeletalTree):
-    """Copy-number difference between right-homologous trees, else inf."""
+    """Copy-number difference between right-homologous trees, else inf:
+
+        d(leaf a, leaf b)  = 0 if a == b, else inf
+        d(leaf a, node u)  = k - 1 if u is a right chain of k a's, else inf
+        d(node u, node v)  = the sum over child pairs if the arities match,
+                             else inf
+
+    and d(u, leaf a) = d(leaf a, u).  A right chain of a's is (a chain), so
+    chains of n and m a's split pair by pair down to a leaf against a chain:
+    they are |n - m| apart."""
     _require_binary(t, s)
-    return _dup(t, s)
+    return _dup(t, s, {})
 
 
-def _dup(t, s, memo=None):
+def _dup(t, s, memo):
     # The distance is a sum over the pairs reached from (t, s), so the
-    # first inf ends the walk.  A memo (a dict the caller keeps) holds, by
+    # first inf ends the walk.  The memo (a dict the caller keeps) holds, by
     # the pair's texts, the distance of (t, s) and of each node pair whose
     # children's are summed, and inf for every pair still summing when an
     # inf is met; later walks read them back.
+    d = memo.get((t.text, s.text))
+    if d is not None:
+        return d
     done = []
-    stack = [(t, s)]  # (None, (t, s, k)) sums the last k distances done
-    if memo is not None:
-        d = memo.get((t.text, s.text))
-        if d is not None:
-            return d
-        stack.insert(0, (None, (t, s, 1)))
+    stack = [(None, (t, s, 1)), (t, s)]  # (None, (t, s, k)) sums the last k done
     while stack:
         t, s = stack.pop()
         if t is None:
@@ -207,26 +213,24 @@ def _dup(t, s, memo=None):
             del done[-k:]
             done.append(d)
             continue
-        d = None if memo is None else memo.get((t.text, s.text))
+        d = memo.get((t.text, s.text))
         if d is None:
-            chain_t = right_chain_shape(t)
-            chain_s = chain_t and right_chain_shape(s)
-            if chain_s and chain_t[0] == chain_s[0]:
-                d = abs(chain_t[1] - chain_s[1])
-            elif (isinstance(t, Leaf) or isinstance(s, Leaf)
-                  or len(t.children) != len(s.children)):
+            if isinstance(t, Leaf) and isinstance(s, Leaf):
+                d = 0 if t.token == s.token else INF
+            elif isinstance(t, Leaf) or isinstance(s, Leaf):
+                leaf, node = (t, s) if isinstance(t, Leaf) else (s, t)
+                shape = right_chain_shape(node)
+                d = shape[1] - 1 if shape and shape[0] == leaf.token else INF
+            elif len(t.children) != len(s.children):
                 d = INF
             else:
-                # the distance is the sum over child pairs
-                if memo is not None:
-                    stack.append((None, (t, s, len(t.children))))
+                stack.append((None, (t, s, len(t.children))))
                 stack.extend(zip(t.children, s.children))
                 continue
         if d == INF:
-            if memo is not None:
-                for t, s in stack:
-                    if t is None:
-                        memo[s[0].text, s[1].text] = INF
+            for t, s in stack:
+                if t is None:
+                    memo[s[0].text, s[1].text] = INF
             return INF
         done.append(d)
-    return sum(done)
+    return done[0]

@@ -4,7 +4,7 @@ ask a structured equivalence query, fold counterexample subtrees back in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 from .extract import extract_cmta
 from .mta import MTA
@@ -33,9 +33,7 @@ def default_iteration_cap(alphabet: RankedAlphabet) -> int:
 
 
 def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
-          max_iterations: int | None = None,
-          observer: Callable[[ObservationTable, MTA], None] | None = None,
-          ) -> LearnReport:
+          max_iterations: int | None = None) -> LearnReport:
     """Learn a co-linear automaton for the oracle's skeletal tree series.
 
     The cap (default 10*|leaf alphabet| + 1000) counts basis additions,
@@ -51,8 +49,6 @@ def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
     max_cex = 0
     while True:
         hypothesis = extract_cmta(table)
-        if observer is not None:
-            observer(table, hypothesis)
         budget.charge("equivalence query")
         seq_count += 1
         answer = oracle.seq(hypothesis)

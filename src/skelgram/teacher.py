@@ -19,8 +19,7 @@ import sys
 from fractions import Fraction
 
 from .equivalence import difference_witness
-from .geneclusters import (INF, _dup, _swap, is_binary, parse_gene_string, right_chain,
-                           right_chain_shape)
+from .geneclusters import INF, _dup, _swap, is_binary, parse_gene_string, right_chain
 from .grammar import WCFG, GrammarError
 from .mta import MTA, EvaluationError
 from .scalars import is_exact, parse_scalar
@@ -308,58 +307,45 @@ def _swap_join(parts: tuple, key: tuple) -> tuple:
     return parts[0] + key[0], tuple(sorted(parts[1] + key[1]))
 
 
-def _dup_spine(c: Context, entry: SkeletalTree, memo: dict) -> tuple:
-    """(chain, bottom): c's spine walked top-down against entry, as _dup
-    walks c∘t.  bottom is (the sibling distances summed, the entry position
-    at the hole), or None when the walk meets inf.  chain is None, or
-    (token, leaf_only, the distances summed above it, k) for the highest
-    spine node that is a chain of token exactly when t is (a token leaf, if
-    leaf_only) and whose entry position is a chain of token: there a t of m
-    leaves is |m - k| from the entry."""
-    levels = c.levels
-    # The lowest `spans` spine nodes are such chains, `first` leaves longer
-    # than t at the lowest and one more at each above: (a <>) takes a chain
-    # of a's, (<> a chain of n a's) the leaf a.
-    left, right = levels[0][:2]
-    spans = 0
-    if len(left) + len(right) == 1:
-        shape = right_chain_shape(right[0]) if right else None
-        if shape:
-            token, leaf_only, first, spans = shape[0], True, shape[1], 1
-        elif left and isinstance(left[0], Leaf):
-            token, leaf_only, first, spans = left[0].token, False, 1, 1
-    while spans and spans < len(levels):
-        left, right = levels[spans][:2]
-        if right or len(left) != 1 or left[0].text != token:  # not (token <>)
-            break
-        spans += 1
-    chain, acc, p = None, 0, entry
-    for i in range(len(levels) - 1, -1, -1):
-        left, right = levels[i][:2]
-        if chain is None and i < spans:
-            shape = right_chain_shape(p)
-            if shape and shape[0] == token:
-                chain = token, leaf_only, acc, shape[1] - first - i
-        if isinstance(p, Leaf) or len(p.children) != len(left) + 1 + len(right):
-            return chain, None
-        h = len(left)
-        for sib, q in zip(left + right, p.children[:h] + p.children[h + 1:]):
-            acc += _dup(sib, q, memo)
+def _dup_spine(c: Context, entry: SkeletalTree, memo: dict):
+    """c's spine walked top-down against entry, as _dup walks c∘t: None
+    when the walk meets inf, else (the distances summed, the entry position
+    at the hole, exact).  At an entry node the arities must match; the
+    siblings' distances are added and the walk goes on at the hole's child.
+    At an entry leaf a, c∘t's node is a right chain of a's only as (a <>),
+    which adds 1 and stays at a, or as (<> R) over a hole holding exactly a,
+    which adds 1 + d(R, a) and is the lowest level; then `exact` is set."""
+    p, acc, exact = entry, 0, False
+    for i in range(len(c.levels) - 1, -1, -1):
+        left, right = c.levels[i][:2]
+        if isinstance(p, Leaf):
+            if len(left) == 1 and not right and left[0].text == p.text:  # (a <>)
+                acc += 1
+            elif i == 0 and not left and len(right) == 1:  # (<> R) over a
+                acc += 1 + _dup(right[0], p, memo)
+                exact = True
+            else:
+                return None
+        elif len(p.children) != len(left) + 1 + len(right):
+            return None
+        else:
+            h = len(left)
+            for sib, q in zip(left + right, p.children[:h] + p.children[h + 1:]):
+                acc += _dup(sib, q, memo)
+            p = p.children[h]
         if acc == INF:
-            return chain, None
-        p = p.children[h]
-    return chain, (acc, p)
+            return None
+    return acc, p, exact
 
 
-def _dup_cell(tree: SkeletalTree, walk: tuple, memo: dict):
+def _dup_cell(tree: SkeletalTree, walk, memo: dict):
     """_dup(c∘tree, entry) from the walk _dup_spine kept for c and entry."""
-    chain, bottom = walk
-    if chain is not None:
-        token, leaf_only, acc, k = chain
-        shape = right_chain_shape(tree)
-        if shape and shape[0] == token and (shape[1] == 1 or not leaf_only):
-            return acc + abs(shape[1] - k)
-    return INF if bottom is None else bottom[0] + _dup(tree, bottom[1], memo)
+    if walk is None:
+        return INF
+    acc, p, exact = walk
+    if exact:
+        return acc if tree.text == p.text else INF
+    return acc + _dup(tree, p, memo)
 
 
 def _swap_spine(c: Context, entry: SkeletalTree, memo: dict) -> list:
@@ -404,11 +390,13 @@ class CorpusOracle:
 
     smq(t, c) builds no c∘t.  It joins t's and c's keys, kept by text, and
     answers from one walk of c's spine against each entry in the joined
-    bucket, kept per column and entry: for duplication, the summed sibling
-    distances down to the entry position at the hole, and the spine level
-    whose chain, if t makes one, meets a chain of the entry's; for swap,
-    every alignment of the hole with an entry position, as (cost, position).
-    The cell's distance then needs only the memoized d(t, position)."""
+    bucket, kept per column and entry: for duplication, the distances
+    summed down to the entry position at the hole, where an entry leaf
+    meets the spine only as a right chain of its token (_dup_spine); for
+    swap, every alignment of the hole with an entry position, as (cost,
+    position).  The cell's distance then needs only the memoized
+    d(t, position).  A plain query is the cell of the identity context:
+    its key joins to t's own, and its walk is the entry itself at cost 0."""
 
     def __init__(self, corpus, decay, distance: str = "duplication"):
         if distance not in ("swap", "duplication"):
@@ -429,9 +417,9 @@ class CorpusOracle:
         self.distance = distance
         # corpus trees are checked above; a non-binary query is infinitely
         # distant from each (both distances are inf on unequal arities)
-        self._dist, self._key, self._join, self._spine, self._cell = (
-            (_swap, swap_key, _swap_join, _swap_spine, _swap_cell) if distance == "swap" else
-            (_dup, duplication_key, _duplication_join, _dup_spine, _dup_cell))
+        self._key, self._join, self._spine, self._cell = (
+            (swap_key, _swap_join, _swap_spine, _swap_cell) if distance == "swap" else
+            (duplication_key, _duplication_join, _dup_spine, _dup_cell))
         self._buckets: dict[tuple, list] = {}
         for entry, freq in self.corpus:
             self._buckets.setdefault(self._key(entry), []).append((entry, freq))
@@ -444,24 +432,20 @@ class CorpusOracle:
         key = self._keys.get(tree.text)
         if key is None:
             key = self._keys[tree.text] = self._key(tree)
-        if not context.levels:  # a plain query, as for a held-out tree
-            measure, pairs = self._dist, self._buckets.get(key, ())
-        else:
-            column = self._columns.get(context.text)
-            if column is None:
-                column = self._columns[context.text] = (self._parts(context), {})
-            key = self._join(column[0], key)
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                return 0
-            pairs = column[1].get(key)
-            if pairs is None:
-                pairs = column[1][key] = [(self._spine(context, entry, self._memo), freq)
-                                          for entry, freq in bucket]
-            measure = self._cell
+        column = self._columns.get(context.text)
+        if column is None:
+            column = self._columns[context.text] = (self._parts(context), {})
+        key = self._join(column[0], key)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            return 0
+        walks = column[1].get(key)
+        if walks is None:
+            walks = column[1][key] = [(self._spine(context, entry, self._memo), freq)
+                                      for entry, freq in bucket]
         total = 0
-        for entry, freq in pairs:  # an entry, or the walk kept for it
-            d = measure(tree, entry, self._memo)
+        for walk, freq in walks:
+            d = self._cell(tree, walk, self._memo)
             if d != INF:
                 total = total + freq * self.decay ** int(d)
         return total

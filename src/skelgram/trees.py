@@ -122,17 +122,17 @@ def canonical_key(t):
 
 
 class Context:
-    """A skeletal-tree shape with exactly one hole at a leaf position; `path`
-    holds the child indices from the root down to the hole.
+    """A skeletal-tree shape with exactly one hole at a leaf position.
 
-    `levels` holds, bottom-up, one record per node on the path: the hole
-    side's left and right siblings, their text as the node's "(... " prefix
-    and " ...)" suffix, their total size + 1, and 1 + their max height.
+    `levels` holds, bottom-up, one record per node on the path from the
+    root down to the hole: the hole side's left and right siblings, their
+    text as the node's "(... " prefix and " ...)" suffix, their total
+    size + 1, and 1 + their max height.
     `compose` builds each spine node from its record alone.  `prefix` and
     `suffix` are the whole text left and right of the hole, so c∘t's text
     is `prefix + t.text + suffix` with no tree built."""
 
-    __slots__ = ("root", "text", "size", "height", "path", "levels", "prefix", "suffix")
+    __slots__ = ("root", "text", "size", "height", "levels", "prefix", "suffix")
 
     def __init__(self, root):
         holes = []
@@ -168,7 +168,6 @@ class Context:
         self.text = root.text
         self.size = root.size
         self.height = root.height
-        self.path = tuple(path)
         self.levels = tuple(levels)
         self.prefix = "".join([level[2] for level in reversed(levels)])
         self.suffix = "".join([level[3] for level in levels])

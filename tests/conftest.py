@@ -4,14 +4,17 @@ The oracles here recompute quantities by explicit enumeration (taggings,
 binary parses, Hankel rows) and never call the production code paths they
 are used to check.
 """
+import contextlib
 import importlib.util
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from skelgram import learner
 from skelgram.geneclusters import SubstringFrequencyWeight, parse_gene_string
 from skelgram.mta import MTA
 from skelgram.multilinear import MultilinearMap
@@ -57,6 +60,87 @@ def learn_corpus_entries(seed):
     strings = gen.gene_corpus(random.Random(seed))
     weight = SubstringFrequencyWeight([s for s, _ in strings])
     return [(parse_gene_string(s, weight)[0], Fraction(f)) for s, f in strings]
+
+
+@contextlib.contextmanager
+def observing_rounds(observer):
+    """Within the block, `learn` calls observer(table, hypothesis) on each
+    round's hypothesis as it is extracted, just before its equivalence
+    query."""
+    extract = learner.extract_cmta
+
+    def extract_and_observe(table):
+        hypothesis = extract(table)
+        observer(table, hypothesis)
+        return hypothesis
+
+    learner.extract_cmta = extract_and_observe
+    try:
+        yield
+    finally:
+        learner.extract_cmta = extract
+
+
+# -- reference edit distances -------------------------------------------------
+
+
+def chain_shape(t):
+    """(token, leaf count) when t is a leaf or a right chain of one token
+    (binary nodes, each with a leaf of that token on the left), else None."""
+    if isinstance(t, Leaf):
+        return t.token, 1
+    if len(t.children) != 2 or not isinstance(t.children[0], Leaf):
+        return None
+    rest = chain_shape(t.children[1])
+    if rest is None or rest[0] != t.children[0].token:
+        return None
+    return rest[0], rest[1] + 1
+
+
+def reference_duplication_distance(t, s):
+    """Two right chains of one token are their leaf counts' difference
+    apart; otherwise a leaf is inf from anything else, and two nodes are the
+    sum over their child pairs apart when their arities match, else inf."""
+    chain_t, chain_s = chain_shape(t), chain_shape(s)
+    if chain_t and chain_s and chain_t[0] == chain_s[0]:
+        return abs(chain_t[1] - chain_s[1])
+    if isinstance(t, Leaf) or isinstance(s, Leaf) or len(t.children) != len(s.children):
+        return math.inf
+    return sum(reference_duplication_distance(a, b) for a, b in zip(t.children, s.children))
+
+
+def reference_swap_distance(t, s):
+    """The fewest internal nodes of t whose two children, swapped, turn t
+    into s; inf when no set of nodes does.  Every set is tried, node by
+    node from the leaves up, keeping the fewest swaps per resulting tree;
+    a node's results are kept only when they are subtrees of s, since the
+    swaps that turn t into s turn each node of t into one of s's."""
+    if t.size != s.size:
+        return math.inf  # no set of swaps changes the size
+    targets = set()
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        targets.add(u.text)
+        if isinstance(u, Node):
+            stack.extend(u.children)
+
+    def reach(u):  # {text of a subtree of s some set of u's nodes gives: fewest swaps}
+        if isinstance(u, Leaf):
+            return {u.text: 0} if u.text in targets else {}
+        out = {}
+        for combo in itertools.product(*[reach(c).items() for c in u.children]):
+            kids, cost = [text for text, _ in combo], sum(n for _, n in combo)
+            orders = [(kids, cost)]
+            if len(kids) == 2:
+                orders.append((kids[::-1], cost + 1))
+            for order, swaps in orders:
+                text = "(" + " ".join(order) + ")"
+                if text in targets:
+                    out[text] = min(out.get(text, math.inf), swaps)
+        return out
+
+    return reach(t).get(s.text, math.inf)
 
 
 # -- exhaustive tree and context enumeration --------------------------------

@@ -25,7 +25,7 @@ from skelgram.trees import (Leaf, Node, RankedAlphabet, compose,
 
 from conftest import (FIXTURES, all_binary_trees, brute_force_weight,
                       count_taggings, enumerate_contexts, enumerate_trees,
-                      enumeration_of_small_grammars, parse_score,
+                      enumeration_of_small_grammars, observing_rounds, parse_score,
                       random_nonneg_wcfg, random_tree, random_binary_tree,
                       random_pmta)
 
@@ -50,7 +50,8 @@ def acrab_run():
                        list(table.basis), hypothesis))
 
     started = time.monotonic()
-    report = learn(teacher, alphabet, observer=observer)
+    with observing_rounds(observer):
+        report = learn(teacher, alphabet)
     elapsed = time.monotonic() - started
     return grammar, alphabet, report, rounds, elapsed
 
@@ -167,7 +168,8 @@ def test_criterion_6_extraction_correctness(acrab_run):
                 assert hypothesis.eval(compose(ctx, tree)) == value
         seen.append(len(table.basis))
 
-    learn(SimulatedTeacher(g2, AllTreesStrategy(a2, 4)), a2, observer=observer)
+    with observing_rounds(observer):
+        learn(SimulatedTeacher(g2, AllTreesStrategy(a2, 4)), a2)
     assert seen
     report_pass(6, "extracted automata agree with their tables")
 

@@ -3,15 +3,14 @@ query on the composed tree, smq(c∘t), in value and in type: for exact
 grammars and automata by the pulled-back output functional, for corpus
 targets by the key join and the spine walks, and for float targets by the
 compose path.  Corpus cells are also checked against a reference that
-shares no memo with the oracle: geneclusters' distances on c∘t."""
+shares no code with the oracle: conftest's reference distances on c∘t."""
 import random
 from fractions import Fraction
 
 import pytest
 
 from skelgram import learner, teacher as teacher_module
-from skelgram.geneclusters import (INF, duplication_distance, is_binary, right_chain,
-                                   right_chain_shape, swap_distance)
+from skelgram.geneclusters import INF, right_chain, right_chain_shape
 from skelgram.grammar import GrammarError, load_wcfg, wcfg_to_pmta
 from skelgram.learner import learn
 from skelgram.mta import MTA
@@ -21,7 +20,8 @@ from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrate
 from skelgram.trees import (HOLE, IDENTITY_CONTEXT, Context, Leaf, Node, RankedAlphabet,
                             compose, parse_context, parse_structured_string, subtrees)
 
-from conftest import FIXTURES, learn_corpus_entries, random_cmta, random_tree
+from conftest import (FIXTURES, learn_corpus_entries, random_cmta, random_tree,
+                      reference_duplication_distance, reference_swap_distance)
 
 FIXTURE_NAMES = ("acrab", "chain", "colinearity3", "fimacd", "smalldup", "trivial")
 
@@ -129,12 +129,14 @@ def test_corpus_cells_match_composed(monkeypatch, seed, distance, exact):
 
 def corpus_reference(corpus, decay, distance, tree):
     """Sum of freq * decay^d(tree, entry) over the whole corpus in corpus
-    order, d by geneclusters' public distance (inf on a non-binary tree)."""
-    dist = duplication_distance if distance == "duplication" else swap_distance
+    order, d by the reference distances of conftest (inf on a non-binary
+    tree, since every entry is binary)."""
+    dist = (reference_duplication_distance if distance == "duplication"
+            else reference_swap_distance)
     total = sum(freq for _, freq in corpus)
     out = 0
     for entry, freq in corpus:
-        d = dist(tree, entry) if is_binary(tree) else INF
+        d = dist(tree, entry)
         if d != INF:
             out = out + freq / total * decay ** int(d)
     return out
@@ -227,9 +229,11 @@ TARGETED_CONTEXTS = {
     "chain through the hole": ["(a <>)", "(a (a <>))", "(a (a (a <>)))", "(b (a <>))",
                                "(b (a (a <>)))", "((a <>) b)", "(c (b (a <>)))",
                                "((a (a <>)) b)", "(a (b <>))"],
-    # (<> chain of a's): the leaf a at the hole makes a chain one longer
+    # (<> chain of a's): the leaf a at the hole makes a chain one longer;
+    # the last two reach below an entry's leaf a, where only that leaf fits
     "left of a chain": ["(<> a)", "(<> (a a))", "(<> (a (a a)))", "(a (<> (a a)))",
-                        "(b (<> (a a)))", "((<> (a a)) b)", "(a (a (<> a)))", "(<> (b a))"],
+                        "(b (<> (a a)))", "((<> (a a)) b)", "(a (a (<> a)))", "(<> (b a))",
+                        "(b (a (a (<> a))))", "(c (b (a (<> a))))"],
     "unary and ternary levels": ["(<>)", "(a (<>))", "((a <>))", "(a <> a)", "(a (a <> a))",
                                  "((a <> b) c)", "((<>) (a a))", "(b ((<> a)))"],
     # every node of a mirrored corpus tree holds the hole in turn

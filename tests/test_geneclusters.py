@@ -1,16 +1,19 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from skelgram.geneclusters import (INF, SubstringFrequencyWeight,
-                                   duplication_distance, optimal_tree,
+from skelgram import geneclusters
+from skelgram.geneclusters import (INF, SubstringFrequencyWeight, _dup, _swap,
+                                   duplication_distance, is_binary, optimal_tree,
                                    parse_gene_string, right_chain,
                                    right_chain_shape, swap_distance)
 from skelgram.trees import Leaf, Node, parse_structured_string, RankedAlphabet, tree_yield
 
-from conftest import all_binary_trees, parse_score, random_binary_tree
+from conftest import (all_binary_trees, chain_shape, parse_score, random_binary_tree,
+                      random_tree, reference_duplication_distance, reference_swap_distance)
 
 
 def _gene_parse_text(string):
@@ -245,6 +248,80 @@ def test_duplication_distance_deep_chains():
     t = Node((right_chain("a", 1200), Node((Leaf("b"), right_chain("c", 1100)))))
     s = Node((right_chain("a", 1000), Node((Leaf("b"), right_chain("c", 1300)))))
     assert duplication_distance(t, s) == 400
+
+
+def right_spine(tokens):
+    """(t1 (t2 (... tn))): a right chain when the tokens are all one."""
+    tree = Leaf(tokens[-1])
+    for tok in reversed(tokens[:-1]):
+        tree = Node((Leaf(tok), tree))
+    return tree
+
+
+def grown(rng, t, tokens):
+    """t with some leaves and right chains replaced by a right chain of
+    their token or a right spine of that token and another, and some
+    binary nodes' children swapped."""
+    shape = chain_shape(t)
+    if shape and rng.random() < 0.5:
+        n = rng.randint(1, 4)
+        if rng.random() < 0.3:
+            return right_spine([rng.choice((shape[0], rng.choice(tokens))) for _ in range(n)])
+        return right_chain(shape[0], n)
+    if isinstance(t, Leaf):
+        return t
+    kids = [grown(rng, c, tokens) for c in t.children]
+    if len(kids) == 2 and rng.random() < 0.2:
+        kids.reverse()
+    return Node(kids)
+
+
+def test_distance_walks_match_the_references():
+    # one memo per distance across every call, as the corpus oracle keeps;
+    # _swap is asked only with a binary second tree, as the oracle asks it
+    rng = random.Random(66)
+    memos = {"duplication": {}, "swap": {}}
+    finite = Counter()
+    for _ in range(3000):
+        tokens = ["a", "b", "c"][:rng.randint(2, 3)]
+        if rng.random() < 0.2:
+            base = random_tree(rng, RankedAlphabet(tokens, 3), 4)
+        else:
+            base = random_binary_tree(rng, tokens, 7)
+        t = grown(rng, base, tokens)
+        s = grown(rng, t if rng.random() < 0.8 else base, tokens)
+        want = reference_duplication_distance(t, s)
+        assert _dup(t, s, memos["duplication"]) == want, (t.text, s.text)
+        assert _dup(s, t, memos["duplication"]) == want, (s.text, t.text)
+        finite["duplication"] += want != INF
+        if is_binary(s):
+            want = reference_swap_distance(t, s)
+            assert _swap(t, s, memos["swap"]) == want, (t.text, s.text)
+            finite["swap"] += want != INF
+            if is_binary(t):
+                assert duplication_distance(t, s) == reference_duplication_distance(t, s)
+                assert swap_distance(t, s) == want
+    assert min(finite.values()) > 300, finite
+    assert all(memos.values())
+
+
+def test_duplication_walk_reads_chain_shapes_only_where_a_leaf_meets_a_node(monkeypatch):
+    # two chains split pair by pair: reading each pair's chain shape made
+    # the walk quadratic in the chain length
+    shape, calls = right_chain_shape, []
+
+    def counted(t):
+        calls.append(t)
+        return shape(t)
+
+    monkeypatch.setattr(geneclusters, "right_chain_shape", counted)
+    chain = right_chain("a", 3000)
+    for near_chain, want in ((right_spine(["a"] * 2999 + ["b"]), INF),
+                             (right_spine(["a"] * 2998 + ["b", "b"]), INF),
+                             (right_chain("a", 2990), 10)):
+        calls.clear()
+        assert duplication_distance(chain, near_chain) == want
+        assert len(calls) <= 2
 
 
 def test_right_chain_detection():

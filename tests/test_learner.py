@@ -11,14 +11,14 @@ from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrate
                               ExhaustiveStrategy, SimulatedTeacher)
 from skelgram.trees import IDENTITY_CONTEXT, Leaf, compose, parse_structured_string
 
-from conftest import FIXTURES, learn_corpus_entries, random_tree
+from conftest import FIXTURES, learn_corpus_entries, observing_rounds, random_tree
 
 
-def learn_fixture(name, max_leaves=4, **kwargs):
+def learn_fixture(name, max_leaves=4):
     g = load_wcfg(FIXTURES / name)
     alphabet = g.alphabet(2)
     teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, max_leaves))
-    report = learn(teacher, alphabet, **kwargs)
+    report = learn(teacher, alphabet)
     return g, alphabet, report
 
 
@@ -76,7 +76,8 @@ def acrab_learned():
     g = load_wcfg(FIXTURES / "acrab.wcfg")
     alphabet = g.alphabet(2)
     teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 5))
-    report = learn(teacher, alphabet, observer=observer)
+    with observing_rounds(observer):
+        report = learn(teacher, alphabet)
     return g, alphabet, report, sizes
 
 
@@ -141,8 +142,8 @@ def test_acrab_counts_and_counterexamples_are_pinned():
 
 def test_report_carries_the_final_table():
     tables = []
-    g, alphabet, report = learn_fixture(
-        "smalldup.wcfg", observer=lambda table, hypothesis: tables.append(table))
+    with observing_rounds(lambda table, hypothesis: tables.append(table)):
+        g, alphabet, report = learn_fixture("smalldup.wcfg")
     assert report.table is tables[-1]
     assert len(report.table.basis) == report.basis_size
     assert report.table.smq_count == report.smq_count

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from skelgram.geneclusters import INF, _dup, _swap, right_chain, right_chain_shape
+from skelgram.geneclusters import INF, right_chain, right_chain_shape
 from skelgram.grammar import load_wcfg, wcfg_to_pmta
 from skelgram.learner import learn
 from skelgram.table import CapExceeded
@@ -17,7 +17,8 @@ from skelgram.trees import (Leaf, Node, RankedAlphabet, enumerate_full_trees,
                             parse_structured_string, tree_yield)
 
 from conftest import (FIXTURES, brute_force_weight, learn_corpus_entries,
-                      random_binary_tree, random_cmta)
+                      observing_rounds, random_binary_tree, random_cmta,
+                      reference_duplication_distance, reference_swap_distance)
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +160,8 @@ def assert_precheck_changes_no_answer(target, alphabet, max_iterations=None):
                         teacher.exact_automaton(hypothesis) is not None))
 
     try:
-        learn(teacher, alphabet, max_iterations=max_iterations, observer=observer)
+        with observing_rounds(observer):
+            learn(teacher, alphabet, max_iterations=max_iterations)
     except CapExceeded:
         pass
     assert answers
@@ -532,7 +534,8 @@ def test_keyed_corpus_smq_matches_brute_force(name):
     exact_freqs = [f for _, f in entries]
     weighings = ((exact_freqs, Fraction(1, 5)), (list(map(float, exact_freqs)), 0.2))
     found = 0
-    for distance, dist in (("duplication", _dup), ("swap", _swap)):
+    for distance, dist in (("duplication", reference_duplication_distance),
+                           ("swap", reference_swap_distance)):
         oracles = [CorpusOracle(zip([t for t, _ in entries], freqs), decay, distance)
                    for freqs, decay in weighings]
         for tree in queries:
@@ -561,7 +564,6 @@ def _perturbed(rng, t, swap_prob, chain_prob):
 
 
 def test_finite_distance_implies_equal_keys():
-    # corpus entries are binary, and _swap reads only binary pairs
     rng = random.Random(11)
     finite = {"duplication": 0, "swap": 0}
     for _ in range(3000):
@@ -569,8 +571,9 @@ def test_finite_distance_implies_equal_keys():
         if rng.random() < 0.5:
             t = _perturbed(rng, t, 0, 0.7)  # grow chains out of leaves
         e = _perturbed(rng, t, rng.choice((0, 0.3)), rng.choice((0, 0.5)))
-        for distance, dist, key in (("duplication", _dup, duplication_key),
-                                    ("swap", _swap, swap_key)):
+        for distance, dist, key in (
+                ("duplication", reference_duplication_distance, duplication_key),
+                ("swap", reference_swap_distance, swap_key)):
             if dist(t, e) != INF:
                 finite[distance] += 1
                 assert key(t) == key(e), (distance, t.text, e.text)

@@ -107,23 +107,35 @@ def test_context_needs_exactly_one_hole():
         Context(Node((HOLE, Node((HOLE, HOLE)))))
 
 
+def hole_path(c) -> tuple:
+    """The child indices from c's root down to its hole, read off `levels`:
+    each level's hole index is the count of its left siblings."""
+    return tuple(len(level[0]) for level in reversed(c.levels))
+
+
 def test_context_path_leads_to_the_hole():
-    assert IDENTITY_CONTEXT.path == ()
-    assert parse_context("(<> b)", AB2).path == (0,)
-    assert parse_context("((a b) (a (b <>)))", AB2).path == (1, 1, 1)
-    assert parse_context("((a <>) b)", AB2).path == (0, 1)
+    assert hole_path(IDENTITY_CONTEXT) == ()
+    assert hole_path(parse_context("(<> b)", AB2)) == (0,)
+    assert hole_path(parse_context("((a b) (a (b <>)))", AB2)) == (1, 1, 1)
+    assert hole_path(parse_context("((a <>) b)", AB2)) == (0, 1)
+    c = parse_context("((a b) (a (b <> a)))", ABC3)
+    node = c.root
+    for (left, right, *_), i in zip(reversed(c.levels), hole_path(c)):
+        assert node.children == left + (node.children[i],) + right
+        node = node.children[i]
+    assert node is HOLE
 
 
 def test_deep_context_without_recursion():
     # a context 2,000 levels deep: (b (b (... (b <>))))
     text = "(b " * 1999 + "<>" + ")" * 1999
     c = parse_context(text, AB2)
-    assert c.path == (1,) * 1999
+    assert hole_path(c) == (1,) * 1999
     t = compose(c, Leaf("a"))
     assert t == parse_structured_string(text.replace("<>", "a"), AB2)
     assert tree_yield(t) == ("b",) * 1999 + ("a",)
     twice = compose_contexts(c, c)
-    assert twice.path == (1,) * 3998
+    assert hole_path(twice) == (1,) * 3998
     assert compose(twice, Leaf("a")) == compose(c, t)
 
 
@@ -206,10 +218,10 @@ def test_sigma_contexts_examples():
     assert [c.text for c in sigma_contexts([], AB2)] == ["(<>)"]
     got = [c.text for c in sigma_contexts([Leaf("a")], AB2)]
     assert got == ["(<>)", "(<> a)", "(a <>)"]
-    assert [c.path for c in sigma_contexts([Leaf("a")], AB2)] == [(0,), (0,), (1,)]
+    assert [hole_path(c) for c in sigma_contexts([Leaf("a")], AB2)] == [(0,), (0,), (1,)]
     for c in sigma_contexts([Leaf("a"), Leaf("b")], AB2):
-        assert len(c.path) == 1
-        assert c.root.children[c.path[0]] is HOLE
+        assert len(hole_path(c)) == 1
+        assert c.root.children[hole_path(c)[0]] is HOLE
 
 
 def test_canonical_key_orders_by_size_first():
@@ -284,7 +296,7 @@ def node_built(c, t):
     """Reference compose: each spine node through Node(...), bottom-up."""
     spine = []
     node = c.root
-    for i in c.path:
+    for i in hole_path(c):
         spine.append((node.children, i))
         node = node.children[i]
     for kids, i in reversed(spine):
@@ -302,7 +314,7 @@ def assert_spine_matches(c, t, reference=True):
     parsed = (parse_context(text, ABC3).root if "<>" in text
               else parse_structured_string(text, ABC3))
     assert composed == parsed and hash(composed) == hash(parsed)
-    for i in c.path + (None,):
+    for i in hole_path(c) + (None,):
         assert type(composed) is type(built)
         assert (composed.text, composed.size, composed.height) == (
             built.text, built.size, built.height)
@@ -345,7 +357,7 @@ def test_compose_contexts_builds_the_spine_node_builds():
         # the inner root holds HOLE, so the spine nodes hold it as a child
         assert_spine_matches(outer, inner.root)
         both = compose_contexts(outer, inner)
-        assert both.path == outer.path + inner.path
+        assert hole_path(both) == hole_path(outer) + hole_path(inner)
         t = random_tree(rng, ABC3, 3)
         assert_spine_matches(both, t)
         assert compose(both, t) == compose(outer, compose(inner, t))
