@@ -13,7 +13,7 @@ from fractions import Fraction
 from .multilinear import MultilinearMap
 from .mta import MTA, EvaluationError
 from .scalars import format_scalar, is_exact, parse_scalar, scalar_eq, scalar_is_zero
-from .trees import RankedAlphabet, SkeletalTree, tree_yield
+from .trees import Context, RankedAlphabet, SkeletalTree
 
 Rule = tuple[str, tuple[str, ...]]
 
@@ -77,39 +77,46 @@ class WCFG:
             automaton = self._automata[p] = _grammar_automaton(self, p)
         return automaton
 
-    def _support(self, s: SkeletalTree) -> list:
-        """The support of s's vector under the grammar's automaton, whose
-        first coordinates are the per-nonterminal weights, in nonterminal
-        order."""
-        try:
-            return self.automaton().eval_support(s)
-        except EvaluationError:  # a rank longer than every rule, or an unknown leaf
-            return []
-
     def weight_from(self, nt: str, s: SkeletalTree):
         """Total weight of taggings of s whose root is tagged nt."""
         return self.derivation_weights(s).get(nt, self._zero)
 
-    def skeletal_weight(self, s: SkeletalTree):
-        """Weight of s over all taggings rooted at the start symbol;
-        GrammarError on an unknown terminal."""
+    def skeletal_weight(self, s: SkeletalTree, c: Context | None = None):
+        """Weight of s, or with a context c of c∘s, over all taggings rooted
+        at the start symbol: the start coordinate of s's vector, or the
+        automaton's eval(s, c).  GrammarError on an unknown terminal."""
+        # every table cell and weighed tree lands here: skip automaton()'s call
+        automaton = self._automata.get(self._rank) or self.automaton()
         try:
-            support = self.automaton().eval_support(s)
+            if c is not None and c.levels:
+                return automaton.eval(s, c) or self._zero
+            support = automaton.eval_support(s)
         except EvaluationError:
-            # the automaton memoizes only trees that evaluate, so an unknown
-            # leaf always fails the evaluation: the yield is read only here
-            for tok in set(tree_yield(s)):
-                if tok not in self.terminals:
-                    raise GrammarError(f"unknown terminal {tok!r}") from None
-            return self._zero  # a rank longer than every rule
+            self._check_terminals(s.text if c is None else c.prefix + s.text + c.suffix)
+            return self._zero  # a node wider than every rule
         return support[0][1] if support and support[0][0] == 0 else self._zero
 
     def derivation_weights(self, s: SkeletalTree) -> dict:
-        """Per-nonterminal weight vector of s."""
+        """Per-nonterminal weight vector of s: the first coordinates of its
+        vector under the grammar's automaton, in nonterminal order."""
         nts = self.nonterminals
         weights = dict.fromkeys(nts, self._zero)
-        weights.update((nts[i], x) for i, x in self._support(s) if i < len(nts))
+        try:
+            support = self.automaton().eval_support(s)
+        except EvaluationError:
+            self._check_terminals(s.text)
+            return weights  # a node wider than every rule
+        weights.update((nts[i], x) for i, x in support if i < len(nts))
         return weights
+
+    def _check_terminals(self, text: str):
+        """GrammarError naming the leftmost token of a tree's text that is
+        not a terminal.  The automaton memoizes only trees that evaluate, so
+        an unknown leaf always fails the evaluation: the text is read only
+        then."""
+        for tok in text.replace("(", " ").replace(")", " ").split():
+            if tok not in self.terminals:
+                raise GrammarError(f"unknown terminal {tok!r}") from None
 
     # -- structure checks --------------------------------------------------
 

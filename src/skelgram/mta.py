@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .multilinear import MultilinearMap, apply
 from .scalars import format_scalar, is_exact, parse_scalar
-from .trees import Context, Leaf, RankedAlphabet, SkeletalTree
+from .trees import Context, Leaf, RankedAlphabet, SkeletalTree, compose
 
 
 class EvaluationError(ValueError):
@@ -26,11 +26,12 @@ class MTA:
     lifetime, so its maps must not change once it has evaluated a tree.
     The memo is keyed by a tree's text, whose str hash is cached, so a
     lookup calls no Python-level __hash__ or __eq__.  Pulled-back output
-    functionals are memoized the same way, by context text.
+    vectors are memoized the same way, by context text, and whether the
+    coefficients are exact on the first evaluation in a context.
     """
 
     __slots__ = ("alphabet", "dim", "leaf_maps", "node_maps", "output", "_memo",
-                 "_pullbacks")
+                 "_pullbacks", "_exact")
 
     def __init__(self, alphabet: RankedAlphabet, dim: int, leaf_maps, node_maps, output):
         if dim < 0:
@@ -57,7 +58,8 @@ class MTA:
         self.node_maps = node_maps
         self.output = output
         self._memo: dict[str, list] = {}
-        self._pullbacks: dict[str, dict] = {}
+        self._pullbacks: dict[str, list] = {}
+        self._exact = None  # is_exact(), read by eval(t, c) on first use
 
     @classmethod
     def zero(cls, alphabet: RankedAlphabet) -> "MTA":
@@ -69,6 +71,9 @@ class MTA:
         (index, value) pairs in ascending index order; walked with an
         explicit stack.  The list is the memo's own: do not change it."""
         memo = self._memo
+        support = memo.get(t.text)
+        if support is not None:
+            return support
         stack = [t]
         while stack:
             s = stack[-1]
@@ -91,28 +96,25 @@ class MTA:
             stack.pop()
         return support
 
-    def pullback(self, c: Context) -> dict:
-        """λ_c, the output functional pulled back through context c, as
-        {index: non-zero value}: eval(c∘t) is its dot product with t's
-        vector (Bailly, Habrard & Denis, ALT 2010).  One walk down c's
-        spine, the siblings' vectors fixed; EvaluationError as eval_support's."""
+    def pullback(self, c: Context) -> list:
+        """λ_c, the output vector pulled back through context c, dense like
+        `output`: c∘t's value is its dot product with t's vector (Bailly,
+        Habrard & Denis, ALT 2010).  One walk down c's spine, the siblings'
+        vectors fixed; EvaluationError as eval_support's."""
         lam = self._pullbacks.get(c.text)
-        if lam is not None:
-            return lam
-        lam = {i: x for i, x in enumerate(self.output) if x}
-        for left, right, *_ in reversed(c.levels):
-            k = len(left) + 1 + len(right)
-            if k > self.alphabet.max_rank:
-                raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")
-            sides = [self.eval_support(s) for s in left + right]
-            new = {}
-            for j in range(self.dim):  # λ'_j = λ · M(siblings, e_j at the hole)
-                args = sides[:len(left)] + [[(j, 1)]] + sides[len(left):]
-                y = sum(lam[i] * x for i, x in apply(self.node_maps[k], args) if i in lam)
-                if y:
-                    new[j] = y
-            lam = new
-        self._pullbacks[c.text] = lam
+        if lam is None:
+            lam = self.output
+            for left, right, *_ in reversed(c.levels):
+                k, h = len(left) + 1 + len(right), len(left)
+                if k > self.alphabet.max_rank:
+                    raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")
+                sides = [self.eval_support(s) for s in left + right]
+                # λ'_j = λ · M(siblings, e_j at the hole); int 0 where it is zero
+                lam = [sum(lam[i] * x for i, x in
+                           apply(self.node_maps[k], sides[:h] + [[(j, 1)]] + sides[h:])
+                           if lam[i]) or 0
+                       for j in range(self.dim)]
+            self._pullbacks[c.text] = lam
         return lam
 
     def eval_vector(self, t: SkeletalTree) -> list:
@@ -126,15 +128,32 @@ class MTA:
             vec[i] = x
         return vec
 
-    def eval(self, t: SkeletalTree):
-        """Automaton value: dot(output, eval_vector(t))."""
+    def eval(self, t: SkeletalTree, c: Context | None = None):
+        """Automaton value of t, or with a context c of c∘t: t's vector
+        dotted with the output vector, or for an exact automaton with c's
+        pullback, so that no c∘t is built.  A float automaton, or a cell
+        whose parts fail to evaluate, weighs c∘t itself, so float sums add in
+        one order and errors are the composed tree's.  An exact zero is 0,
+        Fraction(0) at dimension 0."""
+        if c is None or not c.levels:
+            lam, support = self.output, self.eval_support(t)
+        else:
+            if self._exact is None:
+                self._exact = self.is_exact()
+            if not self._exact:
+                return self.eval(compose(c, t))
+            try:
+                lam, support = self.pullback(c), self.eval_support(t)
+            except EvaluationError:
+                return self.eval(compose(c, t))
         acc = 0
-        output = self.output
-        for i, x in self.eval_support(t):
-            lam = output[i]
-            if lam != 0:
-                acc = acc + lam * x
-        return acc if self.dim else Fraction(0)
+        for i, x in support:
+            w = lam[i]
+            if w:
+                acc = acc + w * x
+        if acc or acc.__class__ is float:
+            return acc
+        return 0 if self.dim else Fraction(0)
 
     def _coefficients(self):
         """Every stored coefficient: output, leaf vectors, map entries."""

@@ -16,15 +16,14 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-from fractions import Fraction
 
 from .equivalence import difference_witness
 from .geneclusters import INF, _dup, _swap, is_binary, parse_gene_string, right_chain
 from .grammar import WCFG, GrammarError
-from .mta import MTA, EvaluationError
+from .mta import MTA
 from .scalars import is_exact, parse_scalar
 from .trees import (HOLE_TOKEN, IDENTITY_CONTEXT, Context, Leaf, Node, RankedAlphabet,
-                    SkeletalTree, canonical_key, compose, full_trees,
+                    SkeletalTree, canonical_key, full_trees,
                     parse_structured_string, tree_yield)
 
 
@@ -32,29 +31,20 @@ class SimulatedTeacher:
     """Answers smq from a grammar, automaton, or corpus oracle target, and
     seq by scanning a candidate strategy with comparison margin epsilon, or,
     with no strategy, exactly (exact grammar or automaton targets only).
-    Both weigh trees with the target's evaluator, picked once here.  smq
-    keeps no memo, since grammars and automata memoize every subtree's
-    vector and the corpus oracle its distances; seq keeps the target weight
-    of each tree it has scanned, beside the listed candidates.  smq(t, c)
-    weighs c∘t from its parts: an exact grammar or automaton by c's
-    pulled-back output functional dotted with t's vector, a corpus by a key
-    join and spine walks (CorpusOracle); float targets, or a failing
-    evaluation, by c∘t."""
+    Both weigh trees with the target's evaluator, picked once here:
+    `WCFG.skeletal_weight`, `MTA.eval` or `CorpusOracle.smq`, each of which
+    answers a cell smq(t, c) from its parts and keeps its own memos.  seq
+    keeps the target weight of each tree it has scanned, beside the listed
+    candidates."""
 
     def __init__(self, target, strategy=None, epsilon=0):
         self.target = target
         self.strategy = strategy
         self.epsilon = epsilon
-        self._automaton = None  # an exact target's: it answers smq(t, c) by parts
         if isinstance(target, WCFG):
             self._evaluate = target.skeletal_weight
-            if target.is_exact():
-                self._automaton, self._zero = target.automaton(), Fraction(0)
         elif isinstance(target, MTA):
             self._evaluate = target.eval
-            # eval gives Fraction(0) on a cancelling sum: keep targets that cannot
-            if target.is_exact() and (target.is_positive() or target.is_colinear_mta()):
-                self._automaton, self._zero = target, 0 if target.dim else Fraction(0)
         else:
             self._evaluate = target.smq
         self._listed: list = []  # the candidates drawn so far, in order
@@ -63,23 +53,7 @@ class SimulatedTeacher:
 
     def smq(self, tree: SkeletalTree, context: Context = IDENTITY_CONTEXT):
         """The target's weight of context∘tree."""
-        if not context.levels:
-            return self._evaluate(tree)
-        if isinstance(self.target, CorpusOracle):
-            return self.target.smq(tree, context)
-        if self._automaton is not None:
-            try:
-                lam = self._automaton.pullback(context)
-                support = self._automaton.eval_support(tree)
-            except EvaluationError:
-                pass  # the composed tree fails as the target's evaluator says
-            else:
-                value = 0
-                for j, x in support:
-                    if j in lam:
-                        value = value + lam[j] * x
-                return value or self._zero
-        return self._evaluate(compose(context, tree))
+        return self._evaluate(tree, context)
 
     def _source(self):
         """The strategy's candidate iterator, started on first use, so each
@@ -89,11 +63,6 @@ class SimulatedTeacher:
         if self._pending is None:
             self._pending = iter(self.strategy.candidates())
         return self._pending
-
-    def candidates(self) -> list:
-        """Every candidate tree, in the strategy's order."""
-        self._listed.extend(self._source())
-        return self._listed
 
     def _drawn(self, source):
         """The candidates listed so far, then the source's next ones, each

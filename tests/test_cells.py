@@ -1,19 +1,23 @@
 """A table cell answered from its parts, smq(t, c), equals the membership
-query on the composed tree, smq(c∘t), in value and in type: for exact
-grammars and automata by the pulled-back output functional, for corpus
-targets by the key join and the spine walks, and for float targets by the
-compose path.  Corpus cells are also checked against a reference that
-shares no code with the oracle: conftest's reference distances on c∘t."""
+query on the composed tree, smq(c∘t), in value and in type.  Exact
+grammars and automata answer through `MTA.eval(t, c)`, by the pulled-back
+output vector, and corpus targets by the key join and the spine walks;
+neither builds c∘t.  Float grammars and automata weigh c∘t itself.  Corpus
+cells are also checked against a reference that shares no code with the
+oracle: conftest's reference distances on c∘t."""
+import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from skelgram import learner, teacher as teacher_module
+from skelgram import learner, trees as trees_module
 from skelgram.geneclusters import INF, right_chain, right_chain_shape
 from skelgram.grammar import GrammarError, load_wcfg, wcfg_to_pmta
 from skelgram.learner import learn
 from skelgram.mta import MTA
+from skelgram.multilinear import MultilinearMap
 from skelgram.table import CapExceeded, ObservationTable
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
                               SimulatedTeacher, duplication_key, swap_key)
@@ -50,6 +54,25 @@ def assert_cell(teacher, tree, ctx):
     assert factored == composed and type(factored) is type(composed), (tree.text, ctx.text)
 
 
+def library_compose(monkeypatch, refuse: bool) -> list:
+    """Patch compose in every library module that imports it: with refuse
+    it raises, else it builds c∘t and logs the context's text, which the
+    returned list collects."""
+    built = []
+
+    def watched(context, tree):
+        if refuse:
+            raise AssertionError(f"composed {context.text} with {tree.text}")
+        built.append(context.text)
+        return compose(context, tree)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("skelgram.") and module is not trees_module
+                and getattr(module, "compose", None) is compose):
+            monkeypatch.setattr(module, "compose", watched)
+    return built
+
+
 def learned_table(monkeypatch, teacher, alphabet, cap=60) -> ObservationTable:
     """The table of a learn of at most `cap` steps, also when the cap ends it."""
     made = []
@@ -70,7 +93,7 @@ def check_target(monkeypatch, teacher, alphabet, seed, strategy=None):
     """Every cell of a learned table, then random contexts around its rows.
     Exact grammar and automaton targets are learned with the exact SEQ,
     which learns fimacd, others with the given strategy or all trees."""
-    if strategy is None and teacher._automaton is None:
+    if strategy is None and teacher.exact_automaton(MTA.zero(alphabet)) is None:
         strategy = AllTreesStrategy(alphabet, 4)
     learner_teacher = SimulatedTeacher(teacher.target, strategy, teacher.epsilon)
     table = learned_table(monkeypatch, learner_teacher, alphabet)
@@ -89,8 +112,9 @@ def check_target(monkeypatch, teacher, alphabet, seed, strategy=None):
 def test_grammar_cells_match_composed(monkeypatch, name, exact):
     g = load_wcfg(FIXTURES / f"{name}.wcfg", exact)
     teacher = SimulatedTeacher(g, epsilon=0 if exact else 1e-6)
-    assert (teacher._automaton is not None) == exact
+    built = library_compose(monkeypatch, refuse=exact)
     check_target(monkeypatch, teacher, g.alphabet(2), seed=len(name))
+    assert exact or built  # float cells weigh c∘t
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
@@ -98,18 +122,58 @@ def test_grammar_cells_match_composed(monkeypatch, name, exact):
 def test_converted_automaton_cells_match_composed(monkeypatch, name, exact):
     a = wcfg_to_pmta(load_wcfg(FIXTURES / f"{name}.wcfg", exact))
     teacher = SimulatedTeacher(a, epsilon=0 if exact else 1e-6)
-    assert (teacher._automaton is not None) == exact
+    built = library_compose(monkeypatch, refuse=exact)
     check_target(monkeypatch, teacher, a.alphabet, seed=len(name) + 7)
+    assert exact or built
 
 
 def test_random_cmta_cells_match_composed(monkeypatch):
     rng = random.Random(2718)
     alphabet = RankedAlphabet(["a", "b"], 2)
+    library_compose(monkeypatch, refuse=True)
     for i in range(30):
         target = random_cmta(rng, alphabet, rng.randint(0, 3))
+        check_target(monkeypatch, SimulatedTeacher(target), alphabet, seed=i)
+
+
+def random_signed_mta(rng, alphabet, dim) -> MTA:
+    """Random exact automaton with coefficients in {-1, 0, 1}, about half of
+    them non-zero, so columns hold several entries and sums often cancel."""
+    def value():
+        return Fraction(rng.choice((-1, 0, 0, 1)))
+
+    leaf_maps = {tok: [value() for _ in range(dim)] for tok in alphabet.leaf_symbols}
+    node_maps = {}
+    for k in range(1, alphabet.max_rank + 1):
+        m = node_maps[k] = MultilinearMap(k, dim)
+        for col in itertools.product(range(dim), repeat=k):
+            for i in range(dim):
+                if c := value():
+                    m.columns.setdefault(col, {})[i] = c
+    return MTA(alphabet, dim, leaf_maps, node_maps, [value() for _ in range(dim)])
+
+
+def test_signed_automaton_cells_match_composed(monkeypatch):
+    """Signed, non-co-linear exact automata answer every cell from its
+    parts, a cancelling sum included: both paths give 0."""
+    rng = random.Random(31)
+    alphabet = RankedAlphabet(["a", "b"], 2)
+    library_compose(monkeypatch, refuse=True)
+    cancelled = 0
+    for i in range(12):
+        target = random_signed_mta(rng, alphabet, rng.randint(2, 3))
+        assert not target.is_positive() and not target.is_colinear_mta()
         teacher = SimulatedTeacher(target)
-        assert teacher._automaton is target
         check_target(monkeypatch, teacher, alphabet, seed=i)
+        for ctx in random_contexts(rng, alphabet, 4):
+            for _ in range(4):
+                tree = random_tree(rng, alphabet, 4)
+                assert_cell(teacher, tree, ctx)
+                whole = compose(ctx, tree)
+                terms = [target.output[j] * x for j, x in target.eval_support(whole)
+                         if target.output[j] != 0]
+                cancelled += len(terms) > 1 and sum(terms) == 0
+    assert cancelled >= 5
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
@@ -298,10 +362,7 @@ def test_plain_queries_and_cells_share_the_memo_in_either_order(plain_first, dis
 
 
 def test_corpus_learn_builds_no_composed_tree(monkeypatch):
-    def refuse(context, tree):
-        raise AssertionError(f"composed {context.text} with {tree.text}")
-
-    monkeypatch.setattr(teacher_module, "compose", refuse)
+    library_compose(monkeypatch, refuse=True)
     for distance in ("duplication", "swap"):
         entries = learn_corpus_entries(3)
         oracle = CorpusOracle(entries, Fraction(1, 5), distance)

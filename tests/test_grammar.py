@@ -1,17 +1,22 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import skelgram
 from skelgram.grammar import (GrammarError, PCFG, WCFG, format_wcfg, load_wcfg,
                               parse_wcfg, partition_functions, pmta_to_wcfg,
                               wcfg_to_pcfg, wcfg_to_pmta)
 from skelgram.mta import MTA, format_mta, parse_mta
 from skelgram.multilinear import colinear_witness
-from skelgram.trees import (Leaf, Node, RankedAlphabet, parse_structured_string,
-                            compose)
+from skelgram.trees import (Leaf, Node, RankedAlphabet, parse_context,
+                            parse_structured_string, compose)
 from skelgram.geneclusters import right_chain
 
 from conftest import (FIXTURES, brute_force_weight, enumerate_contexts,
@@ -104,6 +109,52 @@ def test_unknown_terminal_and_over_rank_node_raise():
         with pytest.raises(GrammarError, match="unknown terminal 'z'"):
             g.skeletal_weight(tree)
     assert g.skeletal_weight(over) == 0
+
+
+XS = RankedAlphabet(["a", "xa", "xb", "xc"], 3)
+
+
+def test_every_weight_names_the_same_unknown_terminal():
+    g = parse_wcfg("S -> a S [-1/2]\nS -> a [2]")
+    tree = parse_structured_string("(xa xb)", XS)
+    for weigh in (g.skeletal_weight, g.derivation_weights,
+                  lambda t: g.weight_from(g.start, t)):
+        with pytest.raises(GrammarError, match="unknown terminal 'xa'"):
+            weigh(tree)
+    # a node wider than every rule still weighs zero
+    assert g.derivation_weights(parse_structured_string("(a a a)", XS)) == {"S": 0}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_unknown_terminal_error_names_the_leftmost(exact):
+    g = parse_wcfg("S -> a S [-1/2]\nS -> a [2]", exact)
+    for text, tok in [("(xa (xb xc))", "xa"), ("((a xc) (xb a))", "xc"),
+                      ("(a (a a a) xb)", "xb"), ("((a a a) xc)", "xc")]:
+        tree = parse_structured_string(text, XS)
+        for weigh in (g.skeletal_weight, g.derivation_weights):
+            with pytest.raises(GrammarError, match=f"unknown terminal '{tok}'"):
+                weigh(tree)
+    # a cell reads its text left to right across the context and the tree
+    for ctx_text, text, tok in [("(xc (a <>))", "xb", "xc"), ("(a (<> xa))", "(a xb)", "xb"),
+                                ("(a (<> xa))", "(a a)", "xa"), ("(<> a a)", "xb", "xb")]:
+        ctx, tree = parse_context(ctx_text, XS), parse_structured_string(text, XS)
+        for weigh in (lambda: g.skeletal_weight(tree, ctx),
+                      lambda: g.skeletal_weight(compose(ctx, tree))):
+            with pytest.raises(GrammarError, match=f"unknown terminal '{tok}'"):
+                weigh()
+
+
+@pytest.mark.parametrize("seed", ["0", "5"])
+def test_unknown_terminal_error_does_not_depend_on_the_hash_seed(seed):
+    code = ("from skelgram import *\n"
+            "g = parse_wcfg('S -> a S [1/2]\\nS -> a [1/2]')\n"
+            "alphabet = RankedAlphabet(['a', 'xa', 'xb', 'xc'], 2)\n"
+            "g.skeletal_weight(parse_structured_string('(xa (xb xc))', alphabet))\n")
+    src = Path(skelgram.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=False)
+    assert proc.stderr.splitlines()[-1] == "skelgram.grammar.GrammarError: unknown terminal 'xa'"
 
 
 def test_weights_of_signed_grammars_and_unruled_ranks():

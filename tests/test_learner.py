@@ -181,7 +181,7 @@ def test_final_hypothesis_agrees_with_every_query_asked():
     for tree, value in oracle.asked:
         assert report.hypothesis.eval(tree) == value
     # and every equivalence candidate, each of which some SEQ may have weighed
-    for tree in teacher.candidates():
+    for tree in teacher.strategy.candidates():
         assert report.hypothesis.eval(tree) == g.skeletal_weight(tree)
 
 

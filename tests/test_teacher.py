@@ -125,7 +125,7 @@ def test_strategy_is_enumerated_once_per_teacher(acrab):
     report = learn(teacher, alphabet)
     assert report.seq_count == 5
     assert strategy.calls == 1
-    assert teacher.candidates() == list(AllTreesStrategy(alphabet, 4).candidates())
+    assert list(teacher.seq_trees()) == list(AllTreesStrategy(alphabet, 4).candidates())
     assert strategy.calls == 1
 
 
@@ -144,7 +144,7 @@ class PullCountingStrategy:
 
 def first_mismatch(teacher, hypothesis):
     """The scan without the exact pre-check: every candidate, in order."""
-    for tree in teacher.candidates():
+    for tree in teacher.strategy.candidates():
         truth = teacher.smq(tree)
         if hypothesis.eval(tree) != truth:
             return tree, truth
@@ -467,7 +467,9 @@ def test_corpus_seq_scans_the_corpus_trees(distance):
     assert hypothesis.eval(corpus[3][0]) == Fraction(1, 8)
     # the corpus trees follow the candidates without joining their list
     assert strategy.calls == 1
-    assert teacher.candidates() == list(strategy.strategy.candidates())
+    candidates = list(strategy.strategy.candidates())
+    assert list(teacher.seq_trees()) == candidates + [tree for tree, _ in corpus]
+    assert teacher._listed == candidates and strategy.calls == 1
 
 
 # -- the keyed corpus oracle -------------------------------------------------
