@@ -104,7 +104,7 @@ class MTA:
         lam = self._pullbacks.get(c.text)
         if lam is None:
             lam = self.output
-            for left, right, *_ in reversed(c.levels):
+            for left, right in c.levels:
                 k, h = len(left) + 1 + len(right), len(left)
                 if k > self.alphabet.max_rank:
                     raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")

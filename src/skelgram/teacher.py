@@ -22,7 +22,7 @@ from .geneclusters import INF, _dup, _swap, is_binary, parse_gene_string, right_
 from .grammar import WCFG, GrammarError
 from .mta import MTA
 from .scalars import is_exact, parse_scalar
-from .trees import (HOLE_TOKEN, IDENTITY_CONTEXT, Context, Leaf, Node, RankedAlphabet,
+from .trees import (IDENTITY_CONTEXT, Context, Leaf, Node, RankedAlphabet,
                     SkeletalTree, canonical_key, full_trees,
                     parse_structured_string, tree_yield)
 
@@ -260,112 +260,83 @@ def swap_key(t: SkeletalTree) -> tuple:
     return t.size, tuple(sorted(_yield(t)))
 
 
-def _duplication_join(parts: tuple, key: tuple) -> tuple:
-    """duplication_key(c∘t) from t's key and c's runs left and right of the
-    hole: each side's run at the hole merges with t's end run, and when t's
-    key is one token, both do."""
-    left, right = parts
-    if left and left[-1] == key[0]:
-        key = key[1:]
-    key = left + key
-    return key + (right[1:] if right and key[-1] == right[0] else right)
-
-
-def _swap_join(parts: tuple, key: tuple) -> tuple:
-    """swap_key(c∘t) from t's key and c's size and sorted yield."""
-    return parts[0] + key[0], tuple(sorted(parts[1] + key[1]))
-
-
-def _dup_spine(c: Context, entry: SkeletalTree, memo: dict):
-    """c's spine walked top-down against entry, as _dup walks c∘t: None
-    when the walk meets inf, else (the distances summed, the entry position
-    at the hole, exact).  At an entry node the arities must match; the
-    siblings' distances are added and the walk goes on at the hole's child.
-    At an entry leaf a, c∘t's node is a right chain of a's only as (a <>),
-    which adds 1 and stays at a, or as (<> R) over a hole holding exactly a,
-    which adds 1 + d(R, a) and is the lowest level; then `exact` is set."""
+def _dup_spine(c: Context, entry: SkeletalTree, memo: dict) -> list:
+    """c's spine walked top-down against entry, as _dup walks c∘t: no
+    alignment when the walk meets inf, else one, (the distances summed, the
+    entry position at the hole, exact).  At an entry node the arities must
+    match; the siblings' distances are added and the walk goes on at the
+    hole's child.  At an entry leaf a, c∘t's node is a right chain of a's
+    only as (a <>), which adds 1 and stays at a, or as (<> R) over a hole
+    holding exactly a, which adds 1 + d(R, a) and is the lowest level; then
+    `exact` is set."""
     p, acc, exact = entry, 0, False
-    for i in range(len(c.levels) - 1, -1, -1):
-        left, right = c.levels[i][:2]
+    last = len(c.levels) - 1
+    for i, (left, right) in enumerate(c.levels):
         if isinstance(p, Leaf):
             if len(left) == 1 and not right and left[0].text == p.text:  # (a <>)
                 acc += 1
-            elif i == 0 and not left and len(right) == 1:  # (<> R) over a
+            elif i == last and not left and len(right) == 1:  # (<> R) over a
                 acc += 1 + _dup(right[0], p, memo)
                 exact = True
             else:
-                return None
+                return []
         elif len(p.children) != len(left) + 1 + len(right):
-            return None
+            return []
         else:
             h = len(left)
             for sib, q in zip(left + right, p.children[:h] + p.children[h + 1:]):
                 acc += _dup(sib, q, memo)
             p = p.children[h]
         if acc == INF:
-            return None
-    return acc, p, exact
-
-
-def _dup_cell(tree: SkeletalTree, walk, memo: dict):
-    """_dup(c∘tree, entry) from the walk _dup_spine kept for c and entry."""
-    if walk is None:
-        return INF
-    acc, p, exact = walk
-    if exact:
-        return acc if tree.text == p.text else INF
-    return acc + _dup(tree, p, memo)
+            return []
+    return [(acc, p, exact)]
 
 
 def _swap_spine(c: Context, entry: SkeletalTree, memo: dict) -> list:
     """Every alignment of c's spine, walked top-down against entry as _swap
     walks c∘t, as (swaps and sibling distances summed, the entry position
-    at the hole); the ones that meet inf are dropped.  entry has c∘t's size
-    (its bucket's key holds it) and each kept alignment matched a sibling's
-    size, so every position aligned with a spine node is a node too."""
-    aligned = [(0, entry)]
-    for left, right, *_ in reversed(c.levels):
+    at the hole, False); the ones that meet inf are dropped, and so are the
+    ones that reach an entry leaf above the hole, since a leaf is inf from
+    any node."""
+    aligned = [(0, entry, False)]
+    for left, right in c.levels:
         if len(left) + len(right) != 1:
             return []  # a binary entry node is inf from any other arity
         sib, h = (left or right)[0], len(left)
         below = []
-        for cost, p in aligned:
+        for cost, p, _ in aligned:
+            if isinstance(p, Leaf):
+                continue
             under, beside = p.children[h], p.children[1 - h]
             d = _swap(sib, beside, memo)
             if d != INF:
-                below.append((cost + d, under))
+                below.append((cost + d, under, False))
             d = _swap(sib, under, memo)
             if d != INF:
-                below.append((cost + d + 1, beside))
+                below.append((cost + d + 1, beside, False))
         aligned = below
     return aligned
-
-
-def _swap_cell(tree: SkeletalTree, walk: list, memo: dict):
-    """_swap(c∘tree, entry) from the alignments _swap_spine kept."""
-    return min([cost + _swap(tree, p, memo) for cost, p in walk], default=INF)
 
 
 class CorpusOracle:
     """smq by decayed edit distance to a weighted tree corpus:
     sum over corpus entries of freq * q^distance(t, entry), q^inf = 0.
 
-    Entries are bucketed by a key that any two trees at finite distance
-    share (`duplication_key`, `swap_key`), so a query walks only the entries
-    in its own bucket; every other entry is at distance inf and adds
-    nothing.  Buckets keep corpus order, so float sums add in the same
-    order as over the whole corpus.  Subtree distances are memoized by the
-    subtree's text and the entry position's text.
-
-    smq(t, c) builds no c∘t.  It joins t's and c's keys, kept by text, and
-    answers from one walk of c's spine against each entry in the joined
-    bucket, kept per column and entry: for duplication, the distances
-    summed down to the entry position at the hole, where an entry leaf
-    meets the spine only as a right chain of its token (_dup_spine); for
-    swap, every alignment of the hole with an entry position, as (cost,
-    position).  The cell's distance then needs only the memoized
-    d(t, position).  A plain query is the cell of the identity context:
-    its key joins to t's own, and its walk is the entry itself at cost 0."""
+    smq(t, c) builds no c∘t.  Once per context, `_column` walks c's spine
+    against every entry, in corpus order, down to the entry positions at
+    the hole: for duplication, one alignment, the distances summed, where
+    an entry leaf meets the spine only as a right chain of its token
+    (_dup_spine); for swap, every alignment of the hole with an entry
+    position (_swap_spine).  Each surviving alignment is filed under its
+    position's key (`duplication_key`, `swap_key`), which any two trees at
+    finite distance share, so d(c∘t, entry) is finite only through an
+    alignment filed under t's own key.  A cell is then one lookup of t's
+    key, kept by text, and the memoized d(t, position) of each alignment
+    found; the entries found keep corpus order, so float sums add in the
+    same order as over the whole corpus.  A plain query is the cell of the
+    identity context, whose only alignment with an entry is the entry
+    itself at cost 0.  Subtree distances are memoized by the subtree's
+    text and the entry position's text."""
 
     def __init__(self, corpus, decay, distance: str = "duplication"):
         if distance not in ("swap", "duplication"):
@@ -386,47 +357,47 @@ class CorpusOracle:
         self.distance = distance
         # corpus trees are checked above; a non-binary query is infinitely
         # distant from each (both distances are inf on unequal arities)
-        self._key, self._join, self._spine, self._cell = (
-            (swap_key, _swap_join, _swap_spine, _swap_cell) if distance == "swap" else
-            (duplication_key, _duplication_join, _dup_spine, _dup_cell))
-        self._buckets: dict[tuple, list] = {}
-        for entry, freq in self.corpus:
-            self._buckets.setdefault(self._key(entry), []).append((entry, freq))
+        self._key, self._distance, self._spine = (
+            (swap_key, _swap, _swap_spine) if distance == "swap" else
+            (duplication_key, _dup, _dup_spine))
         self._keys: dict[str, tuple] = {}  # trees' keys, by text
-        # contexts' parts and, by joined key, the walks per bucket entry, by text
-        self._columns: dict[str, tuple] = {}
+        self._columns: dict[str, dict] = {}  # contexts' columns, by text
         self._memo: dict[tuple, object] = {}  # subtree distances, by both texts
 
     def smq(self, tree: SkeletalTree, context: Context = IDENTITY_CONTEXT):
-        key = self._keys.get(tree.text)
-        if key is None:
-            key = self._keys[tree.text] = self._key(tree)
         column = self._columns.get(context.text)
         if column is None:
-            column = self._columns[context.text] = (self._parts(context), {})
-        key = self._join(column[0], key)
-        bucket = self._buckets.get(key)
-        if bucket is None:
+            column = self._columns[context.text] = self._column(context)
+        found = column.get(self._tree_key(tree))
+        if found is None:
             return 0
-        walks = column[1].get(key)
-        if walks is None:
-            walks = column[1][key] = [(self._spine(context, entry, self._memo), freq)
-                                      for entry, freq in bucket]
-        total = 0
-        for walk, freq in walks:
-            d = self._cell(tree, walk, self._memo)
+        total, distance, memo = 0, self._distance, self._memo
+        for aligned, freq in found:
+            d = min([cost + distance(tree, p, memo) for cost, p, exact in aligned
+                     if not exact or tree.text == p.text], default=INF)
             if d != INF:
                 total = total + freq * self.decay ** int(d)
         return total
 
-    def _parts(self, c: Context) -> tuple:
-        """c's share of the key of c∘t, from the key of c's root, in which
-        the hole is one more token and a run of its own."""
-        key = self._key(c.root)
-        if self.distance == "swap":
-            return key[0] - 1, tuple([tok for tok in key[1] if tok != HOLE_TOKEN])
-        hole = key.index(HOLE_TOKEN)
-        return key[:hole], key[hole + 1:]
+    def _tree_key(self, t: SkeletalTree) -> tuple:
+        """t's key, kept by its text."""
+        key = self._keys.get(t.text)
+        if key is None:
+            key = self._keys[t.text] = self._key(t)
+        return key
+
+    def _column(self, c: Context) -> dict:
+        """c's alignments with the corpus entries, by the key of the entry
+        position at the hole: for each key, [(the entry's alignments filed
+        under it, the entry's frequency)], in corpus order."""
+        column: dict[tuple, list] = {}
+        for entry, freq in self.corpus:
+            by_key: dict[tuple, list] = {}
+            for alignment in self._spine(c, entry, self._memo):
+                by_key.setdefault(self._tree_key(alignment[1]), []).append(alignment)
+            for key, aligned in by_key.items():
+                column.setdefault(key, []).append((aligned, freq))
+        return column
 
     def alphabet(self, max_rank: int = 2) -> RankedAlphabet:
         tokens = []

@@ -124,13 +124,11 @@ def canonical_key(t):
 class Context:
     """A skeletal-tree shape with exactly one hole at a leaf position.
 
-    `levels` holds, bottom-up, one record per node on the path from the
-    root down to the hole: the hole side's left and right siblings, their
-    text as the node's "(... " prefix and " ...)" suffix, their total
-    size + 1, and 1 + their max height.
-    `compose` builds each spine node from its record alone.  `prefix` and
-    `suffix` are the whole text left and right of the hole, so c∘t's text
-    is `prefix + t.text + suffix` with no tree built."""
+    `levels` holds, root first, one (left, right) pair per node on the path
+    from the root down to the hole: that node's children left and right of
+    the hole side.  `prefix` and `suffix` are the whole text left and right
+    of the hole, so c∘t's text is `prefix + t.text + suffix` with no tree
+    built."""
 
     __slots__ = ("root", "text", "size", "height", "levels", "prefix", "suffix")
 
@@ -151,26 +149,21 @@ class Context:
         while link:
             i, link = link
             path.append(i)
-        path.reverse()
         levels = []
         node = root
-        for i in path:
+        for i in reversed(path):
             kids = node.children
-            left, right = kids[:i], kids[i + 1:]
-            levels.append((left, right,
-                           "(" + "".join([c.text + " " for c in left]),
-                           "".join([" " + c.text for c in right]) + ")",
-                           1 + sum(c.size for c in left + right),
-                           1 + max((c.height for c in left + right), default=0)))
+            levels.append((kids[:i], kids[i + 1:]))
             node = kids[i]
-        levels.reverse()
         self.root = root
         self.text = root.text
         self.size = root.size
         self.height = root.height
         self.levels = tuple(levels)
-        self.prefix = "".join([level[2] for level in reversed(levels)])
-        self.suffix = "".join([level[3] for level in levels])
+        self.prefix = "".join(["(" + "".join([c.text + " " for c in left])
+                               for left, _ in levels])
+        self.suffix = "".join(["".join([" " + c.text for c in right]) + ")"
+                               for _, right in reversed(levels)])
 
     def __eq__(self, other):
         return isinstance(other, Context) and self.text == other.text
@@ -186,17 +179,10 @@ IDENTITY_CONTEXT = Context(HOLE)
 
 
 def compose(c: Context, t: SkeletalTree) -> SkeletalTree:
-    """Plug tree t into the hole of context c, building only the nodes on
-    the path to the hole, each from its level record (see Context) without
-    Node.__init__'s pass over the children."""
-    new = Node.__new__
-    for left, right, prefix, suffix, size, height in c.levels:
-        node = new(Node)
-        node.children = left + (t,) + right
-        node.text = f"{prefix}{t.text}{suffix}"
-        node.size = size + t.size
-        node.height = height if height > t.height else t.height + 1
-        t = node
+    """Plug tree t into the hole of context c: the nodes on the path to the
+    hole are built anew, bottom-up; every other subtree is c's own."""
+    for left, right in reversed(c.levels):
+        t = Node(left + (t,) + right)
     return t
 
 

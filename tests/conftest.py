@@ -228,9 +228,33 @@ def brute_force_weight(grammar, tree, root=None):
     return total
 
 
-def count_taggings(grammar, tree):
-    """Number of complete taggings with any nonterminal at the root."""
-    return len(enumerate_taggings(grammar, tree))
+def has_ambiguous_tree(grammar, universe):
+    """Whether some tree of `universe` has more than one complete tagging
+    with a nonterminal at the root, taggings as enumerate_taggings lists
+    them but counted: per subtree text, the number of taggings by root
+    symbol.  `universe` is in canonical order and holds every subtree of
+    its trees, so children are counted before their parents."""
+    terminals = set(grammar.terminals)
+    at_leaf, at_node = {}, {}  # rules by right-hand side: a terminal's, and the rest
+    for lhs, rhs in grammar.weights:
+        rules = at_leaf if len(rhs) == 1 and rhs[0] in terminals else at_node
+        rules.setdefault(rhs, []).append(lhs)
+    counts = {}
+    for tree in universe:
+        if isinstance(tree, Leaf):
+            count = {tree.token: 1}
+            for lhs in at_leaf.get((tree.token,), ()):
+                count[lhs] = count.get(lhs, 0) + 1
+        else:
+            count = {}
+            for combo in itertools.product(*[counts[c.text].items() for c in tree.children]):
+                ways = math.prod(n for _, n in combo)
+                for lhs in at_node.get(tuple(sym for sym, _ in combo), ()):
+                    count[lhs] = count.get(lhs, 0) + ways
+        counts[tree.text] = count
+        if sum(n for sym, n in count.items() if sym not in terminals) > 1:
+            return True
+    return False
 
 
 # -- brute-force binary parsing ---------------------------------------------

@@ -24,8 +24,8 @@ from skelgram.trees import (Leaf, Node, RankedAlphabet, compose,
                             enumerate_full_trees, parse_structured_string)
 
 from conftest import (FIXTURES, all_binary_trees, brute_force_weight,
-                      count_taggings, enumerate_contexts, enumerate_trees,
-                      enumeration_of_small_grammars, observing_rounds, parse_score,
+                      enumerate_contexts, enumerate_trees, enumeration_of_small_grammars,
+                      has_ambiguous_tree, observing_rounds, parse_score,
                       random_nonneg_wcfg, random_tree, random_binary_tree,
                       random_pmta)
 
@@ -208,7 +208,7 @@ def test_criterion_8_invertibility_equivalence():
     universe = enumerate_trees(RankedAlphabet(["a", "b"], 2), 4)
     invertible_seen = ambiguous_seen = 0
     for grammar in grammars:
-        ambiguous = any(count_taggings(grammar, t) > 1 for t in universe)
+        ambiguous = has_ambiguous_tree(grammar, universe)
         assert grammar.is_invertible() == (not ambiguous)
         invertible_seen += grammar.is_invertible()
         ambiguous_seen += ambiguous

@@ -1,10 +1,11 @@
 """A table cell answered from its parts, smq(t, c), equals the membership
 query on the composed tree, smq(c∘t), in value and in type.  Exact
 grammars and automata answer through `MTA.eval(t, c)`, by the pulled-back
-output vector, and corpus targets by the key join and the spine walks;
-neither builds c∘t.  Float grammars and automata weigh c∘t itself.  Corpus
-cells are also checked against a reference that shares no code with the
-oracle: conftest's reference distances on c∘t."""
+output vector, and corpus targets by the spine walks each column files
+under the key of the entry position at the hole; neither builds c∘t.
+Float grammars and automata weigh c∘t itself.  Corpus cells are also
+checked against a reference that shares no code with the oracle:
+conftest's reference distances on c∘t."""
 import itertools
 import random
 import sys
@@ -20,7 +21,7 @@ from skelgram.mta import MTA
 from skelgram.multilinear import MultilinearMap
 from skelgram.table import CapExceeded, ObservationTable
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
-                              SimulatedTeacher, duplication_key, swap_key)
+                              SimulatedTeacher)
 from skelgram.trees import (HOLE, IDENTITY_CONTEXT, Context, Leaf, Node, RankedAlphabet,
                             compose, parse_context, parse_structured_string, subtrees)
 
@@ -304,15 +305,24 @@ TARGETED_CONTEXTS = {
     "a swap at every level": [
         Context(root).text for text in TARGETED_CORPUS
         for root, _ in hole_at_each_node(mirrored(parse_structured_string(text, ABC3)))],
+    # the spine runs on below the leaves of the small entries of its corpus
+    "below a small entry": ["((<> a) b)", "(a (b <>))", "(b ((<> a) b))", "((b <>) a)"],
+}
+# the corpus of a group, where it is not TARGETED_CORPUS: entries smaller
+# than c∘t, whose leaves a swap alignment reaches above the hole, beside
+# entries of c∘t's size
+TARGETED_CORPORA = {
+    "below a small entry": ("(a b)", "((a b) (b a))", "((a a) b)", "(b (a (a b)))",
+                            "(a (b (a b)))"),
 }
 TARGETED_TREES = ["a", "b", "c", "(a a)", "(a (a a))", "(a (a (a a)))", "(a b)", "(b a)",
                   "((a a) a)", "(c (a b))", "((b a) c)", "(b c)", "(c b)", "(a (a b))",
                   "(a)", "((a a))", "(a b a)", "(a (a a) a)", "((a) b)"]
 
 
-def targeted_case(distance, exact):
+def targeted_case(distance, exact, corpus=TARGETED_CORPUS):
     entries = [(parse_structured_string(text, ABC3), Fraction(i + 1))
-               for i, text in enumerate(TARGETED_CORPUS)]
+               for i, text in enumerate(corpus)]
     return CorpusCase(entries, distance, exact)
 
 
@@ -320,7 +330,7 @@ def targeted_case(distance, exact):
 @pytest.mark.parametrize("distance", ["duplication", "swap"])
 @pytest.mark.parametrize("group", TARGETED_CONTEXTS)
 def test_targeted_corpus_contexts_match_the_distance_reference(group, distance, exact):
-    case = targeted_case(distance, exact)
+    case = targeted_case(distance, exact, TARGETED_CORPORA.get(group, TARGETED_CORPUS))
     for ctx_text in TARGETED_CONTEXTS[group]:
         ctx = parse_context(ctx_text, ABC3)
         for tree_text in TARGETED_TREES:
@@ -382,14 +392,11 @@ def test_corpus_join_merges_a_single_token_with_both_sides(distance):
     corpus = [(parse_structured_string("(a (a a))", AB), Fraction(3)),
               (parse_structured_string("(a (b a))", AB), Fraction(1))]
     oracle = CorpusOracle(corpus, Fraction(1, 5), distance)
-    key = duplication_key if distance == "duplication" else swap_key
     for ctx_text, tok in [("(a (<> a))", "a"), ("(a (<> a))", "b"), ("((a <>) a)", "a"),
                           ("(<> (a a))", "a"), ("((a a) <>)", "a"), ("(a <>)", "a")]:
         ctx, tree = parse_context(ctx_text, AB), Leaf(tok)
-        whole = compose(ctx, tree)
-        assert oracle._join(oracle._parts(ctx), key(tree)) == key(whole), ctx_text
-        value = oracle.smq(tree, ctx)
-        assert value == oracle.smq(whole) and type(value) is type(oracle.smq(whole))
+        value, whole = oracle.smq(tree, ctx), oracle.smq(compose(ctx, tree))
+        assert value == whole and type(value) is type(whole), ctx_text
     assert oracle.smq(Leaf("a"), parse_context("(a (<> a))", AB)) == Fraction(3, 4)
 
 
@@ -399,8 +406,8 @@ def test_corpus_join_keeps_runs_apart_at_the_boundaries():
     ctx = parse_context("(a (<> a))", AB)
     for text in ["b", "(b b)", "(a b)", "(b a)", "((a b) (b a))"]:
         tree = parse_structured_string(text, AB)
-        assert oracle._join(oracle._parts(ctx), duplication_key(tree)) \
-            == duplication_key(compose(ctx, tree)), text
+        value, whole = oracle.smq(tree, ctx), oracle.smq(compose(ctx, tree))
+        assert value == whole and type(value) is type(whole), text
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])

@@ -110,7 +110,7 @@ def test_context_needs_exactly_one_hole():
 def hole_path(c) -> tuple:
     """The child indices from c's root down to its hole, read off `levels`:
     each level's hole index is the count of its left siblings."""
-    return tuple(len(level[0]) for level in reversed(c.levels))
+    return tuple(len(left) for left, _ in c.levels)
 
 
 def test_context_path_leads_to_the_hole():
@@ -120,7 +120,7 @@ def test_context_path_leads_to_the_hole():
     assert hole_path(parse_context("((a <>) b)", AB2)) == (0, 1)
     c = parse_context("((a b) (a (b <> a)))", ABC3)
     node = c.root
-    for (left, right, *_), i in zip(reversed(c.levels), hole_path(c)):
+    for (left, right), i in zip(c.levels, hole_path(c)):
         assert node.children == left + (node.children[i],) + right
         node = node.children[i]
     assert node is HOLE
