@@ -3,13 +3,13 @@
 The hidden target assigns a right chain of n identical genes the weight
 0.8 * 0.2^(n-2): every extra copy costs a factor 0.2.  A simulated teacher
 answers membership queries with exact rationals and equivalence queries by
-scanning all small trees; the learner recovers the series and we read the
+an exact equivalence check; the learner recovers the series and we read the
 geometric decay off the hypothesis.
 """
 from fractions import Fraction
 
-from skelgram import (AllTreesStrategy, SimulatedTeacher, format_wcfg, learn,
-                      parse_wcfg, pmta_to_wcfg, wcfg_to_pcfg)
+from skelgram import (SimulatedTeacher, format_wcfg, learn, parse_wcfg,
+                      pmta_to_wcfg, wcfg_to_pcfg)
 from skelgram.geneclusters import right_chain
 
 target = parse_wcfg("""
@@ -19,7 +19,7 @@ N -> a a [0.8]
 """)
 alphabet = target.alphabet(2)
 
-teacher = SimulatedTeacher(target, AllTreesStrategy(alphabet, max_leaves=4))
+teacher = SimulatedTeacher(target)
 report = learn(teacher, alphabet)
 print(f"learned in {report.seq_count} equivalence and "
       f"{report.smq_count} membership queries; rank {report.basis_size}")

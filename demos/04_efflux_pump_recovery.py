@@ -8,14 +8,14 @@ cluster is (AcrR ((AcrA AcrB) TolC)) with probability 0.456.
 import time
 from pathlib import Path
 
-from skelgram import (AllTreesStrategy, SimulatedTeacher, enumerate_full_trees,
-                      learn, load_wcfg, pmta_to_wcfg, wcfg_to_pcfg)
+from skelgram import (SimulatedTeacher, enumerate_full_trees, learn, load_wcfg,
+                      pmta_to_wcfg, wcfg_to_pcfg)
 
 fixture = Path(__file__).resolve().parent.parent / "fixtures" / "acrab.wcfg"
 target = load_wcfg(fixture)
 alphabet = target.alphabet(2)
 
-teacher = SimulatedTeacher(target, AllTreesStrategy(alphabet, max_leaves=5))
+teacher = SimulatedTeacher(target)
 started = time.monotonic()
 report = learn(teacher, alphabet)
 print(f"rank {report.basis_size} recovered in {time.monotonic() - started:.1f}s "

@@ -70,11 +70,10 @@ def _alphabet(target, max_rank):
 
 
 def _build_strategy(args, alphabet, weight):
-    if args.seq == "exact":
-        return None  # the teacher answers by an exact equivalence check
     if alphabet.max_rank < 2:
-        raise CliError(f"--seq {args.seq} needs --max-rank 2 or more; "
-                       f"at --max-rank {alphabet.max_rank} use --seq exact", EXIT_INPUT)
+        raise CliError(f"--seq {args.seq} needs --max-rank 2 or more; at --max-rank 1 only "
+                       "an exact automaton, or an exact grammar with no rule longer than 1, "
+                       "learns, with no --float and no --epsilon other than 0", EXIT_INPUT)
     if args.seq == "exhaustive":
         return ExhaustiveStrategy(alphabet, args.max_len, weight)
     if args.seq == "sampling":
@@ -94,12 +93,6 @@ def _build_strategy(args, alphabet, weight):
 
 
 def cmd_learn(args) -> int:
-    if args.seq == "exact":
-        for flag, given in (("--distance", args.distance is not None),
-                            ("--float", args.float), ("--epsilon", args.epsilon is not None)):
-            if given:
-                raise CliError(f"--seq exact needs an exact grammar or automaton target "
-                               f"and compares exactly; it does not take {flag}", EXIT_INPUT)
     exact = not args.float
     epsilon = 0 if exact else 1e-6
     if args.distance is not None:
@@ -120,8 +113,10 @@ def cmd_learn(args) -> int:
     if args.epsilon is not None:
         epsilon = parse_scalar(args.epsilon, exact=False)
 
-    strategy = _build_strategy(args, alphabet, weight)
-    teacher = SimulatedTeacher(target, strategy, epsilon)
+    teacher = SimulatedTeacher(target, epsilon=epsilon)
+    scanning = teacher.exact_automaton(alphabet) is None
+    if scanning:
+        teacher.strategy = _build_strategy(args, alphabet, weight)
     started = time.monotonic()
     try:
         report = learn(teacher, alphabet, max_iterations=args.max_iterations)
@@ -129,7 +124,7 @@ def cmd_learn(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     wall_ms = int((time.monotonic() - started) * 1000)
-    if strategy is not None and not any(teacher.smq(t) != 0 for t in teacher.seq_trees()):
+    if scanning and not any(teacher.smq(t) != 0 for t in teacher.seq_trees()):
         print("warning: no equivalence candidate has non-zero target weight",
               file=sys.stderr)
 
@@ -279,9 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True,
                    help="grammar/automaton file, or corpus TSV with --distance")
     p.add_argument("--seq", default="trees",
-                   choices=["exhaustive", "sampling", "duplications", "trees", "exact"],
-                   help="equivalence candidates; exact decides equivalence exactly "
-                        "(exact grammar or automaton targets only)")
+                   choices=["exhaustive", "sampling", "duplications", "trees"],
+                   help="equivalence candidates to scan; unused, and equivalence "
+                        "decided exactly, for an exact grammar or automaton target "
+                        "with no --float and no --epsilon other than 0")
     p.add_argument("--max-len", type=_at_least(1), default=4,
                    help="string length bound for exhaustive/sampling")
     p.add_argument("--max-leaves", type=_at_least(1), default=5,

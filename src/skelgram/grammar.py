@@ -358,8 +358,12 @@ def _solve_component(comp: list, by_lhs: dict, z: dict) -> list:
     exact = all(is_exact(c) for terms in eqs for c, _ in terms)
     if exact and all(len(inside) <= 1 for terms in eqs for _, inside in terms):
         return _newton(eqs, Fraction(0))  # a linear system: one exact step
-    values = _newton([[(float(c), inside) for c, inside in terms] for terms in eqs],
-                     0.0)
+    try:
+        floats = [[(float(c), inside) for c, inside in terms] for terms in eqs]
+    except OverflowError:
+        raise GrammarError(f"cannot solve for {comp[0]}: a weight is beyond "
+                           "float range") from None
+    values = _newton(floats, 0.0)
     # float weights are binary rationals, so they too may have an exact root
     snapped = _snap([[(Fraction(c), inside) for c, inside in terms] for terms in eqs],
                     values, exact)
@@ -572,6 +576,9 @@ def parse_wcfg(text: str, exact: bool = True) -> WCFG:
             raise GrammarError(f"line {lineno}: empty rule side")
         if len(lhs.split()) != 1:
             raise GrammarError(f"line {lineno}: rule head must be one symbol")
+        if "->" in body or any(c in sym for sym in (lhs, *rhs) for c in "[]"):
+            raise GrammarError(f"line {lineno}: one rule per line, and no '->', '[' "
+                               f"or ']' in a symbol: {line!r}")
         w = parse_scalar(weight_part.rstrip("]"), exact)
         raw_rules.append((lhs, rhs, w))
     if not raw_rules:

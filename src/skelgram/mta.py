@@ -218,7 +218,9 @@ def parse_mta(text: str, exact: bool = True) -> MTA:
             current_rank = None
         elif ln.startswith("leaf "):
             head, _, rest = ln.partition(":")
-            tok = head.split(None, 1)[1].strip()
+            tok = head[len("leaf "):].strip()
+            if not tok:
+                raise ValueError(f"line {ln!r} names no leaf token")
             leaf_maps[tok] = [parse_scalar(s, exact) for s in rest.split()]
             current_rank = None
         elif ln.startswith("rank "):

@@ -1,15 +1,14 @@
 """Simulated teachers answering structured membership and equivalence
 queries, plus the corpus-backed membership oracle with edit-distance decay.
 
-An equivalence query scans a strategy's candidate trees, listed lazily once
-per teacher, then a corpus target's own trees, and returns the first one (in
-that order) whose hypothesis value strays from the true series by more than
-the teacher's margin.  Each scanned tree's true value is weighed once per
-teacher and kept.  When the target and the hypothesis are exact
-automata over one alphabet and the margin is 0, an exact equivalence check
-runs first: if it finds no difference, no candidate can differ, and the
-scan is skipped.  A teacher without a strategy answers with that check's
-own witness.
+An equivalence query is answered one of two ways, read off the target.  A
+target with an exact automaton over the hypothesis's alphabet, at margin 0,
+is answered by an exact equivalence check, whose witness is the
+counterexample.  Any other target is answered by a scan of a strategy's
+candidate trees, listed lazily once per teacher, then a corpus target's own
+trees, which returns the first one (in that order) whose hypothesis value
+strays from the true series by more than the teacher's margin.  Each
+scanned tree's true value is weighed once per teacher and kept.
 """
 from __future__ import annotations
 
@@ -29,13 +28,14 @@ from .trees import (IDENTITY_CONTEXT, Context, Leaf, Node, RankedAlphabet,
 
 class SimulatedTeacher:
     """Answers smq from a grammar, automaton, or corpus oracle target, and
-    seq by scanning a candidate strategy with comparison margin epsilon, or,
-    with no strategy, exactly (exact grammar or automaton targets only).
-    Both weigh trees with the target's evaluator, picked once here:
-    `WCFG.skeletal_weight`, `MTA.eval` or `CorpusOracle.smq`, each of which
-    answers a cell smq(t, c) from its parts and keeps its own memos.  seq
-    keeps the target weight of each tree it has scanned, beside the listed
-    candidates."""
+    seq exactly when `exact_automaton` finds the target's automaton, else by
+    scanning a candidate strategy with comparison margin epsilon.  A
+    strategy given with such an exact target goes unused; a scan without
+    one raises ValueError.  Both queries weigh trees with the target's
+    evaluator, picked once here: `WCFG.skeletal_weight`, `MTA.eval` or
+    `CorpusOracle.smq`, each of which answers a cell smq(t, c) from its
+    parts and keeps its own memos.  seq keeps the target weight of each tree
+    it has scanned, beside the listed candidates."""
 
     def __init__(self, target, strategy=None, epsilon=0):
         self.target = target
@@ -86,34 +86,26 @@ class SimulatedTeacher:
             trees = itertools.chain(trees, (tree for tree, _ in self.target.corpus))
         return trees
 
-    def exact_automaton(self, hypothesis: MTA) -> MTA | None:
-        """The target as an exact automaton over the hypothesis's alphabet,
-        when the target is an exact grammar (with no rule longer than the
-        alphabet's rank) or an exact automaton and the hypothesis is exact;
-        otherwise None."""
+    def exact_automaton(self, alphabet: RankedAlphabet) -> MTA | None:
+        """The target as an exact automaton over alphabet, when the margin is
+        0 and the target is an exact grammar (with no rule longer than the
+        alphabet's rank) or an exact automaton over alphabet; otherwise
+        None, and seq scans."""
         target = self.target
-        if isinstance(target, WCFG) and target.is_exact():
+        if self.epsilon != 0 or not (isinstance(target, (WCFG, MTA)) and target.is_exact()):
+            return None
+        if isinstance(target, WCFG):
             try:
-                target = target.automaton(hypothesis.alphabet.max_rank)
+                target = target.automaton(alphabet.max_rank)
             except GrammarError:
                 return None
-        elif not (isinstance(target, MTA) and target.is_exact()):
-            return None
-        if target.alphabet != hypothesis.alphabet or not hypothesis.is_exact():
-            return None
-        return target
+        return target if target.alphabet == alphabet else None
 
     def seq(self, hypothesis: MTA):
-        exact = self.exact_automaton(hypothesis) if self.epsilon == 0 else None
-        if self.strategy is None:
-            if exact is None:
-                raise ValueError("an exact equivalence query needs an exact grammar or "
-                                 "automaton target over the hypothesis's alphabet, "
-                                 "and margin 0")
+        exact = self.exact_automaton(hypothesis.alphabet)
+        if exact is not None:
             tree = difference_witness(hypothesis, exact)
             return None if tree is None else (tree, self._evaluate(tree))
-        if exact is not None and difference_witness(hypothesis, exact) is None:
-            return None  # no candidate can differ
         weights = self._weights
         for i, tree in enumerate(self.seq_trees()):
             if i == len(weights):

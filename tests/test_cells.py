@@ -94,7 +94,7 @@ def check_target(monkeypatch, teacher, alphabet, seed, strategy=None):
     """Every cell of a learned table, then random contexts around its rows.
     Exact grammar and automaton targets are learned with the exact SEQ,
     which learns fimacd, others with the given strategy or all trees."""
-    if strategy is None and teacher.exact_automaton(MTA.zero(alphabet)) is None:
+    if strategy is None and teacher.exact_automaton(alphabet) is None:
         strategy = AllTreesStrategy(alphabet, 4)
     learner_teacher = SimulatedTeacher(teacher.target, strategy, teacher.epsilon)
     table = learned_table(monkeypatch, learner_teacher, alphabet)

@@ -37,8 +37,9 @@ def test_learn_trivial_writes_artifacts(tmp_path):
                                           ("corpus", False)])
 def test_learn_warns_when_no_candidate_has_target_weight(tmp_path, capsys, name, warned):
     # every positive fimacd tree has a unary root, which the trees strategy
-    # never generates, so its SEQ certifies the zero automaton
-    target = ["--target", FIXTURES / f"{name}.wcfg", "--max-leaves", "4"]
+    # never generates, so its scan certifies the zero automaton; --float
+    # makes the grammars scanned
+    target = ["--target", FIXTURES / f"{name}.wcfg", "--max-leaves", "4", "--float"]
     if name == "corpus":
         # no tree of <= 2 leaves is near this corpus, but SEQ also scans
         # the corpus trees, which always carry weight
@@ -136,6 +137,27 @@ def test_eval_automaton_header_without_d_or_p_exits_2(tmp_path, capsys, header):
     assert "cannot parse" in capsys.readouterr().err
 
 
+def test_exact_weight_beyond_float_range_fails_normalization(tmp_path, capsys):
+    grammar = tmp_path / "g.wcfg"
+    grammar.write_text("S -> S S [1e400]\nS -> a [1/3]\n", encoding="utf-8")
+    assert run(["convert", grammar, "--wcfg-to-pcfg"]) == 4
+    assert "float" in capsys.readouterr().err
+    assert run(["learn", "--target", grammar, "--out", tmp_path / "o"]) == 0
+    assert "warning: PCFG normalization failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "convert", "learn"])
+def test_automaton_with_tokenless_leaf_line_exits_2(tmp_path, capsys, command):
+    model = tmp_path / "m.mta"
+    model.write_text("mta d=1 p=1\nlambda: 1\nleaf : 0\nrank 1:\n  1\n", encoding="utf-8")
+    args = {"eval": ["eval", model, "--trees", model],
+            "convert": ["convert", model, "--pmta-to-wcfg"],
+            "learn": ["learn", "--target", model, "--out", tmp_path / "o"]}[command]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse" in err and "line 'leaf : 0' names no leaf token" in err
+
+
 @pytest.mark.parametrize("rows, message", [
     ("  0 1\n", "rank 1: expected 2 rows, got 1"),
     ("  0 1\n  1 0\n  1 1\n", "rank 1: expected 2 rows, got 3"),
@@ -184,18 +206,20 @@ def test_learn_automaton_target_rejects_other_max_rank(tmp_path, capsys):
 @pytest.mark.parametrize("seq", ["exhaustive", "sampling", "duplications", "trees"])
 def test_learn_candidate_strategies_refuse_max_rank_one(tmp_path, capsys, seq):
     # candidates have no unary nodes: at rank 1 the first three die part-way
-    # through learning, and trees certifies a 1-state automaton
+    # through learning, and trees certifies a 1-state automaton; so a
+    # scanned (here --float) target refuses rank 1, and the exact one learns
     grammar, base = tmp_path / "g.wcfg", tmp_path / "base.txt"
     grammar.write_text("S -> A [1/2]\nS -> a [1/4]\nA -> a [1/3]\n", encoding="utf-8")
     base.write_text("a\n", encoding="utf-8")
     out = tmp_path / "out"
-    assert run(["learn", "--target", grammar, "--max-rank", "1", "--seq", seq,
-                "--base-trees", base, "--out", out]) == 2
+    learn = ["learn", "--target", grammar, "--max-rank", "1", "--seq", seq,
+             "--base-trees", base, "--out", out]
+    assert run([*learn, "--float"]) == 2
     err = capsys.readouterr().err
-    assert f"--seq {seq} needs --max-rank 2 or more" in err and "--seq exact" in err
+    assert f"--seq {seq} needs --max-rank 2 or more" in err
+    assert "only an exact automaton, or an exact grammar with no rule longer" in err
     assert not out.exists()
-    assert run(["learn", "--target", grammar, "--max-rank", "1", "--seq", "exact",
-                "--out", out]) == 0
+    assert run(learn) == 0
     assert json.loads((out / "report.json").read_text())["basis_size"] == 2
 
 
@@ -340,7 +364,7 @@ def test_learn_float_backend(tmp_path):
 
 
 def test_learn_duplications_missing_base_trees_exits_2(tmp_path):
-    code = run(["learn", "--target", FIXTURES / "smalldup.wcfg",
+    code = run(["learn", "--target", FIXTURES / "smalldup.wcfg", "--float",
                 "--seq", "duplications", "--base-trees", tmp_path / "missing.txt",
                 "--out", tmp_path / "o"])
     assert code == 2
@@ -362,12 +386,11 @@ def test_learn_from_automaton_target(tmp_path):
 
 def test_learn_fimacd_exactly(tmp_path, capsys):
     # no trees candidate has non-zero fimacd weight (every S rule is unary),
-    # so --seq trees certifies the zero automaton; the exact check does not
+    # so a scan would certify the zero automaton; the exact check does not
     from skelgram.equivalence import difference_witness
     from skelgram.grammar import wcfg_to_pcfg, wcfg_to_pmta
     out = tmp_path / "out"
-    assert run(["learn", "--target", FIXTURES / "fimacd.wcfg", "--seq", "exact",
-                "--out", out]) == 0
+    assert run(["learn", "--target", FIXTURES / "fimacd.wcfg", "--out", out]) == 0
     assert capsys.readouterr().err == ""
     report = json.loads((out / "report.json").read_text())
     assert (report["basis_size"], report["seq_count"]) == (31, 7)
@@ -377,28 +400,20 @@ def test_learn_fimacd_exactly(tmp_path, capsys):
 
 
 def test_learn_exact_from_automaton_target(tmp_path):
+    from skelgram.equivalence import difference_witness
+    from skelgram.mta import parse_mta
     first = tmp_path / "first"
-    assert run(["learn", "--target", FIXTURES / "smalldup.wcfg", "--seq", "exact",
-                "--out", first]) == 0
+    assert run(["learn", "--target", FIXTURES / "acrab.wcfg", "--out", first]) == 0
     second = tmp_path / "second"
-    assert run(["learn", "--target", first / "hypothesis.mta", "--seq", "exact",
-                "--out", second]) == 0
+    assert run(["learn", "--target", first / "hypothesis.mta", "--out", second]) == 0
     assert (second / "hypothesis.wcfg").read_text() == (first / "hypothesis.wcfg").read_text()
+    learned, target = (parse_mta((out / "hypothesis.mta").read_text()) for out in (second, first))
+    assert difference_witness(learned, target) is None
 
 
 def test_learn_exact_on_chain_reaches_the_cap(tmp_path):
-    assert run(["learn", "--target", FIXTURES / "chain.wcfg", "--seq", "exact",
+    assert run(["learn", "--target", FIXTURES / "chain.wcfg",
                 "--max-iterations", "40", "--out", tmp_path / "o"]) == 3
-
-
-@pytest.mark.parametrize("extra", [["--float"], ["--epsilon", "0.1"],
-                                   ["--distance", "duplication"]])
-def test_learn_exact_refuses_inexact_settings_exits_2(tmp_path, capsys, extra):
-    out = tmp_path / "o"
-    assert run(["learn", "--target", FIXTURES / "smalldup.wcfg", "--seq", "exact",
-                *extra, "--out", out]) == 2
-    assert "--seq exact" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_learn_rejects_non_binary_corpus_tree_exits_2(tmp_path, capsys):
@@ -491,14 +506,17 @@ def _learn_digests(out):
 
 # sha256 of every artifact `learn --seq trees --max-leaves 4 --dump-table`
 # writes on a grammar target, exact and with --float, as printed while the
-# evaluator still stored dense subtree vectors.
+# evaluator still stored dense subtree vectors.  The exact acrab and
+# colinearity3 digests were re-pinned when exact targets stopped being
+# scanned: their SEQs are answered by an exact witness, which finds other
+# counterexamples (acrab: 13 states, 4 SEQs instead of 5).
 GRAMMAR_LEARN_SHA256 = {
     "acrab": {
-        "hypothesis.mta": "61857503efb9e4cfb2f7b299e553ee745961ce5f8cf4510754c5d2f42b460efa",
-        "hypothesis.wcfg": "5b05bdce908ff2de44a8ba0b0d3155c421dd0c9b2f619992f0b71bc63d923089",
+        "hypothesis.mta": "2b7c4081384e300be903caaf2ea5fecae8a5289a251a0b030096ee24f4d3e113",
+        "hypothesis.wcfg": "fe8afcd8ce63ff3339927ef20c423f0e901a0ab439369c4398e5a9abb6696d8f",
         "hypothesis.pcfg": "614e888a60fa1b078ef810e80ef9dca66817025dd00a79fe29e4d7b6ad442ad7",
-        "table.tsv": "2744b5b0a1de9e6f9e32537b263df7b8efffde361ea08431b83cc764240363dd",
-        "report.json": "b8c6ca3ea9a18fc4be1d41dd4f300be4d6dfb320463bacf5220badf3ba0cc611"
+        "table.tsv": "dbb941129f31976cb9b378f3b7f5953a03f4a8c4958caa566a7617a61270dc32",
+        "report.json": "e71657dcdab9e010a4b6b045dd890790ac3b8fb351326233ba9755800088edc6"
     },
     "acrab --float": {
         "hypothesis.mta": "16fcb6df8653ead6086ffc87775e2483b01b340f3c32cae795dd7aa124d16bd5",
@@ -511,8 +529,8 @@ GRAMMAR_LEARN_SHA256 = {
         "hypothesis.mta": "ea478b9123357d14a14215f93eae1a13cb81c0d0a393817ddd5dffde1e81425a",
         "hypothesis.wcfg": "4adcc5bfbcd9508c6c17291c1eb86fd9ce3ba903c5e77e300339a39ed0edd263",
         "hypothesis.pcfg": "a7d41013afd1dc74459c3710a7794d8bababf4f2bd940c74334ba902e261634b",
-        "table.tsv": "2b4d730db6f675627be9b15df70f5436db18d39e200d06f9a587cf82057186cb",
-        "report.json": "fbd90f187cbafa720bd4c111ec366b60a1a870b274d5f97b13665f01f646815a"
+        "table.tsv": "e99bc17e1e40c887d82d204924e0a7b895743aa15ab5a64951a25a6617b1d8d3",
+        "report.json": "c3c03ad642b19447080d4b3f7f35e739088c5be61682cffe41cf140b6511e3ea"
     },
     "colinearity3 --float": {
         "hypothesis.mta": "a007a963be23ff465e85f112f6dbe85a4ff1937d7c1929cea62ac83bd9aae8b6",
@@ -565,14 +583,16 @@ def test_grammar_learn_outputs_are_pinned(tmp_path, case):
 # string strategy (--max-len 4) on a grammar target, and with the trees
 # strategy (--max-leaves 4) on the automaton `convert --wcfg-to-pmta` writes
 # for a grammar, exact and with --float, as printed while the table still
-# re-sorted T and rescanned every product on each insertion.
+# re-sorted T and rescanned every product on each insertion.  Exact targets
+# are no longer scanned, so "exhaustive acrab" now equals the exact "acrab"
+# learn above and "mta colinearity3" its exact "colinearity3" learn.
 STRATEGY_LEARN_SHA256 = {
     "exhaustive acrab": {
-        "hypothesis.mta": "743ad62bbb7b04028b41a09b174e586dc6ae98e9c8f8925f8687a4e98c02910b",
-        "hypothesis.wcfg": "7de49baa40ffaada5000bce57fd81035d874c2439df4bffb8cbe89316bff8928",
-        "hypothesis.pcfg": "0c4a40b9093606cef8c4173b7808ba4cb31e32969fc2bd97368c2881d90508f9",
-        "table.tsv": "c593329a25d36eae6588d537f204d3561d5fe3b95321e064e0b3f78b2c18851a",
-        "report.json": "019a8f222bd54f61988e60ac34bb38ae3a16abbf6a204f7dc89ac4a0e1ee2664",
+        "hypothesis.mta": "2b7c4081384e300be903caaf2ea5fecae8a5289a251a0b030096ee24f4d3e113",
+        "hypothesis.wcfg": "fe8afcd8ce63ff3339927ef20c423f0e901a0ab439369c4398e5a9abb6696d8f",
+        "hypothesis.pcfg": "614e888a60fa1b078ef810e80ef9dca66817025dd00a79fe29e4d7b6ad442ad7",
+        "table.tsv": "dbb941129f31976cb9b378f3b7f5953a03f4a8c4958caa566a7617a61270dc32",
+        "report.json": "e71657dcdab9e010a4b6b045dd890790ac3b8fb351326233ba9755800088edc6",
     },
     "exhaustive acrab --float": {
         "hypothesis.mta": "44891ac20167f48f77efe45e1c8db9730f754b8d01bad8d6109d6b27330bdea9",
@@ -599,8 +619,8 @@ STRATEGY_LEARN_SHA256 = {
         "hypothesis.mta": "ea478b9123357d14a14215f93eae1a13cb81c0d0a393817ddd5dffde1e81425a",
         "hypothesis.wcfg": "4adcc5bfbcd9508c6c17291c1eb86fd9ce3ba903c5e77e300339a39ed0edd263",
         "hypothesis.pcfg": "a7d41013afd1dc74459c3710a7794d8bababf4f2bd940c74334ba902e261634b",
-        "table.tsv": "2b4d730db6f675627be9b15df70f5436db18d39e200d06f9a587cf82057186cb",
-        "report.json": "fbd90f187cbafa720bd4c111ec366b60a1a870b274d5f97b13665f01f646815a",
+        "table.tsv": "e99bc17e1e40c887d82d204924e0a7b895743aa15ab5a64951a25a6617b1d8d3",
+        "report.json": "c3c03ad642b19447080d4b3f7f35e739088c5be61682cffe41cf140b6511e3ea",
     },
     "mta colinearity3 --float": {
         "hypothesis.mta": "1a3f5a4627b08eb6b3259baf76b801ba659d1fdb9e85a1e707dafc2c7fcb92a6",

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -195,6 +196,18 @@ def test_grammar_validation_errors():
         parse_wcfg("A B -> a [1]")
     with pytest.raises(GrammarError):
         parse_wcfg("A -> a")  # missing weight bracket
+
+
+@pytest.mark.parametrize("line", [
+    "S -> N3 R [0.012]S -> R N5 [0.004]",  # two rules run together
+    "S -> a -> b [1]",
+    "S -> a[1] [1]",
+    "S -> a] [1]",
+    "S[1] -> a [1]",
+])
+def test_parse_wcfg_rejects_arrows_and_brackets_in_symbols(line):
+    with pytest.raises(GrammarError, match=f"line 2: .*{re.escape(repr(line))}"):
+        parse_wcfg("S -> a [1]\n" + line + "\n")
 
 
 # -- pmta_to_wcfg ------------------------------------------------------------

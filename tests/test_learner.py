@@ -112,20 +112,19 @@ def test_iteration_cap_raises_on_unbounded_rank():
         learn(teacher, alphabet, max_iterations=40)
 
 
-# The counterexamples SEQ returns on acrab with all trees of <= 5 leaves,
-# with the target's weight for each, in the order asked.
+# The counterexamples SEQ returns on acrab, each the exact equivalence
+# check's witness, with the target's weight for each, in the order asked.
 ACRAB_COUNTEREXAMPLES = [
-    ("(((AcrA AcrB) AcrR) TolC)", Fraction(17, 3125)),
-    ("(((AcrA AcrB) TolC) AcrR)", Fraction(39, 500)),
+    ("(((AcrB AcrA) AcrR) TolC)", Fraction(17, 12500)),
     ("(((AcrB AcrA) TolC) AcrR)", Fraction(7, 250)),
-    ("(((AcrB TolC) AcrA) AcrR)", Fraction(247, 250000)),
+    ("(((TolC AcrB) AcrA) AcrR)", Fraction(247, 1000000)),
 ]
 
 
 def test_acrab_counts_and_counterexamples_are_pinned():
     g = load_wcfg(FIXTURES / "acrab.wcfg")
     alphabet = g.alphabet(2)
-    teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 5))
+    teacher = SimulatedTeacher(g)
     answers = []
     seq = teacher.seq
 
@@ -136,7 +135,7 @@ def test_acrab_counts_and_counterexamples_are_pinned():
 
     teacher.seq = recording_seq
     report = learn(teacher, alphabet)
-    assert (report.basis_size, report.seq_count, report.smq_count) == (13, 5, 3240)
+    assert (report.basis_size, report.seq_count, report.smq_count) == (13, 4, 3240)
     assert answers == ACRAB_COUNTEREXAMPLES + [None]
 
 

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from skelgram.equivalence import difference_witness
 from skelgram.geneclusters import INF, right_chain, right_chain_shape
-from skelgram.grammar import load_wcfg, wcfg_to_pmta
+from skelgram.grammar import load_wcfg, parse_wcfg, wcfg_to_pmta
 from skelgram.learner import learn
-from skelgram.table import CapExceeded
 from skelgram.mta import MTA
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle,
                               DuplicationsStrategy, ExhaustiveStrategy,
@@ -17,7 +17,7 @@ from skelgram.trees import (Leaf, Node, RankedAlphabet, enumerate_full_trees,
                             parse_structured_string, tree_yield)
 
 from conftest import (FIXTURES, brute_force_weight, learn_corpus_entries,
-                      observing_rounds, random_binary_tree, random_cmta,
+                      random_binary_tree, random_cmta,
                       reference_duplication_distance, reference_swap_distance)
 
 
@@ -118,78 +118,16 @@ def test_corpus_smq_stays_in_unit_interval():
             assert 0 <= value <= 1
 
 
-def test_strategy_is_enumerated_once_per_teacher(acrab):
-    alphabet = acrab.alphabet(2)
+def test_strategy_is_enumerated_once_per_teacher():
+    floats = load_wcfg(FIXTURES / "acrab.wcfg", exact=False)  # scanned
+    alphabet = floats.alphabet(2)
     strategy = CountingStrategy(AllTreesStrategy(alphabet, 4))
-    teacher = SimulatedTeacher(acrab, strategy)
+    teacher = SimulatedTeacher(floats, strategy, 1e-6)
     report = learn(teacher, alphabet)
     assert report.seq_count == 5
     assert strategy.calls == 1
     assert list(teacher.seq_trees()) == list(AllTreesStrategy(alphabet, 4).candidates())
     assert strategy.calls == 1
-
-
-class PullCountingStrategy:
-    """Passes a strategy's candidates through, counting those drawn."""
-
-    def __init__(self, strategy):
-        self.strategy = strategy
-        self.pulled = 0
-
-    def candidates(self):
-        for tree in self.strategy.candidates():
-            self.pulled += 1
-            yield tree
-
-
-def first_mismatch(teacher, hypothesis):
-    """The scan without the exact pre-check: every candidate, in order."""
-    for tree in teacher.strategy.candidates():
-        truth = teacher.smq(tree)
-        if hypothesis.eval(tree) != truth:
-            return tree, truth
-    return None
-
-
-def assert_precheck_changes_no_answer(target, alphabet, max_iterations=None):
-    teacher = SimulatedTeacher(target, AllTreesStrategy(alphabet, 4))
-    answers = []
-
-    def observer(table, hypothesis):
-        answers.append((teacher.seq(hypothesis), first_mismatch(teacher, hypothesis),
-                        teacher.exact_automaton(hypothesis) is not None))
-
-    try:
-        with observing_rounds(observer):
-            learn(teacher, alphabet, max_iterations=max_iterations)
-    except CapExceeded:
-        pass
-    assert answers
-    for got, scanned, checked in answers:
-        assert checked
-        assert got == scanned
-
-
-@pytest.mark.parametrize("name", ["acrab", "colinearity3", "smalldup", "trivial", "fimacd"])
-def test_exact_precheck_changes_no_seq_answer(name):
-    g = load_wcfg(FIXTURES / f"{name}.wcfg")
-    assert_precheck_changes_no_answer(g, g.alphabet(2))
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_exact_precheck_changes_no_seq_answer_on_random_cmtas(seed):
-    rng = random.Random(seed)
-    alphabet = RankedAlphabet(["a", "b"], 2)
-    target = random_cmta(rng, alphabet, rng.randint(3, 5))
-    assert_precheck_changes_no_answer(target, alphabet, max_iterations=60)
-
-
-def test_acrab_learn_draws_fewer_than_all_candidates(acrab):
-    alphabet = acrab.alphabet(2)
-    strategy = PullCountingStrategy(AllTreesStrategy(alphabet, 5))
-    report = learn(SimulatedTeacher(acrab, strategy), alphabet)
-    assert report.seq_count == 5
-    assert 0 < strategy.pulled < len(enumerate_full_trees(alphabet.leaf_symbols, 5)) == 15764
 
 
 @pytest.mark.parametrize("target", ["acrab", "corpus"])
@@ -201,8 +139,8 @@ def test_seq_weighs_each_scanned_tree_once_per_teacher(monkeypatch, target):
         oracle = CorpusOracle(entries, Fraction(1, 5), "duplication")
         evaluator, owner, alphabet = "smq", oracle, oracle.alphabet()
         strategy = DuplicationsStrategy([t for t, _ in entries], 1)
-    else:
-        owner = load_wcfg(FIXTURES / "acrab.wcfg")
+    else:  # float acrab: an exact grammar is answered without a scan
+        owner = load_wcfg(FIXTURES / "acrab.wcfg", exact=False)
         evaluator, alphabet = "skeletal_weight", owner.alphabet(2)
         strategy = AllTreesStrategy(alphabet, 5)
     weighed, scanning = [], []
@@ -222,7 +160,7 @@ def test_seq_weighs_each_scanned_tree_once_per_teacher(monkeypatch, target):
 
     monkeypatch.setattr(owner, evaluator, counted)  # the teacher picks it up
     monkeypatch.setattr(SimulatedTeacher, "seq", scan)
-    teacher = SimulatedTeacher(owner, strategy)
+    teacher = SimulatedTeacher(owner, strategy, 0 if target == "corpus" else 1e-6)
     report = learn(teacher, alphabet)
     assert report.seq_count >= 4
     # each tree seq scans was weighed once, in scan order (a corpus target's
@@ -232,45 +170,76 @@ def test_seq_weighs_each_scanned_tree_once_per_teacher(monkeypatch, target):
 
 
 class Hypothesis:
-    """A hypothesis answering eval by a function, never exact, so the scan
-    runs without the exact pre-check."""
+    """A hypothesis answering eval by a function."""
 
     def __init__(self, alphabet, weigh):
         self.alphabet, self.eval = alphabet, weigh
 
-    def is_exact(self):
-        return False
-
 
 def test_seq_compares_exact_values_exactly_and_floats_by_margin():
-    g = load_wcfg(FIXTURES / "trivial.wcfg")
-    alphabet = g.alphabet(2)
+    # corpus targets are scanned, with exact or float frequencies
+    alphabet = RankedAlphabet(["a", "b"], 2)
+    texts = (("a", 1), ("(a b)", 3))
+    oracle = CorpusOracle([(parse_structured_string(text, alphabet), Fraction(freq))
+                           for text, freq in texts], Fraction(1, 5))
     tree = next(iter(AllTreesStrategy(alphabet, 2).candidates()))
-    truth = g.skeletal_weight(tree)
-    off = Hypothesis(alphabet, lambda t: g.skeletal_weight(t) + Fraction(1, 10 ** 30) * (t == tree))
-    assert SimulatedTeacher(g, AllTreesStrategy(alphabet, 2)).seq(off) == (tree, truth)
-    same = Hypothesis(alphabet, g.skeletal_weight)
-    assert SimulatedTeacher(g, AllTreesStrategy(alphabet, 2)).seq(same) is None
-    floats = load_wcfg(FIXTURES / "trivial.wcfg", exact=False)
-    near = Hypothesis(alphabet, lambda t: floats.skeletal_weight(t) + 1e-12 * (t == tree))
+    truth = oracle.smq(tree)
+    off = Hypothesis(alphabet, lambda t: oracle.smq(t) + Fraction(1, 10 ** 30) * (t == tree))
+    assert SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 2)).seq(off) == (tree, truth)
+    same = Hypothesis(alphabet, oracle.smq)
+    assert SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 2)).seq(same) is None
+    floats = CorpusOracle([(parse_structured_string(text, alphabet), float(freq))
+                           for text, freq in texts], 0.2)
+    near = Hypothesis(alphabet, lambda t: floats.smq(t) + 1e-12 * (t == tree))
     assert SimulatedTeacher(floats, AllTreesStrategy(alphabet, 2), 1e-9).seq(near) is None
     assert SimulatedTeacher(floats, AllTreesStrategy(alphabet, 2)).seq(near)[0] == tree
     # NaN is never more than a margin away, as abs(got - truth) > epsilon reads
     nan = Hypothesis(alphabet, lambda t: float("nan"))
     assert SimulatedTeacher(floats, AllTreesStrategy(alphabet, 2)).seq(nan) is None
-    assert SimulatedTeacher(g, AllTreesStrategy(alphabet, 2)).seq(nan) is None
+    assert SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 2)).seq(nan) is None
 
 
-def test_precheck_waits_for_an_inexact_teacher():
-    # a float target or a non-zero margin keeps the plain scan
-    g = load_wcfg(FIXTURES / "smalldup.wcfg", exact=False)
-    alphabet = g.alphabet(2)
-    teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 3), epsilon=1e-9)
-    assert teacher.exact_automaton(MTA.zero(alphabet)) is None
+def test_exact_automaton_is_read_off_the_target():
+    # a float target, a non-zero margin, a corpus or a rule longer than the
+    # rank leaves the scan
     exact = load_wcfg(FIXTURES / "smalldup.wcfg")
-    assert SimulatedTeacher(exact).exact_automaton(MTA.zero(alphabet)) is not None
-    assert SimulatedTeacher(exact).exact_automaton(MTA.zero(exact.alphabet(3))) is not None
-    assert SimulatedTeacher(exact).exact_automaton(MTA.zero(RankedAlphabet(["b"], 2))) is None
+    alphabet = exact.alphabet(2)
+    floats = load_wcfg(FIXTURES / "smalldup.wcfg", exact=False)
+    assert SimulatedTeacher(floats).exact_automaton(alphabet) is None
+    assert SimulatedTeacher(exact, epsilon=1e-9).exact_automaton(alphabet) is None
+    assert SimulatedTeacher(exact).exact_automaton(alphabet) is exact.automaton(2)
+    assert SimulatedTeacher(exact).exact_automaton(exact.alphabet(3)) is exact.automaton(3)
+    assert SimulatedTeacher(exact).exact_automaton(RankedAlphabet(["b"], 2)) is None
+    ternary = parse_wcfg("S -> a a a [1]\n")
+    assert SimulatedTeacher(ternary).exact_automaton(ternary.alphabet(2)) is None
+    assert SimulatedTeacher(ternary).exact_automaton(ternary.alphabet(3)) is not None
+    automaton = wcfg_to_pmta(exact)
+    assert SimulatedTeacher(automaton).exact_automaton(alphabet) is automaton
+    oracle = CorpusOracle(learn_corpus_entries(1), Fraction(1, 5))
+    assert SimulatedTeacher(oracle).exact_automaton(oracle.alphabet()) is None
+
+
+class RefusingStrategy:
+    def candidates(self):
+        raise AssertionError("an exact target needs no candidates")
+
+
+@pytest.mark.parametrize("name", ["acrab", "colinearity3", "smalldup", "trivial", "fimacd"])
+def test_exact_seq_learns_the_target_without_candidates(name):
+    g = load_wcfg(FIXTURES / f"{name}.wcfg")
+    alphabet = g.alphabet(2)
+    report = learn(SimulatedTeacher(g, RefusingStrategy()), alphabet)
+    assert difference_witness(report.hypothesis, g.automaton(2)) is None
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_exact_seq_learns_random_cmtas(seed):
+    rng = random.Random(seed)
+    alphabet = RankedAlphabet(["a", "b"], 2)
+    target = random_cmta(rng, alphabet, rng.randint(3, 5))
+    report = learn(SimulatedTeacher(target, RefusingStrategy()), alphabet)
+    assert difference_witness(report.hypothesis, target) is None
+    assert report.basis_size <= target.dim
 
 
 def test_exact_seq_without_a_strategy():
@@ -281,7 +250,7 @@ def test_exact_seq_without_a_strategy():
     assert value == g.skeletal_weight(tree) != 0
     report = learn(teacher, alphabet)
     assert teacher.seq(report.hypothesis) is None
-    with pytest.raises(ValueError, match="exact equivalence query"):
+    with pytest.raises(ValueError, match="no equivalence strategy"):
         SimulatedTeacher(g, epsilon=1e-9).seq(MTA.zero(alphabet))
 
 
