@@ -4,7 +4,11 @@ Subcommands: learn (drive the query learner against a simulated teacher),
 eval (weigh structured strings under a grammar or automaton), convert
 (automaton/grammar transformations), trees (gene-string parsing and
 distances).  Exit codes: 0 success, 2 input error, 3 iteration cap,
-4 precondition violation.
+4 precondition violation: a grammar or automaton that the conversion
+cannot take, an automaton whose dense .mta form would exceed
+mta.MAX_DENSE_COEFFICIENTS, or a learn whose table cannot go on (a
+counterexample the hypothesis already weighs as the table does, or a
+float row within tolerance of two basis rows).
 """
 from __future__ import annotations
 
@@ -20,9 +24,9 @@ from .geneclusters import (SubstringFrequencyWeight, duplication_distance,
 from .grammar import (GrammarError, WCFG, format_wcfg, parse_wcfg, pmta_to_wcfg,
                       wcfg_to_pcfg, wcfg_to_pmta)
 from .learner import learn
-from .mta import MTA, format_mta, parse_mta
+from .mta import MTA, TooLargeToWrite, format_mta, parse_mta
 from .scalars import parse_scalar
-from .table import CapExceeded
+from .table import CapExceeded, TableError
 from .teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
                       ExhaustiveStrategy, SamplingStrategy, SimulatedTeacher,
                       load_corpus)
@@ -123,6 +127,9 @@ def cmd_learn(args) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except TableError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     wall_ms = int((time.monotonic() - started) * 1000)
     if scanning and not any(teacher.smq(t) != 0 for t in teacher.seq_trees()):
         print("warning: no equivalence candidate has non-zero target weight",
@@ -330,6 +337,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except TooLargeToWrite as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except (TreeSyntaxError, GrammarError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

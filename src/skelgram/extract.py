@@ -4,6 +4,12 @@ Dimension = basis size.  The output vector reads the basis rows at the
 identity column; each leaf and each basis-tuple column gets the classifying
 (coefficient, basis index) of its observed row, so every column carries at
 most one non-zero entry.
+
+The automaton maps every basis tree to its unit vector and agrees with
+every row at the identity column.  It need not agree with every other
+cell: a counterexample's column is not closed under removing its
+innermost level, and its siblings need not be in T, so no consistency
+check covers it.  Only the equivalence query certifies the automaton.
 """
 from __future__ import annotations
 

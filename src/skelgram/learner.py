@@ -1,5 +1,6 @@
 """Top-level query-learning loop: complete the table, extract a hypothesis,
-ask a structured equivalence query, fold counterexample subtrees back in.
+ask a structured equivalence query, and turn its counterexample into one
+separating column at a time until the hypothesis weighs it right.
 """
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from typing import Optional, Protocol
 
 from .extract import extract_cmta
 from .mta import MTA
+from .scalars import scalar_eq
 from .table import Budget, ObservationTable
 from .trees import IDENTITY_CONTEXT, Context, Leaf, RankedAlphabet, SkeletalTree
 
@@ -36,6 +38,14 @@ def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
           max_iterations: int | None = None) -> LearnReport:
     """Learn a co-linear automaton for the oracle's skeletal tree series.
 
+    Each counterexample z goes to `ObservationTable.add_counterexample`,
+    which adds the one column that z's walk finds and completes the table;
+    the hypothesis is then extracted again, and z processed again while the
+    hypothesis still weighs it wrong (by `scalar_eq`).  The hypothesis that
+    weighs z right goes to the next equivalence query.  A float walk that
+    finds no new column falls back to adding z's subtrees to T, and the
+    learner moves on to the next query; an exact one raises TableError.
+
     The cap (default 10*|leaf alphabet| + 1000) counts basis additions,
     column additions, and equivalence queries; targets without finite
     co-linear rank exhaust it and raise CapExceeded.  The arithmetic follows
@@ -45,10 +55,10 @@ def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
     budget = Budget(cap)
     table = ObservationTable(alphabet, oracle, budget=budget)
     table.complete([Leaf(tok) for tok in alphabet.leaf_symbols])
+    hypothesis = extract_cmta(table)
     seq_count = 0
     max_cex = 0
     while True:
-        hypothesis = extract_cmta(table)
         budget.charge("equivalence query")
         seq_count += 1
         answer = oracle.seq(hypothesis)
@@ -57,6 +67,10 @@ def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
                                smq_count=table.smq_count,
                                basis_size=len(table.basis),
                                max_counterexample_size=max_cex, table=table)
-        counterexample, _value = answer
+        counterexample, value = answer
         max_cex = max(max_cex, counterexample.size)
-        table.complete([counterexample])
+        while True:  # until the hypothesis weighs the counterexample right
+            separated = table.add_counterexample(counterexample)
+            hypothesis = extract_cmta(table)
+            if not separated or scalar_eq(hypothesis.eval(counterexample), value):
+                break

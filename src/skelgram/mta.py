@@ -19,6 +19,15 @@ class EvaluationError(ValueError):
     """Tree uses a token or rank the automaton does not define."""
 
 
+# format_mta writes d**(k+1) coefficients for each rank k, zeros included;
+# 10**7 of them take a few seconds and tens of MB of text
+MAX_DENSE_COEFFICIENTS = 10 ** 7
+
+
+class TooLargeToWrite(RuntimeError):
+    """The dense text form of an automaton exceeds MAX_DENSE_COEFFICIENTS."""
+
+
 class MTA:
     """dim-d automaton: per-token leaf vectors, per-rank node maps, output vector.
 
@@ -183,7 +192,14 @@ class MTA:
 def format_mta(a: MTA) -> str:
     """Text form: header, output vector, leaf vectors, then each rank-k map
     as d rows of d^k coefficients, columns (j1..jk) in lexicographic order
-    with jk varying fastest and the map's zero scalar in the gaps."""
+    with jk varying fastest and the map's zero scalar in the gaps.  Raises
+    TooLargeToWrite, before writing anything, when those maps hold more than
+    MAX_DENSE_COEFFICIENTS coefficients."""
+    count = sum(a.dim ** (k + 1) for k in range(1, a.alphabet.max_rank + 1))
+    if count > MAX_DENSE_COEFFICIENTS:
+        raise TooLargeToWrite(
+            f"the automaton's .mta form would hold {count} coefficients "
+            f"(d={a.dim}, p={a.alphabet.max_rank}), more than {MAX_DENSE_COEFFICIENTS}")
     lines = [f"mta d={a.dim} p={a.alphabet.max_rank}"]
     lines.append("lambda: " + " ".join(format_scalar(x) for x in a.output))
     for tok in a.alphabet.leaf_symbols:

@@ -1,8 +1,14 @@
 """The learner's observation table: row trees, column contexts, a filled
 sub-matrix of the Hankel matrix, and a co-linearly independent basis.
 
-Rows cover T and all one-level extensions of T; the row set is kept
-subtree-closed.  Rows and their classes are keyed by the row tree's text.
+Rows cover T and all one-level extensions of T.  T is the leaves plus
+the basis: a counterexample adds one separating column
+(`separating_context`), not its subtrees, so a counterexample's subtrees
+are in T only after the float fallback, `complete([z])`.  (T stays
+subtree-closed: a basis tree is a row over T.)  A consistency check's
+column, with its innermost level removed, is a column too; a
+counterexample's column need not be, and its siblings need not be in T.
+Rows and their classes are keyed by the row tree's text.
 The cell of row t and column c is one structured membership query for
 c∘t, put to the oracle as the pair (t, c), so the oracle may answer it
 from its parts without building c∘t.  The answers are memoized by the text
@@ -96,19 +102,20 @@ class ObservationTable:
     def smq_count(self) -> int:
         return len(self._smq_cache)
 
+    def _cell(self, tree: SkeletalTree, ctx: Context):
+        """The weight of ctx∘tree: one SMQ, memoized by the composed text."""
+        key = ctx.prefix + tree.text + ctx.suffix
+        value = self._smq_cache.get(key)
+        if value is None:
+            value = self._smq_cache[key] = self.oracle.smq(tree, ctx)
+        return value
+
     def _fill_row(self, tree: SkeletalTree):
-        text = tree.text
-        row = self.rows.get(text)
+        row = self.rows.get(tree.text)
         if row is None:
-            row = self.rows[text] = []
+            row = self.rows[tree.text] = []
             bisect.insort(self._order, tree, key=canonical_key)
-        cache = self._smq_cache
-        for ctx in self.columns[len(row):]:
-            key = ctx.prefix + text + ctx.suffix
-            value = cache.get(key)
-            if value is None:
-                value = cache[key] = self.oracle.smq(tree, ctx)
-            row.append(value)
+        row.extend([self._cell(tree, ctx) for ctx in self.columns[len(row):]])
 
     def _add_tree(self, tree: SkeletalTree):
         """Add one tree to T (children must already be in T) and extend the
@@ -301,6 +308,72 @@ class ObservationTable:
                 continue
             break
         self._completed = True
+
+    def separating_context(self, tree: SkeletalTree) -> Context | None:
+        """The one column a counterexample calls for, by Rivest & Schapire's
+        analysis (Inf. Comput. 1993) lifted to trees (Marušić & Worrell,
+        JMLR 2015), on a completed table.
+
+        Go through tree in post-order and replace each subtree s, whose
+        children are by then basis trees (so s is a row), with its class's
+        basis tree b, scaled by the class coefficient a.  The scaled values
+        run from f(tree) to the extracted hypothesis's value, and a zero
+        class ends them at 0.  Where those two differ, some step has
+        f(c∘s) != a·f(c∘b), or f(c∘s) != 0 for a zero class, with c the rest
+        of the tree at that step; the first such c is returned.  Made a
+        column, it leaves s independent of the basis.  Every cell goes
+        through the memo.  When no step is found, or only one at a column
+        the table has, exact cells raise TableError and float cells return
+        None."""
+        if not self._completed:
+            raise TableError("table must be closed and consistent before a counterexample walk")
+        frames = []  # per node above s: [its children as replaced so far, s's index]
+        s, fresh = tree, True  # fresh: s's children are still tree's own
+        exact = True
+        while True:
+            if fresh and isinstance(s, Node):
+                frames.append([list(s.children), 0])
+                s = s.children[0]
+                continue
+            root = HOLE  # s's children are basis trees, so s is a row
+            for kids, i in reversed(frames):
+                root = Node(kids[:i] + [root] + kids[i + 1:])
+            ctx = Context(root)
+            cls = self._class_of(s.text)
+            b = None if cls.is_zero else self.basis[cls.index]
+            value = self._cell(s, ctx)
+            scaled = 0 if b is None else cls.coeff * self._cell(b, ctx)
+            exact = exact and is_exact(value) and is_exact(scaled)
+            if not scalar_eq(value, scaled):
+                if ctx not in self.columns:
+                    return ctx
+                break
+            if b is None or not frames:
+                break
+            kids, i = frames[-1]
+            kids[i] = b
+            if i + 1 < len(kids):
+                frames[-1][1] = i + 1
+                s, fresh = kids[i + 1], True
+            else:
+                frames.pop()
+                s, fresh = Node(kids), False
+        if exact:
+            raise TableError(f"counterexample {tree.text} calls for no new column: "
+                             "the hypothesis already weighs it as the table does")
+        return None
+
+    def add_counterexample(self, tree: SkeletalTree) -> bool:
+        """Add the counterexample's separating column and complete the table
+        (True); on float cells with no such column, fall back to
+        complete([tree]), which adds every subtree of tree to T (False)."""
+        ctx = self.separating_context(tree)
+        if ctx is None:
+            self.complete([tree])
+            return False
+        self._add_column(ctx)
+        self.complete()
+        return True
 
     @property
     def is_completed(self) -> bool:

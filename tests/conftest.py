@@ -64,9 +64,10 @@ def learn_corpus_entries(seed):
 
 @contextlib.contextmanager
 def observing_rounds(observer):
-    """Within the block, `learn` calls observer(table, hypothesis) on each
-    round's hypothesis as it is extracted, just before its equivalence
-    query."""
+    """Within the block, `learn` calls observer(table, hypothesis) on every
+    hypothesis as it is extracted: the first, and each one extracted while
+    a counterexample is processed, the last of which goes to the next
+    equivalence query."""
     extract = learner.extract_cmta
 
     def extract_and_observe(table):

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import resource
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +13,7 @@ import pytest
 
 from skelgram.cli import main
 from skelgram.geneclusters import right_chain
-from skelgram.grammar import load_wcfg, parse_wcfg, format_wcfg
+from skelgram.grammar import WCFG, load_wcfg, parse_wcfg, format_wcfg
 from skelgram.trees import Leaf, Node, RankedAlphabet, parse_structured_string
 
 from conftest import FIXTURES
@@ -61,6 +65,73 @@ def test_learn_cap_breach_exits_3(tmp_path):
                 "--max-leaves", "5", "--max-iterations", "30",
                 "--out", tmp_path / "o"])
     assert code == 3
+
+
+def test_learn_float_rows_within_tolerance_of_two_basis_rows_exit_4(tmp_path, capsys):
+    # at q = 0.001 the cells of ((x x) (x x)) fall below the float
+    # tolerance, so its row matches two basis rows: a TableError
+    corpus, base = tmp_path / "corpus.tsv", tmp_path / "base.txt"
+    corpus.write_text(PINNED_CORPUS, encoding="utf-8")
+    base.write_text(PINNED_BASE_TREES, encoding="utf-8")
+    code = run(["learn", "--target", corpus, "--distance", "duplication", "--float",
+                "--q", "0.001", "--seq", "duplications", "--base-trees", base,
+                "--max-dup", "1", "--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: row ((x x) (x x)) is co-linear to several basis rows")
+    assert err.count("\n") == 1
+
+
+def test_learn_counterexample_the_hypothesis_weighs_right_exits_4(tmp_path, capsys,
+                                                                   monkeypatch):
+    from skelgram.teacher import SimulatedTeacher
+
+    def agreeing_seq(teacher, hypothesis):
+        tree = Leaf("AcrA")  # every leaf's row agrees at the identity column
+        return tree, hypothesis.eval(tree)
+
+    monkeypatch.setattr(SimulatedTeacher, "seq", agreeing_seq)
+    code = run(["learn", "--target", FIXTURES / "acrab.wcfg", "--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: counterexample AcrA calls for no new column")
+    assert err.count("\n") == 1
+
+
+def test_convert_refuses_an_automaton_too_large_to_write(tmp_path):
+    """format_mta writes d**(k+1) coefficients for each rank k, zeros
+    included: one rank-6 rule gives acrab's automaton (d=17) about 4e8.
+    The convert runs in a child process with a 10 s timeout and a 1 GB
+    address-space limit, so a writer that tries again fails the test, not
+    the host."""
+    grammar = tmp_path / "rank6.wcfg"
+    grammar.write_text((FIXTURES / "acrab.wcfg").read_text(encoding="utf-8")
+                       + "S -> N3 R N1 R N5 C [0.004]\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run([sys.executable, "-m", "skelgram.cli", "convert", str(grammar),
+                           "--wcfg-to-pmta"], env=env, capture_output=True, text=True,
+                          timeout=10, preexec_fn=limit_memory)
+    assert done.returncode == 4, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == ("error: the automaton's .mta form would hold 435984822 "
+                           "coefficients (d=17, p=6), more than 10000000\n")
+
+
+def test_learn_hypothesis_too_large_to_write_exits_4(tmp_path, capsys, monkeypatch):
+    # smalldup learns 2 states: 2**2 + 2**3 = 12 coefficients
+    monkeypatch.setattr("skelgram.mta.MAX_DENSE_COEFFICIENTS", 11)
+    code = run(["learn", "--target", FIXTURES / "smalldup.wcfg", "--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == ("error: the automaton's .mta form would hold 12 coefficients "
+                   "(d=2, p=2), more than 11\n")
+    assert not (tmp_path / "o" / "hypothesis.mta").exists()
 
 
 @pytest.mark.parametrize("flag, value, floor", [
@@ -393,9 +464,13 @@ def test_learn_fimacd_exactly(tmp_path, capsys):
     assert run(["learn", "--target", FIXTURES / "fimacd.wcfg", "--out", out]) == 0
     assert capsys.readouterr().err == ""
     report = json.loads((out / "report.json").read_text())
-    assert (report["basis_size"], report["seq_count"]) == (31, 7)
+    assert (report["basis_size"], report["seq_count"], report["smq_count"]) == (31, 11, 14506)
     learned = load_wcfg(out / "hypothesis.pcfg")
     target = wcfg_to_pcfg(load_wcfg(FIXTURES / "fimacd.wcfg"))
+    # the file lists terminals as its rules first use them; read them in
+    # the target's order, so both automata share one alphabet
+    assert sorted(learned.terminals) == sorted(target.terminals)
+    learned = WCFG(learned.nonterminals, target.terminals, learned.weights)
     assert difference_witness(wcfg_to_pmta(learned, 2), wcfg_to_pmta(target, 2)) is None
 
 
@@ -449,25 +524,28 @@ def test_learn_writes_pcfg_when_float_weights_round_above_one(tmp_path, capsys):
 # per distance, as printed before the distance helpers were made iterative;
 # the duplication hypothesis.pcfg as printed once partition functions were
 # solved by component, which made its floats closer to the exact values.
+# Every learn digest was re-pinned when a counterexample came to add one
+# separating column instead of its subtrees: swap keeps 9 states in 5 SEQs
+# (765 SMQs, was 1,335), duplication learns 11 states (was 10) in 5 SEQs.
 PINNED_CORPUS = "4\t((x y) (z z))\n2\t(x (y z))\n1\t((y x) z)\n1\t((x x) (y z))\n"
 PINNED_BASE_TREES = "((x y) z)\n(x (y z))\n((y x) z)\n"
 PINNED_GENES = "x y z z\nx x y z\ny x z z\nz z x y\nx y y z z\nz\nx y z\nz z z x\n"
 PINNED_AGAINST = "((x y) (z z))"
 CORPUS_LEARN_SHA256 = {
     "swap": {
-        "hypothesis.mta": "5727b4ee16d16601b10e3ccaaba34858152f27be4ac6836093c75caecf2b4a95",
-        "hypothesis.wcfg": "fb782771106527878a3fcb541b52787ae61d2acde37fc67b7045f1d27fd9aae9",
-        "hypothesis.pcfg": "a15d834392170b11022bbf552fdda29a0e8e8165c6a6a01642e8ef9d4d73cb1d",
-        "table.tsv": "9f03f48127060685c78f80b297f0d14b0b463bd46e980ac79425a050d53794ba",
-        "report.json": "1e5237220e670acb48f6c9ab78167eae257f0269365d1138563b1abb1389c0ee",
+        "hypothesis.mta": "3f855f17bc01aeb61f45e38b407cd1d30c861e522831c5b04b2be919838b6191",
+        "hypothesis.wcfg": "0323cfc532b3f4cb1a4cef6e651a1960a6d2cc297807d9873a7e1dec60eb1080",
+        "hypothesis.pcfg": "06590e3e0d29e9a9e6c1d85dbd68025bf334e87b7ec8266932a44860449b2cef",
+        "table.tsv": "1b6a488966f3472bfb50e0f3dd986668997141c7833b98cf1d957be4916b6633",
+        "report.json": "cc0f49395a8cf1831c792de8b6cf0cfda103dadd150f19315b1fb8dc7296408d",
         "trees --against": "6a85211fd913f302e442775f852df8f4a5d8d626f2132054b5a640b32ac22430",
     },
     "duplication": {
-        "hypothesis.mta": "1847873534f7e226a850fe20e113feedc3f797015d70f82e2aaba3193379bc0a",
-        "hypothesis.wcfg": "b728663ed3d29fd0e462e932e89085aceda7b9126700f74365a2c212984fd984",
-        "hypothesis.pcfg": "18589c620aea6ff024edf1e21a9dec6c45dd5b1cee9b235f2a9a574fe45d1fe9",
-        "table.tsv": "a16d5df57de22775f3280ca883396a845b766b9357437ddf31c51c5ee52b5c06",
-        "report.json": "d4f8a8751f8ee7cfafc2f608c27b2fe79cc2a6fa953a862b6091ca7850c47321",
+        "hypothesis.mta": "74c62038fddaa627ab83e446d8ef3cc0bfcb52a758d42188637b6c42e27ca734",
+        "hypothesis.wcfg": "7f0c41d0574a436177c59cd37a2ee4bacc3c2d846fc0ee72fc5e6590e707c7e3",
+        "hypothesis.pcfg": "e5ef74aa41fb65ad947bac777f58528fe970d4c07257c45e627cbfc512ea8575",
+        "table.tsv": "224bbbbf685516648a37dc9357f591156aa1799d9d77dc61e6a3b35ec3bbd0e6",
+        "report.json": "a8b32886e4117d6d7b4f26748b944ac9ca28ec459bb75ef6430051ab79fd78a5",
         "trees --against": "bbcb950c7d1ada5c88db964a93c9be1e3ed75f83ad1b55c8fb03c0632897bea7",
     },
 }
@@ -509,34 +587,37 @@ def _learn_digests(out):
 # evaluator still stored dense subtree vectors.  The exact acrab and
 # colinearity3 digests were re-pinned when exact targets stopped being
 # scanned: their SEQs are answered by an exact witness, which finds other
-# counterexamples (acrab: 13 states, 4 SEQs instead of 5).
+# counterexamples (acrab: 13 states, 4 SEQs instead of 5).  The acrab and
+# colinearity3 digests, exact and float, were re-pinned again when a
+# counterexample came to add one separating column instead of its subtrees
+# (exact acrab: 5 SEQs, 1,916 SMQs; colinearity3: 33 SMQs, was 55).
 GRAMMAR_LEARN_SHA256 = {
     "acrab": {
-        "hypothesis.mta": "2b7c4081384e300be903caaf2ea5fecae8a5289a251a0b030096ee24f4d3e113",
-        "hypothesis.wcfg": "fe8afcd8ce63ff3339927ef20c423f0e901a0ab439369c4398e5a9abb6696d8f",
-        "hypothesis.pcfg": "614e888a60fa1b078ef810e80ef9dca66817025dd00a79fe29e4d7b6ad442ad7",
-        "table.tsv": "dbb941129f31976cb9b378f3b7f5953a03f4a8c4958caa566a7617a61270dc32",
-        "report.json": "e71657dcdab9e010a4b6b045dd890790ac3b8fb351326233ba9755800088edc6"
+        "hypothesis.mta": "57fefe789093cab798bc4301086cd7175ab59a778c646c5fc02a450fd278d7a8",
+        "hypothesis.wcfg": "a99d723ddd3360967884e47b5c9742eb4e16613cca075e9b285865df7c5eddf3",
+        "hypothesis.pcfg": "bec8145cf0352f2ad6eaf564fc06ab1fd4b6af3a95f13dd25f61d45e382b4db9",
+        "table.tsv": "d5b02935108b435d3cabe4981286b4e7a94bcae7aa446f9f4aaa8dc8872fb9b9",
+        "report.json": "96aee24b8cc93b77d213efdfe775389981091c73f7dbfe3ba40cad238c8af118"
     },
     "acrab --float": {
-        "hypothesis.mta": "16fcb6df8653ead6086ffc87775e2483b01b340f3c32cae795dd7aa124d16bd5",
-        "hypothesis.wcfg": "114c3b6e04f63f200376c25c1fc687646662430bfbbcf86ad9ec402250353d14",
-        "hypothesis.pcfg": "cf1c471211fde6ed2365e213fe1123c9537b8b342114bf9b7d8b8389c1f8ae9f",
-        "table.tsv": "b8856ca7b3caf438b8b7ffa6b084062bc1a02b6f148b60b06a7adb4a4c620620",
-        "report.json": "b8c6ca3ea9a18fc4be1d41dd4f300be4d6dfb320463bacf5220badf3ba0cc611"
+        "hypothesis.mta": "15370be225275cd573f4641f377ad6c1e0949e3d57a400a39c4e9ec024dc6463",
+        "hypothesis.wcfg": "ee0a969953faede79cfd640ca8c8785d977e862f8c799a820c4ac694ffe08046",
+        "hypothesis.pcfg": "207af2fb6eb8fa5558e9f6c5eb34e3e6b4fc1fd1a874cd069512d3236966effa",
+        "table.tsv": "8040aa635e3b072c4ffee62ee8765685d852b48a2587ed5c1d5607a3983b63d6",
+        "report.json": "c58d6c07ad1a1ffd65c0488c682a48e10d5fc9ddaba73e33e287f98d3b07c56e"
     },
     "colinearity3": {
-        "hypothesis.mta": "ea478b9123357d14a14215f93eae1a13cb81c0d0a393817ddd5dffde1e81425a",
-        "hypothesis.wcfg": "4adcc5bfbcd9508c6c17291c1eb86fd9ce3ba903c5e77e300339a39ed0edd263",
-        "hypothesis.pcfg": "a7d41013afd1dc74459c3710a7794d8bababf4f2bd940c74334ba902e261634b",
-        "table.tsv": "e99bc17e1e40c887d82d204924e0a7b895743aa15ab5a64951a25a6617b1d8d3",
-        "report.json": "c3c03ad642b19447080d4b3f7f35e739088c5be61682cffe41cf140b6511e3ea"
+        "hypothesis.mta": "3325a738ebaba4cc6c2ad45e59e10647d8780084feaeb10df4421c2cf0b84987",
+        "hypothesis.wcfg": "3119bc4d9ed36041f587c5de6de981a16291f5e439b9cd100c33abddb9407ead",
+        "hypothesis.pcfg": "91a7c88af9c6643c8a915d45f504c1fd48bbd893102ca3256ad06f6e97cc4c46",
+        "table.tsv": "0b16252a0c9b5bc303e2ee41004710a4337216a210d94a74d67e9a00270f2c5b",
+        "report.json": "cda011053359fd8269214653e837064b65a48171e6806a73dde7a25548e3a078"
     },
     "colinearity3 --float": {
-        "hypothesis.mta": "a007a963be23ff465e85f112f6dbe85a4ff1937d7c1929cea62ac83bd9aae8b6",
-        "hypothesis.wcfg": "554defb4d4e05e9b372d23da21d03d3ad03a25940c6021041ed33a4beb21903c",
-        "hypothesis.pcfg": "d008a993c5b684d18375a60ed00bd6ddfd37d6b78e796bad97db08e34de378f5",
-        "table.tsv": "2dc25aceb8d59f0da245f28dd837871be9dcc2608f698a74a711324641936416",
+        "hypothesis.mta": "17f4daf71127f1459094ffdbae247fb8f5d739064def256b95d331892dc6feb4",
+        "hypothesis.wcfg": "bb0ff40cf2723400a8568a2a4da10f225f3dfdb29d2a226b684f0fd4d96ca9ef",
+        "hypothesis.pcfg": "3f2bb14dc3563d3255bb171914bcbae8777cc72a97568a9d39dfd27aa09e1912",
+        "table.tsv": "f94bef083497fe27ebcf51e1c4768563dc2ad9e5906f82b72d108b23469291de",
         "report.json": "fbd90f187cbafa720bd4c111ec366b60a1a870b274d5f97b13665f01f646815a"
     },
     "smalldup": {
@@ -585,21 +666,25 @@ def test_grammar_learn_outputs_are_pinned(tmp_path, case):
 # for a grammar, exact and with --float, as printed while the table still
 # re-sorted T and rescanned every product on each insertion.  Exact targets
 # are no longer scanned, so "exhaustive acrab" now equals the exact "acrab"
-# learn above and "mta colinearity3" its exact "colinearity3" learn.
+# learn above and "mta colinearity3" its exact "colinearity3" learn.  The
+# acrab and colinearity3 digests were re-pinned as above; "exhaustive acrab
+# --float" then certifies 10 states (was 13), since its candidates, one
+# parse per string, expose fewer states once a counterexample adds one
+# column instead of its subtrees.
 STRATEGY_LEARN_SHA256 = {
     "exhaustive acrab": {
-        "hypothesis.mta": "2b7c4081384e300be903caaf2ea5fecae8a5289a251a0b030096ee24f4d3e113",
-        "hypothesis.wcfg": "fe8afcd8ce63ff3339927ef20c423f0e901a0ab439369c4398e5a9abb6696d8f",
-        "hypothesis.pcfg": "614e888a60fa1b078ef810e80ef9dca66817025dd00a79fe29e4d7b6ad442ad7",
-        "table.tsv": "dbb941129f31976cb9b378f3b7f5953a03f4a8c4958caa566a7617a61270dc32",
-        "report.json": "e71657dcdab9e010a4b6b045dd890790ac3b8fb351326233ba9755800088edc6",
+        "hypothesis.mta": "57fefe789093cab798bc4301086cd7175ab59a778c646c5fc02a450fd278d7a8",
+        "hypothesis.wcfg": "a99d723ddd3360967884e47b5c9742eb4e16613cca075e9b285865df7c5eddf3",
+        "hypothesis.pcfg": "bec8145cf0352f2ad6eaf564fc06ab1fd4b6af3a95f13dd25f61d45e382b4db9",
+        "table.tsv": "d5b02935108b435d3cabe4981286b4e7a94bcae7aa446f9f4aaa8dc8872fb9b9",
+        "report.json": "96aee24b8cc93b77d213efdfe775389981091c73f7dbfe3ba40cad238c8af118",
     },
     "exhaustive acrab --float": {
-        "hypothesis.mta": "44891ac20167f48f77efe45e1c8db9730f754b8d01bad8d6109d6b27330bdea9",
-        "hypothesis.wcfg": "7c6d820bf4bdf9d01fbd5ed1b2f49e6f7053f33d0015d27af00064142a9579a9",
-        "hypothesis.pcfg": "ea30dd1cc3a47709d95c8fcc1f9e1d17ea5b4bfc9d1038aefe340c79e5092880",
-        "table.tsv": "611f141af07f1d9573e83f45170956865dafb488526d22ab376e493d45185bcf",
-        "report.json": "019a8f222bd54f61988e60ac34bb38ae3a16abbf6a204f7dc89ac4a0e1ee2664",
+        "hypothesis.mta": "f3e30cc5cbed8e5c24273ba4c2f96245e141da1a204d95946aa1bf113e37e652",
+        "hypothesis.wcfg": "62049484a5dbf54f20e916955a45114f73754bf2d652c2eea496873ab3f283ff",
+        "hypothesis.pcfg": "1d728fc9ef0121b7ef9695bfe596a88b8a9e615769ae2632c36025674a55a873",
+        "table.tsv": "e435e9f021e272811cf8732a802983c569dc854a4acbcfc9cc7f415f17c33c53",
+        "report.json": "580f8e72ea54eec5e50ea0b7216233a94ff235ff39f2f2772c6a5b17056e393d",
     },
     "exhaustive smalldup": {
         "hypothesis.mta": "28e078f9a66d4c0dc9e3c71f846c73b84c27a641fe3859cf0d9eb56b5dec93a4",
@@ -616,17 +701,17 @@ STRATEGY_LEARN_SHA256 = {
         "report.json": "8fa2e8cdc938568d43a79b80ccf95d48f5046827103b3c2721246776e593fd20",
     },
     "mta colinearity3": {
-        "hypothesis.mta": "ea478b9123357d14a14215f93eae1a13cb81c0d0a393817ddd5dffde1e81425a",
-        "hypothesis.wcfg": "4adcc5bfbcd9508c6c17291c1eb86fd9ce3ba903c5e77e300339a39ed0edd263",
-        "hypothesis.pcfg": "a7d41013afd1dc74459c3710a7794d8bababf4f2bd940c74334ba902e261634b",
-        "table.tsv": "e99bc17e1e40c887d82d204924e0a7b895743aa15ab5a64951a25a6617b1d8d3",
-        "report.json": "c3c03ad642b19447080d4b3f7f35e739088c5be61682cffe41cf140b6511e3ea",
+        "hypothesis.mta": "3325a738ebaba4cc6c2ad45e59e10647d8780084feaeb10df4421c2cf0b84987",
+        "hypothesis.wcfg": "3119bc4d9ed36041f587c5de6de981a16291f5e439b9cd100c33abddb9407ead",
+        "hypothesis.pcfg": "91a7c88af9c6643c8a915d45f504c1fd48bbd893102ca3256ad06f6e97cc4c46",
+        "table.tsv": "0b16252a0c9b5bc303e2ee41004710a4337216a210d94a74d67e9a00270f2c5b",
+        "report.json": "cda011053359fd8269214653e837064b65a48171e6806a73dde7a25548e3a078",
     },
     "mta colinearity3 --float": {
-        "hypothesis.mta": "1a3f5a4627b08eb6b3259baf76b801ba659d1fdb9e85a1e707dafc2c7fcb92a6",
-        "hypothesis.wcfg": "554defb4d4e05e9b372d23da21d03d3ad03a25940c6021041ed33a4beb21903c",
-        "hypothesis.pcfg": "d008a993c5b684d18375a60ed00bd6ddfd37d6b78e796bad97db08e34de378f5",
-        "table.tsv": "877c8684b6baae9e9a3b4a9fded02dcc330174bdf0b5207cfed039386126bf9b",
+        "hypothesis.mta": "0ae763aacb4fac9bdd9632f1b858cd695cb7900719c2e2a070e90152a405e140",
+        "hypothesis.wcfg": "bb0ff40cf2723400a8568a2a4da10f225f3dfdb29d2a226b684f0fd4d96ca9ef",
+        "hypothesis.pcfg": "3f2bb14dc3563d3255bb171914bcbae8777cc72a97568a9d39dfd27aa09e1912",
+        "table.tsv": "5b5354ae9a9dd7834eb0459895c6aaa83514fa64c62470887580e807483f2682",
         "report.json": "fbd90f187cbafa720bd4c111ec366b60a1a870b274d5f97b13665f01f646815a",
     },
 }

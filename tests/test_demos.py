@@ -18,7 +18,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # sha256 of each demo's stdout with the timing figures masked, as printed
 # while the evaluator still stored dense subtree vectors; demo 04's was
 # re-pinned when exact targets stopped being scanned (4 equivalence queries
-# instead of 5).
+# instead of 5), and again when a counterexample came to add one separating
+# column instead of its subtrees (5 equivalence and 1916 membership
+# queries, was 4 and 3240).
 DEMO_STDOUT_SHA256 = {
     "01_weighted_tree_automata.py":
         "02d3016e706ec154f44e14c0bf1e76d6b0b2304a823a0f1a2a9c4509f1ee2d5a",
@@ -27,7 +29,7 @@ DEMO_STDOUT_SHA256 = {
     "03_gene_cluster_pipeline.py":
         "8105dadf1de7dc76ea6a426fdd0eda7984253ed28cff240e18439a6c82ec5662",
     "04_efflux_pump_recovery.py":
-        "fb9372f9ea17f07f8c2e79b3ef5d671f1ff0c1511dfbb155c59bf36087e09fc6",
+        "a3edbcbb0303f9adc7bb2f8113b2369103c1d74e7de5d14eaae5c015d9695912",
 }
 
 

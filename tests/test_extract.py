@@ -24,7 +24,7 @@ def completed_table(grammar, extra_texts=(), max_rank=2):
 def test_extract_requires_completed_table():
     g = load_wcfg(FIXTURES / "trivial.wcfg")
     table = ObservationTable(g.alphabet(2), SimulatedTeacher(g))
-    with pytest.raises(TableError):
+    with pytest.raises(TableError, match="must be closed and consistent"):
         extract_cmta(table)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,11 @@ import pytest
 from skelgram.geneclusters import right_chain
 from skelgram.grammar import load_wcfg, pmta_to_wcfg, wcfg_to_pcfg
 from skelgram.learner import default_iteration_cap, learn
-from skelgram.table import CapExceeded
+from skelgram.table import CapExceeded, ObservationTable, TableError
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
                               ExhaustiveStrategy, SimulatedTeacher)
-from skelgram.trees import IDENTITY_CONTEXT, Leaf, compose, parse_structured_string
+from skelgram.trees import (IDENTITY_CONTEXT, Leaf, compose, parse_structured_string,
+                            subtrees)
 
 from conftest import FIXTURES, learn_corpus_entries, observing_rounds, random_tree
 
@@ -117,6 +119,7 @@ def test_iteration_cap_raises_on_unbounded_rank():
 ACRAB_COUNTEREXAMPLES = [
     ("(((AcrB AcrA) AcrR) TolC)", Fraction(17, 12500)),
     ("(((AcrB AcrA) TolC) AcrR)", Fraction(7, 250)),
+    ("(AcrR ((AcrB AcrA) TolC))", Fraction(1, 250)),
     ("(((TolC AcrB) AcrA) AcrR)", Fraction(247, 1000000)),
 ]
 
@@ -135,7 +138,7 @@ def test_acrab_counts_and_counterexamples_are_pinned():
 
     teacher.seq = recording_seq
     report = learn(teacher, alphabet)
-    assert (report.basis_size, report.seq_count, report.smq_count) == (13, 4, 3240)
+    assert (report.basis_size, report.seq_count, report.smq_count) == (13, 5, 1916)
     assert answers == ACRAB_COUNTEREXAMPLES + [None]
 
 
@@ -221,7 +224,7 @@ def test_float_target_learns_with_default_call():
     teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 4), epsilon=1e-6)
     report = learn(teacher, alphabet)
     assert report.basis_size == 13
-    assert report.seq_count == 5
+    assert report.seq_count == 6
 
 
 def test_float_corpus_learning():
@@ -246,3 +249,129 @@ def test_learn_with_exhaustive_string_strategy():
     h = report.hypothesis
     for n in range(2, 7):
         assert h.eval(right_chain("a", n)) == Fraction(8, 10) * Fraction(2, 10) ** (n - 2)
+
+
+# -- counterexample processing -------------------------------------------------
+
+
+class AgreeingTeacher:
+    """Answers membership queries from a grammar, and every equivalence query
+    with the first tree of at most 3 leaves that the hypothesis already
+    weighs right, at that value."""
+
+    def __init__(self, grammar, alphabet):
+        self.grammar = grammar
+        self.candidates = list(AllTreesStrategy(alphabet, 3).candidates())
+        self.answers = []
+
+    def smq(self, tree, context=IDENTITY_CONTEXT):
+        return self.grammar.skeletal_weight(tree, context)
+
+    def seq(self, hypothesis):
+        tree = next(t for t in self.candidates
+                    if hypothesis.eval(t) == self.grammar.skeletal_weight(t))
+        self.answers.append(tree)
+        return tree, self.grammar.skeletal_weight(tree)
+
+
+def test_exact_counterexample_the_hypothesis_weighs_right_raises_table_error():
+    # no step of the walk separates on such a tree; adding its subtrees
+    # instead would change nothing, and the same query recur until the cap
+    g = load_wcfg(FIXTURES / "acrab.wcfg")
+    alphabet = g.alphabet(2)
+    teacher = AgreeingTeacher(g, alphabet)
+    with pytest.raises(TableError) as caught:
+        learn(teacher, alphabet)
+    assert len(teacher.answers) == 1
+    assert re.search(re.escape(f"counterexample {teacher.answers[0].text} "), str(caught.value))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Records, per counterexample processed, whether it took the float
+    fallback (added its subtrees to T) instead of a separating column."""
+    taken = []
+    add = ObservationTable.add_counterexample
+
+    def recorded(table, tree):
+        separated = add(table, tree)
+        taken.append(not separated)
+        return separated
+
+    monkeypatch.setattr(ObservationTable, "add_counterexample", recorded)
+    return taken
+
+
+@pytest.mark.parametrize("name", ["trivial", "smalldup", "colinearity3", "acrab", "fimacd"])
+def test_exact_fixtures_never_take_the_fallback(fallbacks, name):
+    g = load_wcfg(FIXTURES / f"{name}.wcfg")
+    alphabet = g.alphabet(2)
+    report = learn(SimulatedTeacher(g), alphabet)
+    assert not any(fallbacks)
+    assert len(report.table.trees) == report.basis_size  # T is the basis
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("seed", [1, 2, 5, 7])
+def test_learn_corpus_never_takes_the_fallback(fallbacks, seed, exact):
+    entries = learn_corpus_entries(seed)
+    corpus = [(t, f if exact else float(f)) for t, f in entries]
+    oracle = CorpusOracle(corpus, Fraction(1, 5) if exact else 0.2, "duplication")
+    strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
+    report = learn(SimulatedTeacher(oracle, strategy, 0 if exact else 1e-6),
+                   oracle.alphabet())
+    assert fallbacks and not any(fallbacks)
+    assert (report.basis_size, report.seq_count, report.smq_count) == (19, 5, 5529)
+    assert len(report.table.trees) == 19 and len(report.table.rows) == 384
+
+
+def test_float_corpus_at_margin_zero_takes_the_fallback(fallbacks):
+    """Float cells compare with the table's tolerance, so a teacher at
+    margin 0 reports counterexamples that differ from the hypothesis by
+    rounding alone; no step of their walk separates, and their subtrees
+    join T.  (The same learn reaches the cap, with or without them.)"""
+    entries = learn_corpus_entries(1)
+    corpus = [(t, float(f)) for t, f in entries]
+    oracle = CorpusOracle(corpus, 0.2, "duplication")
+    strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
+    tables = []
+    with observing_rounds(lambda table, hypothesis: tables.append(table)):
+        with pytest.raises(CapExceeded):
+            learn(SimulatedTeacher(oracle, strategy), oracle.alphabet(), max_iterations=60)
+    assert any(fallbacks)
+    assert len(tables[-1].trees) > len(tables[-1].basis)
+
+
+class FinerTeacher:
+    """A float teacher whose margin is finer than the table's tolerance: once
+    the given teacher certifies a hypothesis, it reports `tree` once, at its
+    true value plus `error`, then defers to the given teacher again."""
+
+    def __init__(self, teacher, tree, error):
+        self.teacher, self.tree, self.error = teacher, tree, error
+        self.reported = False
+
+    def smq(self, tree, context=IDENTITY_CONTEXT):
+        return self.teacher.smq(tree, context)
+
+    def seq(self, hypothesis):
+        answer = self.teacher.seq(hypothesis)
+        if answer is None and not self.reported:
+            self.reported = True
+            return self.tree, self.teacher.smq(self.tree) + self.error
+        return answer
+
+
+def test_float_fallback_adds_the_subtrees_and_still_certifies(fallbacks):
+    entries = learn_corpus_entries(1)
+    corpus = [(t, float(f)) for t, f in entries]
+    oracle = CorpusOracle(corpus, 0.2, "duplication")
+    strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
+    tree = max((t for t, _ in corpus), key=lambda t: t.size)
+    teacher = FinerTeacher(SimulatedTeacher(oracle, strategy, 1e-6), tree, 1e-12)
+    report = learn(teacher, oracle.alphabet())
+    assert fallbacks[-1] and fallbacks.count(True) == 1
+    assert teacher.reported and report.seq_count == 6  # the reported one, then the last
+    assert set(subtrees(tree)) <= set(report.table.trees)
+    assert report.basis_size == 19
+    assert teacher.teacher.seq(report.hypothesis) is None

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from skelgram.mta import MTA, EvaluationError, format_mta, parse_mta
+from skelgram.mta import (MAX_DENSE_COEFFICIENTS, MTA, EvaluationError, TooLargeToWrite,
+                          format_mta, parse_mta)
 from skelgram.multilinear import MultilinearMap
 from skelgram.trees import (Context, HOLE, Leaf, Node, RankedAlphabet,
                             parse_structured_string, compose)
@@ -182,3 +183,16 @@ def test_dimension_zero_automaton():
     assert a.eval(Node((Leaf("a"), Leaf("a")))) == 0
     b = parse_mta(format_mta(a))
     assert b.dim == 0
+
+
+def test_format_mta_refuses_more_than_the_bound_before_writing():
+    alphabet = RankedAlphabet(["a"], 3)
+    for dim, fits in ((55, True), (56, False)):  # 9,320,025 and 10,013,248 coefficients
+        a = MTA(alphabet, dim, {"a": [Fraction(0)] * dim}, {}, [Fraction(0)] * dim)
+        count = dim ** 4 + dim ** 3 + dim ** 2
+        assert (count <= MAX_DENSE_COEFFICIENTS) == fits
+        if not fits:
+            with pytest.raises(TooLargeToWrite, match=f"would hold {count} coefficients"):
+                format_mta(a)
+    small = MTA(alphabet, 2, {"a": [Fraction(1), Fraction(0)]}, {}, [Fraction(1), Fraction(0)])
+    assert parse_mta(format_mta(small)).leaf_maps == small.leaf_maps

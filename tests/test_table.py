@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from skelgram.extract import extract_cmta
+from skelgram.geneclusters import right_chain
 from skelgram.grammar import load_wcfg, parse_wcfg
 from skelgram.learner import learn
 from skelgram.multilinear import colinear_witness
@@ -331,12 +333,23 @@ def test_colinear_check_agrees_with_pairwise_reference(checked_against_reference
     assert checked_against_reference
 
 
+def chain_table(g, cap=30):
+    """Complete a table over chain's leaf and the subtrees of its right
+    chains of 2..7 a's until the cap ends it.  A learn adds T no
+    counterexample subtrees, so T holds no non-basis tree to break
+    consistency with; this table's T does."""
+    table, alphabet = make_table(g, budget=Budget(cap))
+    with pytest.raises(CapExceeded):
+        complete_with_leaves(table, alphabet, [right_chain("a", n) for n in range(2, 8)])
+
+
 def test_colinear_check_agrees_with_reference_on_chain(checked_against_reference):
     g = load_wcfg(FIXTURES / "chain.wcfg")
     alphabet = g.alphabet(2)
     with pytest.raises(CapExceeded):
         learn(SimulatedTeacher(g, AllTreesStrategy(alphabet, 4)), alphabet,
               max_iterations=30)
+    chain_table(g)
     assert any(checked_against_reference)
 
 
@@ -423,6 +436,9 @@ def test_colinear_check_returns_memberwise_context_on_corpus(
     report = learn(SimulatedTeacher(oracle, strategy, 0 if exact else 1e-6),
                    oracle.alphabet())
     assert report.basis_size == 19
+    # as chain_table, over the corpus trees' subtrees
+    complete_with_leaves(ObservationTable(oracle.alphabet(), oracle), oracle.alphabet(),
+                         [t for t, _ in corpus])
     assert any(same_context_as_memberwise)
 
 
@@ -441,6 +457,7 @@ def test_colinear_check_returns_memberwise_context_on_chain(same_context_as_memb
     with pytest.raises(CapExceeded):
         learn(SimulatedTeacher(g, AllTreesStrategy(alphabet, 4)), alphabet,
               max_iterations=30)
+    chain_table(g)
     assert any(same_context_as_memberwise)
 
 
@@ -534,7 +551,7 @@ def test_kept_classes_match_fresh_on_corpus(classes_checked_on_every_column, exa
     oracle = CorpusOracle(corpus, Fraction(1, 5) if exact else 0.2, "duplication")
     strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
     learn(SimulatedTeacher(oracle, strategy, 0 if exact else 1e-6), oracle.alphabet())
-    assert len(classes_checked_on_every_column) == 16
+    assert len(classes_checked_on_every_column) == 14
     assert any(zeros for zeros, _ in classes_checked_on_every_column)
     assert any(basis for _, basis in classes_checked_on_every_column) == exact
 
@@ -593,3 +610,25 @@ def test_float_basis_class_is_recomputed():
     assert "c" not in table._classes and "a" not in table._classes
     cls = table.classify(Leaf("c"))
     assert cls == ColinearClass("basis", 0, 2.0) and type(cls.coeff) is float
+
+
+def test_separating_context_needs_a_completed_table():
+    g = load_wcfg(FIXTURES / "acrab.wcfg")
+    table, alphabet = make_table(g)
+    with pytest.raises(TableError, match="must be closed and consistent"):
+        table.separating_context(Leaf("AcrA"))
+
+
+def test_separating_context_breaks_the_class_of_its_step():
+    # acrab's first counterexample against the leaves-only table
+    g = load_wcfg(FIXTURES / "acrab.wcfg")
+    table, alphabet = make_table(g)
+    complete_with_leaves(table, alphabet)
+    z = parse_structured_string("(((AcrB AcrA) AcrR) TolC)", alphabet)
+    assert extract_cmta(table).eval(z) != g.skeletal_weight(z)
+    basis, trees = len(table.basis), list(table.trees)
+    ctx = table.separating_context(z)
+    assert ctx not in table.columns
+    assert table.add_counterexample(z)
+    assert ctx in table.columns and len(table.basis) > basis
+    assert all(t in table.basis or t in trees for t in table.trees)  # T: leaves and basis
