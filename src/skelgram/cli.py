@@ -7,8 +7,8 @@ distances).  Exit codes: 0 success, 2 input error, 3 iteration cap,
 4 precondition violation: a grammar or automaton that the conversion
 cannot take, an automaton whose dense .mta form would exceed
 mta.MAX_DENSE_COEFFICIENTS, or a learn whose table cannot go on (a
-counterexample the hypothesis already weighs as the table does, or a
-float row within tolerance of two basis rows).
+counterexample value that the table's own cells contradict, or a float
+row within tolerance of two basis rows).
 """
 from __future__ import annotations
 

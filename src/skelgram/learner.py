@@ -1,6 +1,7 @@
 """Top-level query-learning loop: complete the table, extract a hypothesis,
 ask a structured equivalence query, and turn its counterexample into one
-separating column at a time until the hypothesis weighs it right.
+separating column at a time until the hypothesis weighs it right; against
+a scanning teacher, its subtrees join T as well.
 """
 from __future__ import annotations
 
@@ -18,6 +19,9 @@ class TeacherOracle(Protocol):
     def smq(self, tree: SkeletalTree, context: Context = IDENTITY_CONTEXT):
         """The weight of context∘tree; the table passes each cell's column."""
     def seq(self, hypothesis: MTA) -> Optional[tuple[SkeletalTree, object]]: ...
+    def exact_automaton(self, alphabet: RankedAlphabet) -> MTA | None:
+        """The target's automaton when seq checks equivalence exactly; None
+        when seq scans candidates."""
 
 
 @dataclass
@@ -38,13 +42,15 @@ def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
           max_iterations: int | None = None) -> LearnReport:
     """Learn a co-linear automaton for the oracle's skeletal tree series.
 
-    Each counterexample z goes to `ObservationTable.add_counterexample`,
-    which adds the one column that z's walk finds and completes the table;
-    the hypothesis is then extracted again, and z processed again while the
-    hypothesis still weighs it wrong (by `scalar_eq`).  The hypothesis that
-    weighs z right goes to the next equivalence query.  A float walk that
-    finds no new column falls back to adding z's subtrees to T, and the
-    learner moves on to the next query; an exact one raises TableError.
+    While the hypothesis weighs a counterexample z wrong (by `scalar_eq`),
+    z goes to `ObservationTable.add_counterexample`, which adds the one
+    column that z's walk finds and completes the table, and the hypothesis
+    is extracted again; a walk that finds no new column raises TableError.
+    When the oracle's equivalence query is a scan (`exact_automaton` is
+    None), z's subtrees then join T as well: a scan weighs only its
+    candidates, and the rows and consistency checks over z's subtrees reach
+    states that no candidate may show.  The last hypothesis extracted goes
+    to the next equivalence query.
 
     The cap (default 10*|leaf alphabet| + 1000) counts basis additions,
     column additions, and equivalence queries; targets without finite
@@ -55,6 +61,7 @@ def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
     budget = Budget(cap)
     table = ObservationTable(alphabet, oracle, budget=budget)
     table.complete([Leaf(tok) for tok in alphabet.leaf_symbols])
+    scans = oracle.exact_automaton(alphabet) is None
     hypothesis = extract_cmta(table)
     seq_count = 0
     max_cex = 0
@@ -69,8 +76,9 @@ def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
                                max_counterexample_size=max_cex, table=table)
         counterexample, value = answer
         max_cex = max(max_cex, counterexample.size)
-        while True:  # until the hypothesis weighs the counterexample right
-            separated = table.add_counterexample(counterexample)
+        while not scalar_eq(hypothesis.eval(counterexample), value):
+            table.add_counterexample(counterexample)
             hypothesis = extract_cmta(table)
-            if not separated or scalar_eq(hypothesis.eval(counterexample), value):
-                break
+        if scans:
+            table.complete([counterexample])
+            hypothesis = extract_cmta(table)

@@ -1,14 +1,13 @@
 """The learner's observation table: row trees, column contexts, a filled
 sub-matrix of the Hankel matrix, and a co-linearly independent basis.
 
-Rows cover T and all one-level extensions of T.  T is the leaves plus
-the basis: a counterexample adds one separating column
-(`separating_context`), not its subtrees, so a counterexample's subtrees
-are in T only after the float fallback, `complete([z])`.  (T stays
-subtree-closed: a basis tree is a row over T.)  A consistency check's
-column, with its innermost level removed, is a column too; a
-counterexample's column need not be, and its siblings need not be in T.
-Rows and their classes are keyed by the row tree's text.
+Rows cover T and all one-level extensions of T, and T is kept
+subtree-closed.  A counterexample adds one separating column
+(`add_counterexample`); the learner adds its subtrees to T too when the
+teacher scans.  A consistency check's column, with its innermost level
+removed, is a column too; a counterexample's column need not be, and its
+siblings need not be in T.  Rows and their classes are keyed by the row
+tree's text.
 The cell of row t and column c is one structured membership query for
 c∘t, put to the oracle as the pair (t, c), so the oracle may answer it
 from its parts without building c∘t.  The answers are memoized by the text
@@ -309,7 +308,7 @@ class ObservationTable:
             break
         self._completed = True
 
-    def separating_context(self, tree: SkeletalTree) -> Context | None:
+    def separating_context(self, tree: SkeletalTree) -> Context:
         """The one column a counterexample calls for, by Rivest & Schapire's
         analysis (Inf. Comput. 1993) lifted to trees (Marušić & Worrell,
         JMLR 2015), on a completed table.
@@ -323,13 +322,12 @@ class ObservationTable:
         of the tree at that step; the first such c is returned.  Made a
         column, it leaves s independent of the basis.  Every cell goes
         through the memo.  When no step is found, or only one at a column
-        the table has, exact cells raise TableError and float cells return
-        None."""
+        the table has, the hypothesis already weighs tree as the table does:
+        TableError."""
         if not self._completed:
             raise TableError("table must be closed and consistent before a counterexample walk")
         frames = []  # per node above s: [its children as replaced so far, s's index]
         s, fresh = tree, True  # fresh: s's children are still tree's own
-        exact = True
         while True:
             if fresh and isinstance(s, Node):
                 frames.append([list(s.children), 0])
@@ -343,7 +341,6 @@ class ObservationTable:
             b = None if cls.is_zero else self.basis[cls.index]
             value = self._cell(s, ctx)
             scaled = 0 if b is None else cls.coeff * self._cell(b, ctx)
-            exact = exact and is_exact(value) and is_exact(scaled)
             if not scalar_eq(value, scaled):
                 if ctx not in self.columns:
                     return ctx
@@ -358,22 +355,13 @@ class ObservationTable:
             else:
                 frames.pop()
                 s, fresh = Node(kids), False
-        if exact:
-            raise TableError(f"counterexample {tree.text} calls for no new column: "
-                             "the hypothesis already weighs it as the table does")
-        return None
+        raise TableError(f"counterexample {tree.text} calls for no new column: "
+                         "the hypothesis already weighs it as the table does")
 
-    def add_counterexample(self, tree: SkeletalTree) -> bool:
-        """Add the counterexample's separating column and complete the table
-        (True); on float cells with no such column, fall back to
-        complete([tree]), which adds every subtree of tree to T (False)."""
-        ctx = self.separating_context(tree)
-        if ctx is None:
-            self.complete([tree])
-            return False
-        self._add_column(ctx)
+    def add_counterexample(self, tree: SkeletalTree):
+        """Add the counterexample's separating column and complete the table."""
+        self._add_column(self.separating_context(tree))
         self.complete()
-        return True
 
     @property
     def is_completed(self) -> bool:

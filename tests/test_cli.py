@@ -82,15 +82,14 @@ def test_learn_float_rows_within_tolerance_of_two_basis_rows_exit_4(tmp_path, ca
     assert err.count("\n") == 1
 
 
-def test_learn_counterexample_the_hypothesis_weighs_right_exits_4(tmp_path, capsys,
-                                                                   monkeypatch):
+def test_learn_counterexample_the_table_contradicts_exits_4(tmp_path, capsys, monkeypatch):
     from skelgram.teacher import SimulatedTeacher
 
-    def agreeing_seq(teacher, hypothesis):
+    def misreporting_seq(teacher, hypothesis):
         tree = Leaf("AcrA")  # every leaf's row agrees at the identity column
-        return tree, hypothesis.eval(tree)
+        return tree, hypothesis.eval(tree) + 1
 
-    monkeypatch.setattr(SimulatedTeacher, "seq", agreeing_seq)
+    monkeypatch.setattr(SimulatedTeacher, "seq", misreporting_seq)
     code = run(["learn", "--target", FIXTURES / "acrab.wcfg", "--out", tmp_path / "o"])
     err = capsys.readouterr().err
     assert code == 4
@@ -524,9 +523,11 @@ def test_learn_writes_pcfg_when_float_weights_round_above_one(tmp_path, capsys):
 # per distance, as printed before the distance helpers were made iterative;
 # the duplication hypothesis.pcfg as printed once partition functions were
 # solved by component, which made its floats closer to the exact values.
-# Every learn digest was re-pinned when a counterexample came to add one
-# separating column instead of its subtrees: swap keeps 9 states in 5 SEQs
-# (765 SMQs, was 1,335), duplication learns 11 states (was 10) in 5 SEQs.
+# The learn digests were re-pinned when a counterexample came to add one
+# separating column before its subtrees: swap keeps 9 states, 5 SEQs and
+# 1,335 SMQs (its report.json digest is unchanged), duplication learns 11
+# states (was 10) in 5 SEQs and 1,805 SMQs (was 1,561), and is right where
+# the 10-state automaton was not, on (((x x) x) (y z)).
 PINNED_CORPUS = "4\t((x y) (z z))\n2\t(x (y z))\n1\t((y x) z)\n1\t((x x) (y z))\n"
 PINNED_BASE_TREES = "((x y) z)\n(x (y z))\n((y x) z)\n"
 PINNED_GENES = "x y z z\nx x y z\ny x z z\nz z x y\nx y y z z\nz\nx y z\nz z z x\n"
@@ -536,16 +537,16 @@ CORPUS_LEARN_SHA256 = {
         "hypothesis.mta": "3f855f17bc01aeb61f45e38b407cd1d30c861e522831c5b04b2be919838b6191",
         "hypothesis.wcfg": "0323cfc532b3f4cb1a4cef6e651a1960a6d2cc297807d9873a7e1dec60eb1080",
         "hypothesis.pcfg": "06590e3e0d29e9a9e6c1d85dbd68025bf334e87b7ec8266932a44860449b2cef",
-        "table.tsv": "1b6a488966f3472bfb50e0f3dd986668997141c7833b98cf1d957be4916b6633",
-        "report.json": "cc0f49395a8cf1831c792de8b6cf0cfda103dadd150f19315b1fb8dc7296408d",
+        "table.tsv": "4206a0f657492a421174e7d259956d42db2a06a8f07e7155c4311e371e764f9c",
+        "report.json": "1e5237220e670acb48f6c9ab78167eae257f0269365d1138563b1abb1389c0ee",
         "trees --against": "6a85211fd913f302e442775f852df8f4a5d8d626f2132054b5a640b32ac22430",
     },
     "duplication": {
         "hypothesis.mta": "74c62038fddaa627ab83e446d8ef3cc0bfcb52a758d42188637b6c42e27ca734",
         "hypothesis.wcfg": "7f0c41d0574a436177c59cd37a2ee4bacc3c2d846fc0ee72fc5e6590e707c7e3",
         "hypothesis.pcfg": "e5ef74aa41fb65ad947bac777f58528fe970d4c07257c45e627cbfc512ea8575",
-        "table.tsv": "224bbbbf685516648a37dc9357f591156aa1799d9d77dc61e6a3b35ec3bbd0e6",
-        "report.json": "a8b32886e4117d6d7b4f26748b944ac9ca28ec459bb75ef6430051ab79fd78a5",
+        "table.tsv": "d3f6d6e916bbc73fd3ac287200e91927ee28737765b608f8fbe52d1115a2a900",
+        "report.json": "e2e5237ccaaf225ba5e175598c31d6baa742f32d6a8b69e6b9c8cfc652d05bd7",
         "trees --against": "bbcb950c7d1ada5c88db964a93c9be1e3ed75f83ad1b55c8fb03c0632897bea7",
     },
 }
@@ -590,7 +591,9 @@ def _learn_digests(out):
 # counterexamples (acrab: 13 states, 4 SEQs instead of 5).  The acrab and
 # colinearity3 digests, exact and float, were re-pinned again when a
 # counterexample came to add one separating column instead of its subtrees
-# (exact acrab: 5 SEQs, 1,916 SMQs; colinearity3: 33 SMQs, was 55).
+# (exact acrab: 5 SEQs, 1,916 SMQs; colinearity3: 33 SMQs, was 55); the
+# float learns scan, so their counterexamples' subtrees still join T (acrab
+# --float: same 13 states, 5 SEQs and 3,240 SMQs, report.json unchanged).
 GRAMMAR_LEARN_SHA256 = {
     "acrab": {
         "hypothesis.mta": "57fefe789093cab798bc4301086cd7175ab59a778c646c5fc02a450fd278d7a8",
@@ -600,11 +603,11 @@ GRAMMAR_LEARN_SHA256 = {
         "report.json": "96aee24b8cc93b77d213efdfe775389981091c73f7dbfe3ba40cad238c8af118"
     },
     "acrab --float": {
-        "hypothesis.mta": "15370be225275cd573f4641f377ad6c1e0949e3d57a400a39c4e9ec024dc6463",
-        "hypothesis.wcfg": "ee0a969953faede79cfd640ca8c8785d977e862f8c799a820c4ac694ffe08046",
-        "hypothesis.pcfg": "207af2fb6eb8fa5558e9f6c5eb34e3e6b4fc1fd1a874cd069512d3236966effa",
-        "table.tsv": "8040aa635e3b072c4ffee62ee8765685d852b48a2587ed5c1d5607a3983b63d6",
-        "report.json": "c58d6c07ad1a1ffd65c0488c682a48e10d5fc9ddaba73e33e287f98d3b07c56e"
+        "hypothesis.mta": "7be4ced16b92a943edc8643b6a5ba0c24a7dc91adc92108270035e0a2d0cacb2",
+        "hypothesis.wcfg": "a8fa8087549bd1c1b2efc9ea4b0595eadd6797446fb514ef1806aa5a760fea2e",
+        "hypothesis.pcfg": "5782a6416bc5383af3bf6a05fac2df5d851c524de16e5ebe82bd6ff7ad0b773a",
+        "table.tsv": "7f10ed09c8de989b715f403d3c86e2c8d2810a2ad44689fc89cd4b72c8779f89",
+        "report.json": "b8c6ca3ea9a18fc4be1d41dd4f300be4d6dfb320463bacf5220badf3ba0cc611"
     },
     "colinearity3": {
         "hypothesis.mta": "3325a738ebaba4cc6c2ad45e59e10647d8780084feaeb10df4421c2cf0b84987",
@@ -668,9 +671,8 @@ def test_grammar_learn_outputs_are_pinned(tmp_path, case):
 # are no longer scanned, so "exhaustive acrab" now equals the exact "acrab"
 # learn above and "mta colinearity3" its exact "colinearity3" learn.  The
 # acrab and colinearity3 digests were re-pinned as above; "exhaustive acrab
-# --float" then certifies 10 states (was 13), since its candidates, one
-# parse per string, expose fewer states once a counterexample adds one
-# column instead of its subtrees.
+# --float" keeps its 13 states, 5 SEQs and 4,464 SMQs (report.json
+# unchanged).
 STRATEGY_LEARN_SHA256 = {
     "exhaustive acrab": {
         "hypothesis.mta": "57fefe789093cab798bc4301086cd7175ab59a778c646c5fc02a450fd278d7a8",
@@ -680,11 +682,11 @@ STRATEGY_LEARN_SHA256 = {
         "report.json": "96aee24b8cc93b77d213efdfe775389981091c73f7dbfe3ba40cad238c8af118",
     },
     "exhaustive acrab --float": {
-        "hypothesis.mta": "f3e30cc5cbed8e5c24273ba4c2f96245e141da1a204d95946aa1bf113e37e652",
-        "hypothesis.wcfg": "62049484a5dbf54f20e916955a45114f73754bf2d652c2eea496873ab3f283ff",
-        "hypothesis.pcfg": "1d728fc9ef0121b7ef9695bfe596a88b8a9e615769ae2632c36025674a55a873",
-        "table.tsv": "e435e9f021e272811cf8732a802983c569dc854a4acbcfc9cc7f415f17c33c53",
-        "report.json": "580f8e72ea54eec5e50ea0b7216233a94ff235ff39f2f2772c6a5b17056e393d",
+        "hypothesis.mta": "02a3201e7362b1f67c6e957a4c6dce8e49edecd75a17beb34aaa941f75d54a1c",
+        "hypothesis.wcfg": "5182fb642357e1bf23f3a5cf69bac53653f128bae3ed02957f3859fcdc5dea87",
+        "hypothesis.pcfg": "9bc334130803994f9181b28040c7ab0bdc7b641000260c8befd0423562b66660",
+        "table.tsv": "2ea102424f006a90fead29a11e918a9e97a0cfd1a4dfb527d33030dd5443d995",
+        "report.json": "019a8f222bd54f61988e60ac34bb38ae3a16abbf6a204f7dc89ac4a0e1ee2664",
     },
     "exhaustive smalldup": {
         "hypothesis.mta": "28e078f9a66d4c0dc9e3c71f846c73b84c27a641fe3859cf0d9eb56b5dec93a4",

@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from skelgram.geneclusters import right_chain
+from skelgram.geneclusters import SubstringFrequencyWeight, parse_gene_string, right_chain
 from skelgram.grammar import load_wcfg, pmta_to_wcfg, wcfg_to_pcfg
 from skelgram.learner import default_iteration_cap, learn
-from skelgram.table import CapExceeded, ObservationTable, TableError
+from skelgram.table import CapExceeded, TableError
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
                               ExhaustiveStrategy, SimulatedTeacher)
-from skelgram.trees import (IDENTITY_CONTEXT, Leaf, compose, parse_structured_string,
-                            subtrees)
+from skelgram.trees import (IDENTITY_CONTEXT, Leaf, Node, compose, full_trees,
+                            parse_structured_string)
 
 from conftest import FIXTURES, learn_corpus_entries, observing_rounds, random_tree
 
@@ -172,6 +172,9 @@ class RecordingOracle:
     def seq(self, hypothesis):
         return self.teacher.seq(hypothesis)
 
+    def exact_automaton(self, alphabet):
+        return self.teacher.exact_automaton(alphabet)
+
 
 def test_final_hypothesis_agrees_with_every_query_asked():
     g = load_wcfg(FIXTURES / "smalldup.wcfg")
@@ -224,7 +227,7 @@ def test_float_target_learns_with_default_call():
     teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 4), epsilon=1e-6)
     report = learn(teacher, alphabet)
     assert report.basis_size == 13
-    assert report.seq_count == 6
+    assert report.seq_count == 5
 
 
 def test_float_corpus_learning():
@@ -254,10 +257,10 @@ def test_learn_with_exhaustive_string_strategy():
 # -- counterexample processing -------------------------------------------------
 
 
-class AgreeingTeacher:
+class MisreportingTeacher:
     """Answers membership queries from a grammar, and every equivalence query
-    with the first tree of at most 3 leaves that the hypothesis already
-    weighs right, at that value."""
+    with the first tree of at most 3 leaves that the hypothesis weighs as
+    the grammar does, at the grammar's weight plus one."""
 
     def __init__(self, grammar, alphabet):
         self.grammar = grammar
@@ -271,107 +274,89 @@ class AgreeingTeacher:
         tree = next(t for t in self.candidates
                     if hypothesis.eval(t) == self.grammar.skeletal_weight(t))
         self.answers.append(tree)
-        return tree, self.grammar.skeletal_weight(tree)
+        return tree, self.grammar.skeletal_weight(tree) + 1
+
+    def exact_automaton(self, alphabet):
+        return None
 
 
-def test_exact_counterexample_the_hypothesis_weighs_right_raises_table_error():
-    # no step of the walk separates on such a tree; adding its subtrees
-    # instead would change nothing, and the same query recur until the cap
+def test_counterexample_the_table_contradicts_raises_table_error():
+    # the table's cells weigh the tree as the hypothesis does, so no step of
+    # its walk separates
     g = load_wcfg(FIXTURES / "acrab.wcfg")
     alphabet = g.alphabet(2)
-    teacher = AgreeingTeacher(g, alphabet)
+    teacher = MisreportingTeacher(g, alphabet)
     with pytest.raises(TableError) as caught:
         learn(teacher, alphabet)
     assert len(teacher.answers) == 1
     assert re.search(re.escape(f"counterexample {teacher.answers[0].text} "), str(caught.value))
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """Records, per counterexample processed, whether it took the float
-    fallback (added its subtrees to T) instead of a separating column."""
-    taken = []
-    add = ObservationTable.add_counterexample
-
-    def recorded(table, tree):
-        separated = add(table, tree)
-        taken.append(not separated)
-        return separated
-
-    monkeypatch.setattr(ObservationTable, "add_counterexample", recorded)
-    return taken
-
-
 @pytest.mark.parametrize("name", ["trivial", "smalldup", "colinearity3", "acrab", "fimacd"])
-def test_exact_fixtures_never_take_the_fallback(fallbacks, name):
+def test_exact_fixtures_keep_t_to_the_basis(name):
+    # an exact equivalence query needs only the separating columns
     g = load_wcfg(FIXTURES / f"{name}.wcfg")
     alphabet = g.alphabet(2)
     report = learn(SimulatedTeacher(g), alphabet)
-    assert not any(fallbacks)
-    assert len(report.table.trees) == report.basis_size  # T is the basis
+    assert len(report.table.trees) == report.basis_size
+    assert SimulatedTeacher(g).seq(report.hypothesis) is None
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 @pytest.mark.parametrize("seed", [1, 2, 5, 7])
-def test_learn_corpus_never_takes_the_fallback(fallbacks, seed, exact):
+def test_learn_corpus_counts_are_pinned(seed, exact):
     entries = learn_corpus_entries(seed)
     corpus = [(t, f if exact else float(f)) for t, f in entries]
     oracle = CorpusOracle(corpus, Fraction(1, 5) if exact else 0.2, "duplication")
     strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
     report = learn(SimulatedTeacher(oracle, strategy, 0 if exact else 1e-6),
                    oracle.alphabet())
-    assert fallbacks and not any(fallbacks)
-    assert (report.basis_size, report.seq_count, report.smq_count) == (19, 5, 5529)
-    assert len(report.table.trees) == 19 and len(report.table.rows) == 384
+    assert (report.basis_size, report.seq_count, report.smq_count) == (19, 4, 10226)
+    assert len(report.table.trees) == 26 and len(report.table.rows) == 706
 
 
-def test_float_corpus_at_margin_zero_takes_the_fallback(fallbacks):
-    """Float cells compare with the table's tolerance, so a teacher at
-    margin 0 reports counterexamples that differ from the hypothesis by
-    rounding alone; no step of their walk separates, and their subtrees
-    join T.  (The same learn reaches the cap, with or without them.)"""
-    entries = learn_corpus_entries(1)
-    corpus = [(t, float(f)) for t, f in entries]
-    oracle = CorpusOracle(corpus, 0.2, "duplication")
+def random_gene_corpus(strings, length, seed):
+    """`strings` random gene strings of `length` genes over four genes, each
+    parsed to its optimal tree and weighted 1 to 5."""
+    rng = random.Random(1000 * strings + seed)
+    genes = [tuple(rng.choice(["gA", "gB", "gC", "gD"]) for _ in range(length))
+             for _ in range(strings)]
+    weight = SubstringFrequencyWeight(genes)
+    return [(parse_gene_string(s, weight)[0], Fraction(rng.randint(1, 5))) for s in genes]
+
+
+def swap_variants(tree):
+    """Every tree that reverses the children of some set of tree's nodes."""
+    if isinstance(tree, Leaf):
+        return [tree]
+    left, right = (swap_variants(c) for c in tree.children)
+    return [Node(kids) for a in left for b in right for kids in ([a, b], [b, a])]
+
+
+@pytest.mark.parametrize("strings, length, seed, states", [
+    (3, 5, 1, 13), (3, 5, 2, 13), (4, 6, 0, 17), (6, 9, 1, 34), (6, 9, 2, 34)])
+def test_scanned_swap_corpus_weighs_every_swap_variant_right(strings, length, seed, states):
+    """A duplications scan never holds a swap variant of a corpus tree, so
+    the scan alone cannot show the states that tell them apart; the rows
+    over the counterexamples' subtrees do."""
+    entries = random_gene_corpus(strings, length, seed)
+    oracle = CorpusOracle(entries, Fraction(1, 5), "swap")
     strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
-    tables = []
-    with observing_rounds(lambda table, hypothesis: tables.append(table)):
-        with pytest.raises(CapExceeded):
-            learn(SimulatedTeacher(oracle, strategy), oracle.alphabet(), max_iterations=60)
-    assert any(fallbacks)
-    assert len(tables[-1].trees) > len(tables[-1].basis)
+    report = learn(SimulatedTeacher(oracle, strategy), oracle.alphabet())
+    assert report.basis_size == states
+    for entry, _ in entries:
+        for tree in swap_variants(entry):
+            assert report.hypothesis.eval(tree) == oracle.smq(tree), tree.text
 
 
-class FinerTeacher:
-    """A float teacher whose margin is finer than the table's tolerance: once
-    the given teacher certifies a hypothesis, it reports `tree` once, at its
-    true value plus `error`, then defers to the given teacher again."""
-
-    def __init__(self, teacher, tree, error):
-        self.teacher, self.tree, self.error = teacher, tree, error
-        self.reported = False
-
-    def smq(self, tree, context=IDENTITY_CONTEXT):
-        return self.teacher.smq(tree, context)
-
-    def seq(self, hypothesis):
-        answer = self.teacher.seq(hypothesis)
-        if answer is None and not self.reported:
-            self.reported = True
-            return self.tree, self.teacher.smq(self.tree) + self.error
-        return answer
-
-
-def test_float_fallback_adds_the_subtrees_and_still_certifies(fallbacks):
-    entries = learn_corpus_entries(1)
-    corpus = [(t, float(f)) for t, f in entries]
-    oracle = CorpusOracle(corpus, 0.2, "duplication")
-    strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
-    tree = max((t for t, _ in corpus), key=lambda t: t.size)
-    teacher = FinerTeacher(SimulatedTeacher(oracle, strategy, 1e-6), tree, 1e-12)
-    report = learn(teacher, oracle.alphabet())
-    assert fallbacks[-1] and fallbacks.count(True) == 1
-    assert teacher.reported and report.seq_count == 6  # the reported one, then the last
-    assert set(subtrees(tree)) <= set(report.table.trees)
-    assert report.basis_size == 19
-    assert teacher.teacher.seq(report.hypothesis) is None
+def test_float_exhaustive_scan_learns_all_of_acrab():
+    # one optimal parse per string of at most 4 genes; the learned automaton
+    # is the target's on every tree of at most 5 leaves, not only on those
+    g = load_wcfg(FIXTURES / "acrab.wcfg")
+    floats = load_wcfg(FIXTURES / "acrab.wcfg", exact=False)
+    alphabet = floats.alphabet(2)
+    report = learn(SimulatedTeacher(floats, ExhaustiveStrategy(alphabet, 4), 1e-6), alphabet)
+    assert report.basis_size == 13
+    target = g.automaton(2)
+    for tree in full_trees(alphabet.leaf_symbols, 5):
+        assert abs(report.hypothesis.eval(tree) - float(target.eval(tree))) < 1e-9, tree.text

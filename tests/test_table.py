@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -436,9 +437,6 @@ def test_colinear_check_returns_memberwise_context_on_corpus(
     report = learn(SimulatedTeacher(oracle, strategy, 0 if exact else 1e-6),
                    oracle.alphabet())
     assert report.basis_size == 19
-    # as chain_table, over the corpus trees' subtrees
-    complete_with_leaves(ObservationTable(oracle.alphabet(), oracle), oracle.alphabet(),
-                         [t for t, _ in corpus])
     assert any(same_context_as_memberwise)
 
 
@@ -629,6 +627,15 @@ def test_separating_context_breaks_the_class_of_its_step():
     basis, trees = len(table.basis), list(table.trees)
     ctx = table.separating_context(z)
     assert ctx not in table.columns
-    assert table.add_counterexample(z)
+    table.add_counterexample(z)
     assert ctx in table.columns and len(table.basis) > basis
     assert all(t in table.basis or t in trees for t in table.trees)  # T: leaves and basis
+
+
+def test_separating_context_raises_when_the_table_weighs_the_tree_right():
+    g = load_wcfg(FIXTURES / "acrab.wcfg")
+    table, alphabet = make_table(g)
+    complete_with_leaves(table, alphabet)
+    z = Leaf("AcrA")  # its row agrees with its basis tree's at the identity column
+    with pytest.raises(TableError, match=re.escape(f"counterexample {z.text} calls for no new column")):
+        table.separating_context(z)
