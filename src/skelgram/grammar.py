@@ -366,7 +366,7 @@ def _solve_component(comp: list, by_lhs: dict, z: dict) -> list:
     values = _newton(floats, 0.0)
     # float weights are binary rationals, so they too may have an exact root
     snapped = _snap([[(Fraction(c), inside) for c, inside in terms] for terms in eqs],
-                    values, exact)
+                    values, exact and len(eqs) == 1)
     if snapped is None:
         return values
     return snapped if exact else [float(v) for v in snapped]
@@ -486,7 +486,9 @@ def _snap(eqs: list, values: list, refine: bool):
     (Legendre), and for one equation q has at most `bits`, the coefficients'
     total size, by the rational root theorem.  So the steps end once they
     are below 2^-(2 bits + 1), or fail to shrink by more than half, as at a
-    critical root, where Newton only halves the error.
+    critical root, where Newton only halves the error.  The caller refines
+    one equation only: a system has no such bound, and its exact iterates
+    double in size each step (a 21-member component ran for minutes).
     """
     bits = sum(c.numerator.bit_length() + c.denominator.bit_length()
                for terms in eqs for c, _ in terms)

@@ -1,7 +1,8 @@
 """Top-level query-learning loop: complete the table, extract a hypothesis,
 ask a structured equivalence query, and turn its counterexample into one
-separating column at a time until the hypothesis weighs it right; against
-a scanning teacher, its subtrees join T as well.
+separating column at a time until the table's classes weigh it right;
+against a scanning teacher, its subtrees join T as well.  The hypothesis is
+extracted once per equivalence query.
 """
 from __future__ import annotations
 
@@ -42,15 +43,17 @@ def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
           max_iterations: int | None = None) -> LearnReport:
     """Learn a co-linear automaton for the oracle's skeletal tree series.
 
-    While the hypothesis weighs a counterexample z wrong (by `scalar_eq`),
-    z goes to `ObservationTable.add_counterexample`, which adds the one
-    column that z's walk finds and completes the table, and the hypothesis
-    is extracted again; a walk that finds no new column raises TableError.
-    When the oracle's equivalence query is a scan (`exact_automaton` is
-    None), z's subtrees then join T as well: a scan weighs only its
-    candidates, and the rows and consistency checks over z's subtrees reach
-    states that no candidate may show.  The last hypothesis extracted goes
-    to the next equivalence query.
+    While the table's hypothesis weighs a counterexample z wrong (by
+    `scalar_eq`), z goes to `ObservationTable.add_counterexample`, which
+    adds the one column that z's walk finds and completes the table; a walk
+    that finds no new column raises TableError.  The hypothesis's value of
+    z is read off the table's classes (`ObservationTable.hypothesis_value`),
+    so no automaton is built between columns.  When the oracle's
+    equivalence query is a scan (`exact_automaton` is None), z's subtrees
+    then join T as well: a scan weighs only its candidates, and the rows
+    and consistency checks over z's subtrees reach states that no candidate
+    may show.  The hypothesis is extracted once per equivalence query, from
+    the table as it then stands.
 
     The cap (default 10*|leaf alphabet| + 1000) counts basis additions,
     column additions, and equivalence queries; targets without finite
@@ -62,10 +65,10 @@ def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
     table = ObservationTable(alphabet, oracle, budget=budget)
     table.complete([Leaf(tok) for tok in alphabet.leaf_symbols])
     scans = oracle.exact_automaton(alphabet) is None
-    hypothesis = extract_cmta(table)
     seq_count = 0
     max_cex = 0
     while True:
+        hypothesis = extract_cmta(table)
         budget.charge("equivalence query")
         seq_count += 1
         answer = oracle.seq(hypothesis)
@@ -76,9 +79,7 @@ def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
                                max_counterexample_size=max_cex, table=table)
         counterexample, value = answer
         max_cex = max(max_cex, counterexample.size)
-        while not scalar_eq(hypothesis.eval(counterexample), value):
+        while not scalar_eq(table.hypothesis_value(counterexample), value):
             table.add_counterexample(counterexample)
-            hypothesis = extract_cmta(table)
         if scans:
             table.complete([counterexample])
-            hypothesis = extract_cmta(table)

@@ -2,8 +2,8 @@
 
 A column is a 0-based child-index tuple (j1..jk); it maps to its non-zero
 rows {i: c^i_{j1..jk}}.  A co-linear map is one whose columns each hold at
-most one entry.  Sums start from the map's zero scalar, so exact and float
-maps keep their zeros' type.
+most one entry.  Sums start from their first term, so each coordinate keeps
+its products' scalar type.
 """
 from __future__ import annotations
 
@@ -38,8 +38,8 @@ def apply(m: MultilinearMap, args) -> list:
     Each argument, and the result, is a support: the vector's non-zero
     entries as (index, value) pairs in ascending index order.  Only columns
     in the product of the arguments' supports are visited; each y[i] is
-    summed from the map's zero scalar in column order, and entries that
-    cancel to zero are dropped.
+    summed in column order from its first term, and entries that cancel to
+    zero are dropped.
     """
     if len(args) != m.arity:
         raise ValueError(f"expected {m.arity} arguments, got {len(args)}")
@@ -53,7 +53,8 @@ def apply(m: MultilinearMap, args) -> list:
             for i, c in col.items():
                 for _, x in combo:
                     c = c * x
-                out[i] = out.get(i, m.zero_scalar) + c
+                y = out.get(i)
+                out[i] = c if y is None else y + c
     support = [(i, y) for i, y in out.items() if y]
     support.sort()
     return support
@@ -63,23 +64,23 @@ def colinear_witness(v, w):
     """Return alpha != 0 with v = alpha*w, or None.
 
     Two all-zero vectors are co-linear with the canonical witness alpha = 1.
-    Vectors of exact scalars compare exactly; a float in either one makes
+    Vectors of exact scalars compare exactly, multiplying only where w is
+    non-zero: where it is zero, v must be too.  A float in either one makes
     the comparison use the relative tolerance DEFAULT_TOL.
     """
     if len(v) != len(w):
         raise ValueError("dimension mismatch")
     if all(map(is_exact, v)) and all(map(is_exact, w)):
-        w_zero = all(x == 0 for x in w)
-        v_zero = all(x == 0 for x in v)
-        if w_zero:
-            return 1 if v_zero else None
-        if v_zero:
+        pivot = next((j for j, x in enumerate(w) if x), None)
+        if pivot is None:
+            return None if any(v) else 1
+        if not v[pivot]:
             return None
-        pivot = next(j for j, x in enumerate(w) if x != 0)
         alpha = Fraction(v[pivot]) / Fraction(w[pivot])
-        if alpha == 0:
-            return None
-        return alpha if all(v[j] == alpha * w[j] for j in range(len(v))) else None
+        for x, y in zip(v, w):
+            if (x != alpha * y) if y else x:
+                return None
+        return alpha
 
     fv = [float(x) for x in v]
     fw = [float(x) for x in w]

@@ -14,6 +14,9 @@ from its parts without building c∘t.  The answers are memoized by the text
 of c∘t, `c.prefix + t.text + c.suffix`, so repeated cells cost one query.
 Row classes survive a new column whose cell agrees with them (a row
 independent of the basis on some columns stays independent on more).
+The classes of a completed table weigh a tree as the automaton extracted
+from it would (`hypothesis_value`), so the learner need not extract one to
+test a counterexample.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .mta import EvaluationError
 from .multilinear import colinear_witness
 from .scalars import is_exact, scalar_eq, scalar_is_zero, vector_is_zero
 from .trees import (Context, HOLE, IDENTITY_CONTEXT, Leaf, Node, RankedAlphabet,
@@ -149,16 +153,17 @@ class ObservationTable:
         self.columns.append(ctx)
         self.budget.charge("column addition")
         self._completed = False
+        rows = self.rows
         for tree in self._order:
-            self._fill_row(tree)
+            rows[tree.text].append(self._cell(tree, ctx))
         for text, cls in list(self._classes.items()):
-            new = self.rows[text][-1]
+            new = rows[text][-1]
             if cls.is_zero:
                 keep = scalar_is_zero(new)
             else:
-                base = self.rows[self.basis[cls.index].text][-1]
+                base = rows[self.basis[cls.index].text][-1]
                 keep = (type(cls.coeff) is Fraction and is_exact(new) and is_exact(base)
-                        and new == cls.coeff * base)
+                        and (new == cls.coeff * base if base else new == 0))
             if not keep:
                 del self._classes[text]
         self._basis_by_mask.clear()
@@ -215,9 +220,10 @@ class ObservationTable:
     def close(self):
         """Move co-linearly independent one-level rows into T and B until none
         remain; each pass adds exactly one basis row."""
+        classes = self._classes
         while True:
-            candidate = next((t for t in self._order
-                              if self.classify(t).is_independent), None)
+            candidate = next((t for t in self._order if t.text not in classes
+                              and self._class_of(t.text).is_independent), None)
             if candidate is None:
                 return
             self.budget.charge("basis addition")
@@ -357,6 +363,57 @@ class ObservationTable:
                 s, fresh = Node(kids), False
         raise TableError(f"counterexample {tree.text} calls for no new column: "
                          "the hypothesis already weighs it as the table does")
+
+    def hypothesis_value(self, tree: SkeletalTree):
+        """`extract_cmta(self).eval(tree)`, read off the classes without
+        building the automaton.
+
+        Each subtree maps to its support, walked as `MTA.eval_support` walks
+        it, with its EvaluationErrors: a leaf to its class's [(basis index,
+        coefficient)]; a node whose children map to basis trees b1..bk to
+        the class of the row (b1 .. bk), its coefficient times the
+        children's, left to right, as `apply` multiplies; a zero child or
+        class to [].  The value is the identity cell of the root's basis
+        tree times its coefficient, as `MTA.eval` adds it up."""
+        if not self._completed:
+            raise TableError("table must be closed and consistent before it weighs a tree")
+        memo: dict[str, list] = {}
+        stack = [tree]
+        while stack:
+            s = stack[-1]
+            support = memo.get(s.text)
+            if support is None and isinstance(s, Leaf):
+                if s.token not in self.alphabet:
+                    raise EvaluationError(f"unknown leaf token {s.token!r}")
+                cls = self._class_of(s.text)
+                support = memo[s.text] = [] if cls.is_zero else [(cls.index, cls.coeff)]
+            elif support is None:
+                args = [memo.get(c.text) for c in s.children]
+                if None in args:
+                    stack.extend(c for c, v in zip(s.children, args) if v is None)
+                    continue
+                k = len(args)
+                if k > self.alphabet.max_rank:
+                    raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")
+                support = memo[s.text] = []
+                if all(args):
+                    cls = self._class_of(
+                        "(" + " ".join(self.basis[v[0][0]].text for v in args) + ")")
+                    if not cls.is_zero:
+                        c = cls.coeff
+                        for v in args:
+                            c = c * v[0][1]
+                        if c:
+                            support.append((cls.index, c))
+            stack.pop()
+        acc = 0
+        for i, x in support:
+            w = self.rows[self.basis[i].text][0]
+            if w:
+                acc = acc + w * x
+        if acc or acc.__class__ is float:
+            return acc
+        return 0 if self.basis else Fraction(0)
 
     def add_counterexample(self, tree: SkeletalTree):
         """Add the counterexample's separating column and complete the table."""

@@ -65,9 +65,10 @@ def learn_corpus_entries(seed):
 @contextlib.contextmanager
 def observing_rounds(observer):
     """Within the block, `learn` calls observer(table, hypothesis) on every
-    hypothesis as it is extracted: the first, and each one extracted while
-    a counterexample is processed, the last of which goes to the next
-    equivalence query."""
+    hypothesis as it is extracted: one per equivalence query, from the
+    table as it stands when the query is asked.  The tables built while a
+    counterexample is processed are not extracted; wrap
+    `ObservationTable.add_counterexample` to see those."""
     extract = learner.extract_cmta
 
     def extract_and_observe(table):

@@ -155,7 +155,10 @@ def test_criterion_6_extraction_correctness(acrab_run):
     adds one column, which is not closed under removing its innermost
     level, and whose siblings need not be in T, so no consistency check
     covers it.  On acrab a few non-identity cells of T's rows disagree with
-    the hypothesis extracted from that table."""
+    the hypothesis extracted from that table.  `learn` extracts once per
+    equivalence query; the tables it builds in between are checked the same
+    way by `test_every_table_built_for_a_counterexample_weighs_as_its_hypothesis`
+    in tests/test_learner.py."""
     grammar, alphabet, report, rounds, _elapsed = acrab_run
     assert rounds  # at least one closed consistent table was produced
     for agreement, basis_rows, basis, hypothesis in rounds:

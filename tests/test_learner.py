@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from skelgram.extract import extract_cmta
 from skelgram.geneclusters import SubstringFrequencyWeight, parse_gene_string, right_chain
 from skelgram.grammar import load_wcfg, pmta_to_wcfg, wcfg_to_pcfg
 from skelgram.learner import default_iteration_cap, learn
-from skelgram.table import CapExceeded, TableError
+from skelgram.mta import EvaluationError
+from skelgram.scalars import scalar_eq
+from skelgram.table import CapExceeded, ObservationTable, TableError
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
                               ExhaustiveStrategy, SimulatedTeacher)
 from skelgram.trees import (IDENTITY_CONTEXT, Leaf, Node, compose, full_trees,
@@ -360,3 +363,69 @@ def test_float_exhaustive_scan_learns_all_of_acrab():
     target = g.automaton(2)
     for tree in full_trees(alphabet.leaf_symbols, 5):
         assert abs(report.hypothesis.eval(tree) - float(target.eval(tree))) < 1e-9, tree.text
+
+
+def learn_runs():
+    """(id, teacher, alphabet) for the learns whose intermediate tables
+    `test_every_table_built_for_a_counterexample_weighs_as_its_hypothesis`
+    checks."""
+    runs = []
+    for name in ("acrab", "fimacd", "colinearity3"):
+        g = load_wcfg(FIXTURES / f"{name}.wcfg")
+        runs.append((name, SimulatedTeacher(g), g.alphabet(2)))
+    floats = load_wcfg(FIXTURES / "acrab.wcfg", exact=False)
+    alphabet = floats.alphabet(2)
+    runs.append(("acrab-float-exhaustive",
+                 SimulatedTeacher(floats, ExhaustiveStrategy(alphabet, 4), 1e-6), alphabet))
+    entries = learn_corpus_entries(7)
+    oracle = CorpusOracle(entries, Fraction(1, 5), "duplication")
+    runs.append(("learn-corpus-7", SimulatedTeacher(
+        oracle, DuplicationsStrategy([t for t, _ in entries], max_dup=1)), oracle.alphabet()))
+    return runs
+
+
+@pytest.mark.parametrize("run", learn_runs(), ids=lambda run: run[0])
+def test_every_table_built_for_a_counterexample_weighs_as_its_hypothesis(run, monkeypatch):
+    """`learn` extracts one hypothesis per equivalence query and reads the
+    values it needs in between off the table.  Every table it builds while
+    processing a counterexample is extracted here: the automaton maps each
+    basis tree to its unit vector, agrees with every row at the identity
+    column, and weighs the counterexample and every tree of at most 5
+    leaves as `hypothesis_value` does, bit for bit in floats.  Float rows
+    agree with it at the identity column within the table's tolerance."""
+    _, teacher, alphabet = run
+    trees = list(full_trees(alphabet.leaf_symbols, 5))
+    add = ObservationTable.add_counterexample
+    checked = []
+
+    def add_and_check(table, counterexample):
+        add(table, counterexample)
+        hypothesis = extract_cmta(table)
+        d = len(table.basis)
+        for i, b in enumerate(table.basis):
+            assert hypothesis.eval_vector(b) == [int(i == j) for j in range(d)]
+        for tree in table._order:
+            assert scalar_eq(hypothesis.eval(tree), table.rows[tree.text][0]), tree.text
+        for tree in [counterexample, *trees]:
+            value, expected = table.hypothesis_value(tree), hypothesis.eval(tree)
+            assert value == expected and type(value) is type(expected), tree.text
+        checked.append(d)
+
+    monkeypatch.setattr(ObservationTable, "add_counterexample", add_and_check)
+    learn(teacher, alphabet)
+    assert checked
+
+
+def test_hypothesis_value_raises_what_the_hypothesis_raises():
+    g = load_wcfg(FIXTURES / "acrab.wcfg")
+    alphabet = g.alphabet(2)
+    report = learn(SimulatedTeacher(g), alphabet)
+    a, unknown = Leaf("AcrA"), Leaf("Zzz")
+    ternary = Node([a, a, a])
+    for tree in (unknown, ternary, Node([ternary, unknown]), Node([unknown, ternary]),
+                 Node([a, Node([unknown, a])])):
+        with pytest.raises(EvaluationError) as expected:
+            report.hypothesis.eval(tree)
+        with pytest.raises(EvaluationError) as caught:
+            report.table.hypothesis_value(tree)
+        assert str(caught.value) == str(expected.value), tree.text

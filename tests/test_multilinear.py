@@ -200,3 +200,108 @@ def test_colinear_witness_float_tolerance():
     assert colinear_witness([2.0, 4.1], [1.0, 2.0]) is None
     # one float vector is enough to compare with the tolerance
     assert colinear_witness([2, 4], [1.0, 2.0 + 1e-13]) == pytest.approx(2.0)
+
+
+# -- zero-skipping arithmetic against the formulas it replaced -----------------
+
+
+def dense_colinear_witness(v, w):
+    """The reference: colinear_witness's exact branch as it was before it
+    skipped zero cells, multiplying alpha into every cell of w."""
+    w_zero = all(x == 0 for x in w)
+    v_zero = all(x == 0 for x in v)
+    if w_zero:
+        return 1 if v_zero else None
+    if v_zero:
+        return None
+    pivot = next(j for j, x in enumerate(w) if x != 0)
+    alpha = Fraction(v[pivot]) / Fraction(w[pivot])
+    if alpha == 0:
+        return None
+    return alpha if all(v[j] == alpha * w[j] for j in range(len(v))) else None
+
+
+def apply_from_zero(m, args):
+    """The reference: apply as it was before it summed each y[i] from its
+    first term, starting from the map's zero scalar instead."""
+    out = {}
+    for combo in itertools.product(*args):
+        col = m.columns.get(tuple([j for j, _ in combo]))
+        if col:
+            for i, c in col.items():
+                for _, x in combo:
+                    c = c * x
+                out[i] = out.get(i, m.zero_scalar) + c
+    return sorted((i, y) for i, y in out.items() if y)
+
+
+def exact_zero(rng):
+    return rng.choice([0, Fraction(0)])
+
+
+def sparse_exact_vec(rng, d, density=0.2):
+    """Mostly zeros, int 0 and Fraction(0) mixed; the rest ints or Fractions."""
+    return [rng.choice([rng.randint(-3, 3) or 1, Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))])
+            if rng.random() < density else exact_zero(rng) for _ in range(d)]
+
+
+def test_colinear_witness_skipping_zeros_matches_the_dense_formula():
+    rng = random.Random(25)
+    outcomes = set()
+    for _ in range(3000):
+        d = rng.randint(1, 12)
+        w = sparse_exact_vec(rng, d)
+        shape = rng.random()
+        if shape < 0.5:  # a multiple of w, perhaps 0, with zeros of either type
+            alpha = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            v = [alpha * x if x else exact_zero(rng) for x in w]
+            if shape < 0.25:  # one cell changed: a zero made non-zero, or the reverse
+                j = rng.randrange(d)
+                v[j] = exact_zero(rng) if v[j] else Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        else:
+            v = sparse_exact_vec(rng, d)
+        got, want = colinear_witness(v, w), dense_colinear_witness(v, w)
+        assert got == want and type(got) is type(want), (v, w)
+        outcomes.add(type(want))
+    assert outcomes == {type(None), int, Fraction}
+
+
+def rand_sparse_map(rng, k, d, scalar):
+    m = MultilinearMap(k, d, zero_scalar=scalar(0))
+    for col in itertools.product(range(d), repeat=k):
+        for i in range(d):
+            if rng.random() < 0.3:
+                m.columns.setdefault(col, {})[i] = scalar(Fraction(rng.randint(-4, 4) or 1,
+                                                                   rng.randint(1, 3)))
+    return m
+
+
+def typed(support):
+    """A support with each value's type and exact digits, so that 0.5 and
+    Fraction(1, 2), or two floats a bit apart, never compare equal."""
+    return [(i, type(y), repr(y)) for i, y in support]
+
+
+@pytest.mark.parametrize("scalar", [Fraction, float])
+def test_apply_from_the_first_term_matches_the_sum_from_zero(scalar):
+    rng = random.Random(26)
+    for _ in range(400):
+        k, d = rng.randint(1, 3), rng.randint(1, 4)
+        m = rand_sparse_map(rng, k, d, scalar)
+        if scalar is Fraction:  # exact arguments mix int and Fraction values
+            args = [support(sparse_exact_vec(rng, d, 0.7)) for _ in range(k)]
+        else:
+            args = [support([rng.uniform(-2, 2) if rng.random() < 0.7 else 0.0
+                             for _ in range(d)]) for _ in range(k)]
+        assert typed(apply(m, args)) == typed(apply_from_zero(m, args))
+
+
+def test_apply_from_the_first_term_drops_float_sums_that_cancel_to_signed_zero():
+    # with both arguments 1e-200: row 0 sums 2.5e-201 - 2.5e-201 = 0.0; row 1
+    # is one product that underflows to -0.0, which the sum from zero made
+    # 0.0; row 3 starts from such a product and ends non-zero
+    m = MultilinearMap(1, 4, {(0,): {0: 0.25, 1: -1e-200, 2: 1.0, 3: -1e-200},
+                              (1,): {0: -0.25, 3: 2.0}}, 0.0)
+    args = [[(0, 1e-200), (1, 1e-200)]]
+    assert typed(apply(m, args)) == typed(apply_from_zero(m, args))
+    assert typed(apply(m, args)) == typed([(2, 1e-200), (3, 2e-200)])

@@ -17,8 +17,9 @@ from skelgram.table import (Budget, CapExceeded, ColinearClass, ObservationTable
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
                               SimulatedTeacher)
 from skelgram.trees import (IDENTITY_CONTEXT, Leaf, Node, RankedAlphabet,
-                            canonical_key, compose, compose_contexts, parse_context,
-                            parse_structured_string, sigma_contexts, subtrees)
+                            canonical_key, compose, compose_contexts, full_trees,
+                            parse_context, parse_structured_string, sigma_contexts,
+                            subtrees)
 
 from conftest import FIXTURES, learn_corpus_entries, random_cmta
 
@@ -639,3 +640,25 @@ def test_separating_context_raises_when_the_table_weighs_the_tree_right():
     z = Leaf("AcrA")  # its row agrees with its basis tree's at the identity column
     with pytest.raises(TableError, match=re.escape(f"counterexample {z.text} calls for no new column")):
         table.separating_context(z)
+
+
+def test_hypothesis_value_needs_a_completed_table():
+    g = load_wcfg(FIXTURES / "acrab.wcfg")
+    table, alphabet = make_table(g)
+    with pytest.raises(TableError, match="must be closed and consistent"):
+        table.hypothesis_value(Leaf("AcrA"))
+
+
+def test_hypothesis_value_keeps_the_extracted_automatons_float_bits():
+    # every row is co-linear to the leaf a's, with coefficients such as
+    # 0.11/0.7, so a product taken in another order than the automaton's
+    # (class coefficient, then the children's left to right) differs in
+    # its last bits on thousands of these trees
+    g = parse_wcfg("S -> S S [0.3]\nS -> S S S [0.13]\n"
+                   "S -> a [0.7]\nS -> b [0.11]\nS -> c [0.37]\n", exact=False)
+    table, alphabet = make_table(g, max_rank=3)
+    table.complete()
+    hypothesis = extract_cmta(table)
+    for tree in full_trees(alphabet.leaf_symbols, 5, 3):
+        value, expected = table.hypothesis_value(tree), hypothesis.eval(tree)
+        assert value == expected and type(value) is type(expected), tree.text
