@@ -76,8 +76,8 @@ def _alphabet(target, max_rank):
 def _build_strategy(args, alphabet, weight):
     if alphabet.max_rank < 2:
         raise CliError(f"--seq {args.seq} needs --max-rank 2 or more; at --max-rank 1 only "
-                       "an exact automaton, or an exact grammar with no rule longer than 1, "
-                       "learns, with no --float and no --epsilon other than 0", EXIT_INPUT)
+                       "an exact automaton or grammar learns, with no --float and no "
+                       "--epsilon other than 0", EXIT_INPUT)
     if args.seq == "exhaustive":
         return ExhaustiveStrategy(alphabet, args.max_len, weight)
     if args.seq == "sampling":

@@ -8,6 +8,7 @@ built as a right chain, so tandem duplications stay confined to one subtree.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .trees import Leaf, Node, SkeletalTree
 
@@ -16,27 +17,84 @@ INF = math.inf
 
 class SubstringFrequencyWeight:
     """Default scorer: a substring of length >= 2 scores the number of corpus
-    strings containing it contiguously; single tokens score 0.
+    strings containing it contiguously (a repeated string counts each time);
+    single tokens score 0.
 
-    Each distinct corpus token is coded as one character, so a corpus string
-    is a str and a call is one substring search per corpus string: a match
-    of codes is a match of whole tokens, whatever characters they hold."""
+    The corpus is indexed by its generalized suffix automaton over whole
+    tokens (Blumer et al., JACM 1987): one state per class of substrings
+    that end at the same positions, each keeping how many corpus strings
+    hold its substrings.  A call walks the piece's tokens from the root, so
+    it costs one dict lookup per token whatever the corpus size.  There are
+    at most 2N + 1 states for N corpus tokens, each a dict of transitions:
+    about 0.2-0.4 KB per corpus token, less where strings repeat."""
 
     def __init__(self, corpus_strings):
-        self.codes = {}
-        self.corpus = ["".join(self.codes.setdefault(tok, chr(len(self.codes)))
-                               for tok in s)
-                       for s in corpus_strings]
+        self._next, self._count = _suffix_automaton(Counter(map(tuple, corpus_strings)))
 
     def __call__(self, piece) -> int:
-        piece = tuple(piece)
-        if len(piece) < 2:
-            return 0
-        try:
-            needle = "".join(map(self.codes.__getitem__, piece))
-        except KeyError:
-            return 0  # a token no corpus string holds
-        return sum(needle in s for s in self.corpus)
+        nxt, state, n = self._next, 0, 0
+        for tok in piece:
+            state = nxt[state].get(tok)
+            if state is None:
+                return 0  # no corpus string holds the piece
+            n += 1
+        return self._count[state] if n > 1 else 0
+
+
+def _suffix_automaton(strings):
+    """The generalized suffix automaton of the token strings (a Counter of
+    them), as per-state transition dicts, state 0 the root, and per-state
+    counts of the strings that hold the state's substrings, each counted as
+    often as the Counter holds it.  Each string is added from the root in
+    turn; a transition already there is followed, or split when it skips a
+    length (the clone below)."""
+    nxt, link, length = [{}], [-1], [0]
+
+    def split(p, tok, q):
+        # q's substrings no longer than length[p] + 1 move to a clone of q,
+        # which takes over the transitions into q on tok from p's suffixes
+        clone = len(nxt)
+        nxt.append(dict(nxt[q]))
+        link.append(link[q])
+        length.append(length[p] + 1)
+        while p != -1 and nxt[p].get(tok) == q:
+            nxt[p][tok] = clone
+            p = link[p]
+        link[q] = clone
+        return clone
+
+    for s in strings:
+        last = 0
+        for tok in s:
+            q = nxt[last].get(tok)
+            if q is not None:  # last's longest substring + tok is already one
+                last = q if length[q] == length[last] + 1 else split(last, tok, q)
+                continue
+            cur = len(nxt)
+            nxt.append({})
+            link.append(0)
+            length.append(length[last] + 1)
+            p = last
+            while p != -1 and tok not in nxt[p]:
+                nxt[p][tok] = cur
+                p = link[p]
+            if p != -1:
+                q = nxt[p][tok]
+                link[cur] = q if length[q] == length[p] + 1 else split(p, tok, q)
+            last = cur
+
+    # a string adds its multiplicity once to each state holding one of its
+    # substrings: those on the suffix links up from its prefixes' states
+    count, seen = [0] * len(nxt), [-1] * len(nxt)
+    for i, (s, times) in enumerate(strings.items()):
+        state = 0
+        for tok in s:
+            state = up = nxt[state][tok]
+            while up > 0 and seen[up] != i:
+                seen[up] = i
+                count[up] += times
+                up = link[up]
+    return nxt, count
 
 
 def optimal_tree(tokens, w) -> tuple[SkeletalTree, object]:

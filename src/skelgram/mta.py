@@ -101,7 +101,8 @@ class MTA:
                 k = len(args)
                 if k > self.alphabet.max_rank:
                     raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")
-                support = memo[s.text] = apply(self.node_maps[k], args)
+                # a zero child makes every product, so the node, zero
+                support = memo[s.text] = apply(self.node_maps[k], args) if all(args) else []
             stack.pop()
         return support
 

@@ -277,9 +277,11 @@ def test_learn_automaton_target_rejects_other_max_rank(tmp_path, capsys):
 def test_learn_candidate_strategies_refuse_max_rank_one(tmp_path, capsys, seq):
     # candidates have no unary nodes: at rank 1 the first three die part-way
     # through learning, and trees certifies a 1-state automaton; so a
-    # scanned (here --float) target refuses rank 1, and the exact one learns
+    # scanned (here --float) target refuses rank 1, and the exact one learns,
+    # its binary rule, which weighs no tree of rank 1, left out
     grammar, base = tmp_path / "g.wcfg", tmp_path / "base.txt"
-    grammar.write_text("S -> A [1/2]\nS -> a [1/4]\nA -> a [1/3]\n", encoding="utf-8")
+    grammar.write_text("S -> A [1/2]\nS -> a [1/4]\nA -> a [1/3]\nS -> A a [1]\n",
+                       encoding="utf-8")
     base.write_text("a\n", encoding="utf-8")
     out = tmp_path / "out"
     learn = ["learn", "--target", grammar, "--max-rank", "1", "--seq", seq,
@@ -287,7 +289,7 @@ def test_learn_candidate_strategies_refuse_max_rank_one(tmp_path, capsys, seq):
     assert run([*learn, "--float"]) == 2
     err = capsys.readouterr().err
     assert f"--seq {seq} needs --max-rank 2 or more" in err
-    assert "only an exact automaton, or an exact grammar with no rule longer" in err
+    assert "only an exact automaton or grammar learns" in err
     assert not out.exists()
     assert run(learn) == 0
     assert json.loads((out / "report.json").read_text())["basis_size"] == 2

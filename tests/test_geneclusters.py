@@ -176,6 +176,30 @@ def test_substring_frequency_weight_matches_offset_scan():
     assert SubstringFrequencyWeight([])(["a", "b"]) == 0
 
 
+def test_substring_automaton_is_exact_and_linear():
+    # repeated strings count each time, runs of one token, empty strings,
+    # and tokens holding spaces or "#"; every span of every corpus string
+    # and random pieces; at most 2N + 1 states for N corpus tokens
+    rng = random.Random(73)
+    tokens = ["a", "b", "a b", "#", "a#", " "]
+    for _ in range(400):
+        pool = rng.sample(tokens, rng.randint(1, len(tokens)))
+        corpus = [[rng.choice(pool) for _ in range(rng.randint(0, 10))]
+                  for _ in range(rng.randint(0, 6))]
+        corpus += [["a"] * rng.randint(1, 8) for _ in range(rng.randint(0, 2))]
+        corpus += [list(rng.choice(corpus)) for _ in range(rng.randint(0, 3)) if corpus]
+        rng.shuffle(corpus)
+        w = SubstringFrequencyWeight(corpus)
+        assert len(w._next) <= 2 * sum(map(len, corpus)) + 1
+        pieces = [s[i:j] for s in corpus for i in range(len(s)) for j in range(i + 2, len(s) + 1)]
+        pieces += [[rng.choice(tokens + ["c"]) for _ in range(rng.randint(0, 5))]
+                   for _ in range(20)]
+        for piece in pieces:
+            assert w(piece) == _count_containing(corpus, piece)
+    w = SubstringFrequencyWeight([("a", "a", "a", "a"), ("a", "a", "a", "a"), ("a", "a"), ()])
+    assert [w(["a"] * n) for n in range(6)] == [0, 0, 3, 2, 2, 0]
+
+
 def test_runs_stay_together():
     # with run preprocessing, a long run is confined to one subtree
     weight = SubstringFrequencyWeight([("b", "a"), ("b", "a", "a", "a")])

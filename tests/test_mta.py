@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from skelgram.grammar import load_wcfg
 from skelgram.mta import (MAX_DENSE_COEFFICIENTS, MTA, EvaluationError, TooLargeToWrite,
                           format_mta, parse_mta)
-from skelgram.multilinear import MultilinearMap
+from skelgram.multilinear import MultilinearMap, apply
 from skelgram.trees import (Context, HOLE, Leaf, Node, RankedAlphabet,
-                            parse_structured_string, compose)
+                            enumerate_full_trees, parse_structured_string, compose)
 
-from conftest import random_cmta, random_tree
+from conftest import FIXTURES, enumerate_trees, random_cmta, random_pmta, random_tree
 
 
 def leaf_count_mta():
@@ -196,3 +197,49 @@ def test_format_mta_refuses_more_than_the_bound_before_writing():
                 format_mta(a)
     small = MTA(alphabet, 2, {"a": [Fraction(1), Fraction(0)]}, {}, [Fraction(1), Fraction(0)])
     assert parse_mta(format_mta(small)).leaf_maps == small.leaf_maps
+
+
+def _unary_insertions(t):
+    """t with one unary node put above each of its positions in turn."""
+    yield Node((t,))
+    if isinstance(t, Node):
+        for i, child in enumerate(t.children):
+            for sub in _unary_insertions(child):
+                yield Node(t.children[:i] + (sub,) + t.children[i + 1:])
+
+
+def _apply_everywhere(a, t, memo):
+    """eval_support as it was: apply at every node, zero children or not."""
+    support = memo.get(t.text)
+    if support is None:
+        if isinstance(t, Leaf):
+            support = [(j, x) for j, x in enumerate(a.leaf_maps[t.token]) if x]
+        else:
+            support = apply(a.node_maps[len(t.children)],
+                            [_apply_everywhere(a, c, memo) for c in t.children])
+        memo[t.text] = support
+    return support
+
+
+def test_zero_child_gives_zero_node_as_apply_does():
+    # every tree of <= 5 leaves over acrab's alphabet, those of <= 4 leaves
+    # also with a unary node at each position, and every tree of depth <= 3
+    g = load_wcfg(FIXTURES / "acrab.wcfg")
+    alphabet = g.alphabet(2)
+    tokens = alphabet.leaf_symbols
+    trees = enumerate_full_trees(tokens, 5) + enumerate_trees(alphabet, 3)
+    trees += [u for t in enumerate_full_trees(tokens, 4) for u in _unary_insertions(t)]
+    rng = random.Random(29)
+    automata = [g.automaton(2), load_wcfg(FIXTURES / "acrab.wcfg", exact=False).automaton(2),
+                random_cmta(rng, alphabet, 4), random_pmta(rng, alphabet, 3)]
+    for a in automata:
+        memo = {}
+        for t in trees:
+            expected = _apply_everywhere(a, t, memo)
+            got = a.eval_support(t)
+            assert [(i, type(x), x) for i, x in got] == [(i, type(x), x) for i, x in expected]
+    # the rank check still comes first: a wide node over a zero child raises
+    zero = parse_structured_string("(AcrR AcrR)", alphabet)
+    assert g.automaton(2).eval_support(zero) == []
+    with pytest.raises(EvaluationError, match="rank 3 exceeds max rank 2"):
+        g.automaton(2).eval_support(Node((zero, Leaf("AcrA"), Leaf("AcrB"))))

@@ -200,8 +200,8 @@ def test_seq_compares_exact_values_exactly_and_floats_by_margin():
 
 
 def test_exact_automaton_is_read_off_the_target():
-    # a float target, a non-zero margin, a corpus or a rule longer than the
-    # rank leaves the scan
+    # a float target, a non-zero margin or a corpus leaves the scan; a rule
+    # longer than the rank is left out of the automaton
     exact = load_wcfg(FIXTURES / "smalldup.wcfg")
     alphabet = exact.alphabet(2)
     floats = load_wcfg(FIXTURES / "smalldup.wcfg", exact=False)
@@ -211,8 +211,11 @@ def test_exact_automaton_is_read_off_the_target():
     assert SimulatedTeacher(exact).exact_automaton(exact.alphabet(3)) is exact.automaton(3)
     assert SimulatedTeacher(exact).exact_automaton(RankedAlphabet(["b"], 2)) is None
     ternary = parse_wcfg("S -> a a a [1]\n")
-    assert SimulatedTeacher(ternary).exact_automaton(ternary.alphabet(2)) is None
-    assert SimulatedTeacher(ternary).exact_automaton(ternary.alphabet(3)) is not None
+    teacher = SimulatedTeacher(ternary)
+    fitting = teacher.exact_automaton(ternary.alphabet(2))
+    assert fitting is teacher.exact_automaton(ternary.alphabet(2))  # built once
+    assert difference_witness(fitting, MTA.zero(ternary.alphabet(2))) is None
+    assert teacher.exact_automaton(ternary.alphabet(3)) is ternary.automaton(3)
     automaton = wcfg_to_pmta(exact)
     assert SimulatedTeacher(automaton).exact_automaton(alphabet) is automaton
     oracle = CorpusOracle(learn_corpus_entries(1), Fraction(1, 5))
@@ -230,6 +233,17 @@ def test_exact_seq_learns_the_target_without_candidates(name):
     alphabet = g.alphabet(2)
     report = learn(SimulatedTeacher(g, RefusingStrategy()), alphabet)
     assert difference_witness(report.hypothesis, g.automaton(2)) is None
+
+
+def test_exact_seq_ignores_rules_longer_than_the_rank():
+    # no tree of rank 2 uses the ternary rule, so the exact SEQ learns
+    # acrab's series with acrab's queries instead of scanning candidates
+    text = (FIXTURES / "acrab.wcfg").read_text() + "S -> AcrR AcrR AcrR [1/10]\n"
+    g = parse_wcfg(text)
+    report = learn(SimulatedTeacher(g, RefusingStrategy()), g.alphabet(2))
+    assert (report.basis_size, report.smq_count, report.seq_count) == (13, 1916, 5)
+    acrab = load_wcfg(FIXTURES / "acrab.wcfg")
+    assert difference_witness(report.hypothesis, acrab.automaton(2)) is None
 
 
 @pytest.mark.parametrize("seed", range(10))
