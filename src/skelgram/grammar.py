@@ -69,8 +69,8 @@ class WCFG:
     def automaton(self, max_rank: int | None = None) -> MTA:
         """The automaton of wcfg_to_pmta at max_rank (default: the
         alphabet's), for weights of either sign.  One is built per rank and
-        kept, with the subtree vectors it memoizes; GrammarError when a rule
-        is longer than max_rank."""
+        kept, with the subtree vectors it memoizes; a rule longer than
+        max_rank weighs no tree of that rank and is left out."""
         p = self._rank if max_rank is None else max_rank
         automaton = self._automata.get(p)
         if automaton is None:
@@ -194,7 +194,8 @@ def wcfg_to_pmta(g: WCFG, max_rank: int | None = None) -> MTA:
 
     Nonterminal coordinates carry per-nonterminal tree weights; a terminal
     coordinate flags "this subtree is exactly that leaf" and is only switched
-    on for terminals that occur inside a longer right-hand side.
+    on for terminals that occur inside a longer right-hand side.  Rules
+    longer than max_rank weigh no tree of that rank and are left out.
     """
     if any(w < 0 for w in g.weights.values()):
         raise GrammarError("grammar has a negative weight")
@@ -209,10 +210,11 @@ def _grammar_automaton(g: WCFG, max_rank: int | None = None) -> MTA:
     n = len(iota)
     zero, one = g._zero, g._zero + 1
 
-    structural = [(lhs, rhs, w) for (lhs, rhs), w in g.weights.items()
-                  if not (len(rhs) == 1 and rhs[0] in toks)]
     alphabet = g.alphabet(max_rank)
     p = alphabet.max_rank
+    # a rule longer than p weighs no tree of rank p: leave it out
+    structural = [(lhs, rhs, w) for (lhs, rhs), w in g.weights.items()
+                  if len(rhs) <= p and not (len(rhs) == 1 and rhs[0] in toks)]
     embedded = {sym for _, rhs, _ in structural if len(rhs) >= 2
                 for sym in rhs if sym in toks}
 
@@ -225,11 +227,8 @@ def _grammar_automaton(g: WCFG, max_rank: int | None = None) -> MTA:
 
     node_maps = {k: MultilinearMap(k, n, zero_scalar=zero) for k in range(1, p + 1)}
     for lhs, rhs, w in structural:
-        k = len(rhs)
-        if k > p:
-            raise GrammarError(f"rule length {k} exceeds requested max rank {p}")
         if w != 0:
-            col = node_maps[k].columns.setdefault(tuple(iota[sym] for sym in rhs), {})
+            col = node_maps[len(rhs)].columns.setdefault(tuple(iota[sym] for sym in rhs), {})
             col[iota[lhs]] = w
 
     output = [zero] * n

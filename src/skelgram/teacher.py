@@ -50,7 +50,6 @@ class SimulatedTeacher:
         self._listed: list = []  # the candidates drawn so far, in order
         self._weights: list = []  # the target weights of seq_trees(), as far as scanned
         self._pending = None  # the strategy's candidate iterator
-        self._fitting: dict[int, WCFG] = {}  # by rank: a grammar target's rules that fit
 
     def smq(self, tree: SkeletalTree, context: Context = IDENTITY_CONTEXT):
         """The target's weight of context∘tree."""
@@ -90,21 +89,14 @@ class SimulatedTeacher:
     def exact_automaton(self, alphabet: RankedAlphabet) -> MTA | None:
         """The target as an exact automaton over alphabet, when the margin is
         0 and the target is an exact grammar or an exact automaton over
-        alphabet; otherwise None, and seq scans.  A grammar's rules longer
-        than the alphabet's rank weigh no tree of that rank, so its
-        automaton is built without them, once per teacher and rank."""
+        alphabet; otherwise None, and seq scans.  A grammar's automaton at
+        the alphabet's rank leaves out its longer rules, which weigh no tree
+        of that rank."""
         target = self.target
         if self.epsilon != 0 or not (isinstance(target, (WCFG, MTA)) and target.is_exact()):
             return None
         if isinstance(target, WCFG):
-            p = alphabet.max_rank
-            if target.max_rhs_len() > p:
-                if p not in self._fitting:
-                    self._fitting[p] = WCFG(target.nonterminals, target.terminals,
-                                            {rule: w for rule, w in target.weights.items()
-                                             if len(rule[1]) <= p})
-                target = self._fitting[p]
-            target = target.automaton(p)
+            target = target.automaton(alphabet.max_rank)
         return target if target.alphabet == alphabet else None
 
     def seq(self, hypothesis: MTA):

@@ -14,6 +14,7 @@ import skelgram
 from skelgram.grammar import (GrammarError, PCFG, WCFG, format_wcfg, load_wcfg,
                               parse_wcfg, partition_functions, pmta_to_wcfg,
                               wcfg_to_pcfg, wcfg_to_pmta)
+from skelgram.equivalence import difference_witness
 from skelgram.mta import MTA, format_mta, parse_mta
 from skelgram.multilinear import colinear_witness
 from skelgram.trees import (Leaf, Node, RankedAlphabet, parse_context,
@@ -262,6 +263,18 @@ def test_wcfg_to_pmta_requires_nonnegative():
     g = parse_wcfg("S -> a [-1]")
     with pytest.raises(GrammarError):
         wcfg_to_pmta(g)
+
+
+def test_automaton_below_a_rules_length_leaves_the_rule_out():
+    # no tree of rank 2 uses the ternary rule, so the rank-2 automaton is
+    # the one without it and weighs every rank-2 tree as the grammar does
+    g = parse_wcfg("S -> a S [1/2]\nS -> b c S [1/3]\nS -> a [1]\nS -> S b [1/5]\n")
+    fitting = WCFG(g.nonterminals, g.terminals,
+                   {rule: w for rule, w in g.weights.items() if len(rule[1]) <= 2})
+    assert difference_witness(g.automaton(2), wcfg_to_pmta(fitting, 2)) is None
+    assert difference_witness(wcfg_to_pmta(g, 2), fitting.automaton(2)) is None
+    for t in enumerate_trees(g.alphabet(2), 3):
+        assert g.automaton(2).eval(t) == g.skeletal_weight(t)
 
 
 def test_max_rank_zero_is_rejected(acrab):
