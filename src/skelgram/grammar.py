@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from .multilinear import MultilinearMap
 from .mta import MTA, EvaluationError
-from .scalars import format_scalar, is_exact, parse_scalar, scalar_eq, scalar_is_zero
+from .scalars import (format_scalar, is_exact, is_unit, parse_scalar, scalar_eq,
+                      scalar_is_zero, times)
 from .trees import Context, RankedAlphabet, SkeletalTree
 
 Rule = tuple[str, tuple[str, ...]]
@@ -35,6 +36,7 @@ class WCFG:
             raise GrammarError("nonterminals and terminals overlap")
         symbols = self._nt_set.union(self.terminals)
         self.weights = {}
+        exact = True
         for (lhs, rhs), w in weights.items():
             rhs = tuple(rhs)
             if lhs not in self._nt_set:
@@ -44,10 +46,12 @@ class WCFG:
             for sym in rhs:
                 if sym not in symbols:
                     raise GrammarError(f"undeclared symbol {sym!r} in rule rhs")
-            if w != w or w in (float("inf"), float("-inf")):
-                raise GrammarError(f"non-finite weight on {lhs} -> {' '.join(rhs)}")
+            if not is_exact(w):  # only a float can be NaN or infinite
+                exact = False
+                if w != w or w in (float("inf"), float("-inf")):
+                    raise GrammarError(f"non-finite weight on {lhs} -> {' '.join(rhs)}")
             self.weights[(lhs, rhs)] = w
-        self._zero = Fraction(0) if self.is_exact() else 0.0
+        self._zero = Fraction(0) if exact else 0.0
         self._rank = max(2, self.max_rhs_len())  # the default max rank
         self._automata: dict[int, MTA] = {}  # by max rank, built on first use
 
@@ -349,7 +353,7 @@ def _solve_component(comp: list, by_lhs: dict, z: dict) -> list:
                 if s in pos:
                     inside.append(pos[s])
                 else:
-                    w = w * z[s]
+                    w = times(w, z[s])
             terms.append((w, inside))
         eqs.append(terms)
     if len(comp) == 1 and not any(inside for _, inside in eqs[0]):
@@ -362,7 +366,10 @@ def _solve_component(comp: list, by_lhs: dict, z: dict) -> list:
     except OverflowError:
         raise GrammarError(f"cannot solve for {comp[0]}: a weight is beyond "
                            "float range") from None
-    values = _newton(floats, 0.0)
+    steps = []
+    values = _newton(floats, 0.0, steps)
+    if not exact:  # with exact weights, _snap finds a rational double root
+        values = _double_step(floats, values, steps)
     # float weights are binary rationals, so they too may have an exact root
     snapped = _snap([[(Fraction(c), inside) for c, inside in terms] for terms in eqs],
                     values, exact and len(eqs) == 1)
@@ -371,7 +378,7 @@ def _solve_component(comp: list, by_lhs: dict, z: dict) -> list:
     return snapped if exact else [float(v) for v in snapped]
 
 
-def _newton(eqs: list, zero) -> list:
+def _newton(eqs: list, zero, steps: list | None = None) -> list:
     """Newton's method from 0 for z = f(z), f a polynomial per equation.
 
     Below a finite least fixed point every step is defined and non-negative,
@@ -380,7 +387,8 @@ def _newton(eqs: list, zero) -> list:
     makes progress; it has converged if every z is positive (as every member
     of a productive SCC is) and each residual is within a relative
     PARTITION_TOL of f(z).  At a critical (double) root that is about
-    sqrt(eps) short, which the residual test tolerates.
+    sqrt(eps) short, which the residual test tolerates.  Each step taken is
+    appended to `steps`, if given, as (z, step, relative residual).
     """
     z = [zero] * len(eqs)
     while True:
@@ -395,7 +403,46 @@ def _newton(eqs: list, zero) -> list:
                     abs(r) <= PARTITION_TOL * a for r, a in zip(residual, fz)):
                 return z
             raise GrammarError("partition function diverges")
+        if steps is not None:
+            steps.append((z, step, max(map(abs, residual)) / max(fz)))
         z = nxt
+
+
+HALVING_TOL = 0.1  # how far from 1/2 a step ratio may be at a double root
+CLEAN_RESIDUAL = 2.0 ** -46  # 64 eps: below it a step is mostly rounding noise
+CRITICAL_RESIDUAL = 2.0 ** -50  # 4 eps: a residual that is rounding only
+
+
+def _double_step(eqs: list, z: list, steps: list) -> list:
+    """z, where float Newton stalled, or the double root it was converging
+    to, if it is one up to rounding.
+
+    At a double root each Newton step s_j is about half the one before, and
+    z stalls about sqrt(eps) short.  The doubled step z_j + 2 s_j, the
+    classical correction, lands on the root up to about |s_j| |2 r_j - 1|,
+    r_j = |s_{j+1}| / |s_j|, and its rounding error grows as the residual
+    shrinks to eps.  So it is taken where that estimate is least, among the
+    steps whose residual is clean and whose ratios on both sides are near
+    1/2, and kept only if its own residual is rounding only: two roots
+    further apart than rounding put it between them, where f(z) < z.
+    """
+    sizes = [max(map(abs, step)) for _, step, _ in steps]
+    best, at = None, None
+    for j in range(1, len(steps) - 1):
+        before, after = sizes[j] / sizes[j - 1], sizes[j + 1] / sizes[j]
+        if (steps[j][2] > CLEAN_RESIDUAL and abs(2 * before - 1) <= HALVING_TOL
+                and abs(2 * after - 1) <= HALVING_TOL):
+            error = sizes[j] * abs(2 * after - 1)
+            if best is None or error <= best:
+                best, at = error, j
+    if at is None:
+        return z
+    zj, sj, _ = steps[at]
+    doubled = [a + 2 * d for a, d in zip(zj, sj)]
+    fz = _linearize(eqs, doubled, 0.0)[0]
+    if max(abs(a - b) for a, b in zip(fz, doubled)) > CRITICAL_RESIDUAL * max(fz):
+        return z
+    return doubled
 
 
 def _linearize(eqs: list, z: list, zero):
@@ -546,8 +593,10 @@ def wcfg_to_pcfg(g: WCFG) -> PCFG:
         term = w  # an exact w times a float z is float(w) * z
         for sym in rhs:
             if sym in g._nt_set:
-                term = term * z[sym]
-        weights[(lhs, rhs)] = term / zl
+                term = times(term, z[sym])
+        # an int over an int 1 is a float, so an int is divided
+        weights[(lhs, rhs)] = (term if term.__class__ is not int and is_unit(zl, term)
+                               else term / zl)
     weights = {r: w for r, w in weights.items() if w != 0}
     kept_nts = [nt for nt in g.nonterminals if z[nt] != 0]
     return PCFG(kept_nts, list(g.terminals), weights)

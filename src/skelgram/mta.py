@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .multilinear import MultilinearMap, apply
+from .multilinear import MultilinearMap, apply, dot
 from .scalars import format_scalar, is_exact, parse_scalar
 from .trees import Context, Leaf, RankedAlphabet, SkeletalTree, compose
 
@@ -110,7 +110,9 @@ class MTA:
         """λ_c, the output vector pulled back through context c, dense like
         `output`: c∘t's value is its dot product with t's vector (Bailly,
         Habrard & Denis, ALT 2010).  One walk down c's spine, the siblings'
-        vectors fixed; EvaluationError as eval_support's."""
+        vectors fixed; each λ'_j is a `dot` with the map applied to the
+        int 1 unit vector at the hole, which `apply` does not multiply by.
+        EvaluationError as eval_support's."""
         lam = self._pullbacks.get(c.text)
         if lam is None:
             lam = self.output
@@ -120,10 +122,8 @@ class MTA:
                     raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")
                 sides = [self.eval_support(s) for s in left + right]
                 # λ'_j = λ · M(siblings, e_j at the hole); int 0 where it is zero
-                lam = [sum(lam[i] * x for i, x in
-                           apply(self.node_maps[k], sides[:h] + [[(j, 1)]] + sides[h:])
-                           if lam[i]) or 0
-                       for j in range(self.dim)]
+                lam = [dot(lam, apply(self.node_maps[k], sides[:h] + [[(j, 1)]] + sides[h:]))
+                       or 0 for j in range(self.dim)]
             self._pullbacks[c.text] = lam
         return lam
 
@@ -141,10 +141,13 @@ class MTA:
     def eval(self, t: SkeletalTree, c: Context | None = None):
         """Automaton value of t, or with a context c of c∘t: t's vector
         dotted with the output vector, or for an exact automaton with c's
-        pullback, so that no c∘t is built.  A float automaton, or a cell
-        whose parts fail to evaluate, weighs c∘t itself, so float sums add in
-        one order and errors are the composed tree's.  An exact zero is 0,
-        Fraction(0) at dimension 0."""
+        pullback, so that no c∘t is built.  The dot product starts at its
+        first term and does not multiply by an exact one (`dot`): a grammar
+        automaton's output is a Fraction(1) at the start symbol, so its value
+        is the start coordinate itself.  A float automaton, or a cell whose
+        parts fail to evaluate, weighs c∘t itself, so float sums add in one
+        order and errors are the composed tree's.  An exact zero is 0,
+        Fraction(0) at dimension 0; a float zero is +0.0."""
         if c is None or not c.levels:
             lam, support = self.output, self.eval_support(t)
         else:
@@ -156,14 +159,7 @@ class MTA:
                 lam, support = self.pullback(c), self.eval_support(t)
             except EvaluationError:
                 return self.eval(compose(c, t))
-        acc = 0
-        for i, x in support:
-            w = lam[i]
-            if w:
-                acc = acc + w * x
-        if acc or acc.__class__ is float:
-            return acc
-        return 0 if self.dim else Fraction(0)
+        return dot(lam, support) if self.dim else Fraction(0)
 
     def _coefficients(self):
         """Every stored coefficient: output, leaf vectors, map entries."""

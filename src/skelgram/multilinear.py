@@ -2,15 +2,21 @@
 
 A column is a 0-based child-index tuple (j1..jk); it maps to its non-zero
 rows {i: c^i_{j1..jk}}.  A co-linear map is one whose columns each hold at
-most one entry.  Sums start from their first term, so each coordinate keeps
-its products' scalar type.
+most one entry.  Sums, here and in `dot`, start from their first term, so
+each coordinate keeps its products' scalar type, and a factor that is an
+exact one is not multiplied where the product would keep the other factor's
+value and type (`scalars.is_unit`): grammar automata hold a Fraction(1) in
+their output vector, in each embedded-terminal flag and in every rule of
+weight 1.  Values, types and float bits are those of every factor
+multiplied and every sum started from int 0, but for the sign of a float
+zero sum, which callers drop or read as +0.0.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
-from .scalars import DEFAULT_TOL, is_exact, scalar_is_zero
+from .scalars import DEFAULT_TOL, is_exact, is_unit, scalar_is_zero
 
 
 class MultilinearMap:
@@ -37,9 +43,9 @@ def apply(m: MultilinearMap, args) -> list:
 
     Each argument, and the result, is a support: the vector's non-zero
     entries as (index, value) pairs in ascending index order.  Only columns
-    in the product of the arguments' supports are visited; each y[i] is
-    summed in column order from its first term, and entries that cancel to
-    zero are dropped.
+    in the product of the arguments' supports are visited; each product is
+    taken left to right from the coefficient, each y[i] is summed in column
+    order from its first term, and entries that cancel to zero are dropped.
     """
     if len(args) != m.arity:
         raise ValueError(f"expected {m.arity} arguments, got {len(args)}")
@@ -51,13 +57,34 @@ def apply(m: MultilinearMap, args) -> list:
         col = m.columns.get(tuple([j for j, _ in combo]))
         if col:
             for i, c in col.items():
-                for _, x in combo:
-                    c = c * x
+                for _, x in combo:  # times(c, x), inlined
+                    if x.__class__ is not float and x == 1 and is_unit(x, c):
+                        continue
+                    c = x if c.__class__ is not float and c == 1 and is_unit(c, x) else c * x
                 y = out.get(i)
                 out[i] = c if y is None else y + c
     support = [(i, y) for i, y in out.items() if y]
     support.sort()
     return support
+
+
+def dot(lam, support):
+    """Sum of lam[i] * x over a support's (i, x) where lam[i] is non-zero,
+    from the first such term, exact ones not multiplied (`times`).  A float
+    sum that cancels is +0.0, as a sum from int 0 made it; an exact one that
+    cancels, or a sum of no terms, is int 0."""
+    acc = None
+    for i, x in support:
+        w = lam[i]
+        if w:  # times(w, x), inlined
+            if x.__class__ is not float and x == 1 and is_unit(x, w):
+                term = w
+            else:
+                term = x if w.__class__ is not float and w == 1 and is_unit(w, x) else w * x
+            acc = term if acc is None else acc + term
+    if acc:
+        return acc
+    return 0.0 if acc.__class__ is float else 0
 
 
 def colinear_witness(v, w):

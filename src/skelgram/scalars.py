@@ -20,6 +20,26 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+def is_unit(x, other) -> bool:
+    """Whether x is an exact one that multiplies `other` into itself, value
+    and type: an int 1 always, a Fraction(1) against a Fraction or a float
+    (times an int it makes a Fraction).  A float 1.0 never is: times a
+    Fraction it makes a float."""
+    cls = x.__class__
+    return (cls is int or cls is Fraction and other.__class__ in (Fraction, float)) and x == 1
+
+
+def times(a, b):
+    """a * b, without multiplying by a factor that `is_unit` against the
+    other.  Hot loops inline it, testing `x.__class__ is not float and
+    x == 1` first, which costs a float factor no call."""
+    if is_unit(b, a):
+        return a
+    if is_unit(a, b):
+        return b
+    return a * b
+
+
 def scalar_eq(a: Scalar, b: Scalar) -> bool:
     if is_exact(a) and is_exact(b):
         return a == b

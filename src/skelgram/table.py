@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mta import EvaluationError
-from .multilinear import colinear_witness
-from .scalars import is_exact, scalar_eq, scalar_is_zero, vector_is_zero
+from .multilinear import colinear_witness, dot
+from .scalars import is_exact, scalar_eq, scalar_is_zero, times, vector_is_zero
 from .trees import (Context, HOLE, IDENTITY_CONTEXT, Leaf, Node, RankedAlphabet,
                     SkeletalTree, canonical_key, compose_contexts, sigma_contexts,
                     subtrees)
@@ -402,18 +402,13 @@ class ObservationTable:
                     if not cls.is_zero:
                         c = cls.coeff
                         for v in args:
-                            c = c * v[0][1]
+                            c = times(c, v[0][1])
                         if c:
                             support.append((cls.index, c))
             stack.pop()
-        acc = 0
-        for i, x in support:
-            w = self.rows[self.basis[i].text][0]
-            if w:
-                acc = acc + w * x
-        if acc or acc.__class__ is float:
-            return acc
-        return 0 if self.basis else Fraction(0)
+        if not self.basis:
+            return Fraction(0)
+        return dot([self.rows[b.text][0] for b in self.basis], support)
 
     def add_counterexample(self, tree: SkeletalTree):
         """Add the counterexample's separating column and complete the table."""

@@ -14,7 +14,8 @@ import pytest
 from skelgram.cli import main
 from skelgram.geneclusters import right_chain
 from skelgram.grammar import WCFG, load_wcfg, parse_wcfg, format_wcfg
-from skelgram.trees import Leaf, Node, RankedAlphabet, parse_structured_string
+from skelgram.trees import (Leaf, Node, RankedAlphabet, enumerate_full_trees,
+                            parse_structured_string)
 
 from conftest import FIXTURES
 
@@ -793,3 +794,160 @@ def test_gene_trees_outputs_are_pinned(tmp_path, capsys):
     digests = {name: hashlib.sha256(out.encode()).hexdigest()
                for name, out in got.items()}
     assert digests == GENE_TREES_SHA256
+
+
+# sha256 of what `convert` and `eval` print for every fixture, exact and
+# with --float: the automaton and PCFG conversions of the grammar, the
+# grammar read back from that automaton, and the weights of a fixed list of
+# trees under the grammar and under the automaton.  Each digest covers the
+# exit code and stdout.  Pinned before exact sums came to start at their
+# first term and exact-one factors came to be skipped.
+CONVERT_EVAL_SHA256 = {
+    "acrab exact": {
+        "wcfg-to-pmta": "73d538276f276e4582770c78fb18735d4163d5fca2492a7d038fdb734a3d77fa",
+        "wcfg-to-pcfg": "8d14f632a5dff83ba27af682ca1ec1c9598895abbcbe561ff8222e8623fc392c",
+        "pmta-to-wcfg": "7cb878f96e811276d6ea4ba95e0d80bb56145e2c72692291ff02b6001401dde5",
+        "eval wcfg": "46b2c72836a941d245a27fde747f464aec6f67474c979340ee829b8d8cab8362",
+        "eval mta": "46b2c72836a941d245a27fde747f464aec6f67474c979340ee829b8d8cab8362",
+    },
+    "acrab float": {
+        "wcfg-to-pmta": "8aae02cfca2788cf8e8610ba6d73d5213ba1cc424f850eb761501affcd39f400",
+        "wcfg-to-pcfg": "0528da0d02697acf96f4be699541dadd9d60e76ad344639c301273559cbaebf5",
+        "pmta-to-wcfg": "caf4547055bc8ffa9ef4a6a8b118b4ec5fd7eff542c799bbf61212fc15099ba3",
+        "eval wcfg": "46b2c72836a941d245a27fde747f464aec6f67474c979340ee829b8d8cab8362",
+        "eval mta": "46b2c72836a941d245a27fde747f464aec6f67474c979340ee829b8d8cab8362",
+    },
+    "chain exact": {
+        "wcfg-to-pmta": "3a5b95134c8ab7adefd8ca628e361c1cab7c7dc0dacf7a85c84c4d371b24de99",
+        "wcfg-to-pcfg": "08b721fc2fee58f593d1915dfb2b6a17dbeddfc1b39bf80c11eb3fd719b0a118",
+        "pmta-to-wcfg": "4482fdc6c0984703503535986c77da71df11646f899a677d22224ffe4e0a1a81",
+        "eval wcfg": "191163be56d73a516cd73497d6283495d4ccaafed287e3634ab7deb79ce18e5c",
+        "eval mta": "191163be56d73a516cd73497d6283495d4ccaafed287e3634ab7deb79ce18e5c",
+    },
+    "chain float": {
+        "wcfg-to-pmta": "4229eece0f248032ac8a403d06c355a4bddfba14417015cf9aeb76146b2d32a5",
+        "wcfg-to-pcfg": "59bbfb2f3d95698875080d33a312f1139f77c589efa5488cd7fcef3fc6c6ffea",
+        "pmta-to-wcfg": "7056cd40dec45c612dbe21b4545a21640b19a10e3e4f256c94fbd064e4b0dc78",
+        "eval wcfg": "191163be56d73a516cd73497d6283495d4ccaafed287e3634ab7deb79ce18e5c",
+        "eval mta": "191163be56d73a516cd73497d6283495d4ccaafed287e3634ab7deb79ce18e5c",
+    },
+    "colinearity3 exact": {
+        "wcfg-to-pmta": "76c94e166bc0fb1ca130f4c26373638f1f94fd6aef90bced5e92785e11d8c5e2",
+        "wcfg-to-pcfg": "630cc1df5c93e682d6f04b7f8dd73a1f724a46076dde68de4218c78c01ac5a9d",
+        "pmta-to-wcfg": "de26da0c7e627aea997c63b181224f53f00ac91b6168686e0091be105d2b1743",
+        "eval wcfg": "b07d58e2a5c6692bf48398d123dab0d14100ef68d7ef05b7403b32d27c69e535",
+        "eval mta": "b07d58e2a5c6692bf48398d123dab0d14100ef68d7ef05b7403b32d27c69e535",
+    },
+    "colinearity3 float": {
+        "wcfg-to-pmta": "8ebe684c735ed57effcea1e3722e831e89bbe348eb278edf37874bfcd089bc95",
+        "wcfg-to-pcfg": "b103a28bd4aa83b9156d1e04dddfedf72f0b0ca55e6853d27e5f9a089e6812a5",
+        "pmta-to-wcfg": "f5167de4ab56faae3cc5104686935961d333b89fcf4f933f17b2be0ecce15e0c",
+        "eval wcfg": "b07d58e2a5c6692bf48398d123dab0d14100ef68d7ef05b7403b32d27c69e535",
+        "eval mta": "b07d58e2a5c6692bf48398d123dab0d14100ef68d7ef05b7403b32d27c69e535",
+    },
+    "fimacd exact": {
+        "wcfg-to-pmta": "10ca0972f0c897aafb5a1889fe1700c07c04539a1d4f337aa05d46642802b279",
+        "wcfg-to-pcfg": "7e9a26483de48ba98a688ba5e9751abba5c1397228d2a818a9b5a85f8b038e92",
+        "pmta-to-wcfg": "a6386903452cf8e7767b9429e30457afc1e5d5b088bb83abcf57d357f8a38492",
+        "eval wcfg": "19f947d0018c4e643e804ee825bb4b2180ca47d6639dfe19fff2dd04507345f6",
+        "eval mta": "19f947d0018c4e643e804ee825bb4b2180ca47d6639dfe19fff2dd04507345f6",
+    },
+    "fimacd float": {
+        "wcfg-to-pmta": "a025fa4f89b3135ff814ec8c074d502caba39defc1f09d85799a5271dd2bfa19",
+        "wcfg-to-pcfg": "53b86def96ade952e191f4f930273739532a36c236cead820d3b50135609d283",
+        "pmta-to-wcfg": "4aef7596727ae44f41241b5d119e41b1443c0466f9246a40ff81a18d77af983f",
+        "eval wcfg": "19f947d0018c4e643e804ee825bb4b2180ca47d6639dfe19fff2dd04507345f6",
+        "eval mta": "19f947d0018c4e643e804ee825bb4b2180ca47d6639dfe19fff2dd04507345f6",
+    },
+    "smalldup exact": {
+        "wcfg-to-pmta": "22700ae197806c1c8e52c25c3a73d8304d9b76641761cc745266086a7415d277",
+        "wcfg-to-pcfg": "a201012715f6cfdec02a2dba88c99b31ca183b119d42a909c25c8c58af80c539",
+        "pmta-to-wcfg": "0e6cac4d3120d17d3bf5e6f4a3bae584fd68cc4b3695782b9e778e59eed0122f",
+        "eval wcfg": "327fc726002d33b1b398cbdac3392b49a341015ad4412712cfd4e2b9e39f8b59",
+        "eval mta": "327fc726002d33b1b398cbdac3392b49a341015ad4412712cfd4e2b9e39f8b59",
+    },
+    "smalldup float": {
+        "wcfg-to-pmta": "6e379f1ee8cd7a7bec965f2a765a68861a1f85aec51b78d2d19eaa2623bde2ed",
+        "wcfg-to-pcfg": "adfcc61e2097d75f7222445d99d64a79cf1d923a6d4d5751d7663f342af783a3",
+        "pmta-to-wcfg": "7d5e4906e3bc2c142266ef0ff623ef3fdebf71ce0717ae59a3f62874062af13e",
+        "eval wcfg": "327fc726002d33b1b398cbdac3392b49a341015ad4412712cfd4e2b9e39f8b59",
+        "eval mta": "327fc726002d33b1b398cbdac3392b49a341015ad4412712cfd4e2b9e39f8b59",
+    },
+    "trivial exact": {
+        "wcfg-to-pmta": "ce53c8bcff99308b26b7ebc4e4c7ff85b00a4ee05b321d0df0cda2150f55fdcc",
+        "wcfg-to-pcfg": "246838a0a8fcda29e8c154979f35d235864cc204f78e75b75b47721f152fdbab",
+        "pmta-to-wcfg": "c78b556b107e8ec1c280aec3041b5d59458a6a17cb193585291192246bebb753",
+        "eval wcfg": "588ffd3fdf4a6d69f77c1acea49c8430f724ff48a630a14f3f0a659634616626",
+        "eval mta": "588ffd3fdf4a6d69f77c1acea49c8430f724ff48a630a14f3f0a659634616626",
+    },
+    "trivial float": {
+        "wcfg-to-pmta": "c044ca1041c414e3dd0bba198792c27176c549f35fd51bd58a1c43fef22f9afd",
+        "wcfg-to-pcfg": "40233909ed08ac6dac9015f824b070ac4f4ecb5cae2ffadea3df303b0dc35823",
+        "pmta-to-wcfg": "b56597fb8d1344f26101691395939753dd8ae5cbe970304875f617858f6372ac",
+        "eval wcfg": "588ffd3fdf4a6d69f77c1acea49c8430f724ff48a630a14f3f0a659634616626",
+        "eval mta": "588ffd3fdf4a6d69f77c1acea49c8430f724ff48a630a14f3f0a659634616626",
+    },
+}
+
+# From Python 3.12 the builtin sum adds floats with compensation, so the
+# one-pass float sums of fimacd's S, N6 and N9 end in other last bits and
+# its float PCFG prints differently there, before and after exact ones
+# came to be skipped alike.
+if sys.version_info >= (3, 12):
+    CONVERT_EVAL_SHA256["fimacd float"]["wcfg-to-pcfg"] = (
+        "394394e5ec9b36f6c0211427a8289fb238157a47230b224af0d96e6228426b5f")
+
+
+def _pinned_trees(grammar, rng, draws=40, max_leaves=8):
+    """Every full binary tree of at most three leaves over the grammar's
+    terminals, then `draws` derivations, each rule picked uniformly, that
+    have at most `max_leaves` leaves: trees of non-zero weight, through
+    unary and longer rules too."""
+    rules = {}
+    for lhs, rhs in sorted(grammar.weights):
+        rules.setdefault(lhs, []).append(rhs)
+
+    def expand(symbol, budget):
+        if symbol not in rules:
+            budget[0] -= 1
+            return Leaf(symbol) if budget[0] >= 0 else None
+        rhs = rng.choice(rules[symbol])
+        if len(rhs) == 1 and rhs[0] not in rules:
+            return expand(rhs[0], budget)
+        kids = [expand(sym, budget) for sym in rhs]
+        return None if None in kids else Node(tuple(kids))
+
+    trees = enumerate_full_trees(sorted(grammar.terminals), 3)
+    drawn = []
+    while len(drawn) < draws:
+        tree = expand(grammar.start, [max_leaves])
+        if tree is not None:
+            drawn.append(tree)
+    return trees + drawn
+
+
+def _convert_eval_digests(tmp_path, capsys, name, flags):
+    def digest(args):
+        capsys.readouterr()
+        code = run(args + flags)
+        return hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode()).hexdigest()
+
+    wcfg, mta = FIXTURES / f"{name}.wcfg", tmp_path / f"{name}.mta"
+    trees = tmp_path / "trees.txt"
+    trees.write_text("".join(t.text + "\n" for t in _pinned_trees(
+        load_wcfg(wcfg), random.Random(name))), encoding="utf-8")
+    digests = {"wcfg-to-pmta": digest(["convert", wcfg, "--wcfg-to-pmta"])}
+    assert run(["convert", wcfg, "--wcfg-to-pmta", "--output", mta] + flags) == 0
+    digests["wcfg-to-pcfg"] = digest(["convert", wcfg, "--wcfg-to-pcfg"])
+    digests["pmta-to-wcfg"] = digest(["convert", mta, "--pmta-to-wcfg"])
+    digests["eval wcfg"] = digest(["eval", wcfg, "--trees", trees])
+    digests["eval mta"] = digest(["eval", mta, "--trees", trees])
+    return digests
+
+
+@pytest.mark.parametrize("name", ["acrab", "chain", "colinearity3", "fimacd",
+                                  "smalldup", "trivial"])
+@pytest.mark.parametrize("flags", [[], ["--float"]], ids=["exact", "float"])
+def test_convert_and_eval_outputs_are_pinned(tmp_path, capsys, name, flags):
+    key = f"{name} {'float' if flags else 'exact'}"
+    assert _convert_eval_digests(tmp_path, capsys, name, flags) == CONVERT_EVAL_SHA256[key]

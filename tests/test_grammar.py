@@ -199,6 +199,14 @@ def test_grammar_validation_errors():
         parse_wcfg("A -> a")  # missing weight bracket
 
 
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("cls", [WCFG, PCFG])
+def test_non_finite_float_weight_is_rejected(cls, w):
+    weights = {("S", ("a", "S")): Fraction(1, 2), ("S", ("a", "b")): w}
+    with pytest.raises(GrammarError, match=r"^non-finite weight on S -> a b$"):
+        cls(["S"], ["a", "b"], weights)
+
+
 @pytest.mark.parametrize("line", [
     "S -> N3 R [0.012]S -> R N5 [0.004]",  # two rules run together
     "S -> a -> b [1]",
@@ -432,6 +440,20 @@ def test_critical_grammar_normalizes_to_itself():
     floats = parse_wcfg(CRITICAL, exact=False)
     assert partition_functions(floats) == {"S": 1.0}
     assert wcfg_to_pcfg(floats).weights == floats.weights
+
+
+@pytest.mark.parametrize("text, weights", [
+    # critical only up to rounding: 0.1 is not a binary fraction, and float
+    # Newton stopped about sqrt(eps) short, 4e-9 off both weights of 1/2
+    ("S -> S S [0.1]\nS -> a [2.5]", [1 / 2, 1 / 2]),
+    ("S -> S S [0.3]\nS -> a [5/6]", [1 / 2, 1 / 2]),
+    ("S -> S S S [1/3]\nS -> a [2/3]", [1 / 3, 2 / 3]),
+    ("S -> A A [0.1]\nS -> a [2.5]\nA -> S [1]", [1 / 2, 1 / 2, 1]),
+])
+def test_float_critical_grammar_normalizes_within_tolerance(text, weights):
+    got = list(wcfg_to_pcfg(parse_wcfg(text, exact=False)).weights.values())
+    assert len(got) == len(weights)
+    assert all(abs(w - want) <= 1e-9 for w, want in zip(got, weights)), got
 
 
 @pytest.mark.parametrize("text, least", [
