@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from decimal import MAX_EMAX, Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -188,7 +189,13 @@ def cmd_eval(args) -> int:
 
 def _fmt_value(value):
     if isinstance(value, Fraction):
-        return f"{float(value):.12g}" if value.denominator != 1 else str(value.numerator)
+        if value.denominator == 1:
+            return str(value.numerator)
+        try:
+            return f"{float(value):.12g}"
+        except OverflowError:  # beyond float range: 12 digits in decimal
+            with localcontext(Context(prec=12, Emax=MAX_EMAX)):
+                return f"{Decimal(value.numerator) / value.denominator:.12g}"
     return f"{value:.12g}"
 
 

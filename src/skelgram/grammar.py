@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from .multilinear import MultilinearMap
 from .mta import MTA, EvaluationError
-from .scalars import (format_scalar, is_exact, is_unit, parse_scalar, scalar_eq,
-                      scalar_is_zero, times)
+from .scalars import (exceeds_one, format_scalar, is_exact, is_nonnegative, is_unit,
+                      ordered_sum, parse_scalar, scalar_eq, scalar_is_zero, times)
 from .trees import Context, RankedAlphabet, SkeletalTree
 
 Rule = tuple[str, tuple[str, ...]]
@@ -133,11 +133,14 @@ class WCFG:
         return True
 
     def is_normalized(self) -> bool:
+        """Every weight in [0, 1] and every nonterminal's weights sum to 1,
+        up to the float tolerance; each sum starts at its first weight."""
         totals: dict[str, object] = {}
         for (lhs, _), w in self.weights.items():
-            if w < 0 or (w > 1 and not scalar_eq(w, 1)):
+            if not is_nonnegative(w) or exceeds_one(w):
                 return False
-            totals[lhs] = totals.get(lhs, self._zero) + w
+            acc = totals.get(lhs)
+            totals[lhs] = w if acc is None else acc + w
         return all(scalar_eq(tot, 1) for tot in totals.values())
 
     def __repr__(self):
@@ -201,7 +204,7 @@ def wcfg_to_pmta(g: WCFG, max_rank: int | None = None) -> MTA:
     on for terminals that occur inside a longer right-hand side.  Rules
     longer than max_rank weigh no tree of that rank and are left out.
     """
-    if any(w < 0 for w in g.weights.values()):
+    if not all(map(is_nonnegative, g.weights.values())):
         raise GrammarError("grammar has a negative weight")
     return _grammar_automaton(g, max_rank)
 
@@ -256,10 +259,10 @@ def partition_functions(g: WCFG) -> dict:
     snapped back to rationals when they satisfy its equations exactly.
     Raises GrammarError when a Z is infinite.
     """
-    if any(w < 0 for w in g.weights.values()):
+    if not all(map(is_nonnegative, g.weights.values())):
         raise GrammarError("grammar has a negative weight")
     rules = [(lhs, [s for s in rhs if s in g._nt_set], w)
-             for (lhs, rhs), w in g.weights.items() if w != 0]
+             for (lhs, rhs), w in g.weights.items() if w]
     productive = _productive(rules)
     by_lhs = {nt: [] for nt in g.nonterminals if nt in productive}
     for lhs, nts, w in rules:
@@ -357,7 +360,7 @@ def _solve_component(comp: list, by_lhs: dict, z: dict) -> list:
             terms.append((w, inside))
         eqs.append(terms)
     if len(comp) == 1 and not any(inside for _, inside in eqs[0]):
-        return [sum(c for c, _ in eqs[0])]
+        return [ordered_sum(c for c, _ in eqs[0])]
     exact = all(is_exact(c) for terms in eqs for c, _ in terms)
     if exact and all(len(inside) <= 1 for terms in eqs for _, inside in terms):
         return _newton(eqs, Fraction(0))  # a linear system: one exact step
@@ -583,12 +586,12 @@ def wcfg_to_pcfg(g: WCFG) -> PCFG:
     grammar's total weight; already-normalized grammars come back unchanged.
     """
     z = partition_functions(g)
-    if z[g.start] == 0:
+    if not z[g.start]:
         raise GrammarError("start symbol derives nothing; cannot normalize")
     weights = {}
     for (lhs, rhs), w in g.weights.items():
         zl = z[lhs]
-        if zl == 0:
+        if not zl:
             continue  # unproductive nonterminal: rule never fires
         term = w  # an exact w times a float z is float(w) * z
         for sym in rhs:
@@ -597,8 +600,8 @@ def wcfg_to_pcfg(g: WCFG) -> PCFG:
         # an int over an int 1 is a float, so an int is divided
         weights[(lhs, rhs)] = (term if term.__class__ is not int and is_unit(zl, term)
                                else term / zl)
-    weights = {r: w for r, w in weights.items() if w != 0}
-    kept_nts = [nt for nt in g.nonterminals if z[nt] != 0]
+    weights = {r: w for r, w in weights.items() if w}
+    kept_nts = [nt for nt in g.nonterminals if z[nt]]
     return PCFG(kept_nts, list(g.terminals), weights)
 
 

@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from .multilinear import MultilinearMap, apply, dot
-from .scalars import format_scalar, is_exact, parse_scalar
+from .scalars import format_scalar, is_exact, is_nonnegative, parse_scalar
 from .trees import Context, Leaf, RankedAlphabet, SkeletalTree, compose
 
 
@@ -172,7 +172,7 @@ class MTA:
 
     def is_positive(self) -> bool:
         """True iff every stored coefficient (maps and output) is >= 0."""
-        return all(x >= 0 for x in self._coefficients())
+        return all(map(is_nonnegative, self._coefficients()))
 
     def is_exact(self) -> bool:
         """True iff every stored coefficient (maps and output) is exact."""

@@ -7,6 +7,8 @@ relative max-norm tolerance, DEFAULT_TOL = 1e-9.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Union
 
 Scalar = Union[Fraction, float]
@@ -40,6 +42,28 @@ def times(a, b):
     return a * b
 
 
+def is_nonnegative(x) -> bool:
+    """x >= 0.  A Fraction's sign is its numerator's, read without
+    Fraction.__ge__, which costs several times as much."""
+    return x.numerator >= 0 if x.__class__ is Fraction else x >= 0
+
+
+def exceeds_one(x) -> bool:
+    """x > 1 and not scalar_eq(x, 1): a Fraction compares its numerator
+    with its (always positive) denominator, and floats keep the relative
+    tolerance."""
+    if x.__class__ is Fraction:
+        return x.numerator > x.denominator
+    return x > 1 and not scalar_eq(x, 1)
+
+
+def ordered_sum(values):
+    """The sum of a non-empty iterable, added left to right from its first
+    term.  The builtin sum compensates float sums from Python 3.12 on, so
+    its last bits depend on the Python version; this does not."""
+    return reduce(add, values)
+
+
 def scalar_eq(a: Scalar, b: Scalar) -> bool:
     if is_exact(a) and is_exact(b):
         return a == b
@@ -62,7 +86,8 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
     """Parse "num/den", integer, or decimal notation.
 
     With ``exact`` the result is a Fraction (decimals parse exactly,
-    e.g. "0.456" -> 57/125); otherwise a float.
+    e.g. "0.456" -> 57/125); otherwise a float, and a ValueError naming
+    the literal if its value is beyond float range.
     """
     text = text.strip()
     try:
@@ -73,7 +98,12 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
             value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar literal: {text!r}") from exc
-    return value if exact else float(value)
+    if exact:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"scalar literal beyond float range: {text!r}") from None
 
 
 def format_scalar(x: Scalar) -> str:

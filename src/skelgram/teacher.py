@@ -20,7 +20,7 @@ from .equivalence import difference_witness
 from .geneclusters import INF, _dup, _swap, is_binary, parse_gene_string, right_chain
 from .grammar import WCFG
 from .mta import MTA
-from .scalars import is_exact, parse_scalar
+from .scalars import is_exact, ordered_sum, parse_scalar
 from .trees import (IDENTITY_CONTEXT, Context, Leaf, Node, RankedAlphabet,
                     SkeletalTree, canonical_key, full_trees,
                     parse_structured_string, tree_yield)
@@ -341,7 +341,7 @@ class CorpusOracle:
         for tree, _ in corpus:
             if not is_binary(tree):
                 raise ValueError(f"corpus trees must be binary: {tree.text}")
-        total = sum(freq for _, freq in corpus)
+        total = ordered_sum(freq for _, freq in corpus)
         self.corpus = [(tree, freq / total) for tree, freq in corpus]
         self.decay = decay
         self.distance = distance

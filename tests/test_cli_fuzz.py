@@ -3,9 +3,11 @@
 Each mutation deletes characters, cuts spans or inserts tokens that the
 readers treat specially into a fixture grammar, or into the `.mta` form of
 one, and the result goes through `eval` (as the model and as the trees
-file), `convert`, `learn` (cap 40) and `trees`, called in-process.  Every
-run must return a documented exit code and raise nothing; a run that takes
-longer than RUN_SECONDS fails too.
+file), `convert`, `learn` (cap 40) and `trees`, called in-process.  A second
+generator, with its own seed, mutates the same files for `--float` runs of
+`eval`, `convert` and `learn`, and a corpus and a base-tree file for
+`learn --distance`.  Every run must return a documented exit code and raise
+nothing; a run that takes longer than RUN_SECONDS fails too.
 """
 import contextlib
 import io
@@ -29,6 +31,18 @@ INSERTS = ["(", ")", "->", "1e400", "<>", "[", "]", "[0]", "-1", "1/0", "0", "S"
 # mutations that found a defect, run whatever the seed draws: an exact
 # partition function of a 21-member nonlinear component took minutes
 FOUND = [("fimacd.wcfg", "N14 -> N1 N15 [0.640]", "N14 ->S N1 N15 [0.640]")]
+# the --float and corpus runs: their own generator, so that the cases above
+# stay as they are
+FLOAT_MUTATIONS = 60
+CORPUS_MUTATIONS = 60
+FLOAT_SEED = 29
+CORPUS = "4\t(a (b b))\n2\t((a b) c)\n1\t(a c)\n1\t((a a) (b c))\n"
+BASE_TREES = "(a b)\n((a b) c)\n(a c)\n"
+CORPUS_INSERTS = INSERTS + ["\t", "1e4001", "-2", "1/3", "nan", "(a", "b)", "d"]
+# inputs that found a defect, run whatever the seed draws: a --float value
+# beyond float range raised OverflowError
+FLOAT_FOUND = [("trivial.wcfg", "S -> a [1e400]\n")]
+CORPUS_FOUND = [("1e4001\t(a b)\n2\t(a a)\n", BASE_TREES)]
 
 
 def sources():
@@ -38,7 +52,7 @@ def sources():
     return texts
 
 
-def mutate(rng, text):
+def mutate(rng, text, inserts=INSERTS):
     for _ in range(rng.randint(1, 3)):
         i = rng.randint(0, len(text))
         op = rng.random()
@@ -47,7 +61,7 @@ def mutate(rng, text):
         elif op < 0.6:
             text = text[:i] + text[rng.randint(i, min(len(text), i + 40)):]
         else:
-            text = text[:i] + rng.choice(INSERTS) + text[i:]
+            text = text[:i] + rng.choice(inserts) + text[i:]
     return text
 
 
@@ -104,4 +118,52 @@ def test_mutated_fixtures_exit_with_a_documented_code(tmp_path):
             code = run(args)
             if code not in EXIT_CODES:
                 failures.append((name, text, args[0], repr(code)))
+    assert not failures, failures[:3]
+
+
+def float_and_corpus_mutations():
+    """(fixture name, mutated model text) pairs, then (corpus text, base-tree
+    text) pairs with one of the two mutated."""
+    rng = random.Random(FLOAT_SEED)
+    texts = sources()
+    models = list(FLOAT_FOUND)
+    for _ in range(FLOAT_MUTATIONS):
+        name = rng.choice(sorted(texts))
+        models.append((name, mutate(rng, texts[name])))
+    corpora = list(CORPUS_FOUND)
+    for _ in range(CORPUS_MUTATIONS):
+        if rng.random() < 0.5:
+            corpora.append((mutate(rng, CORPUS, CORPUS_INSERTS), BASE_TREES))
+        else:
+            corpora.append((CORPUS, mutate(rng, BASE_TREES, CORPUS_INSERTS)))
+    return rng, models, corpora
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM timers")
+def test_mutated_float_and_corpus_inputs_exit_with_a_documented_code(tmp_path):
+    rng, models, corpora = float_and_corpus_mutations()
+    cases = []
+    for case, (name, text) in enumerate(models):
+        path, trees = tmp_path / f"m{case}", tmp_path / f"t{case}.txt"
+        path.write_text(text, encoding="utf-8")
+        # each leaf of the fixture, and a pair of them
+        leaves = load_wcfg(FIXTURES / f"{name.split('.')[0]}.wcfg").terminals
+        trees.write_text("".join(f"{t}\n" for t in leaves) + f"({leaves[0]} {leaves[-1]})\n",
+                         encoding="utf-8")
+        convert = rng.choice(["--wcfg-to-pmta", "--wcfg-to-pcfg", "--pmta-to-wcfg"])
+        cases += [["eval", path, "--trees", trees, "--float"],
+                  ["convert", path, convert, "--float"],
+                  ["learn", "--target", path, "--max-iterations", "40", "--max-leaves", "3",
+                   "--float", "--out", tmp_path / "out"]]
+    for case, (corpus_text, base_text) in enumerate(corpora):
+        corpus, base = tmp_path / f"c{case}.tsv", tmp_path / f"b{case}.txt"
+        corpus.write_text(corpus_text, encoding="utf-8")
+        base.write_text(base_text, encoding="utf-8")
+        seq = rng.choice([["--seq", "duplications", "--max-dup", "1", "--base-trees", base],
+                          ["--seq", "trees", "--max-leaves", "3"]])
+        floats = ["--float"] if case < len(CORPUS_FOUND) else rng.choice([[], ["--float"]])
+        distance = rng.choice(["swap", "duplication"])
+        cases.append(["learn", "--target", corpus, "--distance", distance, *seq, *floats,
+                      "--max-iterations", "40", "--out", tmp_path / "out"])
+    failures = [(args, repr(code)) for args in cases if (code := run(args)) not in EXIT_CODES]
     assert not failures, failures[:3]

@@ -28,6 +28,13 @@ def test_parse_errors():
         parse_scalar("1/0")
 
 
+@pytest.mark.parametrize("text", ["1e400", "-1e400", "2e308", "1e4001"])
+def test_parse_float_beyond_range_names_the_literal(text):
+    assert parse_scalar(text) == Fraction(text)  # exact values have no range
+    with pytest.raises(ValueError, match=f"beyond float range: '{text}'"):
+        parse_scalar(text, exact=False)
+
+
 def test_format_roundtrip():
     for text in ("1/6", "-3/4", "2", "0"):
         assert parse_scalar(format_scalar(parse_scalar(text))) == parse_scalar(text)
