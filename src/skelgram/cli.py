@@ -6,7 +6,8 @@ eval (weigh structured strings under a grammar or automaton), convert
 distances).  Exit codes: 0 success, 2 input error, 3 iteration cap,
 4 precondition violation: a grammar or automaton that the conversion
 cannot take, an automaton whose dense .mta form would exceed
-mta.MAX_DENSE_COEFFICIENTS, or a learn whose table cannot go on (a
+mta.MAX_DENSE_COEFFICIENTS, a weight to write with more digits than
+Python converts to text, or a learn whose table cannot go on (a
 counterexample value that the table's own cells contradict, or a float
 row within tolerance of two basis rows).
 """
@@ -132,7 +133,7 @@ def cmd_learn(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     wall_ms = int((time.monotonic() - started) * 1000)
-    if scanning and not any(teacher.smq(t) != 0 for t in teacher.seq_trees()):
+    if scanning and not any(weight != 0 for _, weight in teacher.scanned):
         print("warning: no equivalence candidate has non-zero target weight",
               file=sys.stderr)
 
@@ -189,11 +190,11 @@ def cmd_eval(args) -> int:
 
 def _fmt_value(value):
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
         try:
+            if value.denominator == 1:
+                return str(value.numerator)
             return f"{float(value):.12g}"
-        except OverflowError:  # beyond float range: 12 digits in decimal
+        except (OverflowError, ValueError):  # past float range or str's digit limit
             with localcontext(Context(prec=12, Emax=MAX_EMAX)):
                 return f"{Decimal(value.numerator) / value.denominator:.12g}"
     return f"{value:.12g}"

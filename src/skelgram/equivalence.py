@@ -12,11 +12,10 @@ agree on the basis trees agree on every tree.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .mta import MTA
-from .trees import Leaf, Node, SkeletalTree
+from .trees import Leaf, Node, SkeletalTree, tuples_holding
 
 
 def difference_witness(a: MTA, b: MTA) -> SkeletalTree | None:
@@ -66,10 +65,7 @@ def difference_witness(a: MTA, b: MTA) -> SkeletalTree | None:
                     return None
         if done == len(basis):
             return None
-        # each node holding basis[done] and older basis trees only, by the
-        # first slot basis[done] fills
-        old, new = basis[:done], basis[:done + 1]
-        slots = [[old] * first + [[basis[done]]] + [new] * (k - first - 1)
-                 for k in range(1, a.alphabet.max_rank + 1) for first in range(k)]
-        trees = (Node(combo) for s in slots for combo in itertools.product(*s))
+        # each node holding basis[done] and older basis trees only
+        trees = (Node(combo) for combo in
+                 tuples_holding(basis[done], basis[:done], a.alphabet.max_rank))
         done += 1

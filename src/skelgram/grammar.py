@@ -81,10 +81,6 @@ class WCFG:
             automaton = self._automata[p] = _grammar_automaton(self, p)
         return automaton
 
-    def weight_from(self, nt: str, s: SkeletalTree):
-        """Total weight of taggings of s whose root is tagged nt."""
-        return self.derivation_weights(s).get(nt, self._zero)
-
     def skeletal_weight(self, s: SkeletalTree, c: Context | None = None):
         """Weight of s, or with a context c of c∘s, over all taggings rooted
         at the start symbol: the start coordinate of s's vector, or the
@@ -99,19 +95,6 @@ class WCFG:
             self._check_terminals(s.text if c is None else c.prefix + s.text + c.suffix)
             return self._zero  # a node wider than every rule
         return support[0][1] if support and support[0][0] == 0 else self._zero
-
-    def derivation_weights(self, s: SkeletalTree) -> dict:
-        """Per-nonterminal weight vector of s: the first coordinates of its
-        vector under the grammar's automaton, in nonterminal order."""
-        nts = self.nonterminals
-        weights = dict.fromkeys(nts, self._zero)
-        try:
-            support = self.automaton().eval_support(s)
-        except EvaluationError:
-            self._check_terminals(s.text)
-            return weights  # a node wider than every rule
-        weights.update((nts[i], x) for i, x in support if i < len(nts))
-        return weights
 
     def _check_terminals(self, text: str):
         """GrammarError naming the leftmost token of a tree's text that is

@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from .multilinear import MultilinearMap, apply, dot
-from .scalars import format_scalar, is_exact, is_nonnegative, parse_scalar
+from .scalars import TooLargeToWrite, format_scalar, is_exact, is_nonnegative, parse_scalar
 from .trees import Context, Leaf, RankedAlphabet, SkeletalTree, compose
 
 
@@ -22,10 +22,6 @@ class EvaluationError(ValueError):
 # format_mta writes d**(k+1) coefficients for each rank k, zeros included;
 # 10**7 of them take a few seconds and tens of MB of text
 MAX_DENSE_COEFFICIENTS = 10 ** 7
-
-
-class TooLargeToWrite(RuntimeError):
-    """The dense text form of an automaton exceeds MAX_DENSE_COEFFICIENTS."""
 
 
 class MTA:

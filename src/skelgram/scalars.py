@@ -6,6 +6,8 @@ relative max-norm tolerance, DEFAULT_TOL = 1e-9.
 """
 from __future__ import annotations
 
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -106,11 +108,26 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
         raise ValueError(f"scalar literal beyond float range: {text!r}") from None
 
 
+class TooLargeToWrite(RuntimeError):
+    """A value too large for its text form: an automaton whose .mta form
+    exceeds mta.MAX_DENSE_COEFFICIENTS, or a weight with more digits than
+    Python converts to text."""
+
+
 def format_scalar(x: Scalar) -> str:
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
-        return str(x)
+    """x as text: an integer, num/den, or a float's repr.  TooLargeToWrite,
+    naming the digit count, for a numerator or denominator longer than
+    sys.get_int_max_str_digits() (4300 by default, and left alone)."""
+    try:
+        if isinstance(x, Fraction):
+            if x.denominator == 1:
+                return str(x.numerator)
+            return f"{x.numerator}/{x.denominator}"
+        if isinstance(x, int):
+            return str(x)
+    except ValueError:
+        # Decimal(int) has no such limit
+        digits = Decimal(max(abs(x.numerator), x.denominator)).adjusted() + 1
+        raise TooLargeToWrite(f"a weight with {digits} digits is longer than the "
+                              f"{sys.get_int_max_str_digits()} Python writes") from None
     return repr(float(x))

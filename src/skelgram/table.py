@@ -21,7 +21,6 @@ test a counterexample.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +29,7 @@ from .multilinear import colinear_witness, dot
 from .scalars import is_exact, scalar_eq, scalar_is_zero, times, vector_is_zero
 from .trees import (Context, HOLE, IDENTITY_CONTEXT, Leaf, Node, RankedAlphabet,
                     SkeletalTree, canonical_key, compose_contexts, sigma_contexts,
-                    subtrees)
+                    subtrees, tuples_holding)
 
 
 class CapExceeded(RuntimeError):
@@ -92,10 +91,8 @@ class ObservationTable:
         self._classes: dict[str, ColinearClass] = {}  # zero or basis, by text
         self._basis_by_mask: dict[tuple, list[int]] = {}
         self._order: list[SkeletalTree] = []  # the rows' trees, canonical order
-        # the one-level contexts over T, canonical order, and the T members
-        # added since they were last extended
+        # the one-level contexts over T, canonical order
         self._one_level: list[Context] = sigma_contexts((), alphabet)
-        self._unspread: list[SkeletalTree] = []
         for tok in alphabet.leaf_symbols:
             self._fill_row(Leaf(tok))
 
@@ -121,21 +118,23 @@ class ObservationTable:
         row.extend([self._cell(tree, ctx) for ctx in self.columns[len(row):]])
 
     def _add_tree(self, tree: SkeletalTree):
-        """Add one tree to T (children must already be in T) and extend the
-        one-level extension rows."""
+        """Add one tree to T (children must already be in T).  Each tuple
+        over T that holds it (`tuples_holding`) is a new one-level extension
+        row and, if shorter than the rank, a new one-level context with the
+        hole at each slot."""
         if tree in self._tree_set:
             return
         old = self.trees[:]
         self._tree_set.add(tree)
         bisect.insort(self.trees, tree, key=canonical_key)
-        self._unspread.append(tree)
         self._completed = False
-        # each product containing tree once, by the first slot tree fills
-        for k in range(1, self.alphabet.max_rank + 1):
-            for first in range(k):
-                slots = [old] * first + [[tree]] + [self.trees] * (k - first - 1)
-                for combo in itertools.product(*slots):
-                    self._fill_row(Node(combo))
+        rank = self.alphabet.max_rank
+        for combo in tuples_holding(tree, old, rank):
+            self._fill_row(Node(combo))
+            if len(combo) < rank:
+                for i in range(len(combo) + 1):
+                    ctx = Context(Node(combo[:i] + (HOLE,) + combo[i:]))
+                    bisect.insort(self._one_level, ctx, key=canonical_key)
         self._fill_row(tree)
 
     def add_subtree_closed(self, tree: SkeletalTree):
@@ -232,21 +231,15 @@ class ObservationTable:
             self._add_tree(candidate)
 
     def check_zero_consistency(self) -> Context | None:
-        """A zero row must stay zero under every one-level extension; on
+        """A zero row must stay zero under every one-level context; on
         violation return the separating composed context."""
-        zero_trees = [t for t in self.trees if self.classify(t).is_zero]
-        if not zero_trees:
-            return None
-        extensions = [e for e in self._order if isinstance(e, Node)]
-        for t in zero_trees:
-            for ext in extensions:
-                if t not in ext.children:
-                    continue
-                for ci, value in enumerate(self.rows[ext.text]):
+        for t in self.trees:
+            if not self.classify(t).is_zero:
+                continue
+            for ctx in self._one_level:
+                for ci, value in enumerate(self.rows[ctx.prefix + t.text + ctx.suffix]):
                     if not scalar_is_zero(value):
-                        kids = list(ext.children)
-                        kids[kids.index(t)] = HOLE
-                        return compose_contexts(self.columns[ci], Context(Node(kids)))
+                        return compose_contexts(self.columns[ci], ctx)
         return None
 
     def check_colinear_consistency(self) -> Context | None:
@@ -266,10 +259,6 @@ class ObservationTable:
             cls = self.classify(t)
             if cls.kind == "basis" and t != self.basis[cls.index]:
                 groups.setdefault(cls.index, []).append((t, cls.coeff))
-        if self._unspread:
-            fresh = sigma_contexts(self.trees, self.alphabet, self._unspread)
-            self._one_level = sorted(self._one_level + fresh, key=canonical_key)
-            self._unspread = []
         for i in sorted(groups):
             b = self.basis[i].text
             for t, alpha in groups[i]:

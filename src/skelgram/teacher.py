@@ -5,10 +5,10 @@ An equivalence query is answered one of two ways, read off the target.  A
 target with an exact automaton over the hypothesis's alphabet, at margin 0,
 is answered by an exact equivalence check, whose witness is the
 counterexample.  Any other target is answered by a scan of a strategy's
-candidate trees, listed lazily once per teacher, then a corpus target's own
+candidate trees, drawn lazily once per teacher, then a corpus target's own
 trees, which returns the first one (in that order) whose hypothesis value
 strays from the true series by more than the teacher's margin.  Each
-scanned tree's true value is weighed once per teacher and kept.
+scanned tree is weighed once per teacher and kept with its true value.
 """
 from __future__ import annotations
 
@@ -34,8 +34,9 @@ class SimulatedTeacher:
     one raises ValueError.  Both queries weigh trees with the target's
     evaluator, picked once here: `WCFG.skeletal_weight`, `MTA.eval` or
     `CorpusOracle.smq`, each of which answers a cell smq(t, c) from its
-    parts and keeps its own memos.  seq keeps the target weight of each tree
-    it has scanned, beside the listed candidates."""
+    parts and keeps its own memos.  `scanned` holds each (tree, target
+    weight) pair seq has weighed, in scan order; a learn that returns has
+    scanned them all in its last seq."""
 
     def __init__(self, target, strategy=None, epsilon=0):
         self.target = target
@@ -47,44 +48,12 @@ class SimulatedTeacher:
             self._evaluate = target.eval
         else:
             self._evaluate = target.smq
-        self._listed: list = []  # the candidates drawn so far, in order
-        self._weights: list = []  # the target weights of seq_trees(), as far as scanned
-        self._pending = None  # the strategy's candidate iterator
+        self.scanned: list = []  # (tree, target weight), in scan order
+        self._unscanned = None  # the trees after them, once the scan starts
 
     def smq(self, tree: SkeletalTree, context: Context = IDENTITY_CONTEXT):
         """The target's weight of context∘tree."""
         return self._evaluate(tree, context)
-
-    def _source(self):
-        """The strategy's candidate iterator, started on first use, so each
-        strategy enumerates its candidates once per teacher."""
-        if self.strategy is None:
-            raise ValueError("teacher has no equivalence strategy configured")
-        if self._pending is None:
-            self._pending = iter(self.strategy.candidates())
-        return self._pending
-
-    def _drawn(self, source):
-        """The candidates listed so far, then the source's next ones, each
-        listed as it is drawn."""
-        listed = self._listed
-        i = 0
-        while True:
-            if i == len(listed):
-                tree = next(source, None)
-                if tree is None:
-                    return
-                listed.append(tree)
-            yield listed[i]
-            i += 1
-
-    def seq_trees(self):
-        """The trees seq scans, in order: the candidates, then a corpus
-        target's own trees, which carry weight whatever the strategy scans."""
-        trees = self._drawn(self._source())
-        if isinstance(self.target, CorpusOracle):
-            trees = itertools.chain(trees, (tree for tree, _ in self.target.corpus))
-        return trees
 
     def exact_automaton(self, alphabet: RankedAlphabet) -> MTA | None:
         """The target as an exact automaton over alphabet, when the margin is
@@ -104,15 +73,26 @@ class SimulatedTeacher:
         if exact is not None:
             tree = difference_witness(hypothesis, exact)
             return None if tree is None else (tree, self._evaluate(tree))
-        weights = self._weights
-        for i, tree in enumerate(self.seq_trees()):
-            if i == len(weights):
-                weights.append(self._evaluate(tree))
-            truth, got = weights[i], hypothesis.eval(tree)
+        for tree, truth in itertools.chain(self.scanned, self._scan_on()):
+            got = hypothesis.eval(tree)
             if (got != truth if self.epsilon == 0 and is_exact(got) and is_exact(truth)
                     else abs(got - truth) > self.epsilon):
                 return tree, truth
         return None
+
+    def _scan_on(self):
+        """The trees after `scanned`, each weighed and kept there as it is
+        drawn: the strategy's candidates, listed once per teacher, then a
+        corpus target's own trees, which carry weight whatever it lists."""
+        if self._unscanned is None:
+            if self.strategy is None:
+                raise ValueError("teacher has no equivalence strategy configured")
+            corpus = self.target.corpus if isinstance(self.target, CorpusOracle) else ()
+            self._unscanned = itertools.chain(self.strategy.candidates(), (t for t, _ in corpus))
+        for tree in self._unscanned:
+            truth = self._evaluate(tree)
+            self.scanned.append((tree, truth))
+            yield tree, truth
 
 
 # -- candidate strategies ----------------------------------------------------

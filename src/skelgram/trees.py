@@ -267,20 +267,27 @@ def subtrees(t: SkeletalTree) -> list:
     return sorted(seen.values(), key=canonical_key)
 
 
-def sigma_contexts(trees, alphabet: RankedAlphabet, new=None) -> list:
-    """All one-level contexts whose non-hole children are drawn from `trees`;
-    given `new`, some of those trees, only the contexts holding one of them."""
+def sigma_contexts(trees, alphabet: RankedAlphabet) -> list:
+    """All one-level contexts whose non-hole children are drawn from `trees`."""
     base = sorted(set(trees), key=canonical_key)
-    new = None if new is None else {t.text for t in new}
     out = set()
     for k in range(1, alphabet.max_rank + 1):
         for hole_at in range(k):
             slots = [base] * k
             slots[hole_at] = [HOLE]
-            for combo in itertools.product(*slots):
-                if new is None or any(c.text in new for c in combo):
-                    out.add(Context(Node(combo)))
+            out.update(Context(Node(combo)) for combo in itertools.product(*slots))
     return sorted(out, key=canonical_key)
+
+
+def tuples_holding(new, old: list, max_rank: int):
+    """Each tuple of 1..max_rank members of `old + [new]` that holds `new`,
+    once, grouped by the first slot `new` fills: members of `old` before
+    it, of `old + [new]` after it."""
+    every = old + [new]
+    for k in range(1, max_rank + 1):
+        for first in range(k):
+            slots = [old] * first + [[new]] + [every] * (k - first - 1)
+            yield from itertools.product(*slots)
 
 
 def full_trees(tokens, max_leaves: int, max_rank: int = 2):

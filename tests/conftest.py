@@ -230,6 +230,13 @@ def brute_force_weight(grammar, tree, root=None):
     return total
 
 
+def nonterminal_weights(grammar, tree, rank=None) -> dict:
+    """The weight of each nonterminal's taggings of `tree`, read off the first
+    coordinates of its vector under the grammar's automaton at `rank`."""
+    support = dict(grammar.automaton(rank).eval_support(tree))
+    return {nt: support.get(i, 0) for i, nt in enumerate(grammar.nonterminals)}
+
+
 def has_ambiguous_tree(grammar, universe):
     """Whether some tree of `universe` has more than one complete tagging
     with a nonterminal at the root, taggings as enumerate_taggings lists

@@ -251,6 +251,36 @@ def test_exact_eval_prints_a_weight_beyond_float_range(tmp_path, capsys):
     assert capsys.readouterr().out == f"{10 ** 400}\ta\n3.33333333333e+799\t(a a)\n"
 
 
+def test_eval_prints_an_integer_weight_python_cannot_write(tmp_path, capsys):
+    # 10**5000 has 5,001 digits, beyond sys.get_int_max_str_digits()'s 4,300
+    grammar = tmp_path / "g.wcfg"
+    grammar.write_text("S -> a [1e5000]\nS -> S S [1/3]\n", encoding="utf-8")
+    trees = tmp_path / "t.txt"
+    trees.write_text("a\n(a a)\n", encoding="utf-8")
+    assert run(["eval", grammar, "--trees", trees]) == 0
+    assert capsys.readouterr().out == "1.00000000000e+5000\ta\n3.33333333333e+9999\t(a a)\n"
+
+
+@pytest.mark.parametrize("literal", ["1e5000", "1e-5000"])
+def test_convert_names_the_digits_of_a_weight_python_cannot_write(tmp_path, capsys, literal):
+    grammar = tmp_path / "g.wcfg"
+    grammar.write_text(f"S -> a [{literal}]\n", encoding="utf-8")
+    assert run(["convert", grammar, "--wcfg-to-pmta"]) == 4
+    assert "a weight with 5001 digits" in capsys.readouterr().err
+    automaton = tmp_path / "m.mta"
+    automaton.write_text(f"mta d=1 p=1\nlambda: 1\nleaf a: {literal}\nrank 1:\n  0\n",
+                         encoding="utf-8")
+    assert run(["convert", automaton, "--pmta-to-wcfg"]) == 4
+    assert "a weight with 5001 digits" in capsys.readouterr().err
+
+
+def test_learn_names_the_digits_of_a_weight_python_cannot_write(tmp_path, capsys):
+    grammar = tmp_path / "g.wcfg"
+    grammar.write_text("S -> a [1e5000]\n", encoding="utf-8")
+    assert run(["learn", "--target", grammar, "--out", tmp_path / "o"]) == 4
+    assert "a weight with 5001 digits" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["eval", "convert", "learn"])
 def test_automaton_with_tokenless_leaf_line_exits_2(tmp_path, capsys, command):
     model = tmp_path / "m.mta"

@@ -15,15 +15,15 @@ from skelgram.grammar import (GrammarError, PCFG, WCFG, format_wcfg, load_wcfg,
                               parse_wcfg, partition_functions, pmta_to_wcfg,
                               wcfg_to_pcfg, wcfg_to_pmta)
 from skelgram.equivalence import difference_witness
-from skelgram.mta import MTA, format_mta, parse_mta
+from skelgram.mta import MTA, EvaluationError, format_mta, parse_mta
 from skelgram.multilinear import colinear_witness
 from skelgram.trees import (Leaf, Node, RankedAlphabet, parse_context,
                             parse_structured_string, compose)
 from skelgram.geneclusters import right_chain
 
 from conftest import (FIXTURES, brute_force_weight, enumerate_contexts,
-                      enumerate_trees, random_nonneg_wcfg, random_pmta,
-                      random_tree)
+                      enumerate_trees, nonterminal_weights, random_nonneg_wcfg,
+                      random_pmta, random_tree)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,7 @@ def test_acrab_least_probable_tree(acrab):
 
 def test_fimacd_duplication_chains(fimacd):
     for n in [*range(3, 11), 2000]:
-        w = fimacd.weight_from("N7", right_chain("FimA", n))
+        w = nonterminal_weights(fimacd, right_chain("FimA", n))["N7"]
         assert w == Fraction(8, 10) * Fraction(2, 10) ** (n - 3)
 
 
@@ -119,12 +119,12 @@ XS = RankedAlphabet(["a", "xa", "xb", "xc"], 3)
 def test_every_weight_names_the_same_unknown_terminal():
     g = parse_wcfg("S -> a S [-1/2]\nS -> a [2]")
     tree = parse_structured_string("(xa xb)", XS)
-    for weigh in (g.skeletal_weight, g.derivation_weights,
-                  lambda t: g.weight_from(g.start, t)):
-        with pytest.raises(GrammarError, match="unknown terminal 'xa'"):
-            weigh(tree)
+    with pytest.raises(GrammarError, match="unknown terminal 'xa'"):
+        g.skeletal_weight(tree)
+    with pytest.raises(EvaluationError):
+        nonterminal_weights(g, tree)
     # a node wider than every rule still weighs zero
-    assert g.derivation_weights(parse_structured_string("(a a a)", XS)) == {"S": 0}
+    assert nonterminal_weights(g, parse_structured_string("(a a a)", XS), 3) == {"S": 0}
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
@@ -133,9 +133,10 @@ def test_unknown_terminal_error_names_the_leftmost(exact):
     for text, tok in [("(xa (xb xc))", "xa"), ("((a xc) (xb a))", "xc"),
                       ("(a (a a a) xb)", "xb"), ("((a a a) xc)", "xc")]:
         tree = parse_structured_string(text, XS)
-        for weigh in (g.skeletal_weight, g.derivation_weights):
-            with pytest.raises(GrammarError, match=f"unknown terminal '{tok}'"):
-                weigh(tree)
+        with pytest.raises(GrammarError, match=f"unknown terminal '{tok}'"):
+            g.skeletal_weight(tree)
+        with pytest.raises(EvaluationError):
+            nonterminal_weights(g, tree)
     # a cell reads its text left to right across the context and the tree
     for ctx_text, text, tok in [("(xc (a <>))", "xb", "xc"), ("(a (<> xa))", "(a xb)", "xb"),
                                 ("(a (<> xa))", "(a a)", "xa"), ("(<> a a)", "xb", "xb")]:
@@ -165,7 +166,8 @@ def test_weights_of_signed_grammars_and_unruled_ranks():
     assert g.skeletal_weight(parse_structured_string("(a a)", ab3)) == -1
     assert g.skeletal_weight(parse_structured_string("(a)", ab3)) == 0
     assert g.skeletal_weight(parse_structured_string("(a a a)", ab3)) == 0
-    assert g.derivation_weights(parse_structured_string("((a a a) a)", ab3)) == {"S": 0}
+    tree = parse_structured_string("((a a a) a)", ab3)
+    assert nonterminal_weights(g, tree, 3) == {"S": 0}
     with pytest.raises(GrammarError):
         wcfg_to_pmta(g)
 
@@ -378,7 +380,7 @@ def test_wcfg_to_pmta_coordinates_carry_nonterminal_weights():
             t = random_tree(rng, a.alphabet, 4)
             vec = a.eval_vector(t)
             for i, nt in enumerate(g.nonterminals):
-                assert vec[i] == g.weight_from(nt, t)
+                assert vec[i] == nonterminal_weights(g, t)[nt]
 
 
 # -- wcfg_to_pcfg ------------------------------------------------------------
@@ -578,7 +580,7 @@ def test_hankel_colinearity_and_class_count():
     # group positive trees by their unique root nonterminal
     groups = {}
     for t in trees:
-        weights = g.derivation_weights(t)
+        weights = nonterminal_weights(g, t)
         tags = [nt for nt, w in weights.items() if w > 0]
         assert len(tags) <= 1  # structurally unambiguous
         if tags:

@@ -426,6 +426,35 @@ def same_context_as_memberwise(monkeypatch):
     return found
 
 
+@pytest.mark.parametrize("target", ["corpus", "acrab"])
+def test_one_level_contexts_are_current_after_every_completion(monkeypatch, target):
+    """T's one-level contexts are filed with its rows, so after every
+    completion they are exactly those over T, in canonical order: on a
+    scanned corpus (the learn-corpus job at seed 7, whose counterexamples'
+    subtrees join T) and on an exact grammar, whose SEQ is exact."""
+    complete, completions = ObservationTable.complete, []
+
+    def checked(table, new_trees=()):
+        complete(table, new_trees)
+        assert [c.text for c in table._one_level] == \
+            [c.text for c in sigma_contexts(table.trees, table.alphabet)]
+        completions.append(len(table.trees))
+
+    monkeypatch.setattr(ObservationTable, "complete", checked)
+    if target == "corpus":
+        entries = learn_corpus_entries(7)
+        oracle = CorpusOracle(entries, Fraction(1, 5), "duplication")
+        strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
+        report = learn(SimulatedTeacher(oracle, strategy), oracle.alphabet())
+        counts = (19, 10226, 4)
+    else:
+        g = load_wcfg(FIXTURES / "acrab.wcfg")
+        report = learn(SimulatedTeacher(g), g.alphabet(2))
+        counts = (13, 1916, 5)
+    assert (report.basis_size, report.smq_count, report.seq_count) == counts
+    assert len(completions) > report.seq_count
+
+
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 @pytest.mark.parametrize("seed", [1, 2, 5])
 def test_colinear_check_returns_memberwise_context_on_corpus(

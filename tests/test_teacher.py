@@ -125,9 +125,9 @@ def test_strategy_is_enumerated_once_per_teacher():
     teacher = SimulatedTeacher(floats, strategy, 1e-6)
     report = learn(teacher, alphabet)
     assert report.seq_count == 5
+    # the last SEQ scanned every candidate, drawn from that one enumeration
     assert strategy.calls == 1
-    assert list(teacher.seq_trees()) == list(AllTreesStrategy(alphabet, 4).candidates())
-    assert strategy.calls == 1
+    assert [t for t, _ in teacher.scanned] == list(AllTreesStrategy(alphabet, 4).candidates())
 
 
 @pytest.mark.parametrize("target", ["acrab", "corpus"])
@@ -164,9 +164,9 @@ def test_seq_weighs_each_scanned_tree_once_per_teacher(monkeypatch, target):
     report = learn(teacher, alphabet)
     assert report.seq_count >= 4
     # each tree seq scans was weighed once, in scan order (a corpus target's
-    # own trees follow the candidates, and may repeat one)
-    scanned = [t.text for t in itertools.islice(teacher.seq_trees(), len(weighed))]
-    assert weighed == scanned and len(weighed) > 200
+    # own trees follow the candidates, and may repeat one), and kept
+    assert weighed == [t.text for t, _ in teacher.scanned] and len(weighed) > 200
+    assert all(weight == evaluate(t) for t, weight in teacher.scanned)
 
 
 class Hypothesis:
@@ -448,11 +448,10 @@ def test_corpus_seq_scans_the_corpus_trees(distance):
     for tree, _ in corpus:
         assert hypothesis.eval(tree) == oracle.smq(tree)
     assert hypothesis.eval(corpus[3][0]) == Fraction(1, 8)
-    # the corpus trees follow the candidates without joining their list
+    # the last SEQ scanned the candidates, drawn once, then the corpus trees
     assert strategy.calls == 1
     candidates = list(strategy.strategy.candidates())
-    assert list(teacher.seq_trees()) == candidates + [tree for tree, _ in corpus]
-    assert teacher._listed == candidates and strategy.calls == 1
+    assert [t for t, _ in teacher.scanned] == candidates + [tree for tree, _ in corpus]
 
 
 # -- the keyed corpus oracle -------------------------------------------------

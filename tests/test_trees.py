@@ -8,7 +8,7 @@ from skelgram.trees import (Context, HOLE, IDENTITY_CONTEXT, Leaf, Node,
                             compose, compose_contexts, enumerate_full_trees, full_trees,
                             parse_context, parse_structured_string,
                             sigma_contexts, subtrees,
-                            tree_yield)
+                            tree_yield, tuples_holding)
 
 from conftest import random_tree
 
@@ -202,16 +202,22 @@ def test_subtrees_bounded_by_size():
         assert len(subtrees(t)) <= t.size
 
 
-def test_sigma_contexts_holding_new_trees_extend_the_old_ones():
-    trees = [Leaf("a"), Leaf("b"), parse_structured_string("(a b)", ABC3)]
-    for split in range(len(trees) + 1):
-        old, new = trees[:split], trees[split:]
-        fresh = sigma_contexts(trees, ABC3, new)
-        news = {t.text for t in new}
-        assert all(any(c.text in news for c in ctx.root.children) for ctx in fresh)
-        merged = sorted(sigma_contexts(old, ABC3) + fresh, key=canonical_key)
-        assert [c.text for c in merged] == [c.text for c in sigma_contexts(trees, ABC3)]
-    assert sigma_contexts(trees, ABC3, []) == []
+def test_tuples_holding_yield_each_tuple_that_holds_the_new_tree_once():
+    rng = random.Random(27)
+    for _ in range(40):
+        pool = list({t.text: t for t in (random_tree(rng, ABC3, 4)
+                                         for _ in range(rng.randint(1, 5)))}.values())
+        new, old = pool[0], pool[1:]
+        for p in (1, 2, 3):
+            got = list(tuples_holding(new, old, p))
+            want = [combo for k in range(1, p + 1)
+                    for combo in itertools.product(old + [new], repeat=k) if new in combo]
+            assert len(set(got)) == len(got)
+            assert sorted(got, key=str) == sorted(want, key=str)
+            # grouped by length, then by the first slot the new tree fills
+            groups = [(len(c), c.index(new)) for c in got]
+            assert groups == sorted(groups)
+    assert list(tuples_holding(Leaf("a"), [], 2)) == [(Leaf("a"),), (Leaf("a"), Leaf("a"))]
 
 
 def test_sigma_contexts_examples():
