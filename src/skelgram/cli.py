@@ -17,7 +17,8 @@ import argparse
 import json
 import sys
 import time
-from decimal import MAX_EMAX, Context, Decimal, localcontext
+from contextlib import suppress
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,11 +90,8 @@ def _build_strategy(args, alphabet, weight):
     if args.seq == "duplications":
         if not args.base_trees:
             raise CliError("--seq duplications requires --base-trees", EXIT_INPUT)
-        trees = []
-        for line in Path(args.base_trees).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if line:
-                trees.append(parse_structured_string(line, alphabet))
+        lines = Path(args.base_trees).read_text(encoding="utf-8").splitlines()
+        trees = [parse_structured_string(line, alphabet) for line in lines if line.strip()]
         return DuplicationsStrategy(trees, args.max_dup)
     raise CliError(f"unknown strategy {args.seq!r}", EXIT_INPUT)
 
@@ -126,12 +124,9 @@ def cmd_learn(args) -> int:
     started = time.monotonic()
     try:
         report = learn(teacher, alphabet, max_iterations=args.max_iterations)
-    except CapExceeded as exc:
+    except (CapExceeded, TableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except TableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return EXIT_CAP if isinstance(exc, CapExceeded) else EXIT_PRECONDITION
     wall_ms = int((time.monotonic() - started) * 1000)
     if scanning and not any(weight != 0 for _, weight in teacher.scanned):
         print("warning: no equivalence candidate has non-zero target weight",
@@ -190,13 +185,14 @@ def cmd_eval(args) -> int:
 
 def _fmt_value(value):
     if isinstance(value, Fraction):
-        try:
+        with suppress(OverflowError, ValueError):  # past float range or str's digit limit
             if value.denominator == 1:
                 return str(value.numerator)
-            return f"{float(value):.12g}"
-        except (OverflowError, ValueError):  # past float range or str's digit limit
-            with localcontext(Context(prec=12, Emax=MAX_EMAX)):
-                return f"{Decimal(value.numerator) / value.denominator:.12g}"
+            if abs(x := float(value)) >= sys.float_info.min:  # normal: holds 12 digits
+                return f"{x:.12g}"
+        # past float range or below its normal floats: 12 digits, trailing zeros dropped
+        with localcontext(Context(prec=12, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+            return f"{(Decimal(value.numerator) / value.denominator).normalize():.12g}"
     return f"{value:.12g}"
 
 

@@ -158,10 +158,9 @@ def pmta_to_wcfg(a: MTA) -> WCFG:
 
     v_rules: list[dict] = [dict() for _ in range(d)]  # per-dimension rhs -> weight
     for tok in a.alphabet.leaf_symbols:
-        vec = a.leaf_maps[tok]
-        for i in range(d):
-            if vec[i] != 0:
-                v_rules[i][(tok,)] = vec[i]
+        for i, x in enumerate(a.leaf_maps[tok]):
+            if x != 0:
+                v_rules[i][(tok,)] = x
     for m in a.node_maps.values():
         for col, entries in sorted(m.columns.items()):
             rhs = tuple(f"V{j + 1}" for j in col)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .multilinear import MultilinearMap, apply, dot
 from .scalars import TooLargeToWrite, format_scalar, is_exact, is_nonnegative, parse_scalar
-from .trees import Context, Leaf, RankedAlphabet, SkeletalTree, compose
+from .trees import Context, Leaf, Node, RankedAlphabet, SkeletalTree, compose, unknown_subtrees
 
 
 class EvaluationError(ValueError):
@@ -73,33 +73,35 @@ class MTA:
 
     def eval_support(self, t: SkeletalTree) -> list:
         """Bottom-up vector of t as its support, the non-zero entries as
-        (index, value) pairs in ascending index order; walked with an
-        explicit stack.  The list is the memo's own: do not change it."""
+        (index, value) pairs in ascending index order.  The subtrees not yet
+        memoized are weighed in `unknown_subtrees` order, so a tree with
+        several faults raises its rightmost, children before their parent; a
+        root whose children are memoized is weighed with no walk.  The list
+        is the memo's own: do not change it."""
         memo = self._memo
         support = memo.get(t.text)
         if support is not None:
             return support
-        stack = [t]
-        while stack:
-            s = stack[-1]
-            support = memo.get(s.text)
-            if support is None and isinstance(s, Leaf):
-                try:
-                    vec = self.leaf_maps[s.token]
-                except KeyError:
-                    raise EvaluationError(f"unknown leaf token {s.token!r}") from None
+        todo = [t]
+        if t.__class__ is Node:
+            for c in t.children:
+                if c.text not in memo:
+                    todo = unknown_subtrees(t, memo)
+                    break
+        for s in todo:
+            if s.text in memo:  # a repeated subtree, weighed at its first occurrence
+                continue
+            if s.__class__ is Leaf:
+                if (vec := self.leaf_maps.get(s.token)) is None:
+                    raise EvaluationError(f"unknown leaf token {s.token!r}")
                 support = memo[s.text] = [(j, x) for j, x in enumerate(vec) if x]
-            elif support is None:
-                args = [memo.get(c.text) for c in s.children]
-                if None in args:
-                    stack.extend(c for c, v in zip(s.children, args) if v is None)
-                    continue
-                k = len(args)
-                if k > self.alphabet.max_rank:
-                    raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")
-                # a zero child makes every product, so the node, zero
-                support = memo[s.text] = apply(self.node_maps[k], args) if all(args) else []
-            stack.pop()
+                continue
+            args = [memo[c.text] for c in s.children]
+            k = len(args)
+            if k > self.alphabet.max_rank:
+                raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")
+            # a zero child makes every product, so the node, zero
+            support = memo[s.text] = apply(self.node_maps[k], args) if all(args) else []
         return support
 
     def pullback(self, c: Context) -> list:

@@ -49,9 +49,22 @@ def apply(m: MultilinearMap, args) -> list:
     """
     if len(args) != m.arity:
         raise ValueError(f"expected {m.arity} arguments, got {len(args)}")
+    single = True
     for v in args:
         if v and (v[0][0] < 0 or v[-1][0] >= m.dim):
             raise ValueError(f"argument index outside 0..{m.dim - 1}")
+        if len(v) != 1:
+            single = False
+    if single:  # one entry per argument: one column, one product per row
+        support = []
+        for i, c in m.columns.get(tuple([v[0][0] for v in args]), {}).items():
+            for (_, x), in args:  # times(c, x), inlined
+                if x.__class__ is not float and x == 1 and is_unit(x, c):
+                    continue
+                c = x if c.__class__ is not float and c == 1 and is_unit(c, x) else c * x
+            if c:
+                support.append((i, c))
+        return sorted(support) if len(support) > 1 else support
     out = {}
     for combo in itertools.product(*args):
         col = m.columns.get(tuple([j for j, _ in combo]))
@@ -63,9 +76,7 @@ def apply(m: MultilinearMap, args) -> list:
                     c = x if c.__class__ is not float and c == 1 and is_unit(c, x) else c * x
                 y = out.get(i)
                 out[i] = c if y is None else y + c
-    support = [(i, y) for i, y in out.items() if y]
-    support.sort()
-    return support
+    return sorted([(i, y) for i, y in out.items() if y])
 
 
 def dot(lam, support):

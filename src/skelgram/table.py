@@ -29,7 +29,7 @@ from .multilinear import colinear_witness, dot
 from .scalars import is_exact, scalar_eq, scalar_is_zero, times, vector_is_zero
 from .trees import (Context, HOLE, IDENTITY_CONTEXT, Leaf, Node, RankedAlphabet,
                     SkeletalTree, canonical_key, compose_contexts, sigma_contexts,
-                    subtrees, tuples_holding)
+                    subtrees, tuples_holding, unknown_subtrees)
 
 
 class CapExceeded(RuntimeError):
@@ -367,34 +367,28 @@ class ObservationTable:
         if not self._completed:
             raise TableError("table must be closed and consistent before it weighs a tree")
         memo: dict[str, list] = {}
-        stack = [tree]
-        while stack:
-            s = stack[-1]
-            support = memo.get(s.text)
-            if support is None and isinstance(s, Leaf):
+        for s in unknown_subtrees(tree, memo):
+            if s.text in memo:
+                continue
+            if isinstance(s, Leaf):
                 if s.token not in self.alphabet:
                     raise EvaluationError(f"unknown leaf token {s.token!r}")
                 cls = self._class_of(s.text)
                 support = memo[s.text] = [] if cls.is_zero else [(cls.index, cls.coeff)]
-            elif support is None:
-                args = [memo.get(c.text) for c in s.children]
-                if None in args:
-                    stack.extend(c for c, v in zip(s.children, args) if v is None)
-                    continue
-                k = len(args)
-                if k > self.alphabet.max_rank:
-                    raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")
-                support = memo[s.text] = []
-                if all(args):
-                    cls = self._class_of(
-                        "(" + " ".join(self.basis[v[0][0]].text for v in args) + ")")
-                    if not cls.is_zero:
-                        c = cls.coeff
-                        for v in args:
-                            c = times(c, v[0][1])
-                        if c:
-                            support.append((cls.index, c))
-            stack.pop()
+                continue
+            args = [memo[c.text] for c in s.children]
+            k = len(args)
+            if k > self.alphabet.max_rank:
+                raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")
+            support = memo[s.text] = []
+            if all(args):
+                cls = self._class_of("(" + " ".join(self.basis[v[0][0]].text for v in args) + ")")
+                if not cls.is_zero:
+                    c = cls.coeff
+                    for v in args:
+                        c = times(c, v[0][1])
+                    if c:
+                        support.append((cls.index, c))
         if not self.basis:
             return Fraction(0)
         return dot([self.rows[b.text][0] for b in self.basis], support)

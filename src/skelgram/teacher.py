@@ -23,7 +23,7 @@ from .mta import MTA
 from .scalars import is_exact, ordered_sum, parse_scalar
 from .trees import (IDENTITY_CONTEXT, Context, Leaf, Node, RankedAlphabet,
                     SkeletalTree, canonical_key, full_trees,
-                    parse_structured_string, tree_yield)
+                    parse_structured_string, tree_yield, unknown_subtrees)
 
 
 class SimulatedTeacher:
@@ -169,23 +169,16 @@ class DuplicationsStrategy:
         yield from sorted(out, key=canonical_key)
 
     def _variants(self, tree: SkeletalTree):
-        """The variants of tree, built bottom-up with an explicit stack: a
-        node's are the product of its children's, in child order."""
-        done = []
-        stack = [(tree, False)]  # (node, True) joins its children's variants
-        while stack:
-            t, ready = stack.pop()
+        """The variants of tree, built bottom-up: a leaf's are its right
+        chains, a node's the product of its children's, in child order."""
+        variants = {}
+        for t in unknown_subtrees(tree, ()):
             if isinstance(t, Leaf):
-                done.append([right_chain(t.token, 1 + extra)
-                             for extra in range(self.max_dup + 1)])
-            elif ready:
-                pools = done[-len(t.children):]
-                del done[-len(t.children):]
-                done.append([Node(combo) for combo in itertools.product(*pools)])
+                variants[t.text] = [right_chain(t.token, n) for n in range(1, self.max_dup + 2)]
             else:
-                stack.append((t, True))
-                stack.extend((c, False) for c in reversed(t.children))
-        return done[0]
+                pools = [variants[c.text] for c in t.children]
+                variants[t.text] = [Node(combo) for combo in itertools.product(*pools)]
+        return variants[tree.text]
 
 
 class AllTreesStrategy:

@@ -255,16 +255,21 @@ def tree_yield(t: SkeletalTree) -> tuple:
 
 def subtrees(t: SkeletalTree) -> list:
     """All distinct subtrees of t (including t), in canonical order."""
-    seen = {}
-    stack = [t]
+    return sorted({s.text: s for s in unknown_subtrees(t, ())}.values(), key=canonical_key)
+
+
+def unknown_subtrees(t: SkeletalTree, known) -> list:
+    """The subtrees of t whose text is not in `known`, each occurrence, in
+    the order bottom-up evaluation weighs them: post-order, rightmost first.
+    A pre-order walk down an explicit stack, reversed."""
+    order, stack = [], [t]
     while stack:
-        n = stack.pop()
-        if n.text in seen:
-            continue
-        seen[n.text] = n
-        if isinstance(n, Node):
-            stack.extend(n.children)
-    return sorted(seen.values(), key=canonical_key)
+        s = stack.pop()
+        if s.text not in known:
+            order.append(s)
+            if s.__class__ is Node:
+                stack += s.children[::-1]
+    return order[::-1]
 
 
 def sigma_contexts(trees, alphabet: RankedAlphabet) -> list:

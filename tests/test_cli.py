@@ -188,8 +188,8 @@ def test_eval_long_chain(tmp_path, capsys):
     trees = tmp_path / "chain.txt"
     trees.write_text(chain.text + "\n", encoding="utf-8")
     assert run(["eval", FIXTURES / "smalldup.wcfg", "--trees", trees]) == 0
-    weight = Fraction(4, 5) * Fraction(1, 5) ** 1998  # underflows to 0 as a float
-    assert capsys.readouterr().out == f"{float(weight):.12g}\t{chain.text}\n"
+    # 4/5 * (1/5)^1998 underflows to 0 as a float; printed from the exact value
+    assert capsys.readouterr().out == f"2.29626139055e-1397\t{chain.text}\n"
 
 
 def test_eval_malformed_line_reports_lineno(tmp_path, capsys):
@@ -258,7 +258,38 @@ def test_eval_prints_an_integer_weight_python_cannot_write(tmp_path, capsys):
     trees = tmp_path / "t.txt"
     trees.write_text("a\n(a a)\n", encoding="utf-8")
     assert run(["eval", grammar, "--trees", trees]) == 0
-    assert capsys.readouterr().out == "1.00000000000e+5000\ta\n3.33333333333e+9999\t(a a)\n"
+    assert capsys.readouterr().out == "1e+5000\ta\n3.33333333333e+9999\t(a a)\n"
+
+
+def test_eval_prints_a_weight_beyond_float_range_without_trailing_zeros(tmp_path, capsys):
+    # (10**400 + 1) / 2 rounds to 5e+399 at 12 digits, as (10**291 + 1) / 2 prints 5e+290
+    grammar = tmp_path / "g.wcfg"
+    grammar.write_text(f"S -> a [{10 ** 400 + 1}/2]\nS -> b [{10 ** 291 + 1}/2]\n",
+                       encoding="utf-8")
+    trees = tmp_path / "t.txt"
+    trees.write_text("a\nb\n", encoding="utf-8")
+    assert run(["eval", grammar, "--trees", trees]) == 0
+    assert capsys.readouterr().out == "5e+399\ta\n5e+290\tb\n"
+
+
+def test_eval_prints_a_weight_below_float_range(tmp_path, capsys):
+    # smalldup weighs a right chain of n leaves 4/5 * (1/5)^(n-2): 8.3e-419 at
+    # n = 600, where float() gives 0.0; 1/(3*10^320) is a subnormal float
+    # that holds fewer than the 12 digits printed
+    trees = tmp_path / "t.txt"
+    trees.write_text(right_chain("a", 600).text + "\n", encoding="utf-8")
+    automaton = tmp_path / "smalldup.mta"
+    assert run(["convert", FIXTURES / "smalldup.wcfg", "--wcfg-to-pmta",
+                "--output", automaton]) == 0
+    capsys.readouterr()
+    for model in (FIXTURES / "smalldup.wcfg", automaton):
+        assert run(["eval", model, "--trees", trees]) == 0
+        assert capsys.readouterr().out.split("\t")[0] == "8.29903113776e-419"
+    grammar = tmp_path / "g.wcfg"
+    grammar.write_text("S -> a [1e-320]\nS -> S [1/3]\nS -> a a [-1e-320]\n", encoding="utf-8")
+    trees.write_text("(a)\n(a a)\n", encoding="utf-8")
+    assert run(["eval", grammar, "--trees", trees]) == 0
+    assert capsys.readouterr().out == "3.33333333333e-321\t(a)\n-1e-320\t(a a)\n"
 
 
 @pytest.mark.parametrize("literal", ["1e5000", "1e-5000"])

@@ -1,14 +1,20 @@
+import inspect
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from skelgram.extract import extract_cmta
+from skelgram.geneclusters import right_chain
 from skelgram.grammar import load_wcfg
+from skelgram.learner import learn
 from skelgram.mta import (MAX_DENSE_COEFFICIENTS, MTA, EvaluationError, TooLargeToWrite,
                           format_mta, parse_mta)
 from skelgram.multilinear import MultilinearMap, apply
+from skelgram.teacher import SimulatedTeacher
 from skelgram.trees import (Context, HOLE, Leaf, Node, RankedAlphabet,
                             enumerate_full_trees, parse_structured_string, compose)
 
@@ -243,3 +249,130 @@ def test_zero_child_gives_zero_node_as_apply_does():
     assert g.automaton(2).eval_support(zero) == []
     with pytest.raises(EvaluationError, match="rank 3 exceeds max rank 2"):
         g.automaton(2).eval_support(Node((zero, Leaf("AcrA"), Leaf("AcrB"))))
+
+
+def _one_stack_walk(a, t, memo):
+    """eval_support as it was before its walk down and walk up: one stack,
+    a node revisited until its children are memoized."""
+    stack = [t]
+    while stack:
+        s = stack[-1]
+        support = memo.get(s.text)
+        if support is None and isinstance(s, Leaf):
+            if s.token not in a.leaf_maps:
+                raise EvaluationError(f"unknown leaf token {s.token!r}")
+            support = memo[s.text] = [(j, x) for j, x in enumerate(a.leaf_maps[s.token]) if x]
+        elif support is None:
+            args = [memo.get(c.text) for c in s.children]
+            if None in args:
+                stack.extend(c for c, v in zip(s.children, args) if v is None)
+                continue
+            k = len(args)
+            if k > a.alphabet.max_rank:
+                raise EvaluationError(f"rank {k} exceeds max rank {a.alphabet.max_rank}")
+            support = memo[s.text] = apply(a.node_maps[k], args) if all(args) else []
+        stack.pop()
+    return support
+
+
+def _outcome(weigh, t):
+    """What weighing t gives: ("value", entries with their types) or ("error", message)."""
+    try:
+        got = weigh(t)
+    except EvaluationError as exc:
+        return "error", str(exc)
+    if isinstance(got, list):
+        return "value", [(i, type(x), x) for i, x in got]
+    return "value", (type(got), got)
+
+
+_X, _Y = Leaf("X"), Leaf("Y")
+_A, _B, _C = Leaf("AcrA"), Leaf("AcrB"), Leaf("TolC")
+
+
+@pytest.mark.parametrize("tree, message", [
+    (Node((_X, _Y)), "unknown leaf token 'Y'"),
+    (Node((_X, _A, _B)), "unknown leaf token 'X'"),
+    (Node((Node((_A, _B, _C)), _Y)), "unknown leaf token 'Y'"),
+    (Node((_X, Node((_A, _B, _C)))), "rank 3 exceeds max rank 2"),
+], ids=lambda v: v.text if isinstance(v, Node) else None)
+def test_a_tree_with_several_faults_raises_its_rightmost_first(tree, message):
+    # subtrees are weighed in post-order, rightmost first: children before
+    # their parent, so a wide node's leaves are checked before its rank
+    a = load_wcfg(FIXTURES / "acrab.wcfg").automaton(2)
+    with pytest.raises(EvaluationError) as caught:
+        a.eval_support(tree)
+    assert str(caught.value) == message
+
+
+def test_walk_raises_and_memoizes_as_the_one_stack_walk():
+    # random trees over acrab's tokens plus two unknown ones, with nodes up
+    # to rank 3 against a rank-2 automaton: the same value or first error,
+    # and the same memo after each tree, shared subtrees included
+    g = load_wcfg(FIXTURES / "acrab.wcfg")
+    alphabet = g.alphabet(2)
+    wide = RankedAlphabet(alphabet.leaf_symbols + ("X", "Y"), 3)
+    rng = random.Random(41)
+    trees = [random_tree(rng, wide, 6) for _ in range(3000)]
+    trees += [Node((t, t)) for t in trees[:200]]
+    faults = 0
+    for a in (g.automaton(2), load_wcfg(FIXTURES / "acrab.wcfg", exact=False).automaton(2),
+              random_cmta(rng, alphabet, 3), random_pmta(rng, alphabet, 2)):
+        memo = {}
+        for t in trees:
+            expected = _outcome(lambda t: _one_stack_walk(a, t, memo), t)
+            assert _outcome(a.eval_support, t) == expected, t.text
+            assert a._memo == memo, t.text
+            faults += expected[0] == "error"
+    assert faults > 1000
+
+
+def _left_comb(token, count):
+    tree = Leaf(token)
+    for _ in range(count - 1):
+        tree = Node((tree, Leaf(token)))
+    return tree
+
+
+def _complete(token, depth):
+    tree = Leaf(token)
+    for _ in range(depth):
+        tree = Node((tree, tree))
+    return tree
+
+
+def test_deep_trees_are_weighed_without_recursion():
+    # under a recursion limit far below the trees' depth (700, 700 and 11
+    # levels, 2,048 leaves in the complete tree)
+    g = load_wcfg(FIXTURES / "smalldup.wcfg")
+    counter = leaf_count_mta()
+    trees = [(_left_comb("a", 700), 700, 0), (right_chain("a", 700), 700,
+              Fraction(4, 5) * Fraction(1, 5) ** 698), (_complete("a", 11), 2048, 0)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        for t, leaves, weight in trees:
+            assert counter.eval(t) == leaves
+            assert g.skeletal_weight(t) == weight
+            assert g.automaton().eval(t) == weight
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_hypothesis_value_weighs_as_the_extracted_automaton():
+    # on a completed table's own trees, every tree of <= 5 leaves and random
+    # trees with unknown leaves and wide nodes: the same value or first error
+    g = load_wcfg(FIXTURES / "acrab.wcfg")
+    alphabet = g.alphabet(2)
+    table = learn(SimulatedTeacher(g), alphabet).table
+    hypothesis = extract_cmta(table)
+    rng = random.Random(43)
+    wide = RankedAlphabet(alphabet.leaf_symbols + ("X", "Y"), 3)
+    trees = list(table._order) + enumerate_full_trees(alphabet.leaf_symbols, 5)
+    trees += [random_tree(rng, wide, 5) for _ in range(1000)]
+    faults = 0
+    for t in trees:
+        expected = _outcome(hypothesis.eval, t)
+        assert _outcome(table.hypothesis_value, t) == expected, t.text
+        faults += expected[0] == "error"
+    assert faults > 300

@@ -4,8 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from skelgram import mta as mta_module
+from skelgram.grammar import load_wcfg
 from skelgram.mta import parse_mta
 from skelgram.multilinear import MultilinearMap, apply, colinear_witness
+from skelgram.scalars import is_unit
+from skelgram.trees import RankedAlphabet
+
+from conftest import FIXTURES, random_cmta, random_pmta, random_tree
 
 # c^i_{j1 j2} = 4i + 2j1 + j2 + 1: the dense rows 1 2 3 4 / 5 6 7 8
 COUNTING = {(0, 0): {0: 1, 1: 5}, (0, 1): {0: 2, 1: 6},
@@ -305,3 +311,77 @@ def test_apply_from_the_first_term_drops_float_sums_that_cancel_to_signed_zero()
     args = [[(0, 1e-200), (1, 1e-200)]]
     assert typed(apply(m, args)) == typed(apply_from_zero(m, args))
     assert typed(apply(m, args)) == typed([(2, 1e-200), (3, 2e-200)])
+
+
+def apply_over_every_product(m, args):
+    """The reference: apply before it read one column for one-entry
+    arguments, every combination taken through itertools.product."""
+    out = {}
+    for combo in itertools.product(*args):
+        col = m.columns.get(tuple([j for j, _ in combo]))
+        if col:
+            for i, c in col.items():
+                for _, x in combo:  # times(c, x), inlined
+                    if x.__class__ is not float and x == 1 and is_unit(x, c):
+                        continue
+                    c = x if c.__class__ is not float and c == 1 and is_unit(c, x) else c * x
+                y = out.get(i)
+                out[i] = c if y is None else y + c
+    support = [(i, y) for i, y in out.items() if y]
+    support.sort()
+    return support
+
+
+def bits(support):
+    """A support with each value's type and its float bits or exact value."""
+    return [(i, type(y), y.hex() if isinstance(y, float) else y) for i, y in support]
+
+
+# exact ones of every type, which `apply` does not multiply by where they
+# would keep the other factor, among ordinary factors
+FACTORS = [1, Fraction(1), 1.0, -1, Fraction(-1), 2, Fraction(3, 7), Fraction(-5, 2),
+           0.1, -0.7, 3.0, 1e-200, 1e200]
+
+
+def test_one_column_apply_keeps_every_product_bit_for_bit():
+    rng = random.Random(31)
+    single = multi = 0
+    for _ in range(4000):
+        k, d = rng.randint(0, 3), rng.randint(1, 4)
+        m = MultilinearMap(k, d, zero_scalar=rng.choice([Fraction(0), 0.0]))
+        for col in itertools.product(range(d), repeat=k):
+            if rng.random() < 0.7:  # a co-linear column, or one of two or more rows
+                rows = rng.sample(range(d), 1 if rng.random() < 0.5 else rng.randint(1, d))
+                m.columns[col] = {i: rng.choice(FACTORS) for i in rows}
+        args = []
+        for _ in range(k):
+            size = 1 if rng.random() < 0.8 else rng.randint(0, d)
+            args.append(sorted((j, rng.choice(FACTORS)) for j in rng.sample(range(d), size)))
+        if all(len(v) == 1 for v in args):
+            single += 1
+            col = m.columns.get(tuple(v[0][0] for v in args), {})
+            multi += len(col) > 1
+        assert bits(apply(m, args)) == bits(apply_over_every_product(m, args)), (m.columns, args)
+    assert single > 1000 and multi > 300
+
+
+@pytest.mark.parametrize("name", ["acrab", "fimacd", "colinearity3", "random"])
+def test_automata_weigh_every_tree_as_with_every_product(name, monkeypatch):
+    # exact and float automata of grammars, and random CMTAs and PMTAs
+    rng = random.Random(32)
+    if name == "random":
+        alphabet = RankedAlphabet(["a", "b", "c"], 3)
+        automata = [lambda: random_cmta(random.Random(7), alphabet, 4),
+                    lambda: random_pmta(random.Random(8), alphabet, 3)]
+    else:
+        alphabet = load_wcfg(FIXTURES / f"{name}.wcfg").alphabet(3)
+        automata = [lambda exact=exact: load_wcfg(FIXTURES / f"{name}.wcfg", exact).automaton(3)
+                    for exact in (True, False)]
+    trees = [random_tree(rng, alphabet, 5) for _ in range(1500)]
+    for make in automata:
+        got = [bits(a.eval_support(t)) for a in [make()] for t in trees]
+        with monkeypatch.context() as patch:
+            patch.setattr(mta_module, "apply", apply_over_every_product)
+            expected = [bits(a.eval_support(t)) for a in [make()] for t in trees]
+        assert got == expected
+        assert sum(map(bool, got)) > 100
