@@ -235,13 +235,13 @@ def cmd_trees(args) -> int:
     except OSError as exc:
         raise CliError(str(exc), EXIT_INPUT)
     corpus = []
-    for line in raw_lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(raw_lines, start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
-        if "\t" in line:
-            _, line = line.split("\t", 1)
-        corpus.append(tuple(line.split()))
+        string = line.split("\t", 1)[-1].split()  # an optional <frequency><TAB> goes
+        if not string:
+            raise CliError(f"line {lineno}: no gene string after the tab", EXIT_INPUT)
+        corpus.append(tuple(string))
     weight = SubstringFrequencyWeight(corpus)
     tokens = sorted({tok for s in corpus for tok in s})
     if not tokens:
@@ -254,14 +254,9 @@ def cmd_trees(args) -> int:
         except TreeSyntaxError as exc:
             raise CliError(f"--against: {exc}", EXIT_INPUT)
         dist = swap_distance if args.distance == "swap" else duplication_distance
-        for string in corpus:
-            tree, _ = parse_gene_string(string, weight)
-            print(f"{dist(tree, reference)}\t{tree.text}")
-        return EXIT_OK
-
-    for string in corpus:
+    for string in corpus:  # each line: the score, or the distance --against
         tree, score = parse_gene_string(string, weight)
-        print(f"{score}\t{tree.text}")
+        print(f"{dist(tree, reference) if args.against else score}\t{tree.text}")
     return EXIT_OK
 
 

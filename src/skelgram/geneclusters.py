@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from operator import add
 
 from .trees import Leaf, Node, SkeletalTree
 
@@ -120,27 +121,28 @@ def parse_gene_string(tokens, w) -> tuple[SkeletalTree, object]:
 def _best_parse(tokens, cuts, w):
     """The optimal_tree DP over units tokens[cuts[u]:cuts[u + 1]], each a
     run of one token built as a right chain; w gets the token slice (a list)
-    that a span of units covers."""
+    that a span of units covers, shortest spans first.  Span (i, j)'s best
+    score is starts[i][j - i - 1] and ends[j][j - i - 1], so its splits' sums
+    pair starts[i] with ends[j] reversed, and max() and index() in C pick the
+    first largest: the smallest split."""
     if not tokens:
         raise ValueError("empty string has no parse")
     n = len(cuts) - 1
-    best_score = {}
-    best_split = {}
+    # splits[i][j - i - 1] is span (i, j)'s best split, as in starts
+    starts, ends, splits = ([[] for _ in range(n + 1)] for _ in range(3))
     for span in range(1, n + 1):
         for i in range(n - span + 1):
             j = i + span
-            base = w(tokens[cuts[i]:cuts[j]])
-            if span <= 2:
-                # one unit, or two joined at i + 1: no choice of split
-                best_score[i, j], best_split[i, j] = base, i + 1
-            else:
-                score, split = None, None
-                for k in range(i + 1, j):
-                    cand = best_score[i, k] + best_score[k, j]
-                    if score is None or cand > score:
-                        score, split = cand, k
-                best_score[i, j] = base + score
-                best_split[i, j] = split
+            score = w(tokens[cuts[i]:cuts[j]])
+            k = i + 1  # one unit, or two joined at i + 1: no choice of split
+            if span > 2:
+                cands = list(map(add, starts[i], reversed(ends[j])))
+                best = max(cands)
+                k += cands.index(best)
+                score = score + best
+            starts[i].append(score)
+            ends[j].append(score)
+            splits[i].append(k)
 
     built = []
     stack = [(0, n)]  # (None, None) joins the last two built subtrees
@@ -152,9 +154,9 @@ def _best_parse(tokens, cuts, w):
         elif j - i == 1:
             built.append(right_chain(tokens[cuts[i]], cuts[j] - cuts[i]))
         else:
-            k = best_split[i, j]
+            k = splits[i][j - i - 1]
             stack += [(None, None), (k, j), (i, k)]
-    return built[0], best_score[0, n]
+    return built[0], starts[0][n - 1]
 
 
 def right_chain(token: str, count: int) -> SkeletalTree:
@@ -172,18 +174,11 @@ def right_chain(token: str, count: int) -> SkeletalTree:
 
 def is_binary(t: SkeletalTree) -> bool:
     """Every internal node of t has exactly two children."""
-    stack = [t]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Node):
-            if len(n.children) != 2:
-                return False
-            stack.extend(n.children)
-    return True
+    return t.binary
 
 
-def _require_binary(*trees):
-    if not all(map(is_binary, trees)):
+def _require_binary(t, s):
+    if not (t.binary and s.binary):
         raise ValueError("edit distances are defined on binary trees")
 
 

@@ -68,6 +68,7 @@ class SkeletalTree:
 
 class Leaf(SkeletalTree):
     __slots__ = ("token",)
+    binary = True
 
     def __init__(self, token: str):
         self.token = token
@@ -77,13 +78,20 @@ class Leaf(SkeletalTree):
 
 
 class Node(SkeletalTree):
-    __slots__ = ("children",)
+    __slots__ = ("children", "binary")  # binary: each node of the subtree has two children
 
     def __init__(self, children):
         kids = tuple(children)
         if not kids:
             raise ValueError("internal node needs at least one child")
         self.children = kids
+        if len(kids) == 2:  # most nodes: no list and no join
+            a, b = kids
+            self.text = "(" + a.text + " " + b.text + ")"
+            self.size = 1 + a.size + b.size
+            self.height = 1 + (a.height if a.height > b.height else b.height)
+            self.binary = a.binary and b.binary
+            return
         texts, size, height = [], 1, 0
         for c in kids:  # one loop: generator expressions cost a frame each
             texts.append(c.text)
@@ -93,6 +101,7 @@ class Node(SkeletalTree):
         self.text = "(" + " ".join(texts) + ")"
         self.size = size
         self.height = 1 + height
+        self.binary = False
 
 
 class Hole:
@@ -102,6 +111,7 @@ class Hole:
     text = HOLE_TOKEN
     size = 1
     height = 1
+    binary = True
 
     def __repr__(self):
         return HOLE_TOKEN

@@ -475,6 +475,28 @@ def test_trees_command_rejects_bad_tokens(tmp_path, capsys, line):
     assert "bad leaf symbol" in captured.err
 
 
+def test_trees_command_ignores_a_frequency_prefix(tmp_path, capsys):
+    strings = tmp_path / "strings.txt"
+    strings.write_text("3\ta a b\n  1\tb a \n", encoding="utf-8")
+    assert run(["trees", strings]) == 0
+    plain = capsys.readouterr().out
+    strings.write_text("a a b\nb a\n", encoding="utf-8")
+    assert run(["trees", strings]) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("line", ["3\t", "3\t  ", " 3\t"])
+def test_trees_command_rejects_a_frequency_without_a_string(tmp_path, capsys, line):
+    # the frequency is split off before the line is stripped, so `3<TAB>`
+    # is not read as the gene string `3`
+    strings = tmp_path / "strings.txt"
+    strings.write_text(f"a b\n# note\n{line}\nb a\n", encoding="utf-8")
+    assert run(["trees", strings]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 3" in captured.err
+
+
 def test_trees_command_swap_distance_long_run(tmp_path, capsys):
     strings = tmp_path / "strings.txt"
     strings.write_text("a " * 1500 + "\n", encoding="utf-8")
@@ -618,7 +640,9 @@ def test_learn_writes_pcfg_when_float_weights_round_above_one(tmp_path, capsys):
 # A fixed corpus, its base trees and gene strings, with the sha256 of every
 # artifact `learn --seq duplications --max-dup 1 --dump-table` writes
 # (report.json without wall_time_ms) and of the `trees --against` output,
-# per distance, as printed before the distance helpers were made iterative;
+# per distance, as printed before the distance helpers were made iterative,
+# and of the plain `trees` output (scores and trees), as printed while the
+# split search still looped over dicts in Python;
 # the duplication hypothesis.pcfg as printed once partition functions were
 # solved by component, which made its floats closer to the exact values.
 # The learn digests were re-pinned when a counterexample came to add one
@@ -630,6 +654,7 @@ PINNED_CORPUS = "4\t((x y) (z z))\n2\t(x (y z))\n1\t((y x) z)\n1\t((x x) (y z))\
 PINNED_BASE_TREES = "((x y) z)\n(x (y z))\n((y x) z)\n"
 PINNED_GENES = "x y z z\nx x y z\ny x z z\nz z x y\nx y y z z\nz\nx y z\nz z z x\n"
 PINNED_AGAINST = "((x y) (z z))"
+PINNED_TREES_SHA256 = "51fb1ac6c8b973b849f0003460ff0d7d8fc463f4ac9b9bdd730b0bec18265e0b"
 CORPUS_LEARN_SHA256 = {
     "swap": {
         "hypothesis.mta": "3f855f17bc01aeb61f45e38b407cd1d30c861e522831c5b04b2be919838b6191",
@@ -668,6 +693,9 @@ def test_corpus_outputs_are_pinned(tmp_path, capsys, distance):
     out_text = capsys.readouterr().out
     digests["trees --against"] = hashlib.sha256(out_text.encode()).hexdigest()
     assert digests == CORPUS_LEARN_SHA256[distance]
+    assert run(["trees", genes]) == 0
+    out_text = capsys.readouterr().out
+    assert hashlib.sha256(out_text.encode()).hexdigest() == PINNED_TREES_SHA256
 
 
 def _learn_digests(out):

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import zlib
 from collections import Counter
 from fractions import Fraction
 
@@ -10,10 +12,12 @@ from skelgram.geneclusters import (INF, SubstringFrequencyWeight, _dup, _swap,
                                    duplication_distance, is_binary, optimal_tree,
                                    parse_gene_string, right_chain,
                                    right_chain_shape, swap_distance)
-from skelgram.trees import Leaf, Node, parse_structured_string, RankedAlphabet, tree_yield
+from skelgram.trees import (HOLE, Context, Leaf, Node, parse_structured_string,
+                            RankedAlphabet, tree_yield)
 
-from conftest import (all_binary_trees, chain_shape, parse_score, random_binary_tree,
-                      random_tree, reference_duplication_distance, reference_swap_distance)
+from conftest import (all_binary_trees, chain_shape, enumerate_contexts, parse_score,
+                      random_binary_tree, random_tree, reference_duplication_distance,
+                      reference_swap_distance)
 
 
 def _gene_parse_text(string):
@@ -105,6 +109,81 @@ def test_optimal_tree_score_at_least_whole_string_weight():
             return values.setdefault(tuple(piece), rng.randint(0, 5))
         _, score = optimal_tree(string, w)
         assert score >= w(string)
+
+
+def _dict_best_parse(tokens, cuts, w):
+    # geneclusters._best_parse as it was with tuple-keyed dicts and a Python
+    # loop over splits, kept verbatim as the reference for the list DP
+    if not tokens:
+        raise ValueError("empty string has no parse")
+    n = len(cuts) - 1
+    best_score = {}
+    best_split = {}
+    for span in range(1, n + 1):
+        for i in range(n - span + 1):
+            j = i + span
+            base = w(tokens[cuts[i]:cuts[j]])
+            if span <= 2:
+                # one unit, or two joined at i + 1: no choice of split
+                best_score[i, j], best_split[i, j] = base, i + 1
+            else:
+                score, split = None, None
+                for k in range(i + 1, j):
+                    cand = best_score[i, k] + best_score[k, j]
+                    if score is None or cand > score:
+                        score, split = cand, k
+                best_score[i, j] = base + score
+                best_split[i, j] = split
+
+    built = []
+    stack = [(0, n)]  # (None, None) joins the last two built subtrees
+    while stack:
+        i, j = stack.pop()
+        if i is None:
+            right = built.pop()
+            built.append(Node((built.pop(), right)))
+        elif j - i == 1:
+            built.append(right_chain(tokens[cuts[i]], cuts[j] - cuts[i]))
+        else:
+            k = best_split[i, j]
+            stack += [(None, None), (k, j), (i, k)]
+    return built[0], best_score[0, n]
+
+
+def _crc(piece):
+    return zlib.crc32(" ".join(piece).encode())
+
+
+MIXED_ONES = (0, 1, 1.0, Fraction(1), 0.0, Fraction(0))
+SCORERS = {
+    "ints with ties": lambda piece: _crc(piece) % 3,
+    "floats": lambda piece: (_crc(piece) % 7) * 0.1,
+    "fractions": lambda piece: Fraction(_crc(piece) % 5, 1 + _crc(piece) % 3),
+    "mixed ones": lambda piece: MIXED_ONES[_crc(piece) % 6],
+    "floats with nan": lambda piece: math.nan if _crc(piece) % 11 == 0 else _crc(piece) % 4 / 3,
+}
+
+
+@pytest.mark.parametrize("scorer", sorted(SCORERS))
+def test_best_parse_matches_the_dict_dp(scorer):
+    rng = random.Random(zlib.crc32(scorer.encode()))
+    score_of = SCORERS[scorer]
+    for _ in range(60):
+        string, length = [], rng.randint(1, 25)
+        while len(string) < length:  # runs of one to three tokens
+            string += [rng.choice("abcd")] * rng.choice((1, 1, 1, 2, 3))
+        del string[length:]
+        runs = [i for i in range(len(string)) if i == 0 or string[i] != string[i - 1]]
+        for parse, cuts in ((optimal_tree, range(len(string) + 1)),
+                            (parse_gene_string, runs + [len(string)])):
+            got_calls, want_calls = [], []
+            tree, score = parse(string, lambda p: got_calls.append(p) or score_of(p))
+            want_tree, want = _dict_best_parse(
+                string, cuts, lambda p: want_calls.append(p) or score_of(p))
+            assert tree.text == want_tree.text
+            assert type(score) is type(want)
+            assert repr(score) == repr(want)
+            assert got_calls == want_calls
 
 
 def test_gene_tokens_containing_run_separator_keep_their_yield():
@@ -375,3 +454,40 @@ def test_distances_require_binary_trees():
         swap_distance(t, t)
     with pytest.raises(ValueError):
         duplication_distance(t, t)
+
+
+def _walked_is_binary(t):
+    # is_binary as it was: a walk of every node
+    stack = [t]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Node):
+            if len(n.children) != 2:
+                return False
+            stack.extend(n.children)
+    return True
+
+
+def _with_hole(rng, t):
+    """t with one of its leaves, picked at random, made the hole."""
+    if isinstance(t, Leaf):
+        return HOLE
+    kids = list(t.children)
+    slot = rng.randrange(len(kids))
+    kids[slot] = _with_hole(rng, kids[slot])
+    return Node(kids)
+
+
+def test_binary_flag_matches_the_walk():
+    rng = random.Random(29)
+    alphabet = RankedAlphabet(["a", "b"], 3)
+    seen = set()
+    for _ in range(400):
+        t = random_tree(rng, alphabet, 6)
+        c = Context(_with_hole(rng, t))
+        for tree in (t, c.root):
+            assert tree.binary is _walked_is_binary(tree) is is_binary(tree)
+            seen.add(tree.binary)
+    for c in enumerate_contexts(alphabet, 3):
+        assert c.root.binary is _walked_is_binary(c.root)
+    assert seen == {True, False}
