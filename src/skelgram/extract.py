@@ -1,9 +1,9 @@
 """Build a co-linear automaton from a closed, consistent observation table.
 
 Dimension = basis size.  The output vector reads the basis rows at the
-identity column; each leaf and each basis-tuple column gets the classifying
-(coefficient, basis index) of its observed row, so every column carries at
-most one non-zero entry.
+identity column; each leaf and each basis-tuple column gets the class of
+its observed row, a support of at most one (basis index, coefficient), so
+every column carries at most one non-zero entry.
 
 The automaton maps every basis tree to its unit vector and agrees with
 every row at the identity column.  It need not agree with every other
@@ -20,7 +20,6 @@ from .multilinear import MultilinearMap
 from .mta import MTA
 from .scalars import is_exact
 from .table import ObservationTable, TableError
-from .trees import Leaf, Node
 
 
 def extract_cmta(table: ObservationTable) -> MTA:
@@ -30,25 +29,23 @@ def extract_cmta(table: ObservationTable) -> MTA:
     exact = all(is_exact(x) for b in table.basis for x in table.rows[b.text])
     zero = Fraction(0) if exact else 0.0
 
-    def entry(tree) -> dict:
-        """{basis index: coefficient} classifying tree's row; {} for a zero row."""
-        cls = table.classify(tree)
-        if cls.is_zero:
-            return {}
-        if cls.is_independent:
-            raise TableError(f"closed table has an independent row: {tree.text}")
-        return {cls.index: cls.coeff}
+    def entry(cls, row) -> dict:
+        """{basis index: coefficient} of a row's class; {} for a zero row.
+        row names it: a leaf token or a tuple of basis indices."""
+        if cls is None:
+            raise TableError(f"closed table has an independent row: {row}")
+        return dict(cls)
 
     leaf_maps = {}
     for tok in table.alphabet.leaf_symbols:
-        found = entry(Leaf(tok))
+        found = entry(table.classify(tok), tok)
         leaf_maps[tok] = [found.get(i, zero) for i in range(d)]
 
     node_maps = {}
     for k in range(1, table.alphabet.max_rank + 1):
         m = node_maps[k] = MultilinearMap(k, d, zero_scalar=zero)
         for col in itertools.product(range(d), repeat=k):
-            if found := entry(Node(tuple(table.basis[j] for j in col))):
+            if found := entry(table.basis_class(col), col):
                 m.columns[col] = found
 
     output = [table.rows[b.text][0] for b in table.basis]  # column 0 is the identity context

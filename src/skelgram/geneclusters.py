@@ -172,11 +172,6 @@ def right_chain(token: str, count: int) -> SkeletalTree:
 # -- edit distances (binary trees) ------------------------------------------
 
 
-def is_binary(t: SkeletalTree) -> bool:
-    """Every internal node of t has exactly two children."""
-    return t.binary
-
-
 def _require_binary(t, s):
     if not (t.binary and s.binary):
         raise ValueError("edit distances are defined on binary trees")

@@ -16,9 +16,6 @@ from .scalars import (exceeds_one, format_scalar, is_exact, is_nonnegative, is_u
                       ordered_sum, parse_scalar, scalar_eq, scalar_is_zero, times)
 from .trees import Context, RankedAlphabet, SkeletalTree
 
-Rule = tuple[str, tuple[str, ...]]
-
-
 class GrammarError(ValueError):
     pass
 

@@ -7,7 +7,9 @@ subtree-closed.  A counterexample adds one separating column
 teacher scans.  A consistency check's column, with its innermost level
 removed, is a column too; a counterexample's column need not be, and its
 siblings need not be in T.  Rows and their classes are keyed by the row
-tree's text.
+tree's text.  A row's class is a support, as `MTA.eval_support` walks it:
+[] for a zero row, [(i, a)] for a times basis row i, None for a row
+independent of the basis.
 The cell of row t and column c is one structured membership query for
 c∘t, put to the oracle as the pair (t, c), so the oracle may answer it
 from its parts without building c∘t.  The answers are memoized by the text
@@ -21,7 +23,6 @@ test a counterexample.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .mta import EvaluationError
@@ -38,27 +39,6 @@ class CapExceeded(RuntimeError):
 
 class TableError(RuntimeError):
     pass
-
-
-ZERO_ROW = "zero"
-INDEPENDENT = "independent"
-
-
-@dataclass(frozen=True)
-class ColinearClass:
-    """Classification of a row: zero, co-linear to basis row `index` with
-    coefficient `coeff`, or independent of the whole basis."""
-    kind: str  # ZERO_ROW, INDEPENDENT, or "basis"
-    index: int = -1  # 0-based basis position
-    coeff: object = None
-
-    @property
-    def is_zero(self):
-        return self.kind == ZERO_ROW
-
-    @property
-    def is_independent(self):
-        return self.kind == INDEPENDENT
 
 
 class Budget:
@@ -88,7 +68,7 @@ class ObservationTable:
         self._tree_set: set[SkeletalTree] = set()
         self._smq_cache: dict[str, object] = {}  # by text: holds no composed tree
         self._completed = False
-        self._classes: dict[str, ColinearClass] = {}  # zero or basis, by text
+        self._classes: dict[str, list] = {}  # zero or basis supports, by text
         self._basis_by_mask: dict[tuple, list[int]] = {}
         self._order: list[SkeletalTree] = []  # the rows' trees, canonical order
         # the one-level contexts over T, canonical order
@@ -157,12 +137,13 @@ class ObservationTable:
             rows[tree.text].append(self._cell(tree, ctx))
         for text, cls in list(self._classes.items()):
             new = rows[text][-1]
-            if cls.is_zero:
+            if not cls:
                 keep = scalar_is_zero(new)
             else:
-                base = rows[self.basis[cls.index].text][-1]
-                keep = (type(cls.coeff) is Fraction and is_exact(new) and is_exact(base)
-                        and (new == cls.coeff * base if base else new == 0))
+                (i, a), = cls
+                base = rows[self.basis[i].text][-1]
+                keep = (type(a) is Fraction and is_exact(new) and is_exact(base)
+                        and (new == a * base if base else new == 0))
             if not keep:
                 del self._classes[text]
         self._basis_by_mask.clear()
@@ -171,27 +152,31 @@ class ObservationTable:
 
     # -- classification ----------------------------------------------------
 
-    def classify(self, tree: SkeletalTree) -> ColinearClass:
-        """Zero, the unique (basis index, coefficient), or independent.
+    def classify(self, text: str) -> list | None:
+        """The class of the row whose tree has text `text`: [] if zero,
+        [(i, a)] for the unique basis index and coefficient, None if
+        independent.  A zero or basis class is the table's own list: do not
+        change it.
 
         Zero and basis classes are kept: a new basis row (independent of the
         others) takes no row from a class, and `_add_column` drops only the
         classes its new cell breaks.  Independence is rechecked every call.
         """
-        return self._class_of(tree.text)
-
-    def _class_of(self, text: str) -> ColinearClass:
         cls = self._classes.get(text)
         if cls is None:
             cls = self._classify_fresh(text)
-            if not cls.is_independent:
+            if cls is not None:
                 self._classes[text] = cls
         return cls
 
-    def _classify_fresh(self, text: str) -> ColinearClass:
+    def basis_class(self, col) -> list | None:
+        """The class of the row over basis trees (j1 .. jk), found by its text."""
+        return self.classify("(" + " ".join([self.basis[j].text for j in col]) + ")")
+
+    def _classify_fresh(self, text: str) -> list | None:
         row = self.rows[text]
         if vector_is_zero(row):
-            return ColinearClass(ZERO_ROW)
+            return []
         if all(map(is_exact, row)):
             # co-linear exact rows share the non-zero support pattern
             candidates = self._basis_by_mask.get(tuple(x != 0 for x in row), ())
@@ -203,12 +188,11 @@ class ObservationTable:
             if alpha is not None:
                 matches.append((i, alpha))
         if not matches:
-            return ColinearClass(INDEPENDENT)
+            return None
         if len(matches) > 1:
             raise TableError(f"row {text} is co-linear to several basis rows; "
                              "basis rows must be pairwise co-linearly independent")
-        i, alpha = matches[0]
-        return ColinearClass("basis", i, alpha)
+        return matches
 
     def _index_basis(self, i: int):
         mask = tuple(x != 0 for x in self.rows[self.basis[i].text])
@@ -222,7 +206,7 @@ class ObservationTable:
         classes = self._classes
         while True:
             candidate = next((t for t in self._order if t.text not in classes
-                              and self._class_of(t.text).is_independent), None)
+                              and self.classify(t.text) is None), None)
             if candidate is None:
                 return
             self.budget.charge("basis addition")
@@ -234,7 +218,7 @@ class ObservationTable:
         """A zero row must stay zero under every one-level context; on
         violation return the separating composed context."""
         for t in self.trees:
-            if not self.classify(t).is_zero:
+            if self.classify(t.text) != []:
                 continue
             for ctx in self._one_level:
                 for ci, value in enumerate(self.rows[ctx.prefix + t.text + ctx.suffix]):
@@ -256,9 +240,9 @@ class ObservationTable:
         column, or on float rows, whose tolerance it alone applies."""
         groups: dict[int, list] = {}
         for t in self.trees:
-            cls = self.classify(t)
-            if cls.kind == "basis" and t != self.basis[cls.index]:
-                groups.setdefault(cls.index, []).append((t, cls.coeff))
+            for i, alpha in self.classify(t.text) or ():  # a basis class only
+                if t != self.basis[i]:
+                    groups.setdefault(i, []).append((t, alpha))
         for i in sorted(groups):
             b = self.basis[i].text
             for t, alpha in groups[i]:
@@ -277,13 +261,16 @@ class ObservationTable:
         """row(ct) == alpha·row(cb), rows named by text, shown from the
         classifications alone; False when they disagree or do not settle it
         (float rows)."""
-        c1, c2 = self._class_of(ct), self._class_of(cb)
-        if c1.is_zero and c2.is_zero:
+        c1, c2 = self.classify(ct), self.classify(cb)
+        if c1 == [] == c2:
             # zero rows of exact zeros, whatever their type, match exactly
             return not any(self.rows[ct]) and not any(self.rows[cb])
-        return (c1.kind == c2.kind == "basis" and c1.index == c2.index
-                and type(alpha) is type(c1.coeff) is type(c2.coeff) is Fraction
-                and c1.coeff == alpha * c2.coeff)
+        if not (c1 and c2):
+            return False
+        (i1, a1), = c1
+        (i2, a2), = c2
+        return (i1 == i2 and type(alpha) is type(a1) is type(a2) is Fraction
+                and a1 == alpha * a2)
 
     def complete(self, new_trees=()):
         """Add the given trees (subtree-closed) and alternate closing with the
@@ -332,10 +319,10 @@ class ObservationTable:
             for kids, i in reversed(frames):
                 root = Node(kids[:i] + [root] + kids[i + 1:])
             ctx = Context(root)
-            cls = self._class_of(s.text)
-            b = None if cls.is_zero else self.basis[cls.index]
+            cls = self.classify(s.text)
+            b = self.basis[cls[0][0]] if cls else None
             value = self._cell(s, ctx)
-            scaled = 0 if b is None else cls.coeff * self._cell(b, ctx)
+            scaled = 0 if b is None else cls[0][1] * self._cell(b, ctx)
             if not scalar_eq(value, scaled):
                 if ctx not in self.columns:
                     return ctx
@@ -358,11 +345,11 @@ class ObservationTable:
         building the automaton.
 
         Each subtree maps to its support, walked as `MTA.eval_support` walks
-        it, with its EvaluationErrors: a leaf to its class's [(basis index,
-        coefficient)]; a node whose children map to basis trees b1..bk to
-        the class of the row (b1 .. bk), its coefficient times the
-        children's, left to right, as `apply` multiplies; a zero child or
-        class to [].  The value is the identity cell of the root's basis
+        it, with its EvaluationErrors: a leaf to its class, which is a
+        support; a node whose children map to basis trees b1..bk to the
+        class of the row (b1 .. bk) (`basis_class`), its coefficient times
+        the children's, left to right, as `apply` multiplies; a zero child
+        or class to [].  The value is the identity cell of the root's basis
         tree times its coefficient, as `MTA.eval` adds it up."""
         if not self._completed:
             raise TableError("table must be closed and consistent before it weighs a tree")
@@ -373,8 +360,7 @@ class ObservationTable:
             if isinstance(s, Leaf):
                 if s.token not in self.alphabet:
                     raise EvaluationError(f"unknown leaf token {s.token!r}")
-                cls = self._class_of(s.text)
-                support = memo[s.text] = [] if cls.is_zero else [(cls.index, cls.coeff)]
+                support = memo[s.text] = self.classify(s.text)
                 continue
             args = [memo[c.text] for c in s.children]
             k = len(args)
@@ -382,13 +368,13 @@ class ObservationTable:
                 raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")
             support = memo[s.text] = []
             if all(args):
-                cls = self._class_of("(" + " ".join(self.basis[v[0][0]].text for v in args) + ")")
-                if not cls.is_zero:
-                    c = cls.coeff
+                cls = self.basis_class([v[0][0] for v in args])
+                if cls:
+                    (i, c), = cls
                     for v in args:
                         c = times(c, v[0][1])
                     if c:
-                        support.append((cls.index, c))
+                        support.append((i, c))
         if not self.basis:
             return Fraction(0)
         return dot([self.rows[b.text][0] for b in self.basis], support)

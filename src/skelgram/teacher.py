@@ -17,7 +17,7 @@ import random
 import sys
 
 from .equivalence import difference_witness
-from .geneclusters import INF, _dup, _swap, is_binary, parse_gene_string, right_chain
+from .geneclusters import INF, _dup, _swap, parse_gene_string, right_chain
 from .grammar import WCFG
 from .mta import MTA
 from .scalars import is_exact, ordered_sum, parse_scalar
@@ -29,7 +29,8 @@ from .trees import (IDENTITY_CONTEXT, Context, Leaf, Node, RankedAlphabet,
 class SimulatedTeacher:
     """Answers smq from a grammar, automaton, or corpus oracle target, and
     seq exactly when `exact_automaton` finds the target's automaton, else by
-    scanning a candidate strategy with comparison margin epsilon.  A
+    scanning a candidate strategy with comparison margin epsilon, a number
+    >= 0 (ValueError otherwise; -0.0 is the exact margin 0).  A
     strategy given with such an exact target goes unused; a scan without
     one raises ValueError.  Both queries weigh trees with the target's
     evaluator, picked once here: `WCFG.skeletal_weight`, `MTA.eval` or
@@ -39,6 +40,8 @@ class SimulatedTeacher:
     scanned them all in its last seq."""
 
     def __init__(self, target, strategy=None, epsilon=0):
+        if not epsilon >= 0:  # NaN too
+            raise ValueError(f"teacher margin epsilon must be >= 0, got {epsilon!r}")
         self.target = target
         self.strategy = strategy
         self.epsilon = epsilon
@@ -312,7 +315,7 @@ class CorpusOracle:
         if not 0 < decay < 1:
             raise ValueError("decay factor must be in (0, 1)")
         for tree, _ in corpus:
-            if not is_binary(tree):
+            if not tree.binary:
                 raise ValueError(f"corpus trees must be binary: {tree.text}")
         total = ordered_sum(freq for _, freq in corpus)
         self.corpus = [(tree, freq / total) for tree, freq in corpus]

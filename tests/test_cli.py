@@ -61,6 +61,14 @@ def test_learn_missing_file_exits_2(tmp_path):
     assert code == 2
 
 
+def test_learn_negative_epsilon_exits_2(tmp_path, capsys):
+    code = run(["learn", "--target", FIXTURES / "acrab.wcfg", "--epsilon", "-1",
+                "--out", tmp_path / "o"])
+    assert code == 2
+    assert "error: teacher margin epsilon must be >= 0, got -1.0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_learn_cap_breach_exits_3(tmp_path):
     code = run(["learn", "--target", FIXTURES / "chain.wcfg", "--seq", "trees",
                 "--max-leaves", "5", "--max-iterations", "30",

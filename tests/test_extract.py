@@ -32,7 +32,7 @@ def test_extract_rejects_independent_row():
     g = load_wcfg(FIXTURES / "trivial.wcfg")
     table = ObservationTable(g.alphabet(2), SimulatedTeacher(g))
     table._completed = True  # marked completed, but never closed
-    assert table.classify(Leaf("a")).is_independent
+    assert table.classify(Leaf("a").text) is None
     with pytest.raises(TableError, match="independent row"):
         extract_cmta(table)
 
@@ -98,13 +98,13 @@ def test_classified_rows_evaluate_to_scaled_units():
     table = completed_table(g, ["(a (a (a a)))"])
     a = extract_cmta(table)
     for t in table.trees:
-        cls = table.classify(t)
+        cls = table.classify(t.text)
         vec = a.eval_vector(t)
-        if cls.is_zero:
+        if cls == []:
             assert all(x == 0 for x in vec)
         else:
             expected = [Fraction(0)] * a.dim
-            expected[cls.index] = cls.coeff
+            expected[cls[0][0]] = cls[0][1]
             assert vec == expected
 
 
@@ -115,5 +115,5 @@ def test_basis_tuple_node_with_basis_membership_gets_unit_coefficient():
     table = completed_table(g)
     chain2 = parse_structured_string("(a a)", g.alphabet(2))
     assert chain2 in table.basis
-    cls = table.classify(chain2)
-    assert cls.coeff == 1 and table.basis[cls.index] == chain2
+    cls = table.classify(chain2.text)
+    assert cls[0][1] == 1 and table.basis[cls[0][0]] == chain2

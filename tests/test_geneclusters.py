@@ -9,7 +9,7 @@ import pytest
 
 from skelgram import geneclusters
 from skelgram.geneclusters import (INF, SubstringFrequencyWeight, _dup, _swap,
-                                   duplication_distance, is_binary, optimal_tree,
+                                   duplication_distance, optimal_tree,
                                    parse_gene_string, right_chain,
                                    right_chain_shape, swap_distance)
 from skelgram.trees import (HOLE, Context, Leaf, Node, parse_structured_string,
@@ -397,11 +397,11 @@ def test_distance_walks_match_the_references():
         assert _dup(t, s, memos["duplication"]) == want, (t.text, s.text)
         assert _dup(s, t, memos["duplication"]) == want, (s.text, t.text)
         finite["duplication"] += want != INF
-        if is_binary(s):
+        if s.binary:
             want = reference_swap_distance(t, s)
             assert _swap(t, s, memos["swap"]) == want, (t.text, s.text)
             finite["swap"] += want != INF
-            if is_binary(t):
+            if t.binary:
                 assert duplication_distance(t, s) == reference_duplication_distance(t, s)
                 assert swap_distance(t, s) == want
     assert min(finite.values()) > 300, finite
@@ -457,7 +457,7 @@ def test_distances_require_binary_trees():
 
 
 def _walked_is_binary(t):
-    # is_binary as it was: a walk of every node
+    # the reference: a walk of every node
     stack = [t]
     while stack:
         n = stack.pop()
@@ -486,7 +486,7 @@ def test_binary_flag_matches_the_walk():
         t = random_tree(rng, alphabet, 6)
         c = Context(_with_hole(rng, t))
         for tree in (t, c.root):
-            assert tree.binary is _walked_is_binary(tree) is is_binary(tree)
+            assert tree.binary is _walked_is_binary(tree)
             seen.add(tree.binary)
     for c in enumerate_contexts(alphabet, 3):
         assert c.root.binary is _walked_is_binary(c.root)

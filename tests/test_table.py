@@ -12,8 +12,7 @@ from skelgram.grammar import load_wcfg, parse_wcfg
 from skelgram.learner import learn
 from skelgram.multilinear import colinear_witness
 from skelgram.scalars import scalar_eq
-from skelgram.table import (Budget, CapExceeded, ColinearClass, ObservationTable,
-                            TableError)
+from skelgram.table import Budget, CapExceeded, ObservationTable, TableError
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
                               SimulatedTeacher)
 from skelgram.trees import (IDENTITY_CONTEXT, Leaf, Node, RankedAlphabet,
@@ -70,13 +69,13 @@ def test_classify_kinds():
     complete_with_leaves(table, alphabet)
     two_chain = parse_structured_string("(a a)", alphabet)
     three_chain = parse_structured_string("(a (a a))", alphabet)
-    cls = table.classify(two_chain)
-    assert cls.kind == "basis" and cls.coeff == 1
-    cls3 = table.classify(three_chain)
-    assert cls3.kind == "basis"
-    assert cls3.coeff == Fraction(1, 5)  # 0.16 = 0.2 * 0.8
-    dead = table.classify(parse_structured_string("((a a) a)", alphabet))
-    assert dead.is_zero
+    cls = table.classify(two_chain.text)
+    assert cls and cls[0][1] == 1
+    cls3 = table.classify(three_chain.text)
+    assert cls3
+    assert cls3[0][1] == Fraction(1, 5)  # 0.16 = 0.2 * 0.8
+    dead = table.classify(parse_structured_string("((a a) a)", alphabet).text)
+    assert dead == []
 
 
 def test_zero_consistency_violation_detected():
@@ -143,14 +142,14 @@ def test_coefficient_product_property():
     checked = 0
     for t1 in table.trees:
         for t2 in table.trees:
-            c1, c2 = table.classify(t1), table.classify(t2)
-            if c1.kind != "basis" or c2.kind != "basis":
+            c1, c2 = table.classify(t1.text), table.classify(t2.text)
+            if not c1 or not c2:
                 continue
             node = Node((t1, t2))
-            repr_node = Node((table.basis[c1.index], table.basis[c2.index]))
+            repr_node = Node((table.basis[c1[0][0]], table.basis[c2[0][0]]))
             lhs = table.rows[node.text]
             rhs = table.rows[repr_node.text]
-            coeff = c1.coeff * c2.coeff
+            coeff = c1[0][1] * c2[0][1]
             assert lhs == [coeff * x for x in rhs]
             checked += 1
     assert checked > 10
@@ -167,20 +166,20 @@ def test_ratio_equality_for_colinear_siblings():
                          [parse_structured_string("(a (a (a a)))", alphabet)])
     by_class = {}
     for t in table.trees:
-        cls = table.classify(t)
-        if cls.kind == "basis":
-            by_class.setdefault(cls.index, []).append((t, cls.coeff))
+        cls = table.classify(t.text)
+        if cls:
+            by_class.setdefault(cls[0][0], []).append((t, cls[0][1]))
     checked = 0
     classes = list(by_class.values())
     for left, right in itertools.product(classes, repeat=2):
         for (t1, a1), (t2, a2) in itertools.product(left, repeat=2):
             for (s1, b1), (s2, b2) in itertools.product(right, repeat=2):
                 n1, n2 = Node((t1, s1)), Node((t2, s2))
-                c1, c2 = table.classify(n1), table.classify(n2)
-                if c1.kind != "basis" or c2.kind != "basis":
+                c1, c2 = table.classify(n1.text), table.classify(n2.text)
+                if not c1 or not c2:
                     continue
-                assert c1.index == c2.index
-                assert c1.coeff / (a1 * b1) == c2.coeff / (a2 * b2)
+                assert c1[0][0] == c2[0][0]
+                assert c1[0][1] / (a1 * b1) == c2[0][1] / (a2 * b2)
                 checked += 1
     assert checked > 0
 
@@ -210,7 +209,7 @@ def test_classify_independent_row():
     # before any closing, the two-leaf chain row is independent of the
     # (empty) basis
     two_chain = parse_structured_string("(a a)", alphabet)
-    assert table.classify(two_chain).is_independent
+    assert table.classify(two_chain.text) is None
 
 
 def test_column_count_bounded_by_rank():
@@ -295,9 +294,9 @@ def pairwise_colinear_violation(table):
     ratio of their coefficients under every one-level context."""
     groups = {}
     for t in table.trees:
-        cls = table.classify(t)
-        if cls.kind == "basis":
-            groups.setdefault(cls.index, []).append((t, cls.coeff))
+        cls = table.classify(t.text)
+        if cls:
+            groups.setdefault(cls[0][0], []).append((t, cls[0][1]))
     one_level = sigma_contexts(table.trees, table.alphabet)
     for i in sorted(groups):
         for (t1, a1), (t2, a2) in itertools.combinations(groups[i], 2):
@@ -390,9 +389,9 @@ def memberwise_colinear_violation(table):
     for every one-level context c; returns the first separating context."""
     groups = {}
     for t in table.trees:
-        cls = table.classify(t)
-        if cls.kind == "basis" and t != table.basis[cls.index]:
-            groups.setdefault(cls.index, []).append((t, cls.coeff))
+        cls = table.classify(t.text)
+        if cls and t != table.basis[cls[0][0]]:
+            groups.setdefault(cls[0][0], []).append((t, cls[0][1]))
     one_level = sigma_contexts(table.trees, table.alphabet)
     for i in sorted(groups):
         b = table.basis[i]
@@ -532,7 +531,7 @@ def test_colinear_check_does_not_trust_classifications_alone(case):
     table.close()
     table.add_subtree_closed(Leaf("c"))
     table.close()
-    assert table.classify(Leaf("c")).index == 0 and Leaf("c") not in table.basis
+    assert table.classify(Leaf("c").text)[0][0] == 0 and Leaf("c") not in table.basis
     want = memberwise_colinear_violation(table)
     assert want is not None and want.text == expected
     assert table.check_colinear_consistency().text == expected
@@ -551,10 +550,11 @@ def classes_checked_on_every_column(monkeypatch):
         add_column(table, ctx)
         for text, cls in table._classes.items():
             fresh = table._classify_fresh(text)
-            assert cls == fresh and type(cls.coeff) is type(fresh.coeff), text
+            assert cls == fresh, text
+            assert [type(a) for _, a in cls] == [type(a) for _, a in fresh], text
         assert table._order == sorted(table._order, key=canonical_key)
         assert sorted(t.text for t in table._order) == sorted(table.rows)
-        zeros = sum(cls.is_zero for cls in table._classes.values())
+        zeros = sum(cls == [] for cls in table._classes.values())
         kept.append((zeros, len(table._classes) - zeros))
 
     monkeypatch.setattr(ObservationTable, "_add_column", checked)
@@ -606,10 +606,10 @@ def _closed_unary_table(values):
 
 def test_zero_class_dropped_when_new_cell_is_not_zero():
     table, column = _closed_unary_table({"a": 1, "b": 0, "(b)": 2, "z": 0})
-    assert table.classify(Leaf("b")).is_zero and table.classify(Leaf("z")).is_zero
+    assert table.classify(Leaf("b").text) == [] and table.classify(Leaf("z").text) == []
     table._add_column(column)
     assert "b" not in table._classes and "z" in table._classes
-    assert table.classify(Leaf("b")).is_independent
+    assert table.classify(Leaf("b").text) is None
     table.close()
     assert table.basis == [Leaf("a"), Leaf("b")]
 
@@ -619,25 +619,25 @@ def test_basis_class_dropped_when_new_cell_breaks_the_ratio():
               "((c))": 15}
     table, column = _closed_unary_table(values)
     assert table.basis == [Leaf("a")]
-    kept = table.classify(Leaf("d"))
-    assert table.classify(Leaf("c")) == ColinearClass("basis", 0, 2)
+    kept = table.classify(Leaf("d").text)
+    assert table.classify(Leaf("c").text) == [(0, 2)]
     table._add_column(column)
     assert table._classes["d"] is kept  # 9 == 3·3: the ratio holds
     assert "c" not in table._classes    # 5 != 2·3
-    assert table.classify(Leaf("c")).is_independent
+    assert table.classify(Leaf("c").text) is None
     table.close()
     assert table.basis == [Leaf("a"), Leaf("c")]
-    assert table.classify(Leaf("c")) == ColinearClass("basis", 1, 1)
+    assert table.classify(Leaf("c").text) == [(1, 1)]
 
 
 def test_float_basis_class_is_recomputed():
     values = {"a": 1.0, "c": 2.0, "(a)": 3.0, "(c)": 6.0}
     table, column = _closed_unary_table(values)
-    assert table.classify(Leaf("c")) == ColinearClass("basis", 0, 2.0)
+    assert table.classify(Leaf("c").text) == [(0, 2.0)]
     table._add_column(column)
     assert "c" not in table._classes and "a" not in table._classes
-    cls = table.classify(Leaf("c"))
-    assert cls == ColinearClass("basis", 0, 2.0) and type(cls.coeff) is float
+    cls = table.classify(Leaf("c").text)
+    assert cls == [(0, 2.0)] and type(cls[0][1]) is float
 
 
 def test_separating_context_needs_a_completed_table():

@@ -208,6 +208,7 @@ def test_exact_automaton_is_read_off_the_target():
     assert SimulatedTeacher(floats).exact_automaton(alphabet) is None
     assert SimulatedTeacher(exact, epsilon=1e-9).exact_automaton(alphabet) is None
     assert SimulatedTeacher(exact).exact_automaton(alphabet) is exact.automaton(2)
+    assert SimulatedTeacher(exact, epsilon=-0.0).exact_automaton(alphabet) is exact.automaton(2)
     assert SimulatedTeacher(exact).exact_automaton(exact.alphabet(3)) is exact.automaton(3)
     assert SimulatedTeacher(exact).exact_automaton(RankedAlphabet(["b"], 2)) is None
     ternary = parse_wcfg("S -> a a a [1]\n")
@@ -220,6 +221,14 @@ def test_exact_automaton_is_read_off_the_target():
     assert SimulatedTeacher(automaton).exact_automaton(alphabet) is automaton
     oracle = CorpusOracle(learn_corpus_entries(1), Fraction(1, 5))
     assert SimulatedTeacher(oracle).exact_automaton(oracle.alphabet()) is None
+
+
+@pytest.mark.parametrize("epsilon", [-1, -1e-9, float("nan")])
+def test_negative_or_nan_margin_is_rejected(acrab, epsilon):
+    # under a negative margin every candidate is a counterexample the table
+    # already weighs right; under NaN none is one
+    with pytest.raises(ValueError, match=r"teacher margin epsilon must be >= 0, got"):
+        SimulatedTeacher(acrab, epsilon=epsilon)
 
 
 class RefusingStrategy:
