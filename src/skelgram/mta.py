@@ -11,7 +11,8 @@ import itertools
 from fractions import Fraction
 
 from .multilinear import MultilinearMap, apply, dot
-from .scalars import TooLargeToWrite, format_scalar, is_exact, is_nonnegative, parse_scalar
+from .scalars import (TooLargeToWrite, format_scalar, is_exact, is_nonnegative, parse_scalar,
+                      times)
 from .trees import Context, Leaf, Node, RankedAlphabet, SkeletalTree, compose, unknown_subtrees
 
 
@@ -32,11 +33,12 @@ class MTA:
     The memo is keyed by a tree's text, whose str hash is cached, so a
     lookup calls no Python-level __hash__ or __eq__.  Pulled-back output
     vectors are memoized the same way, by context text, and whether the
-    coefficients are exact on the first evaluation in a context.
+    coefficients are exact on the first evaluation in a context; each
+    rank's columns are indexed by hole slot on its first pullback.
     """
 
     __slots__ = ("alphabet", "dim", "leaf_maps", "node_maps", "output", "_memo",
-                 "_pullbacks", "_exact")
+                 "_pullbacks", "_holes", "_exact")
 
     def __init__(self, alphabet: RankedAlphabet, dim: int, leaf_maps, node_maps, output):
         if dim < 0:
@@ -64,6 +66,7 @@ class MTA:
         self.output = output
         self._memo: dict[str, list] = {}
         self._pullbacks: dict[str, list] = {}
+        self._holes: dict[int, list] = {}  # rank -> _hole_columns of its map
         self._exact = None  # is_exact(), read by eval(t, c) on first use
 
     @classmethod
@@ -108,9 +111,12 @@ class MTA:
         """λ_c, the output vector pulled back through context c, dense like
         `output`: c∘t's value is its dot product with t's vector (Bailly,
         Habrard & Denis, ALT 2010).  One walk down c's spine, the siblings'
-        vectors fixed; each λ'_j is a `dot` with the map applied to the
-        int 1 unit vector at the hole, which `apply` does not multiply by.
-        EvaluationError as eval_support's."""
+        vectors fixed.  At each level, each combination of the siblings'
+        support entries selects, through `_hole_columns`, the columns
+        whose other coordinates it fixes; each adds λ · column times the
+        siblings' values to λ'_j at its hole coordinate j.  A λ'_j that
+        no column reaches, or that cancels, is int 0.  EvaluationError as
+        eval_support's."""
         lam = self._pullbacks.get(c.text)
         if lam is None:
             lam = self.output
@@ -118,10 +124,20 @@ class MTA:
                 k, h = len(left) + 1 + len(right), len(left)
                 if k > self.alphabet.max_rank:
                     raise EvaluationError(f"rank {k} exceeds max rank {self.alphabet.max_rank}")
+                holes = self._holes.get(k)
+                if holes is None:
+                    holes = self._holes[k] = _hole_columns(self.node_maps[k])
+                columns = holes[h]
                 sides = [self.eval_support(s) for s in left + right]
-                # λ'_j = λ · M(siblings, e_j at the hole); int 0 where it is zero
-                lam = [dot(lam, apply(self.node_maps[k], sides[:h] + [[(j, 1)]] + sides[h:]))
-                       or 0 for j in range(self.dim)]
+                new = [0] * self.dim
+                for combo in itertools.product(*sides):
+                    for j, entries in columns.get(tuple([i for i, _ in combo]), ()):
+                        y = dot(lam, entries)
+                        if y:
+                            for _, x in combo:
+                                y = times(y, x)
+                            new[j] += y
+                lam = [y or 0 for y in new]
             self._pullbacks[c.text] = lam
         return lam
 
@@ -182,6 +198,19 @@ class MTA:
         return (all(sum(1 for x in vec if x != 0) <= 1 for vec in self.leaf_maps.values())
                 and all(len(col) <= 1 for m in self.node_maps.values()
                         for col in m.columns.values()))
+
+
+def _hole_columns(m: MultilinearMap) -> list:
+    """For each hole slot h of m, its non-empty columns by their other
+    coordinates: {col[:h] + col[h+1:]: [(col[h], col's (i, c) entries)]},
+    in column order."""
+    holes = [{} for _ in range(m.arity)]
+    for col, entries in m.columns.items():
+        if entries:
+            items = list(entries.items())
+            for h, by_rest in enumerate(holes):
+                by_rest.setdefault(col[:h] + col[h + 1:], []).append((col[h], items))
+    return holes
 
 
 def format_mta(a: MTA) -> str:

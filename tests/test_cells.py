@@ -177,6 +177,54 @@ def test_signed_automaton_cells_match_composed(monkeypatch):
     assert cancelled >= 5
 
 
+def random_sparse_mta(rng, alphabet, dim, scalar, fill_late) -> MTA:
+    """Random exact automaton with about one column in three and leaf
+    entries in two, all of one type, int or Fraction, so that no path's
+    sums mix types.  With fill_late its maps are filled after MTA(...),
+    before its first evaluation."""
+    def value():
+        x = scalar(rng.choice((-2, -1, 1, 1, 3)))
+        return x / rng.choice((1, 2)) if scalar is Fraction else x
+
+    leaf_maps = {tok: [value() if rng.random() < 0.5 else scalar(0) for _ in range(dim)]
+                 for tok in alphabet.leaf_symbols}
+    columns = {k: {col: {i: value() for i in rng.sample(range(dim), rng.randint(1, dim))}
+                   for col in itertools.product(range(dim), repeat=k) if rng.random() < 0.35}
+               for k in range(1, alphabet.max_rank + 1)}
+    output = [value() for _ in range(dim)]
+    if not fill_late:
+        return MTA(alphabet, dim, leaf_maps,
+                   {k: MultilinearMap(k, dim, cols) for k, cols in columns.items()}, output)
+    a = MTA(alphabet, dim, leaf_maps, {}, output)
+    for k, cols in columns.items():
+        a.node_maps[k].columns.update(cols)
+    return a
+
+
+def test_sparse_rank3_pullbacks_match_composed():
+    """Rank-3 automata with missing columns, unary levels and zero siblings:
+    a cell pulled back equals the composed tree's weight, in value and type,
+    with the hole at every slot, and a map filled after MTA(...) counts."""
+    rng = random.Random(3003)
+    alphabet = RankedAlphabet(["a", "b", "c"], 3)
+    slots, zero_siblings, late_nonzero = set(), 0, 0
+    for i in range(24):
+        scalar, fill_late = (int, Fraction)[i % 2], i % 4 >= 2
+        a = random_sparse_mta(rng, alphabet, rng.randint(1, 4), scalar, fill_late)
+        for ctx in random_contexts(rng, alphabet, 3, max_depth=4):
+            for _ in range(3):
+                tree = random_tree(rng, alphabet, 3)
+                factored, composed = a.eval(tree, ctx), a.eval(compose(ctx, tree))
+                assert factored == composed and type(factored) is type(composed), \
+                    (i, tree.text, ctx.text)
+                late_nonzero += fill_late and factored != 0
+            for left, right in ctx.levels:
+                slots.add((len(left) + 1 + len(right), len(left)))
+                zero_siblings += not all(a.eval_support(s) for s in left + right)
+    assert slots == {(k, h) for k in (1, 2, 3) for h in range(k)}
+    assert zero_siblings and late_nonzero
+
+
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 @pytest.mark.parametrize("distance", ["duplication", "swap"])
 @pytest.mark.parametrize("seed", [1, 2, 5])

@@ -728,6 +728,9 @@ def _learn_digests(out):
 # (exact acrab: 5 SEQs, 1,916 SMQs; colinearity3: 33 SMQs, was 55); the
 # float learns scan, so their counterexamples' subtrees still join T (acrab
 # --float: same 13 states, 5 SEQs and 3,240 SMQs, report.json unchanged).
+# Exact fimacd (31 states, 11 SEQs, 14,506 SMQs), the learn whose witness
+# searches and pullbacks do the most work, was pinned as its exact SEQ then
+# printed: tree by tree, with one `apply` per coordinate per pullback level.
 GRAMMAR_LEARN_SHA256 = {
     "acrab": {
         "hypothesis.mta": "57fefe789093cab798bc4301086cd7175ab59a778c646c5fc02a450fd278d7a8",
@@ -756,6 +759,13 @@ GRAMMAR_LEARN_SHA256 = {
         "hypothesis.pcfg": "3f2bb14dc3563d3255bb171914bcbae8777cc72a97568a9d39dfd27aa09e1912",
         "table.tsv": "f94bef083497fe27ebcf51e1c4768563dc2ad9e5906f82b72d108b23469291de",
         "report.json": "fbd90f187cbafa720bd4c111ec366b60a1a870b274d5f97b13665f01f646815a"
+    },
+    "fimacd": {
+        "hypothesis.mta": "c1ec3d833984786b054e3d9bf8b5e55d2fc584aecede8585c2d4e1eea872510f",
+        "hypothesis.wcfg": "a5469ff4cd75c44ed2debb62ef0ac2f2c0488fab8c8cf26cc3a9a10027cd883d",
+        "hypothesis.pcfg": "9d2e7f3037a71c1957ef086538773740d40a58831a2d4c2d0ad95c6ba8b89416",
+        "table.tsv": "13fe8d064ac1574b778fcb08e39315811a6e882d6b0517cbdbc4a449373b879f",
+        "report.json": "c7650d1d48c165958bdf06cb35925ff62b9e200e0b13c24cd6648e8f76f71fd6"
     },
     "smalldup": {
         "hypothesis.mta": "28e078f9a66d4c0dc9e3c71f846c73b84c27a641fe3859cf0d9eb56b5dec93a4",

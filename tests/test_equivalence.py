@@ -1,15 +1,20 @@
-"""difference_witness against a brute-force sweep of small trees."""
+"""difference_witness against a brute-force sweep of small trees, and
+against the tree-by-tree search it replaced, which must find the same
+first witness."""
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import skelgram.teacher as teacher_module
 from skelgram.equivalence import difference_witness
 from skelgram.grammar import WCFG, load_wcfg, pmta_to_wcfg, wcfg_to_pmta
+from skelgram.learner import learn
 from skelgram.mta import MTA
 from skelgram.multilinear import MultilinearMap
-from skelgram.trees import Leaf, Node, RankedAlphabet
+from skelgram.teacher import SimulatedTeacher
+from skelgram.trees import Leaf, Node, RankedAlphabet, tuples_holding
 
 from conftest import FIXTURES, random_cmta
 
@@ -33,14 +38,63 @@ def small_trees(alphabet, max_size, max_leaves=6):
     return [t for trees in by_size.values() for t, _ in trees]
 
 
+def reference_witness(a, b):
+    """The search as it was: each tree tried is built and weighed by both
+    automata's eval, then its joint vector is reduced by echelon rows that
+    keep their lead entry."""
+    offset, full = a.dim, a.dim + b.dim
+    rows = {}
+
+    def independent(t):
+        v = dict(a.eval_support(t))
+        v.update((offset + i, x) for i, x in b.eval_support(t))
+        while v:
+            lead = min(v)
+            c = Fraction(v[lead])
+            row = rows.get(lead)
+            if row is None:
+                rows[lead] = {i: x / c for i, x in v.items()}
+                return True
+            for i, x in row.items():
+                y = v.get(i, 0) - c * x
+                if y:
+                    v[i] = y
+                else:
+                    del v[i]
+        return False
+
+    basis = []
+    trees = iter([Leaf(tok) for tok in a.alphabet.leaf_symbols])
+    done = 0
+    while True:
+        for t in trees:
+            if a.eval(t) != b.eval(t):
+                return t
+            if independent(t):
+                basis.append(t)
+                if len(rows) == full:
+                    return None
+        if done == len(basis):
+            return None
+        trees = (Node(combo) for combo in
+                 tuples_holding(basis[done], basis[:done], a.alphabet.max_rank))
+        done += 1
+
+
+def text(tree):
+    return None if tree is None else tree.text
+
+
 def first_difference(a, b, trees):
     return next((t for t in trees if a.eval(t) != b.eval(t)), None)
 
 
 def check_against_sweep(a, b, trees):
-    """The witness differs; no witness means no swept tree differs; a swept
-    difference means there is a witness.  Returns the witness."""
+    """The witness is the reference search's and differs; no witness means
+    no swept tree differs; a swept difference means there is a witness.
+    Returns the witness."""
     witness = difference_witness(a, b)
+    assert text(witness) == text(reference_witness(a, b))
     swept = first_difference(a, b, trees)
     if witness is None:
         assert swept is None, swept
@@ -137,3 +191,29 @@ def test_different_alphabets_are_refused():
     a = MTA.zero(RankedAlphabet(["a"], 2))
     with pytest.raises(ValueError, match="different alphabets"):
         difference_witness(a, MTA.zero(RankedAlphabet(["a"], 3)))
+
+
+def test_inexact_automata_are_refused():
+    # the same grammar, so no tree differs; float sums made one seem to
+    exact = wcfg_to_pmta(load_wcfg(FIXTURES / "acrab.wcfg"), 2)
+    inexact = wcfg_to_pmta(load_wcfg(FIXTURES / "acrab.wcfg", exact=False), 2)
+    for a, b in [(inexact, exact), (exact, inexact)]:
+        with pytest.raises(ValueError, match="must be exact"):
+            difference_witness(a, b)
+
+
+@pytest.mark.parametrize("name", ["acrab", "fimacd"])
+def test_learn_queries_get_the_reference_witness(monkeypatch, name):
+    asked = []
+
+    def recorded(a, b):
+        witness = difference_witness(a, b)
+        asked.append((a, b, witness))
+        return witness
+
+    monkeypatch.setattr(teacher_module, "difference_witness", recorded)
+    g = load_wcfg(FIXTURES / f"{name}.wcfg")
+    report = learn(SimulatedTeacher(g), g.alphabet(2))
+    assert len(asked) == report.seq_count > 1
+    for a, b, witness in asked:
+        assert text(witness) == text(reference_witness(a, b))

@@ -147,7 +147,7 @@ def test_eval_pullback_and_apply_match_the_old_formulas(kind):
             for _ in range(10):
                 args = [[(j, value(rng, kind)) for j in range(a.dim) if rng.random() < 0.7]
                         for _ in range(k)]
-                args[0] = args[0] or [(0, 1)]  # pullback's unit argument
+                args[0] = args[0] or [(0, 1)]  # an int 1 entry, which apply does not multiply by
                 assert same(apply(a.node_maps[k], args), old_apply(a.node_maps[k], args))
     if kind in ("float", "mixed"):
         assert zero_signs == {1.0}  # float sums that cancel read +0.0
