@@ -8,8 +8,9 @@ distances).  Exit codes: 0 success, 2 input error, 3 iteration cap,
 cannot take, an automaton whose dense .mta form would exceed
 mta.MAX_DENSE_COEFFICIENTS, a weight to write with more digits than
 Python converts to text, or a learn whose table cannot go on (a
-counterexample value that the table's own cells contradict, or a float
-row within tolerance of two basis rows).
+counterexample value that the table's own cells contradict).  Every weight
+is read exactly; `--float` only prints the weights learn and convert
+write as floats.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import json
 import sys
 import time
 from contextlib import suppress
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +28,7 @@ from .grammar import (GrammarError, WCFG, format_wcfg, parse_wcfg, pmta_to_wcfg,
                       wcfg_to_pcfg, wcfg_to_pmta)
 from .learner import learn
 from .mta import MTA, TooLargeToWrite, format_mta, parse_mta
-from .scalars import parse_scalar
+from .scalars import decimal_text, float_text, format_scalar, parse_scalar
 from .table import CapExceeded, TableError
 from .teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
                       ExhaustiveStrategy, SamplingStrategy, SimulatedTeacher,
@@ -40,7 +40,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_PRECONDITION = 4
-FLOAT_HELP = "parse weights as floats and compare with relative tolerance 1e-9"
+FLOAT_HELP = ("print each weight written as a float: float(x) of its exact value, or "
+              "17 significant digits where float(x) overflows or is not a normal float")
 DEFAULT_MAX_RANK = 2
 MAX_RANK_HELP = (f"largest node arity (default {DEFAULT_MAX_RANK}; "
                  "an automaton only accepts its own p=)")
@@ -52,15 +53,15 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_target(path_text: str, exact: bool):
+def _load_target(path_text: str):
     path = Path(path_text)
     if not path.exists():
         raise CliError(f"no such file: {path}", EXIT_INPUT)
     text = path.read_text(encoding="utf-8")
     try:
         if text.lstrip().startswith("mta "):
-            return parse_mta(text, exact)
-        return parse_wcfg(text, exact)
+            return parse_mta(text)
+        return parse_wcfg(text)
     except (GrammarError, ValueError) as exc:
         raise CliError(f"cannot parse {path}: {exc}", EXIT_INPUT)
 
@@ -79,8 +80,8 @@ def _alphabet(target, max_rank):
 def _build_strategy(args, alphabet, weight):
     if alphabet.max_rank < 2:
         raise CliError(f"--seq {args.seq} needs --max-rank 2 or more; at --max-rank 1 only "
-                       "an exact automaton or grammar learns, with no --float and no "
-                       "--epsilon other than 0", EXIT_INPUT)
+                       "an automaton or grammar learns, with no --epsilon other than 0",
+                       EXIT_INPUT)
     if args.seq == "exhaustive":
         return ExhaustiveStrategy(alphabet, args.max_len, weight)
     if args.seq == "sampling":
@@ -97,25 +98,21 @@ def _build_strategy(args, alphabet, weight):
 
 
 def cmd_learn(args) -> int:
-    exact = not args.float
-    epsilon = 0 if exact else 1e-6
     if args.distance is not None:
         try:
             entries, alphabet = load_corpus(
-                args.target, exact=exact,
-                max_rank=DEFAULT_MAX_RANK if args.max_rank is None else args.max_rank)
-            q = parse_scalar(args.q, exact)
+                args.target, DEFAULT_MAX_RANK if args.max_rank is None else args.max_rank)
+            q = parse_scalar(args.q)
             target = CorpusOracle(entries, q, args.distance)
         except (ValueError, OSError) as exc:
             raise CliError(f"cannot load corpus: {exc}", EXIT_INPUT)
         weight = SubstringFrequencyWeight(
             [tree_yield(entry) for entry, _ in entries])
     else:
-        target = _load_target(args.target, exact)
+        target = _load_target(args.target)
         alphabet = _alphabet(target, args.max_rank)
         weight = None
-    if args.epsilon is not None:
-        epsilon = parse_scalar(args.epsilon, exact=False)
+    epsilon = 0 if args.epsilon is None else parse_scalar(args.epsilon)
 
     teacher = SimulatedTeacher(target, epsilon=epsilon)
     scanning = teacher.exact_automaton(alphabet) is None
@@ -132,15 +129,16 @@ def cmd_learn(args) -> int:
         print("warning: no equivalence candidate has non-zero target weight",
               file=sys.stderr)
 
+    text = float_text if args.float else format_scalar
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     hypothesis = report.hypothesis
-    (out / "hypothesis.mta").write_text(format_mta(hypothesis), encoding="utf-8")
+    (out / "hypothesis.mta").write_text(format_mta(hypothesis, text), encoding="utf-8")
     wcfg = pmta_to_wcfg(hypothesis)
-    (out / "hypothesis.wcfg").write_text(format_wcfg(wcfg), encoding="utf-8")
+    (out / "hypothesis.wcfg").write_text(format_wcfg(wcfg, text), encoding="utf-8")
     try:
         pcfg = wcfg_to_pcfg(wcfg)
-        (out / "hypothesis.pcfg").write_text(format_wcfg(pcfg), encoding="utf-8")
+        (out / "hypothesis.pcfg").write_text(format_wcfg(pcfg, text), encoding="utf-8")
     except GrammarError as exc:
         print(f"warning: PCFG normalization failed: {exc}", file=sys.stderr)
     payload = {
@@ -153,13 +151,13 @@ def cmd_learn(args) -> int:
     (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n",
                                      encoding="utf-8")
     if args.dump_table:
-        (out / "table.tsv").write_text(report.table.dump_tsv(), encoding="utf-8")
+        (out / "table.tsv").write_text(report.table.dump_tsv(text), encoding="utf-8")
     print(json.dumps(payload))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    target = _load_target(args.model, not args.float)
+    target = _load_target(args.model)
     alphabet = _alphabet(target, args.max_rank)
     evaluate = target.eval if isinstance(target, MTA) else target.skeletal_weight
     if args.trees:
@@ -190,9 +188,7 @@ def _fmt_value(value):
                 return str(value.numerator)
             if abs(x := float(value)) >= sys.float_info.min:  # normal: holds 12 digits
                 return f"{x:.12g}"
-        # past float range or below its normal floats: 12 digits, trailing zeros dropped
-        with localcontext(Context(prec=12, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-            return f"{(Decimal(value.numerator) / value.denominator).normalize():.12g}"
+        return decimal_text(value, 12)
     return f"{value:.12g}"
 
 
@@ -202,24 +198,24 @@ def cmd_convert(args) -> int:
     if len(modes) != 1:
         raise CliError("choose exactly one conversion mode", EXIT_INPUT)
     mode = modes[0]
-    exact = not args.float
+    text = float_text if args.float else format_scalar
     if mode == "pmta_to_wcfg":
-        automaton = _load_target(args.input, exact)
+        automaton = _load_target(args.input)
         if not isinstance(automaton, MTA):
             raise CliError("input is not an automaton file", EXIT_INPUT)
         try:
-            result = format_wcfg(pmta_to_wcfg(automaton))
+            result = format_wcfg(pmta_to_wcfg(automaton), text)
         except GrammarError as exc:
             raise CliError(str(exc), EXIT_PRECONDITION)
     else:
-        grammar = _load_target(args.input, exact)
+        grammar = _load_target(args.input)
         if not isinstance(grammar, WCFG):
             raise CliError("input is not a grammar file", EXIT_INPUT)
         try:
             if mode == "wcfg_to_pmta":
-                result = format_mta(wcfg_to_pmta(grammar))
+                result = format_mta(wcfg_to_pmta(grammar), text)
             else:
-                result = format_wcfg(wcfg_to_pcfg(grammar))
+                result = format_wcfg(wcfg_to_pcfg(grammar), text)
         except GrammarError as exc:
             raise CliError(str(exc), EXIT_PRECONDITION)
     if args.output:
@@ -282,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", default="trees",
                    choices=["exhaustive", "sampling", "duplications", "trees"],
                    help="equivalence candidates to scan; unused, and equivalence "
-                        "decided exactly, for an exact grammar or automaton target "
-                        "with no --float and no --epsilon other than 0")
+                        "decided exactly, for a grammar or automaton target with no "
+                        "--epsilon other than 0")
     p.add_argument("--max-len", type=_at_least(1), default=4,
                    help="string length bound for exhaustive/sampling")
     p.add_argument("--max-leaves", type=_at_least(1), default=5,
@@ -307,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="grammar or automaton file")
     p.add_argument("--trees", help="file of structured strings (default stdin)")
     p.add_argument("--max-rank", type=int, help=MAX_RANK_HELP)
-    p.add_argument("--float", action="store_true", help=FLOAT_HELP)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("convert", help="convert between model formats")

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .multilinear import MultilinearMap
 from .mta import MTA
-from .scalars import is_exact
 from .table import ObservationTable, TableError
 
 
@@ -26,8 +25,6 @@ def extract_cmta(table: ObservationTable) -> MTA:
     if not table.is_completed:
         raise TableError("table must be closed and consistent before extraction")
     d = len(table.basis)
-    exact = all(is_exact(x) for b in table.basis for x in table.rows[b.text])
-    zero = Fraction(0) if exact else 0.0
 
     def entry(cls, row) -> dict:
         """{basis index: coefficient} of a row's class; {} for a zero row.
@@ -39,11 +36,11 @@ def extract_cmta(table: ObservationTable) -> MTA:
     leaf_maps = {}
     for tok in table.alphabet.leaf_symbols:
         found = entry(table.classify(tok), tok)
-        leaf_maps[tok] = [found.get(i, zero) for i in range(d)]
+        leaf_maps[tok] = [found.get(i, Fraction(0)) for i in range(d)]
 
     node_maps = {}
     for k in range(1, table.alphabet.max_rank + 1):
-        m = node_maps[k] = MultilinearMap(k, d, zero_scalar=zero)
+        m = node_maps[k] = MultilinearMap(k, d)
         for col in itertools.product(range(d), repeat=k):
             if found := entry(table.basis_class(col), col):
                 m.columns[col] = found

@@ -8,6 +8,7 @@ nonterminal N sums the rule-weight products over all taggings rooted at N.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .multilinear import MultilinearMap
@@ -234,8 +235,9 @@ def partition_functions(g: WCFG) -> dict:
     bottom-up, with the values below multiplied in as constants (Etessami &
     Yannakakis, JACM 2009): an SCC without a cycle in one pass, a linear one
     (no rule has two rhs symbols inside it) by elimination in the grammar's
-    own arithmetic, a nonlinear one by Newton's method in floats from 0,
-    snapped back to rationals when they satisfy its equations exactly.
+    own arithmetic, one exact quadratic equation by its closed form, any other
+    nonlinear one by Newton's method in floats from 0, snapped back to
+    rationals when they satisfy its equations exactly.
     Raises GrammarError when a Z is infinite.
     """
     if not all(map(is_nonnegative, g.weights.values())):
@@ -323,7 +325,10 @@ def _solve_component(comp: list, by_lhs: dict, z: dict) -> list:
     Every member derives a tree and every coefficient is positive, so the
     system is clean in the sense of Esparza, Kiefer & Luttenberger (JACM
     2010): Newton's iterates from 0 are defined and increase to the least
-    fixed point when it is finite.
+    fixed point when it is finite.  One exact quadratic equation has a
+    closed form (`_quadratic_root`); any other nonlinear system is solved
+    by float Newton, snapped back to rationals when they satisfy it
+    exactly.
     """
     pos = {nt: i for i, nt in enumerate(comp)}
     eqs = []  # per member: (coefficient, positions of its rhs symbols in comp)
@@ -341,17 +346,17 @@ def _solve_component(comp: list, by_lhs: dict, z: dict) -> list:
     if len(comp) == 1 and not any(inside for _, inside in eqs[0]):
         return [ordered_sum(c for c, _ in eqs[0])]
     exact = all(is_exact(c) for terms in eqs for c, _ in terms)
-    if exact and all(len(inside) <= 1 for terms in eqs for _, inside in terms):
+    degree = max(len(inside) for terms in eqs for _, inside in terms)
+    if exact and degree == 1:
         return _newton(eqs, Fraction(0))  # a linear system: one exact step
+    if exact and len(eqs) == 1 and degree == 2:
+        return [_quadratic_root(comp[0], eqs[0])]
     try:
         floats = [[(float(c), inside) for c, inside in terms] for terms in eqs]
     except OverflowError:
         raise GrammarError(f"cannot solve for {comp[0]}: a weight is beyond "
                            "float range") from None
-    steps = []
-    values = _newton(floats, 0.0, steps)
-    if not exact:  # with exact weights, _snap finds a rational double root
-        values = _double_step(floats, values, steps)
+    values = _newton(floats, 0.0)
     # float weights are binary rationals, so they too may have an exact root
     snapped = _snap([[(Fraction(c), inside) for c, inside in terms] for terms in eqs],
                     values, exact and len(eqs) == 1)
@@ -360,7 +365,47 @@ def _solve_component(comp: list, by_lhs: dict, z: dict) -> list:
     return snapped if exact else [float(v) for v in snapped]
 
 
-def _newton(eqs: list, zero, steps: list | None = None) -> list:
+def _quadratic_root(nt: str, terms: list):
+    """The least root of z = a·z² + b·z + c, each coefficient the sum of
+    the terms of its degree, a and c positive: 2c / (1 − b + √D) with
+    D = (1 − b)² − 4ac, which is (1 − b − √D) / 2a without its
+    cancellation.  Exact when D is the square of a rational (D = 0 is the
+    critical double root); otherwise the float nearest to it, read off
+    integer square roots at more bits until both ends of the bracket round
+    alike, which ends because the root is irrational.  GrammarError when
+    there is no real root (the partition function diverges) or the root is
+    beyond float range."""
+    a = b = c = Fraction(0)
+    for w, inside in terms:
+        if len(inside) == 2:
+            a += w
+        elif inside:
+            b += w
+        else:
+            c += w
+    n = 1 - b
+    disc = n * n - 4 * a * c
+    if n <= 0 or disc < 0:
+        raise GrammarError("partition function diverges")
+    p, q = disc.numerator, disc.denominator
+    root_p, root_q = math.isqrt(p), math.isqrt(q)
+    if root_p * root_p == p and root_q * root_q == q:
+        return 2 * c / (n + Fraction(root_p, root_q))
+    bits = 64
+    try:
+        while True:
+            # √D = √(pq)/q lies in [s, s + 1) / (q·2^bits)
+            s = math.isqrt(p * q << 2 * bits)
+            scale = q << bits
+            high = float(2 * c / (n + Fraction(s, scale)))
+            if high == float(2 * c / (n + Fraction(s + 1, scale))):
+                return high
+            bits *= 2
+    except OverflowError:
+        raise GrammarError(f"cannot solve for {nt}: its value is beyond float range") from None
+
+
+def _newton(eqs: list, zero) -> list:
     """Newton's method from 0 for z = f(z), f a polynomial per equation.
 
     Below a finite least fixed point every step is defined and non-negative,
@@ -369,8 +414,7 @@ def _newton(eqs: list, zero, steps: list | None = None) -> list:
     makes progress; it has converged if every z is positive (as every member
     of a productive SCC is) and each residual is within a relative
     PARTITION_TOL of f(z).  At a critical (double) root that is about
-    sqrt(eps) short, which the residual test tolerates.  Each step taken is
-    appended to `steps`, if given, as (z, step, relative residual).
+    sqrt(eps) short, which the residual test tolerates.
     """
     z = [zero] * len(eqs)
     while True:
@@ -385,46 +429,7 @@ def _newton(eqs: list, zero, steps: list | None = None) -> list:
                     abs(r) <= PARTITION_TOL * a for r, a in zip(residual, fz)):
                 return z
             raise GrammarError("partition function diverges")
-        if steps is not None:
-            steps.append((z, step, max(map(abs, residual)) / max(fz)))
         z = nxt
-
-
-HALVING_TOL = 0.1  # how far from 1/2 a step ratio may be at a double root
-CLEAN_RESIDUAL = 2.0 ** -46  # 64 eps: below it a step is mostly rounding noise
-CRITICAL_RESIDUAL = 2.0 ** -50  # 4 eps: a residual that is rounding only
-
-
-def _double_step(eqs: list, z: list, steps: list) -> list:
-    """z, where float Newton stalled, or the double root it was converging
-    to, if it is one up to rounding.
-
-    At a double root each Newton step s_j is about half the one before, and
-    z stalls about sqrt(eps) short.  The doubled step z_j + 2 s_j, the
-    classical correction, lands on the root up to about |s_j| |2 r_j - 1|,
-    r_j = |s_{j+1}| / |s_j|, and its rounding error grows as the residual
-    shrinks to eps.  So it is taken where that estimate is least, among the
-    steps whose residual is clean and whose ratios on both sides are near
-    1/2, and kept only if its own residual is rounding only: two roots
-    further apart than rounding put it between them, where f(z) < z.
-    """
-    sizes = [max(map(abs, step)) for _, step, _ in steps]
-    best, at = None, None
-    for j in range(1, len(steps) - 1):
-        before, after = sizes[j] / sizes[j - 1], sizes[j + 1] / sizes[j]
-        if (steps[j][2] > CLEAN_RESIDUAL and abs(2 * before - 1) <= HALVING_TOL
-                and abs(2 * after - 1) <= HALVING_TOL):
-            error = sizes[j] * abs(2 * after - 1)
-            if best is None or error <= best:
-                best, at = error, j
-    if at is None:
-        return z
-    zj, sj, _ = steps[at]
-    doubled = [a + 2 * d for a, d in zip(zj, sj)]
-    fz = _linearize(eqs, doubled, 0.0)[0]
-    if max(abs(a - b) for a, b in zip(fz, doubled)) > CRITICAL_RESIDUAL * max(fz):
-        return z
-    return doubled
 
 
 def _linearize(eqs: list, z: list, zero):
@@ -514,9 +519,10 @@ def _snap(eqs: list, values: list, refine: bool):
     (Legendre), and for one equation q has at most `bits`, the coefficients'
     total size, by the rational root theorem.  So the steps end once they
     are below 2^-(2 bits + 1), or fail to shrink by more than half, as at a
-    critical root, where Newton only halves the error.  The caller refines
-    one equation only: a system has no such bound, and its exact iterates
-    double in size each step (a 21-member component ran for minutes).
+    critical root, where Newton only halves the error.  Each iterate is
+    rounded down to 2 bits + 3 binary places, so that the cost of a step
+    is bounded.  The caller refines one equation only: a system has no such
+    bound.
     """
     bits = sum(c.numerator.bit_length() + c.denominator.bit_length()
                for terms in eqs for c, _ in terms)
@@ -538,7 +544,8 @@ def _snap(eqs: list, values: list, refine: bool):
         size = step and max(abs(d) for d in step)
         if not size or 2 * size >= tol:
             return None
-        z, tol = [a + d for a, d in zip(z, step)], size
+        places = 1 << 2 * bits + 3
+        z, tol = [Fraction(math.floor((a + d) * places), places) for a, d in zip(z, step)], size
 
 
 def _convergents(x, max_bits: int) -> list:
@@ -587,8 +594,9 @@ def wcfg_to_pcfg(g: WCFG) -> PCFG:
 # -- text format -----------------------------------------------------------
 
 
-def parse_wcfg(text: str, exact: bool = True) -> WCFG:
-    """Grammar file: optional "start: <N>" line, then "<N> -> <sym>... [<w>]"."""
+def parse_wcfg(text: str) -> WCFG:
+    """Grammar file: optional "start: <N>" line, then "<N> -> <sym>... [<w>]",
+    each weight read exactly (`parse_scalar`)."""
     start = None
     raw_rules = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -611,7 +619,7 @@ def parse_wcfg(text: str, exact: bool = True) -> WCFG:
         if "->" in body or any(c in sym for sym in (lhs, *rhs) for c in "[]"):
             raise GrammarError(f"line {lineno}: one rule per line, and no '->', '[' "
                                f"or ']' in a symbol: {line!r}")
-        w = parse_scalar(weight_part.rstrip("]"), exact)
+        w = parse_scalar(weight_part.rstrip("]"))
         raw_rules.append((lhs, rhs, w))
     if not raw_rules:
         raise GrammarError("no rules in grammar")
@@ -628,19 +636,20 @@ def parse_wcfg(text: str, exact: bool = True) -> WCFG:
     weights: dict = {}
     for lhs, rhs, w in raw_rules:
         key = (lhs, rhs)
-        weights[key] = weights.get(key, Fraction(0) if exact else 0.0) + w
+        weights[key] = weights.get(key, 0) + w
     return WCFG(nts, terminals, weights)
 
 
-def load_wcfg(path, exact: bool = True) -> WCFG:
+def load_wcfg(path) -> WCFG:
     with open(path, encoding="utf-8") as fh:
-        return parse_wcfg(fh.read(), exact)
+        return parse_wcfg(fh.read())
 
 
-def format_wcfg(g: WCFG) -> str:
+def format_wcfg(g: WCFG, text=format_scalar) -> str:
+    """Grammar file text, each weight written by `text`."""
     lines = [f"start: {g.start}"]
     order = {nt: i for i, nt in enumerate(g.nonterminals)}
     for (lhs, rhs) in sorted(g.weights, key=lambda r: (order[r[0]], r[1])):
         w = g.weights[(lhs, rhs)]
-        lines.append(f"{lhs} -> {' '.join(rhs)} [{format_scalar(w)}]")
+        lines.append(f"{lhs} -> {' '.join(rhs)} [{text(w)}]")
     return "\n".join(lines) + "\n"

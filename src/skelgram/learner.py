@@ -11,7 +11,6 @@ from typing import Optional, Protocol
 
 from .extract import extract_cmta
 from .mta import MTA
-from .scalars import scalar_eq
 from .table import Budget, ObservationTable
 from .trees import IDENTITY_CONTEXT, Context, Leaf, RankedAlphabet, SkeletalTree
 
@@ -43,10 +42,10 @@ def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
           max_iterations: int | None = None) -> LearnReport:
     """Learn a co-linear automaton for the oracle's skeletal tree series.
 
-    While the table's hypothesis weighs a counterexample z wrong (by
-    `scalar_eq`), z goes to `ObservationTable.add_counterexample`, which
-    adds the one column that z's walk finds and completes the table; a walk
-    that finds no new column raises TableError.  The hypothesis's value of
+    While the table's hypothesis weighs a counterexample z wrong, z goes to
+    `ObservationTable.add_counterexample`, which adds the one column that
+    z's walk finds and completes the table; a walk that finds no new column
+    raises TableError.  The hypothesis's value of
     z is read off the table's classes (`ObservationTable.hypothesis_value`),
     so no automaton is built between columns.  When the oracle's
     equivalence query is a scan (`exact_automaton` is None), z's subtrees
@@ -57,8 +56,8 @@ def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
 
     The cap (default 10*|leaf alphabet| + 1000) counts basis additions,
     column additions, and equivalence queries; targets without finite
-    co-linear rank exhaust it and raise CapExceeded.  The arithmetic follows
-    the oracle's scalars: load the target with exact=False to learn in floats.
+    co-linear rank exhaust it and raise CapExceeded.  The oracle's answers
+    must be exact: the table compares them exactly.
     """
     cap = default_iteration_cap(alphabet) if max_iterations is None else max_iterations
     budget = Budget(cap)
@@ -79,7 +78,7 @@ def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
                                max_counterexample_size=max_cex, table=table)
         counterexample, value = answer
         max_cex = max(max_cex, counterexample.size)
-        while not scalar_eq(table.hypothesis_value(counterexample), value):
+        while table.hypothesis_value(counterexample) != value:
             table.add_counterexample(counterexample)
         if scans:
             table.complete([counterexample])

@@ -32,9 +32,9 @@ class MTA:
     lifetime, so its maps must not change once it has evaluated a tree.
     The memo is keyed by a tree's text, whose str hash is cached, so a
     lookup calls no Python-level __hash__ or __eq__.  Pulled-back output
-    vectors are memoized the same way, by context text, and whether the
-    coefficients are exact on the first evaluation in a context; each
-    rank's columns are indexed by hole slot on its first pullback.
+    vectors are memoized the same way, by context text; each rank's
+    columns are indexed by hole slot on its first pullback, and whether
+    the coefficients are exact on the first `is_exact`.
     """
 
     __slots__ = ("alphabet", "dim", "leaf_maps", "node_maps", "output", "_memo",
@@ -67,7 +67,7 @@ class MTA:
         self._memo: dict[str, list] = {}
         self._pullbacks: dict[str, list] = {}
         self._holes: dict[int, list] = {}  # rank -> _hole_columns of its map
-        self._exact = None  # is_exact(), read by eval(t, c) on first use
+        self._exact = None  # is_exact(), on its first call
 
     @classmethod
     def zero(cls, alphabet: RankedAlphabet) -> "MTA":
@@ -154,21 +154,16 @@ class MTA:
 
     def eval(self, t: SkeletalTree, c: Context | None = None):
         """Automaton value of t, or with a context c of c∘t: t's vector
-        dotted with the output vector, or for an exact automaton with c's
-        pullback, so that no c∘t is built.  The dot product starts at its
-        first term and does not multiply by an exact one (`dot`): a grammar
-        automaton's output is a Fraction(1) at the start symbol, so its value
-        is the start coordinate itself.  A float automaton, or a cell whose
-        parts fail to evaluate, weighs c∘t itself, so float sums add in one
-        order and errors are the composed tree's.  An exact zero is 0,
-        Fraction(0) at dimension 0; a float zero is +0.0."""
+        dotted with the output vector, or with c's pullback, so that no c∘t
+        is built.  The dot product starts at its first term and does not
+        multiply by an exact one (`dot`): a grammar automaton's output is a
+        Fraction(1) at the start symbol, so its value is the start coordinate
+        itself.  A cell whose parts fail to evaluate weighs c∘t itself, so
+        that errors are the composed tree's.  An exact zero is 0, Fraction(0)
+        at dimension 0; a float zero is +0.0."""
         if c is None or not c.levels:
             lam, support = self.output, self.eval_support(t)
         else:
-            if self._exact is None:
-                self._exact = self.is_exact()
-            if not self._exact:
-                return self.eval(compose(c, t))
             try:
                 lam, support = self.pullback(c), self.eval_support(t)
             except EvaluationError:
@@ -189,8 +184,11 @@ class MTA:
         return all(map(is_nonnegative, self._coefficients()))
 
     def is_exact(self) -> bool:
-        """True iff every stored coefficient (maps and output) is exact."""
-        return all(map(is_exact, self._coefficients()))
+        """True iff every stored coefficient (maps and output) is exact;
+        read once, as the maps do not change."""
+        if self._exact is None:
+            self._exact = all(map(is_exact, self._coefficients()))
+        return self._exact
 
     def is_colinear_mta(self) -> bool:
         """True iff every transition-matrix column has at most one non-zero
@@ -213,10 +211,11 @@ def _hole_columns(m: MultilinearMap) -> list:
     return holes
 
 
-def format_mta(a: MTA) -> str:
+def format_mta(a: MTA, text=format_scalar) -> str:
     """Text form: header, output vector, leaf vectors, then each rank-k map
     as d rows of d^k coefficients, columns (j1..jk) in lexicographic order
-    with jk varying fastest and the map's zero scalar in the gaps.  Raises
+    with jk varying fastest and the map's zero scalar in the gaps, each
+    coefficient written by `text`.  Raises
     TooLargeToWrite, before writing anything, when those maps hold more than
     MAX_DENSE_COEFFICIENTS coefficients."""
     count = sum(a.dim ** (k + 1) for k in range(1, a.alphabet.max_rank + 1))
@@ -225,22 +224,21 @@ def format_mta(a: MTA) -> str:
             f"the automaton's .mta form would hold {count} coefficients "
             f"(d={a.dim}, p={a.alphabet.max_rank}), more than {MAX_DENSE_COEFFICIENTS}")
     lines = [f"mta d={a.dim} p={a.alphabet.max_rank}"]
-    lines.append("lambda: " + " ".join(format_scalar(x) for x in a.output))
+    lines.append("lambda: " + " ".join(map(text, a.output)))
     for tok in a.alphabet.leaf_symbols:
-        lines.append(f"leaf {tok}: " + " ".join(format_scalar(x) for x in a.leaf_maps[tok]))
+        lines.append(f"leaf {tok}: " + " ".join(map(text, a.leaf_maps[tok])))
     for k in range(1, a.alphabet.max_rank + 1):
         lines.append(f"rank {k}:")
         m = a.node_maps[k]
         cols = [m.columns.get(col, {}) for col in itertools.product(range(a.dim), repeat=k)]
         for i in range(a.dim):
-            lines.append("  " + " ".join(format_scalar(col.get(i, m.zero_scalar))
-                                         for col in cols))
+            lines.append("  " + " ".join(text(col.get(i, m.zero_scalar)) for col in cols))
     return "\n".join(lines) + "\n"
 
 
-def parse_mta(text: str, exact: bool = True) -> MTA:
-    """Parse the format produced by format_mta; zeros are Fraction(0) when
-    exact, else 0.0."""
+def parse_mta(text: str) -> MTA:
+    """Parse the format produced by format_mta, each coefficient read
+    exactly (`parse_scalar`)."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     kind, _, rest = (lines or [""])[0].partition(" ")
     header = dict(part.split("=") for part in rest.split()) if kind == "mta" else {}
@@ -254,20 +252,20 @@ def parse_mta(text: str, exact: bool = True) -> MTA:
     current_rank = None
     for ln in lines[1:]:
         if ln.startswith("lambda:"):
-            output = [parse_scalar(s, exact) for s in ln.split(":", 1)[1].split()]
+            output = [parse_scalar(s) for s in ln.split(":", 1)[1].split()]
             current_rank = None
         elif ln.startswith("leaf "):
             head, _, rest = ln.partition(":")
             tok = head[len("leaf "):].strip()
             if not tok:
                 raise ValueError(f"line {ln!r} names no leaf token")
-            leaf_maps[tok] = [parse_scalar(s, exact) for s in rest.split()]
+            leaf_maps[tok] = [parse_scalar(s) for s in rest.split()]
             current_rank = None
         elif ln.startswith("rank "):
             current_rank = int(ln.split()[1].rstrip(":"))
             rank_rows[current_rank] = []
         elif current_rank is not None:
-            rank_rows[current_rank].append([parse_scalar(s, exact) for s in ln.split()])
+            rank_rows[current_rank].append([parse_scalar(s) for s in ln.split()])
         else:
             raise ValueError(f"unexpected line in automaton file: {ln!r}")
     if output is None:
@@ -287,5 +285,5 @@ def parse_mta(text: str, exact: bool = True) -> MTA:
             for col, c in zip(itertools.product(range(dim), repeat=k), row):
                 if c != 0:
                     columns.setdefault(col, {})[i] = c
-        node_maps[k] = MultilinearMap(k, dim, columns, Fraction(0) if exact else 0.0)
+        node_maps[k] = MultilinearMap(k, dim, columns)
     return MTA(alphabet, dim, leaf_maps, node_maps, output)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .scalars import DEFAULT_TOL, is_exact, is_unit, scalar_is_zero
+from .scalars import is_unit
 
 
 class MultilinearMap:
@@ -99,40 +99,22 @@ def dot(lam, support):
 
 
 def colinear_witness(v, w):
-    """Return alpha != 0 with v = alpha*w, or None.
+    """Return alpha != 0 with v = alpha*w, or None, for vectors of exact
+    scalars.
 
     Two all-zero vectors are co-linear with the canonical witness alpha = 1.
-    Vectors of exact scalars compare exactly, multiplying only where w is
-    non-zero: where it is zero, v must be too.  A float in either one makes
-    the comparison use the relative tolerance DEFAULT_TOL.
+    The comparison is exact, multiplying only where w is non-zero: where it
+    is zero, v must be too.
     """
     if len(v) != len(w):
         raise ValueError("dimension mismatch")
-    if all(map(is_exact, v)) and all(map(is_exact, w)):
-        pivot = next((j for j, x in enumerate(w) if x), None)
-        if pivot is None:
-            return None if any(v) else 1
-        if not v[pivot]:
+    pivot = next((j for j, x in enumerate(w) if x), None)
+    if pivot is None:
+        return None if any(v) else 1
+    if not v[pivot]:
+        return None
+    alpha = Fraction(v[pivot]) / Fraction(w[pivot])
+    for x, y in zip(v, w):
+        if (x != alpha * y) if y else x:
             return None
-        alpha = Fraction(v[pivot]) / Fraction(w[pivot])
-        for x, y in zip(v, w):
-            if (x != alpha * y) if y else x:
-                return None
-        return alpha
-
-    fv = [float(x) for x in v]
-    fw = [float(x) for x in w]
-    scale = max([1.0] + [abs(x) for x in fv] + [abs(x) for x in fw])
-    w_zero = all(abs(x) <= DEFAULT_TOL * scale for x in fw)
-    v_zero = all(abs(x) <= DEFAULT_TOL * scale for x in fv)
-    if w_zero:
-        return 1.0 if v_zero else None
-    if v_zero:
-        return None
-    pivot = max(range(len(fw)), key=lambda j: abs(fw[j]))
-    alpha = fv[pivot] / fw[pivot]
-    if scalar_is_zero(alpha):
-        return None
-    err_scale = max(1.0, max(abs(x) for x in fv), abs(alpha) * max(abs(x) for x in fw))
-    ok = all(abs(x - alpha * y) <= DEFAULT_TOL * err_scale for x, y in zip(fv, fw))
-    return alpha if ok else None
+    return alpha

@@ -1,13 +1,15 @@
-"""Scalar backends: exact rationals and floats with a shared comparison API.
+"""Scalars: exact rationals, and floats where a value is irrational.
 
-Exact values are ``fractions.Fraction``; approximate values are ``float``.
-Mixed comparisons degrade to the float rules.  The float rules use a
-relative max-norm tolerance, DEFAULT_TOL = 1e-9.
+Every reader returns exact values (``fractions.Fraction``).  Floats arise
+only from an irrational partition function and the PCFG built from it.
+Comparisons involving a float use a relative max-norm tolerance,
+DEFAULT_TOL = 1e-9.
 """
 from __future__ import annotations
 
 import sys
-from decimal import Decimal
+from contextlib import suppress
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -84,28 +86,17 @@ def vector_is_zero(v) -> bool:
     return not any(v) or all(map(scalar_is_zero, v))
 
 
-def parse_scalar(text: str, exact: bool = True) -> Scalar:
-    """Parse "num/den", integer, or decimal notation.
-
-    With ``exact`` the result is a Fraction (decimals parse exactly,
-    e.g. "0.456" -> 57/125); otherwise a float, and a ValueError naming
-    the literal if its value is beyond float range.
-    """
+def parse_scalar(text: str) -> Fraction:
+    """Parse "num/den", integer, or decimal notation into a Fraction, as
+    written: "0.456" is 57/125."""
     text = text.strip()
     try:
         if "/" in text:
             num, den = text.split("/")
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(text)
+            return Fraction(int(num), int(den))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar literal: {text!r}") from exc
-    if exact:
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"scalar literal beyond float range: {text!r}") from None
 
 
 class TooLargeToWrite(RuntimeError):
@@ -131,3 +122,23 @@ def format_scalar(x: Scalar) -> str:
         raise TooLargeToWrite(f"a weight with {digits} digits is longer than the "
                               f"{sys.get_int_max_str_digits()} Python writes") from None
     return repr(float(x))
+
+
+def decimal_text(x: Fraction, digits: int) -> str:
+    """x to `digits` significant digits in decimal notation, trailing zeros
+    dropped, at any exponent: past float range, and below its normal
+    floats, which hold fewer digits."""
+    with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        return f"{(Decimal(x.numerator) / x.denominator).normalize():.{digits}g}"
+
+
+def float_text(x: Scalar) -> str:
+    """x as `--float` prints it: float(x)'s repr, or 17 significant digits,
+    as many as a float's repr may need, where float(x) overflows or is not
+    a normal float (`decimal_text`)."""
+    if x.__class__ is float or not x:
+        return repr(float(x))
+    with suppress(OverflowError):
+        if abs(float(x)) >= sys.float_info.min:
+            return repr(float(x))
+    return decimal_text(Fraction(x), 17)

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .mta import EvaluationError
 from .multilinear import colinear_witness, dot
-from .scalars import is_exact, scalar_eq, scalar_is_zero, times, vector_is_zero
+from .scalars import format_scalar, times, vector_is_zero
 from .trees import (Context, HOLE, IDENTITY_CONTEXT, Leaf, Node, RankedAlphabet,
                     SkeletalTree, canonical_key, compose_contexts, sigma_contexts,
                     subtrees, tuples_holding, unknown_subtrees)
@@ -125,8 +125,8 @@ class ObservationTable:
         """Fill the new column and keep the classes its cells confirm.  A row
         independent of B on the old columns stays so on all (the paper's
         restriction lemma), so one cell decides: a zero class stays if it is
-        zero, an exact class (i, a) if it is a times basis row i's.  Other
-        classes, float ones too, are dropped for `classify` to recompute."""
+        zero, a class (i, a) if it is a times basis row i's.  Other classes
+        are dropped for `classify` to recompute."""
         if ctx in self.columns:
             raise TableError(f"context already present: {ctx.text}")
         self.columns.append(ctx)
@@ -137,13 +137,12 @@ class ObservationTable:
             rows[tree.text].append(self._cell(tree, ctx))
         for text, cls in list(self._classes.items()):
             new = rows[text][-1]
-            if not cls:
-                keep = scalar_is_zero(new)
-            else:
+            if cls:
                 (i, a), = cls
                 base = rows[self.basis[i].text][-1]
-                keep = (type(a) is Fraction and is_exact(new) and is_exact(base)
-                        and (new == a * base if base else new == 0))
+                keep = new == a * base if base else not new
+            else:
+                keep = not new
             if not keep:
                 del self._classes[text]
         self._basis_by_mask.clear()
@@ -177,13 +176,9 @@ class ObservationTable:
         row = self.rows[text]
         if vector_is_zero(row):
             return []
-        if all(map(is_exact, row)):
-            # co-linear exact rows share the non-zero support pattern
-            candidates = self._basis_by_mask.get(tuple(x != 0 for x in row), ())
-        else:
-            candidates = range(len(self.basis))
         matches = []
-        for i in candidates:
+        # co-linear rows share the non-zero support pattern
+        for i in self._basis_by_mask.get(tuple(x != 0 for x in row), ()):
             alpha = colinear_witness(row, self.rows[self.basis[i].text])
             if alpha is not None:
                 matches.append((i, alpha))
@@ -222,7 +217,7 @@ class ObservationTable:
                 continue
             for ctx in self._one_level:
                 for ci, value in enumerate(self.rows[ctx.prefix + t.text + ctx.suffix]):
-                    if not scalar_is_zero(value):
+                    if value:
                         return compose_contexts(self.columns[ci], ctx)
         return None
 
@@ -232,12 +227,12 @@ class ObservationTable:
         context.  Co-linearity is transitive, so checking each member of a
         class against its basis tree covers every pair.
 
-        Basis rows are non-zero and pairwise independent, so for exact rows
+        Basis rows are non-zero and pairwise independent, so
         row(c∘t) == a·row(c∘b) holds exactly when both rows are zero, or both
         are co-linear to one basis row with coeff(c∘t) == a·coeff(c∘b).  The
         closed table has classified both, so that comparison settles a pair;
         the column loop runs only on a disagreement, to find the separating
-        column, or on float rows, whose tolerance it alone applies."""
+        column."""
         groups: dict[int, list] = {}
         for t in self.trees:
             for i, alpha in self.classify(t.text) or ():  # a basis class only
@@ -253,24 +248,19 @@ class ObservationTable:
                         continue
                     row, basis_row = self.rows[ct], self.rows[cb]
                     for ci, value in enumerate(row):
-                        if not scalar_eq(value, alpha * basis_row[ci]):
+                        if value != alpha * basis_row[ci]:
                             return compose_contexts(self.columns[ci], ctx)
         return None
 
     def _colinear_by_class(self, ct: str, cb: str, alpha) -> bool:
-        """row(ct) == alpha·row(cb), rows named by text, shown from the
-        classifications alone; False when they disagree or do not settle it
-        (float rows)."""
+        """row(ct) == alpha·row(cb), rows named by text, read off their
+        classifications."""
         c1, c2 = self.classify(ct), self.classify(cb)
-        if c1 == [] == c2:
-            # zero rows of exact zeros, whatever their type, match exactly
-            return not any(self.rows[ct]) and not any(self.rows[cb])
         if not (c1 and c2):
-            return False
+            return c1 == [] == c2
         (i1, a1), = c1
         (i2, a2), = c2
-        return (i1 == i2 and type(alpha) is type(a1) is type(a2) is Fraction
-                and a1 == alpha * a2)
+        return i1 == i2 and a1 == alpha * a2
 
     def complete(self, new_trees=()):
         """Add the given trees (subtree-closed) and alternate closing with the
@@ -323,7 +313,7 @@ class ObservationTable:
             b = self.basis[cls[0][0]] if cls else None
             value = self._cell(s, ctx)
             scaled = 0 if b is None else cls[0][1] * self._cell(b, ctx)
-            if not scalar_eq(value, scaled):
+            if value != scaled:
                 if ctx not in self.columns:
                     return ctx
                 break
@@ -390,12 +380,13 @@ class ObservationTable:
 
     # -- helpers -----------------------------------------------------------
 
-    def dump_tsv(self) -> str:
-        """Debug dump: rows x columns with serialized titles."""
+    def dump_tsv(self, text=format_scalar) -> str:
+        """Debug dump: rows x columns with serialized titles, each cell
+        written by `text`."""
         lines = ["\t" + "\t".join(c.text for c in self.columns)]
         for tree in self._order:
             row = self.rows[tree.text]
             mark = "*" if tree in self.basis else ("T" if tree in self._tree_set else "")
             lines.append(tree.text + mark + "\t"
-                         + "\t".join(str(x) for x in row))
+                         + "\t".join(map(text, row)))
         return "\n".join(lines) + "\n"

@@ -1,14 +1,15 @@
 """Simulated teachers answering structured membership and equivalence
 queries, plus the corpus-backed membership oracle with edit-distance decay.
 
-An equivalence query is answered one of two ways, read off the target.  A
-target with an exact automaton over the hypothesis's alphabet, at margin 0,
-is answered by an exact equivalence check, whose witness is the
-counterexample.  Any other target is answered by a scan of a strategy's
-candidate trees, drawn lazily once per teacher, then a corpus target's own
-trees, which returns the first one (in that order) whose hypothesis value
-strays from the true series by more than the teacher's margin.  Each
-scanned tree is weighed once per teacher and kept with its true value.
+Targets are exact: a teacher refuses a float weight.  An equivalence query
+is answered one of two ways, read off the target.  A grammar or automaton
+target over the hypothesis's alphabet, at margin 0, is answered by an
+exact equivalence check, whose witness is the counterexample.  Any other
+target is answered by a scan of a strategy's candidate trees, drawn lazily
+once per teacher, then a corpus target's own trees, which returns the
+first one (in that order) whose hypothesis value strays from the true
+series by more than the teacher's margin.  Each scanned tree is weighed
+once per teacher and kept with its true value.
 """
 from __future__ import annotations
 
@@ -30,9 +31,11 @@ class SimulatedTeacher:
     """Answers smq from a grammar, automaton, or corpus oracle target, and
     seq exactly when `exact_automaton` finds the target's automaton, else by
     scanning a candidate strategy with comparison margin epsilon, a number
-    >= 0 (ValueError otherwise; -0.0 is the exact margin 0).  A
-    strategy given with such an exact target goes unused; a scan without
-    one raises ValueError.  Both queries weigh trees with the target's
+    >= 0 (ValueError otherwise; -0.0 is the exact margin 0).  A target
+    with a float weight is refused here, once, with a ValueError: the
+    learner's table compares the answers exactly.  A strategy given with
+    such a target at margin 0 goes unused; a scan without one raises
+    ValueError.  Both queries weigh trees with the target's
     evaluator, picked once here: `WCFG.skeletal_weight`, `MTA.eval` or
     `CorpusOracle.smq`, each of which answers a cell smq(t, c) from its
     parts and keeps its own memos.  `scanned` holds each (tree, target
@@ -41,7 +44,10 @@ class SimulatedTeacher:
 
     def __init__(self, target, strategy=None, epsilon=0):
         if not epsilon >= 0:  # NaN too
-            raise ValueError(f"teacher margin epsilon must be >= 0, got {epsilon!r}")
+            raise ValueError(f"teacher margin epsilon must be >= 0, got {epsilon}")
+        if not target.is_exact():
+            raise ValueError("the target has a float weight; a teacher takes exact "
+                             "weights only (Fractions)")
         self.target = target
         self.strategy = strategy
         self.epsilon = epsilon
@@ -59,13 +65,12 @@ class SimulatedTeacher:
         return self._evaluate(tree, context)
 
     def exact_automaton(self, alphabet: RankedAlphabet) -> MTA | None:
-        """The target as an exact automaton over alphabet, when the margin is
-        0 and the target is an exact grammar or an exact automaton over
-        alphabet; otherwise None, and seq scans.  A grammar's automaton at
-        the alphabet's rank leaves out its longer rules, which weigh no tree
-        of that rank."""
+        """The target as an automaton over alphabet, when the margin is 0 and
+        the target is a grammar or an automaton over alphabet; otherwise
+        None, and seq scans.  A grammar's automaton at the alphabet's rank
+        leaves out its longer rules, which weigh no tree of that rank."""
         target = self.target
-        if self.epsilon != 0 or not (isinstance(target, (WCFG, MTA)) and target.is_exact()):
+        if self.epsilon != 0 or not isinstance(target, (WCFG, MTA)):
             return None
         if isinstance(target, WCFG):
             target = target.automaton(alphabet.max_rank)
@@ -78,8 +83,7 @@ class SimulatedTeacher:
             return None if tree is None else (tree, self._evaluate(tree))
         for tree, truth in itertools.chain(self.scanned, self._scan_on()):
             got = hypothesis.eval(tree)
-            if (got != truth if self.epsilon == 0 and is_exact(got) and is_exact(truth)
-                    else abs(got - truth) > self.epsilon):
+            if got != truth if self.epsilon == 0 else abs(got - truth) > self.epsilon:
                 return tree, truth
         return None
 
@@ -365,6 +369,10 @@ class CorpusOracle:
                 column.setdefault(key, []).append((aligned, freq))
         return column
 
+    def is_exact(self) -> bool:
+        """True iff the decay and every frequency are exact."""
+        return is_exact(self.decay) and all(is_exact(freq) for _, freq in self.corpus)
+
     def alphabet(self, max_rank: int = 2) -> RankedAlphabet:
         tokens = []
         for entry, _ in self.corpus:
@@ -374,8 +382,9 @@ class CorpusOracle:
         return RankedAlphabet(tokens, max_rank)
 
 
-def load_corpus(path, exact: bool = True, max_rank: int = 2):
-    """Corpus file: lines of "<frequency><TAB><structured string>"."""
+def load_corpus(path, max_rank: int = 2):
+    """Corpus file: lines of "<frequency><TAB><structured string>", each
+    frequency read exactly (`parse_scalar`)."""
     entries = []
     with open(path, encoding="utf-8") as fh:
         raw = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1)
@@ -394,7 +403,7 @@ def load_corpus(path, exact: bool = True, max_rank: int = 2):
         raise ValueError("corpus is empty")
     alphabet = RankedAlphabet(token_pool, max_rank)
     for lineno, freq_text, tree_text in texts:
-        freq = parse_scalar(freq_text, exact)
+        freq = parse_scalar(freq_text)
         tree = parse_structured_string(tree_text, alphabet)
         entries.append((tree, freq))
     return entries, alphabet

@@ -16,6 +16,7 @@ import pytest
 
 from skelgram import learner
 from skelgram.geneclusters import SubstringFrequencyWeight, parse_gene_string
+from skelgram.grammar import WCFG
 from skelgram.mta import MTA
 from skelgram.multilinear import MultilinearMap
 from skelgram.trees import (HOLE, Context, Leaf, Node, RankedAlphabet,
@@ -60,6 +61,20 @@ def learn_corpus_entries(seed):
     strings = gen.gene_corpus(random.Random(seed))
     weight = SubstringFrequencyWeight([s for s, _ in strings])
     return [(parse_gene_string(s, weight)[0], Fraction(f)) for s, f in strings]
+
+
+def with_weights(grammar, convert):
+    """The grammar with `convert` applied to each weight: `float` makes the
+    float grammar a PCFG or a library caller may hold, whose evaluation and
+    normalization stay in floats; `binary_rational` the exact grammar a
+    teacher takes for it."""
+    return WCFG(grammar.nonterminals, grammar.terminals,
+                {rule: convert(w) for rule, w in grammar.weights.items()})
+
+
+def binary_rational(x):
+    """The exact value of float(x), a binary rational."""
+    return Fraction(float(x))
 
 
 @contextlib.contextmanager

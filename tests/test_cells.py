@@ -3,10 +3,13 @@ query on the composed tree, smq(c∘t), in value and in type.  Exact
 grammars and automata answer through `MTA.eval(t, c)`, by the pulled-back
 output vector, and corpus targets by the spine walks each column files
 under the key of the entry position at the hole; neither builds c∘t.
-Float grammars and automata weigh c∘t itself.  Corpus cells are also
+Float grammars, automata and corpora (which a teacher refuses, but a PCFG
+or a library caller may hold) are checked at the cells of a table learned
+from the exact target.  Corpus cells are also
 checked against a reference that shares no code with the oracle:
 conftest's reference distances on c∘t."""
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -26,7 +29,7 @@ from skelgram.trees import (HOLE, IDENTITY_CONTEXT, Context, Leaf, Node, RankedA
                             compose, parse_context, parse_structured_string, subtrees)
 
 from conftest import (FIXTURES, learn_corpus_entries, random_cmta, random_tree,
-                      reference_duplication_distance, reference_swap_distance)
+                      reference_duplication_distance, reference_swap_distance, with_weights)
 
 FIXTURE_NAMES = ("acrab", "chain", "colinearity3", "fimacd", "smalldup", "trivial")
 
@@ -50,9 +53,16 @@ def random_contexts(rng, alphabet, count, max_depth=6) -> list:
             for root in hole_at_each_leaf(random_tree(rng, alphabet, max_depth))]
 
 
-def assert_cell(teacher, tree, ctx):
-    factored, composed = teacher.smq(tree, ctx), teacher.smq(compose(ctx, tree))
-    assert factored == composed and type(factored) is type(composed), (tree.text, ctx.text)
+def assert_cell(weigh, tree, ctx):
+    """The cell equals the composed tree's weight in type and value; a float
+    cell is pulled back like an exact one, so its products and sums take
+    another order than c∘t's, and it may differ in the last bits."""
+    factored, composed = weigh(tree, ctx), weigh(compose(ctx, tree))
+    assert type(factored) is type(composed), (tree.text, ctx.text)
+    if type(composed) is float:
+        assert math.isclose(factored, composed, rel_tol=1e-12), (tree.text, ctx.text)
+    else:
+        assert factored == composed, (tree.text, ctx.text)
 
 
 def library_compose(monkeypatch, refuse: bool) -> list:
@@ -90,42 +100,43 @@ def learned_table(monkeypatch, teacher, alphabet, cap=60) -> ObservationTable:
     return made[-1]
 
 
-def check_target(monkeypatch, teacher, alphabet, seed, strategy=None):
-    """Every cell of a learned table, then random contexts around its rows.
-    Exact grammar and automaton targets are learned with the exact SEQ,
-    which learns fimacd, others with the given strategy or all trees."""
+def check_target(monkeypatch, teacher, alphabet, seed, strategy=None, weigh=None):
+    """Every cell of a learned table, then random contexts around its rows,
+    weighed by `weigh` (default: the teacher's smq).  Grammar and automaton
+    targets are learned with the exact SEQ, which learns fimacd, others
+    with the given strategy or all trees."""
     if strategy is None and teacher.exact_automaton(alphabet) is None:
         strategy = AllTreesStrategy(alphabet, 4)
     learner_teacher = SimulatedTeacher(teacher.target, strategy, teacher.epsilon)
     table = learned_table(monkeypatch, learner_teacher, alphabet)
+    weigh = weigh or teacher.smq
     for tree in table._order:
         for ctx in table.columns:
-            assert_cell(teacher, tree, ctx)
+            assert_cell(weigh, tree, ctx)
     rng = random.Random(seed)
     trees = table._order[:: max(1, len(table._order) // 12)]
     for ctx in random_contexts(rng, alphabet, 6):
         for tree in trees:
-            assert_cell(teacher, tree, ctx)
+            assert_cell(weigh, tree, ctx)
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_grammar_cells_match_composed(monkeypatch, name, exact):
-    g = load_wcfg(FIXTURES / f"{name}.wcfg", exact)
-    teacher = SimulatedTeacher(g, epsilon=0 if exact else 1e-6)
-    built = library_compose(monkeypatch, refuse=exact)
-    check_target(monkeypatch, teacher, g.alphabet(2), seed=len(name))
-    assert exact or built  # float cells weigh c∘t
+    g = load_wcfg(FIXTURES / f"{name}.wcfg")
+    weigh = g.skeletal_weight if exact else with_weights(g, float).skeletal_weight
+    library_compose(monkeypatch, refuse=True)
+    check_target(monkeypatch, SimulatedTeacher(g), g.alphabet(2), seed=len(name), weigh=weigh)
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_converted_automaton_cells_match_composed(monkeypatch, name, exact):
-    a = wcfg_to_pmta(load_wcfg(FIXTURES / f"{name}.wcfg", exact))
-    teacher = SimulatedTeacher(a, epsilon=0 if exact else 1e-6)
-    built = library_compose(monkeypatch, refuse=exact)
-    check_target(monkeypatch, teacher, a.alphabet, seed=len(name) + 7)
-    assert exact or built
+    g = load_wcfg(FIXTURES / f"{name}.wcfg")
+    a = wcfg_to_pmta(g)
+    weigh = a.eval if exact else wcfg_to_pmta(with_weights(g, float)).eval
+    library_compose(monkeypatch, refuse=True)
+    check_target(monkeypatch, SimulatedTeacher(a), a.alphabet, seed=len(name) + 7, weigh=weigh)
 
 
 def test_random_cmta_cells_match_composed(monkeypatch):
@@ -169,7 +180,7 @@ def test_signed_automaton_cells_match_composed(monkeypatch):
         for ctx in random_contexts(rng, alphabet, 4):
             for _ in range(4):
                 tree = random_tree(rng, alphabet, 4)
-                assert_cell(teacher, tree, ctx)
+                assert_cell(teacher.smq, tree, ctx)
                 whole = compose(ctx, tree)
                 terms = [target.output[j] * x for j, x in target.eval_support(whole)
                          if target.output[j] != 0]
@@ -230,11 +241,11 @@ def test_sparse_rank3_pullbacks_match_composed():
 @pytest.mark.parametrize("seed", [1, 2, 5])
 def test_corpus_cells_match_composed(monkeypatch, seed, distance, exact):
     entries = learn_corpus_entries(seed)
-    corpus = [(t, f if exact else float(f)) for t, f in entries]
-    oracle = CorpusOracle(corpus, Fraction(1, 5) if exact else 0.2, distance)
-    teacher = SimulatedTeacher(oracle, epsilon=0 if exact else 1e-6)
+    oracle = CorpusOracle(entries, Fraction(1, 5), distance)
+    floats = CorpusOracle([(t, float(f)) for t, f in entries], 0.2, distance)
     strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
-    check_target(monkeypatch, teacher, oracle.alphabet(), seed, strategy)
+    check_target(monkeypatch, SimulatedTeacher(oracle), oracle.alphabet(), seed, strategy,
+                 oracle.smq if exact else floats.smq)
 
 
 # -- corpus cells against geneclusters' distances ------------------------------
@@ -308,7 +319,7 @@ def test_corpus_cells_match_the_distance_reference(monkeypatch, seed, distance, 
     corpus trees around perturbed copies of the subtree cut out."""
     entries = learn_corpus_entries(seed)
     case = CorpusCase(entries, distance, exact)
-    learner_oracle = CorpusOracle(case.corpus, case.decay, distance)
+    learner_oracle = CorpusOracle(entries, Fraction(1, 5), distance)
     strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
     table = learned_table(monkeypatch, SimulatedTeacher(learner_oracle, strategy),
                           case.oracle.alphabet())
@@ -460,33 +471,37 @@ def test_corpus_join_keeps_runs_apart_at_the_boundaries():
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_unknown_terminal_raises_the_same_grammar_error(exact):
-    g = load_wcfg(FIXTURES / "acrab.wcfg", exact)
+    g = load_wcfg(FIXTURES / "acrab.wcfg")
+    if not exact:
+        g = with_weights(g, float)
     alphabet = RankedAlphabet(list(g.terminals) + ["zz"], 2)
-    teacher = SimulatedTeacher(g)
+    weigh = g.skeletal_weight
     known = Leaf(g.terminals[0])
     for tree, ctx in [(known, parse_context("(zz <>)", alphabet)),
                       (known, parse_context("((zz zz) (<> zz))", alphabet)),
                       (Leaf("zz"), parse_context(f"({g.terminals[0]} <>)", alphabet))]:
         with pytest.raises(GrammarError, match="unknown terminal 'zz'"):
-            teacher.smq(tree, ctx)
+            weigh(tree, ctx)
         with pytest.raises(GrammarError, match="unknown terminal 'zz'"):
-            teacher.smq(compose(ctx, tree))
+            weigh(compose(ctx, tree))
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_over_rank_node_weighs_zero(exact):
-    g = load_wcfg(FIXTURES / "acrab.wcfg", exact)
+    g = load_wcfg(FIXTURES / "acrab.wcfg")
+    if not exact:
+        g = with_weights(g, float)
     alphabet = g.alphabet(3)
     x, y = g.terminals[:2]
-    teacher = SimulatedTeacher(g)
+    weigh = g.skeletal_weight
     zero = Fraction(0) if exact else 0.0
     cases = [(Leaf(x), parse_context(f"({x} {y} <>)", alphabet)),
              (Leaf(x), parse_context(f"(({x} {y} {x}) <>)", alphabet)),
              (parse_structured_string(f"({x} {y} {x})", alphabet),
               parse_context(f"({y} <>)", alphabet))]
     for tree, ctx in cases:
-        assert_cell(teacher, tree, ctx)
-        value = teacher.smq(tree, ctx)
+        assert_cell(weigh, tree, ctx)
+        value = weigh(tree, ctx)
         assert value == zero and type(value) is type(zero)
 
 

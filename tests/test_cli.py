@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import random
 import resource
 import shutil
@@ -14,10 +15,13 @@ import pytest
 from skelgram.cli import main
 from skelgram.geneclusters import right_chain
 from skelgram.grammar import WCFG, load_wcfg, parse_wcfg, format_wcfg
+from skelgram.mta import parse_mta
+from skelgram.scalars import parse_scalar
+from skelgram.teacher import CorpusOracle, load_corpus
 from skelgram.trees import (Leaf, Node, RankedAlphabet, enumerate_full_trees,
                             parse_structured_string)
 
-from conftest import FIXTURES
+from conftest import FIXTURES, with_weights
 
 
 def run(args):
@@ -42,9 +46,10 @@ def test_learn_trivial_writes_artifacts(tmp_path):
                                           ("corpus", False)])
 def test_learn_warns_when_no_candidate_has_target_weight(tmp_path, capsys, name, warned):
     # every positive fimacd tree has a unary root, which the trees strategy
-    # never generates, so its scan certifies the zero automaton; --float
+    # never generates, so its scan certifies the zero automaton; a margin
     # makes the grammars scanned
-    target = ["--target", FIXTURES / f"{name}.wcfg", "--max-leaves", "4", "--float"]
+    target = ["--target", FIXTURES / f"{name}.wcfg", "--max-leaves", "4",
+              "--epsilon", "0.001"]
     if name == "corpus":
         # no tree of <= 2 leaves is near this corpus, but SEQ also scans
         # the corpus trees, which always carry weight
@@ -65,7 +70,7 @@ def test_learn_negative_epsilon_exits_2(tmp_path, capsys):
     code = run(["learn", "--target", FIXTURES / "acrab.wcfg", "--epsilon", "-1",
                 "--out", tmp_path / "o"])
     assert code == 2
-    assert "error: teacher margin epsilon must be >= 0, got -1.0" in capsys.readouterr().err
+    assert "error: teacher margin epsilon must be >= 0, got -1\n" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -76,19 +81,26 @@ def test_learn_cap_breach_exits_3(tmp_path):
     assert code == 3
 
 
-def test_learn_float_rows_within_tolerance_of_two_basis_rows_exit_4(tmp_path, capsys):
-    # at q = 0.001 the cells of ((x x) (x x)) fall below the float
-    # tolerance, so its row matches two basis rows: a TableError
+@pytest.mark.parametrize("q", ["0.001", "0.0001"])
+def test_learn_float_small_decay_weighs_every_corpus_tree_as_the_exact_learn(tmp_path, q):
+    # learned in floats, the cells of ((x x) (x x)) fell below a 1e-9
+    # tolerance, and its row matched two basis rows: a TableError (exit 4)
     corpus, base = tmp_path / "corpus.tsv", tmp_path / "base.txt"
     corpus.write_text(PINNED_CORPUS, encoding="utf-8")
     base.write_text(PINNED_BASE_TREES, encoding="utf-8")
-    code = run(["learn", "--target", corpus, "--distance", "duplication", "--float",
-                "--q", "0.001", "--seq", "duplications", "--base-trees", base,
-                "--max-dup", "1", "--out", tmp_path / "o"])
-    err = capsys.readouterr().err
-    assert code == 4
-    assert err.startswith("error: row ((x x) (x x)) is co-linear to several basis rows")
-    assert err.count("\n") == 1
+    outs = {}
+    for flags in ([], ["--float"]):
+        out = outs[bool(flags)] = tmp_path / f"o{len(flags)}"
+        assert run(["learn", "--target", corpus, "--distance", "duplication", *flags,
+                    "--q", q, "--seq", "duplications", "--base-trees", base,
+                    "--max-dup", "1", "--dump-table", "--out", out]) == 0
+    assert_float_files(outs[False], outs[True])
+    report = json.loads((outs[True] / "report.json").read_text())
+    assert (report["basis_size"], report["seq_count"], report["smq_count"]) == (11, 5, 1805)
+    oracle = CorpusOracle(load_corpus(corpus)[0], Fraction(q), "duplication")
+    hypothesis = parse_mta((outs[False] / "hypothesis.mta").read_text())
+    for tree, _ in oracle.corpus:
+        assert hypothesis.eval(tree) == oracle.smq(tree), tree.text
 
 
 def test_learn_counterexample_the_table_contradicts_exits_4(tmp_path, capsys, monkeypatch):
@@ -217,18 +229,25 @@ def test_eval_automaton_header_without_d_or_p_exits_2(tmp_path, capsys, header):
 
 
 def test_exact_weight_beyond_float_range_fails_normalization(tmp_path, capsys):
+    # one quadratic equation is solved exactly, and this one has no real
+    # root; a larger nonlinear component is solved in floats
     grammar = tmp_path / "g.wcfg"
     grammar.write_text("S -> S S [1e400]\nS -> a [1/3]\n", encoding="utf-8")
     assert run(["convert", grammar, "--wcfg-to-pcfg"]) == 4
-    assert "float" in capsys.readouterr().err
+    assert "partition function diverges" in capsys.readouterr().err
     assert run(["learn", "--target", grammar, "--out", tmp_path / "o"]) == 0
     assert "warning: PCFG normalization failed" in capsys.readouterr().err
+    system = tmp_path / "system.wcfg"
+    system.write_text("S -> S A [1e400]\nS -> a [1/3]\nA -> S [1/3]\n", encoding="utf-8")
+    assert run(["convert", system, "--wcfg-to-pcfg"]) == 4
+    assert "float" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("reader, literal", [("grammar", "1e400"), ("mta", "1e400"),
                                              ("corpus", "1e4001")])
-def test_float_literal_beyond_float_range_exits_2_naming_it(tmp_path, capsys, reader,
-                                                             literal):
+def test_float_literal_beyond_float_range_is_read_exactly(tmp_path, capsys, reader, literal):
+    # --float once read it as a float, and exited 2 naming it; now every
+    # reader reads it exactly, and --float only prints
     model = tmp_path / "m"
     trees = tmp_path / "t.txt"
     trees.write_text("(a a)\n", encoding="utf-8")
@@ -246,8 +265,17 @@ def test_float_literal_beyond_float_range_exits_2_naming_it(tmp_path, capsys, re
     for args in runs:
         if args[0] == "learn":
             args += ["--out", tmp_path / "o"]
-        assert run(args + ["--float"]) == 2, args
-        assert f"beyond float range: '{literal}'" in capsys.readouterr().err
+        code = run(args)
+        exact_out = capsys.readouterr().out
+        if args[0] == "eval":
+            assert code == 0, args
+            continue
+        assert run(args + ["--float"]) == code, args
+        float_out, err = capsys.readouterr()
+        assert "beyond float range" not in err
+        if args[0] == "convert" and reader == "mta":
+            assert code == 0 and "S -> a [1e+400]" in float_out, float_out
+            assert "S -> a [1" + "0" * 400 + "]" in exact_out
 
 
 def test_exact_eval_prints_a_weight_beyond_float_range(tmp_path, capsys):
@@ -381,8 +409,8 @@ def test_learn_automaton_target_rejects_other_max_rank(tmp_path, capsys):
 def test_learn_candidate_strategies_refuse_max_rank_one(tmp_path, capsys, seq):
     # candidates have no unary nodes: at rank 1 the first three die part-way
     # through learning, and trees certifies a 1-state automaton; so a
-    # scanned (here --float) target refuses rank 1, and the exact one learns,
-    # its binary rule, which weighs no tree of rank 1, left out
+    # scanned (here under a margin) target refuses rank 1, and the exact one
+    # learns, its binary rule, which weighs no tree of rank 1, left out
     grammar, base = tmp_path / "g.wcfg", tmp_path / "base.txt"
     grammar.write_text("S -> A [1/2]\nS -> a [1/4]\nA -> a [1/3]\nS -> A a [1]\n",
                        encoding="utf-8")
@@ -390,10 +418,10 @@ def test_learn_candidate_strategies_refuse_max_rank_one(tmp_path, capsys, seq):
     out = tmp_path / "out"
     learn = ["learn", "--target", grammar, "--max-rank", "1", "--seq", seq,
              "--base-trees", base, "--out", out]
-    assert run([*learn, "--float"]) == 2
+    assert run([*learn, "--epsilon", "0.001"]) == 2
     err = capsys.readouterr().err
     assert f"--seq {seq} needs --max-rank 2 or more" in err
-    assert "only an exact automaton or grammar learns" in err
+    assert "only an automaton or grammar learns, with no --epsilon other than 0" in err
     assert not out.exists()
     assert run(learn) == 0
     assert json.loads((out / "report.json").read_text())["basis_size"] == 2
@@ -557,12 +585,14 @@ def test_learn_float_backend(tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["basis_size"] == 2
-    pcfg = load_wcfg(out / "hypothesis.pcfg", exact=False)
+    # the printed floats, read exactly, sum to 1 as floats
+    pcfg = with_weights(load_wcfg(out / "hypothesis.pcfg"), float)
     assert pcfg.is_normalized()
 
 
 def test_learn_duplications_missing_base_trees_exits_2(tmp_path):
-    code = run(["learn", "--target", FIXTURES / "smalldup.wcfg", "--float",
+    # a margin makes the grammar scanned, which needs the base trees
+    code = run(["learn", "--target", FIXTURES / "smalldup.wcfg", "--epsilon", "0.001",
                 "--seq", "duplications", "--base-trees", tmp_path / "missing.txt",
                 "--out", tmp_path / "o"])
     assert code == 2
@@ -641,7 +671,7 @@ def test_learn_writes_pcfg_when_float_weights_round_above_one(tmp_path, capsys):
                 "--seq", "duplications", "--base-trees", base, "--max-dup", "1",
                 "--out", out]) == 0
     assert "PCFG normalization failed" not in capsys.readouterr().err
-    pcfg = load_wcfg(out / "hypothesis.pcfg", exact=False)
+    pcfg = with_weights(load_wcfg(out / "hypothesis.pcfg"), float)
     assert pcfg.is_normalized()
 
 
@@ -651,8 +681,9 @@ def test_learn_writes_pcfg_when_float_weights_round_above_one(tmp_path, capsys):
 # per distance, as printed before the distance helpers were made iterative,
 # and of the plain `trees` output (scores and trees), as printed while the
 # split search still looped over dicts in Python;
-# the duplication hypothesis.pcfg as printed once partition functions were
-# solved by component, which made its floats closer to the exact values.
+# the duplication hypothesis.pcfg as printed once a component of one
+# quadratic equation came to be solved in closed form, correctly rounded:
+# its V2 and V5 solve z = c + k z^2, whose least root is irrational.
 # The learn digests were re-pinned when a counterexample came to add one
 # separating column before its subtrees: swap keeps 9 states, 5 SEQs and
 # 1,335 SMQs (its report.json digest is unchanged), duplication learns 11
@@ -675,7 +706,7 @@ CORPUS_LEARN_SHA256 = {
     "duplication": {
         "hypothesis.mta": "74c62038fddaa627ab83e446d8ef3cc0bfcb52a758d42188637b6c42e27ca734",
         "hypothesis.wcfg": "7f0c41d0574a436177c59cd37a2ee4bacc3c2d846fc0ee72fc5e6590e707c7e3",
-        "hypothesis.pcfg": "e5ef74aa41fb65ad947bac777f58528fe970d4c07257c45e627cbfc512ea8575",
+        "hypothesis.pcfg": "456c9ce82745e484877e2bf0b4dc3710b2ea42e49680989ebdfdbf9b07b1ae23",
         "table.tsv": "d3f6d6e916bbc73fd3ac287200e91927ee28737765b608f8fbe52d1115a2a900",
         "report.json": "e2e5237ccaaf225ba5e175598c31d6baa742f32d6a8b69e6b9c8cfc652d05bd7",
         "trees --against": "bbcb950c7d1ada5c88db964a93c9be1e3ed75f83ad1b55c8fb03c0632897bea7",
@@ -706,6 +737,32 @@ def test_corpus_outputs_are_pinned(tmp_path, capsys, distance):
     assert hashlib.sha256(out_text.encode()).hexdigest() == PINNED_TREES_SHA256
 
 
+def assert_float_text(exact, printed):
+    """`printed` is `exact` with each weight w written as float(w), entry by
+    entry; every other token is the same."""
+    tokens, floats = re.findall(r"[^\s\[\]]+", exact), re.findall(r"[^\s\[\]]+", printed)
+    assert len(tokens) == len(floats)
+    for token, printed_token in zip(tokens, floats):
+        try:
+            value = parse_scalar(token)
+        except ValueError:
+            assert printed_token == token
+        else:
+            assert float(printed_token) == float(value), (token, printed_token)
+
+
+def assert_float_files(exact, printed):
+    """The artifacts of a `learn --dump-table` run with --float in `printed`
+    are those of the run without it in `exact`, printed as floats, with the
+    same report."""
+    for name in ("hypothesis.mta", "hypothesis.wcfg", "hypothesis.pcfg", "table.tsv"):
+        assert_float_text((exact / name).read_text(), (printed / name).read_text())
+    reports = [json.loads((out / "report.json").read_text()) for out in (exact, printed)]
+    for report in reports:
+        report.pop("wall_time_ms", None)
+    assert reports[0] == reports[1]
+
+
 def _learn_digests(out):
     """sha256 of each artifact `learn --dump-table` wrote to out, with
     wall_time_ms taken out of report.json."""
@@ -731,6 +788,10 @@ def _learn_digests(out):
 # Exact fimacd (31 states, 11 SEQs, 14,506 SMQs), the learn whose witness
 # searches and pullbacks do the most work, was pinned as its exact SEQ then
 # printed: tree by tree, with one `apply` per coordinate per pullback level.
+# The --float digests were re-pinned when --float came to print the exact
+# learn's weights as floats, which the test also checks entry by entry:
+# acrab --float now asks the exact learn's 1,916 SMQs, and fimacd --float
+# learns its 31 states where a float scan certified the zero automaton.
 GRAMMAR_LEARN_SHA256 = {
     "acrab": {
         "hypothesis.mta": "57fefe789093cab798bc4301086cd7175ab59a778c646c5fc02a450fd278d7a8",
@@ -740,11 +801,11 @@ GRAMMAR_LEARN_SHA256 = {
         "report.json": "96aee24b8cc93b77d213efdfe775389981091c73f7dbfe3ba40cad238c8af118"
     },
     "acrab --float": {
-        "hypothesis.mta": "7be4ced16b92a943edc8643b6a5ba0c24a7dc91adc92108270035e0a2d0cacb2",
-        "hypothesis.wcfg": "a8fa8087549bd1c1b2efc9ea4b0595eadd6797446fb514ef1806aa5a760fea2e",
-        "hypothesis.pcfg": "5782a6416bc5383af3bf6a05fac2df5d851c524de16e5ebe82bd6ff7ad0b773a",
-        "table.tsv": "7f10ed09c8de989b715f403d3c86e2c8d2810a2ad44689fc89cd4b72c8779f89",
-        "report.json": "b8c6ca3ea9a18fc4be1d41dd4f300be4d6dfb320463bacf5220badf3ba0cc611"
+        "hypothesis.mta": "3671c0899ca353dbbea77128f8c349ad0aa29e72b316d3bbc87d1bb7b2e3d31b",
+        "hypothesis.wcfg": "326995aa5734e7aa6f4c3ce00095ea332c53f5b51e34c459ba4abd01dcfeef2c",
+        "hypothesis.pcfg": "068c8402f802ae7b97ed29af6eecc7be4f930c817c2d008a62bb3b33d01a203c",
+        "table.tsv": "7ec8e019dd5e23cab2ff7decbb64d82177080d4c8c5b349982a91402f5feab62",
+        "report.json": "96aee24b8cc93b77d213efdfe775389981091c73f7dbfe3ba40cad238c8af118"
     },
     "colinearity3": {
         "hypothesis.mta": "3325a738ebaba4cc6c2ad45e59e10647d8780084feaeb10df4421c2cf0b84987",
@@ -757,14 +818,21 @@ GRAMMAR_LEARN_SHA256 = {
         "hypothesis.mta": "17f4daf71127f1459094ffdbae247fb8f5d739064def256b95d331892dc6feb4",
         "hypothesis.wcfg": "bb0ff40cf2723400a8568a2a4da10f225f3dfdb29d2a226b684f0fd4d96ca9ef",
         "hypothesis.pcfg": "3f2bb14dc3563d3255bb171914bcbae8777cc72a97568a9d39dfd27aa09e1912",
-        "table.tsv": "f94bef083497fe27ebcf51e1c4768563dc2ad9e5906f82b72d108b23469291de",
-        "report.json": "fbd90f187cbafa720bd4c111ec366b60a1a870b274d5f97b13665f01f646815a"
+        "table.tsv": "9ee790d4b934553220071cf79f61d728392630f832373fec2ad3f9fc7d4acdac",
+        "report.json": "cda011053359fd8269214653e837064b65a48171e6806a73dde7a25548e3a078"
     },
     "fimacd": {
         "hypothesis.mta": "c1ec3d833984786b054e3d9bf8b5e55d2fc584aecede8585c2d4e1eea872510f",
         "hypothesis.wcfg": "a5469ff4cd75c44ed2debb62ef0ac2f2c0488fab8c8cf26cc3a9a10027cd883d",
         "hypothesis.pcfg": "9d2e7f3037a71c1957ef086538773740d40a58831a2d4c2d0ad95c6ba8b89416",
         "table.tsv": "13fe8d064ac1574b778fcb08e39315811a6e882d6b0517cbdbc4a449373b879f",
+        "report.json": "c7650d1d48c165958bdf06cb35925ff62b9e200e0b13c24cd6648e8f76f71fd6"
+    },
+    "fimacd --float": {
+        "hypothesis.mta": "0d70425475979fbad42b838547ff247a68faf54a3cb84013a0c1e6d2e6a9387d",
+        "hypothesis.wcfg": "143e4f1096a127b854bc955e9c01be19c7dbe0902c13a678a22e9339c639eb07",
+        "hypothesis.pcfg": "3313150ef64ebc32645442324588989d20978dcdd807d73ecf9afb4151bef8fc",
+        "table.tsv": "0d2c0b1d30b2af04bb5fb17869dde57626fa57cc8657a15908a413a92933992a",
         "report.json": "c7650d1d48c165958bdf06cb35925ff62b9e200e0b13c24cd6648e8f76f71fd6"
     },
     "smalldup": {
@@ -775,10 +843,10 @@ GRAMMAR_LEARN_SHA256 = {
         "report.json": "8fa2e8cdc938568d43a79b80ccf95d48f5046827103b3c2721246776e593fd20"
     },
     "smalldup --float": {
-        "hypothesis.mta": "06c3b3039ed37ffc682ccc23f116bf4fdcb528a838dc8a5d7c00483274144452",
-        "hypothesis.wcfg": "de1c0e2d3c0055a213ff3c53a8c9037cc3ac204335c4e789038765908e6b70b2",
-        "hypothesis.pcfg": "8f392a71a90e494cb76066d39e8d794c4629e60895448befc5373929cce30a33",
-        "table.tsv": "b05f2d39892e742d3075900769c03ec67a2acb7cfa98a23cad01336e70f4ce8d",
+        "hypothesis.mta": "4d19d856c3358ac99ebe0bdd867f1843e09888f93bb9de1dea299309f5496ed3",
+        "hypothesis.wcfg": "7d8bf0554e4cad3f39d48366d0273a9e787c4dfb0c9bbf19de319810b14747b1",
+        "hypothesis.pcfg": "6259fd060c61238ae8fd8dee4f74a79578ac404d4d7d62e929b4b9f633beb021",
+        "table.tsv": "8cae3263aa74ae8494d910120184d1f7b20a1a6f2e373ce1698eef1ab37d3148",
         "report.json": "8fa2e8cdc938568d43a79b80ccf95d48f5046827103b3c2721246776e593fd20"
     },
     "trivial": {
@@ -801,10 +869,25 @@ GRAMMAR_LEARN_SHA256 = {
 @pytest.mark.parametrize("case", sorted(GRAMMAR_LEARN_SHA256))
 def test_grammar_learn_outputs_are_pinned(tmp_path, case):
     name, *flags = case.split()
+    learn = ["learn", "--target", FIXTURES / f"{name}.wcfg", "--seq", "trees",
+             "--max-leaves", "4", "--dump-table"]
     out = tmp_path / "out"
-    assert run(["learn", "--target", FIXTURES / f"{name}.wcfg", "--seq", "trees",
-                "--max-leaves", "4", "--dump-table", "--out", out, *flags]) == 0
+    assert run([*learn, "--out", out, *flags]) == 0
+    if flags:  # --float prints the exact learn's weights as floats
+        assert run([*learn, "--out", tmp_path / "exact"]) == 0
+        assert_float_files(tmp_path / "exact", out)
     assert _learn_digests(out) == GRAMMAR_LEARN_SHA256[case]
+
+
+@pytest.mark.parametrize("name, counts", [("acrab", [13, 1916, 5]),
+                                          ("fimacd", [31, 14506, 11])])
+def test_learn_float_asks_the_exact_learns_queries(tmp_path, name, counts):
+    # once learned in floats: acrab was scanned ([13, 3240, 5]), and fimacd's
+    # scan certified the zero automaton ([0, 24, 1])
+    out = tmp_path / "out"
+    assert run(["learn", "--target", FIXTURES / f"{name}.wcfg", "--float", "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [report["basis_size"], report["smq_count"], report["seq_count"]] == counts
 
 
 # sha256 of every artifact `learn --dump-table` writes with the exhaustive
@@ -814,9 +897,11 @@ def test_grammar_learn_outputs_are_pinned(tmp_path, case):
 # re-sorted T and rescanned every product on each insertion.  Exact targets
 # are no longer scanned, so "exhaustive acrab" now equals the exact "acrab"
 # learn above and "mta colinearity3" its exact "colinearity3" learn.  The
-# acrab and colinearity3 digests were re-pinned as above; "exhaustive acrab
-# --float" keeps its 13 states, 5 SEQs and 4,464 SMQs (report.json
-# unchanged).
+# acrab and colinearity3 digests were re-pinned as above.  The --float
+# cases add --epsilon 1e-6, which makes the target scanned as reading it in
+# floats once did, and were re-pinned when --float came to print the exact
+# learn as floats; "exhaustive acrab --float" keeps its 13 states, 5 SEQs
+# and 4,464 SMQs (report.json unchanged).
 STRATEGY_LEARN_SHA256 = {
     "exhaustive acrab": {
         "hypothesis.mta": "57fefe789093cab798bc4301086cd7175ab59a778c646c5fc02a450fd278d7a8",
@@ -826,10 +911,10 @@ STRATEGY_LEARN_SHA256 = {
         "report.json": "96aee24b8cc93b77d213efdfe775389981091c73f7dbfe3ba40cad238c8af118",
     },
     "exhaustive acrab --float": {
-        "hypothesis.mta": "02a3201e7362b1f67c6e957a4c6dce8e49edecd75a17beb34aaa941f75d54a1c",
-        "hypothesis.wcfg": "5182fb642357e1bf23f3a5cf69bac53653f128bae3ed02957f3859fcdc5dea87",
-        "hypothesis.pcfg": "9bc334130803994f9181b28040c7ab0bdc7b641000260c8befd0423562b66660",
-        "table.tsv": "2ea102424f006a90fead29a11e918a9e97a0cfd1a4dfb527d33030dd5443d995",
+        "hypothesis.mta": "fd215bc0d218259a6f3a77022fc0a5e0814fee620bd8c228613e55c5879969a4",
+        "hypothesis.wcfg": "0c8d4d7281b030d2036a6bca4cef1abce91449cdf979ab60199c95fe1e54d680",
+        "hypothesis.pcfg": "ef0d66742573a881edbacd06468b9d24c0a1375551fd775c853fca54713051d8",
+        "table.tsv": "85626c90f887c5d59a69048b790e1483c8d9a3c9efd37525f0df2a059853fbeb",
         "report.json": "019a8f222bd54f61988e60ac34bb38ae3a16abbf6a204f7dc89ac4a0e1ee2664",
     },
     "exhaustive smalldup": {
@@ -840,10 +925,10 @@ STRATEGY_LEARN_SHA256 = {
         "report.json": "8fa2e8cdc938568d43a79b80ccf95d48f5046827103b3c2721246776e593fd20",
     },
     "exhaustive smalldup --float": {
-        "hypothesis.mta": "06c3b3039ed37ffc682ccc23f116bf4fdcb528a838dc8a5d7c00483274144452",
-        "hypothesis.wcfg": "de1c0e2d3c0055a213ff3c53a8c9037cc3ac204335c4e789038765908e6b70b2",
-        "hypothesis.pcfg": "8f392a71a90e494cb76066d39e8d794c4629e60895448befc5373929cce30a33",
-        "table.tsv": "b05f2d39892e742d3075900769c03ec67a2acb7cfa98a23cad01336e70f4ce8d",
+        "hypothesis.mta": "4d19d856c3358ac99ebe0bdd867f1843e09888f93bb9de1dea299309f5496ed3",
+        "hypothesis.wcfg": "7d8bf0554e4cad3f39d48366d0273a9e787c4dfb0c9bbf19de319810b14747b1",
+        "hypothesis.pcfg": "6259fd060c61238ae8fd8dee4f74a79578ac404d4d7d62e929b4b9f633beb021",
+        "table.tsv": "8cae3263aa74ae8494d910120184d1f7b20a1a6f2e373ce1698eef1ab37d3148",
         "report.json": "8fa2e8cdc938568d43a79b80ccf95d48f5046827103b3c2721246776e593fd20",
     },
     "mta colinearity3": {
@@ -854,10 +939,10 @@ STRATEGY_LEARN_SHA256 = {
         "report.json": "cda011053359fd8269214653e837064b65a48171e6806a73dde7a25548e3a078",
     },
     "mta colinearity3 --float": {
-        "hypothesis.mta": "0ae763aacb4fac9bdd9632f1b858cd695cb7900719c2e2a070e90152a405e140",
+        "hypothesis.mta": "17f4daf71127f1459094ffdbae247fb8f5d739064def256b95d331892dc6feb4",
         "hypothesis.wcfg": "bb0ff40cf2723400a8568a2a4da10f225f3dfdb29d2a226b684f0fd4d96ca9ef",
         "hypothesis.pcfg": "3f2bb14dc3563d3255bb171914bcbae8777cc72a97568a9d39dfd27aa09e1912",
-        "table.tsv": "5b5354ae9a9dd7834eb0459895c6aaa83514fa64c62470887580e807483f2682",
+        "table.tsv": "f94bef083497fe27ebcf51e1c4768563dc2ad9e5906f82b72d108b23469291de",
         "report.json": "fbd90f187cbafa720bd4c111ec366b60a1a870b274d5f97b13665f01f646815a",
     },
 }
@@ -872,9 +957,16 @@ def test_strategy_and_automaton_learn_outputs_are_pinned(tmp_path, case):
         target, seq = tmp_path / f"{name}.mta", ["trees", "--max-leaves", "4"]
         assert run(["convert", FIXTURES / f"{name}.wcfg", "--wcfg-to-pmta",
                     "--output", target]) == 0
+    learn = ["learn", "--target", target, "--seq", *seq, "--dump-table"]
     out = tmp_path / "out"
-    assert run(["learn", "--target", target, "--seq", *seq, "--dump-table",
-                "--out", out, *flags]) == 0
+    if flags:
+        # scanned under a margin, as --float once made these targets, and
+        # printed as floats
+        learn += ["--epsilon", "1e-6"]
+        assert run([*learn, "--out", tmp_path / "exact"]) == 0
+    assert run([*learn, "--out", out, *flags]) == 0
+    if flags:
+        assert_float_files(tmp_path / "exact", out)
     assert _learn_digests(out) == STRATEGY_LEARN_SHA256[case]
 
 
@@ -944,7 +1036,9 @@ def test_gene_trees_outputs_are_pinned(tmp_path, capsys):
 # exit code and stdout.  Pinned before exact sums came to start at their
 # first term and exact-one factors came to be skipped.  Float sums add left
 # to right on every Python (`scalars.ordered_sum`), so one digest holds on
-# 3.10 to 3.13.
+# 3.10 to 3.13.  With --float, convert reads exactly and prints floats, and
+# eval takes no --float: the fimacd PCFG, whose partition function is now
+# solved exactly, was re-pinned.
 CONVERT_EVAL_SHA256 = {
     "acrab exact": {
         "wcfg-to-pmta": "73d538276f276e4582770c78fb18735d4163d5fca2492a7d038fdb734a3d77fa",
@@ -997,7 +1091,7 @@ CONVERT_EVAL_SHA256 = {
     },
     "fimacd float": {
         "wcfg-to-pmta": "a025fa4f89b3135ff814ec8c074d502caba39defc1f09d85799a5271dd2bfa19",
-        "wcfg-to-pcfg": "53b86def96ade952e191f4f930273739532a36c236cead820d3b50135609d283",
+        "wcfg-to-pcfg": "99230e283ed88a68dcf6f6266b3f5218f5f044d01da385fb207d00947fc8b88d",
         "pmta-to-wcfg": "4aef7596727ae44f41241b5d119e41b1443c0466f9246a40ff81a18d77af983f",
         "eval wcfg": "19f947d0018c4e643e804ee825bb4b2180ca47d6639dfe19fff2dd04507345f6",
         "eval mta": "19f947d0018c4e643e804ee825bb4b2180ca47d6639dfe19fff2dd04507345f6",
@@ -1061,23 +1155,25 @@ def _pinned_trees(grammar, rng, draws=40, max_leaves=8):
     return trees + drawn
 
 
-def _convert_eval_digests(tmp_path, capsys, name, flags):
-    def digest(args):
+def _convert_eval_outputs(tmp_path, capsys, name, flags):
+    """The exit code and stdout of each run, `convert` with `flags` (eval
+    takes none)."""
+    def output(args):
         capsys.readouterr()
-        code = run(args + flags)
-        return hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode()).hexdigest()
+        code = run(args)
+        return f"{code}\n{capsys.readouterr().out}"
 
     wcfg, mta = FIXTURES / f"{name}.wcfg", tmp_path / f"{name}.mta"
     trees = tmp_path / "trees.txt"
     trees.write_text("".join(t.text + "\n" for t in _pinned_trees(
         load_wcfg(wcfg), random.Random(name))), encoding="utf-8")
-    digests = {"wcfg-to-pmta": digest(["convert", wcfg, "--wcfg-to-pmta"])}
-    assert run(["convert", wcfg, "--wcfg-to-pmta", "--output", mta] + flags) == 0
-    digests["wcfg-to-pcfg"] = digest(["convert", wcfg, "--wcfg-to-pcfg"])
-    digests["pmta-to-wcfg"] = digest(["convert", mta, "--pmta-to-wcfg"])
-    digests["eval wcfg"] = digest(["eval", wcfg, "--trees", trees])
-    digests["eval mta"] = digest(["eval", mta, "--trees", trees])
-    return digests
+    outputs = {"wcfg-to-pmta": output(["convert", wcfg, "--wcfg-to-pmta", *flags])}
+    assert run(["convert", wcfg, "--wcfg-to-pmta", "--output", mta, *flags]) == 0
+    outputs["wcfg-to-pcfg"] = output(["convert", wcfg, "--wcfg-to-pcfg", *flags])
+    outputs["pmta-to-wcfg"] = output(["convert", mta, "--pmta-to-wcfg", *flags])
+    outputs["eval wcfg"] = output(["eval", wcfg, "--trees", trees])
+    outputs["eval mta"] = output(["eval", mta, "--trees", trees])
+    return outputs
 
 
 @pytest.mark.parametrize("name", ["acrab", "chain", "colinearity3", "fimacd",
@@ -1085,4 +1181,11 @@ def _convert_eval_digests(tmp_path, capsys, name, flags):
 @pytest.mark.parametrize("flags", [[], ["--float"]], ids=["exact", "float"])
 def test_convert_and_eval_outputs_are_pinned(tmp_path, capsys, name, flags):
     key = f"{name} {'float' if flags else 'exact'}"
-    assert _convert_eval_digests(tmp_path, capsys, name, flags) == CONVERT_EVAL_SHA256[key]
+    outputs = _convert_eval_outputs(tmp_path, capsys, name, flags)
+    if flags:  # the grammar's conversions, printed as floats
+        exact = _convert_eval_outputs(tmp_path, capsys, name, [])
+        for conversion in ("wcfg-to-pmta", "wcfg-to-pcfg"):
+            assert_float_text(exact[conversion], outputs[conversion])
+    digests = {what: hashlib.sha256(text.encode()).hexdigest()
+               for what, text in outputs.items()}
+    assert digests == CONVERT_EVAL_SHA256[key]

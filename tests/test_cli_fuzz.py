@@ -4,9 +4,9 @@ Each mutation deletes characters, cuts spans or inserts tokens that the
 readers treat specially into a fixture grammar, or into the `.mta` form of
 one, and the result goes through `eval` (as the model and as the trees
 file), `convert`, `learn` (cap 40) and `trees`, called in-process.  A second
-generator, with its own seed, mutates the same files for `--float` runs of
-`eval`, `convert` and `learn`, and a corpus and a base-tree file for
-`learn --distance`.  Every run must return a documented exit code and raise
+generator, with its own seed, mutates the same files for `eval` and for
+`--float` runs of `convert` and `learn`, and a corpus and a base-tree file
+for `learn --distance`.  Every run must return a documented exit code and raise
 nothing; a run that takes longer than RUN_SECONDS fails too.
 """
 import contextlib
@@ -40,7 +40,7 @@ CORPUS = "4\t(a (b b))\n2\t((a b) c)\n1\t(a c)\n1\t((a a) (b c))\n"
 BASE_TREES = "(a b)\n((a b) c)\n(a c)\n"
 CORPUS_INSERTS = INSERTS + ["\t", "1e4001", "-2", "1/3", "nan", "(a", "b)", "d"]
 # inputs that found a defect, run whatever the seed draws: a --float value
-# beyond float range raised OverflowError
+# beyond float range raised OverflowError, when --float read floats
 FLOAT_FOUND = [("trivial.wcfg", "S -> a [1e400]\n")]
 CORPUS_FOUND = [("1e4001\t(a b)\n2\t(a a)\n", BASE_TREES)]
 
@@ -151,7 +151,7 @@ def test_mutated_float_and_corpus_inputs_exit_with_a_documented_code(tmp_path):
         trees.write_text("".join(f"{t}\n" for t in leaves) + f"({leaves[0]} {leaves[-1]})\n",
                          encoding="utf-8")
         convert = rng.choice(["--wcfg-to-pmta", "--wcfg-to-pcfg", "--pmta-to-wcfg"])
-        cases += [["eval", path, "--trees", trees, "--float"],
+        cases += [["eval", path, "--trees", trees],
                   ["convert", path, convert, "--float"],
                   ["learn", "--target", path, "--max-iterations", "40", "--max-leaves", "3",
                    "--float", "--out", tmp_path / "out"]]

@@ -16,7 +16,7 @@ from skelgram.multilinear import MultilinearMap
 from skelgram.teacher import SimulatedTeacher
 from skelgram.trees import Leaf, Node, RankedAlphabet, tuples_holding
 
-from conftest import FIXTURES, random_cmta
+from conftest import FIXTURES, random_cmta, with_weights
 
 SWEEP_SIZE = 8  # nodes; every tree this small has at most 6 leaves here
 
@@ -196,7 +196,7 @@ def test_different_alphabets_are_refused():
 def test_inexact_automata_are_refused():
     # the same grammar, so no tree differs; float sums made one seem to
     exact = wcfg_to_pmta(load_wcfg(FIXTURES / "acrab.wcfg"), 2)
-    inexact = wcfg_to_pmta(load_wcfg(FIXTURES / "acrab.wcfg", exact=False), 2)
+    inexact = wcfg_to_pmta(with_weights(load_wcfg(FIXTURES / "acrab.wcfg"), float), 2)
     for a, b in [(inexact, exact), (exact, inexact)]:
         with pytest.raises(ValueError, match="must be exact"):
             difference_witness(a, b)

@@ -1,10 +1,12 @@
 import hashlib
+import math
 import os
 import random
 import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,13 +19,14 @@ from skelgram.grammar import (GrammarError, PCFG, WCFG, format_wcfg, load_wcfg,
 from skelgram.equivalence import difference_witness
 from skelgram.mta import MTA, EvaluationError, format_mta, parse_mta
 from skelgram.multilinear import colinear_witness
+from skelgram.scalars import float_text
 from skelgram.trees import (Leaf, Node, RankedAlphabet, parse_context,
                             parse_structured_string, compose)
 from skelgram.geneclusters import right_chain
 
 from conftest import (FIXTURES, brute_force_weight, enumerate_contexts,
                       enumerate_trees, nonterminal_weights, random_nonneg_wcfg,
-                      random_pmta, random_tree)
+                      random_pmta, random_tree, with_weights)
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +132,9 @@ def test_every_weight_names_the_same_unknown_terminal():
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_unknown_terminal_error_names_the_leftmost(exact):
-    g = parse_wcfg("S -> a S [-1/2]\nS -> a [2]", exact)
+    g = parse_wcfg("S -> a S [-1/2]\nS -> a [2]")
+    if not exact:
+        g = with_weights(g, float)
     for text, tok in [("(xa (xb xc))", "xa"), ("((a xc) (xb a))", "xc"),
                       ("(a (a a a) xb)", "xb"), ("((a a a) xc)", "xc")]:
         tree = parse_structured_string(text, XS)
@@ -314,7 +319,8 @@ def test_wcfg_to_pmta_non_invertible_has_doubled_column():
 
 
 # sha256 of format_mta(wcfg_to_pmta(g)) for every fixture, loaded exactly
-# (True) and with exact=False, as printed by the dense-matrix implementation.
+# (True) and with its weights made floats (False), as printed by the
+# dense-matrix implementation.
 PMTA_TEXT_SHA256 = {
     ("acrab", True): "e1bb8d0aefb5c71987f2521ea8928bc415129daf45977b82180a7e1f46f42efc",
     ("acrab", False): "e605807928a298d250ea871a8ffb69abb4c912bfff359b68bff1ebb61dd01ecd",
@@ -349,16 +355,19 @@ rank 2:
 
 def test_wcfg_to_pmta_text_is_pinned():
     for (name, exact), digest in PMTA_TEXT_SHA256.items():
-        text = format_mta(wcfg_to_pmta(load_wcfg(FIXTURES / f"{name}.wcfg", exact)))
+        g = load_wcfg(FIXTURES / f"{name}.wcfg")
+        text = format_mta(wcfg_to_pmta(g if exact else with_weights(g, float)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, exact)
 
 
 def test_float_mta_text_roundtrips_with_float_zeros():
-    g = load_wcfg(FIXTURES / "colinearity3.wcfg", exact=False)
+    # a float automaton's text, read exactly, is printed back by --float
+    g = with_weights(load_wcfg(FIXTURES / "colinearity3.wcfg"), float)
     assert format_mta(wcfg_to_pmta(g)) == COLINEARITY3_FLOAT_MTA
     for name, _ in PMTA_TEXT_SHA256:
-        text = format_mta(wcfg_to_pmta(load_wcfg(FIXTURES / f"{name}.wcfg", exact=False)))
-        assert format_mta(parse_mta(text, exact=False)) == text, name
+        g = with_weights(load_wcfg(FIXTURES / f"{name}.wcfg"), float)
+        text = format_mta(wcfg_to_pmta(g))
+        assert format_mta(parse_mta(text), float_text) == text, name
 
 
 def test_wcfg_to_pmta_preserves_weights_random():
@@ -415,8 +424,8 @@ def test_pcfg_chain_renormalization():
 
 
 def test_is_normalized_tolerates_float_rounding_above_one(fimacd):
-    assert parse_wcfg("S -> a [1.0000000000001]", exact=False).is_normalized()
-    assert not parse_wcfg("S -> a [1.01]", exact=False).is_normalized()
+    assert with_weights(parse_wcfg("S -> a [1.0000000000001]"), float).is_normalized()
+    assert not with_weights(parse_wcfg("S -> a [1.01]"), float).is_normalized()
     assert not parse_wcfg("S -> a [1.0000000000001]").is_normalized()
     # fimacd's partition function is rational, so its PCFG sums to exactly 1
     assert wcfg_to_pcfg(fimacd).is_normalized()
@@ -432,28 +441,29 @@ CRITICAL = "S -> S S [1/2]\nS -> a [1/2]\n"
 
 
 def test_critical_grammar_normalizes_to_itself():
-    # Z = 1 is a double root of z = 1/2 + z^2/2: float Newton stops about
-    # sqrt(eps) short of it, and the snap recovers it, for float weights too
+    # Z = 1 is a double root of z = 1/2 + z^2/2: the closed form gives it
+    # exactly; for float weights float Newton stops about sqrt(eps) short of
+    # it, and the snap recovers it
     g = parse_wcfg(CRITICAL)
     assert partition_functions(g) == {"S": 1}
     p = wcfg_to_pcfg(g)
     assert p.weights == g.weights
     assert format_wcfg(p) == format_wcfg(g)
-    floats = parse_wcfg(CRITICAL, exact=False)
+    floats = with_weights(parse_wcfg(CRITICAL), float)
     assert partition_functions(floats) == {"S": 1.0}
     assert wcfg_to_pcfg(floats).weights == floats.weights
 
 
 @pytest.mark.parametrize("text, weights", [
-    # critical only up to rounding: 0.1 is not a binary fraction, and float
-    # Newton stopped about sqrt(eps) short, 4e-9 off both weights of 1/2
+    # once read as floats, critical only up to rounding (0.1 is not a binary
+    # fraction); read as written, as every reader now reads, exactly critical
     ("S -> S S [0.1]\nS -> a [2.5]", [1 / 2, 1 / 2]),
     ("S -> S S [0.3]\nS -> a [5/6]", [1 / 2, 1 / 2]),
     ("S -> S S S [1/3]\nS -> a [2/3]", [1 / 3, 2 / 3]),
     ("S -> A A [0.1]\nS -> a [2.5]\nA -> S [1]", [1 / 2, 1 / 2, 1]),
 ])
 def test_float_critical_grammar_normalizes_within_tolerance(text, weights):
-    got = list(wcfg_to_pcfg(parse_wcfg(text, exact=False)).weights.values())
+    got = list(wcfg_to_pcfg(parse_wcfg(text)).weights.values())
     assert len(got) == len(weights)
     assert all(abs(w - want) <= 1e-9 for w, want in zip(got, weights)), got
 
@@ -481,10 +491,36 @@ def test_partition_function_is_the_least_root(text, least):
 ])
 @pytest.mark.parametrize("exact", [True, False])
 def test_divergent_partition_function_raises_at_once(text, exact):
+    g = parse_wcfg(text)
+    if not exact:
+        g = with_weights(g, float)
     started = time.perf_counter()
     with pytest.raises(GrammarError, match="diverges"):
-        wcfg_to_pcfg(parse_wcfg(text, exact=exact))
+        wcfg_to_pcfg(g)
     assert time.perf_counter() - started < 0.5
+
+
+@pytest.mark.parametrize("k", range(3, 16))
+def test_near_critical_least_root_is_exact_and_quick(k):
+    # z = c z^2 + b has the rational roots 1/2 - delta and 1/2; exact Newton
+    # near the double root gained about a bit per step and took 20 s at
+    # delta = 1e-11
+    delta = Fraction(1, 10 ** k)
+    c = 1 / (1 - delta)
+    g = WCFG(["S"], ["a"], {("S", ("S", "S")): c, ("S", ("a",)): c * (Fraction(1, 2) - delta) / 2})
+    started = time.perf_counter()
+    z = partition_functions(g)
+    assert time.perf_counter() - started < 0.1
+    assert z == {"S": Fraction(1, 2) - delta}
+
+
+def test_irrational_least_root_is_the_nearest_float():
+    # z = z^2/2 + 1/4: least root 1 - 1/sqrt(2)
+    z = partition_functions(parse_wcfg("S -> S S [1/2]\nS -> a [1/4]"))["S"]
+    root = 1 - Decimal(2).sqrt() / 2
+    assert type(z) is float
+    assert abs(Decimal(z) - root) <= min(abs(Decimal(x) - root)
+                                         for x in (math.nextafter(z, 0), math.nextafter(z, 1)))
 
 
 def test_unproductive_cycle_gets_zero_and_drops_out():

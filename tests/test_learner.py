@@ -9,14 +9,14 @@ from skelgram.geneclusters import SubstringFrequencyWeight, parse_gene_string, r
 from skelgram.grammar import load_wcfg, pmta_to_wcfg, wcfg_to_pcfg
 from skelgram.learner import default_iteration_cap, learn
 from skelgram.mta import EvaluationError
-from skelgram.scalars import scalar_eq
 from skelgram.table import CapExceeded, ObservationTable, TableError
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
                               ExhaustiveStrategy, SimulatedTeacher)
 from skelgram.trees import (IDENTITY_CONTEXT, Leaf, Node, compose, full_trees,
                             parse_structured_string)
 
-from conftest import FIXTURES, learn_corpus_entries, observing_rounds, random_tree
+from conftest import (FIXTURES, binary_rational, learn_corpus_entries, observing_rounds,
+                      random_tree, with_weights)
 
 
 def learn_fixture(name, max_leaves=4):
@@ -212,23 +212,30 @@ def test_each_distinct_tree_is_queried_once(target):
 
 
 def test_float_backend_learning():
+    # a teacher refuses float weights; their exact values learn, and the
+    # hypothesis weighs every chain exactly
     from skelgram.grammar import WCFG
-    g = WCFG(["N"], ["a"], {("N", ("a", "N")): 0.25, ("N", ("a", "a")): 0.5})
-    alphabet = g.alphabet(2)
-    teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 4), epsilon=1e-9)
-    report = learn(teacher, alphabet)
+    floats = WCFG(["N"], ["a"], {("N", ("a", "N")): 0.25, ("N", ("a", "a")): 0.5})
+    alphabet = floats.alphabet(2)
+    with pytest.raises(ValueError, match="float weight"):
+        SimulatedTeacher(floats, AllTreesStrategy(alphabet, 4), epsilon=1e-9)
+    g = with_weights(floats, binary_rational)
+    report = learn(SimulatedTeacher(g, AllTreesStrategy(alphabet, 4), epsilon=1e-9), alphabet)
     assert report.basis_size == 2
     for n in range(2, 8):
         got = report.hypothesis.eval(right_chain("a", n))
-        assert abs(got - 0.5 * 0.25 ** (n - 2)) < 1e-9
+        assert got == Fraction(1, 2) * Fraction(1, 4) ** (n - 2)
 
 
 def test_float_target_learns_with_default_call():
-    # the arithmetic comes from the oracle's float answers, not from a flag
-    g = load_wcfg(FIXTURES / "acrab.wcfg", exact=False)
-    alphabet = g.alphabet(2)
-    teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 4), epsilon=1e-6)
-    report = learn(teacher, alphabet)
+    # a float target is refused with no flag asked; the exact values of its
+    # floats learn as the exact target does
+    floats = with_weights(load_wcfg(FIXTURES / "acrab.wcfg"), float)
+    alphabet = floats.alphabet(2)
+    with pytest.raises(ValueError, match="float weight"):
+        SimulatedTeacher(floats, AllTreesStrategy(alphabet, 4), epsilon=1e-6)
+    g = with_weights(floats, binary_rational)
+    report = learn(SimulatedTeacher(g, AllTreesStrategy(alphabet, 4), epsilon=1e-6), alphabet)
     assert report.basis_size == 13
     assert report.seq_count == 5
 
@@ -236,13 +243,16 @@ def test_float_target_learns_with_default_call():
 def test_float_corpus_learning():
     from skelgram.teacher import CorpusOracle
     corpus = [(right_chain("x", 3), 3.0), (right_chain("x", 2), 1.0)]
-    oracle = CorpusOracle(corpus, 0.2, "duplication")
-    alphabet = oracle.alphabet()
+    floats = CorpusOracle(corpus, 0.2, "duplication")
+    alphabet = floats.alphabet()
+    with pytest.raises(ValueError, match="float weight"):
+        SimulatedTeacher(floats, AllTreesStrategy(alphabet, 4), epsilon=1e-6)
+    oracle = CorpusOracle([(t, binary_rational(f)) for t, f in corpus], binary_rational(0.2),
+                          "duplication")
     teacher = SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 4), epsilon=1e-6)
     report = learn(teacher, alphabet, max_iterations=500)
     for n in range(1, 6):
-        got = report.hypothesis.eval(right_chain("x", n))
-        assert abs(got - oracle.smq(right_chain("x", n))) < 1e-6
+        assert report.hypothesis.eval(right_chain("x", n)) == oracle.smq(right_chain("x", n))
 
 
 def test_learn_with_exhaustive_string_strategy():
@@ -308,9 +318,10 @@ def test_exact_fixtures_keep_t_to_the_basis(name):
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 @pytest.mark.parametrize("seed", [1, 2, 5, 7])
 def test_learn_corpus_counts_are_pinned(seed, exact):
+    # "float": the decay is the exact value of the float 0.2, under a margin
     entries = learn_corpus_entries(seed)
-    corpus = [(t, f if exact else float(f)) for t, f in entries]
-    oracle = CorpusOracle(corpus, Fraction(1, 5) if exact else 0.2, "duplication")
+    oracle = CorpusOracle(entries, Fraction(1, 5) if exact else binary_rational(0.2),
+                          "duplication")
     strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
     report = learn(SimulatedTeacher(oracle, strategy, 0 if exact else 1e-6),
                    oracle.alphabet())
@@ -353,16 +364,17 @@ def test_scanned_swap_corpus_weighs_every_swap_variant_right(strings, length, se
 
 
 def test_float_exhaustive_scan_learns_all_of_acrab():
-    # one optimal parse per string of at most 4 genes; the learned automaton
-    # is the target's on every tree of at most 5 leaves, not only on those
-    g = load_wcfg(FIXTURES / "acrab.wcfg")
-    floats = load_wcfg(FIXTURES / "acrab.wcfg", exact=False)
-    alphabet = floats.alphabet(2)
-    report = learn(SimulatedTeacher(floats, ExhaustiveStrategy(alphabet, 4), 1e-6), alphabet)
+    # one optimal parse per string of at most 4 genes, scanned under a
+    # margin; the automaton learned from the exact values of acrab's float
+    # weights is the target's on every tree of at most 5 leaves, not only
+    # on those
+    g = with_weights(load_wcfg(FIXTURES / "acrab.wcfg"), binary_rational)
+    alphabet = g.alphabet(2)
+    report = learn(SimulatedTeacher(g, ExhaustiveStrategy(alphabet, 4), 1e-6), alphabet)
     assert report.basis_size == 13
     target = g.automaton(2)
     for tree in full_trees(alphabet.leaf_symbols, 5):
-        assert abs(report.hypothesis.eval(tree) - float(target.eval(tree))) < 1e-9, tree.text
+        assert report.hypothesis.eval(tree) == target.eval(tree), tree.text
 
 
 def learn_runs():
@@ -373,7 +385,8 @@ def learn_runs():
     for name in ("acrab", "fimacd", "colinearity3"):
         g = load_wcfg(FIXTURES / f"{name}.wcfg")
         runs.append((name, SimulatedTeacher(g), g.alphabet(2)))
-    floats = load_wcfg(FIXTURES / "acrab.wcfg", exact=False)
+    # "float": the exact values of acrab's float weights, scanned under a margin
+    floats = with_weights(load_wcfg(FIXTURES / "acrab.wcfg"), binary_rational)
     alphabet = floats.alphabet(2)
     runs.append(("acrab-float-exhaustive",
                  SimulatedTeacher(floats, ExhaustiveStrategy(alphabet, 4), 1e-6), alphabet))
@@ -391,8 +404,7 @@ def test_every_table_built_for_a_counterexample_weighs_as_its_hypothesis(run, mo
     processing a counterexample is extracted here: the automaton maps each
     basis tree to its unit vector, agrees with every row at the identity
     column, and weighs the counterexample and every tree of at most 5
-    leaves as `hypothesis_value` does, bit for bit in floats.  Float rows
-    agree with it at the identity column within the table's tolerance."""
+    leaves as `hypothesis_value` does, in value and type."""
     _, teacher, alphabet = run
     trees = list(full_trees(alphabet.leaf_symbols, 5))
     add = ObservationTable.add_counterexample
@@ -405,7 +417,7 @@ def test_every_table_built_for_a_counterexample_weighs_as_its_hypothesis(run, mo
         for i, b in enumerate(table.basis):
             assert hypothesis.eval_vector(b) == [int(i == j) for j in range(d)]
         for tree in table._order:
-            assert scalar_eq(hypothesis.eval(tree), table.rows[tree.text][0]), tree.text
+            assert hypothesis.eval(tree) == table.rows[tree.text][0], tree.text
         for tree in [counterexample, *trees]:
             value, expected = table.hypothesis_value(tree), hypothesis.eval(tree)
             assert value == expected and type(value) is type(expected), tree.text

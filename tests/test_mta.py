@@ -14,11 +14,13 @@ from skelgram.learner import learn
 from skelgram.mta import (MAX_DENSE_COEFFICIENTS, MTA, EvaluationError, TooLargeToWrite,
                           format_mta, parse_mta)
 from skelgram.multilinear import MultilinearMap, apply
+from skelgram.scalars import float_text
 from skelgram.teacher import SimulatedTeacher
 from skelgram.trees import (Context, HOLE, Leaf, Node, RankedAlphabet,
                             enumerate_full_trees, parse_structured_string, compose)
 
-from conftest import FIXTURES, enumerate_trees, random_cmta, random_pmta, random_tree
+from conftest import (FIXTURES, enumerate_trees, random_cmta, random_pmta, random_tree,
+                      with_weights)
 
 
 def leaf_count_mta():
@@ -163,15 +165,20 @@ def test_serialization_roundtrip():
 
 
 def test_float_roundtrip_prints_positive_zeros():
-    # a negative first coefficient must not make the rank's zeros -0.0
+    # a negative first coefficient must not make the rank's zeros -0.0, in
+    # a float automaton or in --float's printing of an exact one
     text = "mta d=2 p=1\nlambda: 1 0\nleaf a: 1 0\nrank 1:\n  -0.5 0\n  0 1\n"
-    a = parse_mta(text, exact=False)
-    assert format_mta(a) == ("mta d=2 p=1\nlambda: 1.0 0.0\nleaf a: 1.0 0.0\n"
-                             "rank 1:\n  -0.5 0.0\n  0.0 1.0\n")
+    printed = ("mta d=2 p=1\nlambda: 1.0 0.0\nleaf a: 1.0 0.0\n"
+               "rank 1:\n  -0.5 0.0\n  0.0 1.0\n")
+    exact = parse_mta(text)
+    assert format_mta(exact, float_text) == printed
+    assert parse_mta(printed).node_maps == exact.node_maps
+    a = MTA(exact.alphabet, 2, {"a": [1.0, 0.0]},
+            {1: MultilinearMap(1, 2, {(0,): {0: -0.5}, (1,): {1: 1.0}}, 0.0)}, [1.0, 0.0])
+    assert format_mta(a) == printed
     vec = a.eval_vector(Node((Leaf("a"),)))
     assert vec == [-0.5, 0.0]
     assert [math.copysign(1, x) for x in vec] == [-1, 1]
-    assert parse_mta(format_mta(a), exact=False).node_maps == a.node_maps
 
 
 def test_serialization_roundtrip_random():
@@ -236,7 +243,7 @@ def test_zero_child_gives_zero_node_as_apply_does():
     trees = enumerate_full_trees(tokens, 5) + enumerate_trees(alphabet, 3)
     trees += [u for t in enumerate_full_trees(tokens, 4) for u in _unary_insertions(t)]
     rng = random.Random(29)
-    automata = [g.automaton(2), load_wcfg(FIXTURES / "acrab.wcfg", exact=False).automaton(2),
+    automata = [g.automaton(2), with_weights(load_wcfg(FIXTURES / "acrab.wcfg"), float).automaton(2),
                 random_cmta(rng, alphabet, 4), random_pmta(rng, alphabet, 3)]
     for a in automata:
         memo = {}
@@ -316,7 +323,7 @@ def test_walk_raises_and_memoizes_as_the_one_stack_walk():
     trees = [random_tree(rng, wide, 6) for _ in range(3000)]
     trees += [Node((t, t)) for t in trees[:200]]
     faults = 0
-    for a in (g.automaton(2), load_wcfg(FIXTURES / "acrab.wcfg", exact=False).automaton(2),
+    for a in (g.automaton(2), with_weights(load_wcfg(FIXTURES / "acrab.wcfg"), float).automaton(2),
               random_cmta(rng, alphabet, 3), random_pmta(rng, alphabet, 2)):
         memo = {}
         for t in trees:

@@ -11,7 +11,7 @@ from skelgram.multilinear import MultilinearMap, apply, colinear_witness
 from skelgram.scalars import is_unit
 from skelgram.trees import RankedAlphabet
 
-from conftest import FIXTURES, random_cmta, random_pmta, random_tree
+from conftest import FIXTURES, random_cmta, random_pmta, random_tree, with_weights
 
 # c^i_{j1 j2} = 4i + 2j1 + j2 + 1: the dense rows 1 2 3 4 / 5 6 7 8
 COUNTING = {(0, 0): {0: 1, 1: 5}, (0, 1): {0: 2, 1: 6},
@@ -202,10 +202,11 @@ def test_colinear_witness_fractions():
 
 
 def test_colinear_witness_float_tolerance():
-    assert colinear_witness([2.0, 4.0 + 1e-13], [1.0, 2.0]) == pytest.approx(2.0)
-    assert colinear_witness([2.0, 4.1], [1.0, 2.0]) is None
-    # one float vector is enough to compare with the tolerance
-    assert colinear_witness([2, 4], [1.0, 2.0 + 1e-13]) == pytest.approx(2.0)
+    # there is none: rows are exact, and the exact values of floats 1e-13
+    # apart are not co-linear
+    assert colinear_witness([Fraction(2.0), Fraction(4.0 + 1e-13)], [1, 2]) is None
+    assert colinear_witness([2, 4], [Fraction(1.0), Fraction(2.0 + 1e-13)]) is None
+    assert colinear_witness([Fraction(2.0), Fraction(4.0)], [1, 2]) == 2
 
 
 # -- zero-skipping arithmetic against the formulas it replaced -----------------
@@ -375,8 +376,9 @@ def test_automata_weigh_every_tree_as_with_every_product(name, monkeypatch):
                     lambda: random_pmta(random.Random(8), alphabet, 3)]
     else:
         alphabet = load_wcfg(FIXTURES / f"{name}.wcfg").alphabet(3)
-        automata = [lambda exact=exact: load_wcfg(FIXTURES / f"{name}.wcfg", exact).automaton(3)
-                    for exact in (True, False)]
+        g = load_wcfg(FIXTURES / f"{name}.wcfg")
+        automata = [lambda g=g: g.automaton(3),
+                    lambda: with_weights(g, float).automaton(3)]
     trees = [random_tree(rng, alphabet, 5) for _ in range(1500)]
     for make in automata:
         got = [bits(a.eval_support(t)) for a in [make()] for t in trees]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from skelgram.scalars import (format_scalar, is_exact, parse_scalar, scalar_eq,
+from skelgram.scalars import (float_text, format_scalar, is_exact, parse_scalar, scalar_eq,
                               scalar_is_zero, vector_is_zero)
 
 
@@ -17,8 +17,16 @@ def test_parse_decimal_exact():
 
 
 def test_parse_float_backend():
-    assert parse_scalar("0.456", exact=False) == pytest.approx(0.456)
-    assert isinstance(parse_scalar("1/2", exact=False), float)
+    # every literal is read exactly; --float prints float() of the value
+    assert float_text(parse_scalar("0.456")) == "0.456"
+    assert float_text(parse_scalar("1/2")) == "0.5"
+    assert float_text(parse_scalar("1/3")) == repr(1 / 3)
+    assert float_text(parse_scalar("2")) == "2.0"
+    assert float_text(0) == "0.0" and float_text(-0.0) == "-0.0"
+    assert float_text(0.1 + 0.2) == "0.30000000000000004"
+    # below the normal floats: 17 significant digits, not a subnormal's few
+    assert float_text(Fraction(1, 3 * 10 ** 320)) == "3.3333333333333333e-321"
+    assert float_text(Fraction(-1, 10 ** 400)) == "-1e-400"
 
 
 def test_parse_errors():
@@ -30,9 +38,10 @@ def test_parse_errors():
 
 @pytest.mark.parametrize("text", ["1e400", "-1e400", "2e308", "1e4001"])
 def test_parse_float_beyond_range_names_the_literal(text):
-    assert parse_scalar(text) == Fraction(text)  # exact values have no range
-    with pytest.raises(ValueError, match=f"beyond float range: '{text}'"):
-        parse_scalar(text, exact=False)
+    # exact values have no range; where float() overflows, --float prints
+    # the literal's value in decimal, 17 digits at most
+    assert parse_scalar(text) == Fraction(text)
+    assert float_text(parse_scalar(text)) == text.replace("e", "e+")
 
 
 def test_format_roundtrip():

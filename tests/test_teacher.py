@@ -6,7 +6,7 @@ import pytest
 
 from skelgram.equivalence import difference_witness
 from skelgram.geneclusters import INF, right_chain, right_chain_shape
-from skelgram.grammar import load_wcfg, parse_wcfg, wcfg_to_pmta
+from skelgram.grammar import WCFG, load_wcfg, parse_wcfg, wcfg_to_pmta
 from skelgram.learner import learn
 from skelgram.mta import MTA
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle,
@@ -18,7 +18,8 @@ from skelgram.trees import (Leaf, Node, RankedAlphabet, enumerate_full_trees,
 
 from conftest import (FIXTURES, brute_force_weight, learn_corpus_entries,
                       random_binary_tree, random_cmta,
-                      reference_duplication_distance, reference_swap_distance)
+                      reference_duplication_distance, reference_swap_distance,
+                      binary_rational, with_weights)
 
 
 @pytest.fixture(scope="module")
@@ -119,10 +120,11 @@ def test_corpus_smq_stays_in_unit_interval():
 
 
 def test_strategy_is_enumerated_once_per_teacher():
-    floats = load_wcfg(FIXTURES / "acrab.wcfg", exact=False)  # scanned
-    alphabet = floats.alphabet(2)
+    # the exact values of acrab's float weights, scanned under a margin
+    target = with_weights(load_wcfg(FIXTURES / "acrab.wcfg"), binary_rational)
+    alphabet = target.alphabet(2)
     strategy = CountingStrategy(AllTreesStrategy(alphabet, 4))
-    teacher = SimulatedTeacher(floats, strategy, 1e-6)
+    teacher = SimulatedTeacher(target, strategy, 1e-6)
     report = learn(teacher, alphabet)
     assert report.seq_count == 5
     # the last SEQ scanned every candidate, drawn from that one enumeration
@@ -139,8 +141,8 @@ def test_seq_weighs_each_scanned_tree_once_per_teacher(monkeypatch, target):
         oracle = CorpusOracle(entries, Fraction(1, 5), "duplication")
         evaluator, owner, alphabet = "smq", oracle, oracle.alphabet()
         strategy = DuplicationsStrategy([t for t, _ in entries], 1)
-    else:  # float acrab: an exact grammar is answered without a scan
-        owner = load_wcfg(FIXTURES / "acrab.wcfg", exact=False)
+    else:  # acrab under a margin, which makes it scanned
+        owner = with_weights(load_wcfg(FIXTURES / "acrab.wcfg"), binary_rational)
         evaluator, alphabet = "skeletal_weight", owner.alphabet(2)
         strategy = AllTreesStrategy(alphabet, 5)
     weighed, scanning = [], []
@@ -177,7 +179,8 @@ class Hypothesis:
 
 
 def test_seq_compares_exact_values_exactly_and_floats_by_margin():
-    # corpus targets are scanned, with exact or float frequencies
+    # corpus targets are scanned; a margin, float or exact, compares by
+    # margin, and a float target is refused
     alphabet = RankedAlphabet(["a", "b"], 2)
     texts = (("a", 1), ("(a b)", 3))
     oracle = CorpusOracle([(parse_structured_string(text, alphabet), Fraction(freq))
@@ -188,24 +191,27 @@ def test_seq_compares_exact_values_exactly_and_floats_by_margin():
     assert SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 2)).seq(off) == (tree, truth)
     same = Hypothesis(alphabet, oracle.smq)
     assert SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 2)).seq(same) is None
-    floats = CorpusOracle([(parse_structured_string(text, alphabet), float(freq))
-                           for text, freq in texts], 0.2)
-    near = Hypothesis(alphabet, lambda t: floats.smq(t) + 1e-12 * (t == tree))
-    assert SimulatedTeacher(floats, AllTreesStrategy(alphabet, 2), 1e-9).seq(near) is None
-    assert SimulatedTeacher(floats, AllTreesStrategy(alphabet, 2)).seq(near)[0] == tree
+    near = Hypothesis(alphabet, lambda t: oracle.smq(t) + Fraction(1, 10 ** 12) * (t == tree))
+    for margin in (1e-9, Fraction(1, 10 ** 9)):
+        assert SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 2), margin).seq(near) is None
+    assert SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 2)).seq(near)[0] == tree
     # NaN is never more than a margin away, as abs(got - truth) > epsilon reads
     nan = Hypothesis(alphabet, lambda t: float("nan"))
-    assert SimulatedTeacher(floats, AllTreesStrategy(alphabet, 2)).seq(nan) is None
-    assert SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 2)).seq(nan) is None
+    assert SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 2), 1e-9).seq(nan) is None
+    floats = CorpusOracle([(parse_structured_string(text, alphabet), float(freq))
+                           for text, freq in texts], 0.2)
+    with pytest.raises(ValueError, match="float weight"):
+        SimulatedTeacher(floats, AllTreesStrategy(alphabet, 2), 1e-9)
 
 
 def test_exact_automaton_is_read_off_the_target():
-    # a float target, a non-zero margin or a corpus leaves the scan; a rule
-    # longer than the rank is left out of the automaton
+    # a non-zero margin or a corpus leaves the scan, and a float target is
+    # refused; a rule longer than the rank is left out of the automaton
     exact = load_wcfg(FIXTURES / "smalldup.wcfg")
     alphabet = exact.alphabet(2)
-    floats = load_wcfg(FIXTURES / "smalldup.wcfg", exact=False)
-    assert SimulatedTeacher(floats).exact_automaton(alphabet) is None
+    for floats in (with_weights(exact, float), wcfg_to_pmta(with_weights(exact, float))):
+        with pytest.raises(ValueError, match="float weight"):
+            SimulatedTeacher(floats)
     assert SimulatedTeacher(exact, epsilon=1e-9).exact_automaton(alphabet) is None
     assert SimulatedTeacher(exact).exact_automaton(alphabet) is exact.automaton(2)
     assert SimulatedTeacher(exact, epsilon=-0.0).exact_automaton(alphabet) is exact.automaton(2)
@@ -221,6 +227,32 @@ def test_exact_automaton_is_read_off_the_target():
     assert SimulatedTeacher(automaton).exact_automaton(alphabet) is automaton
     oracle = CorpusOracle(learn_corpus_entries(1), Fraction(1, 5))
     assert SimulatedTeacher(oracle).exact_automaton(oracle.alphabet()) is None
+
+
+def test_exactness_is_read_once_per_automaton(monkeypatch):
+    # the teacher reads the target's weights once, at construction; each
+    # SEQ's witness search reads each automaton's exactness off its memo
+    walked = []
+    coefficients = MTA._coefficients
+    grammar_is_exact = WCFG.is_exact
+
+    def counted(a):
+        walked.append(a)  # kept alive, so that ids stay distinct
+        return coefficients(a)
+
+    def grammar_walk(g):
+        walked.append("grammar")
+        return grammar_is_exact(g)
+
+    monkeypatch.setattr(MTA, "_coefficients", counted)
+    monkeypatch.setattr(WCFG, "is_exact", grammar_walk)
+    g = load_wcfg(FIXTURES / "fimacd.wcfg")
+    report = learn(SimulatedTeacher(g), g.alphabet(2))
+    assert report.seq_count == 11
+    automata = [id(a) for a in walked if a != "grammar"]
+    assert walked.count("grammar") == 1
+    assert automata.count(id(g.automaton(2))) == 1
+    assert len(automata) == len(set(automata)) == 1 + report.seq_count
 
 
 @pytest.mark.parametrize("epsilon", [-1, -1e-9, float("nan")])
