@@ -1,16 +1,17 @@
 """Command-line front end.
 
-Subcommands: learn (drive the query learner against a simulated teacher),
-eval (weigh structured strings under a grammar or automaton), convert
-(automaton/grammar transformations), trees (gene-string parsing and
-distances).  Exit codes: 0 success, 2 input error, 3 iteration cap,
-4 precondition violation: a grammar or automaton that the conversion
-cannot take, an automaton whose dense .mta form would exceed
-mta.MAX_DENSE_COEFFICIENTS, a weight to write with more digits than
-Python converts to text, or a learn whose table cannot go on (a
-counterexample value that the table's own cells contradict).  Every weight
-is read exactly; `--float` only prints the weights learn and convert
-write as floats.
+Subcommands: learn (drive the query learner against a simulated teacher,
+which decides a grammar or automaton target's equivalence exactly and
+scans --seq's candidates for a --distance corpus), eval (weigh structured
+strings under a grammar or automaton), convert (automaton/grammar
+transformations), trees (gene-string parsing and distances).  Exit codes:
+0 success, 2 input error, 3 iteration or row cap, 4 precondition
+violation: a grammar or automaton that the conversion cannot take, an
+automaton whose dense .mta form would exceed mta.MAX_DENSE_COEFFICIENTS, a
+weight to write with more digits than Python converts to text, or a learn
+whose table cannot go on (a counterexample value that the table's own
+cells contradict).  Every weight is read exactly; `--float` only prints
+the weights learn and convert write as floats.
 """
 from __future__ import annotations
 
@@ -80,8 +81,7 @@ def _alphabet(target, max_rank):
 def _build_strategy(args, alphabet, weight):
     if alphabet.max_rank < 2:
         raise CliError(f"--seq {args.seq} needs --max-rank 2 or more; at --max-rank 1 only "
-                       "an automaton or grammar learns, with no --epsilon other than 0",
-                       EXIT_INPUT)
+                       "an automaton or grammar learns", EXIT_INPUT)
     if args.seq == "exhaustive":
         return ExhaustiveStrategy(alphabet, args.max_len, weight)
     if args.seq == "sampling":
@@ -108,16 +108,11 @@ def cmd_learn(args) -> int:
             raise CliError(f"cannot load corpus: {exc}", EXIT_INPUT)
         weight = SubstringFrequencyWeight(
             [tree_yield(entry) for entry, _ in entries])
+        teacher = SimulatedTeacher(target, _build_strategy(args, alphabet, weight))
     else:
         target = _load_target(args.target)
         alphabet = _alphabet(target, args.max_rank)
-        weight = None
-    epsilon = 0 if args.epsilon is None else parse_scalar(args.epsilon)
-
-    teacher = SimulatedTeacher(target, epsilon=epsilon)
-    scanning = teacher.exact_automaton(alphabet) is None
-    if scanning:
-        teacher.strategy = _build_strategy(args, alphabet, weight)
+        teacher = SimulatedTeacher(target)
     started = time.monotonic()
     try:
         report = learn(teacher, alphabet, max_iterations=args.max_iterations)
@@ -125,9 +120,6 @@ def cmd_learn(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP if isinstance(exc, CapExceeded) else EXIT_PRECONDITION
     wall_ms = int((time.monotonic() - started) * 1000)
-    if scanning and not any(weight != 0 for _, weight in teacher.scanned):
-        print("warning: no equivalence candidate has non-zero target weight",
-              file=sys.stderr)
 
     text = float_text if args.float else format_scalar
     out = Path(args.out)
@@ -277,9 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grammar/automaton file, or corpus TSV with --distance")
     p.add_argument("--seq", default="trees",
                    choices=["exhaustive", "sampling", "duplications", "trees"],
-                   help="equivalence candidates to scan; unused, and equivalence "
-                        "decided exactly, for a grammar or automaton target with no "
-                        "--epsilon other than 0")
+                   help="equivalence candidates to scan, used only with --distance: "
+                        "a grammar or automaton target's equivalence is decided exactly")
     p.add_argument("--max-len", type=_at_least(1), default=4,
                    help="string length bound for exhaustive/sampling")
     p.add_argument("--max-leaves", type=_at_least(1), default=5,
@@ -291,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", choices=["swap", "duplication"],
                    help="treat --target as a corpus TSV with this edit distance")
     p.add_argument("--q", default="0.2", help="corpus decay factor")
-    p.add_argument("--epsilon", help="teacher comparison margin")
     p.add_argument("--max-rank", type=int, help=MAX_RANK_HELP)
     p.add_argument("--max-iterations", type=_at_least(0), default=None)
     p.add_argument("--out", required=True)

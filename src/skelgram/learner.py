@@ -20,8 +20,8 @@ class TeacherOracle(Protocol):
         """The weight of context∘tree; the table passes each cell's column."""
     def seq(self, hypothesis: MTA) -> Optional[tuple[SkeletalTree, object]]: ...
     def exact_automaton(self, alphabet: RankedAlphabet) -> MTA | None:
-        """The target's automaton when seq checks equivalence exactly; None
-        when seq scans candidates."""
+        """The target's automaton, by which seq checks equivalence exactly;
+        None for a corpus target, whose seq scans candidates."""
 
 
 @dataclass
@@ -48,16 +48,17 @@ def learn(oracle: TeacherOracle, alphabet: RankedAlphabet, *,
     raises TableError.  The hypothesis's value of
     z is read off the table's classes (`ObservationTable.hypothesis_value`),
     so no automaton is built between columns.  When the oracle's
-    equivalence query is a scan (`exact_automaton` is None), z's subtrees
-    then join T as well: a scan weighs only its candidates, and the rows
-    and consistency checks over z's subtrees reach states that no candidate
-    may show.  The hypothesis is extracted once per equivalence query, from
+    equivalence query is a scan (a corpus target: `exact_automaton` is
+    None), z's subtrees then join T as well: a scan weighs only its
+    candidates, and the rows and consistency checks over z's subtrees reach
+    states that no candidate may show.  The hypothesis is extracted once per equivalence query, from
     the table as it then stands.
 
     The cap (default 10*|leaf alphabet| + 1000) counts basis additions,
-    column additions, and equivalence queries; targets without finite
-    co-linear rank exhaust it and raise CapExceeded.  The oracle's answers
-    must be exact: the table compares them exactly.
+    column additions, and equivalence queries; the table also holds at most
+    table.MAX_ROWS rows.  Targets without finite co-linear rank exhaust
+    either and raise CapExceeded.  The oracle's answers must be exact: the
+    table compares them exactly.
     """
     cap = default_iteration_cap(alphabet) if max_iterations is None else max_iterations
     budget = Budget(cap)

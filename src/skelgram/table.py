@@ -41,6 +41,14 @@ class TableError(RuntimeError):
     pass
 
 
+# A table holds at most this many rows: about 4x the largest legitimate
+# table measured (11,560 rows, an 8 x 12 random gene corpus).  Rows grow as
+# |T|^2 while the iteration cap is far off; fixtures/chain.wcfg, of
+# unbounded rank, reaches this limit in about 3 s and 180 MB, where it ran
+# out of memory before the default iteration cap.
+MAX_ROWS = 50_000
+
+
 class Budget:
     """Counts rank/column/equivalence progress against a hard cap."""
 
@@ -93,6 +101,9 @@ class ObservationTable:
     def _fill_row(self, tree: SkeletalTree):
         row = self.rows.get(tree.text)
         if row is None:
+            if len(self.rows) >= MAX_ROWS:
+                raise CapExceeded(f"row cap {MAX_ROWS} exceeded; "
+                                  "target may not have finite co-linear rank")
             row = self.rows[tree.text] = []
             bisect.insort(self._order, tree, key=canonical_key)
         row.extend([self._cell(tree, ctx) for ctx in self.columns[len(row):]])

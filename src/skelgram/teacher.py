@@ -1,15 +1,14 @@
 """Simulated teachers answering structured membership and equivalence
 queries, plus the corpus-backed membership oracle with edit-distance decay.
 
-Targets are exact: a teacher refuses a float weight.  An equivalence query
-is answered one of two ways, read off the target.  A grammar or automaton
-target over the hypothesis's alphabet, at margin 0, is answered by an
-exact equivalence check, whose witness is the counterexample.  Any other
-target is answered by a scan of a strategy's candidate trees, drawn lazily
-once per teacher, then a corpus target's own trees, which returns the
-first one (in that order) whose hypothesis value strays from the true
-series by more than the teacher's margin.  Each scanned tree is weighed
-once per teacher and kept with its true value.
+Targets are exact: a teacher refuses a float weight.  The target's type
+picks how an equivalence query is answered.  A grammar or automaton target
+is answered by an exact equivalence check, whose witness is the
+counterexample.  A corpus target is answered by a scan of a strategy's
+candidate trees, drawn lazily once per teacher, then the corpus's own
+trees, which returns the first one (in that order) whose hypothesis value
+differs from the true series.  Each scanned tree is weighed once per
+teacher and kept with its true value.
 """
 from __future__ import annotations
 
@@ -29,28 +28,22 @@ from .trees import (IDENTITY_CONTEXT, Context, Leaf, Node, RankedAlphabet,
 
 class SimulatedTeacher:
     """Answers smq from a grammar, automaton, or corpus oracle target, and
-    seq exactly when `exact_automaton` finds the target's automaton, else by
-    scanning a candidate strategy with comparison margin epsilon, a number
-    >= 0 (ValueError otherwise; -0.0 is the exact margin 0).  A target
-    with a float weight is refused here, once, with a ValueError: the
-    learner's table compares the answers exactly.  A strategy given with
-    such a target at margin 0 goes unused; a scan without one raises
-    ValueError.  Both queries weigh trees with the target's
-    evaluator, picked once here: `WCFG.skeletal_weight`, `MTA.eval` or
-    `CorpusOracle.smq`, each of which answers a cell smq(t, c) from its
-    parts and keeps its own memos.  `scanned` holds each (tree, target
-    weight) pair seq has weighed, in scan order; a learn that returns has
-    scanned them all in its last seq."""
+    seq exactly for a grammar or automaton (`exact_automaton`), else by
+    scanning the strategy's candidates, which a corpus target needs.  A
+    target with a float weight is refused here, once, with a ValueError:
+    the learner's table compares the answers exactly.  Both queries weigh
+    trees with the target's evaluator, picked once here:
+    `WCFG.skeletal_weight`, `MTA.eval` or `CorpusOracle.smq`, each of which
+    answers a cell smq(t, c) from its parts and keeps its own memos.
+    `scanned` holds each (tree, target weight) pair seq has weighed, in scan
+    order; a learn that returns has scanned them all in its last seq."""
 
-    def __init__(self, target, strategy=None, epsilon=0):
-        if not epsilon >= 0:  # NaN too
-            raise ValueError(f"teacher margin epsilon must be >= 0, got {epsilon}")
+    def __init__(self, target, strategy=None):
         if not target.is_exact():
             raise ValueError("the target has a float weight; a teacher takes exact "
                              "weights only (Fractions)")
         self.target = target
         self.strategy = strategy
-        self.epsilon = epsilon
         if isinstance(target, WCFG):
             self._evaluate = target.skeletal_weight
         elif isinstance(target, MTA):
@@ -65,16 +58,18 @@ class SimulatedTeacher:
         return self._evaluate(tree, context)
 
     def exact_automaton(self, alphabet: RankedAlphabet) -> MTA | None:
-        """The target as an automaton over alphabet, when the margin is 0 and
-        the target is a grammar or an automaton over alphabet; otherwise
-        None, and seq scans.  A grammar's automaton at the alphabet's rank
-        leaves out its longer rules, which weigh no tree of that rank."""
+        """The target as an automaton over alphabet (ValueError if it is over
+        another): a grammar's automaton at the alphabet's rank, which leaves
+        out its longer rules (they weigh no tree of that rank), or the
+        automaton itself.  None for a corpus, whose seq scans."""
         target = self.target
-        if self.epsilon != 0 or not isinstance(target, (WCFG, MTA)):
-            return None
         if isinstance(target, WCFG):
             target = target.automaton(alphabet.max_rank)
-        return target if target.alphabet == alphabet else None
+        elif not isinstance(target, MTA):
+            return None
+        if target.alphabet != alphabet:
+            raise ValueError(f"the target's alphabet is not the learner's {alphabet}")
+        return target
 
     def seq(self, hypothesis: MTA):
         exact = self.exact_automaton(hypothesis.alphabet)
@@ -82,8 +77,7 @@ class SimulatedTeacher:
             tree = difference_witness(hypothesis, exact)
             return None if tree is None else (tree, self._evaluate(tree))
         for tree, truth in itertools.chain(self.scanned, self._scan_on()):
-            got = hypothesis.eval(tree)
-            if got != truth if self.epsilon == 0 else abs(got - truth) > self.epsilon:
+            if hypothesis.eval(tree) != truth:
                 return tree, truth
         return None
 

@@ -107,7 +107,7 @@ def check_target(monkeypatch, teacher, alphabet, seed, strategy=None, weigh=None
     with the given strategy or all trees."""
     if strategy is None and teacher.exact_automaton(alphabet) is None:
         strategy = AllTreesStrategy(alphabet, 4)
-    learner_teacher = SimulatedTeacher(teacher.target, strategy, teacher.epsilon)
+    learner_teacher = SimulatedTeacher(teacher.target, strategy)
     table = learned_table(monkeypatch, learner_teacher, alphabet)
     weigh = weigh or teacher.smq
     for tree in table._order:

@@ -7,6 +7,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +29,13 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def child_env():
+    """The environment for a child Python that imports skelgram from src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def test_learn_trivial_writes_artifacts(tmp_path):
     out = tmp_path / "out"
     code = run(["learn", "--target", FIXTURES / "trivial.wcfg",
@@ -42,35 +50,19 @@ def test_learn_trivial_writes_artifacts(tmp_path):
     assert (out / "hypothesis.pcfg").exists()
 
 
-@pytest.mark.parametrize("name, warned", [("fimacd", True), ("trivial", False),
-                                          ("corpus", False)])
-def test_learn_warns_when_no_candidate_has_target_weight(tmp_path, capsys, name, warned):
-    # every positive fimacd tree has a unary root, which the trees strategy
-    # never generates, so its scan certifies the zero automaton; a margin
-    # makes the grammars scanned
-    target = ["--target", FIXTURES / f"{name}.wcfg", "--max-leaves", "4",
-              "--epsilon", "0.001"]
-    if name == "corpus":
-        # no tree of <= 2 leaves is near this corpus, but SEQ also scans
-        # the corpus trees, which always carry weight
-        corpus = tmp_path / "c.tsv"
-        corpus.write_text("4\t((a b) (c d))\n2\t((a b) (c c))\n", encoding="utf-8")
-        target = ["--target", corpus, "--distance", "duplication", "--max-leaves", "2"]
-    assert run(["learn", *target, "--seq", "trees", "--out", tmp_path / "o"]) == 0
-    err = capsys.readouterr().err
-    assert ("no equivalence candidate has non-zero target weight" in err) == warned
-
-
 def test_learn_missing_file_exits_2(tmp_path):
     code = run(["learn", "--target", tmp_path / "nope.wcfg", "--out", tmp_path / "o"])
     assert code == 2
 
 
-def test_learn_negative_epsilon_exits_2(tmp_path, capsys):
-    code = run(["learn", "--target", FIXTURES / "acrab.wcfg", "--epsilon", "-1",
-                "--out", tmp_path / "o"])
-    assert code == 2
-    assert "error: teacher margin epsilon must be >= 0, got -1\n" in capsys.readouterr().err
+def test_learn_takes_no_margin(tmp_path, capsys):
+    # a margin once made fimacd scanned, and the trees scan, which weighs no
+    # tree with a unary root, certified the zero automaton
+    with pytest.raises(SystemExit) as exited:
+        run(["learn", "--target", FIXTURES / "fimacd.wcfg", "--epsilon", "0.001",
+             "--out", tmp_path / "o"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --epsilon 0.001" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -127,15 +119,12 @@ def test_convert_refuses_an_automaton_too_large_to_write(tmp_path):
     grammar = tmp_path / "rank6.wcfg"
     grammar.write_text((FIXTURES / "acrab.wcfg").read_text(encoding="utf-8")
                        + "S -> N3 R N1 R N5 C [0.004]\n", encoding="utf-8")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     done = subprocess.run([sys.executable, "-m", "skelgram.cli", "convert", str(grammar),
-                           "--wcfg-to-pmta"], env=env, capture_output=True, text=True,
+                           "--wcfg-to-pmta"], env=child_env(), capture_output=True, text=True,
                           timeout=10, preexec_fn=limit_memory)
     assert done.returncode == 4, done.stderr
     assert done.stdout == ""
@@ -408,22 +397,22 @@ def test_learn_automaton_target_rejects_other_max_rank(tmp_path, capsys):
 @pytest.mark.parametrize("seq", ["exhaustive", "sampling", "duplications", "trees"])
 def test_learn_candidate_strategies_refuse_max_rank_one(tmp_path, capsys, seq):
     # candidates have no unary nodes: at rank 1 the first three die part-way
-    # through learning, and trees certifies a 1-state automaton; so a
-    # scanned (here under a margin) target refuses rank 1, and the exact one
+    # through learning, and trees certifies a 1-state automaton; so a corpus,
+    # which is scanned, refuses rank 1, and a grammar, decided exactly,
     # learns, its binary rule, which weighs no tree of rank 1, left out
-    grammar, base = tmp_path / "g.wcfg", tmp_path / "base.txt"
+    corpus, grammar, base = tmp_path / "c.tsv", tmp_path / "g.wcfg", tmp_path / "base.txt"
+    corpus.write_text("4\ta\n2\tb\n", encoding="utf-8")
     grammar.write_text("S -> A [1/2]\nS -> a [1/4]\nA -> a [1/3]\nS -> A a [1]\n",
                        encoding="utf-8")
     base.write_text("a\n", encoding="utf-8")
     out = tmp_path / "out"
-    learn = ["learn", "--target", grammar, "--max-rank", "1", "--seq", seq,
-             "--base-trees", base, "--out", out]
-    assert run([*learn, "--epsilon", "0.001"]) == 2
+    flags = ["--max-rank", "1", "--seq", seq, "--base-trees", base, "--out", out]
+    assert run(["learn", "--target", corpus, "--distance", "duplication", *flags]) == 2
     err = capsys.readouterr().err
     assert f"--seq {seq} needs --max-rank 2 or more" in err
-    assert "only an automaton or grammar learns, with no --epsilon other than 0" in err
+    assert "only an automaton or grammar learns" in err
     assert not out.exists()
-    assert run(learn) == 0
+    assert run(["learn", "--target", grammar, *flags]) == 0
     assert json.loads((out / "report.json").read_text())["basis_size"] == 2
 
 
@@ -591,11 +580,14 @@ def test_learn_float_backend(tmp_path):
 
 
 def test_learn_duplications_missing_base_trees_exits_2(tmp_path):
-    # a margin makes the grammar scanned, which needs the base trees
-    code = run(["learn", "--target", FIXTURES / "smalldup.wcfg", "--epsilon", "0.001",
+    # a corpus is scanned, which needs the base trees
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(PINNED_CORPUS, encoding="utf-8")
+    code = run(["learn", "--target", corpus, "--distance", "duplication",
                 "--seq", "duplications", "--base-trees", tmp_path / "missing.txt",
                 "--out", tmp_path / "o"])
     assert code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_learn_from_automaton_target(tmp_path):
@@ -646,6 +638,30 @@ def test_learn_exact_from_automaton_target(tmp_path):
 def test_learn_exact_on_chain_reaches_the_cap(tmp_path):
     assert run(["learn", "--target", FIXTURES / "chain.wcfg",
                 "--max-iterations", "40", "--out", tmp_path / "o"]) == 3
+
+
+def test_learn_on_chain_ends_at_the_default_cap(tmp_path):
+    """Chain has no finite co-linear rank, and its rows grow as |T|^2.  With
+    no cap flag its table stops at table.MAX_ROWS rows: exit 3 in
+    under 30 s and 400 MB (about 3 s and 180 MB on a 2-core x86-64 host),
+    where it once ran out of memory before the iteration cap.  The learn
+    runs in a child process, which prints its own peak resident memory
+    (ru_maxrss, in KiB on Linux)."""
+    script = ("import resource, sys\n"
+              "from skelgram.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+              "sys.exit(code)\n")
+    started = time.monotonic()
+    done = subprocess.run([sys.executable, "-c", script, "learn", "--target",
+                           str(FIXTURES / "chain.wcfg"), "--out", str(tmp_path / "o")],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert time.monotonic() - started < 30
+    assert done.stderr == ("error: row cap 50000 exceeded; "
+                           "target may not have finite co-linear rank\n")
+    assert int(done.stdout) < 400 * 1024
+    assert not (tmp_path / "o").exists()
 
 
 def test_learn_rejects_non_binary_corpus_tree_exits_2(tmp_path, capsys):
@@ -890,46 +906,31 @@ def test_learn_float_asks_the_exact_learns_queries(tmp_path, name, counts):
     assert [report["basis_size"], report["smq_count"], report["seq_count"]] == counts
 
 
-# sha256 of every artifact `learn --dump-table` writes with the exhaustive
-# string strategy (--max-len 4) on a grammar target, and with the trees
+# sha256 of every artifact `learn --dump-table` writes with the trees
 # strategy (--max-leaves 4) on the automaton `convert --wcfg-to-pmta` writes
-# for a grammar, exact and with --float, as printed while the table still
-# re-sorted T and rescanned every product on each insertion.  Exact targets
-# are no longer scanned, so "exhaustive acrab" now equals the exact "acrab"
-# learn above and "mta colinearity3" its exact "colinearity3" learn.  The
-# acrab and colinearity3 digests were re-pinned as above.  The --float
-# cases add --epsilon 1e-6, which makes the target scanned as reading it in
-# floats once did, and were re-pinned when --float came to print the exact
-# learn as floats; "exhaustive acrab --float" keeps its 13 states, 5 SEQs
-# and 4,464 SMQs (report.json unchanged).
+# for a grammar, exact and with --float, and with the string strategies on
+# the pinned corpus under the swap distance: exhaustive (--max-len 4; 9
+# states, 2,067 SMQs, 6 SEQs) and sampling (80 strings of at most 5 genes,
+# seed 3; 9 states, 1,816 SMQs, 5 SEQs).  A grammar or automaton target is
+# decided exactly, so its strategy goes unused: the "mta colinearity3"
+# digests are those of the "colinearity3" learns above, and an exhaustive
+# grammar case is checked against its GRAMMAR_LEARN_SHA256 entry.  "mta
+# colinearity3 --float" was re-pinned when the teacher margin went: it had
+# been scanned under a margin, and now prints the exact learn as floats.
 STRATEGY_LEARN_SHA256 = {
-    "exhaustive acrab": {
-        "hypothesis.mta": "57fefe789093cab798bc4301086cd7175ab59a778c646c5fc02a450fd278d7a8",
-        "hypothesis.wcfg": "a99d723ddd3360967884e47b5c9742eb4e16613cca075e9b285865df7c5eddf3",
-        "hypothesis.pcfg": "bec8145cf0352f2ad6eaf564fc06ab1fd4b6af3a95f13dd25f61d45e382b4db9",
-        "table.tsv": "d5b02935108b435d3cabe4981286b4e7a94bcae7aa446f9f4aaa8dc8872fb9b9",
-        "report.json": "96aee24b8cc93b77d213efdfe775389981091c73f7dbfe3ba40cad238c8af118",
+    "corpus exhaustive": {
+        "hypothesis.mta": "456c94d33b831ad85c84d73e40bd30cda9dcb2b156dd55fa94dea270e887f431",
+        "hypothesis.wcfg": "8c8df842d13afdc6fc7a43fc68b325e2534e4b4539c96c4de8d4e70e1779b584",
+        "hypothesis.pcfg": "4fe1348ee2c2c6dc6c18204179a1ae9cc0a448e526ce42b37ec145055499379b",
+        "table.tsv": "e559b632fe65ec76f69d7686e744aa943c187c031dfd289364fa9f6721af3343",
+        "report.json": "84be1a2a66ccf81e2e0180da7d9d09f494efbf7d6fb855b42689e4f9f26cf213",
     },
-    "exhaustive acrab --float": {
-        "hypothesis.mta": "fd215bc0d218259a6f3a77022fc0a5e0814fee620bd8c228613e55c5879969a4",
-        "hypothesis.wcfg": "0c8d4d7281b030d2036a6bca4cef1abce91449cdf979ab60199c95fe1e54d680",
-        "hypothesis.pcfg": "ef0d66742573a881edbacd06468b9d24c0a1375551fd775c853fca54713051d8",
-        "table.tsv": "85626c90f887c5d59a69048b790e1483c8d9a3c9efd37525f0df2a059853fbeb",
-        "report.json": "019a8f222bd54f61988e60ac34bb38ae3a16abbf6a204f7dc89ac4a0e1ee2664",
-    },
-    "exhaustive smalldup": {
-        "hypothesis.mta": "28e078f9a66d4c0dc9e3c71f846c73b84c27a641fe3859cf0d9eb56b5dec93a4",
-        "hypothesis.wcfg": "4172824a8eed173ee10fbe92421f0bcaa0c7f2731870deddfcefb893ca0778c8",
-        "hypothesis.pcfg": "ad72a17ad01d023fbffaf4124f807812504469284ba9e837082d0fd5b4190269",
-        "table.tsv": "8d38e5d3cb40269b1f9678f0e8fa0a83961f916d07ad7ecf94f496933936231b",
-        "report.json": "8fa2e8cdc938568d43a79b80ccf95d48f5046827103b3c2721246776e593fd20",
-    },
-    "exhaustive smalldup --float": {
-        "hypothesis.mta": "4d19d856c3358ac99ebe0bdd867f1843e09888f93bb9de1dea299309f5496ed3",
-        "hypothesis.wcfg": "7d8bf0554e4cad3f39d48366d0273a9e787c4dfb0c9bbf19de319810b14747b1",
-        "hypothesis.pcfg": "6259fd060c61238ae8fd8dee4f74a79578ac404d4d7d62e929b4b9f633beb021",
-        "table.tsv": "8cae3263aa74ae8494d910120184d1f7b20a1a6f2e373ce1698eef1ab37d3148",
-        "report.json": "8fa2e8cdc938568d43a79b80ccf95d48f5046827103b3c2721246776e593fd20",
+    "corpus sampling": {
+        "hypothesis.mta": "d43d200b4bc7750d1604ba6075e4294484bf2ec6746ee53c47d47a021fee655f",
+        "hypothesis.wcfg": "d46ed8fcccdc3565ba7fd6a3b528b430fd0451e0351742494fdd8b8e503cc0e3",
+        "hypothesis.pcfg": "f4e77ba14caf70e0d37e983331c4ed6f12d287df38be619a7c765a8bd8105784",
+        "table.tsv": "9322f478ad5eb0d7b4f046ac5e25112897bff5e4aa82c95daf552729915a1508",
+        "report.json": "b1f268623d4c540d389f0b29a4fbafa3dd8cb9fdcb7fed17bfd0ddd9fa625ff0",
     },
     "mta colinearity3": {
         "hypothesis.mta": "3325a738ebaba4cc6c2ad45e59e10647d8780084feaeb10df4421c2cf0b84987",
@@ -942,32 +943,40 @@ STRATEGY_LEARN_SHA256 = {
         "hypothesis.mta": "17f4daf71127f1459094ffdbae247fb8f5d739064def256b95d331892dc6feb4",
         "hypothesis.wcfg": "bb0ff40cf2723400a8568a2a4da10f225f3dfdb29d2a226b684f0fd4d96ca9ef",
         "hypothesis.pcfg": "3f2bb14dc3563d3255bb171914bcbae8777cc72a97568a9d39dfd27aa09e1912",
-        "table.tsv": "f94bef083497fe27ebcf51e1c4768563dc2ad9e5906f82b72d108b23469291de",
-        "report.json": "fbd90f187cbafa720bd4c111ec366b60a1a870b274d5f97b13665f01f646815a",
+        "table.tsv": "9ee790d4b934553220071cf79f61d728392630f832373fec2ad3f9fc7d4acdac",
+        "report.json": "cda011053359fd8269214653e837064b65a48171e6806a73dde7a25548e3a078",
     },
 }
+EXHAUSTIVE_GRAMMAR_CASES = ["exhaustive acrab", "exhaustive acrab --float",
+                            "exhaustive smalldup", "exhaustive smalldup --float"]
+CORPUS_SEQ_FLAGS = {"exhaustive": ["--max-len", "4"],
+                    "sampling": ["--count", "80", "--max-len", "5", "--seed", "3"]}
 
 
-@pytest.mark.parametrize("case", sorted(STRATEGY_LEARN_SHA256))
+@pytest.mark.parametrize("case", sorted([*STRATEGY_LEARN_SHA256, *EXHAUSTIVE_GRAMMAR_CASES]))
 def test_strategy_and_automaton_learn_outputs_are_pinned(tmp_path, case):
     kind, name, *flags = case.split()
+    expected = STRATEGY_LEARN_SHA256.get(case)
     if kind == "exhaustive":
-        target, seq = FIXTURES / f"{name}.wcfg", ["exhaustive", "--max-len", "4"]
-    else:
-        target, seq = tmp_path / f"{name}.mta", ["trees", "--max-leaves", "4"]
+        target = ["--target", FIXTURES / f"{name}.wcfg"]
+        seq = ["exhaustive", "--max-len", "4"]
+        expected = GRAMMAR_LEARN_SHA256[" ".join([name, *flags])]
+    elif kind == "mta":
+        target, seq = ["--target", tmp_path / f"{name}.mta"], ["trees", "--max-leaves", "4"]
         assert run(["convert", FIXTURES / f"{name}.wcfg", "--wcfg-to-pmta",
-                    "--output", target]) == 0
-    learn = ["learn", "--target", target, "--seq", *seq, "--dump-table"]
+                    "--output", target[1]]) == 0
+    else:
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text(PINNED_CORPUS, encoding="utf-8")
+        target = ["--target", corpus, "--distance", "swap"]
+        seq = [name, *CORPUS_SEQ_FLAGS[name]]
+    learn = ["learn", *target, "--seq", *seq, "--dump-table"]
     out = tmp_path / "out"
-    if flags:
-        # scanned under a margin, as --float once made these targets, and
-        # printed as floats
-        learn += ["--epsilon", "1e-6"]
-        assert run([*learn, "--out", tmp_path / "exact"]) == 0
     assert run([*learn, "--out", out, *flags]) == 0
-    if flags:
+    if flags:  # --float prints the exact learn's weights as floats
+        assert run([*learn, "--out", tmp_path / "exact"]) == 0
         assert_float_files(tmp_path / "exact", out)
-    assert _learn_digests(out) == STRATEGY_LEARN_SHA256[case]
+    assert _learn_digests(out) == expected
 
 
 def _gene_file_lines(seed=11, families=4, per_family=10, length=20):

@@ -20,7 +20,7 @@ from skelgram.grammar import (GrammarError, WCFG, load_wcfg, partition_functions
 from skelgram.learner import learn
 from skelgram.mta import MTA
 from skelgram.multilinear import MultilinearMap, apply
-from skelgram.teacher import AllTreesStrategy, SimulatedTeacher
+from skelgram.teacher import SimulatedTeacher
 from skelgram.trees import Leaf, RankedAlphabet, full_trees
 
 from conftest import (FIXTURES, binary_rational, enumerate_contexts, enumerate_trees,
@@ -171,8 +171,7 @@ def test_a_float_product_that_underflows_still_weighs_plus_zero():
                                     "cmta 0", "cmta 1", "cmta 2"])
 def test_hypothesis_value_matches_the_old_formulas(target):
     """On the final table of a learn: fixtures, exact and with the exact
-    values of their float weights under a margin, and random co-linear
-    automata."""
+    values of their float weights, and random co-linear automata."""
     name, _, mode = target.partition(" ")
     if name == "cmta":
         alphabet = ALPHABET
@@ -182,8 +181,7 @@ def test_hypothesis_value_matches_the_old_formulas(target):
         if mode:
             g = with_weights(g, binary_rational)
         alphabet = g.alphabet(2)
-        teacher = (SimulatedTeacher(g, AllTreesStrategy(alphabet, 4), 1e-6) if mode
-                   else SimulatedTeacher(g))
+        teacher = SimulatedTeacher(g)
     table = learn(teacher, alphabet).table
     hypothesis = extract_cmta(table)
     for t in full_trees(table.alphabet.leaf_symbols, 4):

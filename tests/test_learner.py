@@ -19,16 +19,16 @@ from conftest import (FIXTURES, binary_rational, learn_corpus_entries, observing
                       random_tree, with_weights)
 
 
-def learn_fixture(name, max_leaves=4):
+def learn_fixture(name):
     g = load_wcfg(FIXTURES / name)
     alphabet = g.alphabet(2)
-    teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, max_leaves))
+    teacher = SimulatedTeacher(g)
     report = learn(teacher, alphabet)
     return g, alphabet, report
 
 
 def test_trivial_target():
-    g, alphabet, report = learn_fixture("trivial.wcfg", max_leaves=3)
+    g, alphabet, report = learn_fixture("trivial.wcfg")
     assert report.basis_size == 1
     assert report.seq_count == 1
     h = report.hypothesis
@@ -63,7 +63,7 @@ def test_seq_count_bounded_by_basis_size():
 
 
 def test_colinearity_fixture_rank():
-    g, alphabet, report = learn_fixture("colinearity3.wcfg", max_leaves=4)
+    g, alphabet, report = learn_fixture("colinearity3.wcfg")
     # directions: S, Y, and the leaf; X's trees coincide with the bare leaf
     assert report.basis_size == 3
     assert report.seq_count <= 3
@@ -80,7 +80,7 @@ def acrab_learned():
 
     g = load_wcfg(FIXTURES / "acrab.wcfg")
     alphabet = g.alphabet(2)
-    teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 5))
+    teacher = SimulatedTeacher(g)
     with observing_rounds(observer):
         report = learn(teacher, alphabet)
     return g, alphabet, report, sizes
@@ -112,7 +112,7 @@ def test_learned_series_correct_beyond_training_horizon(acrab_learned):
 def test_iteration_cap_raises_on_unbounded_rank():
     g = load_wcfg(FIXTURES / "chain.wcfg")
     alphabet = g.alphabet(2)
-    teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 6))
+    teacher = SimulatedTeacher(g)
     with pytest.raises(CapExceeded):
         learn(teacher, alphabet, max_iterations=40)
 
@@ -204,7 +204,7 @@ def test_each_distinct_tree_is_queried_once(target):
     else:
         g = load_wcfg(FIXTURES / "acrab.wcfg")
         alphabet = g.alphabet(2)
-        teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 5))
+        teacher = SimulatedTeacher(g)
     recorder = RecordingOracle(teacher)
     report = learn(recorder, alphabet)
     texts = [tree.text for tree, _ in recorder.asked]
@@ -218,9 +218,9 @@ def test_float_backend_learning():
     floats = WCFG(["N"], ["a"], {("N", ("a", "N")): 0.25, ("N", ("a", "a")): 0.5})
     alphabet = floats.alphabet(2)
     with pytest.raises(ValueError, match="float weight"):
-        SimulatedTeacher(floats, AllTreesStrategy(alphabet, 4), epsilon=1e-9)
+        SimulatedTeacher(floats)
     g = with_weights(floats, binary_rational)
-    report = learn(SimulatedTeacher(g, AllTreesStrategy(alphabet, 4), epsilon=1e-9), alphabet)
+    report = learn(SimulatedTeacher(g), alphabet)
     assert report.basis_size == 2
     for n in range(2, 8):
         got = report.hypothesis.eval(right_chain("a", n))
@@ -233,9 +233,9 @@ def test_float_target_learns_with_default_call():
     floats = with_weights(load_wcfg(FIXTURES / "acrab.wcfg"), float)
     alphabet = floats.alphabet(2)
     with pytest.raises(ValueError, match="float weight"):
-        SimulatedTeacher(floats, AllTreesStrategy(alphabet, 4), epsilon=1e-6)
+        SimulatedTeacher(floats)
     g = with_weights(floats, binary_rational)
-    report = learn(SimulatedTeacher(g, AllTreesStrategy(alphabet, 4), epsilon=1e-6), alphabet)
+    report = learn(SimulatedTeacher(g), alphabet)
     assert report.basis_size == 13
     assert report.seq_count == 5
 
@@ -246,10 +246,10 @@ def test_float_corpus_learning():
     floats = CorpusOracle(corpus, 0.2, "duplication")
     alphabet = floats.alphabet()
     with pytest.raises(ValueError, match="float weight"):
-        SimulatedTeacher(floats, AllTreesStrategy(alphabet, 4), epsilon=1e-6)
+        SimulatedTeacher(floats)
     oracle = CorpusOracle([(t, binary_rational(f)) for t, f in corpus], binary_rational(0.2),
                           "duplication")
-    teacher = SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 4), epsilon=1e-6)
+    teacher = SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 4))
     report = learn(teacher, alphabet, max_iterations=500)
     for n in range(1, 6):
         assert report.hypothesis.eval(right_chain("x", n)) == oracle.smq(right_chain("x", n))
@@ -318,13 +318,12 @@ def test_exact_fixtures_keep_t_to_the_basis(name):
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 @pytest.mark.parametrize("seed", [1, 2, 5, 7])
 def test_learn_corpus_counts_are_pinned(seed, exact):
-    # "float": the decay is the exact value of the float 0.2, under a margin
+    # "float": the decay is the exact value of the float 0.2
     entries = learn_corpus_entries(seed)
     oracle = CorpusOracle(entries, Fraction(1, 5) if exact else binary_rational(0.2),
                           "duplication")
     strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
-    report = learn(SimulatedTeacher(oracle, strategy, 0 if exact else 1e-6),
-                   oracle.alphabet())
+    report = learn(SimulatedTeacher(oracle, strategy), oracle.alphabet())
     assert (report.basis_size, report.seq_count, report.smq_count) == (19, 4, 10226)
     assert len(report.table.trees) == 26 and len(report.table.rows) == 706
 
@@ -363,20 +362,6 @@ def test_scanned_swap_corpus_weighs_every_swap_variant_right(strings, length, se
             assert report.hypothesis.eval(tree) == oracle.smq(tree), tree.text
 
 
-def test_float_exhaustive_scan_learns_all_of_acrab():
-    # one optimal parse per string of at most 4 genes, scanned under a
-    # margin; the automaton learned from the exact values of acrab's float
-    # weights is the target's on every tree of at most 5 leaves, not only
-    # on those
-    g = with_weights(load_wcfg(FIXTURES / "acrab.wcfg"), binary_rational)
-    alphabet = g.alphabet(2)
-    report = learn(SimulatedTeacher(g, ExhaustiveStrategy(alphabet, 4), 1e-6), alphabet)
-    assert report.basis_size == 13
-    target = g.automaton(2)
-    for tree in full_trees(alphabet.leaf_symbols, 5):
-        assert report.hypothesis.eval(tree) == target.eval(tree), tree.text
-
-
 def learn_runs():
     """(id, teacher, alphabet) for the learns whose intermediate tables
     `test_every_table_built_for_a_counterexample_weighs_as_its_hypothesis`
@@ -385,11 +370,6 @@ def learn_runs():
     for name in ("acrab", "fimacd", "colinearity3"):
         g = load_wcfg(FIXTURES / f"{name}.wcfg")
         runs.append((name, SimulatedTeacher(g), g.alphabet(2)))
-    # "float": the exact values of acrab's float weights, scanned under a margin
-    floats = with_weights(load_wcfg(FIXTURES / "acrab.wcfg"), binary_rational)
-    alphabet = floats.alphabet(2)
-    runs.append(("acrab-float-exhaustive",
-                 SimulatedTeacher(floats, ExhaustiveStrategy(alphabet, 4), 1e-6), alphabet))
     entries = learn_corpus_entries(7)
     oracle = CorpusOracle(entries, Fraction(1, 5), "duplication")
     runs.append(("learn-corpus-7", SimulatedTeacher(

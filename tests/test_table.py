@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from skelgram import table as table_module
 from skelgram.extract import extract_cmta
 from skelgram.geneclusters import right_chain
 from skelgram.grammar import load_wcfg
@@ -13,8 +14,7 @@ from skelgram.learner import learn
 from skelgram.multilinear import colinear_witness
 from skelgram.scalars import scalar_eq
 from skelgram.table import Budget, CapExceeded, ObservationTable, TableError
-from skelgram.teacher import (AllTreesStrategy, CorpusOracle, DuplicationsStrategy,
-                              SimulatedTeacher)
+from skelgram.teacher import CorpusOracle, DuplicationsStrategy, SimulatedTeacher
 from skelgram.trees import (IDENTITY_CONTEXT, Leaf, Node, RankedAlphabet,
                             canonical_key, compose, compose_contexts,
                             parse_context, parse_structured_string, sigma_contexts,
@@ -232,6 +232,18 @@ def test_unbounded_rank_exhausts_budget():
                              [parse_structured_string("(a (a (a (a a))))", alphabet)])
 
 
+def test_row_cap_raises_before_adding_the_row(monkeypatch):
+    # the refused row is left out of both `rows` and the canonical order
+    monkeypatch.setattr(table_module, "MAX_ROWS", 12)
+    g = load_wcfg(FIXTURES / "chain.wcfg")
+    table, alphabet = make_table(g)
+    with pytest.raises(CapExceeded, match="row cap 12 exceeded"):
+        complete_with_leaves(table, alphabet,
+                             [parse_structured_string("(a (a (a (a a))))", alphabet)])
+    assert len(table.rows) == 12
+    assert sorted(table.rows) == sorted(t.text for t in table._order)
+
+
 def test_smq_memoization_counts_distinct_queries():
     g = load_wcfg(FIXTURES / "smalldup.wcfg")
     table, alphabet = make_table(g)
@@ -304,7 +316,7 @@ def checked_against_reference(monkeypatch):
 def test_colinear_check_agrees_with_pairwise_reference(checked_against_reference, name):
     g = load_wcfg(FIXTURES / f"{name}.wcfg")
     alphabet = g.alphabet(2)
-    learn(SimulatedTeacher(g, AllTreesStrategy(alphabet, 4)), alphabet)
+    learn(SimulatedTeacher(g), alphabet)
     assert checked_against_reference
 
 
@@ -322,7 +334,7 @@ def test_colinear_check_agrees_with_reference_on_chain(checked_against_reference
     g = load_wcfg(FIXTURES / "chain.wcfg")
     alphabet = g.alphabet(2)
     with pytest.raises(CapExceeded):
-        learn(SimulatedTeacher(g, AllTreesStrategy(alphabet, 4)), alphabet,
+        learn(SimulatedTeacher(g), alphabet,
               max_iterations=30)
     chain_table(g)
     assert any(checked_against_reference)
@@ -333,7 +345,7 @@ def test_colinear_check_agrees_with_reference_on_random_cmtas(checked_against_re
     alphabet = RankedAlphabet(["a", "b"], 2)
     for _ in range(30):
         target = random_cmta(rng, alphabet, rng.randint(1, 3))
-        report = learn(SimulatedTeacher(target, AllTreesStrategy(alphabet, 4)), alphabet)
+        report = learn(SimulatedTeacher(target), alphabet)
         assert report.basis_size <= target.dim
     assert any(checked_against_reference)
 
@@ -433,14 +445,12 @@ def test_one_level_contexts_are_current_after_every_completion(monkeypatch, targ
 def test_colinear_check_returns_memberwise_context_on_corpus(
         same_context_as_memberwise, seed, exact):
     # the learn-corpus benchmark's job, on that seed's renaming of its
-    # corpus; "float": with the exact value of the float 0.2 as the decay,
-    # scanned under a margin
+    # corpus; "float": with the exact value of the float 0.2 as the decay
     entries = learn_corpus_entries(seed)
     oracle = CorpusOracle(entries, Fraction(1, 5) if exact else binary_rational(0.2),
                           "duplication")
     strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
-    report = learn(SimulatedTeacher(oracle, strategy, 0 if exact else 1e-6),
-                   oracle.alphabet())
+    report = learn(SimulatedTeacher(oracle, strategy), oracle.alphabet())
     assert report.basis_size == 19
     assert any(same_context_as_memberwise)
 
@@ -450,7 +460,7 @@ def test_colinear_check_returns_memberwise_context_on_grammars(
         same_context_as_memberwise, name):
     g = load_wcfg(FIXTURES / f"{name}.wcfg")
     alphabet = g.alphabet(2)
-    learn(SimulatedTeacher(g, AllTreesStrategy(alphabet, 4)), alphabet)
+    learn(SimulatedTeacher(g), alphabet)
     assert same_context_as_memberwise
 
 
@@ -458,7 +468,7 @@ def test_colinear_check_returns_memberwise_context_on_chain(same_context_as_memb
     g = load_wcfg(FIXTURES / "chain.wcfg")
     alphabet = g.alphabet(2)
     with pytest.raises(CapExceeded):
-        learn(SimulatedTeacher(g, AllTreesStrategy(alphabet, 4)), alphabet,
+        learn(SimulatedTeacher(g), alphabet,
               max_iterations=30)
     chain_table(g)
     assert any(same_context_as_memberwise)
@@ -470,7 +480,7 @@ def test_colinear_check_returns_memberwise_context_on_random_cmtas(
     alphabet = RankedAlphabet(["a", "b"], 2)
     for _ in range(30):
         target = random_cmta(rng, alphabet, rng.randint(1, 3))
-        learn(SimulatedTeacher(target, AllTreesStrategy(alphabet, 4)), alphabet)
+        learn(SimulatedTeacher(target), alphabet)
     assert any(same_context_as_memberwise)
 
 
@@ -541,13 +551,14 @@ def classes_checked_on_every_column(monkeypatch):
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 @pytest.mark.parametrize("name", ["acrab", "colinearity3", "smalldup"])
 def test_kept_classes_match_fresh_on_grammars(classes_checked_on_every_column, name, exact):
-    # "float": the exact values of the grammar's float weights, scanned
-    # under a margin; their basis classes stay as the exact ones do
+    # "float": the exact values of the grammar's float weights, binary
+    # rationals with large denominators; their basis classes stay as the
+    # exact ones do
     g = load_wcfg(FIXTURES / f"{name}.wcfg")
     if not exact:
         g = with_weights(g, binary_rational)
     alphabet = g.alphabet(2)
-    learn(SimulatedTeacher(g, AllTreesStrategy(alphabet, 4), 0 if exact else 1e-6), alphabet)
+    learn(SimulatedTeacher(g), alphabet)
     assert classes_checked_on_every_column
     assert any(basis for _, basis in classes_checked_on_every_column)
 
@@ -558,7 +569,7 @@ def test_kept_classes_match_fresh_on_corpus(classes_checked_on_every_column, exa
     oracle = CorpusOracle(entries, Fraction(1, 5) if exact else binary_rational(0.2),
                           "duplication")
     strategy = DuplicationsStrategy([t for t, _ in entries], max_dup=1)
-    learn(SimulatedTeacher(oracle, strategy, 0 if exact else 1e-6), oracle.alphabet())
+    learn(SimulatedTeacher(oracle, strategy), oracle.alphabet())
     assert len(classes_checked_on_every_column) == 14
     assert any(zeros for zeros, _ in classes_checked_on_every_column)
     assert any(basis for _, basis in classes_checked_on_every_column)
@@ -569,7 +580,7 @@ def test_kept_classes_match_fresh_on_random_cmtas(classes_checked_on_every_colum
     alphabet = RankedAlphabet(["a", "b"], 2)
     for _ in range(10):
         target = random_cmta(rng, alphabet, rng.randint(1, 3))
-        learn(SimulatedTeacher(target, AllTreesStrategy(alphabet, 4)), alphabet)
+        learn(SimulatedTeacher(target), alphabet)
     assert any(basis for _, basis in classes_checked_on_every_column)
 
 

@@ -19,7 +19,7 @@ from skelgram.trees import (Leaf, Node, RankedAlphabet, enumerate_full_trees,
 from conftest import (FIXTURES, brute_force_weight, learn_corpus_entries,
                       random_binary_tree, random_cmta,
                       reference_duplication_distance, reference_swap_distance,
-                      binary_rational, with_weights)
+                      with_weights)
 
 
 @pytest.fixture(scope="module")
@@ -95,17 +95,6 @@ def test_smq_with_automaton_target(acrab):
     assert teacher.smq(t) == Fraction(456, 1000)
 
 
-def test_seq_counterexample_breaks_margin(acrab):
-    alphabet = acrab.alphabet()
-    epsilon = Fraction(1, 100)
-    teacher = SimulatedTeacher(acrab, AllTreesStrategy(alphabet, 4), epsilon)
-    answer = teacher.seq(MTA.zero(alphabet))
-    assert answer is not None
-    tree, value = answer
-    assert abs(MTA.zero(alphabet).eval(tree) - value) > epsilon
-    assert value == acrab.skeletal_weight(tree)
-
-
 def test_corpus_smq_stays_in_unit_interval():
     import random as _random
     from conftest import random_binary_tree
@@ -120,33 +109,30 @@ def test_corpus_smq_stays_in_unit_interval():
 
 
 def test_strategy_is_enumerated_once_per_teacher():
-    # the exact values of acrab's float weights, scanned under a margin
-    target = with_weights(load_wcfg(FIXTURES / "acrab.wcfg"), binary_rational)
-    alphabet = target.alphabet(2)
+    # the learn-corpus benchmark's corpus, scanned over all trees of at most
+    # 4 leaves
+    oracle = CorpusOracle(learn_corpus_entries(2), Fraction(1, 5), "duplication")
+    alphabet = oracle.alphabet()
     strategy = CountingStrategy(AllTreesStrategy(alphabet, 4))
-    teacher = SimulatedTeacher(target, strategy, 1e-6)
+    teacher = SimulatedTeacher(oracle, strategy)
     report = learn(teacher, alphabet)
-    assert report.seq_count == 5
-    # the last SEQ scanned every candidate, drawn from that one enumeration
+    assert report.seq_count == 6
+    # the last SEQ scanned every candidate, drawn from that one enumeration,
+    # then the corpus trees
     assert strategy.calls == 1
-    assert [t for t, _ in teacher.scanned] == list(AllTreesStrategy(alphabet, 4).candidates())
+    assert [t for t, _ in teacher.scanned] == (list(AllTreesStrategy(alphabet, 4).candidates())
+                                               + [t for t, _ in oracle.corpus])
 
 
-@pytest.mark.parametrize("target", ["acrab", "corpus"])
-def test_seq_weighs_each_scanned_tree_once_per_teacher(monkeypatch, target):
+def test_seq_weighs_each_scanned_tree_once_per_teacher(monkeypatch):
     """The scan keeps the target weight of every tree it has weighed, so
     over a whole learn the target's evaluator sees each scanned tree once."""
-    if target == "corpus":
-        entries = learn_corpus_entries(2)
-        oracle = CorpusOracle(entries, Fraction(1, 5), "duplication")
-        evaluator, owner, alphabet = "smq", oracle, oracle.alphabet()
-        strategy = DuplicationsStrategy([t for t, _ in entries], 1)
-    else:  # acrab under a margin, which makes it scanned
-        owner = with_weights(load_wcfg(FIXTURES / "acrab.wcfg"), binary_rational)
-        evaluator, alphabet = "skeletal_weight", owner.alphabet(2)
-        strategy = AllTreesStrategy(alphabet, 5)
+    entries = learn_corpus_entries(2)
+    oracle = CorpusOracle(entries, Fraction(1, 5), "duplication")
+    alphabet = oracle.alphabet()
+    strategy = DuplicationsStrategy([t for t, _ in entries], 1)
     weighed, scanning = [], []
-    evaluate, seq = getattr(owner, evaluator), SimulatedTeacher.seq
+    evaluate, seq = oracle.smq, SimulatedTeacher.seq
 
     def counted(tree, *args):
         if scanning:
@@ -160,9 +146,9 @@ def test_seq_weighs_each_scanned_tree_once_per_teacher(monkeypatch, target):
         finally:
             scanning.pop()
 
-    monkeypatch.setattr(owner, evaluator, counted)  # the teacher picks it up
+    monkeypatch.setattr(oracle, "smq", counted)  # the teacher picks it up
     monkeypatch.setattr(SimulatedTeacher, "seq", scan)
-    teacher = SimulatedTeacher(owner, strategy, 0 if target == "corpus" else 1e-6)
+    teacher = SimulatedTeacher(oracle, strategy)
     report = learn(teacher, alphabet)
     assert report.seq_count >= 4
     # each tree seq scans was weighed once, in scan order (a corpus target's
@@ -178,9 +164,9 @@ class Hypothesis:
         self.alphabet, self.eval = alphabet, weigh
 
 
-def test_seq_compares_exact_values_exactly_and_floats_by_margin():
-    # corpus targets are scanned; a margin, float or exact, compares by
-    # margin, and a float target is refused
+def test_seq_compares_values_exactly():
+    # corpus targets are scanned, each value compared exactly, and a float
+    # target is refused
     alphabet = RankedAlphabet(["a", "b"], 2)
     texts = (("a", 1), ("(a b)", 3))
     oracle = CorpusOracle([(parse_structured_string(text, alphabet), Fraction(freq))
@@ -192,31 +178,26 @@ def test_seq_compares_exact_values_exactly_and_floats_by_margin():
     same = Hypothesis(alphabet, oracle.smq)
     assert SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 2)).seq(same) is None
     near = Hypothesis(alphabet, lambda t: oracle.smq(t) + Fraction(1, 10 ** 12) * (t == tree))
-    for margin in (1e-9, Fraction(1, 10 ** 9)):
-        assert SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 2), margin).seq(near) is None
     assert SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 2)).seq(near)[0] == tree
-    # NaN is never more than a margin away, as abs(got - truth) > epsilon reads
-    nan = Hypothesis(alphabet, lambda t: float("nan"))
-    assert SimulatedTeacher(oracle, AllTreesStrategy(alphabet, 2), 1e-9).seq(nan) is None
     floats = CorpusOracle([(parse_structured_string(text, alphabet), float(freq))
-                           for text, freq in texts], 0.2)
+                          for text, freq in texts], 0.2)
     with pytest.raises(ValueError, match="float weight"):
-        SimulatedTeacher(floats, AllTreesStrategy(alphabet, 2), 1e-9)
+        SimulatedTeacher(floats, AllTreesStrategy(alphabet, 2))
 
 
 def test_exact_automaton_is_read_off_the_target():
-    # a non-zero margin or a corpus leaves the scan, and a float target is
-    # refused; a rule longer than the rank is left out of the automaton
+    # only a corpus leaves the scan, and a float target is refused; a rule
+    # longer than the rank is left out of the automaton, and an alphabet
+    # other than the target's is refused
     exact = load_wcfg(FIXTURES / "smalldup.wcfg")
     alphabet = exact.alphabet(2)
     for floats in (with_weights(exact, float), wcfg_to_pmta(with_weights(exact, float))):
         with pytest.raises(ValueError, match="float weight"):
             SimulatedTeacher(floats)
-    assert SimulatedTeacher(exact, epsilon=1e-9).exact_automaton(alphabet) is None
     assert SimulatedTeacher(exact).exact_automaton(alphabet) is exact.automaton(2)
-    assert SimulatedTeacher(exact, epsilon=-0.0).exact_automaton(alphabet) is exact.automaton(2)
     assert SimulatedTeacher(exact).exact_automaton(exact.alphabet(3)) is exact.automaton(3)
-    assert SimulatedTeacher(exact).exact_automaton(RankedAlphabet(["b"], 2)) is None
+    with pytest.raises(ValueError, match="alphabet"):
+        SimulatedTeacher(exact).exact_automaton(RankedAlphabet(["b"], 2))
     ternary = parse_wcfg("S -> a a a [1]\n")
     teacher = SimulatedTeacher(ternary)
     fitting = teacher.exact_automaton(ternary.alphabet(2))
@@ -255,12 +236,10 @@ def test_exactness_is_read_once_per_automaton(monkeypatch):
     assert len(automata) == len(set(automata)) == 1 + report.seq_count
 
 
-@pytest.mark.parametrize("epsilon", [-1, -1e-9, float("nan")])
-def test_negative_or_nan_margin_is_rejected(acrab, epsilon):
-    # under a negative margin every candidate is a counterexample the table
-    # already weighs right; under NaN none is one
-    with pytest.raises(ValueError, match=r"teacher margin epsilon must be >= 0, got"):
-        SimulatedTeacher(acrab, epsilon=epsilon)
+def test_a_teacher_takes_no_margin(acrab):
+    # a grammar or automaton is answered exactly, a corpus compared exactly
+    with pytest.raises(TypeError):
+        SimulatedTeacher(acrab, epsilon=0)
 
 
 class RefusingStrategy:
@@ -305,16 +284,10 @@ def test_exact_seq_without_a_strategy():
     assert value == g.skeletal_weight(tree) != 0
     report = learn(teacher, alphabet)
     assert teacher.seq(report.hypothesis) is None
+    # a corpus is scanned, which needs a strategy
+    oracle = CorpusOracle(learn_corpus_entries(1), Fraction(1, 5))
     with pytest.raises(ValueError, match="no equivalence strategy"):
-        SimulatedTeacher(g, epsilon=1e-9).seq(MTA.zero(alphabet))
-
-
-def test_seq_respects_epsilon():
-    g = load_wcfg(FIXTURES / "trivial.wcfg")
-    alphabet = g.alphabet(2)
-    teacher = SimulatedTeacher(g, AllTreesStrategy(alphabet, 2), epsilon=2)
-    # everything is within margin 2 of the zero automaton
-    assert teacher.seq(MTA.zero(alphabet)) is None
+        SimulatedTeacher(oracle).seq(MTA.zero(oracle.alphabet()))
 
 
 def test_exhaustive_candidates_counts():
