@@ -185,9 +185,9 @@ def swap_distance(t: SkeletalTree, s: SkeletalTree):
 
 def _swap(t, s, memo):
     # Within one walk each pair of positions is reached once, from its
-    # parents' pair; the memo (a dict the caller keeps) carries node pairs'
-    # distances, by their texts, across walks.  A swap keeps subtree sizes
-    # and arities, so unequal ones are inf.
+    # parents' pair; the memo (a dict, fresh per walk) keeps node pairs'
+    # distances by their texts, so pairs of repeated subtrees are walked
+    # once.  A swap keeps subtree sizes and arities, so unequal ones are inf.
     done = []
     stack = [(t, s)]  # (None, (t, s)) combines the last four distances done
     while stack:
@@ -239,46 +239,28 @@ def duplication_distance(t: SkeletalTree, s: SkeletalTree):
     chains of n and m a's split pair by pair down to a leaf against a chain:
     they are |n - m| apart."""
     _require_binary(t, s)
-    return _dup(t, s, {})
+    return _dup(t, s)
 
 
-def _dup(t, s, memo):
-    # The distance is a sum over the pairs reached from (t, s), so the
-    # first inf ends the walk.  The memo (a dict the caller keeps) holds, by
-    # the pair's texts, the distance of (t, s) and of each node pair whose
-    # children's are summed, and inf for every pair still summing when an
-    # inf is met; later walks read them back.
-    d = memo.get((t.text, s.text))
-    if d is not None:
-        return d
-    done = []
-    stack = [(None, (t, s, 1)), (t, s)]  # (None, (t, s, k)) sums the last k done
+def _dup(t, s):
+    # The distance is a sum over the pairs reached from (t, s), each once,
+    # so the walk adds each leaf pair's or chain's term and the first inf
+    # ends it.
+    total, stack = 0, [(t, s)]
     while stack:
         t, s = stack.pop()
-        if t is None:
-            t, s, k = s
-            d = memo[t.text, s.text] = sum(done[-k:])
-            del done[-k:]
-            done.append(d)
+        if isinstance(t, Leaf) and isinstance(s, Leaf):
+            d = 0 if t.token == s.token else INF
+        elif isinstance(t, Leaf) or isinstance(s, Leaf):
+            leaf, node = (t, s) if isinstance(t, Leaf) else (s, t)
+            shape = right_chain_shape(node)
+            d = shape[1] - 1 if shape and shape[0] == leaf.token else INF
+        elif len(t.children) != len(s.children):
+            d = INF
+        else:
+            stack.extend(zip(t.children, s.children))
             continue
-        d = memo.get((t.text, s.text))
-        if d is None:
-            if isinstance(t, Leaf) and isinstance(s, Leaf):
-                d = 0 if t.token == s.token else INF
-            elif isinstance(t, Leaf) or isinstance(s, Leaf):
-                leaf, node = (t, s) if isinstance(t, Leaf) else (s, t)
-                shape = right_chain_shape(node)
-                d = shape[1] - 1 if shape and shape[0] == leaf.token else INF
-            elif len(t.children) != len(s.children):
-                d = INF
-            else:
-                stack.append((None, (t, s, len(t.children))))
-                stack.extend(zip(t.children, s.children))
-                continue
         if d == INF:
-            for t, s in stack:
-                if t is None:
-                    memo[s[0].text, s[1].text] = INF
             return INF
-        done.append(d)
-    return done[0]
+        total += d
+    return total

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
+from fractions import Fraction
 
 from .equivalence import difference_witness
-from .geneclusters import INF, _dup, _swap, parse_gene_string, right_chain
+from .geneclusters import INF, parse_gene_string, right_chain, right_chain_shape
 from .grammar import WCFG
 from .mta import MTA
 from .scalars import is_exact, ordered_sum, parse_scalar
@@ -198,37 +198,12 @@ class AllTreesStrategy:
 # -- corpus oracle -----------------------------------------------------------
 
 
-def _yield(t) -> tuple:
-    """tree_yield with interned tokens, which the oracle's kept keys share
-    (a list, not map(): see duplication_key)."""
-    return tuple([sys.intern(tok) for tok in tree_yield(t)])
-
-
-def duplication_key(t: SkeletalTree) -> tuple:
-    """The run-compressed yield: equal for trees at finite duplication
-    distance, since matched chains compress to one token each and the
-    compressed yield of a node depends only on its children's."""
-    runs, last = [], None
-    for tok in _yield(t):
-        if tok != last:
-            runs.append(tok)
-            last = tok
-    # a list, not a generator: tuple() over a generator resizes its result,
-    # and the resized tuples pile up in CPython's tuple free lists (about
-    # 1 MB more peak memory in a learn-corpus benchmark job)
-    return tuple(runs)
-
-
-def swap_key(t: SkeletalTree) -> tuple:
-    """Size and sorted yield: a swap keeps both."""
-    return t.size, tuple(sorted(_yield(t)))
-
-
-def _dup_spine(c: Context, entry: SkeletalTree, memo: dict) -> list:
-    """c's spine walked top-down against entry, as _dup walks c∘t: no
-    alignment when the walk meets inf, else one, (the distances summed, the
-    entry position at the hole, exact).  At an entry node the arities must
-    match; the siblings' distances are added and the walk goes on at the
+def _dup_spine(c: Context, entry: SkeletalTree, distance) -> list:
+    """c's spine walked top-down against entry, as duplication_distance
+    walks c∘t: no alignment when the walk meets inf, else one, (the
+    distances summed, the entry position at the hole, exact).  At an entry
+    node the arities must match; the siblings' distances (`distance`, by
+    sibling and entry position) are added and the walk goes on at the
     hole's child.  At an entry leaf a, c∘t's node is a right chain of a's
     only as (a <>), which adds 1 and stays at a, or as (<> R) over a hole
     holding exactly a, which adds 1 + d(R, a) and is the lowest level; then
@@ -240,7 +215,7 @@ def _dup_spine(c: Context, entry: SkeletalTree, memo: dict) -> list:
             if len(left) == 1 and not right and left[0].text == p.text:  # (a <>)
                 acc += 1
             elif i == last and not left and len(right) == 1:  # (<> R) over a
-                acc += 1 + _dup(right[0], p, memo)
+                acc += 1 + distance(right[0], p)
                 exact = True
             else:
                 return []
@@ -249,19 +224,19 @@ def _dup_spine(c: Context, entry: SkeletalTree, memo: dict) -> list:
         else:
             h = len(left)
             for sib, q in zip(left + right, p.children[:h] + p.children[h + 1:]):
-                acc += _dup(sib, q, memo)
+                acc += distance(sib, q)
             p = p.children[h]
         if acc == INF:
             return []
     return [(acc, p, exact)]
 
 
-def _swap_spine(c: Context, entry: SkeletalTree, memo: dict) -> list:
-    """Every alignment of c's spine, walked top-down against entry as _swap
-    walks c∘t, as (swaps and sibling distances summed, the entry position
-    at the hole, False); the ones that meet inf are dropped, and so are the
-    ones that reach an entry leaf above the hole, since a leaf is inf from
-    any node."""
+def _swap_spine(c: Context, entry: SkeletalTree, distance) -> list:
+    """Every alignment of c's spine, walked top-down against entry as
+    swap_distance walks c∘t, as (swaps and sibling distances summed, the
+    entry position at the hole, False); the ones that meet inf are dropped,
+    and so are the ones that reach an entry leaf above the hole, since a
+    leaf is inf from any node."""
     aligned = [(0, entry, False)]
     for left, right in c.levels:
         if len(left) + len(right) != 1:
@@ -272,10 +247,10 @@ def _swap_spine(c: Context, entry: SkeletalTree, memo: dict) -> list:
             if isinstance(p, Leaf):
                 continue
             under, beside = p.children[h], p.children[1 - h]
-            d = _swap(sib, beside, memo)
+            d = distance(sib, beside)
             if d != INF:
                 below.append((cost + d, under, False))
-            d = _swap(sib, under, memo)
+            d = distance(sib, under)
             if d != INF:
                 below.append((cost + d + 1, beside, False))
         aligned = below
@@ -286,21 +261,25 @@ class CorpusOracle:
     """smq by decayed edit distance to a weighted tree corpus:
     sum over corpus entries of freq * q^distance(t, entry), q^inf = 0.
 
+    The corpus positions are the entries' distinct subtrees, by text.  A
+    tree's support maps each position p to d(t, p) where that is finite;
+    it is kept by the tree's text and built from its children's, bottom-up
+    (`_support`), so each tree is weighed once.  A non-binary node's
+    support is empty, since every position is binary.
+
     smq(t, c) builds no c∘t.  Once per context, `_column` walks c's spine
     against every entry, in corpus order, down to the entry positions at
-    the hole: for duplication, one alignment, the distances summed, where
-    an entry leaf meets the spine only as a right chain of its token
-    (_dup_spine); for swap, every alignment of the hole with an entry
-    position (_swap_spine).  Each surviving alignment is filed under its
-    position's key (`duplication_key`, `swap_key`), which any two trees at
-    finite distance share, so d(c∘t, entry) is finite only through an
-    alignment filed under t's own key.  A cell is then one lookup of t's
-    key, kept by text, and the memoized d(t, position) of each alignment
-    found; the entries found keep corpus order, so float sums add in the
-    same order as over the whole corpus.  A plain query is the cell of the
-    identity context, whose only alignment with an entry is the entry
-    itself at cost 0.  Subtree distances are memoized by the subtree's
-    text and the entry position's text."""
+    the hole, reading each sibling's distance off its support: for
+    duplication, one alignment, the distances summed, where an entry leaf
+    meets the spine only as a right chain of its token (_dup_spine); for
+    swap, every alignment of the hole with an entry position
+    (_swap_spine).  A cell reads each entry's alignments against t's
+    support: d(c∘t, entry) is the least alignment cost plus d(t, position).
+    An empty support answers 0 before any column is read.  Each term
+    freq * q^d is kept per entry and distance, and the terms are added in
+    corpus order, so float sums add in the same order as over the whole
+    corpus.  A plain query is the cell of the identity context, whose only
+    alignment with an entry is the entry itself at cost 0."""
 
     def __init__(self, corpus, decay, distance: str = "duplication"):
         if distance not in ("swap", "duplication"):
@@ -316,51 +295,118 @@ class CorpusOracle:
             if not tree.binary:
                 raise ValueError(f"corpus trees must be binary: {tree.text}")
         total = ordered_sum(freq for _, freq in corpus)
-        self.corpus = [(tree, freq / total) for tree, freq in corpus]
+        self.corpus = [(tree, Fraction(freq, total) if is_exact(freq) and is_exact(total)
+                        else freq / total) for tree, freq in corpus]
         self.decay = decay
         self.distance = distance
-        # corpus trees are checked above; a non-binary query is infinitely
-        # distant from each (both distances are inf on unequal arities)
-        self._key, self._distance, self._spine = (
-            (swap_key, _swap, _swap_spine) if distance == "swap" else
-            (duplication_key, _dup, _dup_spine))
-        self._keys: dict[str, tuple] = {}  # trees' keys, by text
-        self._columns: dict[str, dict] = {}  # contexts' columns, by text
-        self._memo: dict[tuple, object] = {}  # subtree distances, by both texts
+        self._spine = _swap_spine if distance == "swap" else _dup_spine
+        positions: dict[str, SkeletalTree] = {}
+        for entry, _ in corpus:
+            for s in unknown_subtrees(entry, positions):
+                positions[s.text] = s
+        # the binary positions (p1 p2), by p1's text: [(p2's text, their text)]
+        self._by_left: dict[str, list] = {}
+        # a leaf's support, by its token: the leaf position itself for swap,
+        # the token's right chains for duplication
+        self._leaves: dict[str, list] = {}
+        for text, s in positions.items():
+            if isinstance(s, Node):
+                p1, p2 = s.children
+                self._by_left.setdefault(p1.text, []).append((p2.text, text))
+            shape = right_chain_shape(s)
+            if shape is not None and (distance == "duplication" or isinstance(s, Leaf)):
+                self._leaves.setdefault(shape[0], []).append((text, shape[1] - 1))
+        self._supports: dict[str, dict] = {}  # trees' supports, by text
+        self._columns: dict[str, list] = {}  # contexts' columns, by text
+        self._terms = [{} for _ in corpus]  # each entry's freq * q^d, by d
 
     def smq(self, tree: SkeletalTree, context: Context = IDENTITY_CONTEXT):
+        support = self._supports.get(tree.text)
+        if support is None:
+            support = self._support(tree)
+        if not support:
+            return 0
         column = self._columns.get(context.text)
         if column is None:
             column = self._columns[context.text] = self._column(context)
-        found = column.get(self._tree_key(tree))
-        if found is None:
-            return 0
-        total, distance, memo = 0, self._distance, self._memo
-        for aligned, freq in found:
-            d = min([cost + distance(tree, p, memo) for cost, p, exact in aligned
-                     if not exact or tree.text == p.text], default=INF)
+        total = 0
+        for freq, terms, aligned in column:
+            d = INF
+            for cost, p, exact in aligned:
+                e = support.get(p)
+                # an exact alignment needs t to be p: d(t, p) = 0
+                if e is not None and cost + e < d and not (exact and e):
+                    d = cost + e
             if d != INF:
-                total = total + freq * self.decay ** int(d)
+                term = terms.get(d)
+                if term is None:
+                    term = terms[d] = freq * self.decay ** d
+                total = total + term
         return total
 
-    def _tree_key(self, t: SkeletalTree) -> tuple:
-        """t's key, kept by its text."""
-        key = self._keys.get(t.text)
-        if key is None:
-            key = self._keys[t.text] = self._key(t)
-        return key
+    def _distance(self, t: SkeletalTree, p: SkeletalTree):
+        """d(t, p) for an entry position p, read off t's support."""
+        return self._support(t).get(p.text, INF)
 
-    def _column(self, c: Context) -> dict:
-        """c's alignments with the corpus entries, by the key of the entry
-        position at the hole: for each key, [(the entry's alignments filed
-        under it, the entry's frequency)], in corpus order."""
-        column: dict[tuple, list] = {}
-        for entry, freq in self.corpus:
-            by_key: dict[tuple, list] = {}
-            for alignment in self._spine(c, entry, self._memo):
-                by_key.setdefault(self._tree_key(alignment[1]), []).append(alignment)
-            for key, aligned in by_key.items():
-                column.setdefault(key, []).append((aligned, freq))
+    def _support(self, t: SkeletalTree) -> dict:
+        """t's distances to the corpus positions, finite ones only, by the
+        position's text; built bottom-up, the subtrees not yet kept in
+        `unknown_subtrees` order.  The dict is the memo's own: do not
+        change it.
+        - duplication: a leaf a is k - 1 from a position that is a right
+          chain of k a's; a binary node is d1 + d2 from each position
+          (p1 p2) over its children's supports, and 1 + d from the leaf
+          position a when its left child is the leaf a and its right
+          child is d from a.
+        - swap: a leaf is 0 from its own position; a binary node is the
+          least of d1 + d2 over (p1 p2) and d1 + d2 + 1 over (p2 p1)."""
+        memo = self._supports
+        support = memo.get(t.text)
+        if support is not None:
+            return support
+        todo = [t]
+        if t.__class__ is Node:
+            for c in t.children:
+                if c.text not in memo:
+                    todo = unknown_subtrees(t, memo)
+                    break
+        swap, by_left = self.distance == "swap", self._by_left
+        for s in todo:
+            if s.text in memo:  # a repeated subtree, built at its first occurrence
+                continue
+            support = {}
+            if s.__class__ is Leaf:
+                support.update(self._leaves.get(s.token, ()))
+            elif len(s.children) == 2:
+                left, right = s.children
+                s1, s2 = memo[left.text], memo[right.text]
+                if s1 and s2:
+                    for p1, d1 in s1.items():
+                        for p2, pos in by_left.get(p1, ()):
+                            d2 = s2.get(p2)
+                            if d2 is not None:
+                                support[pos] = d1 + d2
+                    if swap:
+                        for p2, d2 in s2.items():
+                            for p1, pos in by_left.get(p2, ()):
+                                d1 = s1.get(p1)
+                                if d1 is not None and d1 + d2 + 1 < support.get(pos, INF):
+                                    support[pos] = d1 + d2 + 1
+                    elif left.__class__ is Leaf and left.text in s2:
+                        support[left.text] = 1 + s2[left.text]
+            memo[s.text] = support
+        return support
+
+    def _column(self, c: Context) -> list:
+        """c's alignments with the corpus entries, in corpus order: for each
+        entry with one, (its frequency, its kept terms, [(cost, the entry
+        position's text, exact)])."""
+        column = []
+        for (entry, freq), terms in zip(self.corpus, self._terms):
+            aligned = [(cost, p.text, exact)
+                       for cost, p, exact in self._spine(c, entry, self._distance)]
+            if aligned:
+                column.append((freq, terms, aligned))
         return column
 
     def is_exact(self) -> bool:

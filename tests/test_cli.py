@@ -530,10 +530,10 @@ def test_trees_command_swap_distance_long_run(tmp_path, capsys):
     assert capsys.readouterr().out == f"0\t{chain}\n"
 
 
-def test_learn_acrab_with_exhaustive_strategy(tmp_path):
-    """Learning the efflux-pump grammar with string-exhaustive equivalence
-    checks still recovers a PCFG whose most probable 4-leaf tree scores
-    0.456."""
+def test_exact_learn_of_acrab_ignores_a_string_strategy(tmp_path):
+    """A grammar target's SEQ is exact, so `--seq exhaustive` builds no
+    strategy: the efflux-pump grammar is learned exactly and recovers a
+    PCFG whose most probable 4-leaf tree scores 0.456."""
     out = tmp_path / "out"
     code = run(["learn", "--target", FIXTURES / "acrab.wcfg",
                 "--seq", "exhaustive", "--max-len", "4", "--out", out])

@@ -255,13 +255,16 @@ def test_float_corpus_learning():
         assert report.hypothesis.eval(right_chain("x", n)) == oracle.smq(right_chain("x", n))
 
 
-def test_learn_with_exhaustive_string_strategy():
-    # the string-based strategy checks one optimal parse per string; on the
-    # single-token toy that is enough to recover the series
+def test_exact_learn_never_reads_a_string_strategy():
+    # a grammar target's SEQ is the exact witness search, so the string
+    # strategy it is given lists no candidate; the series is still recovered
     g = load_wcfg(FIXTURES / "smalldup.wcfg")
     alphabet = g.alphabet(2)
-    teacher = SimulatedTeacher(g, ExhaustiveStrategy(alphabet, 4))
-    report = learn(teacher, alphabet)
+    strategy = ExhaustiveStrategy(alphabet, 4)
+    calls = []
+    strategy.candidates = lambda: calls.append(1) or iter(())
+    report = learn(SimulatedTeacher(g, strategy), alphabet)
+    assert calls == []
     h = report.hypothesis
     for n in range(2, 7):
         assert h.eval(right_chain("a", n)) == Fraction(8, 10) * Fraction(2, 10) ** (n - 2)

@@ -1,20 +1,21 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from skelgram.equivalence import difference_witness
-from skelgram.geneclusters import INF, right_chain, right_chain_shape
+from skelgram.geneclusters import (INF, SubstringFrequencyWeight, parse_gene_string,
+                                   right_chain, right_chain_shape)
 from skelgram.grammar import WCFG, load_wcfg, parse_wcfg, wcfg_to_pmta
 from skelgram.learner import learn
 from skelgram.mta import MTA
 from skelgram.teacher import (AllTreesStrategy, CorpusOracle,
                               DuplicationsStrategy, ExhaustiveStrategy,
-                              SamplingStrategy, SimulatedTeacher,
-                              duplication_key, load_corpus, swap_key)
+                              SamplingStrategy, SimulatedTeacher, load_corpus)
 from skelgram.trees import (Leaf, Node, RankedAlphabet, enumerate_full_trees,
-                            parse_structured_string, tree_yield)
+                            parse_structured_string, subtrees, tree_yield)
 
 from conftest import (FIXTURES, brute_force_weight, learn_corpus_entries,
                       random_binary_tree, random_cmta,
@@ -561,32 +562,63 @@ def _perturbed(rng, t, swap_prob, chain_prob):
     return Node(tuple(kids))
 
 
-def test_finite_distance_implies_equal_keys():
+def test_supports_hold_the_distance_to_every_corpus_position():
+    """A tree's support is its reference distance to each distinct corpus
+    position where that is finite, under both distances: random trees,
+    perturbed positions (swapped children, chains grown or shrunk), unary
+    and ternary nodes, and a 2,000-leaf chain, built with no recursion."""
     rng = random.Random(11)
-    finite = {"duplication": 0, "swap": 0}
-    for _ in range(3000):
-        t = random_binary_tree(rng, ["a", "b", "c"], 8)
+    entries = [random_binary_tree(rng, ["a", "b", "c"], 8) for _ in range(10)]
+    entries += [right_chain("a", 4), Node((right_chain("b", 3), Leaf("a")))]
+    positions = list({p.text: p for e in entries for p in subtrees(e)}.values())
+    queries = [random_binary_tree(rng, ["a", "b", "c"], 6) for _ in range(100)]
+    for _ in range(600):
+        p = rng.choice(positions)
         if rng.random() < 0.5:
-            t = _perturbed(rng, t, 0, 0.7)  # grow chains out of leaves
-        e = _perturbed(rng, t, rng.choice((0, 0.3)), rng.choice((0, 0.5)))
-        for distance, dist, key in (
-                ("duplication", reference_duplication_distance, duplication_key),
-                ("swap", reference_swap_distance, swap_key)):
-            if dist(t, e) != INF:
-                finite[distance] += 1
-                assert key(t) == key(e), (distance, t.text, e.text)
-    assert min(finite.values()) > 1000
+            p = _perturbed(rng, p, 0, 0.7)  # grow chains out of leaves
+        queries.append(_perturbed(rng, p, rng.choice((0, 0.3)), rng.choice((0, 0.5))))
+        queries.append(_perturbed(rng, rng.choice(positions), 0.3, 0))  # swaps only
+    a, b = entries[-1], positions[0]
+    queries += [Node((a,)), Node((a, b, a)), Node((Node((a,)), b)),
+                Node((b, Node((a, b, b)))), right_chain("a", 2000)]
+    finite = {"duplication": 0, "swap": 0}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))  # the references recurse down the chain
+    try:
+        for distance, dist in (("duplication", reference_duplication_distance),
+                               ("swap", reference_swap_distance)):
+            oracle = CorpusOracle([(e, 1) for e in entries], Fraction(1, 5), distance)
+            for t in queries:
+                want = {p.text: d for p in positions if (d := dist(t, p)) != INF}
+                assert oracle._support(t) == want, (distance, t.text)
+                finite[distance] += len(want)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert min(finite.values()) > 1000, finite
 
 
-def test_duplication_key_matches_groupby_form():
-    def grouped(t):
-        return tuple(tok for tok, _ in itertools.groupby(tree_yield(t)))
+def test_int_frequencies_learn_as_their_fractions():
+    """A corpus of int frequencies is normalized exactly, so a teacher takes
+    it and learns what the same corpus of Fractions learns: the 4 x 6
+    random corpus of the ROADMAP's generator."""
+    rng = random.Random(2)
+    strings = [([rng.choice(["g1", "g2", "g3", "g4"]) for _ in range(6)], rng.randint(1, 8))
+               for _ in range(4)]
+    weight = SubstringFrequencyWeight([s for s, _ in strings])
+    corpus = [(parse_gene_string(s, weight)[0], f) for s, f in strings]
+    reports = []
+    for entries in (corpus, [(t, Fraction(f)) for t, f in corpus]):
+        oracle = CorpusOracle(entries, Fraction(1, 5), "duplication")
+        assert all(type(freq) is Fraction for _, freq in oracle.corpus)
+        strategy = DuplicationsStrategy([t for t, _ in corpus], max_dup=1)
+        reports.append(learn(SimulatedTeacher(oracle, strategy), oracle.alphabet()))
+    ints, fractions = ((r.basis_size, r.seq_count, r.smq_count) for r in reports)
+    assert ints == fractions
+    assert ints[1] > 1  # a counterexample was found and learned from
 
-    rng = random.Random(12)
-    trees = [random_binary_tree(rng, ["a", "b", "c"], 12) for _ in range(500)]
-    trees += [Leaf("a"), right_chain("a", 1), right_chain("a", 9),
-              Node((right_chain("b", 3), right_chain("b", 4)))]
-    for t in trees:
-        assert duplication_key(t) == grouped(t), t.text
-    assert duplication_key(Leaf("a")) == ("a",)
-    assert duplication_key(right_chain("a", 9)) == ("a",)
+
+def test_float_frequencies_stay_floats():
+    # a float total makes every share a float, an int frequency's too
+    oracle = CorpusOracle([(Leaf("a"), 3.0), (Leaf("b"), 1)], Fraction(1, 5), "swap")
+    assert [freq for _, freq in oracle.corpus] == [0.75, 0.25]
+    assert all(type(freq) is float for _, freq in oracle.corpus)
