@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from skelgram.equivalence import difference_witness
-from skelgram.geneclusters import (INF, SubstringFrequencyWeight, parse_gene_string,
-                                   right_chain, right_chain_shape)
+from skelgram.geneclusters import (INF, SubstringFrequencyWeight, duplication_distance,
+                                   parse_gene_string, right_chain, right_chain_shape,
+                                   swap_distance)
 from skelgram.grammar import WCFG, load_wcfg, parse_wcfg, wcfg_to_pmta
 from skelgram.learner import learn
 from skelgram.mta import MTA
@@ -560,6 +561,36 @@ def _perturbed(rng, t, swap_prob, chain_prob):
     if len(kids) == 2 and rng.random() < swap_prob:
         kids.reverse()
     return Node(tuple(kids))
+
+
+def test_finite_distance_implies_equal_keys():
+    """Trees at finite distance share a key: the run-compressed yield under
+    duplication, the size and sorted yield under swap.  The distances the
+    oracle's spine walks and supports follow are checked against the
+    references on the same pairs."""
+    def duplication_key(t):
+        return tuple(tok for tok, _ in itertools.groupby(tree_yield(t)))
+
+    def swap_key(t):
+        return t.size, tuple(sorted(tree_yield(t)))
+
+    rng = random.Random(11)
+    finite = {"duplication": 0, "swap": 0}
+    for _ in range(3000):
+        t = random_binary_tree(rng, ["a", "b", "c"], 8)
+        if rng.random() < 0.5:
+            t = _perturbed(rng, t, 0, 0.7)  # grow chains out of leaves
+        e = _perturbed(rng, t, rng.choice((0, 0.3)), rng.choice((0, 0.5)))
+        for distance, dist, reference, key in (
+                ("duplication", duplication_distance, reference_duplication_distance,
+                 duplication_key),
+                ("swap", swap_distance, reference_swap_distance, swap_key)):
+            d = dist(t, e)
+            assert d == reference(t, e), (distance, t.text, e.text)
+            if d != INF:
+                finite[distance] += 1
+                assert key(t) == key(e), (distance, t.text, e.text)
+    assert min(finite.values()) > 1000
 
 
 def test_supports_hold_the_distance_to_every_corpus_position():
